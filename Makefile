@@ -50,7 +50,7 @@ repl-smoke:
 # kill -9 re-exec test (zero acked commits lost under fsync=always),
 # and the subtree-frame replay-equivalence pin.
 crash-test:
-	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives' .
+	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives|TestTornSegment|TestSnapshotFallback|TestOpenFailsOnJournalGap' .
 
 cover:
 	$(GO) test -cover ./...
@@ -145,20 +145,25 @@ examples:
 experiments:
 	$(GO) run ./cmd/xsibench -exp all -scale 16
 
-# What CI runs (.github/workflows/ci.yml): build, vet, race-enabled tests,
-# the concurrent-stress and server-stress passes, the sharded-equivalence
-# pass, the crash-recovery gates (sharded + follower kill -9 included),
-# the xsiserve smoke (which covers a 4-shard boot), the replication smoke
-# (leader + 2 replicas, min_epoch read-back), a short path-parser fuzz
-# pass, the query-, wal-, shard- and repl-bench smokes, and a
-# one-iteration smoke pass over every benchmark in the module.
+# What CI runs — the same steps, in the same order, as
+# .github/workflows/ci.yml; change both together. Build, vet, race-enabled
+# tests, the concurrent-stress and server-stress passes, the
+# sharded-equivalence pass, the crash-recovery gates (sharded + follower
+# kill -9 included), the publication-scaling gate (bytes a commit's
+# snapshot publication allocates must follow what it dirtied, not the
+# graph), the xsiserve smoke (which covers a 4-shard boot), the
+# replication smoke (leader + 2 replicas, min_epoch read-back), short
+# path-parser and extent-decoder fuzz passes, the query-, wal-, shard-,
+# repl- and scale-bench smokes, and a one-iteration smoke pass over every
+# benchmark in the module.
 ci: build vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestSnapshot|TestConcurrent' .
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestSharded' .
-	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives' .
+	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives|TestTornSegment|TestSnapshotFallback|TestOpenFailsOnJournalGap' .
 	$(GO) test -race -count=1 -run 'TestFollower|TestKill9Follower|TestPropertyReplica|TestServerReplica|TestReplicaSet' ./...
+	$(GO) test -count=1 -run 'TestPublicationScaling' .
 	$(GO) run ./cmd/xsiserve -smoke
 	$(GO) run ./cmd/xsiserve -smoke-repl
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
@@ -166,6 +171,8 @@ ci: build vet
 	$(GO) run ./cmd/xsibench -exp wal
 	$(GO) run ./cmd/xsibench -exp shard -scale 64
 	$(GO) run ./cmd/xsibench -exp repl
+	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
+	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 clean:

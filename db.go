@@ -345,18 +345,12 @@ func replayRecord(x *OneIndex, rec *wal.Record) error {
 
 // ---- write path ----
 
-// publishPatch and publishFull mirror SnapshotOneIndex: copy-on-write
-// epoch publication, full re-freeze for structural operations. Callers
-// hold db.mu.
-func (db *DB) publishPatch(touched []NodeID) {
+// publish mirrors SnapshotOneIndex: copy-on-write epoch publication of
+// whatever the graph's change record and the index's dirty set list.
+// Callers hold db.mu.
+func (db *DB) publish() {
 	prev := db.cur.Load()
-	data := prev.Data().Rebuild(db.idx.Graph(), touched)
-	db.cur.Store(db.idx.PatchSnapshot(prev, data))
-	db.noteVisible()
-}
-
-func (db *DB) publishFull() {
-	db.cur.Store(db.idx.PatchSnapshot(db.cur.Load(), db.idx.Graph().Freeze()))
+	db.cur.Store(db.idx.PatchSnapshot(prev, prev.Data().Rebuild(db.idx.Graph(), nil)))
 	db.noteVisible()
 }
 
@@ -437,11 +431,7 @@ func (db *DB) ApplyBatchWindowed(ops []EdgeOp) error {
 		}
 		db.noteRecord(seq)
 	}
-	touched := make([]NodeID, 0, 2*len(ops))
-	for _, op := range ops {
-		touched = append(touched, op.U, op.V)
-	}
-	db.publishPatch(touched)
+	db.publish()
 	return nil
 }
 
@@ -465,7 +455,7 @@ func (db *DB) ApplyScriptWindowed(ops []ScriptOp) (OpResult, error) {
 		}
 		db.noteRecord(seq)
 	}
-	db.publishFull()
+	db.publish()
 	return res, aerr
 }
 
@@ -549,7 +539,7 @@ func (db *DB) DeleteSubtree(root NodeID) (*Subgraph, error) {
 		}
 		db.noteRecord(seq)
 	}
-	db.publishFull()
+	db.publish()
 	return sg, db.EndWindow()
 }
 
@@ -587,7 +577,7 @@ func (db *DB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
 		}
 		db.noteRecord(seq)
 	}
-	db.publishFull()
+	db.publish()
 	return ids, db.EndWindow()
 }
 
@@ -642,7 +632,7 @@ func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
 		}
 		db.noteRecord(seq)
 	}
-	db.publishFull()
+	db.publish()
 	return ids, db.EndWindow()
 }
 
@@ -667,7 +657,7 @@ func (db *DB) DeleteSubtreeNamed(root NodeID) ([]string, *Subgraph, error) {
 		}
 		db.noteRecord(seq)
 	}
-	db.publishFull()
+	db.publish()
 	in := db.idx.Graph().Labels()
 	names := make([]string, len(sg.Labels))
 	for i, l := range sg.Labels {
@@ -708,7 +698,7 @@ func (db *DB) Update(fn func(*OneIndex) error) error {
 	if err := fn(db.idx); err != nil {
 		return err
 	}
-	db.publishFull()
+	db.publish()
 	return nil
 }
 
@@ -761,7 +751,7 @@ func (db *DB) SetExtentCodec(c ExtentCodec) error {
 		return nil
 	}
 	db.idx.SetSnapshotCodec(c)
-	db.publishFull()
+	db.publish()
 	return nil
 }
 

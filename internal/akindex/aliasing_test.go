@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"structix/internal/cow"
 	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/gtest"
@@ -12,23 +13,27 @@ import (
 
 // TestSnapshotHoldsNoRawExtentSlices pins the aliasing-hazard fix
 // structurally: snapshot extents live behind extent.View (which exposes
-// no mutators), never as raw [][]graph.NodeID a caller could write into.
+// no mutators), never as raw graph.NodeID slices a caller could write
+// into — neither on the Snapshot nor in its walk records.
 func TestSnapshotHoldsNoRawExtentSlices(t *testing.T) {
-	st := reflect.TypeOf(Snapshot{})
-	raw := reflect.TypeOf([][]graph.NodeID{})
-	views := reflect.TypeOf([]extent.View{})
+	raw := []reflect.Type{reflect.TypeOf([]graph.NodeID{}), reflect.TypeOf([][]graph.NodeID{})}
+	view := reflect.TypeOf(cow.Array[extent.View]{})
 	found := false
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Type == raw {
-			t.Errorf("Snapshot.%s is [][]graph.NodeID: extents must be stored as extent.View", f.Name)
-		}
-		if f.Type == views {
-			found = true
+	for _, st := range []reflect.Type{reflect.TypeOf(Snapshot{}), reflect.TypeOf(walkRec{})} {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			for _, r := range raw {
+				if f.Type == r {
+					t.Errorf("%s.%s is %s: extents must be stored as extent.View", st.Name(), f.Name, r)
+				}
+			}
+			if f.Type == view {
+				found = true
+			}
 		}
 	}
 	if !found {
-		t.Error("Snapshot has no []extent.View field; the structural guard is checking nothing")
+		t.Error("no cow.Array[extent.View] field in the snapshot; the structural guard is checking nothing")
 	}
 }
 

@@ -3,6 +3,7 @@ package akindex
 import (
 	"fmt"
 
+	"structix/internal/cow"
 	"structix/internal/extent"
 	"structix/internal/graph"
 )
@@ -10,27 +11,39 @@ import (
 // Snapshot is an immutable read view of the level-k index of an A(k)
 // family, paired with a frozen copy of the data graph taken at the same
 // instant. Queries run against level k only, so that is all a snapshot
-// carries: per-inode label names, sorted intra-iedge successor lists,
-// extents frozen into extent.Views (dense or compressed, per the index's
-// snapshot codec), the root inode, the locality parameter k, and the
-// frozen graph for result validation and predicate checks. Once built,
-// nothing in it ever changes; any number of goroutines may evaluate
-// against it while the live family is being maintained.
+// carries: per inode slot the label name, sorted intra-iedge
+// successor list and extent frozen into an extent.View (dense or
+// compressed, per the index's snapshot codec), plus the root inode, the
+// locality parameter k, and the frozen graph for result validation and
+// predicate checks. Once built, nothing in it ever changes; any number of
+// goroutines may evaluate against it while the live family is being
+// maintained.
+//
+// They live in two paged copy-on-write arrays (internal/cow), split by who
+// reads them: the walk records (label and successors, 40 B — a walk step
+// reads one) and the extents (read only for the slots a walk accepts).
+// PatchSnapshot copies the two page spines plus the 64-slot pages holding
+// a dirtied slot, sharing every other page with its predecessor. Dead and
+// non-level-k slots hold zero records, so accessors need no liveness
+// branch; a live level-k inode is one with a non-empty extent
+// (Index.Validate's invariant).
 //
 // Aliasing contract: the slice returned by ISucc and the storage behind
 // ExtentView are owned by the snapshot and shared between all callers;
 // they are read-only by construction (extent.View exposes no mutators).
 // Extent returns a fresh copy the caller owns.
 type Snapshot struct {
-	data    *graph.Frozen
-	k       int
-	root    INodeID // level-k inode of the data root; NoINode if no root
-	live    []bool  // by INodeID slot; true only for live level-k inodes
-	names   []string
-	succs   [][]INodeID
-	extents []extent.View
-	size    int
-	codec   extent.Codec
+	data  *graph.Frozen
+	k     int
+	root  INodeID // level-k inode of the data root; NoINode if no root
+	walk  cow.Array[walkRec]
+	exts  cow.Array[extent.View]
+	size  int
+	codec extent.Codec
+
+	// Resident extent storage by representation, kept current per
+	// rewritten slot so ExtentBytes is O(1).
+	denseBytes, encodedBytes int64
 
 	// changed is the set of inode slots whose records differ from the
 	// predecessor snapshot (the dirty set PatchSnapshot consumed); partial
@@ -39,88 +52,88 @@ type Snapshot struct {
 	partial bool
 }
 
+// walkRec is what an automaton step reads of one inode slot; the zero
+// value belongs to a slot readers cannot see.
+type walkRec struct {
+	name  string
+	succs []INodeID
+}
+
+// deadRec is what accessors read for ids outside the slot space.
+var deadRec walkRec
+
 // Freeze builds a complete Snapshot of the family's current level-k state
 // (the caller supplies the matching frozen graph, normally
 // x.Graph().Freeze()) and enables dirty tracking so that later
-// PatchSnapshot calls can reuse the untouched per-inode records.
+// PatchSnapshot calls can reuse the untouched pages.
 func (x *Index) Freeze(data *graph.Frozen) *Snapshot {
-	n := len(x.nodes)
-	s := &Snapshot{
-		data:    data,
-		k:       x.k,
-		live:    make([]bool, n),
-		names:   make([]string, n),
-		succs:   make([][]INodeID, n),
-		extents: make([]extent.View, n),
-		codec:   x.codec,
-	}
+	s := &Snapshot{data: data, k: x.k, codec: x.codec}
+	w, e := s.walk.Edit(len(x.nodes)), s.exts.Edit(len(x.nodes))
 	for i := range x.nodes {
-		s.fill(x, INodeID(i))
+		s.set(x, w.Slot(i), e.Slot(i), INodeID(i))
 	}
-	s.finish(x)
-	x.resetDirty()
-	return s
+	return s.finish(x, w, e)
 }
 
 // PatchSnapshot derives a new Snapshot from prev by re-copying only the
-// inode slots dirtied since prev was built; every untouched slot shares
-// its slices with prev. Falls back to a full Freeze when prev is nil or
-// dirty tracking was not active (e.g. after a codec switch). The caller
+// inode slots dirtied since prev was built; every page without one is
+// shared with prev. Falls back to a full Freeze when prev is nil or dirty
+// tracking was not active (e.g. after a codec switch). The caller
 // supplies the frozen graph matching the family's current state.
 func (x *Index) PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot {
 	if prev == nil || !x.trackDirty {
 		return x.Freeze(data)
 	}
-	n := len(x.nodes)
 	s := &Snapshot{
-		data:    data,
-		k:       x.k,
-		live:    make([]bool, n),
-		names:   make([]string, n),
-		succs:   make([][]INodeID, n),
-		extents: make([]extent.View, n),
-		codec:   x.codec,
+		data:         data,
+		k:            x.k,
+		codec:        x.codec,
+		denseBytes:   prev.denseBytes,
+		encodedBytes: prev.encodedBytes,
+		changed:      append([]INodeID(nil), x.dirtyIDs...),
+		partial:      true,
 	}
-	copy(s.live, prev.live)
-	copy(s.names, prev.names)
-	copy(s.succs, prev.succs)
-	copy(s.extents, prev.extents)
-	s.changed = append([]INodeID(nil), x.dirtyIDs...)
-	s.partial = true
+	w, e := prev.walk.Edit(len(x.nodes)), prev.exts.Edit(len(x.nodes))
 	for _, i := range x.dirtyIDs {
-		s.fill(x, i)
+		s.set(x, w.Slot(int(i)), e.Slot(int(i)), i)
 	}
-	s.finish(x)
-	x.resetDirty()
-	return s
+	return s.finish(x, w, e)
 }
 
-// fill recopies slot i from the live index. Slots that are dead or hold a
-// non-level-k inode are blanked: only level k is visible to readers.
-func (s *Snapshot) fill(x *Index, i INodeID) {
-	n := x.nodes[i]
-	if n == nil || int(n.level) != x.k {
-		s.live[i] = false
-		s.names[i] = ""
-		s.succs[i] = nil
-		s.extents[i] = extent.View{}
-		return
+// set rewrites slot i's records from the live index — zero if the slot
+// is dead or holds a non-level-k inode, since only level k is visible to
+// readers — and moves the extent byte totals by the difference.
+func (s *Snapshot) set(x *Index, w *walkRec, v *extent.View, i INodeID) {
+	s.countExtent(*v, -1)
+	*w, *v = walkRec{}, extent.View{}
+	if n := x.nodes[i]; n != nil && int(n.level) == x.k {
+		w.name = x.g.Labels().Name(n.label)
+		w.succs = x.IntraSucc(i)
+		// Index.Extent returns a fresh sorted slice, so FromSorted may take
+		// ownership: the dense codec costs no extra copy.
+		*v = extent.FromSorted(x.Extent(i), s.codec)
 	}
-	s.live[i] = true
-	s.names[i] = x.g.Labels().Name(n.label)
-	s.succs[i] = x.IntraSucc(i)
-	// Index.Extent returns a fresh sorted slice, so FromSorted may take
-	// ownership: the dense codec costs no extra copy.
-	s.extents[i] = extent.FromSorted(x.Extent(i), s.codec)
+	s.countExtent(*v, +1)
 }
 
-func (s *Snapshot) finish(x *Index) {
+func (s *Snapshot) countExtent(v extent.View, sign int64) {
+	if v.IsCompressed() {
+		s.encodedBytes += sign * int64(v.Bytes())
+	} else {
+		s.denseBytes += sign * int64(v.Bytes())
+	}
+}
+
+func (s *Snapshot) finish(x *Index, w cow.Editor[walkRec], e cow.Editor[extent.View]) *Snapshot {
+	s.walk, s.exts = w.Array(), e.Array()
 	s.size = x.numLive[x.k]
 	s.root = NoINode
 	if r := x.g.Root(); r != graph.InvalidNode {
 		s.root = x.inodeOf[r]
 	}
 	x.trackDirty = true
+	x.resetDirty()
+	return s
 }
 
 // resetDirty clears the dirty set after a snapshot has consumed it.
@@ -146,7 +159,7 @@ func (s *Snapshot) Changed() (slots []INodeID, ok bool) {
 // Slots returns the size of the inode slot space (dense INodeID range;
 // dead and non-level-k slots included), the bound evaluation scratch
 // state is sized to.
-func (s *Snapshot) Slots() int { return len(s.live) }
+func (s *Snapshot) Slots() int { return s.walk.Len() }
 
 // K returns the locality parameter of the snapshotted family.
 func (s *Snapshot) K() int { return s.k }
@@ -158,38 +171,32 @@ func (s *Snapshot) RootINode() INodeID { return s.root }
 // Size returns the number of live level-k inodes at freeze time.
 func (s *Snapshot) Size() int { return s.size }
 
-// Live reports whether level-k inode I existed at freeze time.
-func (s *Snapshot) Live(I INodeID) bool {
-	return I >= 0 && int(I) < len(s.live) && s.live[I]
+// rec returns I's walk record; the dead record for ids outside the slot
+// space.
+func (s *Snapshot) rec(I INodeID) *walkRec {
+	if uint(I) >= uint(s.walk.Len()) {
+		return &deadRec
+	}
+	return s.walk.At(int(I))
 }
 
+// Live reports whether level-k inode I existed at freeze time.
+func (s *Snapshot) Live(I INodeID) bool { return s.ExtentView(I).Len() > 0 }
+
 // LabelName returns I's label string ("" for a dead or non-level-k slot).
-func (s *Snapshot) LabelName(I INodeID) string {
-	if !s.Live(I) {
-		return ""
-	}
-	return s.names[I]
-}
+func (s *Snapshot) LabelName(I INodeID) string { return s.rec(I).name }
 
 // EachISucc calls fn for every intra-iedge successor of I, in increasing
 // order.
 func (s *Snapshot) EachISucc(I INodeID, fn func(J INodeID)) {
-	if !s.Live(I) {
-		return
-	}
-	for _, j := range s.succs[I] {
+	for _, j := range s.rec(I).succs {
 		fn(j)
 	}
 }
 
-// ISucc returns I's sorted intra-iedge successors. The slice is shared
-// with the snapshot: read-only.
-func (s *Snapshot) ISucc(I INodeID) []INodeID {
-	if !s.Live(I) {
-		return nil
-	}
-	return s.succs[I]
-}
+// ISucc returns I's sorted intra-iedge successors (nil for a dead slot).
+// The slice is shared with the snapshot: read-only.
+func (s *Snapshot) ISucc(I INodeID) []INodeID { return s.rec(I).succs }
 
 // Codec returns the extent codec the snapshot was frozen under. A
 // Compressed snapshot may still hold dense views for extents the block
@@ -200,28 +207,22 @@ func (s *Snapshot) Codec() extent.Codec { return s.codec }
 // aliasing-safe accessor the query kernels union and intersect directly.
 // The zero View is returned for dead or non-level-k slots.
 func (s *Snapshot) ExtentView(I INodeID) extent.View {
-	if !s.Live(I) {
+	if uint(I) >= uint(s.exts.Len()) {
 		return extent.View{}
 	}
-	return s.extents[I]
+	return *s.exts.At(int(I))
 }
 
 // Extent returns I's sorted extent as a freshly allocated slice the
 // caller owns — it never aliases snapshot storage. Result assembly should
 // prefer AppendExtent or ExtentView, which do not copy per call.
 func (s *Snapshot) Extent(I INodeID) []graph.NodeID {
-	if !s.Live(I) {
-		return nil
-	}
-	return s.extents[I].AppendTo(nil)
+	return s.ExtentView(I).AppendTo(nil)
 }
 
 // EachExtent calls fn for every dnode in I's extent, in ascending order.
 func (s *Snapshot) EachExtent(I INodeID, fn func(v graph.NodeID)) {
-	if !s.Live(I) {
-		return
-	}
-	s.extents[I].Each(fn)
+	s.ExtentView(I).Each(fn)
 }
 
 // AppendExtent appends I's extent to dst in ascending order and returns
@@ -229,38 +230,20 @@ func (s *Snapshot) EachExtent(I INodeID, fn func(v graph.NodeID)) {
 // dst the whole union allocates nothing, compressed views decoding
 // streaming into dst.
 func (s *Snapshot) AppendExtent(dst []graph.NodeID, I INodeID) []graph.NodeID {
-	if !s.Live(I) {
-		return dst
-	}
-	return s.extents[I].AppendTo(dst)
+	return s.ExtentView(I).AppendTo(dst)
 }
 
 // ExtentSize returns |extent(I)| at freeze time (O(1) under every codec:
 // compressed views carry their cardinality in the header).
-func (s *Snapshot) ExtentSize(I INodeID) int {
-	if !s.Live(I) {
-		return 0
-	}
-	return s.extents[I].Len()
-}
+func (s *Snapshot) ExtentSize(I INodeID) int { return s.ExtentView(I).Len() }
 
 // ExtentBytes returns the resident extent storage of the snapshot, split
 // by representation: denseBytes counts slots holding dense slices
 // (including dense fallbacks under the Compressed codec), encodedBytes
-// counts compressed block encodings.
+// counts compressed block encodings. O(1): the totals are carried from
+// snapshot to snapshot and adjusted per rewritten slot.
 func (s *Snapshot) ExtentBytes() (denseBytes, encodedBytes int64) {
-	for i := range s.extents {
-		if !s.live[i] {
-			continue
-		}
-		b := int64(s.extents[i].Bytes())
-		if s.extents[i].IsCompressed() {
-			encodedBytes += b
-		} else {
-			denseBytes += b
-		}
-	}
-	return denseBytes, encodedBytes
+	return s.denseBytes, s.encodedBytes
 }
 
 func (s *Snapshot) String() string {

@@ -45,8 +45,8 @@ func assertSnapshotMatches(t *testing.T, s *Snapshot, x *Index) {
 		}
 	})
 	extra := 0
-	for i := range s.live {
-		if s.live[i] {
+	for i := 0; i < s.Slots(); i++ {
+		if s.Live(INodeID(i)) {
 			extra++
 		}
 	}

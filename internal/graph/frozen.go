@@ -1,5 +1,7 @@
 package graph
 
+import "structix/internal/cow"
+
 // Frozen is an immutable point-in-time copy of a Graph, built for
 // snapshot-isolated readers: once published, nothing about it ever
 // changes, so any number of goroutines may traverse it while the live
@@ -8,16 +10,24 @@ package graph
 // successors, A(k) validation walks predecessors), and that is exactly
 // what a Frozen holds.
 //
-// Snapshots are copy-on-write at node granularity: Rebuild shares the
-// per-node records of the previous Frozen and re-copies only the nodes a
-// batch touched, so publishing a new view after an n-op batch costs
-// O(MaxNodeID) pointer copies plus the adjacency of the ~2n touched
-// endpoints — not a full O(V+E) re-freeze.
+// The per-node records sit in a paged copy-on-write array (internal/cow):
+// Rebuild shares every page of the previous Frozen that holds no changed
+// node, so publishing a new view costs one spine copy (8 bytes per 64
+// slots) plus a 64-pointer page and the adjacency of each node the writers
+// touched — whatever the write was (edge batch, node script, subtree
+// delete or graft) and however large the graph is.
+//
+// The graph itself keeps the list of changed nodes: Freeze turns the
+// record on, every mutator (AddNodeL, AddEdge, DeleteEdge, RemoveNode,
+// SetValue) adds to it, and Rebuild consumes it. A chain of views must
+// therefore be derived in order — each Rebuild from the view the previous
+// Freeze or Rebuild of the same graph returned.
 type Frozen struct {
 	root       NodeID
 	numAlive   int
+	numEdges   int
 	allowLoops bool
-	nodes      []*frozenNode // indexed by NodeID; nil for dead slots
+	nodes      cow.Array[*frozenNode] // by NodeID; nil for dead slots
 }
 
 // frozenNode is one immutable node record. The succ/pred slices are owned
@@ -29,20 +39,32 @@ type frozenNode struct {
 	pred  []Edge
 }
 
-// Freeze builds a complete immutable copy of the graph's current state.
+// Freeze builds a complete immutable copy of the graph's current state
+// and starts (or restarts) the change record later Rebuilds consume.
 func (g *Graph) Freeze() *Frozen {
-	f := &Frozen{
-		root:       g.root,
-		numAlive:   g.numAlive,
-		allowLoops: g.allowLoops,
-		nodes:      make([]*frozenNode, len(g.nodes)),
+	for _, v := range g.stale {
+		g.nodes[v].stale = false
 	}
+	g.stale = g.stale[:0]
+	g.track = true
+	var empty cow.Array[*frozenNode]
+	e := empty.Edit(len(g.nodes))
 	for i := range g.nodes {
 		if g.nodes[i].alive {
-			f.nodes[i] = g.freezeNode(NodeID(i))
+			*e.Slot(i) = g.freezeNode(NodeID(i))
 		}
 	}
-	return f
+	return g.frozen(e.Array())
+}
+
+func (g *Graph) frozen(nodes cow.Array[*frozenNode]) *Frozen {
+	return &Frozen{
+		root:       g.root,
+		numAlive:   g.numAlive,
+		numEdges:   g.numEdges,
+		allowLoops: g.allowLoops,
+		nodes:      nodes,
+	}
 }
 
 func (g *Graph) freezeNode(v NodeID) *frozenNode {
@@ -55,29 +77,29 @@ func (g *Graph) freezeNode(v NodeID) *frozenNode {
 	}
 }
 
-// Rebuild derives a new Frozen from this one by re-copying only the given
-// nodes from the live graph; every other node record is shared with the
-// receiver. The caller must list every node whose adjacency, value or
-// liveness changed since the receiver was built — for a batch of edge ops
-// that is the set of op endpoints; for structural operations
-// (node/subgraph insertion and deletion) use a full Freeze instead unless
-// the touched set is known exactly. Duplicate entries are harmless.
+// Rebuild derives the next Frozen from this one by re-copying from the
+// live graph the nodes its change record lists plus those in touched;
+// every page without such a node is shared with the receiver. touched is
+// for callers that changed the graph behind a view the record does not
+// cover; ids outside the graph's id space and duplicates are ignored.
 func (f *Frozen) Rebuild(g *Graph, touched []NodeID) *Frozen {
-	nf := &Frozen{
-		root:       g.root,
-		numAlive:   g.numAlive,
-		allowLoops: g.allowLoops,
-		nodes:      make([]*frozenNode, len(g.nodes)),
-	}
-	copy(nf.nodes, f.nodes)
+	g.track = true
 	for _, v := range touched {
-		if g.Alive(v) {
-			nf.nodes[v] = g.freezeNode(v)
-		} else if int(v) < len(nf.nodes) {
-			nf.nodes[v] = nil
+		if v >= 0 && int(v) < len(g.nodes) {
+			g.touch(v)
 		}
 	}
-	return nf
+	e := f.nodes.Edit(len(g.nodes))
+	for _, v := range g.stale {
+		g.nodes[v].stale = false
+		var n *frozenNode
+		if g.nodes[v].alive {
+			n = g.freezeNode(v)
+		}
+		*e.Slot(int(v)) = n
+	}
+	g.stale = g.stale[:0]
+	return g.frozen(e.Array())
 }
 
 // Root returns the root node at freeze time (InvalidNode if none).
@@ -88,48 +110,55 @@ func (f *Frozen) Root() NodeID { return f.root }
 func (f *Frozen) AllowSelfLoops() bool { return f.allowLoops }
 
 // Alive reports whether v was live at freeze time.
-func (f *Frozen) Alive(v NodeID) bool {
-	return v >= 0 && int(v) < len(f.nodes) && f.nodes[v] != nil
+func (f *Frozen) Alive(v NodeID) bool { return f.node(v) != nil }
+
+// node returns v's record, nil for a dead or unknown node.
+func (f *Frozen) node(v NodeID) *frozenNode {
+	if uint(v) >= uint(f.nodes.Len()) {
+		return nil
+	}
+	return *f.nodes.At(int(v))
 }
 
 // NumNodes returns the live-node count at freeze time.
 func (f *Frozen) NumNodes() int { return f.numAlive }
 
+// NumEdges returns the edge count (tree + IDREF) at freeze time.
+func (f *Frozen) NumEdges() int { return f.numEdges }
+
 // MaxNodeID returns the exclusive NodeID bound at freeze time.
-func (f *Frozen) MaxNodeID() NodeID { return NodeID(len(f.nodes)) }
+func (f *Frozen) MaxNodeID() NodeID { return NodeID(f.nodes.Len()) }
 
 // LabelName returns v's label string ("" for a dead or unknown node).
 func (f *Frozen) LabelName(v NodeID) string {
-	if !f.Alive(v) {
-		return ""
+	if n := f.node(v); n != nil {
+		return n.name
 	}
-	return f.nodes[v].name
+	return ""
 }
 
 // Value returns v's value ("" for a dead or unknown node).
 func (f *Frozen) Value(v NodeID) string {
-	if !f.Alive(v) {
-		return ""
+	if n := f.node(v); n != nil {
+		return n.value
 	}
-	return f.nodes[v].value
+	return ""
 }
 
 // EachSucc calls fn for every successor edge of v at freeze time.
 func (f *Frozen) EachSucc(v NodeID, fn func(w NodeID, kind EdgeKind)) {
-	if !f.Alive(v) {
-		return
-	}
-	for _, e := range f.nodes[v].succ {
-		fn(e.To, e.Kind)
+	if n := f.node(v); n != nil {
+		for _, e := range n.succ {
+			fn(e.To, e.Kind)
+		}
 	}
 }
 
 // EachPred calls fn for every predecessor edge of v at freeze time.
 func (f *Frozen) EachPred(v NodeID, fn func(u NodeID, kind EdgeKind)) {
-	if !f.Alive(v) {
-		return
-	}
-	for _, e := range f.nodes[v].pred {
-		fn(e.To, e.Kind)
+	if n := f.node(v); n != nil {
+		for _, e := range n.pred {
+			fn(e.To, e.Kind)
+		}
 	}
 }

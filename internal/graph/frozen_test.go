@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"testing"
+
+	"structix/internal/cow"
 )
 
 func buildDiamond(t *testing.T) (*Graph, []NodeID) {
@@ -115,6 +117,70 @@ func TestFrozenRebuildDeadNode(t *testing.T) {
 	}
 }
 
+// TestFrozenRebuildIgnoresOutOfRangeIDs pins the contract of the touched
+// argument: ids outside the graph's id space — negative ones included —
+// and duplicates are ignored.
+func TestFrozenRebuildIgnoresOutOfRangeIDs(t *testing.T) {
+	g, n := buildDiamond(t)
+	f := g.Freeze()
+	if err := g.AddEdge(n[3], n[1], IDRef); err != nil {
+		t.Fatal(err)
+	}
+	f2 := f.Rebuild(g, []NodeID{InvalidNode, -7, n[3], n[3], g.MaxNodeID(), g.MaxNodeID() + 1000})
+	assertFrozenEquals(t, f2, g)
+	if f2.Alive(InvalidNode) || f2.Alive(g.MaxNodeID()) {
+		t.Fatal("out-of-range id reads as alive")
+	}
+}
+
+// TestFrozenRebuildFromChangeRecord drives every mutator after a Freeze
+// and rebuilds with no touched list at all: the graph's own record must
+// name every changed node — including one that is added and removed
+// without ever having an edge — and a Rebuild must consume the record.
+func TestFrozenRebuildFromChangeRecord(t *testing.T) {
+	g, n := buildDiamond(t)
+	lone := g.AddNode("lone")
+	f := g.Freeze()
+	if len(g.stale) != 0 {
+		t.Fatalf("Freeze left %d nodes in the change record", len(g.stale))
+	}
+
+	g.RemoveNode(lone)
+	g.SetValue(n[1], "changed")
+	if err := g.DeleteEdge(n[2], n[3]); err != nil {
+		t.Fatal(err)
+	}
+	var added []NodeID
+	for i := 0; i < 3*cow.PageSize; i++ { // grow the id space across page boundaries
+		v := g.AddNode("x")
+		if err := g.AddEdge(n[3], v, Tree); err != nil {
+			t.Fatal(err)
+		}
+		added = append(added, v)
+	}
+	g.RemoveNode(added[100])
+
+	f2 := f.Rebuild(g, nil)
+	assertFrozenEquals(t, f2, g)
+	if f2.Alive(lone) || f2.Alive(added[100]) || f2.MaxNodeID() != g.MaxNodeID() {
+		t.Fatal("rebuilt view kept a removed node or missed the id-space growth")
+	}
+	if len(g.stale) != 0 {
+		t.Fatalf("Rebuild left %d nodes in the change record", len(g.stale))
+	}
+	if !f.Alive(lone) || f.Value(n[1]) != "" || f.MaxNodeID() != lone+1 {
+		t.Fatal("rebuild mutated the source frozen view")
+	}
+
+	// Nothing changed: the next view shares every page.
+	f3 := f2.Rebuild(g, nil)
+	for i := 0; i < f3.nodes.Len(); i += cow.PageSize {
+		if f3.nodes.At(i) != f2.nodes.At(i) {
+			t.Fatalf("page of slot %d copied by an empty rebuild", i)
+		}
+	}
+}
+
 func assertFrozenEquals(t *testing.T, f *Frozen, g *Graph) {
 	t.Helper()
 	if f.Root() != g.Root() {
@@ -122,6 +188,14 @@ func assertFrozenEquals(t *testing.T, f *Frozen, g *Graph) {
 	}
 	if f.NumNodes() != g.NumNodes() {
 		t.Fatalf("nodes: frozen %d, graph %d", f.NumNodes(), g.NumNodes())
+	}
+	if f.NumEdges() != g.NumEdges() || countFrozenEdges(f) != g.NumEdges() {
+		t.Fatalf("edges: frozen %d (walked %d), graph %d", f.NumEdges(), countFrozenEdges(f), g.NumEdges())
+	}
+	for v := NodeID(0); v < g.MaxNodeID(); v++ {
+		if f.Alive(v) != g.Alive(v) {
+			t.Fatalf("node %d: frozen alive=%v, graph alive=%v", v, f.Alive(v), g.Alive(v))
+		}
 	}
 	g.EachNode(func(v NodeID) {
 		if !f.Alive(v) {

@@ -114,6 +114,7 @@ type node struct {
 	succ  []Edge // outgoing edges; Edge.To is the sink
 	pred  []Edge // incoming edges; Edge.To is the source
 	alive bool
+	stale bool // listed in Graph.stale (see touch)
 }
 
 // Graph is a mutable directed labeled graph. It is not safe for concurrent
@@ -127,6 +128,12 @@ type Graph struct {
 	numIDRef   int
 	rootLabel  LabelID
 	allowLoops bool
+
+	// Frozen-view change record (see frozen.go): once Freeze has been
+	// called, every node whose adjacency, value or liveness a mutator
+	// changes is listed here, once, so Frozen.Rebuild re-copies only those.
+	track bool
+	stale []NodeID
 }
 
 // New creates an empty graph with a fresh label interner and no root.
@@ -155,6 +162,7 @@ func (g *Graph) AddNodeL(label LabelID) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, node{label: label, alive: true})
 	g.numAlive++
+	g.touch(id)
 	return id
 }
 
@@ -181,6 +189,7 @@ func (g *Graph) Root() NodeID { return g.root }
 func (g *Graph) SetValue(v NodeID, value string) {
 	g.mustAlive(v)
 	g.nodes[v].value = value
+	g.touch(v)
 }
 
 // Value returns the node's value (empty if none was set).
@@ -255,6 +264,8 @@ func (g *Graph) AddEdge(u, v NodeID, kind EdgeKind) error {
 	if kind == IDRef {
 		g.numIDRef++
 	}
+	g.touch(u)
+	g.touch(v)
 	return nil
 }
 
@@ -273,6 +284,8 @@ func (g *Graph) DeleteEdge(u, v NodeID) error {
 	if kind == IDRef {
 		g.numIDRef--
 	}
+	g.touch(u)
+	g.touch(v)
 	return nil
 }
 
@@ -343,6 +356,7 @@ func (g *Graph) RemoveNode(v NodeID) {
 	g.nodes[v].alive = false
 	g.nodes[v].value = ""
 	g.numAlive--
+	g.touch(v)
 	if g.root == v {
 		g.root = InvalidNode
 	}
@@ -512,6 +526,15 @@ func (g *Graph) Compact() (*Graph, []NodeID) {
 		ng.SetRoot(remap[g.root])
 	}
 	return ng, remap
+}
+
+// touch records that v's frozen record is out of date. Every mutator
+// calls it; it does nothing until the first Freeze.
+func (g *Graph) touch(v NodeID) {
+	if g.track && !g.nodes[v].stale {
+		g.nodes[v].stale = true
+		g.stale = append(g.stale, v)
+	}
 }
 
 func (g *Graph) mustAlive(v NodeID) {

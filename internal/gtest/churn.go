@@ -1,0 +1,152 @@
+package gtest
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+
+	"structix/internal/extent"
+	"structix/internal/graph"
+)
+
+// Maintained is the write surface the 1-index and the A(k) family share.
+type Maintained interface {
+	Graph() *graph.Graph
+	ApplyBatch(ops []graph.EdgeOp) error
+	InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.EdgeKind) (graph.NodeID, error)
+	DeleteNode(v graph.NodeID) error
+	DeleteSubgraph(root graph.NodeID, skipIDRef bool) (*graph.Subgraph, error)
+	AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error)
+}
+
+// Churner drives random writes of every kind through a maintained index,
+// one per Step, so a test can publish and check after each.
+type Churner struct {
+	Rng *rand.Rand
+	X   Maintained
+
+	cut *graph.Subgraph // deleted by the last step, re-grafted by the next
+}
+
+// Step applies one random write and names its kind: an edge batch, a node
+// script (leaf insertions, a value change, a leaf deletion), or a subtree
+// deletion, which the following Step undoes by re-grafting the subtree
+// (under fresh node ids).
+func (c *Churner) Step() (string, error) {
+	g := c.X.Graph()
+	if c.cut != nil {
+		sg := c.cut
+		c.cut = nil
+		_, err := c.X.AddSubgraph(sg)
+		return "graft", err
+	}
+	switch c.Rng.Intn(4) {
+	case 0:
+		nodes := g.Nodes()
+		for i := 1 + c.Rng.Intn(4); i > 0; i-- {
+			parent := nodes[c.Rng.Intn(len(nodes))]
+			label := g.Labels().Intern(randLabels[c.Rng.Intn(len(randLabels))])
+			v, err := c.X.InsertNode(label, parent, graph.Tree)
+			if err != nil {
+				return "script", err
+			}
+			nodes = append(nodes, v)
+		}
+		g.SetValue(nodes[c.Rng.Intn(len(nodes))], fmt.Sprintf("v%d", c.Rng.Intn(100)))
+		for _, v := range nodes {
+			if v != g.Root() && g.OutDegree(v) == 0 && c.Rng.Intn(8) == 0 {
+				return "script", c.X.DeleteNode(v)
+			}
+		}
+		return "script", nil
+	case 1:
+		nodes := g.Nodes()
+		root := nodes[c.Rng.Intn(len(nodes))]
+		if root == g.Root() || len(g.Reachable(root, true)) > len(nodes)/4 {
+			return c.Step()
+		}
+		sg, err := c.X.DeleteSubgraph(root, true)
+		c.cut = sg
+		return "cut", err
+	default:
+		ops := RandomOpBatch(c.Rng, g.Clone(), 1+c.Rng.Intn(8), false)
+		return "edges", c.X.ApplyBatch(ops)
+	}
+}
+
+// FrozenDiff compares two frozen graphs on every accessor of every node
+// slot (and one past each end) and describes the first difference, ""
+// when there is none.
+func FrozenDiff(a, b *graph.Frozen) string {
+	if a.Root() != b.Root() || a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() ||
+		a.MaxNodeID() != b.MaxNodeID() || a.AllowSelfLoops() != b.AllowSelfLoops() {
+		return fmt.Sprintf("header: root %d/%d nodes %d/%d edges %d/%d max %d/%d",
+			a.Root(), b.Root(), a.NumNodes(), b.NumNodes(), a.NumEdges(), b.NumEdges(), a.MaxNodeID(), b.MaxNodeID())
+	}
+	adj := func(f *graph.Frozen, v graph.NodeID) (out []graph.Edge) {
+		f.EachSucc(v, func(w graph.NodeID, k graph.EdgeKind) { out = append(out, graph.Edge{To: w, Kind: k}) })
+		out = append(out, graph.Edge{To: graph.InvalidNode})
+		f.EachPred(v, func(u graph.NodeID, k graph.EdgeKind) { out = append(out, graph.Edge{To: u, Kind: k}) })
+		return out
+	}
+	for v := graph.NodeID(-1); v <= a.MaxNodeID(); v++ {
+		if a.Alive(v) != b.Alive(v) || a.LabelName(v) != b.LabelName(v) || a.Value(v) != b.Value(v) {
+			return fmt.Sprintf("node %d: alive %v/%v label %q/%q value %q/%q",
+				v, a.Alive(v), b.Alive(v), a.LabelName(v), b.LabelName(v), a.Value(v), b.Value(v))
+		}
+		if x, y := adj(a, v), adj(b, v); !slices.Equal(x, y) {
+			return fmt.Sprintf("node %d: adjacency %v / %v", v, x, y)
+		}
+	}
+	return ""
+}
+
+// IndexSnapshot is the read surface the 1-index and A(k) snapshots share.
+type IndexSnapshot[ID ~int32] interface {
+	Data() *graph.Frozen
+	Slots() int
+	Size() int
+	RootINode() ID
+	Codec() extent.Codec
+	ExtentBytes() (dense, encoded int64)
+	Live(ID) bool
+	LabelName(ID) string
+	ISucc(ID) []ID
+	ExtentView(ID) extent.View
+	Extent(ID) []graph.NodeID
+	ExtentSize(ID) int
+}
+
+// SnapshotDiff compares two index snapshots — and their frozen graphs —
+// on every accessor of every inode slot (and one past each end) and
+// describes the first difference, "" when there is none.
+func SnapshotDiff[ID ~int32, S IndexSnapshot[ID]](a, b S) string {
+	if d := FrozenDiff(a.Data(), b.Data()); d != "" {
+		return "data: " + d
+	}
+	ad, ae := a.ExtentBytes()
+	bd, be := b.ExtentBytes()
+	if a.Slots() != b.Slots() || a.Size() != b.Size() || a.RootINode() != b.RootINode() ||
+		a.Codec() != b.Codec() || ad != bd || ae != be {
+		return fmt.Sprintf("header: slots %d/%d size %d/%d root %d/%d codec %v/%v bytes %d+%d/%d+%d",
+			a.Slots(), b.Slots(), a.Size(), b.Size(), a.RootINode(), b.RootINode(), a.Codec(), b.Codec(), ad, ae, bd, be)
+	}
+	for i := ID(-1); int(i) <= a.Slots(); i++ {
+		if a.Live(i) != b.Live(i) || a.LabelName(i) != b.LabelName(i) {
+			return fmt.Sprintf("slot %d: live %v/%v label %q/%q", i, a.Live(i), b.Live(i), a.LabelName(i), b.LabelName(i))
+		}
+		if !slices.Equal(a.ISucc(i), b.ISucc(i)) {
+			return fmt.Sprintf("slot %d: successors %v / %v", i, a.ISucc(i), b.ISucc(i))
+		}
+		av, bv := a.ExtentView(i), b.ExtentView(i)
+		if av.IsCompressed() != bv.IsCompressed() || !bytes.Equal(av.Encoded(), bv.Encoded()) || av.Bytes() != bv.Bytes() {
+			return fmt.Sprintf("slot %d: extent representations differ", i)
+		}
+		if !slices.Equal(a.Extent(i), b.Extent(i)) || a.ExtentSize(i) != b.ExtentSize(i) ||
+			!slices.Equal(av.AppendTo(nil), a.Extent(i)) {
+			return fmt.Sprintf("slot %d: extent %v / %v", i, a.Extent(i), b.Extent(i))
+		}
+	}
+	return ""
+}

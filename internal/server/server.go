@@ -651,7 +651,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < n; i++ {
 		data := snap.Shard(i).Data()
 		rep.Nodes += data.NumNodes()
-		rep.Edges += frozenEdges(data)
+		rep.Edges += data.NumEdges()
 		rep.INodes += snap.Shard(i).Size()
 		db, eb := snap.Shard(i).ExtentBytes()
 		rep.ExtentDenseBytes += db

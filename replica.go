@@ -241,15 +241,7 @@ func (db *DB) ApplyRecord(rec *wal.Record) error {
 		return db.journalFailed(jerr)
 	}
 	db.noteRecord(rec.Seq)
-	if rec.Kind == wal.RecEdges {
-		touched := make([]NodeID, 0, 2*len(rec.Edges))
-		for _, op := range rec.Edges {
-			touched = append(touched, op.U, op.V)
-		}
-		db.publishPatch(touched)
-	} else {
-		db.publishFull()
-	}
+	db.publish()
 	return nil
 }
 

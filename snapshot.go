@@ -81,9 +81,10 @@ func CountAkSnapshot(p *Path, s *AkSnapshot) int { return query.CountAkSnapshot(
 // This is the availability upgrade over ConcurrentOneIndex: under the
 // RWMutex wrapper a long merge phase stalls every reader; here readers
 // keep answering from the previous epoch for the full duration of the
-// write. Snapshot publication is copy-on-write — an edge batch re-copies
-// only the inodes and graph nodes it touched (tracked by the index's
-// dirty set), not the whole index.
+// write. Snapshot publication is copy-on-write — every write re-copies
+// only the pages of the inodes and graph nodes it touched (recorded by
+// the index's dirty set and the graph's change record), not the whole
+// index.
 //
 // The wrapped index and graph must not be touched directly while the
 // wrapper is in use.
@@ -101,19 +102,12 @@ func NewSnapshotOneIndex(idx *OneIndex) *SnapshotOneIndex {
 	return c
 }
 
-// publishPatch publishes a new snapshot derived from the current one,
-// re-freezing only the given graph nodes. Callers hold c.mu.
-func (c *SnapshotOneIndex) publishPatch(touched []NodeID) {
+// publish publishes the successor of the current snapshot: the graph's
+// own change record and the index's dirty set say what to re-copy, so
+// every write kind costs what it touched. Callers hold c.mu.
+func (c *SnapshotOneIndex) publish() {
 	prev := c.cur.Load()
-	data := prev.Data().Rebuild(c.idx.Graph(), touched)
-	c.cur.Store(c.idx.PatchSnapshot(prev, data))
-}
-
-// publishFull publishes a snapshot over a fully re-frozen graph (used
-// after structural operations whose touched-node set is not tracked).
-// Callers hold c.mu.
-func (c *SnapshotOneIndex) publishFull() {
-	c.cur.Store(c.idx.PatchSnapshot(c.cur.Load(), c.idx.Graph().Freeze()))
+	c.cur.Store(c.idx.PatchSnapshot(prev, prev.Data().Rebuild(c.idx.Graph(), nil)))
 }
 
 // InsertEdge inserts a dedge and publishes the next snapshot.
@@ -123,7 +117,7 @@ func (c *SnapshotOneIndex) InsertEdge(u, v NodeID, kind EdgeKind) error {
 	if err := c.idx.InsertEdge(u, v, kind); err != nil {
 		return err
 	}
-	c.publishPatch([]NodeID{u, v})
+	c.publish()
 	return nil
 }
 
@@ -134,7 +128,7 @@ func (c *SnapshotOneIndex) DeleteEdge(u, v NodeID) error {
 	if err := c.idx.DeleteEdge(u, v); err != nil {
 		return err
 	}
-	c.publishPatch([]NodeID{u, v})
+	c.publish()
 	return nil
 }
 
@@ -148,11 +142,7 @@ func (c *SnapshotOneIndex) ApplyBatch(ops []EdgeOp) error {
 	if err := c.idx.ApplyBatch(ops); err != nil {
 		return err
 	}
-	touched := make([]NodeID, 0, 2*len(ops))
-	for _, op := range ops {
-		touched = append(touched, op.U, op.V)
-	}
-	c.publishPatch(touched)
+	c.publish()
 	return nil
 }
 
@@ -164,7 +154,7 @@ func (c *SnapshotOneIndex) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.publishFull()
+	c.publish()
 	return ids, nil
 }
 
@@ -176,7 +166,7 @@ func (c *SnapshotOneIndex) DeleteSubgraph(root NodeID, skipIDRef bool) (*Subgrap
 	if err != nil {
 		return nil, err
 	}
-	c.publishFull()
+	c.publish()
 	return sg, nil
 }
 
@@ -188,7 +178,7 @@ func (c *SnapshotOneIndex) InsertNode(label graph.LabelID, parent NodeID, kind E
 	if err != nil {
 		return v, err
 	}
-	c.publishFull()
+	c.publish()
 	return v, nil
 }
 
@@ -199,18 +189,18 @@ func (c *SnapshotOneIndex) DeleteNode(v NodeID) error {
 	if err := c.idx.DeleteNode(v); err != nil {
 		return err
 	}
-	c.publishFull()
+	c.publish()
 	return nil
 }
 
-// Update runs fn with exclusive access to the live index and publishes a
-// fully re-frozen snapshot afterwards (the wrapper cannot know what fn
+// Update runs fn with exclusive access to the live index and publishes
+// the next snapshot afterwards (the graph and the index record what fn
 // touched).
 func (c *SnapshotOneIndex) Update(fn func(*OneIndex) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err := fn(c.idx)
-	c.publishFull()
+	c.publish()
 	return err
 }
 
@@ -269,14 +259,9 @@ func NewSnapshotAkIndex(idx *AkIndex) *SnapshotAkIndex {
 	return c
 }
 
-func (c *SnapshotAkIndex) publishPatch(touched []NodeID) {
+func (c *SnapshotAkIndex) publish() {
 	prev := c.cur.Load()
-	data := prev.Data().Rebuild(c.idx.Graph(), touched)
-	c.cur.Store(c.idx.PatchSnapshot(prev, data))
-}
-
-func (c *SnapshotAkIndex) publishFull() {
-	c.cur.Store(c.idx.PatchSnapshot(c.cur.Load(), c.idx.Graph().Freeze()))
+	c.cur.Store(c.idx.PatchSnapshot(prev, prev.Data().Rebuild(c.idx.Graph(), nil)))
 }
 
 // InsertEdge inserts a dedge and publishes the next snapshot.
@@ -286,7 +271,7 @@ func (c *SnapshotAkIndex) InsertEdge(u, v NodeID, kind EdgeKind) error {
 	if err := c.idx.InsertEdge(u, v, kind); err != nil {
 		return err
 	}
-	c.publishPatch([]NodeID{u, v})
+	c.publish()
 	return nil
 }
 
@@ -297,7 +282,7 @@ func (c *SnapshotAkIndex) DeleteEdge(u, v NodeID) error {
 	if err := c.idx.DeleteEdge(u, v); err != nil {
 		return err
 	}
-	c.publishPatch([]NodeID{u, v})
+	c.publish()
 	return nil
 }
 
@@ -309,11 +294,7 @@ func (c *SnapshotAkIndex) ApplyBatch(ops []EdgeOp) error {
 	if err := c.idx.ApplyBatch(ops); err != nil {
 		return err
 	}
-	touched := make([]NodeID, 0, 2*len(ops))
-	for _, op := range ops {
-		touched = append(touched, op.U, op.V)
-	}
-	c.publishPatch(touched)
+	c.publish()
 	return nil
 }
 
@@ -325,7 +306,7 @@ func (c *SnapshotAkIndex) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.publishFull()
+	c.publish()
 	return ids, nil
 }
 
@@ -337,7 +318,7 @@ func (c *SnapshotAkIndex) DeleteSubgraph(root NodeID, skipIDRef bool) (*Subgraph
 	if err != nil {
 		return nil, err
 	}
-	c.publishFull()
+	c.publish()
 	return sg, nil
 }
 
@@ -349,7 +330,7 @@ func (c *SnapshotAkIndex) InsertNode(label graph.LabelID, parent NodeID, kind Ed
 	if err != nil {
 		return v, err
 	}
-	c.publishFull()
+	c.publish()
 	return v, nil
 }
 
@@ -360,17 +341,17 @@ func (c *SnapshotAkIndex) DeleteNode(v NodeID) error {
 	if err := c.idx.DeleteNode(v); err != nil {
 		return err
 	}
-	c.publishFull()
+	c.publish()
 	return nil
 }
 
-// Update runs fn with exclusive access to the live family and publishes a
-// fully re-frozen snapshot afterwards.
+// Update runs fn with exclusive access to the live family and publishes
+// the next snapshot afterwards.
 func (c *SnapshotAkIndex) Update(fn func(*AkIndex) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err := fn(c.idx)
-	c.publishFull()
+	c.publish()
 	return err
 }
 

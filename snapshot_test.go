@@ -3,10 +3,13 @@ package structix_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"structix"
+	"structix/internal/gtest"
 )
 
 // batchPool builds insert/delete batches over a pool of absent IDREF
@@ -412,5 +415,126 @@ func TestPersistRoundTripThenBatch(t *testing.T) {
 	p := structix.MustParsePath("//person/name")
 	if got, want := len(s.Eval(p)), len(structix.EvalOneIndex(p, loaded.One)); got != want {
 		t.Fatalf("snapshot over loaded index: %d results, want %d", got, want)
+	}
+}
+
+// Readers pin one snapshot and keep comparing it, accessor by accessor,
+// with an independently frozen twin of the same state while the writer
+// publishes 1000 successors over it — every kind of write, each patch
+// sharing pages with the pinned predecessor. Run with -race: a write into
+// a shared page is a data race, a wrong copy a difference.
+func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gtest.RandomCyclic(rng, 300, 120)
+	idx := structix.BuildOneIndex(g)
+	twin := idx.Freeze(g.Clone().Freeze())
+	c := structix.NewSnapshotOneIndex(idx)
+	pinned := c.Snapshot()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true // one last full pass after the final patch
+				default:
+				}
+				if d := gtest.SnapshotDiff[structix.OneINodeID](pinned, twin); d != "" {
+					t.Errorf("pinned snapshot changed under the writer: %s", d)
+					return
+				}
+			}
+		}()
+	}
+	churn := gtest.Churner{Rng: rng}
+	for i := 0; i < 1000; i++ {
+		if err := c.Update(func(x *structix.OneIndex) error {
+			churn.X = x
+			_, err := churn.Step()
+			return err
+		}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if _, ok := c.Snapshot().Changed(); !ok {
+			t.Fatalf("write %d published by full freeze", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if d := gtest.SnapshotDiff[structix.OneINodeID](c.Snapshot(), idx.Freeze(g.Clone().Freeze())); d != "" {
+		t.Fatalf("after 1000 patches the chain differs from a fresh freeze: %s", d)
+	}
+}
+
+// publicationCost applies the benchmark's write traffic — 8-op batches of
+// new person→open_auction IDREF edges, inserted and then deleted again —
+// to an XMark graph of the given scale (the divisor of the paper
+// instance: smaller is larger) and returns the bytes Frozen.Rebuild plus
+// PatchSnapshot allocated over all commits and the inode slots they
+// dirtied.
+func publicationCost(t *testing.T, scale int) (nodes int, bytes uint64, dirtied int) {
+	g := structix.GenerateXMark(structix.DefaultXMark(scale, 1, 1))
+	var persons, auctions []structix.NodeID
+	g.EachNode(func(v structix.NodeID) {
+		switch g.LabelName(v) {
+		case "person":
+			persons = append(persons, v)
+		case "open_auction":
+			auctions = append(auctions, v)
+		}
+	})
+	rng := rand.New(rand.NewSource(1))
+	seen := map[[2]structix.NodeID]bool{}
+	var pool [][2]structix.NodeID
+	for len(pool) < 16*8 {
+		e := [2]structix.NodeID{persons[rng.Intn(len(persons))], auctions[rng.Intn(len(auctions))]}
+		if !seen[e] && !g.HasEdge(e[0], e[1]) {
+			seen[e] = true
+			pool = append(pool, e)
+		}
+	}
+	inserts, deletes := batchPool(pool, 8)
+	idx := structix.BuildOneIndex(g)
+	snap := idx.Freeze(g.Freeze())
+	var before, after runtime.MemStats
+	for _, ops := range append(inserts, deletes...) {
+		if err := idx.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		snap = idx.PatchSnapshot(snap, snap.Data().Rebuild(g, nil))
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		changed, _ := snap.Changed()
+		dirtied += len(changed)
+	}
+	return g.NumNodes(), bytes, dirtied
+}
+
+// TestPublicationScaling is the gate on O(delta) publication: what a
+// commit's publication allocates must follow what the commit dirtied, not
+// the size of the graph. The same traffic on a graph 8x larger dirties
+// about twice the inodes per commit (the extents it splits are larger);
+// per dirtied inode the cost may rise by at most 2x — the page spines
+// still grow with the graph — where the flat-slice snapshots this
+// replaced rose with the graph itself.
+func TestPublicationScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 290k-node graph")
+	}
+	smallN, smallB, smallD := publicationCost(t, 8)
+	largeN, largeB, largeD := publicationCost(t, 1)
+	small, large := float64(smallB)/float64(smallD), float64(largeB)/float64(largeD)
+	t.Logf("%d nodes: %d B over %d dirtied inodes (%.0f B each); %d nodes: %d B over %d (%.0f B each): x%.2f per inode, x%.2f in all",
+		smallN, smallB, smallD, small, largeN, largeB, largeD, large, large/small, float64(largeB)/float64(smallB))
+	if largeN < 7*smallN {
+		t.Fatalf("graphs are not 8x apart: %d vs %d nodes", smallN, largeN)
+	}
+	if large >= 2*small {
+		t.Errorf("publication allocates %.0f B per dirtied inode at %d nodes but %.0f B at %d nodes: it scales with the graph", small, smallN, large, largeN)
 	}
 }
