@@ -151,8 +151,10 @@ experiments:
 # sharded-equivalence pass, the crash-recovery gates (sharded + follower
 # kill -9 included), the publication-scaling gate (bytes a commit's
 # snapshot publication allocates must follow what it dirtied, not the
-# graph), the xsiserve smoke (which covers a 4-shard boot), the
-# replication smoke (leader + 2 replicas, min_epoch read-back), short
+# graph), the cache footprint gate (invalidation soundness under the
+# expansion-only footprint, the tightness pins and the FootprintSlots
+# total, race-enabled), the xsiserve smoke (which covers a 4-shard
+# boot), the replication smoke (leader + 2 replicas, min_epoch read-back), short
 # path-parser and extent-decoder fuzz passes, the query-, wal-, shard-,
 # repl- and scale-bench smokes, and a one-iteration smoke pass over every
 # benchmark in the module.
@@ -164,6 +166,7 @@ ci: build vet
 	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives|TestTornSegment|TestSnapshotFallback|TestOpenFailsOnJournalGap' .
 	$(GO) test -race -count=1 -run 'TestFollower|TestKill9Follower|TestPropertyReplica|TestServerReplica|TestReplicaSet' ./...
 	$(GO) test -count=1 -run 'TestPublicationScaling' .
+	$(GO) test -race -count=1 -run 'TestFootprint|TestQueryCache' ./internal/query/ ./internal/server/ ./internal/qcache/
 	$(GO) run ./cmd/xsiserve -smoke
 	$(GO) run ./cmd/xsiserve -smoke-repl
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/

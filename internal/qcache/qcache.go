@@ -8,19 +8,26 @@
 // a separate epoch counter would reintroduce). When a commit publishes
 // the next snapshot, Advance carries the surviving entries forward
 // instead of flushing wholesale: an entry recorded with a precise
-// evaluation footprint (the inode slots the automaton walk inspected) is
-// kept whenever the commit's dirty-inode set — the same delta
-// PatchSnapshot maintains — does not intersect that footprint. Soundness
-// is inherited from the index's dirty tracking: any maintenance change
-// that can alter a query's result (extent membership, iedge sets, slot
-// birth or death) marks an inode the walk would have inspected, so a
-// disjoint dirty set proves the cached result unchanged. Entries without
-// a precise footprint (predicate-bearing queries, which read the data
-// graph below their candidates) are invalidated on every publication.
+// evaluation footprint (the inode slots the automaton walk expanded, i.e.
+// read the successor list of) is kept whenever the commit's dirty-inode
+// set — the same delta PatchSnapshot maintains — does not intersect that
+// footprint. Soundness is inherited from the index's dirty tracking: a
+// result is a function of the expanded slots' successor lists, their
+// successors' labels and the accepting slots' extents; a successor list
+// or extent changes only by dirtying its slot, and a label changes only
+// when the slot dies and is reborn, which first removes its in-edges and
+// so dirties every expanded parent. A disjoint dirty set therefore proves
+// the cached result unchanged (query.EvalOneSnapshotFootprint spells the
+// argument out). Entries without a precise footprint (predicate-bearing
+// queries, which read the data graph below their candidates) are
+// invalidated on every publication.
 //
 // The cache is a plain mutex-protected LRU: reads on the serving hot path
 // are one map lookup and a list move, allocation-free, and the only
-// writer of Advance is the server's single committer goroutine.
+// writer of Advance is the server's single committer goroutine. Advance
+// holds the lock for O(|dirty| · log |footprint|) per entry (the shorter
+// of the two sets is binary-searched in the longer): its cost follows
+// what the commit dirtied, not what the entries hold.
 package qcache
 
 import (
@@ -39,7 +46,7 @@ const DefaultMaxEntries = 1024
 type entry struct {
 	key       string
 	nodes     []graph.NodeID // sorted result, owned by the cache: read-only
-	footprint []int32        // sorted inode slots the evaluation inspected
+	footprint []int32        // ascending inode slots the evaluation expanded
 	precise   bool           // footprint fully determines the result
 	elem      *list.Element
 }
@@ -53,6 +60,10 @@ type Stats struct {
 	Invalidated int64 // entries evicted by Advance (dirty overlap or imprecise)
 	Evicted     int64 // entries evicted by the LRU capacity bound
 	Entries     int   // current entry count
+
+	// FootprintSlots is the total length of the live entries' footprints,
+	// 4 bytes each: the part of the cache's heap the results do not show.
+	FootprintSlots int64
 }
 
 // HitRate returns hits / (hits + misses), 0 when idle.
@@ -71,6 +82,7 @@ type Cache struct {
 	tag     any // identity of the snapshot current entries are valid for
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
+	fpSlots int64      // sum of len(footprint) over entries
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -131,6 +143,7 @@ func (c *Cache) Put(key string, tag any, nodes []graph.NodeID, footprint []int32
 		return
 	}
 	if e, ok := c.entries[key]; ok {
+		c.fpSlots += int64(len(footprint) - len(e.footprint))
 		e.nodes, e.footprint, e.precise = nodes, footprint, precise
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
@@ -140,6 +153,7 @@ func (c *Cache) Put(key string, tag any, nodes []graph.NodeID, footprint []int32
 	e := &entry{key: key, nodes: nodes, footprint: footprint, precise: precise}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
+	c.fpSlots += int64(len(footprint))
 	var dropped int64
 	for len(c.entries) > c.max {
 		back := c.lru.Back()
@@ -152,18 +166,16 @@ func (c *Cache) Put(key string, tag any, nodes []graph.NodeID, footprint []int32
 }
 
 // Advance moves the cache to the next published snapshot. dirty is the
-// set of inode slots the commit changed (any order; PatchSnapshot's
-// consumed dirty set); full forces a complete flush, for publications
-// whose delta is unknown (a full re-freeze). Entries whose precise
-// footprint is disjoint from dirty survive and are served under the new
-// tag. Advance must be called by the (single) publisher after every
-// snapshot publication, including the initial one that sets the first
-// tag.
+// set of inode slots the commit changed (PatchSnapshot's consumed dirty
+// set, in any order; Advance sorts it in place); full forces a complete
+// flush, for publications whose delta is unknown (a full re-freeze).
+// Entries whose precise footprint is disjoint from dirty survive and are
+// served under the new tag. Advance must be called by the (single)
+// publisher after every snapshot publication, including the initial one
+// that sets the first tag.
 func (c *Cache) Advance(tag any, dirty []int32, full bool) {
-	var sorted []int32
-	if !full && len(dirty) > 0 {
-		sorted = append([]int32(nil), dirty...)
-		slices.Sort(sorted)
+	if !full {
+		slices.Sort(dirty)
 	}
 	var dropped int64
 	c.mu.Lock()
@@ -171,7 +183,7 @@ func (c *Cache) Advance(tag any, dirty []int32, full bool) {
 	for el := c.lru.Front(); el != nil; {
 		e := el.Value.(*entry)
 		el = el.Next()
-		if !full && e.precise && !intersects(e.footprint, sorted) {
+		if !full && e.precise && !intersects(e.footprint, dirty) {
 			continue
 		}
 		c.removeLocked(e)
@@ -185,20 +197,23 @@ func (c *Cache) Advance(tag any, dirty []int32, full bool) {
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
+	c.fpSlots -= int64(len(e.footprint))
 }
 
-// intersects reports whether two sorted int32 sets share an element.
+// intersects reports whether two ascending int32 sets share an element:
+// each element of the shorter set is binary-searched in what is left of
+// the longer one, O(min·log max) — for a commit's few dirty slots against
+// a footprint of thousands, a handful of probes instead of a full merge.
 func intersects(a, b []int32) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	for _, x := range a {
+		i, found := slices.BinarySearch(b, x)
+		if found {
 			return true
 		}
+		b = b[i:]
 	}
 	return false
 }
@@ -212,13 +227,17 @@ func (c *Cache) Len() int {
 
 // Stats returns a point-in-time counter snapshot.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	entries, fpSlots := len(c.entries), c.fpSlots
+	c.mu.Unlock()
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Puts:        c.puts.Load(),
-		StalePuts:   c.stalePuts.Load(),
-		Invalidated: c.invalidated.Load(),
-		Evicted:     c.evicted.Load(),
-		Entries:     c.Len(),
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		Puts:           c.puts.Load(),
+		StalePuts:      c.stalePuts.Load(),
+		Invalidated:    c.invalidated.Load(),
+		Evicted:        c.evicted.Load(),
+		Entries:        entries,
+		FootprintSlots: fpSlots,
 	}
 }

@@ -155,3 +155,101 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 		t.Errorf("warm Get allocates %.1f/op, want 0", n)
 	}
 }
+
+// liveFootprintSlots sums the footprints of the entries actually held.
+func liveFootprintSlots(c *Cache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, e := range c.entries {
+		n += int64(len(e.footprint))
+	}
+	return n
+}
+
+// The running FootprintSlots total equals the sum over live entries after
+// every way an entry comes and goes: Put, replacing Put, LRU eviction,
+// targeted and full Advance, and a dropped stale Put.
+func TestFootprintSlotsTotal(t *testing.T) {
+	c := New(3)
+	t1, t2, t3 := &tag{1}, &tag{2}, &tag{3}
+	check := func(step string, want int64) {
+		t.Helper()
+		got := c.Stats().FootprintSlots
+		if live := liveFootprintSlots(c); got != live || got != want {
+			t.Fatalf("%s: FootprintSlots %d, live entries hold %d, want %d", step, got, live, want)
+		}
+	}
+	c.Advance(t1, nil, true)
+	check("empty", 0)
+	c.Put("/a", t1, nodes(1), []int32{1, 2, 3}, true)
+	c.Put("/b", t1, nodes(2), []int32{4, 5}, true)
+	check("put", 5)
+	c.Put("/a", t1, nodes(1), []int32{1, 2, 3, 6, 7}, true)
+	check("replace, longer", 7)
+	c.Put("/b", t1, nodes(2), []int32{4}, true)
+	check("replace, shorter", 6)
+	c.Put("/pred", t1, nodes(3), nil, false)
+	c.Put("/c", t1, nodes(4), []int32{8, 9}, true) // capacity 3: evicts /a
+	check("evict", 3)
+	c.Put("/stale", &tag{0}, nodes(5), []int32{10, 11}, true)
+	check("stale put", 3)
+	c.Advance(t2, []int32{9, 100}, false) // drops /c (dirty) and /pred (imprecise)
+	check("advance", 1)
+	c.Advance(t3, nil, true)
+	check("full advance", 0)
+}
+
+// advanceFixture fills a cache with n entries of fpLen-slot footprints
+// over the even slots, and returns nDirty odd dirty slots spread across
+// the same range: every probe runs its full binary search and no entry is
+// dropped, so repeated Advances see the same cache.
+func advanceFixture(n, fpLen, nDirty int) (*Cache, []int32) {
+	c := New(n)
+	t0 := &tag{0}
+	c.Advance(t0, nil, true)
+	for i := 0; i < n; i++ {
+		fp := make([]int32, fpLen)
+		for j := range fp {
+			fp[j] = int32(2 * (j + i))
+		}
+		c.Put(fmt.Sprintf("/q%d", i), t0, nodes(graph.NodeID(i)), fp, true)
+	}
+	dirty := make([]int32, nDirty)
+	for j := range dirty {
+		dirty[j] = int32(2*(nDirty-j)*(fpLen/nDirty) - 1) // descending: Advance sorts
+	}
+	return c, dirty
+}
+
+// Advance allocates nothing: the dirty slice is sorted in place and every
+// footprint probed where it lies.
+func TestCacheAdvanceZeroAlloc(t *testing.T) {
+	c, dirty := advanceFixture(16, 1000, 8)
+	tags := [2]*tag{{1}, {2}}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		c.Advance(tags[i&1], dirty, false)
+		i++
+	}); n != 0 {
+		t.Errorf("Advance allocates %.1f/op, want 0", n)
+	}
+	if st := c.Stats(); st.Entries != 16 || st.Invalidated != 0 {
+		t.Fatalf("fixture lost entries: %+v", st)
+	}
+}
+
+// BenchmarkCacheAdvance is one publication against a full cache: 1024
+// entries of 10k-slot footprints, 64 dirty slots, nothing invalidated.
+func BenchmarkCacheAdvance(b *testing.B) {
+	c, dirty := advanceFixture(1024, 10_000, 64)
+	tags := [2]*tag{{1}, {2}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Advance(tags[i&1], dirty, false)
+	}
+	if c.Len() != 1024 {
+		b.Fatalf("fixture lost entries: %d left", c.Len())
+	}
+}

@@ -1,9 +1,12 @@
 package query
 
 import (
+	"math/rand"
 	"testing"
 
 	"structix/internal/akindex"
+	"structix/internal/datagen"
+	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
@@ -53,5 +56,59 @@ func TestSnapshotCtxNilAllocParity(t *testing.T) {
 		if withNilC > plainC {
 			t.Errorf("%s: one count allocs/op: nil-ctx %.1f > plain %.1f", expr, withNilC, plainC)
 		}
+	}
+}
+
+// A warm footprint evaluation makes exactly two allocations — the result
+// and the footprint, both of which the cache retains: the bitmap the walk
+// records expansions in lives in the Scratch, and the sweep that emits it
+// sizes the footprint by popcount first.
+func TestFootprintEvalTwoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	one := oneindex.Build(gtest.RandomCyclic(rng, 200, 120))
+	for _, codec := range []extent.Codec{extent.Dense, extent.Compressed} {
+		one.SetSnapshotCodec(codec)
+		snap := one.Freeze(one.Graph().Freeze())
+		for _, expr := range []string{"/*/b", "//c", "//a//b"} {
+			c := MustCompile(MustParse(expr))
+			var sc Scratch
+			if nodes, fp, _, _ := c.EvalOneSnapshotFootprint(nil, &sc, snap); len(nodes) == 0 || len(fp) == 0 {
+				t.Fatalf("%s: empty result or footprint, the gate would be vacuous", expr)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				c.EvalOneSnapshotFootprint(nil, &sc, snap)
+			}); n != 2 {
+				t.Errorf("%s (%s): warm footprint evaluation allocates %.1f/op, want 2", expr, codec, n)
+			}
+		}
+	}
+}
+
+// BenchmarkEvalOneSnapshotFootprint is the cold-read kernel — automaton
+// walk, extent union and footprint emission with a warm Scratch — per
+// expression class of the repo benchmark's pools.
+func BenchmarkEvalOneSnapshotFootprint(b *testing.B) {
+	one := oneindex.Build(datagen.XMark(datagen.DefaultXMark(8, 1, 1)))
+	snap := one.Freeze(one.Graph().Freeze())
+	for _, bc := range []struct{ name, expr string }{
+		{"child", "/site/regions/africa/item/name"},
+		{"desc", "/site//item/name"},
+		{"wild", "/site/regions/*/item/name"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := MustCompile(MustParse(bc.expr))
+			var sc Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			slots := 0
+			for i := 0; i < b.N; i++ {
+				_, fp, _, err := c.EvalOneSnapshotFootprint(nil, &sc, snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				slots = len(fp)
+			}
+			b.ReportMetric(float64(slots), "fp-slots")
+		})
 	}
 }

@@ -2,7 +2,7 @@ package query
 
 import (
 	"context"
-	"slices"
+	"math/bits"
 
 	"structix/internal/akindex"
 	"structix/internal/extent"
@@ -16,8 +16,6 @@ import (
 // arrays, so a caller that reuses one Scratch (and one result buffer)
 // across queries evaluates without allocating at all.
 
-const symUnknown = 0xFF
-
 const (
 	flagAccept uint8 = 1 << iota // slot already appended to the accept list
 	flagQueued                   // slot is on the NFA fixpoint worklist
@@ -25,20 +23,25 @@ const (
 
 // Scratch is the reusable per-goroutine evaluation state for compiled
 // queries. The zero value is ready to use; it grows to the largest slot
-// space it has seen and is reset in O(slots touched) per evaluation via
-// epoch stamps, never cleared wholesale. A Scratch must not be shared
-// between goroutines; it may be reused freely across different Compiled
-// programs and snapshots.
+// space it has seen. The per-slot arrays are reset in O(slots touched) per
+// evaluation via epoch stamps, never cleared wholesale; only the expanded
+// bitmap, one bit per slot, is cleared outright. A Scratch must not be
+// shared between goroutines; it may be reused freely across different
+// Compiled programs and snapshots.
 type Scratch struct {
 	epoch uint32
 	stamp []uint32 // per-slot epoch of last touch
 	mask  []uint64 // visited DFA states, or the NFA state set, of the slot
-	sym   []uint8  // cached alphabet symbol of the slot's label
+	sym   []uint8  // alphabet symbol of the slot's label, set on first touch
 	flag  []uint8
 
-	queue   []int64
-	acc     []int32 // accepting slots, in discovery order
-	touched []int32 // every slot inspected this evaluation (the footprint)
+	// expanded has one bit per slot, set when an index walk pops the slot
+	// and reads its successor list: the evaluation's footprint, kept in
+	// slot order so that emitting it needs no sort.
+	expanded []uint64
+
+	queue []int64
+	acc   []int32 // accepting slots, in discovery order
 
 	// ext is the scratch of the extent-union kernel that assembles the
 	// result from the accepting inodes' extents (dense or compressed).
@@ -59,7 +62,7 @@ func (sc *Scratch) begin(n int) {
 	}
 	sc.queue = sc.queue[:0]
 	sc.acc = sc.acc[:0]
-	sc.touched = sc.touched[:0]
+	clear(sc.expanded)
 }
 
 func (sc *Scratch) grow(n int) {
@@ -75,20 +78,46 @@ func (sc *Scratch) grow(n int) {
 	flag := make([]uint8, n)
 	copy(flag, sc.flag)
 	sc.flag = flag
+	expanded := make([]uint64, (n+63)/64)
+	copy(expanded, sc.expanded)
+	sc.expanded = expanded
 }
 
-// touch brings a slot into the current epoch, zeroed.
-func (sc *Scratch) touch(slot int32) {
+// touch brings a slot into the current epoch, zeroed, and reports whether
+// this is the evaluation's first sight of it — the one moment the caller
+// resolves the slot's label into sc.sym.
+func (sc *Scratch) touch(slot int32) bool {
 	if int(slot) >= len(sc.stamp) {
 		sc.grow(int(slot) + 1)
 	}
-	if sc.stamp[slot] != sc.epoch {
-		sc.stamp[slot] = sc.epoch
-		sc.mask[slot] = 0
-		sc.sym[slot] = symUnknown
-		sc.flag[slot] = 0
-		sc.touched = append(sc.touched, slot)
+	if sc.stamp[slot] == sc.epoch {
+		return false
 	}
+	sc.stamp[slot] = sc.epoch
+	sc.mask[slot] = 0
+	sc.flag[slot] = 0
+	return true
+}
+
+// expand records that the walk is about to read slot's successor list.
+func (sc *Scratch) expand(slot int32) {
+	sc.expanded[slot>>6] |= 1 << (uint(slot) & 63)
+}
+
+// footprint returns the expanded slots in ascending order, freshly
+// allocated: a word sweep of the bitmap, O(slots/64 + footprint).
+func (sc *Scratch) footprint() []int32 {
+	n := 0
+	for _, w := range sc.expanded {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]int32, 0, n)
+	for i, w := range sc.expanded {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
 // autoGraph is the index-graph surface the walk needs, implemented by
@@ -126,20 +155,14 @@ func autoWalk[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G) []int32
 	if root < 0 {
 		return sc.acc
 	}
+	// The root is reached again as a successor when an edge points back at
+	// it, so its symbol is resolved here like any other first touch.
 	sc.touch(root)
+	sc.sym[root] = c.symOf(g.label(root))
 	if c.dfaNext != nil {
 		return autoWalkDFA[ID](c, sc, g, root)
 	}
 	return autoWalkNFA[ID](c, sc, g, root)
-}
-
-func (sc *Scratch) symFor(c *Compiled, slot int32, label string) uint8 {
-	sy := sc.sym[slot]
-	if sy == symUnknown {
-		sy = c.symOf(label)
-		sc.sym[slot] = sy
-	}
-	return sy
 }
 
 func autoWalkDFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root int32) []int32 {
@@ -150,10 +173,13 @@ func autoWalkDFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 		sc.queue = sc.queue[:len(sc.queue)-1]
 		slot, st := int32(item>>8), int(item&0xFF)
 		row := c.dfaNext[st*c.numSyms : (st+1)*c.numSyms]
+		sc.expand(slot)
 		for _, j := range g.succs(slot) {
 			js := int32(j)
-			sc.touch(js)
-			ns := row[sc.symFor(c, js, g.label(js))]
+			if sc.touch(js) {
+				sc.sym[js] = c.symOf(g.label(js))
+			}
+			ns := row[sc.sym[js]]
 			if ns < 0 {
 				continue
 			}
@@ -181,10 +207,13 @@ func autoWalkNFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 		sc.queue = sc.queue[:len(sc.queue)-1]
 		sc.flag[slot] &^= flagQueued
 		m := sc.mask[slot]
+		sc.expand(slot)
 		for _, j := range g.succs(slot) {
 			js := int32(j)
-			sc.touch(js)
-			nm := c.step(m, sc.symFor(c, js, g.label(js)))
+			if sc.touch(js) {
+				sc.sym[js] = c.symOf(g.label(js))
+			}
+			nm := c.step(m, sc.sym[js])
 			if nm&^sc.mask[js] == 0 {
 				continue
 			}
@@ -227,14 +256,27 @@ func (c *Compiled) EvalOneSnapshotIntoCtx(ctx context.Context, buf []graph.NodeI
 }
 
 // EvalOneSnapshotFootprint evaluates like EvalOneSnapshotIntoCtx but also
-// returns the evaluation's inode footprint: a sorted, freshly allocated
-// set of every inode slot the walk inspected. Precise is true when the
-// result depends on nothing outside that footprint — any later index
-// change that leaves the footprint slots untouched provably leaves the
-// result unchanged, which is the contract the result cache's targeted
-// invalidation relies on. Expressions with predicates read the data graph
-// below their candidates, so they report precise=false. The returned node
-// slice is freshly allocated and safe to retain.
+// returns the evaluation's inode footprint: the slots the walk expanded —
+// popped and read the successor list of — strictly ascending and freshly
+// allocated. Slots the walk only read a label from (siblings that matched
+// no step) are not in it. Precise is true when the result depends on
+// nothing outside that footprint: any later index change that dirties no
+// footprint slot provably leaves the result unchanged, which is the
+// contract the result cache's targeted invalidation relies on. The
+// argument is three lines:
+//
+//   - the result is a function of the expanded slots' successor lists,
+//     their successors' labels, and the accepting slots' extents, and
+//     every accepting slot is expanded;
+//   - a successor list or an extent changes only through a mutator that
+//     marks that slot dirty (addIEdgeCount marks the edge's source);
+//   - a label is fixed while its slot is live, and a slot can only die
+//     (and be reborn under another label) with zero iedges, so losing its
+//     in-edges dirties every expanded parent first.
+//
+// Expressions with predicates read the data graph below their candidates,
+// so they report precise=false. The returned node slice is freshly
+// allocated and safe to retain.
 func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s *oneindex.Snapshot) (nodes []graph.NodeID, footprint []int32, precise bool, err error) {
 	if sc == nil {
 		sc = &Scratch{}
@@ -243,9 +285,7 @@ func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s 
 	if err != nil {
 		return nil, nil, false, err
 	}
-	footprint = append([]int32(nil), sc.touched...)
-	slices.Sort(footprint)
-	return nodes, footprint, !c.path.HasPredicates(), nil
+	return nodes, sc.footprint(), !c.path.HasPredicates(), nil
 }
 
 func (c *Compiled) evalOne(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *oneindex.Snapshot) ([]graph.NodeID, error) {
@@ -266,7 +306,9 @@ func (c *Compiled) evalOne(ctx context.Context, buf []graph.NodeID, sc *Scratch,
 		views[n] = s.ExtentView(oneindex.INodeID(i))
 		total += views[n].Len()
 	}
-	buf = slices.Grow(buf, total)
+	if cap(buf) < total {
+		buf = make([]graph.NodeID, 0, total)
+	}
 	// Extents partition the dnodes, so the union is disjoint and UnionInto
 	// returns buf already sorted — no post-sort.
 	buf = extent.UnionInto(buf, &sc.ext, views)
@@ -317,7 +359,9 @@ func (c *Compiled) evalAk(ctx context.Context, buf []graph.NodeID, sc *Scratch, 
 		views[n] = s.ExtentView(akindex.INodeID(i))
 		total += views[n].Len()
 	}
-	buf = slices.Grow(buf, total)
+	if cap(buf) < total {
+		buf = make([]graph.NodeID, 0, total)
+	}
 	buf = extent.UnionInto(buf, &sc.ext, views)
 	if NeedsValidation(c.skel, s.K()) {
 		va := newValidator(c.skel, s.Data())
@@ -353,6 +397,7 @@ func (c *Compiled) EvalSource(g Source) []graph.NodeID {
 	}
 	rs := int32(root)
 	sc.touch(rs)
+	sc.sym[rs] = c.symOf(g.LabelName(root))
 	sc.mask[rs] = 1
 	sc.flag[rs] |= flagQueued
 	sc.queue = append(sc.queue, int64(rs))
@@ -363,8 +408,10 @@ func (c *Compiled) EvalSource(g Source) []graph.NodeID {
 		m := sc.mask[slot]
 		g.EachSucc(graph.NodeID(slot), func(w graph.NodeID, _ graph.EdgeKind) {
 			js := int32(w)
-			sc.touch(js)
-			nm := c.step(m, sc.symFor(c, js, g.LabelName(w)))
+			if sc.touch(js) {
+				sc.sym[js] = c.symOf(g.LabelName(w))
+			}
+			nm := c.step(m, sc.sym[js])
 			if nm&^sc.mask[js] == 0 {
 				return
 			}

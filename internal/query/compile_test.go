@@ -136,6 +136,56 @@ func TestCompiledSnapshotsMatchInterpreter(t *testing.T) {
 	}
 }
 
+// An IDRef edge may point back at the root, so the walk reaches the root
+// slot as a successor and needs its label's symbol — which is resolved
+// where the root is first touched, not by a successor's first-touch branch.
+// The gtest generators never draw such an edge, so this test adds them, and
+// evaluates every expression on one Scratch after a wide-alphabet program
+// so that a stale symbol would be read, not a lucky zero.
+func TestCompiledEdgeIntoRoot(t *testing.T) {
+	wide := MustCompile(MustParse("/a/b/c/d/e/" + graph.RootLabel))
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := gtest.RandomCyclic(rng, 40, 25)
+		nodes := g.Nodes()
+		for i := 0; i < 3; i++ {
+			if v := nodes[rng.Intn(len(nodes))]; v != g.Root() {
+				_ = g.AddEdge(v, g.Root(), graph.IDRef)
+			}
+		}
+		one := oneindex.Build(g.Clone())
+		oneSnap := one.Freeze(one.Graph().Freeze())
+		ak := akindex.Build(g.Clone(), 2)
+		akSnap := ak.Freeze(ak.Graph().Freeze())
+
+		exprs := []string{"//ROOT", "/*/ROOT", "//ROOT/*", "//ROOT//a", "/a/ROOT/a", "//b/ROOT"}
+		for q := 0; q < 10; q++ {
+			exprs = append(exprs, randomExpr(rng)+"/ROOT"+randomExpr(rng))
+		}
+		var sc Scratch
+		for _, expr := range exprs {
+			p := MustParse(expr)
+			want := EvalGraph(p, g)
+			c := MustCompile(p)
+			if got := c.EvalSource(g); !equalIDs(got, want) {
+				t.Errorf("seed %d %q: EvalSource %v != interpreter %v", seed, expr, got, want)
+			}
+			for _, mode := range []string{"DFA", "NFA"} {
+				wide.EvalOneSnapshotInto(nil, &sc, oneSnap)
+				got, _, _, err := c.EvalOneSnapshotFootprint(nil, &sc, oneSnap)
+				if err != nil || !equalIDs(got, want) {
+					t.Errorf("seed %d %q: %s one %v != interpreter %v (err %v)", seed, expr, mode, got, want, err)
+				}
+				wide.EvalAkSnapshotInto(nil, &sc, akSnap)
+				if got := c.EvalAkSnapshotInto(nil, &sc, akSnap); !equalIDs(got, want) {
+					t.Errorf("seed %d %q: %s ak %v != interpreter %v", seed, expr, mode, got, want)
+				}
+				c.dfaNext, c.dfaAccept = nil, nil
+			}
+		}
+	}
+}
+
 // The footprint contract: every inode whose extent contributed to the
 // result is in the footprint, the footprint is sorted, and precision is
 // claimed exactly for predicate-free expressions.

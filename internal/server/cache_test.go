@@ -137,6 +137,114 @@ func TestQueryCachePreciseInvalidation(t *testing.T) {
 	}
 }
 
+// A footprint holds the slots a walk expanded, not the siblings it read a
+// label from: a person→open_auction edge batch dirties the people and
+// open_auctions branches, so an entry for the open_auctions branch must go
+// while an entry for /site/regions/… keeps serving across the commit.
+// (When footprints recorded every inspected slot, site's children were in
+// every /site/… footprint and this batch flushed them all.)
+func TestQueryCacheSurvivesSiblingCommit(t *testing.T) {
+	// Acyclic XMark: with no watch edges the split cascade of the new edge
+	// stops at the auction's subtree and the item and persons it
+	// references, so an auction whose item lies outside africa provably
+	// leaves the africa branch clean.
+	g := xmarkTree(8, 1)
+	regionOf := func(auction graph.NodeID) string {
+		for _, ref := range g.Succ(auction) {
+			if g.LabelName(ref) != "itemref" {
+				continue
+			}
+			for _, item := range g.Succ(ref) {
+				for _, region := range g.Pred(item) {
+					if g.LabelName(region) != "itemref" {
+						return g.LabelName(region)
+					}
+				}
+			}
+		}
+		return ""
+	}
+	person, auction := graph.InvalidNode, graph.InvalidNode
+	for _, v := range g.Nodes() {
+		switch g.LabelName(v) {
+		case "person":
+			if person == graph.InvalidNode {
+				person = v
+			}
+		case "open_auction":
+			if r := regionOf(v); auction == graph.InvalidNode && r != "" && r != "africa" {
+				auction = v
+			}
+		}
+	}
+	if person == graph.InvalidNode || auction == graph.InvalidNode {
+		t.Fatal("dataset has no person or no open auction selling outside africa")
+	}
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	defer ts.shutdown(t)
+	ctx := context.Background()
+
+	const regionsExpr = "/site/regions/africa/item/name"
+	const auctionsExpr = "/site/open_auctions/open_auction/current"
+	want := map[string]int{}
+	for _, expr := range []string{regionsExpr, auctionsExpr} {
+		first, err := ts.cli.Query(ctx, expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := ts.cli.Query(ctx, expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Count == 0 || !again.Cached {
+			t.Fatalf("%s: count %d, repeat cached %v", expr, first.Count, again.Cached)
+		}
+		want[expr] = first.Count
+	}
+	st0, err := ts.cli.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st0.CacheFootprintSlots <= 0 {
+		t.Errorf("two live entries but cache_footprint_slots = %d", st0.CacheFootprintSlots)
+	}
+
+	if _, err := ts.cli.Update(ctx, []opscript.Op{
+		{Kind: opscript.Insert, U: person, V: auction, Edge: graph.IDRef},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	regions, err := ts.cli.Query(ctx, regionsExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regions.Cached {
+		t.Error("a person→open_auction commit flushed the /site/regions/… entry")
+	}
+	auctions, err := ts.cli.Query(ctx, auctionsExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auctions.Cached {
+		t.Error("a person→open_auction commit left the /site/open_auctions/… entry serving")
+	}
+	if regions.Count != want[regionsExpr] || auctions.Count != want[auctionsExpr] {
+		t.Errorf("counts moved: regions %d (want %d), auctions %d (want %d)",
+			regions.Count, want[regionsExpr], auctions.Count, want[auctionsExpr])
+	}
+	if regions.Epoch <= st0.Epoch {
+		t.Errorf("epoch did not advance across the commit: %d -> %d", st0.Epoch, regions.Epoch)
+	}
+	st1, err := ts.cli.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.CacheInvalidated <= st0.CacheInvalidated {
+		t.Errorf("cache_invalidated did not rise: %d -> %d", st0.CacheInvalidated, st1.CacheInvalidated)
+	}
+}
+
 // Predicate-bearing queries read the data graph, so their entries carry no
 // precise footprint: every commit flushes them, and they must never serve
 // a stale answer.
@@ -249,6 +357,7 @@ func TestMetricsExposeCacheCounters(t *testing.T) {
 	for _, name := range []string{
 		"structix_qcache_hits_total", "structix_qcache_misses_total",
 		"structix_qcache_invalidated_total", "structix_qcache_entries",
+		"structix_qcache_footprint_slots",
 		"structix_qcache_hit_rate", "structix_compiled_programs",
 	} {
 		if !strings.Contains(text, name) {

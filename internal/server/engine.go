@@ -237,6 +237,7 @@ func (e *engine) cacheStats() qcache.Stats {
 		agg.Invalidated += cs.Invalidated
 		agg.Evicted += cs.Evicted
 		agg.Entries += cs.Entries
+		agg.FootprintSlots += cs.FootprintSlots
 	}
 	return agg
 }

@@ -173,6 +173,7 @@ func writeCacheProm(w io.Writer, cs qcache.Stats, programs int) {
 	counter("structix_qcache_evicted_total", "cache entries evicted by the LRU bound", cs.Evicted)
 	counter("structix_qcache_stale_puts_total", "results dropped for racing a commit", cs.StalePuts)
 	gauge("structix_qcache_entries", "live result-cache entries", float64(cs.Entries))
+	gauge("structix_qcache_footprint_slots", "inode slots held in live entries' invalidation footprints", float64(cs.FootprintSlots))
 	gauge("structix_qcache_hit_rate", "hits / lookups since start", cs.HitRate())
 	gauge("structix_compiled_programs", "compiled path automata cached", float64(programs))
 }

@@ -671,6 +671,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	rep.CacheHitRate = cs.HitRate()
 	rep.CacheEntries = cs.Entries
 	rep.CacheInvalidated = cs.Invalidated
+	rep.CacheFootprintSlots = cs.FootprintSlots
 	rep.CompiledPrograms = s.eng.programs()
 	dss := s.store.ShardStats()
 	ds := aggregateStats(dss)

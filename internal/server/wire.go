@@ -175,6 +175,9 @@ type StatsReply struct {
 	CacheHitRate     float64 `json:"cache_hit_rate"`
 	CacheEntries     int     `json:"cache_entries"`
 	CacheInvalidated int64   `json:"cache_invalidated"`
+	// CacheFootprintSlots is the total length of the live entries'
+	// invalidation footprints (4 bytes per slot of cache heap).
+	CacheFootprintSlots int64 `json:"cache_footprint_slots"`
 	// CompiledPrograms is the number of cached compiled automata.
 	CompiledPrograms int `json:"compiled_programs"`
 
