@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race stress serve-stress serve-smoke repl-smoke crash-test cover bench bench-batch bench-snapshot bench-memlayout bench-serve bench-query bench-wal bench-shard bench-scale bench-repl bench-smoke fuzz examples experiments ci clean
+.PHONY: all build vet test test-short race stress serve-stress serve-smoke repl-smoke crash-test cover bench bench-batch bench-memlayout bench-serve bench-wal bench-shard bench-scale bench-repl bench-smoke fuzz examples experiments loc ci clean
 
 all: build vet test
 
@@ -21,10 +21,11 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Repeated race-enabled runs of the concurrency surface: snapshot wrappers
-# and RWMutex wrappers under batch + subgraph churn.
+# Repeated race-enabled runs of the concurrency surface: lock-free readers
+# against DB writers over both index families — batches, per-edge updates,
+# subtree round trips, the A(k) oracle stream and pinned snapshots.
 stress:
-	$(GO) test -race -count=3 -run 'TestSnapshot|TestConcurrent' .
+	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
 
 # Race-enabled stress of the serving layer: readers against the
 # group-commit loop, graceful shutdown under load, admission control,
@@ -63,11 +64,6 @@ bench:
 bench-batch:
 	$(GO) test -bench=Batch -benchmem .
 
-# Read latency under concurrent maintenance, RWMutex vs epoch snapshots;
-# see BENCH_snapshot.json for the committed xsibench run.
-bench-snapshot:
-	$(GO) run ./cmd/xsibench -exp snapshot -json BENCH_snapshot.json
-
 # Flat-memory-layout experiment: build/batch/edge-op wall clock and
 # allocs/op for both index families; see BENCH_memlayout.json for the
 # committed run. Pass BASELINE=file.json to merge a previous run for
@@ -80,12 +76,6 @@ bench-memlayout:
 # read-degradation gate.
 bench-serve:
 	$(GO) run ./cmd/xsibench -exp serve -json BENCH_serve.json
-
-# Query read path: compiled automata + epoch-keyed result cache vs the
-# per-step interpreter, at the eval layer and end-to-end over HTTP; see
-# BENCH_query.json for the committed run.
-bench-query:
-	$(GO) run ./cmd/xsibench -exp query -json BENCH_query.json
 
 # Durability benchmark: commit latency/throughput per journal fsync
 # policy plus recovery time vs journal length; see BENCH_wal.json for
@@ -145,6 +135,15 @@ examples:
 experiments:
 	$(GO) run ./cmd/xsibench -exp all -scale 16
 
+# Non-test Go lines per package — the root package, internal/* and cmd/* —
+# and their total, bench/ excluded: the figure ROADMAP's design items
+# report before and after.
+loc:
+	@for d in . internal/* cmd/*; do \
+		n=$$(cat $$(ls $$d/*.go 2>/dev/null | grep -v _test.go) /dev/null | wc -l); \
+		printf '%7d %s\n' $$n $$d; \
+	done | awk '{t += $$1; print} END {printf "%7d total\n", t}'
+
 # What CI runs — the same steps, in the same order, as
 # .github/workflows/ci.yml; change both together. Build, vet, race-enabled
 # tests, the concurrent-stress and server-stress passes, the
@@ -155,12 +154,12 @@ experiments:
 # expansion-only footprint, the tightness pins and the FootprintSlots
 # total, race-enabled), the xsiserve smoke (which covers a 4-shard
 # boot), the replication smoke (leader + 2 replicas, min_epoch read-back), short
-# path-parser and extent-decoder fuzz passes, the query-, wal-, shard-,
-# repl- and scale-bench smokes, and a one-iteration smoke pass over every
-# benchmark in the module.
+# path-parser and extent-decoder fuzz passes, the wal-, shard-, repl- and
+# scale-bench smokes, and a one-iteration smoke pass over every benchmark
+# in the module.
 ci: build vet
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestSnapshot|TestConcurrent' .
+	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestSharded' .
 	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives|TestTornSegment|TestSnapshotFallback|TestOpenFailsOnJournalGap' .
@@ -170,7 +169,6 @@ ci: build vet
 	$(GO) run ./cmd/xsiserve -smoke
 	$(GO) run ./cmd/xsiserve -smoke-repl
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
-	$(GO) run ./cmd/xsibench -exp query
 	$(GO) run ./cmd/xsibench -exp wal
 	$(GO) run ./cmd/xsibench -exp shard -scale 64
 	$(GO) run ./cmd/xsibench -exp repl

@@ -14,8 +14,8 @@ import (
 
 // Snapshot accessors that hand out storage shared with the snapshot
 // itself. Their results are read-only by contract (see the aliasing
-// contract in internal/oneindex and internal/akindex Snapshot docs);
-// mutating them would corrupt every concurrent reader of the epoch.
+// contract in the internal/snap Snapshot doc); mutating them would
+// corrupt every concurrent reader of the epoch.
 var readOnlyAccessors = map[string]bool{
 	"ISucc":      true, // []INodeID shared with the snapshot
 	"ExtentView": true, // extent.View over shared storage
@@ -28,7 +28,7 @@ var readOnlyAccessors = map[string]bool{
 // result of a read-only snapshot accessor. It catches the direct forms
 // (`s.ISucc(i)[0] = x`, `append(s.ISucc(i), ...)`, `copy(s.Changed(), ...)`,
 // `sort.Slice(s.ISucc(i), ...)`); indirect aliasing through locals is
-// covered by the runtime copy tests next to each Snapshot implementation.
+// covered by the runtime copy tests next to the Snapshot implementation.
 func TestNoCallerMutatesSharedViews(t *testing.T) {
 	fset := token.NewFileSet()
 	var violations []string
@@ -87,7 +87,7 @@ func TestNoCallerMutatesSharedViews(t *testing.T) {
 	for _, v := range violations {
 		t.Errorf("shared snapshot storage mutated: %s", v)
 	}
-	if _, err := os.Stat("internal/oneindex/snapshot.go"); err != nil {
+	if _, err := os.Stat("internal/snap/snap.go"); err != nil {
 		t.Fatal("scan ran outside the module root; accessor check covered nothing")
 	}
 }

@@ -482,11 +482,11 @@ func BenchmarkBatch_Ak(b *testing.B) {
 	}
 }
 
-// BenchmarkBatch_Concurrent measures the lock-amortization angle: a batch
-// through ConcurrentOneIndex costs one write-lock acquisition instead of
-// one per edge.
+// BenchmarkBatch_Concurrent measures the amortization angle of the store:
+// a batch through DB costs one writer-lock acquisition and one snapshot
+// publication instead of one of each per edge.
 func BenchmarkBatch_Concurrent(b *testing.B) {
 	benchBatchVsSequential(b, 100, func(g *structix.Graph) batchMaintainer {
-		return structix.NewConcurrentOneIndex(structix.BuildOneIndex(g))
+		return structix.NewDB(structix.BuildOneIndex(g))
 	})
 }

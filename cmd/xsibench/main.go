@@ -15,10 +15,8 @@
 //	xsibench -exp dk                       # adaptive D(k) extension (§8)
 //	xsibench -exp skew                     # hot-spot robustness probe
 //	xsibench -exp batch                    # ApplyBatch vs per-edge updates
-//	xsibench -exp snapshot                 # read latency: RWMutex vs epoch snapshots
 //	xsibench -exp memlayout                # flat-layout build/batch/alloc costs
 //	xsibench -exp serve                    # HTTP serving: 90/10 mix over loopback
-//	xsibench -exp query                    # compiled automata + result cache vs interpreter
 //	xsibench -exp wal                      # journal fsync policies + crash-recovery time
 //	xsibench -exp shard                    # sharded write scale-out + 90/10 mix
 //	xsibench -exp repl                     # read replicas: QPS scale-out + staleness
@@ -28,9 +26,9 @@
 // full 167k/272k-node instances and takes correspondingly longer). -pairs
 // and -subgraphs override the update counts; -csv DIR additionally writes
 // the quality curves as CSV for plotting; -json FILE writes the batch,
-// snapshot, memlayout, serve, or query experiment's machine-readable result
-// (BENCH_batch.json, BENCH_snapshot.json, BENCH_memlayout.json,
-// BENCH_query.json — invoke the experiments separately to keep each). -baseline FILE merges a previous
+// memlayout, serve, wal, shard, repl or scale experiment's machine-readable
+// result (BENCH_batch.json, BENCH_memlayout.json, … — invoke the
+// experiments separately to keep each). -baseline FILE merges a previous
 // memlayout JSON as the "before" column so a layout change can be compared
 // against the run captured before it. -cpuprofile/-memprofile write pprof
 // profiles covering the selected experiment.
@@ -58,7 +56,7 @@ func main() {
 		subgraphs  = flag.Int("subgraphs", 0, "subgraph count for fig12 (0 = paper default scaled)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		csvDir     = flag.String("csv", "", "also write quality curves as CSV files into this directory")
-		jsonPath   = flag.String("json", "", "write the batch/snapshot/memlayout/serve/query experiment result as JSON to this file")
+		jsonPath   = flag.String("json", "", "write the batch/memlayout/serve/wal/shard/repl/scale experiment result as JSON to this file")
 		basePath   = flag.String("baseline", "", "previous memlayout JSON to merge as the before column")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
@@ -107,10 +105,8 @@ func main() {
 		r.dk()
 		r.skew()
 		r.batch()
-		r.snapshot()
 		r.memlayout()
 		r.serve()
-		r.query()
 		r.wal()
 		r.shard()
 		r.repl()
@@ -134,14 +130,10 @@ func main() {
 		r.skew()
 	case "batch":
 		r.batch()
-	case "snapshot":
-		r.snapshot()
 	case "memlayout":
 		r.memlayout()
 	case "serve":
 		r.serve()
-	case "query":
-		r.query()
 	case "wal":
 		r.wal()
 	case "shard":
@@ -361,30 +353,6 @@ func (r runner) batch() {
 	}
 }
 
-func (r runner) snapshot() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultSnapshotConfig(r.seed)
-	// Like the batch experiment, the writer needs a healthy pool of absent
-	// IDREF edges; cap the reduction so the batches stay at full width.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res := experiments.RunSnapshot(d.Name, d.Build(scale, r.seed), cfg)
-	experiments.ReportSnapshot(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteSnapshotJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
 func (r runner) serve() {
 	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
 	cfg := experiments.DefaultServeConfig(r.seed)
@@ -408,34 +376,6 @@ func (r runner) serve() {
 		}
 		defer f.Close()
 		if err := experiments.WriteServeJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
-func (r runner) query() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultQueryBenchConfig(r.seed)
-	// Same pool constraint as serve: the mixed-phase writers draw from the
-	// absent-IDREF pool.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res, err := experiments.RunQueryBench(d.Name, d.Build(scale, r.seed), cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xsibench: query: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.ReportQueryBench(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteQueryJSON(f, res); err != nil {
 			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
 		}
 	}

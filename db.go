@@ -20,26 +20,55 @@ import (
 	"structix/internal/wal"
 )
 
-// DB is the durable store: a snapshot-served 1-index whose every write is
-// journaled to a write-ahead log before it is acknowledged, so the state
-// survives crashes. Open loads the last durable snapshot, replays the
-// journal tail (discarding a torn tail frame), and returns a handle whose
-// reads are lock-free epoch snapshots — exactly the SnapshotOneIndex
-// serving model — and whose writes follow the commit protocol
+// Index is what the store needs of a maintained structural index: exactly
+// the method set the 1-index and the A(k) family share. Both publish the
+// same Snapshot type, which is what lets one store serve either.
+type Index interface {
+	opscript.Target // per-op edge, node and subtree maintenance; Graph
+	ApplyBatch(ops []EdgeOp) error
+	AddSubgraph(sg *Subgraph) ([]NodeID, error)
+	Freeze(data *graph.Frozen) *Snapshot
+	PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot
+	SetSnapshotCodec(c ExtentCodec)
+	SnapshotCodec() ExtentCodec
+	Validate() error
+}
+
+var (
+	_ Index = (*OneIndex)(nil)
+	_ Index = (*AkIndex)(nil)
+)
+
+// DB is the one store: a structural index served through epoch snapshots.
+// Writers run serialized behind a mutex and publish a new immutable
+// Snapshot with an atomic pointer swap; Eval, Count, Size and View read
+// the current snapshot with a single atomic load — readers never take a
+// lock and never block on maintenance, at the cost of answering from the
+// state as of the most recently completed write. Publication is
+// copy-on-write: a write re-copies only the pages of the inodes and graph
+// nodes it touched (the index's dirty set and the graph's change record
+// say which), not the whole index.
+//
+// Open makes the store durable: every write is journaled to a write-ahead
+// log before it is acknowledged, so the state survives crashes. Open loads
+// the last durable snapshot, replays the journal tail (discarding a torn
+// tail frame), and returns a handle whose writes follow the commit
+// protocol
 //
 //	apply → journal append → (fsync per policy) → publish snapshot → return
 //
 // so a write the caller has seen return is recoverable (under SyncAlways
 // and SyncWindow it is already on disk), and recovery can never surface a
 // partially applied batch: the journal record is the unit of atomicity.
+// A durable store is a 1-index store: that is the partition the on-disk
+// format holds.
 //
 // A background compactor periodically persists the current snapshot and
 // truncates the journal below it; both run off immutable views, so
 // neither readers nor the write path block on compaction.
 //
-// NewDB builds the same handle without a directory: an in-memory store
-// with journaling disabled, for tests and benchmarks that want the one
-// API without durability.
+// NewDB builds the same handle without a directory, over either index
+// family: an in-memory store with journaling disabled.
 //
 // The wrapped index and graph must not be touched directly while the DB
 // is in use.
@@ -49,8 +78,8 @@ type DB struct {
 	log  *wal.Log // nil for an in-memory DB
 
 	mu         sync.Mutex // serializes writers; journal order == apply order
-	idx        *OneIndex
-	cur        atomic.Pointer[OneSnapshot]
+	idx        Index
+	cur        atomic.Pointer[Snapshot]
 	appliedSeq atomic.Uint64 // journal seq of the last applied record (written under mu)
 	sinceSnap  int           // records since the last on-disk snapshot (under mu)
 	closed     bool
@@ -278,9 +307,11 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// NewDB wraps an already-built index as an in-memory DB: the same handle
-// and serving model, journaling disabled. Open is the durable variant.
-func NewDB(idx *OneIndex) *DB {
+// NewDB wraps an already-built index of either family — a 1-index or an
+// A(k) family, whose level-k snapshots answer exactly by validating what
+// the index alone cannot decide — as an in-memory DB: the same handle and
+// serving model, journaling disabled. Open is the durable variant.
+func NewDB(idx Index) *DB {
 	db := &DB{idx: idx}
 	db.cur.Store(idx.Freeze(idx.Graph().Freeze()))
 	return db
@@ -307,7 +338,7 @@ func listSnapshots(dir string) ([]uint64, error) {
 // was written on top of reproduces the pre-crash state exactly; any
 // failure here means the journal and snapshot disagree and recovery must
 // stop rather than guess.
-func replayRecord(x *OneIndex, rec *wal.Record) error {
+func replayRecord(x Index, rec *wal.Record) error {
 	switch rec.Kind {
 	case wal.RecEdges:
 		if err := x.ApplyBatch(rec.Edges); err != nil {
@@ -345,9 +376,9 @@ func replayRecord(x *OneIndex, rec *wal.Record) error {
 
 // ---- write path ----
 
-// publish mirrors SnapshotOneIndex: copy-on-write epoch publication of
-// whatever the graph's change record and the index's dirty set list.
-// Callers hold db.mu.
+// publish stores the successor of the current snapshot: the graph's own
+// change record and the index's dirty set say what to re-copy, so every
+// write kind costs what it touched. Callers hold db.mu.
 func (db *DB) publish() {
 	prev := db.cur.Load()
 	db.cur.Store(db.idx.PatchSnapshot(prev, prev.Data().Rebuild(db.idx.Graph(), nil)))
@@ -379,6 +410,23 @@ func (db *DB) noteRecord(seq uint64) {
 		default:
 		}
 	}
+}
+
+// commit makes a mutation just applied to the live index durable and
+// visible — the tail every write shares: journal it (journal appends the
+// record naming it), account the record, publish the snapshot. A failed
+// append leaves the mutation unpublished and freezes the store (see
+// journalFailed). Callers hold db.mu and have passed their gate.
+func (db *DB) commit(journal func(*wal.Log) (uint64, error)) error {
+	if db.log != nil {
+		seq, err := journal(db.log)
+		if err != nil {
+			return db.journalFailed(err)
+		}
+		db.noteRecord(seq)
+	}
+	db.publish()
+	return nil
 }
 
 // journalFailed freezes the store after a journal append failed for a
@@ -424,15 +472,7 @@ func (db *DB) ApplyBatchWindowed(ops []EdgeOp) error {
 	if err := db.idx.ApplyBatch(ops); err != nil {
 		return err
 	}
-	if db.log != nil {
-		seq, jerr := db.log.AppendEdges(ops)
-		if jerr != nil {
-			return db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
-	}
-	db.publish()
-	return nil
+	return db.commit(func(l *wal.Log) (uint64, error) { return l.AppendEdges(ops) })
 }
 
 // ApplyScriptWindowed runs a script with stop-at-first-error semantics,
@@ -448,14 +488,9 @@ func (db *DB) ApplyScriptWindowed(ops []ScriptOp) (OpResult, error) {
 	if res.Applied == 0 {
 		return res, aerr
 	}
-	if db.log != nil {
-		seq, jerr := db.log.AppendScript(ops[:res.Applied])
-		if jerr != nil {
-			return res, db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
+	if err := db.commit(func(l *wal.Log) (uint64, error) { return l.AppendScript(ops[:res.Applied]) }); err != nil {
+		return res, err
 	}
-	db.publish()
 	return res, aerr
 }
 
@@ -523,24 +558,8 @@ func (db *DB) DeleteNode(v NodeID) error {
 // DeleteSubtree removes the subtree rooted at root (following tree edges
 // only, the §7.1 workload convention) as its own commit window.
 func (db *DB) DeleteSubtree(root NodeID) (*Subgraph, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
-		return nil, err
-	}
-	sg, err := db.idx.DeleteSubgraph(root, true)
-	if err != nil {
-		return nil, err
-	}
-	if db.log != nil {
-		seq, jerr := db.log.AppendScript([]ScriptOp{{Kind: opscript.DelSub, U: root}})
-		if jerr != nil {
-			return nil, db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
-	}
-	db.publish()
-	return sg, db.EndWindow()
+	_, sg, err := db.DeleteSubtreeNamed(root)
+	return sg, err
 }
 
 // AddSubgraph grafts a subgraph as its own commit window. This is the
@@ -549,36 +568,20 @@ func (db *DB) DeleteSubtree(root NodeID) (*Subgraph, error) {
 // label names, values, internal and boundary-crossing edges — so replay
 // re-grafts the identical subtree.
 func (db *DB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
+	// A LabelID names the same label for the store's lifetime, so the names
+	// stay right across the gap between the two critical sections.
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
-		return nil, err
+	names := labelNames(db.idx.Graph(), sg.Labels)
+	db.mu.Unlock()
+	return db.AddSubgraphNamed(names, sg)
+}
+
+func labelNames(g *Graph, labels []graph.LabelID) []string {
+	names := make([]string, len(labels))
+	for i, l := range labels {
+		names[i] = g.Labels().Name(l)
 	}
-	ids, err := db.idx.AddSubgraph(sg)
-	if err != nil {
-		return nil, err
-	}
-	if db.log != nil {
-		in := db.idx.Graph().Labels()
-		p := &wal.SubgraphPayload{
-			Labels:    make([]string, len(sg.Labels)),
-			Values:    sg.Values,
-			Edges:     sg.Edges,
-			EdgeKinds: sg.EdgeKinds,
-			CrossIn:   sg.CrossIn,
-			CrossOut:  sg.CrossOut,
-		}
-		for i, l := range sg.Labels {
-			p.Labels[i] = in.Name(l)
-		}
-		seq, jerr := db.log.AppendSubgraph(p)
-		if jerr != nil {
-			return nil, db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
-	}
-	db.publish()
-	return ids, db.EndWindow()
+	return names
 }
 
 // ValidateBatch checks that ops would apply cleanly against the current
@@ -617,29 +620,26 @@ func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.log != nil {
-		p := &wal.SubgraphPayload{
+	if err := db.commit(func(l *wal.Log) (uint64, error) {
+		return l.AppendSubgraph(&wal.SubgraphPayload{
 			Labels:    names,
 			Values:    local.Values,
 			Edges:     local.Edges,
 			EdgeKinds: local.EdgeKinds,
 			CrossIn:   local.CrossIn,
 			CrossOut:  local.CrossOut,
-		}
-		seq, jerr := db.log.AppendSubgraph(p)
-		if jerr != nil {
-			return nil, db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
+		})
+	}); err != nil {
+		return nil, err
 	}
-	db.publish()
 	return ids, db.EndWindow()
 }
 
-// DeleteSubtreeNamed is DeleteSubtree also returning the label name of
-// each subgraph-local node, resolved under the writer lock — the form a
-// cross-store coordinator needs, since the returned Subgraph's LabelIDs
-// are meaningless outside this store's interner.
+// DeleteSubtreeNamed removes the subtree rooted at root as its own commit
+// window, also returning the label name of each subgraph-local node,
+// resolved under the writer lock — the form a cross-store coordinator
+// needs, since the returned Subgraph's LabelIDs are meaningless outside
+// this store's interner.
 func (db *DB) DeleteSubtreeNamed(root NodeID) ([]string, *Subgraph, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -650,20 +650,12 @@ func (db *DB) DeleteSubtreeNamed(root NodeID) ([]string, *Subgraph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if db.log != nil {
-		seq, jerr := db.log.AppendScript([]ScriptOp{{Kind: opscript.DelSub, U: root}})
-		if jerr != nil {
-			return nil, nil, db.journalFailed(jerr)
-		}
-		db.noteRecord(seq)
+	if err := db.commit(func(l *wal.Log) (uint64, error) {
+		return l.AppendScript([]ScriptOp{{Kind: opscript.DelSub, U: root}})
+	}); err != nil {
+		return nil, nil, err
 	}
-	db.publish()
-	in := db.idx.Graph().Labels()
-	names := make([]string, len(sg.Labels))
-	for i, l := range sg.Labels {
-		names[i] = in.Name(l)
-	}
-	return names, sg, db.EndWindow()
+	return labelNames(db.idx.Graph(), sg.Labels), sg, db.EndWindow()
 }
 
 // unwrapOpError strips the single-op script wrapper from the convenience
@@ -686,7 +678,7 @@ func unwrapOpError(err error) error {
 // must therefore leave the index as it found it (the typed write surfaces
 // all satisfy this); anything it half-did before failing stays invisible
 // until the next successful write republishes.
-func (db *DB) Update(fn func(*OneIndex) error) error {
+func (db *DB) Update(fn func(Index) error) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -715,22 +707,26 @@ func (db *DB) Sync() error {
 
 // Snapshot returns the current epoch snapshot: one atomic load, never
 // blocks, remains valid indefinitely.
-func (db *DB) Snapshot() *OneSnapshot { return db.cur.Load() }
+func (db *DB) Snapshot() *Snapshot { return db.cur.Load() }
 
-// Eval evaluates a path expression against the current snapshot.
-func (db *DB) Eval(p *Path) []NodeID { return query.EvalOneSnapshot(p, db.cur.Load()) }
+// Eval evaluates a path expression against the current snapshot: the
+// exact result on either index family.
+func (db *DB) Eval(p *Path) []NodeID { return query.EvalSnapshot(p, db.cur.Load()) }
 
-// EvalCtx is Eval under a context; cancellation stops evaluation.
+// EvalCtx is Eval under a context: an abandoned request (a cancelled or
+// timed-out ctx) stops evaluating and returns ctx.Err(). This is the
+// entry point network servers use to cancel work for clients that hung
+// up; context.Background() behaves exactly like Eval.
 func (db *DB) EvalCtx(ctx context.Context, p *Path) ([]NodeID, error) {
-	return query.EvalOneSnapshotCtx(ctx, p, db.cur.Load())
+	return query.EvalSnapshotCtx(ctx, p, db.cur.Load())
 }
 
 // Count returns the exact result size from the current snapshot.
-func (db *DB) Count(p *Path) int { return query.CountOneSnapshot(p, db.cur.Load()) }
+func (db *DB) Count(p *Path) int { return query.CountSnapshot(p, db.cur.Load()) }
 
 // CountCtx is Count under a context.
 func (db *DB) CountCtx(ctx context.Context, p *Path) (int, error) {
-	return query.CountOneSnapshotCtx(ctx, p, db.cur.Load())
+	return query.CountSnapshotCtx(ctx, p, db.cur.Load())
 }
 
 // Size returns the inode count of the current snapshot.
@@ -755,8 +751,10 @@ func (db *DB) SetExtentCodec(c ExtentCodec) error {
 	return nil
 }
 
-// View runs fn against the current immutable snapshot; fn may retain it.
-func (db *DB) View(fn func(*OneSnapshot)) { fn(db.cur.Load()) }
+// View runs fn against the current snapshot. There is nothing to hold:
+// the snapshot is immutable, so fn may retain it, run long, or be called
+// concurrently with writers at will.
+func (db *DB) View(fn func(*Snapshot)) { fn(db.cur.Load()) }
 
 // Validate checks graph and index invariants under the writer lock.
 func (db *DB) Validate() error {
@@ -816,7 +814,7 @@ func (db *DB) compactOnce() error {
 // write + fsync a temp file, rename into place, fsync the directory —
 // the snapshot either exists completely or not at all. Older snapshot
 // files beyond one fallback are pruned.
-func (db *DB) writeSnapshot(seq uint64, snap *OneSnapshot) error {
+func (db *DB) writeSnapshot(seq uint64, snap *Snapshot) error {
 	tmp := filepath.Join(db.dir, snapName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

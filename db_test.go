@@ -314,7 +314,7 @@ func TestInMemoryDB(t *testing.T) {
 	if db.Stats().Durable {
 		t.Error("NewDB must not report durable")
 	}
-	if err := db.Update(func(x *OneIndex) error { return nil }); err != nil {
+	if err := db.Update(func(x Index) error { return nil }); err != nil {
 		t.Errorf("Update on an in-memory DB: %v", err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -341,7 +341,7 @@ func TestUpdateRejectedOnDurableDB(t *testing.T) {
 	}
 	defer db.Close()
 	ran := false
-	if err := db.Update(func(x *OneIndex) error { ran = true; return nil }); err == nil {
+	if err := db.Update(func(x Index) error { ran = true; return nil }); err == nil {
 		t.Error("Update on a durable DB must fail")
 	}
 	if ran {

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx := structix.NewConcurrentOneIndex(db.One)
+	idx := structix.NewDB(db.One)
 	fmt.Printf("loaded: %d dnodes, 1-index %d inodes\n", db.Graph.NumNodes(), idx.Size())
 
 	// The update stream (generated up front so it is valid against the
@@ -68,18 +68,16 @@ func main() {
 	}
 
 	// The writer applies the stream through incremental maintenance while
-	// queries keep flowing: short write-locked batches, so readers
-	// interleave — the availability §7.1 argues reconstruction cannot give.
+	// queries keep flowing: each batch publishes a new immutable snapshot,
+	// and readers never wait for one — the availability §7.1 argues
+	// reconstruction cannot give.
 	const batch = 50
 	for i := 0; i < len(ops); i += batch {
 		end := i + batch
 		if end > len(ops) {
 			end = len(ops)
 		}
-		if err := idx.Update(func(x *structix.OneIndex) error {
-			_, err := structix.ApplyOps(x, ops[i:end])
-			return err
-		}); err != nil {
+		if _, err := idx.ApplyScript(ops[i:end]); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -88,16 +86,20 @@ func main() {
 
 	fmt.Printf("served %d queries (%d total results) concurrently with %d updates\n",
 		served.Load(), results.Load(), len(ops))
-	idx.View(func(x *structix.OneIndex) {
+	// The readers are done, and Update holds the writer lock: the live
+	// index may be inspected directly.
+	if err := idx.Update(func(structix.Index) error {
 		fmt.Printf("final index: %d inodes, minimal=%v, quality=%.2f%%\n",
-			x.Size(), x.IsMinimal(), 100*x.Quality())
-	})
-
-	// Persist the maintained state — the next restart resumes from here.
-	disk.Reset()
-	if err := idx.Update(func(x *structix.OneIndex) error {
-		return structix.SaveDatabase(&disk, &structix.Database{Graph: db.Graph, One: x})
+			db.One.Size(), db.One.IsMinimal(), 100*db.One.Quality())
+		return nil
 	}); err != nil {
+		log.Fatal(err)
+	}
+
+	// Persist the maintained state from the published snapshot — no lock
+	// held for the write; the next restart resumes from here.
+	disk.Reset()
+	if err := structix.SaveSnapshot(&disk, idx.Snapshot()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("persisted maintained database: %d bytes\n", disk.Len())

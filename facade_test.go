@@ -141,29 +141,32 @@ func TestFacadeConcurrentFullSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := structix.NewConcurrentOneIndex(structix.BuildOneIndex(g))
-	// Node ops through the wrapper.
+	c := structix.NewDB(structix.BuildOneIndex(g))
+	// Node ops through the store.
 	var person structix.NodeID = structix.InvalidNode
 	g.EachNode(func(v structix.NodeID) {
 		if g.LabelName(v) == "person" {
 			person = v
 		}
 	})
-	v, err := c.InsertNode(g.Labels().Intern("hobby"), person, structix.Tree)
+	v, err := c.InsertNode("hobby", person)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := c.Count(structix.MustParsePath("//person/hobby")); got != 1 {
+		t.Errorf("Count after InsertNode = %d, want 1", got)
 	}
 	if err := c.DeleteNode(v); err != nil {
 		t.Fatal(err)
 	}
-	// Subgraph ops through the wrapper.
+	// Subgraph ops through the store.
 	var auction structix.NodeID = structix.InvalidNode
 	g.EachNode(func(n structix.NodeID) {
 		if g.LabelName(n) == "open_auction" {
 			auction = n
 		}
 	})
-	sg, err := c.DeleteSubgraph(auction, true)
+	sg, err := c.DeleteSubtree(auction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +176,7 @@ func TestFacadeConcurrentFullSurface(t *testing.T) {
 	if got := c.Count(structix.MustParsePath("//person")); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
-	if err := c.Update(func(x *structix.OneIndex) error { return x.Validate() }); err != nil {
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -40,15 +40,16 @@ import (
 	"structix/internal/ilist"
 	"structix/internal/partition"
 	"structix/internal/sigtab"
+	"structix/internal/snap"
 )
 
 // INodeID identifies an inode at any level of the refinement tree. IDs are
 // reused after inodes die, but an id is never live for two inodes at once.
-type INodeID int32
+type INodeID = snap.ID
 
 // NoINode marks "no inode": dead dnodes, and the tree parent of level-0
 // inodes.
-const NoINode INodeID = -1
+const NoINode = snap.NoID
 
 // anode is one inode of the refinement tree. All adjacency is flat: child
 // is a sorted id slice, extent a dense member slice (position vector on the

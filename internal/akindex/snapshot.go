@@ -1,252 +1,52 @@
 package akindex
 
 import (
-	"fmt"
-
-	"structix/internal/cow"
-	"structix/internal/extent"
 	"structix/internal/graph"
+	"structix/internal/snap"
 )
 
-// Snapshot is an immutable read view of the level-k index of an A(k)
-// family, paired with a frozen copy of the data graph taken at the same
-// instant. Queries run against level k only, so that is all a snapshot
-// carries: per inode slot the label name, sorted intra-iedge
-// successor list and extent frozen into an extent.View (dense or
-// compressed, per the index's snapshot codec), plus the root inode, the
-// locality parameter k, and the frozen graph for result validation and
-// predicate checks. Once built, nothing in it ever changes; any number of
-// goroutines may evaluate against it while the live family is being
-// maintained.
-//
-// They live in two paged copy-on-write arrays (internal/cow), split by who
-// reads them: the walk records (label and successors, 40 B — a walk step
-// reads one) and the extents (read only for the slots a walk accepts).
-// PatchSnapshot copies the two page spines plus the 64-slot pages holding
-// a dirtied slot, sharing every other page with its predecessor. Dead and
-// non-level-k slots hold zero records, so accessors need no liveness
-// branch; a live level-k inode is one with a non-empty extent
-// (Index.Validate's invariant).
-//
-// Aliasing contract: the slice returned by ISucc and the storage behind
-// ExtentView are owned by the snapshot and shared between all callers;
-// they are read-only by construction (extent.View exposes no mutators).
-// Extent returns a fresh copy the caller owns.
-type Snapshot struct {
-	data  *graph.Frozen
-	k     int
-	root  INodeID // level-k inode of the data root; NoINode if no root
-	walk  cow.Array[walkRec]
-	exts  cow.Array[extent.View]
-	size  int
-	codec extent.Codec
-
-	// Resident extent storage by representation, kept current per
-	// rewritten slot so ExtentBytes is O(1).
-	denseBytes, encodedBytes int64
-
-	// changed is the set of inode slots whose records differ from the
-	// predecessor snapshot (the dirty set PatchSnapshot consumed); partial
-	// is false for full freezes, where the delta is unknown.
-	changed []INodeID
-	partial bool
-}
-
-// walkRec is what an automaton step reads of one inode slot; the zero
-// value belongs to a slot readers cannot see.
-type walkRec struct {
-	name  string
-	succs []INodeID
-}
-
-// deadRec is what accessors read for ids outside the slot space.
-var deadRec walkRec
+// Snapshot is the immutable read view of the level-k index of an A(k)
+// family that Freeze and PatchSnapshot publish: the snapshot type both
+// index families share (internal/snap has the read API and the aliasing
+// contract), bounded by k. Queries run against level k only, so that is
+// all it carries: intra-iedges as successors, other levels' slots dead.
+type Snapshot = snap.Snapshot
 
 // Freeze builds a complete Snapshot of the family's current level-k state
 // (the caller supplies the matching frozen graph, normally
 // x.Graph().Freeze()) and enables dirty tracking so that later
 // PatchSnapshot calls can reuse the untouched pages.
-func (x *Index) Freeze(data *graph.Frozen) *Snapshot {
-	s := &Snapshot{data: data, k: x.k, codec: x.codec}
-	w, e := s.walk.Edit(len(x.nodes)), s.exts.Edit(len(x.nodes))
-	for i := range x.nodes {
-		s.set(x, w.Slot(i), e.Slot(i), INodeID(i))
-	}
-	return s.finish(x, w, e)
-}
+func (x *Index) Freeze(data *graph.Frozen) *Snapshot { return x.PatchSnapshot(nil, data) }
 
 // PatchSnapshot derives a new Snapshot from prev by re-copying only the
-// inode slots dirtied since prev was built; every page without one is
-// shared with prev. Falls back to a full Freeze when prev is nil or dirty
-// tracking was not active (e.g. after a codec switch). The caller
-// supplies the frozen graph matching the family's current state.
+// inode slots dirtied since prev was built. Falls back to a full Freeze
+// when prev is nil or dirty tracking was not active (e.g. after a codec
+// switch). The caller supplies the frozen graph matching the family's
+// current state.
 func (x *Index) PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot {
-	if prev == nil || !x.trackDirty {
-		return x.Freeze(data)
+	if !x.trackDirty {
+		prev = nil
 	}
-	s := &Snapshot{
-		data:         data,
-		k:            x.k,
-		codec:        x.codec,
-		denseBytes:   prev.denseBytes,
-		encodedBytes: prev.encodedBytes,
-		changed:      append([]INodeID(nil), x.dirtyIDs...),
-		partial:      true,
-	}
-	w, e := prev.walk.Edit(len(x.nodes)), prev.exts.Edit(len(x.nodes))
-	for _, i := range x.dirtyIDs {
-		s.set(x, w.Slot(int(i)), e.Slot(int(i)), i)
-	}
-	return s.finish(x, w, e)
-}
-
-// set rewrites slot i's records from the live index — zero if the slot
-// is dead or holds a non-level-k inode, since only level k is visible to
-// readers — and moves the extent byte totals by the difference.
-func (s *Snapshot) set(x *Index, w *walkRec, v *extent.View, i INodeID) {
-	s.countExtent(*v, -1)
-	*w, *v = walkRec{}, extent.View{}
-	if n := x.nodes[i]; n != nil && int(n.level) == x.k {
-		w.name = x.g.Labels().Name(n.label)
-		w.succs = x.IntraSucc(i)
-		// Index.Extent returns a fresh sorted slice, so FromSorted may take
-		// ownership: the dense codec costs no extra copy.
-		*v = extent.FromSorted(x.Extent(i), s.codec)
-	}
-	s.countExtent(*v, +1)
-}
-
-func (s *Snapshot) countExtent(v extent.View, sign int64) {
-	if v.IsCompressed() {
-		s.encodedBytes += sign * int64(v.Bytes())
-	} else {
-		s.denseBytes += sign * int64(v.Bytes())
-	}
-}
-
-func (s *Snapshot) finish(x *Index, w cow.Editor[walkRec], e cow.Editor[extent.View]) *Snapshot {
-	s.walk, s.exts = w.Array(), e.Array()
-	s.size = x.numLive[x.k]
-	s.root = NoINode
+	h := snap.Header{Data: data, K: x.k, Root: NoINode, Size: x.numLive[x.k], Slots: len(x.nodes), Codec: x.codec}
 	if r := x.g.Root(); r != graph.InvalidNode {
-		s.root = x.inodeOf[r]
+		h.Root = x.inodeOf[r]
 	}
-	x.trackDirty = true
-	x.resetDirty()
-	return s
-}
-
-// resetDirty clears the dirty set after a snapshot has consumed it.
-func (x *Index) resetDirty() {
+	s := snap.Patch(prev, h, x.dirtyIDs, x.fill)
+	// The snapshot has consumed the dirty set.
 	for _, i := range x.dirtyIDs {
 		x.dirtySet[i] = false
 	}
 	x.dirtyIDs = x.dirtyIDs[:0]
+	x.trackDirty = true
+	return s
 }
 
-// Data returns the frozen data graph the snapshot was paired with.
-func (s *Snapshot) Data() *graph.Frozen { return s.data }
-
-// Changed returns the inode slots whose records differ from the snapshot
-// this one was patched from, and ok=true when that delta is known. A full
-// Freeze has no predecessor, so it reports ok=false and callers must
-// assume every slot changed. The slice is owned by the snapshot:
-// read-only.
-func (s *Snapshot) Changed() (slots []INodeID, ok bool) {
-	return s.changed, s.partial
-}
-
-// Slots returns the size of the inode slot space (dense INodeID range;
-// dead and non-level-k slots included), the bound evaluation scratch
-// state is sized to.
-func (s *Snapshot) Slots() int { return s.walk.Len() }
-
-// K returns the locality parameter of the snapshotted family.
-func (s *Snapshot) K() int { return s.k }
-
-// RootINode returns the level-k inode containing the data root (NoINode
-// if the graph had no root at freeze time).
-func (s *Snapshot) RootINode() INodeID { return s.root }
-
-// Size returns the number of live level-k inodes at freeze time.
-func (s *Snapshot) Size() int { return s.size }
-
-// rec returns I's walk record; the dead record for ids outside the slot
-// space.
-func (s *Snapshot) rec(I INodeID) *walkRec {
-	if uint(I) >= uint(s.walk.Len()) {
-		return &deadRec
+// fill is what a snapshot records of slot i: zero if the slot is dead or
+// holds a non-level-k inode, since only level k is visible to readers.
+func (x *Index) fill(i INodeID) (string, []INodeID, []graph.NodeID) {
+	n := x.nodes[i]
+	if n == nil || int(n.level) != x.k {
+		return "", nil, nil
 	}
-	return s.walk.At(int(I))
-}
-
-// Live reports whether level-k inode I existed at freeze time.
-func (s *Snapshot) Live(I INodeID) bool { return s.ExtentView(I).Len() > 0 }
-
-// LabelName returns I's label string ("" for a dead or non-level-k slot).
-func (s *Snapshot) LabelName(I INodeID) string { return s.rec(I).name }
-
-// EachISucc calls fn for every intra-iedge successor of I, in increasing
-// order.
-func (s *Snapshot) EachISucc(I INodeID, fn func(J INodeID)) {
-	for _, j := range s.rec(I).succs {
-		fn(j)
-	}
-}
-
-// ISucc returns I's sorted intra-iedge successors (nil for a dead slot).
-// The slice is shared with the snapshot: read-only.
-func (s *Snapshot) ISucc(I INodeID) []INodeID { return s.rec(I).succs }
-
-// Codec returns the extent codec the snapshot was frozen under. A
-// Compressed snapshot may still hold dense views for extents the block
-// encoding could not shrink (see extent.FromSorted).
-func (s *Snapshot) Codec() extent.Codec { return s.codec }
-
-// ExtentView returns I's frozen extent as a read-only extent.View — the
-// aliasing-safe accessor the query kernels union and intersect directly.
-// The zero View is returned for dead or non-level-k slots.
-func (s *Snapshot) ExtentView(I INodeID) extent.View {
-	if uint(I) >= uint(s.exts.Len()) {
-		return extent.View{}
-	}
-	return *s.exts.At(int(I))
-}
-
-// Extent returns I's sorted extent as a freshly allocated slice the
-// caller owns — it never aliases snapshot storage. Result assembly should
-// prefer AppendExtent or ExtentView, which do not copy per call.
-func (s *Snapshot) Extent(I INodeID) []graph.NodeID {
-	return s.ExtentView(I).AppendTo(nil)
-}
-
-// EachExtent calls fn for every dnode in I's extent, in ascending order.
-func (s *Snapshot) EachExtent(I INodeID, fn func(v graph.NodeID)) {
-	s.ExtentView(I).Each(fn)
-}
-
-// AppendExtent appends I's extent to dst in ascending order and returns
-// it — the extent-union primitive of the snapshot evaluators: with a warm
-// dst the whole union allocates nothing, compressed views decoding
-// streaming into dst.
-func (s *Snapshot) AppendExtent(dst []graph.NodeID, I INodeID) []graph.NodeID {
-	return s.ExtentView(I).AppendTo(dst)
-}
-
-// ExtentSize returns |extent(I)| at freeze time (O(1) under every codec:
-// compressed views carry their cardinality in the header).
-func (s *Snapshot) ExtentSize(I INodeID) int { return s.ExtentView(I).Len() }
-
-// ExtentBytes returns the resident extent storage of the snapshot, split
-// by representation: denseBytes counts slots holding dense slices
-// (including dense fallbacks under the Compressed codec), encodedBytes
-// counts compressed block encodings. O(1): the totals are carried from
-// snapshot to snapshot and adjusted per rewritten slot.
-func (s *Snapshot) ExtentBytes() (denseBytes, encodedBytes int64) {
-	return s.denseBytes, s.encodedBytes
-}
-
-func (s *Snapshot) String() string {
-	return fmt.Sprintf("A(%d)-index snapshot{%d inodes over %d dnodes}",
-		s.k, s.size, s.data.NumNodes())
+	return x.g.Labels().Name(n.label), x.IntraSucc(i), x.Extent(i)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Small-scale end-to-end runs of every experiment, asserting the *shapes*
@@ -254,106 +253,5 @@ func TestStandardDatasets(t *testing.T) {
 		if g.NumNodes() == 0 {
 			t.Errorf("%s: empty graph", d.Name)
 		}
-	}
-}
-
-func TestRunSnapshot(t *testing.T) {
-	d := Dataset{Name: "XMark(1)", Cyclicity: 1}
-	g := d.Build(64, 11)
-	cfg := SnapshotConfig{Readers: 2, Batch: 8, Duration: 30 * time.Millisecond, AkK: 2, Seed: 11}
-	r := RunSnapshot(d.Name, g, cfg)
-	if len(r.Modes) != 4 {
-		t.Fatalf("%d mode cells, want 4", len(r.Modes))
-	}
-	for _, m := range r.Modes {
-		if m.Reads == 0 {
-			t.Errorf("%s/%s: no reads completed", m.Index, m.Mode)
-		}
-		if m.Batches == 0 {
-			t.Errorf("%s/%s: no batches applied", m.Index, m.Mode)
-		}
-		if m.P50Ns > m.P99Ns || m.P99Ns > m.MaxNs {
-			t.Errorf("%s/%s: latency quantiles out of order: %d %d %d",
-				m.Index, m.Mode, m.P50Ns, m.P99Ns, m.MaxNs)
-		}
-	}
-	var buf bytes.Buffer
-	ReportSnapshot(&buf, r)
-	if !strings.Contains(buf.String(), "rwmutex") || !strings.Contains(buf.String(), "snapshot") {
-		t.Errorf("report output missing mode rows")
-	}
-	buf.Reset()
-	if err := WriteSnapshotJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"p99_ns\"") {
-		t.Errorf("JSON output missing latency fields")
-	}
-}
-
-func TestRunQueryBenchShapes(t *testing.T) {
-	d := Dataset{Name: "XMark(1)", Cyclicity: 1}
-	g := d.Build(8, 5)
-	cfg := DefaultQueryBenchConfig(5)
-	cfg.Reps = 8
-	cfg.Serve.Workers = 2
-	cfg.Serve.Duration = 40 * time.Millisecond
-	r, err := RunQueryBench(d.Name, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Exprs) != len(cfg.Exprs) {
-		t.Fatalf("%d expr rows, want %d", len(r.Exprs), len(cfg.Exprs))
-	}
-	anyResults := false
-	for _, e := range r.Exprs {
-		if e.NFAStates < 2 {
-			t.Errorf("%s: %d NFA states", e.Expr, e.NFAStates)
-		}
-		if e.InterpP50Ns > e.InterpP99Ns || e.CompiledP50Ns > e.CompiledP99Ns {
-			t.Errorf("%s: quantiles out of order", e.Expr)
-		}
-		if e.Results > 0 {
-			anyResults = true
-		}
-	}
-	if !anyResults {
-		t.Error("no expression matched anything")
-	}
-	// The gate the committed benchmark publishes: warm hits allocate nothing.
-	if r.WarmHitAllocs != 0 {
-		t.Errorf("warm cache hit costs %.1f allocs/op, want 0", r.WarmHitAllocs)
-	}
-	if len(r.Serve) != 2 || r.Serve[0].Mode != "interpreter" || r.Serve[1].Mode != "compiled+cache" {
-		t.Fatalf("serve modes: %+v", r.Serve)
-	}
-	for _, m := range r.Serve {
-		if len(m.Phases) != 2 {
-			t.Fatalf("%s: %d phases, want 2", m.Mode, len(m.Phases))
-		}
-		for _, p := range m.Phases {
-			if p.Reads == 0 {
-				t.Errorf("%s/%s: no reads completed", m.Mode, p.Phase)
-			}
-		}
-	}
-	if r.Serve[0].CacheHits != 0 || r.Serve[0].CacheMisses != 0 {
-		t.Errorf("interpreter mode moved cache counters: %+v", r.Serve[0])
-	}
-	if r.Serve[1].CacheHits == 0 {
-		t.Errorf("compiled+cache mode recorded no cache hits: %+v", r.Serve[1])
-	}
-	var buf bytes.Buffer
-	ReportQueryBench(&buf, r)
-	out := buf.String()
-	if !strings.Contains(out, "warm cache hit") || !strings.Contains(out, "compiled+cache") {
-		t.Errorf("report output missing sections:\n%s", out)
-	}
-	buf.Reset()
-	if err := WriteQueryJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"cache_hit_rate\"") {
-		t.Errorf("JSON output missing cache fields")
 	}
 }

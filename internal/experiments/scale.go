@@ -210,7 +210,7 @@ func runScaleCodec(one *oneindex.Index, frozen *graph.Frozen, c extent.Codec, cf
 		times := make([]int64, cfg.Reps)
 		for i := range times {
 			t0 := time.Now()
-			buf = cq.EvalOneSnapshotInto(buf, &sc, snap)
+			buf = cq.EvalSnapshotInto(buf, &sc, snap)
 			times[i] = time.Since(t0).Nanoseconds()
 		}
 		if reference != nil && !slices.Equal(buf, reference[ei]) {
@@ -228,7 +228,7 @@ func runScaleCodec(one *oneindex.Index, frozen *graph.Frozen, c extent.Codec, cf
 	}
 	if largestC != nil {
 		st.WarmQueryAllocs, _, _ = measureAllocs(20, func() {
-			buf = largestC.EvalOneSnapshotInto(buf, &sc, snap)
+			buf = largestC.EvalSnapshotInto(buf, &sc, snap)
 		})
 	}
 	return st, results

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"slices"
 
-	"structix/internal/extent"
 	"structix/internal/graph"
+	"structix/internal/snap"
 )
 
 // Maintained is the write surface the 1-index and the A(k) family share.
@@ -102,37 +102,21 @@ func FrozenDiff(a, b *graph.Frozen) string {
 	return ""
 }
 
-// IndexSnapshot is the read surface the 1-index and A(k) snapshots share.
-type IndexSnapshot[ID ~int32] interface {
-	Data() *graph.Frozen
-	Slots() int
-	Size() int
-	RootINode() ID
-	Codec() extent.Codec
-	ExtentBytes() (dense, encoded int64)
-	Live(ID) bool
-	LabelName(ID) string
-	ISucc(ID) []ID
-	ExtentView(ID) extent.View
-	Extent(ID) []graph.NodeID
-	ExtentSize(ID) int
-}
-
 // SnapshotDiff compares two index snapshots — and their frozen graphs —
 // on every accessor of every inode slot (and one past each end) and
 // describes the first difference, "" when there is none.
-func SnapshotDiff[ID ~int32, S IndexSnapshot[ID]](a, b S) string {
+func SnapshotDiff(a, b *snap.Snapshot) string {
 	if d := FrozenDiff(a.Data(), b.Data()); d != "" {
 		return "data: " + d
 	}
 	ad, ae := a.ExtentBytes()
 	bd, be := b.ExtentBytes()
 	if a.Slots() != b.Slots() || a.Size() != b.Size() || a.RootINode() != b.RootINode() ||
-		a.Codec() != b.Codec() || ad != bd || ae != be {
-		return fmt.Sprintf("header: slots %d/%d size %d/%d root %d/%d codec %v/%v bytes %d+%d/%d+%d",
-			a.Slots(), b.Slots(), a.Size(), b.Size(), a.RootINode(), b.RootINode(), a.Codec(), b.Codec(), ad, ae, bd, be)
+		a.Codec() != b.Codec() || a.K() != b.K() || ad != bd || ae != be {
+		return fmt.Sprintf("header: slots %d/%d size %d/%d root %d/%d codec %v/%v k %d/%d bytes %d+%d/%d+%d",
+			a.Slots(), b.Slots(), a.Size(), b.Size(), a.RootINode(), b.RootINode(), a.Codec(), b.Codec(), a.K(), b.K(), ad, ae, bd, be)
 	}
-	for i := ID(-1); int(i) <= a.Slots(); i++ {
+	for i := snap.ID(-1); int(i) <= a.Slots(); i++ {
 		if a.Live(i) != b.Live(i) || a.LabelName(i) != b.LabelName(i) {
 			return fmt.Sprintf("slot %d: live %v/%v label %q/%q", i, a.Live(i), b.Live(i), a.LabelName(i), b.LabelName(i))
 		}

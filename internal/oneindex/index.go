@@ -35,14 +35,15 @@ import (
 	"structix/internal/ilist"
 	"structix/internal/partition"
 	"structix/internal/sigtab"
+	"structix/internal/snap"
 )
 
 // INodeID identifies an index node. IDs are reused after merges empty an
 // inode, but an id is never live for two inodes at once.
-type INodeID int32
+type INodeID = snap.ID
 
 // NoINode marks dnodes that are not in the index (dead nodes).
-const NoINode INodeID = -1
+const NoINode = snap.NoID
 
 // inode is one index node. The extent slice is unsorted — membership order
 // is maintenance order, with Index.pos giving each dnode's position for

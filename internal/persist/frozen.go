@@ -3,6 +3,8 @@ package persist
 import (
 	"compress/gzip"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"io"
 
 	"structix/internal/graph"
@@ -21,7 +23,14 @@ import (
 // graph's LabelID numbering may differ from the live graph's; names,
 // values, NodeIDs (dead slots included), edges and the index partition
 // are preserved exactly.
+//
+// The stream declares a 1-index partition, so a bounded snapshot — the
+// level-k partition of an A(k) family, which is the same Go type — is
+// rejected with ErrBoundedSnapshot before anything is written.
 func SaveSnapshot(w io.Writer, snap *oneindex.Snapshot) error {
+	if snap.Bounded() {
+		return fmt.Errorf("%w: got A(%d)", ErrBoundedSnapshot, snap.K())
+	}
 	enc := gob.NewEncoder(w)
 	if err := writeHeader(enc, "database"); err != nil {
 		return err
@@ -41,6 +50,9 @@ func SaveSnapshot(w io.Writer, snap *oneindex.Snapshot) error {
 // SaveSnapshotCompressed is SaveSnapshot through a gzip layer; the
 // result loads with LoadDatabaseCompressed or LoadDatabaseAuto.
 func SaveSnapshotCompressed(w io.Writer, snap *oneindex.Snapshot) error {
+	if snap.Bounded() {
+		return fmt.Errorf("%w: got A(%d)", ErrBoundedSnapshot, snap.K())
+	}
 	zw := gzip.NewWriter(w)
 	if err := SaveSnapshot(zw, snap); err != nil {
 		zw.Close()
@@ -48,6 +60,11 @@ func SaveSnapshotCompressed(w io.Writer, snap *oneindex.Snapshot) error {
 	}
 	return zw.Close()
 }
+
+// ErrBoundedSnapshot rejects saving an A(k) snapshot as a database stream:
+// the format has no place for a level-k partition, and loading it as the
+// 1-index it would claim to be yields a wrong index.
+var ErrBoundedSnapshot = errors.New("persist: only a 1-index snapshot can be saved")
 
 func frozenGraphToDTO(f *graph.Frozen) *graphDTO {
 	dto := &graphDTO{
@@ -98,7 +115,7 @@ func snapshotPartToDTO(snap *oneindex.Snapshot) *partitionDTO {
 		}
 		b := int32(dto.NumBlocks)
 		dto.NumBlocks++
-		snap.EachExtent(I, func(v graph.NodeID) {
+		snap.ExtentView(I).Each(func(v graph.NodeID) {
 			dto.BlockOf[v] = b
 		})
 	}

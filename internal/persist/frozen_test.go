@@ -2,9 +2,12 @@ package persist
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
+	"structix/internal/akindex"
 	"structix/internal/datagen"
 	"structix/internal/graph"
 	"structix/internal/gtest"
@@ -93,5 +96,27 @@ func TestSaveSnapshotCompressedAuto(t *testing.T) {
 	}
 	if db.Graph.NumNodes() != g.NumNodes() || db.One == nil || db.One.Size() != x.Size() {
 		t.Errorf("compressed frozen save round trip changed shape")
+	}
+}
+
+// An A(k) snapshot is the same Go type as a 1-index snapshot, but the
+// stream would declare its level-k partition a 1-index: both savers must
+// refuse it and leave the writer untouched.
+func TestSaveSnapshotRejectsBounded(t *testing.T) {
+	g := gtest.RandomCyclic(rand.New(rand.NewSource(5)), 60, 30)
+	snap := akindex.Build(g, 2).Freeze(g.Freeze())
+	for name, save := range map[string]func(io.Writer, *oneindex.Snapshot) error{
+		"plain": SaveSnapshot, "compressed": SaveSnapshotCompressed,
+	} {
+		var buf bytes.Buffer
+		if err := save(&buf, snap); !errors.Is(err, ErrBoundedSnapshot) {
+			t.Errorf("%s: saving an A(2) snapshot: %v, want ErrBoundedSnapshot", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: %d bytes written for a rejected snapshot", name, buf.Len())
+		}
+		if _, err := LoadDatabaseAuto(&buf); err == nil {
+			t.Errorf("%s: the rejected stream loads", name)
+		}
 	}
 }

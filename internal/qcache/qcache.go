@@ -17,7 +17,7 @@
 // or extent changes only by dirtying its slot, and a label changes only
 // when the slot dies and is reborn, which first removes its in-edges and
 // so dirties every expanded parent. A disjoint dirty set therefore proves
-// the cached result unchanged (query.EvalOneSnapshotFootprint spells the
+// the cached result unchanged (query.EvalSnapshotFootprint spells the
 // argument out). Entries without a precise footprint (predicate-bearing
 // queries, which read the data graph below their candidates) are
 // invalidated on every publication.

@@ -28,30 +28,30 @@ func TestSnapshotCtxNilAllocParity(t *testing.T) {
 		buf := make([]graph.NodeID, 0, g.NumNodes())
 
 		plain := testing.AllocsPerRun(200, func() {
-			buf = EvalOneSnapshotInto(buf, p, one)
+			buf = EvalSnapshotInto(buf, p, one)
 		})
 		withNil := testing.AllocsPerRun(200, func() {
-			buf, _ = EvalOneSnapshotIntoCtx(nil, buf, p, one)
+			buf, _ = EvalSnapshotIntoCtx(nil, buf, p, one)
 		})
 		if withNil > plain {
 			t.Errorf("%s: one eval allocs/op: nil-ctx %.1f > plain %.1f", expr, withNil, plain)
 		}
 
 		plainAk := testing.AllocsPerRun(200, func() {
-			buf = EvalAkSnapshotInto(buf, p, ak)
+			buf = EvalSnapshotInto(buf, p, ak)
 		})
 		withNilAk := testing.AllocsPerRun(200, func() {
-			buf, _ = EvalAkSnapshotIntoCtx(nil, buf, p, ak)
+			buf, _ = EvalSnapshotIntoCtx(nil, buf, p, ak)
 		})
 		if withNilAk > plainAk {
 			t.Errorf("%s: ak eval allocs/op: nil-ctx %.1f > plain %.1f", expr, withNilAk, plainAk)
 		}
 
 		plainC := testing.AllocsPerRun(200, func() {
-			CountOneSnapshot(p, one)
+			CountSnapshot(p, one)
 		})
 		withNilC := testing.AllocsPerRun(200, func() {
-			CountOneSnapshotCtx(nil, p, one)
+			CountSnapshotCtx(nil, p, one)
 		})
 		if withNilC > plainC {
 			t.Errorf("%s: one count allocs/op: nil-ctx %.1f > plain %.1f", expr, withNilC, plainC)
@@ -72,11 +72,11 @@ func TestFootprintEvalTwoAllocs(t *testing.T) {
 		for _, expr := range []string{"/*/b", "//c", "//a//b"} {
 			c := MustCompile(MustParse(expr))
 			var sc Scratch
-			if nodes, fp, _, _ := c.EvalOneSnapshotFootprint(nil, &sc, snap); len(nodes) == 0 || len(fp) == 0 {
+			if nodes, fp, _, _ := c.EvalSnapshotFootprint(nil, &sc, snap); len(nodes) == 0 || len(fp) == 0 {
 				t.Fatalf("%s: empty result or footprint, the gate would be vacuous", expr)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				c.EvalOneSnapshotFootprint(nil, &sc, snap)
+				c.EvalSnapshotFootprint(nil, &sc, snap)
 			}); n != 2 {
 				t.Errorf("%s (%s): warm footprint evaluation allocates %.1f/op, want 2", expr, codec, n)
 			}
@@ -84,10 +84,10 @@ func TestFootprintEvalTwoAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEvalOneSnapshotFootprint is the cold-read kernel — automaton
+// BenchmarkEvalSnapshotFootprint is the cold-read kernel — automaton
 // walk, extent union and footprint emission with a warm Scratch — per
 // expression class of the repo benchmark's pools.
-func BenchmarkEvalOneSnapshotFootprint(b *testing.B) {
+func BenchmarkEvalSnapshotFootprint(b *testing.B) {
 	one := oneindex.Build(datagen.XMark(datagen.DefaultXMark(8, 1, 1)))
 	snap := one.Freeze(one.Graph().Freeze())
 	for _, bc := range []struct{ name, expr string }{
@@ -102,7 +102,7 @@ func BenchmarkEvalOneSnapshotFootprint(b *testing.B) {
 			b.ResetTimer()
 			slots := 0
 			for i := 0; i < b.N; i++ {
-				_, fp, _, err := c.EvalOneSnapshotFootprint(nil, &sc, snap)
+				_, fp, _, err := c.EvalSnapshotFootprint(nil, &sc, snap)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,10 +4,9 @@ import (
 	"context"
 	"math/bits"
 
-	"structix/internal/akindex"
 	"structix/internal/extent"
 	"structix/internal/graph"
-	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 // Automaton evaluation: one product-construction walk of (index graph ×
@@ -120,52 +119,28 @@ func (sc *Scratch) footprint() []int32 {
 	return out
 }
 
-// autoGraph is the index-graph surface the walk needs, implemented by
-// small value adapters so the generic instantiation devirtualizes every
-// call.
-type autoGraph[ID ~int32] interface {
-	rootSlot() int32
-	numSlots() int
-	succs(slot int32) []ID
-	label(slot int32) string
-}
-
-type oneAutoGraph struct{ s *oneindex.Snapshot }
-
-func (g oneAutoGraph) rootSlot() int32                  { return int32(g.s.RootINode()) }
-func (g oneAutoGraph) numSlots() int                    { return g.s.Slots() }
-func (g oneAutoGraph) succs(i int32) []oneindex.INodeID { return g.s.ISucc(oneindex.INodeID(i)) }
-func (g oneAutoGraph) label(i int32) string             { return g.s.LabelName(oneindex.INodeID(i)) }
-
-type akAutoGraph struct{ s *akindex.Snapshot }
-
-func (g akAutoGraph) rootSlot() int32                 { return int32(g.s.RootINode()) }
-func (g akAutoGraph) numSlots() int                   { return g.s.Slots() }
-func (g akAutoGraph) succs(i int32) []akindex.INodeID { return g.s.ISucc(akindex.INodeID(i)) }
-func (g akAutoGraph) label(i int32) string            { return g.s.LabelName(akindex.INodeID(i)) }
-
-// autoWalk runs the compiled automaton over an index graph and returns the
-// accepting slots (aliasing sc.acc). The DFA product walk is preferred;
+// autoWalk runs the compiled automaton over an index snapshot and returns
+// the accepting slots (aliasing sc.acc). The DFA product walk is preferred;
 // expressions whose determinization was declined use the NFA bitmask
 // fixpoint, which visits a slot once per state-set growth instead of once
 // per state but computes the same accepting set.
-func autoWalk[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G) []int32 {
-	sc.begin(g.numSlots())
-	root := g.rootSlot()
+func autoWalk(c *Compiled, sc *Scratch, g *snap.Snapshot) []int32 {
+	sc.begin(g.Slots())
+	root := int32(g.RootINode())
 	if root < 0 {
 		return sc.acc
 	}
 	// The root is reached again as a successor when an edge points back at
 	// it, so its symbol is resolved here like any other first touch.
 	sc.touch(root)
-	sc.sym[root] = c.symOf(g.label(root))
+	sc.sym[root] = c.symOf(g.LabelName(snap.ID(root)))
 	if c.dfaNext != nil {
-		return autoWalkDFA[ID](c, sc, g, root)
+		return autoWalkDFA(c, sc, g, root)
 	}
-	return autoWalkNFA[ID](c, sc, g, root)
+	return autoWalkNFA(c, sc, g, root)
 }
 
-func autoWalkDFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root int32) []int32 {
+func autoWalkDFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
 	sc.mask[root] = 1 // DFA start state 0 visited
 	sc.queue = append(sc.queue, int64(root)<<8)
 	for len(sc.queue) > 0 {
@@ -174,10 +149,10 @@ func autoWalkDFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 		slot, st := int32(item>>8), int(item&0xFF)
 		row := c.dfaNext[st*c.numSyms : (st+1)*c.numSyms]
 		sc.expand(slot)
-		for _, j := range g.succs(slot) {
+		for _, j := range g.ISucc(snap.ID(slot)) {
 			js := int32(j)
 			if sc.touch(js) {
-				sc.sym[js] = c.symOf(g.label(js))
+				sc.sym[js] = c.symOf(g.LabelName(j))
 			}
 			ns := row[sc.sym[js]]
 			if ns < 0 {
@@ -198,7 +173,7 @@ func autoWalkDFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 	return sc.acc
 }
 
-func autoWalkNFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root int32) []int32 {
+func autoWalkNFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
 	sc.mask[root] = 1 // NFA start set {q0}
 	sc.flag[root] |= flagQueued
 	sc.queue = append(sc.queue, int64(root))
@@ -208,10 +183,10 @@ func autoWalkNFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 		sc.flag[slot] &^= flagQueued
 		m := sc.mask[slot]
 		sc.expand(slot)
-		for _, j := range g.succs(slot) {
+		for _, j := range g.ISucc(snap.ID(slot)) {
 			js := int32(j)
 			if sc.touch(js) {
-				sc.sym[js] = c.symOf(g.label(js))
+				sc.sym[js] = c.symOf(g.LabelName(j))
 			}
 			nm := c.step(m, sc.sym[js])
 			if nm&^sc.mask[js] == 0 {
@@ -231,31 +206,28 @@ func autoWalkNFA[ID ~int32, G autoGraph[ID]](c *Compiled, sc *Scratch, g G, root
 	return sc.acc
 }
 
-// ---- 1-index snapshot evaluation ----
+// ---- index snapshot evaluation ----
 
-// EvalOneSnapshot evaluates the compiled expression on a 1-index snapshot
-// and returns the matched dnodes, sorted — the compiled counterpart of
-// EvalOneSnapshot(p, s), with the identical (exact) result contract.
-func (c *Compiled) EvalOneSnapshot(s *oneindex.Snapshot) []graph.NodeID {
-	return c.EvalOneSnapshotInto(nil, nil, s)
+// EvalSnapshot evaluates the compiled expression on an index snapshot of
+// either family and returns the matched dnodes, sorted — the compiled
+// counterpart of EvalSnapshot(p, s), with the identical (exact) result
+// contract: candidates from the automaton walk, backward validation when
+// an A(k) snapshot is not precise for the expression, then predicate
+// checks.
+func (c *Compiled) EvalSnapshot(s *snap.Snapshot) []graph.NodeID {
+	return c.EvalSnapshotInto(nil, nil, s)
 }
 
-// EvalOneSnapshotInto is EvalOneSnapshot assembling the result into buf
-// and reusing sc across calls: with a warm buffer and scratch the whole
+// EvalSnapshotInto is EvalSnapshot assembling the result into buf and
+// reusing sc across calls: with a warm buffer and scratch the whole
 // evaluation allocates nothing. A nil sc uses a throwaway scratch; neither
 // buf nor sc may be shared between goroutines.
-func (c *Compiled) EvalOneSnapshotInto(buf []graph.NodeID, sc *Scratch, s *oneindex.Snapshot) []graph.NodeID {
-	out, _ := c.evalOne(nil, buf, sc, s)
+func (c *Compiled) EvalSnapshotInto(buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) []graph.NodeID {
+	out, _ := c.EvalSnapshotIntoCtx(nil, buf, sc, s)
 	return out
 }
 
-// EvalOneSnapshotIntoCtx is EvalOneSnapshotInto under a context,
-// observing cancellation between extent unions.
-func (c *Compiled) EvalOneSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *oneindex.Snapshot) ([]graph.NodeID, error) {
-	return c.evalOne(ctx, buf, sc, s)
-}
-
-// EvalOneSnapshotFootprint evaluates like EvalOneSnapshotIntoCtx but also
+// EvalSnapshotFootprint evaluates like EvalSnapshotIntoCtx but also
 // returns the evaluation's inode footprint: the slots the walk expanded —
 // popped and read the successor list of — strictly ascending and freshly
 // allocated. Slots the walk only read a label from (siblings that matched
@@ -275,20 +247,29 @@ func (c *Compiled) EvalOneSnapshotIntoCtx(ctx context.Context, buf []graph.NodeI
 //     in-edges dirties every expanded parent first.
 //
 // Expressions with predicates read the data graph below their candidates,
-// so they report precise=false. The returned node slice is freshly
-// allocated and safe to retain.
-func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s *oneindex.Snapshot) (nodes []graph.NodeID, footprint []int32, precise bool, err error) {
+// and validation on an A(k) snapshot reads it above them, so both report
+// precise=false. The returned node slice is freshly allocated and safe to
+// retain.
+func (c *Compiled) EvalSnapshotFootprint(ctx context.Context, sc *Scratch, s *snap.Snapshot) (nodes []graph.NodeID, footprint []int32, precise bool, err error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	nodes, err = c.evalOne(ctx, nil, sc, s)
+	nodes, err = c.EvalSnapshotIntoCtx(ctx, nil, sc, s)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return nodes, sc.footprint(), !c.path.HasPredicates(), nil
+	return nodes, sc.footprint(), !c.path.HasPredicates() && !validates(c.skel, s), nil
 }
 
-func (c *Compiled) evalOne(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *oneindex.Snapshot) ([]graph.NodeID, error) {
+// EvalOneSnapshotFootprint is EvalSnapshotFootprint under the name the
+// repo benchmark (bench/, frozen) compiles against.
+func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, []int32, bool, error) {
+	return c.EvalSnapshotFootprint(ctx, sc, s)
+}
+
+// EvalSnapshotIntoCtx is EvalSnapshotInto under a context, observing
+// cancellation between extent unions and between validation candidates.
+func (c *Compiled) EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -296,14 +277,14 @@ func (c *Compiled) evalOne(ctx context.Context, buf []graph.NodeID, sc *Scratch,
 	if err := ctxErr(ctx); err != nil {
 		return buf, err
 	}
-	acc := autoWalk[oneindex.INodeID](c, sc, oneAutoGraph{s})
+	acc := autoWalk(c, sc, s)
 	views := sc.ext.Views(len(acc))
 	total := 0
 	for n, i := range acc {
 		if err := ctxErr(ctx); err != nil {
 			return buf[:0], err
 		}
-		views[n] = s.ExtentView(oneindex.INodeID(i))
+		views[n] = s.ExtentView(snap.ID(i))
 		total += views[n].Len()
 	}
 	if cap(buf) < total {
@@ -311,70 +292,9 @@ func (c *Compiled) evalOne(ctx context.Context, buf []graph.NodeID, sc *Scratch,
 	}
 	// Extents partition the dnodes, so the union is disjoint and UnionInto
 	// returns buf already sorted — no post-sort.
-	buf = extent.UnionInto(buf, &sc.ext, views)
-	if c.path.HasPredicates() {
-		return filterByAllPredicates(c.path, s.Data(), buf), ctxErr(ctx)
-	}
-	return buf, ctxErr(ctx)
-}
-
-// ---- A(k)-index snapshot evaluation ----
-
-// EvalAkSnapshot evaluates the compiled expression on an A(k)-index
-// snapshot and returns the exact result, sorted — the compiled
-// counterpart of EvalAkSnapshot(p, s): skeleton candidates from the
-// automaton walk, backward validation when the expression needs it, then
-// predicate checks.
-func (c *Compiled) EvalAkSnapshot(s *akindex.Snapshot) []graph.NodeID {
-	return c.EvalAkSnapshotInto(nil, nil, s)
-}
-
-// EvalAkSnapshotInto is EvalAkSnapshot with the buffer- and scratch-reuse
-// contract of EvalOneSnapshotInto.
-func (c *Compiled) EvalAkSnapshotInto(buf []graph.NodeID, sc *Scratch, s *akindex.Snapshot) []graph.NodeID {
-	out, _ := c.evalAk(nil, buf, sc, s)
-	return out
-}
-
-// EvalAkSnapshotIntoCtx is EvalAkSnapshotInto under a context.
-func (c *Compiled) EvalAkSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *akindex.Snapshot) ([]graph.NodeID, error) {
-	return c.evalAk(ctx, buf, sc, s)
-}
-
-func (c *Compiled) evalAk(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *akindex.Snapshot) ([]graph.NodeID, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	buf = buf[:0]
-	if err := ctxErr(ctx); err != nil {
+	buf, err := validated(ctx, c.skel, s, extent.UnionInto(buf, &sc.ext, views))
+	if err != nil {
 		return buf, err
-	}
-	acc := autoWalk[akindex.INodeID](c, sc, akAutoGraph{s})
-	views := sc.ext.Views(len(acc))
-	total := 0
-	for n, i := range acc {
-		if err := ctxErr(ctx); err != nil {
-			return buf[:0], err
-		}
-		views[n] = s.ExtentView(akindex.INodeID(i))
-		total += views[n].Len()
-	}
-	if cap(buf) < total {
-		buf = make([]graph.NodeID, 0, total)
-	}
-	buf = extent.UnionInto(buf, &sc.ext, views)
-	if NeedsValidation(c.skel, s.K()) {
-		va := newValidator(c.skel, s.Data())
-		out := buf[:0]
-		for _, cand := range buf {
-			if err := ctxErr(ctx); err != nil {
-				return out[:0], err
-			}
-			if va.matches(cand) {
-				out = append(out, cand)
-			}
-		}
-		buf = out
 	}
 	if c.path.HasPredicates() {
 		return filterByAllPredicates(c.path, s.Data(), buf), ctxErr(ctx)

@@ -43,26 +43,26 @@ func TestSnapshotCodecEquivalence(t *testing.T) {
 			for q := 0; q < 15; q++ {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
-				if got, want := EvalOneSnapshot(p, oneSnapC), EvalOneSnapshot(p, oneSnap); !equalIDs(got, want) {
+				if got, want := EvalSnapshot(p, oneSnapC), EvalSnapshot(p, oneSnap); !equalIDs(got, want) {
 					t.Fatalf("seed %d round %d %q: 1-index interpreted: compressed %v != dense %v", seed, round, expr, got, want)
 				}
-				if got, want := EvalAkSnapshot(p, akSnapC), EvalAkSnapshot(p, akSnap); !equalIDs(got, want) {
+				if got, want := EvalSnapshot(p, akSnapC), EvalSnapshot(p, akSnap); !equalIDs(got, want) {
 					t.Fatalf("seed %d round %d %q: A(k) interpreted: compressed %v != dense %v", seed, round, expr, got, want)
 				}
-				if got, want := CountOneSnapshot(p, oneSnapC), CountOneSnapshot(p, oneSnap); got != want {
+				if got, want := CountSnapshot(p, oneSnapC), CountSnapshot(p, oneSnap); got != want {
 					t.Fatalf("seed %d round %d %q: 1-index count: compressed %d != dense %d", seed, round, expr, got, want)
 				}
-				if got, want := CountAkSnapshot(p, akSnapC), CountAkSnapshot(p, akSnap); got != want {
+				if got, want := CountSnapshot(p, akSnapC), CountSnapshot(p, akSnap); got != want {
 					t.Fatalf("seed %d round %d %q: A(k) count: compressed %d != dense %d", seed, round, expr, got, want)
 				}
 				cq := MustCompile(p)
-				buf = cq.EvalOneSnapshotInto(buf, &sc, oneSnap)
-				bufC = cq.EvalOneSnapshotInto(bufC, &scC, oneSnapC)
+				buf = cq.EvalSnapshotInto(buf, &sc, oneSnap)
+				bufC = cq.EvalSnapshotInto(bufC, &scC, oneSnapC)
 				if !slices.Equal(buf, bufC) {
 					t.Fatalf("seed %d round %d %q: 1-index compiled: compressed %v != dense %v", seed, round, expr, bufC, buf)
 				}
-				buf = cq.EvalAkSnapshotInto(buf, &sc, akSnap)
-				bufC = cq.EvalAkSnapshotInto(bufC, &scC, akSnapC)
+				buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
+				bufC = cq.EvalSnapshotInto(bufC, &scC, akSnapC)
 				if !slices.Equal(buf, bufC) {
 					t.Fatalf("seed %d round %d %q: A(k) compiled: compressed %v != dense %v", seed, round, expr, bufC, buf)
 				}
@@ -119,19 +119,19 @@ func TestCompiledCompressedEvalAllocs(t *testing.T) {
 	buf := make([]graph.NodeID, 0, g.NumNodes())
 	for _, expr := range []string{"/a/b", "//c", "//b//c", "//*"} {
 		cq := MustCompile(MustParse(expr))
-		buf = cq.EvalOneSnapshotInto(buf, &sc, oneSnap) // warm scratch and buffer
+		buf = cq.EvalSnapshotInto(buf, &sc, oneSnap) // warm scratch and buffer
 		if allocs := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalOneSnapshotInto(buf, &sc, oneSnap)
+			buf = cq.EvalSnapshotInto(buf, &sc, oneSnap)
 		}); allocs > 0 {
 			t.Errorf("%s: compiled 1-index eval over compressed snapshot: %.1f allocs/op, want 0", expr, allocs)
 		}
-		buf = cq.EvalAkSnapshotInto(buf, &sc, akDense)
+		buf = cq.EvalSnapshotInto(buf, &sc, akDense)
 		dense := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalAkSnapshotInto(buf, &sc, akDense)
+			buf = cq.EvalSnapshotInto(buf, &sc, akDense)
 		})
-		buf = cq.EvalAkSnapshotInto(buf, &sc, akSnap)
+		buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
 		compressed := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalAkSnapshotInto(buf, &sc, akSnap)
+			buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
 		})
 		if compressed > dense {
 			t.Errorf("%s: compiled A(k) eval allocs/op: compressed %.1f > dense %.1f", expr, compressed, dense)

@@ -97,23 +97,23 @@ func TestCompiledSnapshotsMatchInterpreter(t *testing.T) {
 			for q := 0; q < 12; q++ {
 				p := MustParse(randomExpr(rng))
 				c := MustCompile(p)
-				wantOne := EvalOneSnapshot(p, oneSnap)
-				buf = c.EvalOneSnapshotInto(buf, &sc, oneSnap)
+				wantOne := EvalSnapshot(p, oneSnap)
+				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: compiled one %v != interpreter %v", seed, round, p, buf, wantOne)
 				}
-				wantAk := EvalAkSnapshot(p, akSnap)
-				buf = c.EvalAkSnapshotInto(buf, &sc, akSnap)
+				wantAk := EvalSnapshot(p, akSnap)
+				buf = c.EvalSnapshotInto(buf, &sc, akSnap)
 				if !equalIDs(buf, wantAk) {
 					t.Fatalf("seed %d round %d %q: compiled ak %v != interpreter %v", seed, round, p, buf, wantAk)
 				}
 				// Strip the DFA: the NFA bitmask fixpoint must agree.
 				c.dfaNext, c.dfaAccept = nil, nil
-				buf = c.EvalOneSnapshotInto(buf, &sc, oneSnap)
+				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: NFA-fallback one %v != interpreter %v", seed, round, p, buf, wantOne)
 				}
-				buf = c.EvalAkSnapshotInto(buf, &sc, akSnap)
+				buf = c.EvalSnapshotInto(buf, &sc, akSnap)
 				if !equalIDs(buf, wantAk) {
 					t.Fatalf("seed %d round %d %q: NFA-fallback ak %v != interpreter %v", seed, round, p, buf, wantAk)
 				}
@@ -171,13 +171,13 @@ func TestCompiledEdgeIntoRoot(t *testing.T) {
 				t.Errorf("seed %d %q: EvalSource %v != interpreter %v", seed, expr, got, want)
 			}
 			for _, mode := range []string{"DFA", "NFA"} {
-				wide.EvalOneSnapshotInto(nil, &sc, oneSnap)
-				got, _, _, err := c.EvalOneSnapshotFootprint(nil, &sc, oneSnap)
+				wide.EvalSnapshotInto(nil, &sc, oneSnap)
+				got, _, _, err := c.EvalSnapshotFootprint(nil, &sc, oneSnap)
 				if err != nil || !equalIDs(got, want) {
 					t.Errorf("seed %d %q: %s one %v != interpreter %v (err %v)", seed, expr, mode, got, want, err)
 				}
-				wide.EvalAkSnapshotInto(nil, &sc, akSnap)
-				if got := c.EvalAkSnapshotInto(nil, &sc, akSnap); !equalIDs(got, want) {
+				wide.EvalSnapshotInto(nil, &sc, akSnap)
+				if got := c.EvalSnapshotInto(nil, &sc, akSnap); !equalIDs(got, want) {
 					t.Errorf("seed %d %q: %s ak %v != interpreter %v", seed, expr, mode, got, want)
 				}
 				c.dfaNext, c.dfaAccept = nil, nil
@@ -195,14 +195,14 @@ func TestCompiledFootprint(t *testing.T) {
 	snap := one.Freeze(one.Graph().Freeze())
 
 	c := MustCompile(MustParse("//person/name"))
-	nodes, fp, precise, err := c.EvalOneSnapshotFootprint(nil, nil, snap)
+	nodes, fp, precise, err := c.EvalSnapshotFootprint(nil, nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !precise {
 		t.Error("predicate-free expression reported imprecise")
 	}
-	if !equalIDs(nodes, EvalOneSnapshot(c.Path(), snap)) {
+	if !equalIDs(nodes, EvalSnapshot(c.Path(), snap)) {
 		t.Errorf("footprint eval result diverges: %v", nodes)
 	}
 	if len(fp) == 0 {
@@ -232,7 +232,7 @@ func TestCompiledFootprint(t *testing.T) {
 	// Predicates read the data graph: the entry must declare itself
 	// imprecise so the cache flushes it on every commit.
 	cp := MustCompile(MustParse("//person[name='Alice']"))
-	if _, _, precise, err := cp.EvalOneSnapshotFootprint(nil, nil, snap); err != nil || precise {
+	if _, _, precise, err := cp.EvalSnapshotFootprint(nil, nil, snap); err != nil || precise {
 		t.Errorf("predicate expression reported precise (err %v)", err)
 	}
 }
@@ -248,9 +248,9 @@ func TestCompiledEvalZeroAlloc(t *testing.T) {
 
 	var sc Scratch
 	buf := make([]graph.NodeID, 0, g.NumNodes())
-	buf = c.EvalOneSnapshotInto(buf, &sc, snap) // warm scratch and buffer
+	buf = c.EvalSnapshotInto(buf, &sc, snap) // warm scratch and buffer
 	if n := testing.AllocsPerRun(50, func() {
-		buf = c.EvalOneSnapshotInto(buf, &sc, snap)
+		buf = c.EvalSnapshotInto(buf, &sc, snap)
 	}); n != 0 {
 		t.Errorf("warm compiled evaluation allocates %.1f/op, want 0", n)
 	}

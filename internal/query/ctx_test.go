@@ -22,24 +22,24 @@ func TestSnapshotCtxEvaluators(t *testing.T) {
 	for _, expr := range exprs {
 		p := MustParse(expr)
 
-		want1 := EvalOneSnapshot(p, one)
-		got1, err := EvalOneSnapshotCtx(context.Background(), p, one)
+		want1 := EvalSnapshot(p, one)
+		got1, err := EvalSnapshotCtx(context.Background(), p, one)
 		if err != nil || !reflect.DeepEqual(want1, got1) {
 			t.Errorf("%s: one ctx eval = %v, %v; want %v", expr, got1, err, want1)
 		}
-		wantC := CountOneSnapshot(p, one)
-		gotC, err := CountOneSnapshotCtx(context.Background(), p, one)
+		wantC := CountSnapshot(p, one)
+		gotC, err := CountSnapshotCtx(context.Background(), p, one)
 		if err != nil || gotC != wantC {
 			t.Errorf("%s: one ctx count = %d, %v; want %d", expr, gotC, err, wantC)
 		}
 
-		wantAk := EvalAkSnapshot(p, ak)
-		gotAk, err := EvalAkSnapshotCtx(context.Background(), p, ak)
+		wantAk := EvalSnapshot(p, ak)
+		gotAk, err := EvalSnapshotCtx(context.Background(), p, ak)
 		if err != nil || !reflect.DeepEqual(wantAk, gotAk) {
 			t.Errorf("%s: ak ctx eval = %v, %v; want %v", expr, gotAk, err, wantAk)
 		}
-		wantAC := CountAkSnapshot(p, ak)
-		gotAC, err := CountAkSnapshotCtx(context.Background(), p, ak)
+		wantAC := CountSnapshot(p, ak)
+		gotAC, err := CountSnapshotCtx(context.Background(), p, ak)
 		if err != nil || gotAC != wantAC {
 			t.Errorf("%s: ak ctx count = %d, %v; want %d", expr, gotAC, err, wantAC)
 		}
@@ -49,16 +49,16 @@ func TestSnapshotCtxEvaluators(t *testing.T) {
 	cancel()
 	for _, expr := range exprs {
 		p := MustParse(expr)
-		if out, err := EvalOneSnapshotCtx(ctx, p, one); !errors.Is(err, context.Canceled) || len(out) != 0 {
+		if out, err := EvalSnapshotCtx(ctx, p, one); !errors.Is(err, context.Canceled) || len(out) != 0 {
 			t.Errorf("%s: cancelled one eval = %v, %v; want empty, Canceled", expr, out, err)
 		}
-		if _, err := CountOneSnapshotCtx(ctx, p, one); !errors.Is(err, context.Canceled) {
+		if _, err := CountSnapshotCtx(ctx, p, one); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled one count err = %v; want Canceled", expr, err)
 		}
-		if out, err := EvalAkSnapshotCtx(ctx, p, ak); !errors.Is(err, context.Canceled) || len(out) != 0 {
+		if out, err := EvalSnapshotCtx(ctx, p, ak); !errors.Is(err, context.Canceled) || len(out) != 0 {
 			t.Errorf("%s: cancelled ak eval = %v, %v; want empty, Canceled", expr, out, err)
 		}
-		if _, err := CountAkSnapshotCtx(ctx, p, ak); !errors.Is(err, context.Canceled) {
+		if _, err := CountSnapshotCtx(ctx, p, ak); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled ak count err = %v; want Canceled", expr, err)
 		}
 	}
@@ -70,8 +70,8 @@ func TestSnapshotCtxNilContext(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	one := oneindex.Build(g).Freeze(g.Freeze())
 	p := MustParse("//b/c")
-	want := EvalOneSnapshot(p, one)
-	got, err := EvalOneSnapshotIntoCtx(nil, nil, p, one)
+	want := EvalSnapshot(p, one)
+	got, err := EvalSnapshotIntoCtx(nil, nil, p, one)
 	if err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("nil ctx eval = %v, %v; want %v", got, err, want)
 	}

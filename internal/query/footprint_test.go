@@ -6,11 +6,13 @@ import (
 	"slices"
 	"testing"
 
+	"structix/internal/akindex"
 	"structix/internal/datagen"
 	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 func overlaps(a, b []int32) bool {
@@ -29,9 +31,9 @@ func overlaps(a, b []int32) bool {
 }
 
 // sortedDirty returns the patched snapshot's dirty-inode delta, ascending.
-func sortedDirty(t *testing.T, snap *oneindex.Snapshot) []int32 {
+func sortedDirty(t *testing.T, s *snap.Snapshot) []int32 {
 	t.Helper()
-	changed, ok := snap.Changed()
+	changed, ok := s.Changed()
 	if !ok {
 		t.Fatal("patched snapshot lost its delta")
 	}
@@ -55,94 +57,120 @@ func strictlyAscending(fp []int32) bool {
 // The contract the result cache's targeted invalidation rests on: when a
 // publication's dirty-inode delta is disjoint from an evaluation's
 // recorded footprint — the slots the walk expanded — the cached result is
-// still exact on the patched snapshot. Checked over randomized DAG and
-// cyclic graphs under both extent codecs, with every write kind
-// gtest.Churner drives: edge batches, node scripts (leaf insertions, a
-// value change, a leaf deletion) and subtree delete + re-graft.
+// still exact on the patched snapshot. Checked for both index families
+// over randomized DAG and cyclic graphs under both extent codecs, with
+// every write kind gtest.Churner drives: edge batches, node scripts (leaf
+// insertions, a value change, a leaf deletion) and subtree delete +
+// re-graft. On the A(k) family an evaluation is precise exactly when no
+// validation ran — validation reads the data graph, which no inode
+// footprint covers — and only precise entries are held to the contract.
 func TestFootprintInvalidationSound(t *testing.T) {
 	type ent struct {
 		c     *Compiled
 		nodes []graph.NodeID
 		fp    []int32
 	}
+	type index interface {
+		gtest.Maintained
+		SetSnapshotCodec(extent.Codec)
+		Freeze(*graph.Frozen) *snap.Snapshot
+		PatchSnapshot(*snap.Snapshot, *graph.Frozen) *snap.Snapshot
+	}
+	families := []struct {
+		name  string
+		k     int
+		build func(*graph.Graph) index
+	}{
+		{"1-index", snap.Unbounded, func(g *graph.Graph) index { return oneindex.Build(g) }},
+		{"A(3)", 3, func(g *graph.Graph) index { return akindex.Build(g, 3) }},
+	}
 	shapes := []struct {
 		name string
 		gen  func(*rand.Rand, int, int) *graph.Graph
 	}{{"dag", gtest.RandomDAG}, {"cyclic", gtest.RandomCyclic}}
-	for _, shape := range shapes {
-		for _, codec := range []extent.Codec{extent.Dense, extent.Compressed} {
-			t.Run(fmt.Sprintf("%s/%s", shape.name, codec), func(t *testing.T) {
-				survived, flushed := 0, 0
-				kinds := map[string]int{}
-				for seed := int64(0); seed < 20; seed++ {
-					rng := rand.New(rand.NewSource(seed*13 + 1))
-					one := oneindex.Build(shape.gen(rng, 50, 35))
-					one.SetSnapshotCodec(codec)
-					data := one.Graph().Freeze()
-					snap := one.Freeze(data)
-					var sc Scratch
+	for _, fam := range families {
+		for _, shape := range shapes {
+			for _, codec := range []extent.Codec{extent.Dense, extent.Compressed} {
+				t.Run(fmt.Sprintf("%s/%s/%s", fam.name, shape.name, codec), func(t *testing.T) {
+					survived, flushed, validated := 0, 0, 0
+					kinds := map[string]int{}
+					for seed := int64(0); seed < 20; seed++ {
+						rng := rand.New(rand.NewSource(seed*13 + 1))
+						one := fam.build(shape.gen(rng, 50, 35))
+						one.SetSnapshotCodec(codec)
+						data := one.Graph().Freeze()
+						snap := one.Freeze(data)
+						var sc Scratch
 
-					cache := map[string]*ent{}
-					fill := func() {
-						for q := 0; q < 15; q++ {
-							p := MustParse(randomExpr(rng))
-							if _, ok := cache[p.String()]; ok {
-								continue
+						cache := map[string]*ent{}
+						fill := func() {
+							for q := 0; q < 15; q++ {
+								p := MustParse(randomExpr(rng))
+								if _, ok := cache[p.String()]; ok {
+									continue
+								}
+								c := MustCompile(p)
+								nodes, fp, precise, err := c.EvalSnapshotFootprint(nil, &sc, snap)
+								if want := !snap.Bounded() || !NeedsValidation(p, fam.k); err != nil || precise != want {
+									t.Fatalf("seed %d %q: err %v precise %v, want %v", seed, p, err, precise, want)
+								}
+								if !equalIDs(nodes, EvalGraph(p, one.Graph())) {
+									t.Fatalf("seed %d %q: %v, the graph says %v", seed, p, nodes, EvalGraph(p, one.Graph()))
+								}
+								if !strictlyAscending(fp) {
+									t.Fatalf("seed %d %q: footprint not strictly ascending: %v", seed, p, fp)
+								}
+								if !precise {
+									validated++
+									continue
+								}
+								cache[p.String()] = &ent{c: c, nodes: nodes, fp: fp}
 							}
-							c := MustCompile(p)
-							nodes, fp, precise, err := c.EvalOneSnapshotFootprint(nil, &sc, snap)
-							if err != nil || !precise {
-								t.Fatalf("seed %d %q: err %v precise %v", seed, p, err, precise)
-							}
-							if !strictlyAscending(fp) {
-								t.Fatalf("seed %d %q: footprint not strictly ascending: %v", seed, p, fp)
-							}
-							cache[p.String()] = &ent{c: c, nodes: nodes, fp: fp}
-						}
-					}
-					fill()
-					churn := &gtest.Churner{Rng: rng, X: one}
-					for round := 0; round < 8; round++ {
-						kind, err := churn.Step()
-						if err != nil {
-							t.Fatalf("seed %d round %d (%s): %v", seed, round, kind, err)
-						}
-						kinds[kind]++
-						data = data.Rebuild(one.Graph(), nil)
-						snap = one.PatchSnapshot(snap, data)
-						dirty := sortedDirty(t, snap)
-						for key, e := range cache {
-							if overlaps(dirty, e.fp) {
-								// Invalidated: recompute the entry.
-								e.nodes, e.fp, _, _ = e.c.EvalOneSnapshotFootprint(nil, &sc, snap)
-								flushed++
-								continue
-							}
-							// Disjoint dirty set: the stale entry must still be
-							// exact, and its footprint unchanged (same walk).
-							fresh, fp, _, _ := e.c.EvalOneSnapshotFootprint(nil, &sc, snap)
-							if !equalIDs(e.nodes, fresh) {
-								t.Fatalf("seed %d round %d (%s) %q: footprint %v disjoint from dirty %v but result changed: cached %v, fresh %v",
-									seed, round, kind, key, e.fp, dirty, e.nodes, fresh)
-							}
-							if !slices.Equal(fp, e.fp) {
-								t.Fatalf("seed %d round %d (%s) %q: footprint drifted without dirty overlap: %v -> %v",
-									seed, round, kind, key, e.fp, fp)
-							}
-							survived++
 						}
 						fill()
+						churn := &gtest.Churner{Rng: rng, X: one}
+						for round := 0; round < 8; round++ {
+							kind, err := churn.Step()
+							if err != nil {
+								t.Fatalf("seed %d round %d (%s): %v", seed, round, kind, err)
+							}
+							kinds[kind]++
+							data = data.Rebuild(one.Graph(), nil)
+							snap = one.PatchSnapshot(snap, data)
+							dirty := sortedDirty(t, snap)
+							for key, e := range cache {
+								if overlaps(dirty, e.fp) {
+									// Invalidated: recompute the entry.
+									e.nodes, e.fp, _, _ = e.c.EvalSnapshotFootprint(nil, &sc, snap)
+									flushed++
+									continue
+								}
+								// Disjoint dirty set: the stale entry must still be
+								// exact, and its footprint unchanged (same walk).
+								fresh, fp, _, _ := e.c.EvalSnapshotFootprint(nil, &sc, snap)
+								if !equalIDs(e.nodes, fresh) {
+									t.Fatalf("seed %d round %d (%s) %q: footprint %v disjoint from dirty %v but result changed: cached %v, fresh %v",
+										seed, round, kind, key, e.fp, dirty, e.nodes, fresh)
+								}
+								if !slices.Equal(fp, e.fp) {
+									t.Fatalf("seed %d round %d (%s) %q: footprint drifted without dirty overlap: %v -> %v",
+										seed, round, kind, key, e.fp, fp)
+								}
+								survived++
+							}
+							fill()
+						}
 					}
-				}
-				if survived == 0 || flushed == 0 {
-					t.Errorf("weak coverage: survived %d, flushed %d", survived, flushed)
-				}
-				for _, kind := range []string{"edges", "script", "cut", "graft"} {
-					if kinds[kind] == 0 {
-						t.Errorf("no %q write was exercised (%v)", kind, kinds)
+					if survived == 0 || flushed == 0 || (validated > 0) != (fam.k != snap.Unbounded) {
+						t.Errorf("weak coverage: survived %d, flushed %d, validated %d", survived, flushed, validated)
 					}
-				}
-			})
+					for _, kind := range []string{"edges", "script", "cut", "graft"} {
+						if kinds[kind] == 0 {
+							t.Errorf("no %q write was exercised (%v)", kind, kinds)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -174,7 +202,7 @@ func TestFootprintCatchesRelabelledSibling(t *testing.T) {
 	data := one.Graph().Freeze()
 	snap := one.Freeze(data)
 	c := MustCompile(MustParse("/p/z"))
-	nodes, fp, precise, err := c.EvalOneSnapshotFootprint(nil, nil, snap)
+	nodes, fp, precise, err := c.EvalSnapshotFootprint(nil, nil, snap)
 	if err != nil || !precise || len(nodes) != 0 {
 		t.Fatalf("before: nodes %v precise %v err %v", nodes, precise, err)
 	}
@@ -201,7 +229,7 @@ func TestFootprintCatchesRelabelledSibling(t *testing.T) {
 	if !slices.Equal(snap.ISucc(ip), succsBefore) {
 		t.Fatalf("setup: parent's successor list changed: %v -> %v", succsBefore, snap.ISucc(ip))
 	}
-	if fresh := c.EvalOneSnapshot(snap); !equalIDs(fresh, []graph.NodeID{z}) {
+	if fresh := c.EvalSnapshot(snap); !equalIDs(fresh, []graph.NodeID{z}) {
 		t.Fatalf("after: /p/z = %v, want [%d]", fresh, z)
 	}
 	if dirty := sortedDirty(t, snap); !overlaps(dirty, fp) {
@@ -219,7 +247,7 @@ func TestFootprintExcludesUnexpandedSiblings(t *testing.T) {
 	one := oneindex.Build(g)
 	snap := one.Freeze(one.Graph().Freeze())
 	c := MustCompile(MustParse("/site/regions/africa/item/name"))
-	nodes, fp, precise, err := c.EvalOneSnapshotFootprint(nil, nil, snap)
+	nodes, fp, precise, err := c.EvalSnapshotFootprint(nil, nil, snap)
 	if err != nil || !precise || len(nodes) == 0 {
 		t.Fatalf("nodes %d precise %v err %v", len(nodes), precise, err)
 	}

@@ -12,51 +12,20 @@ import (
 // gives exact counts for this package's expression language, the
 // A(k)-index an upper bound whose slack shrinks as k grows.
 
-// OneView is the uniform read surface of a 1-index that counting and
-// planning need: the index graph (root, iedges, labels), extent sizes,
-// and the scale of the underlying data. Both the live *oneindex.Index and
-// the immutable *oneindex.Snapshot satisfy it, so the planner can cost
-// expressions against a frozen snapshot without touching — or locking —
-// the live index.
-type OneView interface {
-	RootINode() oneindex.INodeID
-	EachISucc(I oneindex.INodeID, fn func(J oneindex.INodeID))
-	LabelName(I oneindex.INodeID) string
-	ExtentSize(I oneindex.INodeID) int
-	Size() int
-	NumNodes() int
-}
-
-var (
-	_ OneView = (*oneindex.Index)(nil)
-	_ OneView = (*oneindex.Snapshot)(nil)
-)
-
-// oneViewNav adapts any OneView to the interpreter's navigator surface.
-type oneViewNav struct{ v OneView }
-
-func (n *oneViewNav) start() []int64 { return []int64{int64(n.v.RootINode())} }
-func (n *oneViewNav) succ(i int64, fn func(int64)) {
-	n.v.EachISucc(oneindex.INodeID(i), func(j oneindex.INodeID) { fn(int64(j)) })
-}
-func (n *oneViewNav) labelMatches(i int64, label string) bool {
-	return label == "*" || n.v.LabelName(oneindex.INodeID(i)) == label
-}
-
 // CountOne returns the number of dnodes matching p's skeleton, computed
-// from any 1-index view alone (extent sizes of the matched inodes, no
-// data access). The count is exact for the skeleton: predicates — which
-// the view cannot check — are ignored, so for predicate-bearing
-// expressions this is the upper bound planning wants, not the exact
-// answer CountOneIndex gives.
-func CountOne(p *Path, v OneView) int {
-	if v.RootINode() == oneindex.NoINode {
+// from the 1-index alone (extent sizes of the matched inodes, no data
+// access). The count is exact for the skeleton: predicates — which the
+// index cannot check — are ignored, so for predicate-bearing expressions
+// this is the upper bound planning wants, not the exact answer
+// CountOneIndex gives.
+func CountOne(p *Path, x *oneindex.Index) int {
+	root := x.RootINode()
+	if root == oneindex.NoINode {
 		return 0
 	}
-	res := run(p.Skeleton(), &oneViewNav{v: v})
 	n := 0
-	for _, id := range res {
-		n += v.ExtentSize(oneindex.INodeID(id))
+	for _, id := range run(p.Skeleton(), &oneNav{x: x, root: root}) {
+		n += x.ExtentSize(oneindex.INodeID(id))
 	}
 	return n
 }
@@ -95,12 +64,11 @@ func CountAk(p *Path, x *akindex.Index) int {
 }
 
 // Selectivity returns the fraction of dnodes matching p's skeleton,
-// estimated exactly from any 1-index view — the live index or a frozen
-// snapshot.
-func Selectivity(p *Path, v OneView) float64 {
-	n := v.NumNodes()
+// estimated exactly from the 1-index.
+func Selectivity(p *Path, x *oneindex.Index) float64 {
+	n := x.NumNodes()
 	if n == 0 {
 		return 0
 	}
-	return float64(CountOne(p, v)) / float64(n)
+	return float64(CountOne(p, x)) / float64(n)
 }

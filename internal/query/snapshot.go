@@ -4,9 +4,8 @@ import (
 	"context"
 	"slices"
 
-	"structix/internal/akindex"
 	"structix/internal/graph"
-	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 // Snapshot evaluation: the same automaton, validator and predicate
@@ -14,6 +13,12 @@ import (
 // immutable index snapshot and its frozen data graph. Nothing here reads
 // mutable state, so any number of goroutines may call these while the
 // live index is being maintained.
+//
+// One family serves both index kinds. A 1-index snapshot is precise for
+// every skeleton; an A(k) snapshot (s.Bounded()) only for anchored,
+// descendant-free paths of at most k steps, so beyond that its candidates
+// are validated backward against the frozen graph. Either way the result
+// is exact, predicates included.
 //
 // Every evaluator has a Ctx variant that observes cancellation: the
 // context is checked between extent unions and between validation
@@ -30,158 +35,22 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// EvalOneSnapshot evaluates the expression on a 1-index snapshot and
-// returns the matched dnodes, sorted. Exactly like EvalOneIndex, the
-// result is exact: the 1-index is precise for the skeleton language and
-// predicates are checked per candidate against the snapshot's frozen
-// graph.
-func EvalOneSnapshot(p *Path, s *oneindex.Snapshot) []graph.NodeID {
-	return EvalOneSnapshotInto(nil, p, s)
+// validates reports whether evaluating the skeleton p on s yields
+// candidates that must be checked against the data graph.
+func validates(p *Path, s *snap.Snapshot) bool {
+	return s.Bounded() && NeedsValidation(p, s.K())
 }
 
-// EvalOneSnapshotCtx is EvalOneSnapshot under a context: evaluation stops
-// with ctx.Err() as soon as cancellation is observed (between extent
-// unions), returning no partial result.
-func EvalOneSnapshotCtx(ctx context.Context, p *Path, s *oneindex.Snapshot) ([]graph.NodeID, error) {
-	return evalOneSnapshotInto(ctx, nil, p, s)
-}
-
-// EvalOneSnapshotInto is EvalOneSnapshot assembling the result into buf
-// (overwritten from the start, grown as needed) and returning it. A caller
-// issuing many queries against successive snapshots reuses one buffer —
-// and thereby the sort scratch — across calls instead of allocating a
-// fresh union slice per query. The buffer must not be shared between
-// goroutines; the snapshot itself may be.
-func EvalOneSnapshotInto(buf []graph.NodeID, p *Path, s *oneindex.Snapshot) []graph.NodeID {
-	out, _ := evalOneSnapshotInto(nil, buf, p, s)
-	return out
-}
-
-// EvalOneSnapshotIntoCtx combines the buffer-reuse contract of
-// EvalOneSnapshotInto with the cancellation contract of
-// EvalOneSnapshotCtx.
-func EvalOneSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, p *Path, s *oneindex.Snapshot) ([]graph.NodeID, error) {
-	return evalOneSnapshotInto(ctx, buf, p, s)
-}
-
-func evalOneSnapshotInto(ctx context.Context, buf []graph.NodeID, p *Path, s *oneindex.Snapshot) ([]graph.NodeID, error) {
-	buf = buf[:0]
-	if s.RootINode() == oneindex.NoINode {
-		return buf, ctxErr(ctx)
-	}
-	if p.HasPredicates() {
-		cand, err := evalOneSnapshotInto(ctx, buf, p.Skeleton(), s)
-		if err != nil {
-			return cand[:0], err
-		}
-		return filterByAllPredicates(p, s.Data(), cand), ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return buf, err
-	}
-	res := run(p, &oneSnapNav{s: s})
-	total := 0
-	for _, n := range res {
-		total += s.ExtentSize(oneindex.INodeID(n))
-	}
-	buf = slices.Grow(buf, total)
-	for _, n := range res {
-		if err := ctxErr(ctx); err != nil {
-			return buf[:0], err
-		}
-		buf = s.AppendExtent(buf, oneindex.INodeID(n))
-	}
-	sortNodes(buf)
-	return buf, ctxErr(ctx)
-}
-
-// CountOneSnapshot returns the exact number of dnodes matching p,
-// computed from a 1-index snapshot (extent sizes alone for predicate-free
-// expressions).
-func CountOneSnapshot(p *Path, s *oneindex.Snapshot) int {
-	n, _ := CountOneSnapshotCtx(nil, p, s)
-	return n
-}
-
-// CountOneSnapshotCtx is CountOneSnapshot under a context.
-func CountOneSnapshotCtx(ctx context.Context, p *Path, s *oneindex.Snapshot) (int, error) {
-	if s.RootINode() == oneindex.NoINode {
-		return 0, ctxErr(ctx)
-	}
-	if p.HasPredicates() {
-		out, err := EvalOneSnapshotCtx(ctx, p, s)
-		return len(out), err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
-	res := run(p, &oneSnapNav{s: s})
-	n := 0
-	for _, id := range res {
-		n += s.ExtentSize(oneindex.INodeID(id))
-	}
-	return n, ctxErr(ctx)
-}
-
-type oneSnapNav struct{ s *oneindex.Snapshot }
-
-func (n *oneSnapNav) start() []int64 { return []int64{int64(n.s.RootINode())} }
-func (n *oneSnapNav) succ(v int64, fn func(int64)) {
-	n.s.EachISucc(oneindex.INodeID(v), func(j oneindex.INodeID) { fn(int64(j)) })
-}
-func (n *oneSnapNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.s.LabelName(oneindex.INodeID(v)) == label
-}
-
-// EvalAkSnapshot evaluates the expression on an A(k)-index snapshot and
-// returns the exact result, sorted: candidates come from the snapshot's
-// intra-iedges, false positives are removed by backward validation
-// against the frozen graph when the expression needs it, and predicates
-// are checked per candidate — the snapshot counterpart of
-// EvalAkValidated.
-func EvalAkSnapshot(p *Path, s *akindex.Snapshot) []graph.NodeID {
-	return EvalAkSnapshotInto(nil, p, s)
-}
-
-// EvalAkSnapshotCtx is EvalAkSnapshot under a context: cancellation is
-// observed between extent unions and between validation candidates, and
-// stops evaluation with ctx.Err() and no partial result.
-func EvalAkSnapshotCtx(ctx context.Context, p *Path, s *akindex.Snapshot) ([]graph.NodeID, error) {
-	return evalAkSnapshotInto(ctx, nil, p, s)
-}
-
-// EvalAkSnapshotInto is EvalAkSnapshot assembling the result into buf
-// (overwritten from the start, grown as needed) and returning it — the
-// buffer-reuse contract of EvalOneSnapshotInto.
-func EvalAkSnapshotInto(buf []graph.NodeID, p *Path, s *akindex.Snapshot) []graph.NodeID {
-	out, _ := evalAkSnapshotInto(nil, buf, p, s)
-	return out
-}
-
-// EvalAkSnapshotIntoCtx combines the buffer-reuse contract of
-// EvalAkSnapshotInto with the cancellation contract of EvalAkSnapshotCtx.
-func EvalAkSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, p *Path, s *akindex.Snapshot) ([]graph.NodeID, error) {
-	return evalAkSnapshotInto(ctx, buf, p, s)
-}
-
-func evalAkSnapshotInto(ctx context.Context, buf []graph.NodeID, p *Path, s *akindex.Snapshot) ([]graph.NodeID, error) {
-	if p.HasPredicates() {
-		cand, err := evalAkSnapshotInto(ctx, buf, p.Skeleton(), s)
-		if err != nil {
-			return cand[:0], err
-		}
-		return filterByAllPredicates(p, s.Data(), cand), ctxErr(ctx)
-	}
-	candidates, err := evalAkSnapshotRaw(ctx, buf, p, s)
-	if err != nil {
-		return candidates[:0], err
-	}
-	if !NeedsValidation(p, s.K()) {
-		return candidates, nil
+// validated filters cand — the sorted candidates the skeleton p selected
+// on s — in place down to the true matches: each survivor has a root path
+// matching p in the frozen graph. A no-op when s is precise for p.
+func validated(ctx context.Context, p *Path, s *snap.Snapshot, cand []graph.NodeID) ([]graph.NodeID, error) {
+	if !validates(p, s) {
+		return cand, nil
 	}
 	va := newValidator(p, s.Data())
-	out := candidates[:0]
-	for _, c := range candidates {
+	out := cand[:0]
+	for _, c := range cand {
 		if err := ctxErr(ctx); err != nil {
 			return out[:0], err
 		}
@@ -192,62 +61,103 @@ func evalAkSnapshotInto(ctx context.Context, buf []graph.NodeID, p *Path, s *aki
 	return out, nil
 }
 
-// CountAkSnapshot returns an upper bound on the number of dnodes matching
-// p, computed from the snapshot alone (the counterpart of CountAk).
-func CountAkSnapshot(p *Path, s *akindex.Snapshot) int {
-	n, _ := CountAkSnapshotCtx(nil, p, s)
-	return n
+// EvalSnapshot evaluates the expression on an index snapshot and returns
+// the matched dnodes, sorted — the exact result, with no access to
+// mutable state.
+func EvalSnapshot(p *Path, s *snap.Snapshot) []graph.NodeID {
+	return EvalSnapshotInto(nil, p, s)
 }
 
-// CountAkSnapshotCtx is CountAkSnapshot under a context.
-func CountAkSnapshotCtx(ctx context.Context, p *Path, s *akindex.Snapshot) (int, error) {
-	if s.RootINode() == akindex.NoINode {
-		return 0, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
-	res := run(p.Skeleton(), &akSnapNav{s: s})
-	n := 0
-	for _, id := range res {
-		n += s.ExtentSize(akindex.INodeID(id))
-	}
-	return n, ctxErr(ctx)
+// EvalSnapshotCtx is EvalSnapshot under a context: evaluation stops with
+// ctx.Err() as soon as cancellation is observed, returning no partial
+// result.
+func EvalSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
+	return EvalSnapshotIntoCtx(ctx, nil, p, s)
 }
 
-// evalAkSnapshotRaw is the safe (possibly over-approximate) skeleton
-// evaluation over the snapshot's intra-iedges, assembling into buf.
-func evalAkSnapshotRaw(ctx context.Context, buf []graph.NodeID, p *Path, s *akindex.Snapshot) ([]graph.NodeID, error) {
+// EvalSnapshotInto is EvalSnapshot assembling the result into buf
+// (overwritten from the start, grown as needed) and returning it. A caller
+// issuing many queries against successive snapshots reuses one buffer —
+// and thereby the sort scratch — across calls instead of allocating a
+// fresh union slice per query. The buffer must not be shared between
+// goroutines; the snapshot itself may be.
+func EvalSnapshotInto(buf []graph.NodeID, p *Path, s *snap.Snapshot) []graph.NodeID {
+	out, _ := EvalSnapshotIntoCtx(nil, buf, p, s)
+	return out
+}
+
+// EvalSnapshotIntoCtx combines the buffer-reuse contract of
+// EvalSnapshotInto with the cancellation contract of EvalSnapshotCtx.
+func EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
 	buf = buf[:0]
-	if s.RootINode() == akindex.NoINode {
+	if s.RootINode() == snap.NoID {
 		return buf, ctxErr(ctx)
+	}
+	if p.HasPredicates() {
+		cand, err := EvalSnapshotIntoCtx(ctx, buf, p.Skeleton(), s)
+		if err != nil {
+			return cand[:0], err
+		}
+		return filterByAllPredicates(p, s.Data(), cand), ctxErr(ctx)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return buf, err
 	}
-	p = p.Skeleton()
-	res := run(p, &akSnapNav{s: s})
+	res := run(p, snapNav{s})
 	total := 0
 	for _, n := range res {
-		total += s.ExtentSize(akindex.INodeID(n))
+		total += s.ExtentSize(snap.ID(n))
 	}
 	buf = slices.Grow(buf, total)
 	for _, n := range res {
 		if err := ctxErr(ctx); err != nil {
 			return buf[:0], err
 		}
-		buf = s.AppendExtent(buf, akindex.INodeID(n))
+		buf = s.ExtentView(snap.ID(n)).AppendTo(buf)
 	}
 	sortNodes(buf)
+	buf, err := validated(ctx, p, s, buf)
+	if err != nil {
+		return buf, err
+	}
 	return buf, ctxErr(ctx)
 }
 
-type akSnapNav struct{ s *akindex.Snapshot }
-
-func (n *akSnapNav) start() []int64 { return []int64{int64(n.s.RootINode())} }
-func (n *akSnapNav) succ(v int64, fn func(int64)) {
-	n.s.EachISucc(akindex.INodeID(v), func(j akindex.INodeID) { fn(int64(j)) })
+// CountSnapshot returns the exact number of dnodes matching p, from extent
+// sizes alone when the snapshot is precise for p, by evaluating otherwise
+// (predicates, or an A(k) snapshot whose candidates need validation).
+func CountSnapshot(p *Path, s *snap.Snapshot) int {
+	n, _ := CountSnapshotCtx(nil, p, s)
+	return n
 }
-func (n *akSnapNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.s.LabelName(akindex.INodeID(v)) == label
+
+// CountSnapshotCtx is CountSnapshot under a context.
+func CountSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) (int, error) {
+	if s.RootINode() == snap.NoID {
+		return 0, ctxErr(ctx)
+	}
+	if p.HasPredicates() || validates(p, s) {
+		out, err := EvalSnapshotCtx(ctx, p, s)
+		return len(out), err
+	}
+	if err := ctxErr(ctx); err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, id := range run(p, snapNav{s}) {
+		n += s.ExtentSize(snap.ID(id))
+	}
+	return n, ctxErr(ctx)
+}
+
+type snapNav struct{ s *snap.Snapshot }
+
+func (n snapNav) start() []int64 { return []int64{int64(n.s.RootINode())} }
+func (n snapNav) succ(v int64, fn func(int64)) {
+	for _, j := range n.s.ISucc(snap.ID(v)) {
+		fn(int64(j))
+	}
+}
+func (n snapNav) labelMatches(v int64, label string) bool {
+	return label == "*" || n.s.LabelName(snap.ID(v)) == label
 }

@@ -2,8 +2,8 @@ package server_test
 
 // End-to-end tests of the query result cache: hit reporting over the
 // wire, precise (footprint-based) invalidation across commits, the
-// interpreter/disabled baseline modes, and the cache counters in stats
-// and /metrics.
+// cache-off mode, the interpreter fallback for expressions the compiler
+// declines, and the cache counters in stats and /metrics.
 
 import (
 	"context"
@@ -286,13 +286,11 @@ func TestQueryCachePredicatesFlushEveryCommit(t *testing.T) {
 	}
 }
 
-// Baseline modes: with the cache disabled or the interpreter forced,
-// queries still answer exactly, never report cached, and the counters stay
-// zero.
+// With the cache disabled, queries still answer exactly, never report
+// cached, and the counters stay zero.
 func TestQueryCacheDisabledModes(t *testing.T) {
 	for _, cfg := range []server.Config{
 		{QueryCacheEntries: -1},
-		{InterpretQueries: true},
 	} {
 		g, _, _, _ := gtest.Fig2()
 		ts := startServer(t, structix.BuildOneIndex(g), cfg)

@@ -26,9 +26,8 @@ import (
 // scatter-gather read path. A 1-shard store takes none of those detours:
 // run is then exactly the unsharded evaluator.
 type engine struct {
-	store     *structix.ShardedDB
-	caches    []*qcache.Cache // one per shard; nil when the result cache is disabled
-	interpret bool            // evaluate with the per-step interpreter (baseline mode)
+	store  *structix.ShardedDB
+	caches []*qcache.Cache // one per shard; nil when the result cache is disabled
 
 	progs     sync.Map // raw expr string → *program
 	progCount atomic.Int64
@@ -63,15 +62,14 @@ const (
 	maxParseErrors = 1024
 )
 
-func newEngine(store *structix.ShardedDB, cacheEntries int, interpret bool) *engine {
+func newEngine(store *structix.ShardedDB, cacheEntries int) *engine {
 	e := &engine{
 		store:       store,
-		interpret:   interpret,
 		progCap:     maxPrograms,
 		parseErrCap: maxParseErrors,
 	}
 	e.scratch.New = func() any { return &query.Scratch{} }
-	if cacheEntries >= 0 && !interpret {
+	if cacheEntries >= 0 {
 		// One cache per shard (the entry bound is per shard): results are
 		// keyed by the shard's own snapshot pointer, and each shard's
 		// committer advances only its own cache.
@@ -170,7 +168,7 @@ func (e *engine) run(ctx context.Context, pr *program, snap *structix.ShardedSna
 
 // runShard evaluates pr against one shard's snapshot, consulting that
 // shard's result cache first. Results are in the shard's local id space.
-func (e *engine) runShard(ctx context.Context, pr *program, s int, snap *structix.OneSnapshot) (nodes []graph.NodeID, cached bool, err error) {
+func (e *engine) runShard(ctx context.Context, pr *program, s int, snap *structix.Snapshot) (nodes []graph.NodeID, cached bool, err error) {
 	var cache *qcache.Cache
 	if e.caches != nil {
 		cache = e.caches[s]
@@ -178,8 +176,8 @@ func (e *engine) runShard(ctx context.Context, pr *program, s int, snap *structi
 			return nodes, true, nil
 		}
 	}
-	if pr.compiled == nil || e.interpret {
-		nodes, err = structix.EvalOneSnapshotCtx(ctx, pr.path, snap)
+	if pr.compiled == nil {
+		nodes, err = structix.EvalSnapshotCtx(ctx, pr.path, snap)
 		if err != nil {
 			return nil, false, err
 		}
@@ -193,10 +191,10 @@ func (e *engine) runShard(ctx context.Context, pr *program, s int, snap *structi
 	sc := e.scratch.Get().(*query.Scratch)
 	defer e.scratch.Put(sc)
 	if cache == nil {
-		nodes, err = pr.compiled.EvalOneSnapshotIntoCtx(ctx, nil, sc, snap)
+		nodes, err = pr.compiled.EvalSnapshotIntoCtx(ctx, nil, sc, snap)
 		return nodes, false, err
 	}
-	nodes, footprint, precise, err := pr.compiled.EvalOneSnapshotFootprint(ctx, sc, snap)
+	nodes, footprint, precise, err := pr.compiled.EvalSnapshotFootprint(ctx, sc, snap)
 	if err != nil {
 		return nil, false, err
 	}

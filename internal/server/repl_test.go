@@ -198,10 +198,9 @@ func TestReplicaSetReadsOwnWrites(t *testing.T) {
 
 // TestPropertyReplicaStrategiesAgree is the replication property test:
 // under a stream of random leader writes, a caught-up follower must be
-// bit-identical to the leader, and every read strategy — compiled
-// automata with the result cache, compiled without it, and the per-step
-// interpreter — must give exactly the leader's answer at the same seq,
-// whichever replica serves it. Run under -race this also exercises the
+// bit-identical to the leader, and both read strategies — compiled
+// automata with the result cache and without it — must give exactly the
+// leader's answer at the same seq, whichever replica serves it. Run under -race this also exercises the
 // apply/publish/serve interleaving on every node.
 func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	g := xmarkTree(256, 31)
@@ -219,7 +218,6 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 		cfg  server.Config
 	}{
 		{"cached", server.Config{Window: time.Millisecond}},
-		{"interpreted", server.Config{Window: time.Millisecond, InterpretQueries: true}},
 		{"compiled", server.Config{Window: time.Millisecond, QueryCacheEntries: -1}},
 	}
 	fdbs := make([]*structix.DB, len(strategies))

@@ -81,10 +81,6 @@ type Config struct {
 	// QueryCacheEntries bounds the epoch-keyed result cache. 0 uses the
 	// default (qcache.DefaultMaxEntries); negative disables the cache.
 	QueryCacheEntries int
-	// InterpretQueries serves queries with the per-step interpreter
-	// instead of compiled automata, and disables the result cache — the
-	// pre-compilation read path, kept selectable for benchmarking.
-	InterpretQueries bool
 }
 
 func (c Config) withDefaults() Config {
@@ -148,7 +144,7 @@ func NewSharded(sdb *structix.ShardedDB, cfg Config) *Server {
 		m:     newMetrics(sdb.NumShards()),
 		mux:   http.NewServeMux(),
 	}
-	s.eng = newEngine(sdb, cfg.QueryCacheEntries, cfg.InterpretQueries)
+	s.eng = newEngine(sdb, cfg.QueryCacheEntries)
 	s.coms = make([]*committer, sdb.NumShards())
 	for i := range s.coms {
 		s.coms[i] = newCommitter(sdb.Shard(i), i, cfg.QueueDepth, cfg.MaxBatch, cfg.Window, s.m, s.eng)

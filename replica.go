@@ -237,12 +237,7 @@ func (db *DB) ApplyRecord(rec *wal.Record) error {
 	if err := replayRecord(db.idx, rec); err != nil {
 		return fmt.Errorf("structix: replicated %w", err)
 	}
-	if _, jerr := db.log.AppendRecord(rec); jerr != nil {
-		return db.journalFailed(jerr)
-	}
-	db.noteRecord(rec.Seq)
-	db.publish()
-	return nil
+	return db.commit(func(l *wal.Log) (uint64, error) { return l.AppendRecord(rec) })
 }
 
 // Journal exposes the write-ahead log (nil on an in-memory store) — the

@@ -476,12 +476,12 @@ func (sdb *ShardedDB) ShardStats() []DBStats {
 // rather than a global point-in-time cut. Valid indefinitely.
 type ShardedSnapshot struct {
 	m     *shard.Map
-	snaps []*OneSnapshot
+	snaps []*Snapshot
 }
 
 // Snapshot gathers the current snapshot of every shard.
 func (sdb *ShardedDB) Snapshot() *ShardedSnapshot {
-	snaps := make([]*OneSnapshot, len(sdb.shards))
+	snaps := make([]*Snapshot, len(sdb.shards))
 	for s, db := range sdb.shards {
 		snaps[s] = db.Snapshot()
 	}
@@ -492,7 +492,7 @@ func (sdb *ShardedDB) Snapshot() *ShardedSnapshot {
 func (ss *ShardedSnapshot) NumShards() int { return len(ss.snaps) }
 
 // Shard returns shard s's snapshot.
-func (ss *ShardedSnapshot) Shard(s int) *OneSnapshot { return ss.snaps[s] }
+func (ss *ShardedSnapshot) Shard(s int) *Snapshot { return ss.snaps[s] }
 
 // Map returns the translation layer the snapshot's results are merged
 // through.
@@ -535,11 +535,11 @@ func (ss *ShardedSnapshot) evalInto(ctx context.Context, buf []NodeID, p *Path) 
 	if len(ss.snaps) == 1 {
 		// The 1-shard codec is the identity: the shard's own result is
 		// the global result.
-		return query.EvalOneSnapshotIntoCtx(ctx, buf, p, ss.snaps[0])
+		return query.EvalSnapshotIntoCtx(ctx, buf, p, ss.snaps[0])
 	}
 	secs := make([][]NodeID, len(ss.snaps))
 	for s, snap := range ss.snaps {
-		sec, err := query.EvalOneSnapshotCtx(ctx, p, snap)
+		sec, err := query.EvalSnapshotCtx(ctx, p, snap)
 		if err != nil {
 			return nil, err
 		}
@@ -599,7 +599,7 @@ func MergeShardResults(dst []NodeID, secs [][]NodeID) []NodeID {
 func (ss *ShardedSnapshot) Count(p *Path) int {
 	n := 0
 	for _, snap := range ss.snaps {
-		n += query.CountOneSnapshot(p, snap)
+		n += query.CountSnapshot(p, snap)
 	}
 	return n
 }
@@ -608,7 +608,7 @@ func (ss *ShardedSnapshot) Count(p *Path) int {
 func (ss *ShardedSnapshot) CountCtx(ctx context.Context, p *Path) (int, error) {
 	n := 0
 	for _, snap := range ss.snaps {
-		c, err := query.CountOneSnapshotCtx(ctx, p, snap)
+		c, err := query.CountSnapshotCtx(ctx, p, snap)
 		if err != nil {
 			return 0, err
 		}

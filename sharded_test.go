@@ -475,7 +475,7 @@ func TestUpdatePublishOnlyOnSuccess(t *testing.T) {
 	defer db.Close()
 	before := db.Snapshot()
 	errBoom := fmt.Errorf("boom")
-	err := db.Update(func(x *OneIndex) error {
+	err := db.Update(func(x Index) error {
 		// A mutation fn makes before failing; it must stay unpublished.
 		_, _ = opscript.Apply(x, []ScriptOp{{Kind: opscript.AddNode, Label: "ghost", V: x.Graph().Root()}})
 		return errBoom
@@ -490,7 +490,7 @@ func TestUpdatePublishOnlyOnSuccess(t *testing.T) {
 		t.Fatalf("failed update visible to readers: %d", n)
 	}
 	// A successful update still publishes.
-	if err := db.Update(func(x *OneIndex) error {
+	if err := db.Update(func(x Index) error {
 		_, err := opscript.Apply(x, []ScriptOp{{Kind: opscript.AddNode, Label: "real", V: x.Graph().Root()}})
 		return err
 	}); err != nil {

@@ -5,12 +5,31 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"structix"
 	"structix/internal/gtest"
+	"structix/internal/query"
 )
+
+// poolEdges removes 20% of IDREF edges and returns them (absent from g).
+func poolEdges(g *structix.Graph, seed int64) [][2]structix.NodeID {
+	before := g.EdgeList(structix.IDRef)
+	structix.MixedUpdateScript(g, 0.2, 0, seed)
+	present := make(map[[2]structix.NodeID]bool)
+	for _, e := range g.EdgeList(structix.IDRef) {
+		present[e] = true
+	}
+	var pool [][2]structix.NodeID
+	for _, e := range before {
+		if !present[e] {
+			pool = append(pool, e)
+		}
+	}
+	return pool
+}
 
 // batchPool builds insert/delete batches over a pool of absent IDREF
 // edges: each batch inserts a window of pool edges, the next deletes it.
@@ -27,16 +46,16 @@ func batchPool(pool [][2]structix.NodeID, width int) (inserts, deletes [][]struc
 	return
 }
 
-// Lock-free readers hammer a SnapshotOneIndex while a writer applies
-// batches and subgraph deletions; run with -race. Readers must always see
-// a complete, internally consistent epoch.
-func TestSnapshotOneIndexRace(t *testing.T) {
+// Lock-free readers hammer a DB over a 1-index while a writer applies
+// batches, per-edge updates and a subtree round trip; run with -race.
+// Readers must always see a complete, internally consistent epoch.
+func TestDBRaceOneIndex(t *testing.T) {
 	g := structix.GenerateXMark(structix.DefaultXMark(512, 1, 6))
 	pool := poolEdges(g, 6)
 	if len(pool) < 4 {
 		t.Skip("no pool edges at this scale")
 	}
-	c := structix.NewSnapshotOneIndex(structix.BuildOneIndex(g))
+	c := structix.NewDB(structix.BuildOneIndex(g))
 	queries := []*structix.Path{
 		structix.MustParsePath("//person/name"),
 		structix.MustParsePath("/site/open_auctions/open_auction"),
@@ -61,13 +80,13 @@ func TestSnapshotOneIndexRace(t *testing.T) {
 					// Count and Eval may observe different epochs, but each
 					// must be self-consistent; re-check on one pinned snapshot.
 					s := c.Snapshot()
-					if structix.CountOneSnapshot(p, s) != len(structix.EvalOneSnapshot(p, s)) {
+					if structix.CountSnapshot(p, s) != len(structix.EvalSnapshot(p, s)) {
 						t.Errorf("count != len(eval) on one snapshot for %v", p)
 						return
 					}
 				}
 				_ = c.Size()
-				c.View(func(s *structix.OneSnapshot) { _ = s.RootINode() })
+				c.View(func(s *structix.Snapshot) { _ = s.RootINode() })
 			}
 		}(r)
 	}
@@ -89,8 +108,19 @@ func TestSnapshotOneIndexRace(t *testing.T) {
 			break
 		}
 	}
+	for i := 0; i < 100; i++ {
+		e := pool[i%len(pool)]
+		if err := c.InsertEdge(e[0], e[1], structix.IDRef); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := c.DeleteEdge(e[0], e[1]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
 	var auction structix.NodeID = structix.InvalidNode
-	c.View(func(s *structix.OneSnapshot) {
+	c.View(func(s *structix.Snapshot) {
 		d := s.Data()
 		for v := structix.NodeID(0); v < d.MaxNodeID(); v++ {
 			if d.Alive(v) && d.LabelName(v) == "open_auction" {
@@ -100,7 +130,7 @@ func TestSnapshotOneIndexRace(t *testing.T) {
 		}
 	})
 	if auction != structix.InvalidNode {
-		sg, err := c.DeleteSubgraph(auction, true)
+		sg, err := c.DeleteSubtree(auction)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +138,7 @@ func TestSnapshotOneIndexRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Update(func(x *structix.OneIndex) error { return x.Validate() }); err != nil {
+	if err := c.Validate(); err != nil {
 		t.Errorf("index invalid after concurrent run: %v", err)
 	}
 	close(stop)
@@ -116,14 +146,14 @@ func TestSnapshotOneIndexRace(t *testing.T) {
 }
 
 // The A(k) counterpart: snapshot readers (including validation against
-// the frozen graph) race ApplyBatch writers.
-func TestSnapshotAkIndexRace(t *testing.T) {
+// the frozen graph) race batch and per-edge writers through the same DB.
+func TestDBRaceAk(t *testing.T) {
 	g := structix.GenerateIMDB(structix.DefaultIMDB(512, 6))
 	pool := poolEdges(g, 7)
 	if len(pool) < 4 {
 		t.Skip("no pool edges at this scale")
 	}
-	c := structix.NewSnapshotAkIndex(structix.BuildAkIndex(g, 2))
+	c := structix.NewDB(structix.BuildAkIndex(g, 2))
 	p := structix.MustParsePath("//movie/actorref/person")
 
 	var wg sync.WaitGroup
@@ -141,7 +171,7 @@ func TestSnapshotAkIndexRace(t *testing.T) {
 				_ = c.Eval(p)
 				_ = c.Count(p)
 				_ = c.Size()
-				c.View(func(s *structix.AkSnapshot) { _ = s.K() })
+				c.View(func(s *structix.Snapshot) { _ = s.K() })
 			}
 		}()
 	}
@@ -157,93 +187,132 @@ func TestSnapshotAkIndexRace(t *testing.T) {
 			break
 		}
 	}
-	if err := c.Update(func(x *structix.AkIndex) error { return x.Validate() }); err != nil {
+	for i := 0; i < 60; i++ {
+		e := pool[i%len(pool)]
+		if err := c.InsertEdge(e[0], e[1], structix.IDRef); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := c.DeleteEdge(e[0], e[1]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if err := c.Validate(); err != nil {
 		t.Errorf("family invalid after concurrent run: %v", err)
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// The RWMutex wrappers under the same batch + subgraph churn; run with
-// -race. (The original concurrent tests cover per-edge updates.)
-func TestConcurrentWrappersBatchStress(t *testing.T) {
-	g := structix.GenerateXMark(structix.DefaultXMark(512, 1, 9))
-	pool := poolEdges(g, 9)
-	if len(pool) < 4 {
-		t.Skip("no pool edges at this scale")
-	}
-	gAk := structix.GenerateIMDB(structix.DefaultIMDB(512, 9))
-	poolAk := poolEdges(gAk, 9)
-	one := structix.NewConcurrentOneIndex(structix.BuildOneIndex(g))
-	ak := structix.NewConcurrentAkIndex(structix.BuildAkIndex(gAk, 2))
-	p := structix.MustParsePath("//person/name")
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+// A DB over an A(k) family must answer every path exactly — at most k
+// steps from the index alone, longer or descendant paths by validation —
+// through a stream of every kind of write, with readers racing the writer
+// (run with -race). After every commit: Eval equals direct traversal of
+// the graph, and the patched snapshot equals a fresh Freeze.
+func TestDBAkOracle(t *testing.T) {
+	const k = 2
+	exprs := []string{"/a", "/a/b", "/*/c", "/a/b/c", "/a/*/c/d", "//b", "//a//c", "/b//d/e", "//c[d]"}
+	gens := map[string]func(*rand.Rand, int, int) *structix.Graph{"dag": gtest.RandomDAG, "cyclic": gtest.RandomCyclic}
+	for name, gen := range gens {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			g := gen(rng, 150, 60)
+			ak := structix.BuildAkIndex(g, k)
+			db := structix.NewDB(ak)
+			var paths []*structix.Path
+			short, long := 0, 0
+			for _, e := range exprs {
+				p := structix.MustParsePath(e)
+				paths = append(paths, p)
+				if query.NeedsValidation(p.Skeleton(), k) {
+					long++
+				} else {
+					short++
 				}
-				_ = one.Eval(p)
-				_ = one.Count(p)
-				_ = ak.Eval(p)
-				_ = ak.Count(p)
 			}
-		}()
-	}
-	ins, del := batchPool(pool, 2)
-	insAk, delAk := batchPool(poolAk, 2)
-	for round := 0; round < 15; round++ {
-		if err := one.ApplyBatch(ins[round%len(ins)]); err != nil {
-			t.Error(err)
-			break
-		}
-		if err := one.ApplyBatch(del[round%len(del)]); err != nil {
-			t.Error(err)
-			break
-		}
-		if len(insAk) > 0 {
-			if err := ak.ApplyBatch(insAk[round%len(insAk)]); err != nil {
-				t.Error(err)
-				break
+			if short < 3 || long < 3 {
+				t.Fatalf("%d paths within k, %d beyond: the oracle needs both", short, long)
 			}
-			if err := ak.ApplyBatch(delAk[round%len(delAk)]); err != nil {
-				t.Error(err)
-				break
+
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := r; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// One pinned epoch is self-consistent whatever the writer does.
+						p, s := paths[i%len(paths)], db.Snapshot()
+						if got, want := structix.EvalSnapshot(p, s), query.EvalGraph(p, s.Data()); !slices.Equal(got, want) {
+							t.Errorf("reader: %v on a pinned snapshot: %v, frozen graph says %v", p, got, want)
+							return
+						}
+					}
+				}(r)
 			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := one.Update(func(x *structix.OneIndex) error { return x.Validate() }); err != nil {
-		t.Error(err)
-	}
-	if err := ak.Update(func(x *structix.AkIndex) error { return x.Validate() }); err != nil {
-		t.Error(err)
+			churn := gtest.Churner{Rng: rng}
+			matched := 0
+			for step := 0; step < 150; step++ {
+				var what string
+				if err := db.Update(func(x structix.Index) (err error) {
+					churn.X = x
+					what, err = churn.Step()
+					return err
+				}); err != nil {
+					t.Fatalf("step %d (%s): %v", step, what, err)
+				}
+				for _, p := range paths {
+					got, want := db.Eval(p), structix.EvalGraph(p, g)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d (%s) %v: store %v, graph %v", step, what, p, got, want)
+					}
+					if n := db.Count(p); n != len(want) {
+						t.Fatalf("step %d (%s) %v: Count %d, graph %d", step, what, p, n, len(want))
+					}
+					matched += len(want)
+				}
+				s := db.Snapshot()
+				if _, ok := s.Changed(); !ok || !s.Bounded() || s.K() != k {
+					t.Fatalf("step %d (%s): published by full freeze, or not as A(%d): %v", step, what, k, s)
+				}
+				// This goroutine is the only writer and the dirty set is
+				// empty after publication, so the live family may be frozen.
+				if d := gtest.SnapshotDiff(s, ak.Freeze(g.Clone().Freeze())); d != "" {
+					t.Fatalf("step %d (%s): patched chain differs from a fresh freeze: %s", step, what, d)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if matched < 150*len(paths) {
+				t.Fatalf("only %d matches over the whole stream: the oracle is close to vacuous", matched)
+			}
+			if err := db.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// Property: snapshot reads are identical to write-locked reads taken at
-// the same quiescent point, across batches, rejections, and node ops.
-func TestSnapshotEqualsLockedReads(t *testing.T) {
+// Property: snapshot reads are identical to reads of the live index taken
+// at the same quiescent point, across batches and rejections.
+func TestSnapshotEqualsLiveReads(t *testing.T) {
 	g := structix.GenerateXMark(structix.DefaultXMark(768, 1, 4))
 	pool := poolEdges(g, 4)
 	if len(pool) < 6 {
 		t.Skip("no pool edges at this scale")
 	}
 	idx := structix.BuildOneIndex(g)
-	snap := structix.NewSnapshotOneIndex(idx)
-	locked := structix.NewConcurrentOneIndex(idx) // same live index, quiescent comparisons only
+	snap := structix.NewDB(idx) // the live index is read at quiescent points only
 
 	gAk := g.Clone()
 	idxAk := structix.BuildAkIndex(gAk, 2)
-	snapAk := structix.NewSnapshotAkIndex(idxAk)
+	snapAk := structix.NewDB(idxAk)
 
 	queries := []*structix.Path{
 		structix.MustParsePath("//person/name"),
@@ -256,22 +325,22 @@ func TestSnapshotEqualsLockedReads(t *testing.T) {
 		t.Helper()
 		for _, p := range queries {
 			a := snap.Eval(p)
-			b := locked.Eval(p)
+			b := structix.EvalOneIndex(p, idx)
 			if len(a) != len(b) {
-				t.Fatalf("%s %v: snapshot %d nodes, locked %d", stage, p, len(a), len(b))
+				t.Fatalf("%s %v: snapshot %d nodes, live %d", stage, p, len(a), len(b))
 			}
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("%s %v: results differ at %d: %d vs %d", stage, p, i, a[i], b[i])
 				}
 			}
-			if snap.Count(p) != locked.Count(p) {
+			if snap.Count(p) != structix.CountOneIndex(p, idx) {
 				t.Fatalf("%s %v: counts differ", stage, p)
 			}
 			ea := snapAk.Eval(p)
 			eb := structix.EvalAkValidated(p, idxAk)
 			if len(ea) != len(eb) {
-				t.Fatalf("%s %v: ak snapshot %d nodes, locked %d", stage, p, len(ea), len(eb))
+				t.Fatalf("%s %v: ak snapshot %d nodes, live %d", stage, p, len(ea), len(eb))
 			}
 			for i := range ea {
 				if ea[i] != eb[i] {
@@ -321,17 +390,17 @@ func TestSnapshotAliasing(t *testing.T) {
 	if len(pool) < 2 {
 		t.Skip("no pool edges at this scale")
 	}
-	c := structix.NewSnapshotOneIndex(structix.BuildOneIndex(g))
+	c := structix.NewDB(structix.BuildOneIndex(g))
 	p := structix.MustParsePath("//person/name")
 
 	res := c.Eval(p)
 	resCopy := append([]structix.NodeID(nil), res...)
 	pinned := c.Snapshot()
 	var pinnedExtent []structix.NodeID
-	var pinnedInode structix.OneINodeID = -1
+	var pinnedInode structix.INodeID = -1
 	for i := 0; i < 1<<16; i++ {
-		if pinned.Live(structix.OneINodeID(i)) {
-			pinnedInode = structix.OneINodeID(i)
+		if pinned.Live(structix.INodeID(i)) {
+			pinnedInode = structix.INodeID(i)
 			break
 		}
 	}
@@ -411,7 +480,7 @@ func TestPersistRoundTripThenBatch(t *testing.T) {
 		t.Fatalf("loaded A(k) invalid after batch: %v", err)
 	}
 	// The loaded indexes can also serve snapshots immediately.
-	s := structix.NewSnapshotOneIndex(loaded.One)
+	s := structix.NewDB(loaded.One)
 	p := structix.MustParsePath("//person/name")
 	if got, want := len(s.Eval(p)), len(structix.EvalOneIndex(p, loaded.One)); got != want {
 		t.Fatalf("snapshot over loaded index: %d results, want %d", got, want)
@@ -428,7 +497,7 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 	g := gtest.RandomCyclic(rng, 300, 120)
 	idx := structix.BuildOneIndex(g)
 	twin := idx.Freeze(g.Clone().Freeze())
-	c := structix.NewSnapshotOneIndex(idx)
+	c := structix.NewDB(idx)
 	pinned := c.Snapshot()
 
 	var wg sync.WaitGroup
@@ -443,7 +512,7 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 					done = true // one last full pass after the final patch
 				default:
 				}
-				if d := gtest.SnapshotDiff[structix.OneINodeID](pinned, twin); d != "" {
+				if d := gtest.SnapshotDiff(pinned, twin); d != "" {
 					t.Errorf("pinned snapshot changed under the writer: %s", d)
 					return
 				}
@@ -452,7 +521,7 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 	}
 	churn := gtest.Churner{Rng: rng}
 	for i := 0; i < 1000; i++ {
-		if err := c.Update(func(x *structix.OneIndex) error {
+		if err := c.Update(func(x structix.Index) error {
 			churn.X = x
 			_, err := churn.Step()
 			return err
@@ -465,7 +534,7 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if d := gtest.SnapshotDiff[structix.OneINodeID](c.Snapshot(), idx.Freeze(g.Clone().Freeze())); d != "" {
+	if d := gtest.SnapshotDiff(c.Snapshot(), idx.Freeze(g.Clone().Freeze())); d != "" {
 		t.Fatalf("after 1000 patches the chain differs from a fresh freeze: %s", d)
 	}
 }

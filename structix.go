@@ -22,14 +22,13 @@
 //     validation, or value-first through an inverted value index — with a
 //     cost-based Planner ranking the exact routes per expression, and an
 //     automaton compiler (CompilePath) for the snapshot read path;
-//   - persistence (versioned binary, optional gzip), write-ahead-style op
-//     journals for snapshot+replay recovery, textual update scripts, and
-//     two concurrency wrappers: RWMutex (concurrent queries, serialized
-//     updates) and epoch snapshots (SnapshotOneIndex, SnapshotAkIndex —
-//     lock-free reads against an immutable published view, so queries
-//     never block on maintenance); batch updates are atomic on every
-//     surface — a rejected batch (*BatchError) leaves graph and index
-//     untouched;
+//   - persistence (versioned binary, optional gzip), textual update
+//     scripts, and one store for concurrent use, DB: serialized writers
+//     publish immutable epoch snapshots of either index family, so reads
+//     are lock-free and never block on maintenance (NewDB in memory, Open
+//     durable with a write-ahead log and crash recovery); batch updates
+//     are atomic on every surface — a rejected batch (*BatchError) leaves
+//     graph and index untouched;
 //   - XMark- and IMDB-shaped dataset generators and the full experiment
 //     harness regenerating every figure and table of the paper (§7).
 //
@@ -46,6 +45,7 @@
 package structix
 
 import (
+	"context"
 	"io"
 
 	"structix/internal/akindex"
@@ -60,6 +60,7 @@ import (
 	"structix/internal/partition"
 	"structix/internal/persist"
 	"structix/internal/query"
+	"structix/internal/snap"
 	"structix/internal/valindex"
 	"structix/internal/workload"
 	"structix/internal/xmlload"
@@ -93,6 +94,16 @@ type Subgraph = graph.Subgraph
 // and DeleteOp and apply them with ApplyBatch on either index family: the
 // whole batch shares one split phase and one deferred minimization pass.
 type EdgeOp = graph.EdgeOp
+
+// BatchError reports the operation that made ApplyBatch reject a batch
+// atomically: OpIndex is the position in the ops slice, Op the operation,
+// and Err the cause (ErrEdgeExists, ErrNoEdge, ErrSelfLoop, ErrDeadNode —
+// retrievable with errors.Is).
+type BatchError = graph.BatchError
+
+// ErrDeadNode is the BatchError cause for operations naming a node that
+// is not live in the graph.
+var ErrDeadNode = graph.ErrDeadNode
 
 // InsertOp describes the insertion of dedge u→v for ApplyBatch.
 func InsertOp(u, v NodeID, kind EdgeKind) EdgeOp { return graph.InsertOp(u, v, kind) }
@@ -149,13 +160,32 @@ const (
 // on command lines.
 func ParseExtentCodec(s string) (ExtentCodec, error) { return extent.ParseCodec(s) }
 
+// ---- index snapshots ----
+
+// Snapshot is an immutable point-in-time view of an index of either
+// family and its data graph: what DB publishes and every reader
+// evaluates against. See internal/snap for the read API and the aliasing
+// contract (extent and successor slices are shared, read-only). A 1-index
+// snapshot is precise for every path; an A(k) snapshot reports
+// Bounded() and its K, and evaluation validates what it cannot decide.
+type Snapshot = snap.Snapshot
+
+// INodeID identifies an inode slot of either index family.
+type INodeID = snap.ID
+
+// OneSnapshot, AkSnapshot, OneINodeID and AkINodeID are the names the two
+// families' snapshot and inode-id types had when they were distinct.
+type (
+	OneSnapshot = Snapshot
+	AkSnapshot  = Snapshot
+	OneINodeID  = INodeID
+	AkINodeID   = INodeID
+)
+
 // ---- 1-index ----
 
 // OneIndex is the bisimulation 1-index with split/merge maintenance (§5).
 type OneIndex = oneindex.Index
-
-// OneINodeID identifies a 1-index inode.
-type OneINodeID = oneindex.INodeID
 
 // BuildOneIndex constructs the minimum 1-index of g.
 func BuildOneIndex(g *Graph) *OneIndex { return oneindex.Build(g) }
@@ -165,9 +195,6 @@ func BuildOneIndex(g *Graph) *OneIndex { return oneindex.Build(g) }
 // AkIndex is the A(0..k) index family with refinement-tree organization
 // and split/merge maintenance (§6).
 type AkIndex = akindex.Index
-
-// AkINodeID identifies an A(k)-index inode (at any level).
-type AkINodeID = akindex.INodeID
 
 // AkStorage is the Table 3 storage report.
 type AkStorage = akindex.Storage
@@ -275,6 +302,29 @@ func CountAk(p *Path, x *AkIndex) int { return query.CountAk(p, x) }
 // (predicates stripped — an upper bound when p carries any), computed
 // exactly from the 1-index without touching the data graph.
 func Selectivity(p *Path, x *OneIndex) float64 { return query.Selectivity(p, x) }
+
+// EvalSnapshot evaluates a path expression against an index snapshot of
+// either family — exact, including predicates, with no access to mutable
+// state: an A(k) snapshot's candidates are validated against its frozen
+// graph when the expression is longer than the index is precise for.
+func EvalSnapshot(p *Path, s *Snapshot) []NodeID { return query.EvalSnapshot(p, s) }
+
+// EvalSnapshotCtx is EvalSnapshot under a context: cancellation is
+// observed between extent unions and between validation candidates, and
+// evaluation stops with ctx.Err() and no partial result. Passing
+// context.Background() (or nil) keeps the uncancellable behavior and
+// allocation profile of EvalSnapshot.
+func EvalSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) ([]NodeID, error) {
+	return query.EvalSnapshotCtx(ctx, p, s)
+}
+
+// CountSnapshot returns the exact result size of p from an index snapshot.
+func CountSnapshot(p *Path, s *Snapshot) int { return query.CountSnapshot(p, s) }
+
+// CountSnapshotCtx is CountSnapshot under a context.
+func CountSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) (int, error) {
+	return query.CountSnapshotCtx(ctx, p, s)
+}
 
 // CompiledPath is a path expression compiled to an automaton (DFA with an
 // NFA fallback) for repeated evaluation over epoch snapshots; see
@@ -389,13 +439,18 @@ func LoadDatabase(r io.Reader) (*Database, error) { return persist.LoadDatabase(
 
 // SaveSnapshot writes a database stream (LoadDatabase-compatible) from an
 // immutable epoch snapshot instead of live structures — no lock needed
-// for the duration of the write. This is what DB's compactor uses.
-func SaveSnapshot(w io.Writer, snap *OneSnapshot) error { return persist.SaveSnapshot(w, snap) }
+// for the duration of the write. This is what DB's compactor uses. The
+// stream holds a 1-index: an A(k) snapshot is rejected with
+// ErrBoundedSnapshot.
+func SaveSnapshot(w io.Writer, s *Snapshot) error { return persist.SaveSnapshot(w, s) }
 
 // SaveSnapshotCompressed is SaveSnapshot through gzip.
-func SaveSnapshotCompressed(w io.Writer, snap *OneSnapshot) error {
-	return persist.SaveSnapshotCompressed(w, snap)
+func SaveSnapshotCompressed(w io.Writer, s *Snapshot) error {
+	return persist.SaveSnapshotCompressed(w, s)
 }
+
+// ErrBoundedSnapshot is what SaveSnapshot returns for an A(k) snapshot.
+var ErrBoundedSnapshot = persist.ErrBoundedSnapshot
 
 // SaveDatabaseCompressed is SaveDatabase through gzip.
 func SaveDatabaseCompressed(w io.Writer, db *Database) error {
