@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race stress serve-stress serve-smoke repl-smoke crash-test cover bench bench-batch bench-memlayout bench-serve bench-wal bench-shard bench-scale bench-repl bench-smoke fuzz examples experiments loc ci clean
+.PHONY: all build vet test test-short race stress serve-stress serve-smoke repl-smoke crash-test cover bench bench-batch bench-shard bench-scale bench-repl bench-smoke fuzz examples experiments loc ci clean
 
 all: build vet test
 
@@ -35,7 +35,7 @@ serve-stress:
 
 # End-to-end smoke of xsiserve on an ephemeral port: client round-trip
 # (health, query, atomic update, typed rejection, stats), graceful
-# shutdown with persistence, reload + Validate.
+# shutdown sealing the durable store, reopen + recovery check.
 serve-smoke:
 	$(GO) run ./cmd/xsiserve -smoke
 
@@ -59,29 +59,9 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Batched (ApplyBatch) vs per-edge maintenance; see BENCH_batch.json for
-# the committed xsibench run of the same comparison.
+# Batched (ApplyBatch) vs per-edge maintenance.
 bench-batch:
 	$(GO) test -bench=Batch -benchmem .
-
-# Flat-memory-layout experiment: build/batch/edge-op wall clock and
-# allocs/op for both index families; see BENCH_memlayout.json for the
-# committed run. Pass BASELINE=file.json to merge a previous run for
-# before/after ratios.
-bench-memlayout:
-	$(GO) run ./cmd/xsibench -exp memlayout -json BENCH_memlayout.json $(if $(BASELINE),-baseline $(BASELINE))
-
-# HTTP serving benchmark: read-only baseline vs 90/10 mix over loopback;
-# see BENCH_serve.json for the committed run and EXPERIMENTS.md for the
-# read-degradation gate.
-bench-serve:
-	$(GO) run ./cmd/xsibench -exp serve -json BENCH_serve.json
-
-# Durability benchmark: commit latency/throughput per journal fsync
-# policy plus recovery time vs journal length; see BENCH_wal.json for
-# the committed run and DESIGN.md §8 for the commit protocol.
-bench-wal:
-	$(GO) run ./cmd/xsibench -exp wal -json BENCH_wal.json
 
 # Sharded write scale-out: throughput vs shard count (1/2/4/8) plus the
 # 90/10 scatter-gather mix; see BENCH_shard.json for the committed run
@@ -146,30 +126,24 @@ loc:
 
 # What CI runs — the same steps, in the same order, as
 # .github/workflows/ci.yml; change both together. Build, vet, race-enabled
-# tests, the concurrent-stress and server-stress passes, the
-# sharded-equivalence pass, the crash-recovery gates (sharded + follower
-# kill -9 included), the publication-scaling gate (bytes a commit's
-# snapshot publication allocates must follow what it dirtied, not the
-# graph), the cache footprint gate (invalidation soundness under the
-# expansion-only footprint, the tightness pins and the FootprintSlots
-# total, race-enabled), the xsiserve smoke (which covers a 4-shard
-# boot), the replication smoke (leader + 2 replicas, min_epoch read-back), short
-# path-parser and extent-decoder fuzz passes, the wal-, shard-, repl- and
+# tests (which already cover the sharded-equivalence, crash-recovery,
+# replication and cache-footprint suites once — `make crash-test` etc.
+# re-run them alone), the concurrent-stress and server-stress passes
+# (-count>1), the publication-scaling gate (bytes a commit's snapshot
+# publication allocates must follow what it dirtied, not the graph; not
+# race-enabled), the xsiserve smoke (which covers a 4-shard boot), the
+# replication smoke (leader + 2 replicas, min_epoch read-back), short
+# path-parser and extent-decoder fuzz passes, the shard-, repl- and
 # scale-bench smokes, and a one-iteration smoke pass over every benchmark
 # in the module.
 ci: build vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
-	$(GO) test -race -count=1 -run 'TestSharded' .
-	$(GO) test -race -count=1 -run 'TestCrash|TestShardedCrash|TestKill9|TestRecovery|TestSubgraphFrame|TestDeleteSubtreeSurvives|TestTornSegment|TestSnapshotFallback|TestOpenFailsOnJournalGap' .
-	$(GO) test -race -count=1 -run 'TestFollower|TestKill9Follower|TestPropertyReplica|TestServerReplica|TestReplicaSet' ./...
 	$(GO) test -count=1 -run 'TestPublicationScaling' .
-	$(GO) test -race -count=1 -run 'TestFootprint|TestQueryCache' ./internal/query/ ./internal/server/ ./internal/qcache/
 	$(GO) run ./cmd/xsiserve -smoke
 	$(GO) run ./cmd/xsiserve -smoke-repl
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
-	$(GO) run ./cmd/xsibench -exp wal
 	$(GO) run ./cmd/xsibench -exp shard -scale 64
 	$(GO) run ./cmd/xsibench -exp repl
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/

@@ -14,29 +14,26 @@
 //	xsibench -exp intermediate             # §5.1 transient-growth claim
 //	xsibench -exp dk                       # adaptive D(k) extension (§8)
 //	xsibench -exp skew                     # hot-spot robustness probe
-//	xsibench -exp batch                    # ApplyBatch vs per-edge updates
-//	xsibench -exp memlayout                # flat-layout build/batch/alloc costs
-//	xsibench -exp serve                    # HTTP serving: 90/10 mix over loopback
-//	xsibench -exp wal                      # journal fsync policies + crash-recovery time
 //	xsibench -exp shard                    # sharded write scale-out + 90/10 mix
 //	xsibench -exp repl                     # read replicas: QPS scale-out + staleness
 //	xsibench -exp scale -factor 50         # extent codecs at 50x the paper's dataset
 //
+// The serving, durability, batching and memory-layout measurements live in
+// bench/ (see BENCHMARK.json), which drives the shipped xsiserve binary.
+//
 // -scale divides the paper's dataset sizes (default 16; 1 approximates the
 // full 167k/272k-node instances and takes correspondingly longer). -pairs
 // and -subgraphs override the update counts; -csv DIR additionally writes
-// the quality curves as CSV for plotting; -json FILE writes the batch,
-// memlayout, serve, wal, shard, repl or scale experiment's machine-readable
-// result (BENCH_batch.json, BENCH_memlayout.json, … — invoke the
-// experiments separately to keep each). -baseline FILE merges a previous
-// memlayout JSON as the "before" column so a layout change can be compared
-// against the run captured before it. -cpuprofile/-memprofile write pprof
-// profiles covering the selected experiment.
+// the quality curves as CSV for plotting; -json FILE writes the shard, repl
+// or scale experiment's machine-readable result (BENCH_shard.json, … —
+// invoke the experiments separately to keep each). -cpuprofile/-memprofile
+// write pprof profiles covering the selected experiment.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -49,19 +46,24 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all, fig9, fig10, fig11, fig12, fig13, table1, table2, table3, queryperf")
+		exp        = flag.String("exp", "all", expUsage())
 		scale      = flag.Int("scale", 16, "dataset size reduction factor (1 ≈ paper scale)")
 		factor     = flag.Int("factor", 50, "dataset size multiplication factor for -exp scale (1 ≈ paper scale)")
 		pairs      = flag.Int("pairs", 0, "insert/delete pairs (0 = paper defaults scaled)")
 		subgraphs  = flag.Int("subgraphs", 0, "subgraph count for fig12 (0 = paper default scaled)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		csvDir     = flag.String("csv", "", "also write quality curves as CSV files into this directory")
-		jsonPath   = flag.String("json", "", "write the batch/memlayout/serve/wal/shard/repl/scale experiment result as JSON to this file")
-		basePath   = flag.String("baseline", "", "previous memlayout JSON to merge as the before column")
+		jsonPath   = flag.String("json", "", "write the shard/repl/scale experiment result as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the experiment to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	)
 	flag.Parse()
+
+	exps := selectExperiments(*exp)
+	if exps == nil {
+		fmt.Fprintf(os.Stderr, "xsibench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(expNames(), ", "))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -92,60 +94,63 @@ func main() {
 	}
 
 	r := runner{scale: *scale, factor: *factor, seed: *seed, pairs: *pairs, subgraphs: *subgraphs,
-		csvDir: *csvDir, jsonPath: *jsonPath, basePath: *basePath}
-	switch *exp {
-	case "all":
-		r.fig9()
-		r.fig10and11()
-		r.fig12()
-		r.akExperiments()
-		r.table3()
-		r.queryPerf()
-		r.intermediate()
-		r.dk()
-		r.skew()
-		r.batch()
-		r.memlayout()
-		r.serve()
-		r.wal()
-		r.shard()
-		r.repl()
-	case "fig9":
-		r.fig9()
-	case "fig10", "fig11":
-		r.fig10and11()
-	case "fig12":
-		r.fig12()
-	case "fig13", "table1", "table2":
-		r.akExperiments()
-	case "table3":
-		r.table3()
-	case "queryperf":
-		r.queryPerf()
-	case "intermediate":
-		r.intermediate()
-	case "dk":
-		r.dk()
-	case "skew":
-		r.skew()
-	case "batch":
-		r.batch()
-	case "memlayout":
-		r.memlayout()
-	case "serve":
-		r.serve()
-	case "wal":
-		r.wal()
-	case "shard":
-		r.shard()
-	case "repl":
-		r.repl()
-	case "scale":
-		r.scaleBench()
-	default:
-		fmt.Fprintf(os.Stderr, "xsibench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		csvDir: *csvDir, jsonPath: *jsonPath}
+	for _, e := range exps {
+		e.run(r)
 	}
+}
+
+// experiment is one -exp value. experimentTable is the only list of them:
+// dispatch, -exp all, the flag's usage text and the unknown-name error all
+// read it, in this order.
+type experiment struct {
+	name  string
+	inAll bool // run by -exp all; an alias of an earlier row is not
+	run   func(runner)
+}
+
+var experimentTable = []experiment{
+	{"fig9", true, runner.fig9},
+	{"fig10", true, runner.fig10and11},
+	{"fig11", false, runner.fig10and11},
+	{"fig12", true, runner.fig12},
+	{"fig13", true, runner.akExperiments},
+	{"table1", false, runner.akExperiments},
+	{"table2", false, runner.akExperiments},
+	{"table3", true, runner.table3},
+	{"queryperf", true, runner.queryPerf},
+	{"intermediate", true, runner.intermediate},
+	{"dk", true, runner.dk},
+	{"skew", true, runner.skew},
+	{"shard", true, runner.shard},
+	{"repl", true, runner.repl},
+	// Factor 50 by default: ten minutes and ~8 GB, so only on request.
+	{"scale", false, runner.scaleBench},
+}
+
+// selectExperiments resolves an -exp value to the rows it runs, nil if the
+// name is unknown.
+func selectExperiments(name string) []experiment {
+	var out []experiment
+	for _, e := range experimentTable {
+		if e.name == name || (name == "all" && e.inAll) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// expNames lists every valid -exp value, "all" first.
+func expNames() []string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+func expUsage() string {
+	return "experiment: " + strings.Join(expNames(), ", ")
 }
 
 type runner struct {
@@ -156,7 +161,20 @@ type runner struct {
 	subgraphs int
 	csvDir    string
 	jsonPath  string
-	basePath  string
+}
+
+// writeFile creates path and hands it to write. A failure warns on stderr
+// and the run still exits 0: the textual report has already been printed.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
+		return
+	}
+	defer f.Close()
+	if err := write(f); err != nil {
+		fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
+	}
 }
 
 // writeCSV drops a quality-curve CSV next to the textual report when -csv
@@ -165,15 +183,16 @@ func (r runner) writeCSV(name string, series ...experiments.QualitySeries) {
 	if r.csvDir == "" {
 		return
 	}
-	path := filepath.Join(r.csvDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := experiments.WriteQualityCSV(f, series...); err != nil {
-		fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
+	writeFile(filepath.Join(r.csvDir, name+".csv"), func(w io.Writer) error {
+		return experiments.WriteQualityCSV(w, series...)
+	})
+}
+
+// writeJSON writes an experiment's machine-readable result when -json is
+// set.
+func (r runner) writeJSON(write func(io.Writer) error) {
+	if r.jsonPath != "" {
+		writeFile(r.jsonPath, write)
 	}
 }
 
@@ -328,87 +347,6 @@ func (r runner) queryPerf() {
 	experiments.ReportQueryPerf(os.Stdout, rs)
 }
 
-func (r runner) batch() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultBatchConfig(r.seed)
-	// The N=1000 row needs a pool of ≥1000 absent IDREF edges — roughly
-	// 1/5000th of the paper instance's 30k IDREF edges per unit of scale —
-	// so build this dataset at a scale that can supply it.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res := experiments.RunBatch(d.Name, d.Build(scale, r.seed), cfg)
-	experiments.ReportBatch(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteBatchJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
-func (r runner) serve() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultServeConfig(r.seed)
-	// The writers draw update batches from the absent-IDREF pool; cap the
-	// reduction so every worker gets a full slice.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res, err := experiments.RunServe(d.Name, d.Build(scale, r.seed), cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xsibench: serve: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.ReportServe(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteServeJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
-func (r runner) wal() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultWalConfig(r.seed)
-	// The commit workload draws from the absent-IDREF pool like the other
-	// write benchmarks; cap the reduction so the batches stay full width.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res, err := experiments.RunWal(d.Name, d.Build(scale, r.seed), cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xsibench: wal: %v\n", err)
-		os.Exit(1)
-	}
-	experiments.ReportWal(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteWalJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
 func (r runner) shard() {
 	cfg := experiments.DefaultShardConfig(r.seed)
 	// The benchmark builds its own forest of reduced XMark instances; at
@@ -423,17 +361,7 @@ func (r runner) shard() {
 		os.Exit(1)
 	}
 	experiments.ReportShard(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteShardJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
+	r.writeJSON(func(w io.Writer) error { return experiments.WriteShardJSON(w, res) })
 }
 
 func (r runner) repl() {
@@ -451,69 +379,11 @@ func (r runner) repl() {
 		os.Exit(1)
 	}
 	experiments.ReportRepl(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteReplJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
+	r.writeJSON(func(w io.Writer) error { return experiments.WriteReplJSON(w, res) })
 }
 
 func (r runner) scaleBench() {
 	res := experiments.RunScale(experiments.DefaultScaleConfig(r.factor, r.seed))
 	experiments.ReportScale(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteScaleJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
-}
-
-func (r runner) memlayout() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	cfg := experiments.DefaultMemLayoutConfig(r.seed)
-	// Same pool constraint as the batch experiment: the ApplyBatch rounds
-	// need a healthy stock of absent IDREF edges.
-	scale := r.scale
-	if scale > 8 {
-		scale = 8
-	}
-	res := experiments.RunMemLayout(d.Name, d.Build(scale, r.seed), cfg)
-	if r.basePath != "" {
-		f, err := os.Open(r.basePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			os.Exit(1)
-		}
-		base, err := experiments.ReadMemLayoutJSON(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: -baseline %s: %v\n", r.basePath, err)
-			os.Exit(1)
-		}
-		res.AttachBaseline(base.After)
-	}
-	experiments.ReportMemLayout(os.Stdout, res)
-	if r.jsonPath != "" {
-		f, err := os.Create(r.jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := experiments.WriteMemLayoutJSON(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "xsibench: %v\n", err)
-		}
-	}
+	r.writeJSON(func(w io.Writer) error { return experiments.WriteScaleJSON(w, res) })
 }

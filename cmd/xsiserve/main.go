@@ -24,9 +24,8 @@
 // "window" (default; one fsync per group-commit window, acknowledgments
 // wait for it), "always", "interval", or "none".
 //
-// Without -data the store is in-memory; -load/-persist give the legacy
-// file-based save/restore (deprecated — prefer -data, which owns the
-// lifecycle end to end).
+// Without -data the store is in-memory (loaded from -load or generated)
+// and its updates are gone at exit; -data owns the lifecycle end to end.
 //
 // With -replica-of the process serves as a read replica: it bootstraps
 // from the leader's snapshot endpoint into -data, tails the leader's WAL
@@ -43,7 +42,7 @@
 // A durable directory remembers its shard count; reopen with the same
 // -shards (or leave it at 1 to accept the stored width). Node ids are
 // re-striped across shards when a store is first sharded, so ids from an
-// unsharded run do not carry over; -persist only supports -shards 1.
+// unsharded run do not carry over.
 //
 // Endpoints:
 //
@@ -62,7 +61,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -88,7 +86,6 @@ func main() {
 		window    = flag.Duration("window", 2*time.Millisecond, "group-commit flush deadline")
 		maxBatch  = flag.Int("maxbatch", 256, "flush the commit window at this many pooled edge ops")
 		queue     = flag.Int("queue", 1024, "admission queue depth (full queue sheds updates with 429)")
-		persist   = flag.String("persist", "", "deprecated: save the database here on shutdown (prefer -data)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
 		shards    = flag.Int("shards", 1, "partition the graph into this many in-process shards")
 		extents   = flag.String("extents", "dense", "snapshot extent codec: dense|compressed")
@@ -102,14 +99,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xsiserve: -shards must be >= 1")
 		os.Exit(2)
 	}
-	if *persist != "" && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "xsiserve: -persist supports only -shards 1 (use -data for a sharded store)")
-		os.Exit(2)
-	}
 	if *replicaOf != "" {
 		// A replica's whole state comes from the leader: it needs its own
-		// durable directory to journal into, and none of the bootstrap or
-		// legacy persistence paths apply.
+		// durable directory to journal into, and no bootstrap path applies.
 		switch {
 		case *data == "":
 			fmt.Fprintln(os.Stderr, "xsiserve: -replica-of requires -data (the replica journals locally)")
@@ -117,8 +109,8 @@ func main() {
 		case *shards > 1:
 			fmt.Fprintln(os.Stderr, "xsiserve: -replica-of supports only -shards 1 (replicate each shard process separately)")
 			os.Exit(2)
-		case *load != "" || *persist != "":
-			fmt.Fprintln(os.Stderr, "xsiserve: -replica-of bootstraps from the leader; -load/-persist do not apply")
+		case *load != "":
+			fmt.Fprintln(os.Stderr, "xsiserve: -replica-of bootstraps from the leader; -load does not apply")
 			os.Exit(2)
 		}
 	}
@@ -214,13 +206,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xsiserve: shutdown: %v\n", err)
 		os.Exit(1)
 	}
-	if *persist != "" && *data == "" {
-		if err := saveTo(*persist, sdb.Shard(0)); err != nil {
-			fmt.Fprintf(os.Stderr, "xsiserve: persist: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("xsiserve: persisted database to %s\n", *persist)
-	}
 	if err := sdb.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "xsiserve: close: %v\n", err)
 		os.Exit(1)
@@ -231,8 +216,8 @@ func main() {
 }
 
 // openStore builds the store handle: durable (structix.Open or, for
-// -shards > 1, structix.OpenSharded over -data) or in-memory (legacy
-// -load / generated dataset, partitioned with NewShardedDB when sharded).
+// -shards > 1, structix.OpenSharded over -data) or in-memory (-load /
+// generated dataset, partitioned with NewShardedDB when sharded).
 // An unsharded request always goes down the original single-DB paths and
 // is wrapped at the end, so -shards 1 leaves layouts and ids untouched.
 func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64, seed int64, shards int, codec structix.ExtentCodec) (*structix.ShardedDB, error) {
@@ -292,23 +277,4 @@ func loadFile(path string) (*structix.Database, error) {
 	}
 	defer f.Close()
 	return structix.LoadDatabaseAuto(f)
-}
-
-// saveTo writes the in-memory store's state to a SaveDatabase file (the
-// deprecated -persist path; the commit loop has already drained).
-func saveTo(path string, db *structix.DB) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := structix.SaveSnapshot(bw, db.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,6 +185,7 @@ const (
 	walSubdir  = "wal"
 	snapPrefix = "snap-"
 	snapSuffix = ".sx"
+	tmpSuffix  = ".tmp" // writeFileAtomic's not-yet-renamed file
 )
 
 func snapName(seq uint64) string {
@@ -199,6 +202,18 @@ func parseSnapName(name string) (uint64, bool) {
 		return 0, false
 	}
 	return seq, true
+}
+
+// isSnapTmp reports whether name is the temp file of a snapshot write
+// that never reached its rename — what a process killed mid-compaction
+// leaves behind.
+func isSnapTmp(name string) bool {
+	base, ok := strings.CutSuffix(name, tmpSuffix)
+	if !ok {
+		return false
+	}
+	_, ok = parseSnapName(base)
+	return ok
 }
 
 // Open opens (or creates) the durable store in dir and recovers its
@@ -218,9 +233,14 @@ func Open(dir string, opts Options) (*DB, error) {
 	// retained snapshots (see compactOnce). If the journal nevertheless
 	// cannot reach back to the fallback, replay fails with wal.ErrGap and
 	// Open reports it instead of recovering a silently partial state.
-	seqs, err := listSnapshots(dir)
+	seqs, stale, err := listSnapshots(dir)
 	if err != nil {
 		return nil, err
+	}
+	for _, name := range stale {
+		// A crashed compaction's leftover. Best effort, like the prune in
+		// writeSnapshot: a file that will not go costs disk, not correctness.
+		os.Remove(filepath.Join(dir, name))
 	}
 	var base *Database
 	baseSeq := uint64(0)
@@ -317,19 +337,23 @@ func NewDB(idx Index) *DB {
 	return db
 }
 
-func listSnapshots(dir string) ([]uint64, error) {
+// listSnapshots returns the seqs of dir's snapshot files in ascending
+// order, and the names of the snapshot temp files beside them (isSnapTmp)
+// for Open to remove.
+func listSnapshots(dir string) (seqs []uint64, staleTmp []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("structix: %w", err)
+		return nil, nil, fmt.Errorf("structix: %w", err)
 	}
-	var seqs []uint64
 	for _, e := range entries {
 		if seq, ok := parseSnapName(e.Name()); ok {
 			seqs = append(seqs, seq)
+		} else if isSnapTmp(e.Name()) {
+			staleTmp = append(staleTmp, e.Name())
 		}
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	return seqs, staleTmp, nil
 }
 
 // replayRecord applies one journal record to the live index. Application
@@ -804,26 +828,51 @@ func (db *DB) compactOnce() error {
 		return err
 	}
 	keep := seq
-	if seqs, err := listSnapshots(db.dir); err == nil && len(seqs) >= 2 {
+	if seqs, _, err := listSnapshots(db.dir); err == nil && len(seqs) >= 2 {
 		keep = seqs[len(seqs)-2]
 	}
 	return db.log.RemoveBelow(keep + 1)
 }
 
-// writeSnapshot persists snap as the snapshot covering journal seq:
-// write + fsync a temp file, rename into place, fsync the directory —
-// the snapshot either exists completely or not at all. Older snapshot
-// files beyond one fallback are pruned.
+// writeSnapshot persists snap as the snapshot covering journal seq,
+// atomically (writeFileAtomic). Older snapshot files beyond one fallback
+// are pruned.
 func (db *DB) writeSnapshot(seq uint64, snap *Snapshot) error {
-	tmp := filepath.Join(db.dir, snapName(seq)+".tmp")
+	err := writeFileAtomic(db.dir, snapName(seq), func(w io.Writer) error {
+		if err := persist.SaveSnapshotCompressed(w, snap); err != nil {
+			return fmt.Errorf("structix: writing snapshot: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	db.snapSeq.Store(seq)
+	db.compactions.Add(1)
+	// Keep the newest snapshot plus one fallback.
+	if seqs, _, err := listSnapshots(db.dir); err == nil && len(seqs) > 2 {
+		for _, s := range seqs[:len(seqs)-2] {
+			os.Remove(filepath.Join(db.dir, snapName(s)))
+		}
+	}
+	return nil
+}
+
+// writeFileAtomic publishes dir/name so that it exists completely or not
+// at all: write + fsync a temp file, rename it into place, fsync the
+// directory. The temp file is removed on every error, and a dir/name that
+// already exists is replaced only by the rename. write's own error is
+// returned as is.
+func writeFileAtomic(dir, name string, write func(io.Writer) error) error {
+	tmp := filepath.Join(dir, name+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("structix: %w", err)
 	}
-	if err := persist.SaveSnapshotCompressed(f, snap); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("structix: writing snapshot: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -834,22 +883,11 @@ func (db *DB) writeSnapshot(seq uint64, snap *Snapshot) error {
 		os.Remove(tmp)
 		return fmt.Errorf("structix: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, snapName(seq))); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("structix: %w", err)
 	}
-	if err := syncDir(db.dir); err != nil {
-		return err
-	}
-	db.snapSeq.Store(seq)
-	db.compactions.Add(1)
-	// Keep the newest snapshot plus one fallback.
-	if seqs, err := listSnapshots(db.dir); err == nil && len(seqs) > 2 {
-		for _, s := range seqs[:len(seqs)-2] {
-			os.Remove(filepath.Join(db.dir, snapName(s)))
-		}
-	}
-	return nil
+	return syncDir(dir)
 }
 
 func syncDir(dir string) error {

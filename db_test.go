@@ -455,7 +455,7 @@ func TestSnapshotFallbackOnCorruptNewest(t *testing.T) {
 
 	// Corrupt the newest snapshot file; Open must fall back to the older
 	// one and replay the journal over it.
-	seqs, err := listSnapshots(dir)
+	seqs, _, err := listSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestSnapshotFallbackAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqs, err := listSnapshots(dir)
+	seqs, _, err := listSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestOpenFailsOnJournalGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqs, err := listSnapshots(dir)
+	seqs, _, err := listSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

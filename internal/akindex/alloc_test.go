@@ -15,7 +15,7 @@ import (
 // marks, an insert+delete pair of the same edge on a warm family allocates
 // nothing at steady state; the ceiling leaves slack only for incidental
 // scratch growth. (The map-based layout spent >250 allocs on the same pair
-// — see BENCH_memlayout.json.)
+// — see EXPERIMENTS.md §"Flat memory layout".)
 func TestEdgeMaintenanceAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full-size graph")

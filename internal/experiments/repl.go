@@ -18,6 +18,7 @@ import (
 	"structix/internal/graph"
 	"structix/internal/opscript"
 	"structix/internal/server"
+	"structix/internal/workload"
 )
 
 // ReplConfig drives the replication benchmark: a durable leader plus a
@@ -259,7 +260,7 @@ func measureReplEndpoint(url, role string, slice time.Duration) (ReplEndpointRes
 	var lats []int64
 	deadline := time.Now().Add(slice)
 	for i := 0; time.Now().Before(deadline); i++ {
-		expr := defaultServeQueries[i%len(defaultServeQueries)]
+		expr := replQueries[i%len(replQueries)]
 		start := time.Now()
 		if _, err := cli.QueryLimit(ctx, expr, 128); err != nil {
 			return ReplEndpointResult{}, fmt.Errorf("experiments: repl: %s read: %w", role, err)
@@ -309,7 +310,7 @@ func runReplStaleness(pool [][2]graph.NodeID, leader *replNode, replicas []*repl
 		inserted = !inserted
 		fc := fcs[k%len(fcs)]
 		start := time.Now()
-		got, err := fc.QueryWith(ctx, defaultServeQueries[k%len(defaultServeQueries)],
+		got, err := fc.QueryWith(ctx, replQueries[k%len(replQueries)],
 			client.QueryOpts{Limit: 1, MinEpoch: up.Seq, Wait: 30 * time.Second})
 		if err != nil {
 			return st, fmt.Errorf("experiments: repl: staleness read %d: %w", k, err)
@@ -331,6 +332,40 @@ func runReplStaleness(pool [][2]graph.NodeID, leader *replNode, replicas []*repl
 	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
 	st.MaxNs = waits[len(waits)-1]
 	return st, nil
+}
+
+// replQueries is the replication benchmark's read mix.
+var replQueries = []string{
+	"//person/name",
+	"/site/people/person",
+	"//open_auction//person",
+}
+
+func percentiles(ns []int64) (p50, p99 int64) {
+	if len(ns) == 0 {
+		return 0, 0
+	}
+	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	return ns[len(ns)/2], ns[len(ns)*99/100]
+}
+
+// batchEdgePool removes 20% of g's IDREF edges (mutating g) and returns
+// them: every pool edge is absent from the graph, so a workload that
+// inserts a prefix and then deletes it again leaves the graph unchanged.
+func batchEdgePool(g *graph.Graph, seed int64) [][2]graph.NodeID {
+	before := g.EdgeList(graph.IDRef)
+	workload.MixedScript(g, 0.2, 0, seed)
+	present := make(map[[2]graph.NodeID]bool)
+	for _, e := range g.EdgeList(graph.IDRef) {
+		present[e] = true
+	}
+	var pool [][2]graph.NodeID
+	for _, e := range before {
+		if !present[e] {
+			pool = append(pool, e)
+		}
+	}
+	return pool
 }
 
 // ReportRepl prints the replication benchmark as a table.

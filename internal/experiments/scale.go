@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"time"
 
@@ -232,6 +233,29 @@ func runScaleCodec(one *oneindex.Index, frozen *graph.Frozen, c extent.Codec, cf
 		})
 	}
 	return st, results
+}
+
+// measureAllocs runs fn iters times on a single goroutine and returns the
+// per-iteration allocation count, allocated bytes, and wall clock. The
+// numbers include everything fn does (they are a ceiling, not a floor, on
+// the code path's own allocations — the GC may add arena growth).
+func measureAllocs(iters int, fn func()) (allocs, bytes float64, ns int64) {
+	if iters < 1 {
+		iters = 1
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		fn()
+	}
+	elapsed := time.Since(start).Nanoseconds()
+	runtime.ReadMemStats(&after)
+	n := float64(iters)
+	return float64(after.Mallocs-before.Mallocs) / n,
+		float64(after.TotalAlloc-before.TotalAlloc) / n,
+		elapsed / int64(iters)
 }
 
 // ReportScale prints the experiment as tables.

@@ -14,7 +14,7 @@ import (
 // pooled scratch, an insert+delete pair of the same edge on a warm index
 // allocates nothing at steady state; the ceiling leaves slack only for
 // incidental scratch growth. (The map-based layout spent >260 allocs on the
-// same pair — see BENCH_memlayout.json.)
+// same pair — see EXPERIMENTS.md §"Flat memory layout".)
 func TestEdgeMaintenanceAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full-size graph")

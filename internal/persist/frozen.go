@@ -48,7 +48,7 @@ func SaveSnapshot(w io.Writer, snap *oneindex.Snapshot) error {
 }
 
 // SaveSnapshotCompressed is SaveSnapshot through a gzip layer; the
-// result loads with LoadDatabaseCompressed or LoadDatabaseAuto.
+// result loads with LoadDatabaseAuto.
 func SaveSnapshotCompressed(w io.Writer, snap *oneindex.Snapshot) error {
 	if snap.Bounded() {
 		return fmt.Errorf("%w: got A(%d)", ErrBoundedSnapshot, snap.K())

@@ -31,7 +31,7 @@ const (
 type header struct {
 	Magic   string
 	Version int
-	Kind    string // "graph", "oneindex", "akindex", "database"
+	Kind    string // "graph" or "database"
 }
 
 type graphDTO struct {
@@ -181,24 +181,7 @@ func graphFromDTO(dto *graphDTO) (*graph.Graph, error) {
 	return g, nil
 }
 
-// SaveOneIndex writes a 1-index as its dnode partition.
-func SaveOneIndex(w io.Writer, x *oneindex.Index) error {
-	enc := gob.NewEncoder(w)
-	if err := writeHeader(enc, "oneindex"); err != nil {
-		return err
-	}
-	return encodeOneIndex(enc, x)
-}
-
-// LoadOneIndex reads a 1-index against its (separately loaded) graph.
-func LoadOneIndex(r io.Reader, g *graph.Graph) (*oneindex.Index, error) {
-	dec := gob.NewDecoder(r)
-	if err := readHeader(dec, "oneindex"); err != nil {
-		return nil, err
-	}
-	return decodeOneIndex(dec, g)
-}
-
+// A 1-index is persisted as its dnode partition.
 func encodeOneIndex(enc *gob.Encoder, x *oneindex.Index) error {
 	return enc.Encode(partToDTO(x.ToPartition()))
 }
@@ -215,24 +198,7 @@ func decodeOneIndex(dec *gob.Decoder, g *graph.Graph) (*oneindex.Index, error) {
 	return oneindex.FromPartition(g, p), nil
 }
 
-// SaveAkIndex writes an A(k) family as its k+1 level partitions.
-func SaveAkIndex(w io.Writer, x *akindex.Index) error {
-	enc := gob.NewEncoder(w)
-	if err := writeHeader(enc, "akindex"); err != nil {
-		return err
-	}
-	return encodeAkIndex(enc, x)
-}
-
-// LoadAkIndex reads an A(k) family against its graph.
-func LoadAkIndex(r io.Reader, g *graph.Graph) (*akindex.Index, error) {
-	dec := gob.NewDecoder(r)
-	if err := readHeader(dec, "akindex"); err != nil {
-		return nil, err
-	}
-	return decodeAkIndex(dec, g)
-}
-
+// An A(k) family is persisted as k followed by its k+1 level partitions.
 func encodeAkIndex(enc *gob.Encoder, x *akindex.Index) error {
 	if err := enc.Encode(x.K()); err != nil {
 		return err
@@ -306,9 +272,9 @@ type Database struct {
 }
 
 // SaveDatabaseCompressed is SaveDatabase through a gzip layer (~3-5×
-// smaller for XML-shaped databases). LoadDatabaseCompressed reverses it;
-// the two stream kinds are distinguished by gzip's own magic bytes, so
-// LoadDatabaseAuto can accept either.
+// smaller for XML-shaped databases). The two stream kinds are
+// distinguished by gzip's own magic bytes, so LoadDatabaseAuto accepts
+// either.
 func SaveDatabaseCompressed(w io.Writer, db *Database) error {
 	zw := gzip.NewWriter(w)
 	if err := SaveDatabase(zw, db); err != nil {
@@ -318,8 +284,8 @@ func SaveDatabaseCompressed(w io.Writer, db *Database) error {
 	return zw.Close()
 }
 
-// LoadDatabaseCompressed reads a stream written by SaveDatabaseCompressed.
-func LoadDatabaseCompressed(r io.Reader) (*Database, error) {
+// loadDatabaseCompressed reads a stream written by SaveDatabaseCompressed.
+func loadDatabaseCompressed(r io.Reader) (*Database, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -337,7 +303,7 @@ func LoadDatabaseAuto(r io.Reader) (*Database, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	if magic[0] == 0x1f && magic[1] == 0x8b {
-		return LoadDatabaseCompressed(br)
+		return loadDatabaseCompressed(br)
 	}
 	return LoadDatabase(br)
 }

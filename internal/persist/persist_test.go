@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,117 +55,95 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOneIndexRoundTrip(t *testing.T) {
-	g := datagen.XMark(datagen.DefaultXMark(256, 1, 2))
-	x := oneindex.Build(g)
-	// Push the index away from the freshly-built state.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 15; i++ {
-		if u, v, ok := gtest.RandomNonEdge(rng, g); ok {
-			if err := x.InsertEdge(u, v, graph.IDRef); err != nil {
+// Every combination of persisted indexes must round-trip to the same
+// partitions, validate, and keep working under maintenance afterwards.
+func TestDatabaseRoundTrip(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		name    string
+		one, ak bool
+	}{
+		{"one only", true, false},
+		{"ak only", false, true},
+		{"both", true, true},
+		{"neither", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := datagen.XMark(datagen.DefaultXMark(256, 1, 2))
+			db := &Database{Graph: g}
+			rng := rand.New(rand.NewSource(2))
+			if tc.one {
+				db.One = oneindex.Build(g)
+				// Push the index away from the freshly-built state.
+				for i := 0; i < 15; i++ {
+					if u, v, ok := gtest.RandomNonEdge(rng, g); ok {
+						if err := db.One.InsertEdge(u, v, graph.IDRef); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if tc.ak {
+				db.Ak = akindex.Build(g, k)
+			}
+			var buf bytes.Buffer
+			if err := SaveDatabase(&buf, db); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := SaveGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveOneIndex(&buf, x); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := LoadOneIndex(&buf, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x2.Validate(); err != nil {
-		t.Fatalf("loaded index invalid: %v", err)
-	}
-	if !partition.Equal(x.ToPartition(), x2.ToPartition()) {
-		t.Errorf("partition changed across round trip")
-	}
-	// The loaded index must keep working under maintenance.
-	if u, v, ok := gtest.RandomNonEdge(rng, g2); ok {
-		if err := x2.InsertEdge(u, v, graph.IDRef); err != nil {
-			t.Fatal(err)
-		}
-		if err := x2.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestAkIndexRoundTrip(t *testing.T) {
-	g := datagen.IMDB(datagen.DefaultIMDB(256, 3))
-	x := akindex.Build(g, 3)
-	var buf bytes.Buffer
-	if err := SaveGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveAkIndex(&buf, x); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := LoadAkIndex(&buf, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x2.Validate(); err != nil {
-		t.Fatalf("loaded A(k) invalid: %v", err)
-	}
-	for l := 0; l <= 3; l++ {
-		if !partition.Equal(x.ToPartition(l), x2.ToPartition(l)) {
-			t.Errorf("level %d changed across round trip", l)
-		}
-	}
-	if !x2.IsMinimum() {
-		t.Errorf("loaded family not minimum")
-	}
-	// Maintained update on the loaded family.
-	rng := rand.New(rand.NewSource(4))
-	if u, v, ok := gtest.RandomNonEdge(rng, g2); ok {
-		if err := x2.InsertEdge(u, v, graph.IDRef); err != nil {
-			t.Fatal(err)
-		}
-		if !x2.IsMinimum() {
-			t.Errorf("loaded family lost Theorem 2 after update")
-		}
-	}
-}
-
-func TestDatabaseRoundTrip(t *testing.T) {
-	g := datagen.XMark(datagen.DefaultXMark(512, 1, 5))
-	db := &Database{
-		Graph: g,
-		One:   oneindex.Build(g),
-		Ak:    akindex.Build(g, 2),
-	}
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := LoadDatabase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.One == nil || db2.Ak == nil {
-		t.Fatalf("indexes missing after load")
-	}
-	if err := db2.One.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.Ak.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if db2.One.Size() != db.One.Size() || db2.Ak.Size() != db.Ak.Size() {
-		t.Errorf("index sizes changed")
+			db2, err := LoadDatabase(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (db2.One != nil) != tc.one || (db2.Ak != nil) != tc.ak {
+				t.Fatalf("loaded one=%v ak=%v, saved one=%v ak=%v", db2.One != nil, db2.Ak != nil, tc.one, tc.ak)
+			}
+			if db2.Graph.NumNodes() != g.NumNodes() || db2.Graph.NumEdges() != g.NumEdges() {
+				t.Fatalf("graph changed across round trip")
+			}
+			u, v, ok := gtest.RandomNonEdge(rng, db2.Graph)
+			if !ok {
+				t.Fatal("no non-edge to insert")
+			}
+			if tc.one {
+				if err := db2.One.Validate(); err != nil {
+					t.Fatalf("loaded index invalid: %v", err)
+				}
+				if !partition.Equal(db.One.ToPartition(), db2.One.ToPartition()) {
+					t.Errorf("partition changed across round trip")
+				}
+			}
+			if tc.ak {
+				if err := db2.Ak.Validate(); err != nil {
+					t.Fatalf("loaded A(k) invalid: %v", err)
+				}
+				for l := 0; l <= k; l++ {
+					if !partition.Equal(db.Ak.ToPartition(l), db2.Ak.ToPartition(l)) {
+						t.Errorf("level %d changed across round trip", l)
+					}
+				}
+				if !db2.Ak.IsMinimum() {
+					t.Errorf("loaded family not minimum")
+				}
+			}
+			// The loaded indexes must keep working under maintenance; in the
+			// both row they share db2.Graph, so only the 1-index takes it.
+			switch {
+			case tc.one:
+				if err := db2.One.InsertEdge(u, v, graph.IDRef); err != nil {
+					t.Fatal(err)
+				}
+				if err := db2.One.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			case tc.ak:
+				if err := db2.Ak.InsertEdge(u, v, graph.IDRef); err != nil {
+					t.Fatal(err)
+				}
+				if !db2.Ak.IsMinimum() {
+					t.Errorf("loaded family lost Theorem 2 after update")
+				}
+			}
+		})
 	}
 }
 
@@ -206,7 +185,7 @@ func TestCompressedRoundTripAndAuto(t *testing.T) {
 			t.Errorf("auto round trip changed shape")
 		}
 	}
-	if _, err := LoadDatabaseCompressed(bytes.NewReader(plain.Bytes())); err == nil {
+	if _, err := loadDatabaseCompressed(bytes.NewReader(plain.Bytes())); err == nil {
 		t.Errorf("plain stream accepted by compressed loader")
 	}
 	if _, err := LoadDatabaseAuto(bytes.NewReader(nil)); err == nil {
@@ -231,23 +210,37 @@ func TestTruncatedStreams(t *testing.T) {
 	}
 }
 
+// spliceDatabase hand-writes a database stream that carries graph g beside
+// the 1-index partition of x — an index over some other graph.
+func spliceDatabase(t *testing.T, g *graph.Graph, x *oneindex.Index) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for _, err := range []error{
+		writeHeader(enc, "database"),
+		enc.Encode(true),  // has 1-index
+		enc.Encode(false), // no A(k)
+		encodeGraph(enc, g),
+		encodeOneIndex(enc, x),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &buf
+}
+
 func TestCorruptPartition(t *testing.T) {
 	g := graph.New()
 	g.AddRoot()
 	g.AddNode("a")
-	// Hand-craft a partition DTO with an out-of-range block id by saving a
-	// valid index and then loading against a graph whose liveness
-	// disagrees.
-	var buf bytes.Buffer
-	x := oneindex.Build(g)
-	if err := SaveOneIndex(&buf, x); err != nil {
-		t.Fatal(err)
-	}
+	// A partition whose liveness disagrees with the graph beside it: same
+	// id space, one node dead.
 	g2 := graph.New()
 	g2.AddRoot()
 	n := g2.AddNode("a")
-	g2.RemoveNode(n) // same id space, different liveness
-	if _, err := LoadOneIndex(&buf, g2); err == nil {
+	g2.RemoveNode(n)
+	if _, err := LoadDatabase(spliceDatabase(t, g2, oneindex.Build(g))); err == nil {
 		t.Errorf("liveness mismatch accepted")
 	}
 }
@@ -263,19 +256,14 @@ func TestLoadErrors(t *testing.T) {
 	if err := SaveGraph(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadOneIndex(bytes.NewReader(buf.Bytes()), g); err == nil {
-		t.Errorf("graph stream accepted as 1-index")
+	if _, err := LoadDatabase(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Errorf("graph stream accepted as database")
 	}
 	// Partition for the wrong graph.
-	var buf2 bytes.Buffer
-	x := oneindex.Build(g)
-	if err := SaveOneIndex(&buf2, x); err != nil {
-		t.Fatal(err)
-	}
 	other := graph.New()
 	other.AddRoot()
 	other.AddNode("extra")
-	if _, err := LoadOneIndex(&buf2, other); err == nil {
+	if _, err := LoadDatabase(spliceDatabase(t, other, oneindex.Build(g))); err == nil {
 		t.Errorf("mismatched graph accepted")
 	}
 }

@@ -79,7 +79,7 @@ func OpenFollower(dir, leaderURL string, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("structix: follower bootstrap: %w", err)
 	}
 
-	seqs, err := listSnapshots(dir)
+	seqs, _, err := listSnapshots(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +116,7 @@ func OpenFollower(dir, leaderURL string, opts Options) (*DB, error) {
 }
 
 // fetchLeaderSnapshot downloads the leader's current snapshot into dir
-// under the name its covered seq dictates, with the same
-// temp+fsync+rename discipline writeSnapshot uses.
+// under the name its covered seq dictates, atomically (writeFileAtomic).
 func fetchLeaderSnapshot(hc *http.Client, leaderURL, dir string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -126,41 +125,23 @@ func fetchLeaderSnapshot(hc *http.Client, leaderURL, dir string) error {
 		return fmt.Errorf("structix: follower bootstrap: %w", err)
 	}
 	defer body.Close()
-	tmp := filepath.Join(dir, snapName(seq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("structix: %w", err)
-	}
-	if _, err := io.Copy(f, body); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("structix: follower bootstrap: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("structix: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("structix: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName(seq))); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("structix: %w", err)
-	}
-	return syncDir(dir)
+	return writeFileAtomic(dir, snapName(seq), func(w io.Writer) error {
+		if _, err := io.Copy(w, body); err != nil {
+			return fmt.Errorf("structix: follower bootstrap: %w", err)
+		}
+		return nil
+	})
 }
 
-// wipeStore removes a follower's local state (snapshots + journal) for
-// a gap-driven re-bootstrap.
+// wipeStore removes a follower's local state (snapshots, their stale temp
+// files, journal) for a gap-driven re-bootstrap.
 func wipeStore(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("structix: %w", err)
 	}
 	for _, e := range entries {
-		if _, ok := parseSnapName(e.Name()); ok {
+		if _, ok := parseSnapName(e.Name()); ok || isSnapTmp(e.Name()) {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 				return fmt.Errorf("structix: %w", err)
 			}

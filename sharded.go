@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -155,10 +156,13 @@ func OpenSharded(dir string, opts Options) (*ShardedDB, error) {
 	// directory exists and is initialized. A crash before this point
 	// leaves a directory the next OpenSharded (same opts) completes.
 	if !hadManifest {
-		if err := os.WriteFile(manifest, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
-			return fail(fmt.Errorf("structix: %w", err))
-		}
-		if err := syncDir(dir); err != nil {
+		err := writeFileAtomic(dir, shardManifest, func(w io.Writer) error {
+			if _, err := io.WriteString(w, strconv.Itoa(n)+"\n"); err != nil {
+				return fmt.Errorf("structix: %w", err)
+			}
+			return nil
+		})
+		if err != nil {
 			return fail(err)
 		}
 	}

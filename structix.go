@@ -498,27 +498,3 @@ func ApplyOps(x opscript.Target, ops []ScriptOp) (OpResult, error) {
 func ApplyOpsShared(g *Graph, ops []ScriptOp, targets ...opscript.EdgeTarget) (OpResult, error) {
 	return opscript.ApplyShared(g, ops, targets...)
 }
-
-// Journal wraps a maintained index with a textual op log; snapshot
-// (SaveDatabase) + journal replay (ReplayOps) reconstructs lost state for
-// the operations the script syntax can express.
-//
-// Deprecated: use Open. The textual journal cannot carry subtree re-add
-// payloads (AddSubgraph) and leaves fsync/recovery/compaction to the
-// caller; the DB's binary write-ahead log (internal/wal) covers every
-// operation and Open replays it automatically.
-type Journal = opscript.Journal
-
-// NewJournal attaches an op log to a maintained index.
-//
-// Deprecated: use Open (see Journal).
-func NewJournal(target opscript.Target, w io.Writer) *Journal {
-	return opscript.NewJournal(target, w)
-}
-
-// ReplayOps applies a journal stream to a snapshot-restored index.
-//
-// Deprecated: use Open (see Journal).
-func ReplayOps(x opscript.Target, r io.Reader) (OpResult, error) {
-	return opscript.Replay(x, r)
-}
