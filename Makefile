@@ -85,6 +85,9 @@ bench-repl:
 
 # One-iteration pass over every benchmark in the module: keeps them
 # compiling and running without paying for stable timings (CI runs this).
+# Includes internal/server's BenchmarkUpdateClosedLoop/writers={1,2,8,32},
+# the commit pipeline's concurrency table (DESIGN.md §6); for its real
+# numbers: go test -run '^$$' -bench UpdateClosedLoop -benchtime 3s ./internal/server
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -83,8 +83,7 @@ func main() {
 		xmark     = flag.Int("xmark", 64, "XMark scale divisor for the bootstrap dataset (when no -load)")
 		cyclicity = flag.Float64("cyclicity", 1, "bootstrap dataset cyclicity")
 		seed      = flag.Int64("seed", 7, "bootstrap dataset seed")
-		window    = flag.Duration("window", 2*time.Millisecond, "group-commit flush deadline")
-		maxBatch  = flag.Int("maxbatch", 256, "flush the commit window at this many pooled edge ops")
+		maxBatch  = flag.Int("maxbatch", 256, "close the commit window at this many pooled edge ops (else when the queue runs dry)")
 		queue     = flag.Int("queue", 1024, "admission queue depth (full queue sheds updates with 429)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
 		shards    = flag.Int("shards", 1, "partition the graph into this many in-process shards")
@@ -177,7 +176,6 @@ func main() {
 	}
 
 	srv := server.NewSharded(sdb, server.Config{
-		Window:     *window,
 		MaxBatch:   *maxBatch,
 		QueueDepth: *queue,
 	})

@@ -83,7 +83,7 @@ type DB struct {
 	idx        Index
 	cur        atomic.Pointer[Snapshot]
 	appliedSeq atomic.Uint64 // journal seq of the last applied record (written under mu)
-	sinceSnap  int           // records since the last on-disk snapshot (under mu)
+	sinceSnap  int           // ops journaled since the compactor was last poked (under mu)
 	closed     bool
 	failed     error // sticky: a journal append failed after apply; store is read-only (under mu)
 
@@ -148,8 +148,13 @@ type Options struct {
 	// Default 64 MiB.
 	SegmentBytes int64
 	// CompactEvery triggers a background snapshot + journal truncation
-	// after this many journal records. Default 4096; negative disables
-	// background compaction (Close still writes a final snapshot).
+	// after this many journaled ops — not records: an edge batch weighs
+	// its ops, a script its applied ops, a grafted subgraph its nodes — so
+	// the journal tail recovery replays is bounded in ops, which is what
+	// replay time is proportional to, however the writes were grouped into
+	// records. A caller committing one op per record sees records == ops.
+	// Default 65536; negative disables background compaction (Close still
+	// writes a final snapshot).
 	CompactEvery int
 	// Bootstrap supplies the initial state for a directory that has no
 	// snapshot yet (a brand-new store). When nil, the store starts as an
@@ -173,7 +178,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.CompactEvery == 0 {
-		o.CompactEvery = 4096
+		o.CompactEvery = 65536
 	}
 	return o
 }
@@ -422,11 +427,11 @@ func (db *DB) noteVisible() {
 	db.seqMu.Unlock()
 }
 
-// noteRecord accounts one journaled record and pokes the compactor when
-// the cadence is due. Callers hold db.mu.
-func (db *DB) noteRecord(seq uint64) {
+// noteRecord accounts one journaled record of the given weight in ops and
+// pokes the compactor when the cadence is due. Callers hold db.mu.
+func (db *DB) noteRecord(seq uint64, ops int) {
 	db.appliedSeq.Store(seq)
-	db.sinceSnap++
+	db.sinceSnap += ops
 	if db.compactReq != nil && db.sinceSnap >= db.opts.CompactEvery {
 		db.sinceSnap = 0
 		select {
@@ -438,16 +443,17 @@ func (db *DB) noteRecord(seq uint64) {
 
 // commit makes a mutation just applied to the live index durable and
 // visible — the tail every write shares: journal it (journal appends the
-// record naming it), account the record, publish the snapshot. A failed
-// append leaves the mutation unpublished and freezes the store (see
-// journalFailed). Callers hold db.mu and have passed their gate.
-func (db *DB) commit(journal func(*wal.Log) (uint64, error)) error {
+// record naming it), account the record's ops toward the compaction
+// cadence, publish the snapshot. A failed append leaves the mutation
+// unpublished and freezes the store (see journalFailed). Callers hold
+// db.mu and have passed their gate.
+func (db *DB) commit(ops int, journal func(*wal.Log) (uint64, error)) error {
 	if db.log != nil {
 		seq, err := journal(db.log)
 		if err != nil {
 			return db.journalFailed(err)
 		}
-		db.noteRecord(seq)
+		db.noteRecord(seq, ops)
 	}
 	db.publish()
 	return nil
@@ -496,7 +502,7 @@ func (db *DB) ApplyBatchWindowed(ops []EdgeOp) error {
 	if err := db.idx.ApplyBatch(ops); err != nil {
 		return err
 	}
-	return db.commit(func(l *wal.Log) (uint64, error) { return l.AppendEdges(ops) })
+	return db.commit(len(ops), func(l *wal.Log) (uint64, error) { return l.AppendEdges(ops) })
 }
 
 // ApplyScriptWindowed runs a script with stop-at-first-error semantics,
@@ -512,7 +518,7 @@ func (db *DB) ApplyScriptWindowed(ops []ScriptOp) (OpResult, error) {
 	if res.Applied == 0 {
 		return res, aerr
 	}
-	if err := db.commit(func(l *wal.Log) (uint64, error) { return l.AppendScript(ops[:res.Applied]) }); err != nil {
+	if err := db.commit(res.Applied, func(l *wal.Log) (uint64, error) { return l.AppendScript(ops[:res.Applied]) }); err != nil {
 		return res, err
 	}
 	return res, aerr
@@ -644,7 +650,7 @@ func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.commit(func(l *wal.Log) (uint64, error) {
+	if err := db.commit(len(names), func(l *wal.Log) (uint64, error) {
 		return l.AppendSubgraph(&wal.SubgraphPayload{
 			Labels:    names,
 			Values:    local.Values,
@@ -674,7 +680,7 @@ func (db *DB) DeleteSubtreeNamed(root NodeID) ([]string, *Subgraph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := db.commit(func(l *wal.Log) (uint64, error) {
+	if err := db.commit(1, func(l *wal.Log) (uint64, error) {
 		return l.AppendScript([]ScriptOp{{Kind: opscript.DelSub, U: root}})
 	}); err != nil {
 		return nil, nil, err

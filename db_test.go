@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"structix/internal/datagen"
 	"structix/internal/graph"
@@ -306,6 +307,68 @@ func TestCompactionPreservesState(t *testing.T) {
 		t.Errorf("clean Close left %d journal records to replay", got)
 	}
 	assertSameState(t, db.Snapshot(), db2.Snapshot())
+}
+
+// The compaction cadence counts journaled ops, not records: however the
+// same writes are grouped, the compactor is poked after the same amount
+// of journaled work — 4 records of 16 ops, or 64 of one.
+func TestCompactionCadenceCountsOps(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		perRec  int
+		records int
+	}{{"16-op batches", 16, 4}, {"single ops", 1, 64}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(t.TempDir(), Options{CompactEvery: 64, Bootstrap: xmarkBootstrap(48)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			rng := rand.New(rand.NewSource(5))
+			var ins []EdgeOp
+			for len(ins) < tc.perRec {
+				ins = insertBatch(rng, db.idx.Graph(), tc.perRec)
+			}
+			del := make([]EdgeOp, len(ins))
+			for i, op := range ins {
+				del[i] = graph.DeleteOp(op.U, op.V)
+			}
+			// Single ops go through InsertEdge/DeleteEdge (the script path:
+			// weight = applied ops), batches through ApplyBatch.
+			write := func(ops []EdgeOp) error {
+				switch {
+				case len(ops) > 1:
+					return db.ApplyBatch(ops)
+				case ops[0].Insert:
+					return db.InsertEdge(ops[0].U, ops[0].V, graph.IDRef)
+				}
+				return db.DeleteEdge(ops[0].U, ops[0].V)
+			}
+			for rec := 1; rec <= tc.records; rec++ {
+				ops := ins
+				if rec%2 == 0 {
+					ops = del
+				}
+				if err := write(ops); err != nil {
+					t.Fatalf("record %d: %v", rec, err)
+				}
+				db.mu.Lock()
+				pending := db.sinceSnap
+				db.mu.Unlock()
+				if want := rec * tc.perRec % 64; pending != want {
+					t.Fatalf("after record %d: %d ops pending toward the cadence, want %d", rec, pending, want)
+				}
+			}
+			// The poke landed on the last record; the compactor is a
+			// background goroutine, so wait for its snapshot.
+			for deadline := time.Now().Add(10 * time.Second); db.Stats().Compactions == 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("no compaction after %d records of %d ops", tc.records, tc.perRec)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 }
 
 func TestInMemoryDB(t *testing.T) {

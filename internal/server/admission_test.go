@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func TestCommitterWaitPrefersBufferedOutcome(t *testing.T) {
 func TestCommitterCloseDrainsQueue(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	store := structix.NewDB(structix.BuildOneIndex(g))
-	c := newCommitter(store, 0, 8, 256, time.Millisecond, newMetrics(1), nil)
+	c := newCommitter(store, 0, 8, 256, newMetrics(1), nil)
 	// Queue a valid edge insert, then close: the drain pass must still
 	// resolve the waiter with a committed outcome.
 	req := &updateReq{
@@ -136,5 +137,130 @@ func TestHealthzWhileDraining(t *testing.T) {
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: %d, want 503", rec.Code)
+	}
+}
+
+// TestCollectIsClockless pins the window rule on a committer whose loop is
+// not running: collect never blocks, takes what is queued in arrival
+// order up to MaxBatch ops, and hands a queued script back as interrupted.
+func TestCollectIsClockless(t *testing.T) {
+	edge := func() *updateReq {
+		return &updateReq{edges: []structix.EdgeOp{structix.InsertOp(2, 4, structix.Tree)}}
+	}
+	collect := func(c *committer, first *updateReq) (batch []*updateReq, interrupted *updateReq) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			batch, interrupted = c.collect(first)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatal("collect blocked")
+		}
+		return batch, interrupted
+	}
+	// An empty queue: the window is the request that opened it.
+	c := stalledCommitter(16)
+	c.maxOps = 256
+	first := edge()
+	if batch, intr := collect(c, first); !slices.Equal(batch, []*updateReq{first}) || intr != nil {
+		t.Fatalf("empty queue: window of %d (interrupted %v), want [first]", len(batch), intr != nil)
+	}
+
+	// k queued edge requests: all of them, in arrival order, up to maxOps.
+	c.maxOps = 5
+	want := []*updateReq{first}
+	for i := 0; i < 7; i++ {
+		r := edge()
+		c.queue <- r
+		if len(want) < c.maxOps {
+			want = append(want, r)
+		}
+	}
+	if batch, intr := collect(c, first); !slices.Equal(batch, want) || intr != nil {
+		t.Fatalf("pre-queued: window of %d (interrupted %v), want the first %d in order", len(batch), intr != nil, len(want))
+	}
+	if left := len(c.queue); left != 3 {
+		t.Fatalf("collect took past MaxBatch: %d requests left in the queue, want 3", left)
+	}
+
+	// A script closes the window: the edges before it commit first.
+	c = stalledCommitter(16)
+	c.maxOps = 256
+	e1, e2, after := edge(), edge(), edge()
+	script := &updateReq{script: []structix.ScriptOp{{}}}
+	for _, r := range []*updateReq{e1, e2, script, after} {
+		c.queue <- r
+	}
+	batch, intr := collect(c, first)
+	if !slices.Equal(batch, []*updateReq{first, e1, e2}) || intr != script {
+		t.Fatalf("script in queue: window of %d, interrupted == script: %v", len(batch), intr == script)
+	}
+	if left := len(c.queue); left != 1 {
+		t.Fatalf("collect read past the script: %d left in the queue, want 1", left)
+	}
+}
+
+// TestCloseFlushRespectsMaxBatch: the shutdown flush is ordinary windows,
+// so a queue filled past MaxBatch drains in capped windows, not one.
+func TestCloseFlushRespectsMaxBatch(t *testing.T) {
+	const maxOps, nReqs = 4, 19
+	g, _, _, _ := gtest.Fig2()
+	store := structix.NewDB(structix.BuildOneIndex(g))
+	c := stalledCommitter(nReqs)
+	c.store, c.maxOps, c.m = store, maxOps, newMetrics(1)
+	// Insert/delete of one absent edge alternate, so any prefix is valid.
+	reqs := make([]*updateReq, nReqs)
+	for i := range reqs {
+		op := structix.InsertOp(2, 4, structix.IDRef)
+		if i%2 == 1 {
+			op = structix.DeleteOp(2, 4)
+		}
+		reqs[i] = &updateReq{edges: []structix.EdgeOp{op}, done: make(chan updateOutcome, 1)}
+		if err := c.submit(reqs[i]); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	go c.run()
+	c.close()
+	for i, r := range reqs {
+		out := c.wait(r)
+		if out.err != nil {
+			t.Fatalf("request %d lost across close: %v", i, out.err)
+		}
+		// The cap plus the ops of the request that crossed it (1 here, and
+		// a 1-op request cannot cross: the window closes exactly at the cap).
+		if out.batchSize > maxOps {
+			t.Fatalf("request %d rode a %d-op final window, MaxBatch is %d", i, out.batchSize, maxOps)
+		}
+	}
+	if got, want := c.m.batches.Load(), int64((nReqs+maxOps-1)/maxOps); got != want {
+		t.Fatalf("flush used %d windows, want %d", got, want)
+	}
+}
+
+// TestLoneWriterNeverWaits: with nobody else in the queue a window closes
+// at once, so sequential single-op updates cost their commit, not a timer.
+func TestLoneWriterNeverWaits(t *testing.T) {
+	g, _, _, _ := gtest.Fig2()
+	s := New(structix.NewDB(structix.BuildOneIndex(g)), Config{})
+	defer s.coms[0].close()
+	bodies := [2]string{
+		`{"ops":[{"op":"insert","u":2,"v":4,"kind":"idref"}]}`,
+		`{"ops":[{"op":"delete","u":2,"v":4}]}`,
+	}
+	start := time.Now()
+	for i := 0; i < 100; i++ {
+		if code, body := postJSON(t, s.Handler(), "/v1/update", bodies[i%2]); code != http.StatusOK {
+			t.Fatalf("update %d: status %d: %s", i, code, body)
+		}
+	}
+	if d := time.Since(start); d > 150*time.Millisecond {
+		t.Fatalf("100 sequential updates took %v: the writer is waiting on something", d)
+	}
+	if p99 := s.m.queueWait.quantileUs(0.99); p99 == 0 || p99 > 10_000 {
+		t.Fatalf("queue-wait p99 %dus after 100 lone updates, want (0, 10ms]", p99)
 	}
 }

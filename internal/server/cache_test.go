@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"structix"
 	"structix/internal/graph"
@@ -22,7 +21,7 @@ import (
 
 func TestQueryCacheHitsOverWire(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
-	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	defer ts.shutdown(t)
 	ctx := context.Background()
 
@@ -77,7 +76,7 @@ func TestQueryCachePreciseInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	defer ts.shutdown(t)
 	ctx := context.Background()
 
@@ -180,7 +179,7 @@ func TestQueryCacheSurvivesSiblingCommit(t *testing.T) {
 	if person == graph.InvalidNode || auction == graph.InvalidNode {
 		t.Fatal("dataset has no person or no open auction selling outside africa")
 	}
-	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	defer ts.shutdown(t)
 	ctx := context.Background()
 
@@ -250,7 +249,7 @@ func TestQueryCacheSurvivesSiblingCommit(t *testing.T) {
 // a stale answer.
 func TestQueryCachePredicatesFlushEveryCommit(t *testing.T) {
 	g, _, _, ids := gtest.Fig2()
-	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	defer ts.shutdown(t)
 	ctx := context.Background()
 

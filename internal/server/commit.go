@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"runtime"
 	"time"
 
 	"structix"
@@ -14,8 +15,8 @@ import (
 // end to end, so shards commit — and fsync — independently. Concurrent
 // update requests land in a bounded admission queue; the shard's single
 // committer goroutine drains it, coalescing
-// edge-only requests into one ApplyBatch per commit window (flushed when
-// the pooled ops reach MaxBatch or when the window deadline expires), so
+// edge-only requests into one ApplyBatch per commit window (closed when
+// the queue runs dry or the pooled ops reach MaxBatch — see collect), so
 // the split phase, the deferred merge pass, and the snapshot publication
 // are all paid once per window instead of once per request. Each waiter
 // gets its own outcome back: when a coalesced batch is rejected, the
@@ -54,6 +55,7 @@ type updateReq struct {
 	script []opscript.Op
 	shard  int
 	orig   []int
+	queued time.Time          // stamped by submit: the start of the queue-wait stage
 	done   chan updateOutcome // buffered(1): the committer never blocks on it
 }
 
@@ -70,7 +72,6 @@ type committer struct {
 	store  *structix.DB // the shard's store handle
 	shard  int          // which shard this pipeline commits to
 	queue  chan *updateReq
-	window time.Duration
 	maxOps int
 	m      *metrics
 	eng    *engine // advanced after every publication (may be nil in tests)
@@ -80,12 +81,11 @@ type committer struct {
 	doneCh  chan struct{} // closed when the loop has exited
 }
 
-func newCommitter(store *structix.DB, shard int, queueDepth, maxOps int, window time.Duration, m *metrics, eng *engine) *committer {
+func newCommitter(store *structix.DB, shard int, queueDepth, maxOps int, m *metrics, eng *engine) *committer {
 	c := &committer{
 		store:   store,
 		shard:   shard,
 		queue:   make(chan *updateReq, queueDepth),
-		window:  window,
 		maxOps:  maxOps,
 		m:       m,
 		eng:     eng,
@@ -118,6 +118,7 @@ func (c *committer) submit(req *updateReq) error {
 		return ErrShuttingDown
 	default:
 	}
+	req.queued = time.Now()
 	select {
 	case c.queue <- req:
 		return nil
@@ -172,17 +173,16 @@ func (c *committer) run() {
 		select {
 		case req := <-c.queue:
 			c.dispatch(req)
+			continue
 		case <-c.quit:
-			// Drain whatever was admitted before quit; nothing new can
-			// arrive because beginClose precedes quit.
-			for {
-				select {
-				case req := <-c.queue:
-					c.dispatch(req)
-				default:
-					return
-				}
-			}
+		}
+		// Quit: keep dispatching what was admitted before it; nothing new
+		// can arrive because beginClose precedes quit.
+		select {
+		case req := <-c.queue:
+			c.dispatch(req)
+		default:
+			return
 		}
 	}
 }
@@ -201,19 +201,19 @@ func (c *committer) dispatch(req *updateReq) {
 	}
 }
 
-// collect coalesces edge requests into the current commit window until the
-// pooled op count reaches maxOps, the window deadline expires, or a script
-// request interrupts (returned separately; it applies after the window
-// commits, preserving arrival order).
+// collect gathers the commit window that first opens: every edge request
+// already queued, then whatever one runtime.Gosched lets the runnable
+// update handlers enqueue (writers the last window's acks just woke), and
+// so on while a yield still produces a request. It stops at maxOps pooled
+// ops, at a script (returned separately; it applies after the window,
+// preserving arrival order), or at the first yield that adds nothing. No
+// clock, no sleep: a lone request commits at once, a loaded server batches
+// what arrived while the previous window applied and fsynced. Shutdown's
+// final flush is this same loop, so maxOps bounds it too.
 func (c *committer) collect(first *updateReq) (batch []*updateReq, interrupted *updateReq) {
 	batch = []*updateReq{first}
 	n := len(first.edges)
-	if n >= c.maxOps {
-		return batch, nil
-	}
-	timer := time.NewTimer(c.window)
-	defer timer.Stop()
-	for n < c.maxOps {
+	for yielded := false; n < c.maxOps; {
 		select {
 		case req := <-c.queue:
 			if req.script != nil {
@@ -221,22 +221,13 @@ func (c *committer) collect(first *updateReq) (batch []*updateReq, interrupted *
 			}
 			batch = append(batch, req)
 			n += len(req.edges)
-		case <-timer.C:
-			return batch, nil
-		case <-c.quit:
-			// Final flush: take what is already queued, then let run's
-			// drain loop see quit again.
-			for {
-				select {
-				case req := <-c.queue:
-					if req.script != nil {
-						return batch, req
-					}
-					batch = append(batch, req)
-				default:
-					return batch, nil
-				}
+			yielded = false
+		default:
+			if yielded {
+				return batch, nil
 			}
+			runtime.Gosched()
+			yielded = true
 		}
 	}
 	return batch, nil
@@ -248,8 +239,10 @@ func (c *committer) collect(first *updateReq) (batch []*updateReq, interrupted *
 // in its own coordinate space.
 func (c *committer) commitEdges(batch []*updateReq) {
 	total := 0
+	start := time.Now() // the window starts applying: every member's queue wait ends
 	for _, r := range batch {
 		total += len(r.edges)
+		c.m.queueWait.observe(start.Sub(r.queued))
 	}
 	ops := make([]graph.EdgeOp, 0, total)
 	for _, r := range batch {
@@ -322,6 +315,7 @@ func (c *committer) commitEdges(batch []*updateReq) {
 // it. The script is its own commit window, so the durability barrier runs
 // before the waiter hears the outcome.
 func (c *committer) applyScript(req *updateReq) {
+	c.m.queueWait.observe(time.Since(req.queued))
 	res, err := c.store.ApplyScriptWindowed(req.script)
 	// Publish only when something actually applied: a script whose every
 	// op was rejected (or that was refused outright — a follower store

@@ -60,7 +60,7 @@ func startReplicaPair(t *testing.T, cfg server.Config) (leader, follower *testSe
 }
 
 func TestServerReplicaServesFreshReads(t *testing.T) {
-	leader, follower, pairs := startReplicaPair(t, server.Config{Window: time.Millisecond})
+	leader, follower, pairs := startReplicaPair(t, server.Config{})
 	ctx := context.Background()
 
 	// Write on the leader; the ack carries the journal seq.
@@ -164,7 +164,7 @@ func fetchMetrics(t *testing.T, base string) string {
 // land on the leader, reads round-robin across both endpoints, and every
 // read observes every acknowledged write.
 func TestReplicaSetReadsOwnWrites(t *testing.T) {
-	leader, follower, pairs := startReplicaPair(t, server.Config{Window: time.Millisecond})
+	leader, follower, pairs := startReplicaPair(t, server.Config{})
 	ctx := context.Background()
 
 	rs := client.NewReplicaSet(leader.url, follower.url)
@@ -211,14 +211,14 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := startServerOn(t, ldb, nil, server.Config{Window: time.Millisecond})
+	leader := startServerOn(t, ldb, nil, server.Config{})
 
 	strategies := []struct {
 		name string
 		cfg  server.Config
 	}{
-		{"cached", server.Config{Window: time.Millisecond}},
-		{"compiled", server.Config{Window: time.Millisecond, QueryCacheEntries: -1}},
+		{"cached", server.Config{}},
+		{"compiled", server.Config{QueryCacheEntries: -1}},
 	}
 	fdbs := make([]*structix.DB, len(strategies))
 	fsrvs := make([]*testServer, len(strategies))
@@ -331,7 +331,7 @@ func fingerprint(t *testing.T, db *structix.DB) string {
 // min_epoch the store cannot reach within the wait bound is a 504 with
 // code replica_stale, not a hang and not a silent stale answer.
 func TestServerMinEpochTimesOutStale(t *testing.T) {
-	leader, _, _ := startReplicaPair(t, server.Config{Window: time.Millisecond})
+	leader, _, _ := startReplicaPair(t, server.Config{})
 	ctx := context.Background()
 
 	st, err := leader.cli.Durability(ctx)

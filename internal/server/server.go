@@ -7,11 +7,11 @@
 // maintenance — with request-context cancellation threaded through the
 // evaluator. Writes (POST /v1/update) go through a group-commit pipeline:
 // concurrent edge-update requests coalesce into one ApplyBatch per commit
-// window (flushed on size or deadline), each waiter gets its per-request
-// outcome (a rejected atomic batch round-trips the offending op index and
-// cause, reconstructible as a typed *graph.BatchError by internal/client),
-// and a bounded admission queue sheds overload with 429 + Retry-After
-// instead of collapsing.
+// window (closed by a dry queue or MaxBatch ops, never a timer), each
+// waiter gets its per-request outcome (a rejected atomic batch round-trips
+// the offending op index and cause, reconstructible as a typed
+// *graph.BatchError by internal/client), and a bounded admission queue
+// sheds overload with 429 + Retry-After instead of collapsing.
 //
 // The server serves a *structix.DB — the durable-store handle — so
 // durability is the store's concern, not the server's: when the DB was
@@ -64,12 +64,9 @@ import (
 
 // Config tunes the serving layer; the zero value serves with defaults.
 type Config struct {
-	// Window is the group-commit flush deadline: how long the committer
-	// waits for more update requests after the first one opens a window.
-	// Default 2ms.
-	Window time.Duration
-	// MaxBatch flushes the window early once this many edge ops have
-	// pooled. Default 256.
+	// MaxBatch closes a commit window once this many edge ops have pooled
+	// (otherwise it closes when the admission queue runs dry); it bounds
+	// how long one window holds the store's writer lock. Default 256.
 	MaxBatch int
 	// QueueDepth bounds each commit pipeline's admission queue (one per
 	// shard); a full queue sheds updates with 429. Default 1024.
@@ -84,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
 	}
@@ -147,7 +141,7 @@ func NewSharded(sdb *structix.ShardedDB, cfg Config) *Server {
 	s.eng = newEngine(sdb, cfg.QueryCacheEntries)
 	s.coms = make([]*committer, sdb.NumShards())
 	for i := range s.coms {
-		s.coms[i] = newCommitter(sdb.Shard(i), i, cfg.QueueDepth, cfg.MaxBatch, cfg.Window, s.m, s.eng)
+		s.coms[i] = newCommitter(sdb.Shard(i), i, cfg.QueueDepth, cfg.MaxBatch, s.m, s.eng)
 	}
 
 	// Replication endpoints: one journal per store means unsharded only
@@ -661,6 +655,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rep.QueueDepth += len(c.queue)
 		rep.QueueCap += cap(c.queue)
 	}
+	rep.QueueWaitP50Us = s.m.queueWait.quantileUs(0.50)
+	rep.QueueWaitP99Us = s.m.queueWait.quantileUs(0.99)
 	cs := s.eng.cacheStats()
 	rep.CacheHits = cs.Hits
 	rep.CacheMisses = cs.Misses

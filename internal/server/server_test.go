@@ -46,7 +46,7 @@ func startServer(t *testing.T, idx *structix.OneIndex, cfg server.Config) *testS
 	return startServerOn(t, structix.NewDB(idx), idx, cfg)
 }
 
-func startServerOn(t *testing.T, db *structix.DB, idx *structix.OneIndex, cfg server.Config) *testServer {
+func startServerOn(t testing.TB, db *structix.DB, idx *structix.OneIndex, cfg server.Config) *testServer {
 	t.Helper()
 	srv := server.New(db, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -59,7 +59,7 @@ func startServerOn(t *testing.T, db *structix.DB, idx *structix.OneIndex, cfg se
 	return &testServer{srv: srv, db: db, idx: idx, cli: client.New(url), url: url, errc: errc}
 }
 
-func (ts *testServer) shutdown(t *testing.T) {
+func (ts *testServer) shutdown(t testing.TB) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -150,7 +150,7 @@ func TestServerConcurrentUpdatesMatchSequentialBatch(t *testing.T) {
 	base := g.Clone()
 	pairs := freshPairs(g, 48, 7)
 	idx := structix.BuildOneIndex(g)
-	ts := startServer(t, idx, server.Config{Window: 3 * time.Millisecond})
+	ts := startServer(t, idx, server.Config{})
 
 	ctx := context.Background()
 	errs := make([]error, len(pairs))
@@ -282,7 +282,7 @@ func TestServerReadersVsCommitLoop(t *testing.T) {
 	g := xmarkTree(512, 5)
 	baseEdges := g.NumEdges()
 	pairs := freshPairs(g, 64, 11)
-	ts := startServer(t, structix.BuildOneIndex(g), server.Config{Window: time.Millisecond})
+	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	ctx := context.Background()
 
 	const rounds = 8
@@ -374,7 +374,7 @@ func TestServerGracefulShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	ts := startServerOn(t, db, nil, server.Config{Window: time.Millisecond})
+	ts := startServerOn(t, db, nil, server.Config{})
 	ctx := context.Background()
 
 	var (

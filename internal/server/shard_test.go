@@ -109,7 +109,7 @@ func TestShardedServerEquivalence(t *testing.T) {
 func TestShardedServerUpdateRouting(t *testing.T) {
 	base := shardedFixture(9)
 	sdb, mapping := structix.NewShardedDB(base, 3)
-	srv := NewSharded(sdb, Config{Window: time.Millisecond})
+	srv := NewSharded(sdb, Config{})
 	defer func() {
 		for _, c := range srv.coms {
 			c.close()
@@ -262,8 +262,10 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 	com := &committer{store: store, m: m,
 		closing: make(chan struct{}), quit: make(chan struct{}), doneCh: make(chan struct{})}
 
+	// queued is what submit would have stamped: commitEdges ends every
+	// member's queue-wait stage when the window starts applying.
 	mk := func(ops ...graph.EdgeOp) *updateReq {
-		return &updateReq{edges: ops, done: make(chan updateOutcome, 1)}
+		return &updateReq{edges: ops, queued: time.Now(), done: make(chan updateOutcome, 1)}
 	}
 
 	// Clean window: one batch, both ops counted, same epoch for both.
@@ -309,6 +311,14 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 	}
 	if got := m.batchedOps.Load(); got != 4 {
 		t.Fatalf("batchedOps after mixed window: %d, want 4", got)
+	}
+	// Queue wait is observed once per member, committed or rejected, and
+	// these members waited microseconds, not a timer's milliseconds.
+	if got := m.queueWait.n.Load(); got != 5 {
+		t.Fatalf("queue-wait observations: %d, want 5", got)
+	}
+	if p99 := m.queueWait.quantileUs(0.99); p99 > 1_000_000 {
+		t.Fatalf("queue-wait p99 %dus for requests stamped just before their window", p99)
 	}
 }
 

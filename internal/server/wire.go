@@ -160,6 +160,10 @@ type StatsReply struct {
 
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
+	// How long an admitted update waited for its commit window to start
+	// applying: the power-of-2 histogram bucket bound holding the quantile.
+	QueueWaitP50Us int64 `json:"queue_wait_p50_us"`
+	QueueWaitP99Us int64 `json:"queue_wait_p99_us"`
 
 	Batches       int64   `json:"batches"`
 	BatchedOps    int64   `json:"batched_ops"`

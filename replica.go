@@ -218,7 +218,11 @@ func (db *DB) ApplyRecord(rec *wal.Record) error {
 	if err := replayRecord(db.idx, rec); err != nil {
 		return fmt.Errorf("structix: replicated %w", err)
 	}
-	return db.commit(func(l *wal.Log) (uint64, error) { return l.AppendRecord(rec) })
+	ops := len(rec.Edges) + len(rec.Script)
+	if rec.Sub != nil {
+		ops += len(rec.Sub.Labels)
+	}
+	return db.commit(ops, func(l *wal.Log) (uint64, error) { return l.AppendRecord(rec) })
 }
 
 // Journal exposes the write-ahead log (nil on an in-memory store) — the
