@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
 
 examples:
@@ -136,9 +137,9 @@ loc:
 # publication allocates must follow what it dirtied, not the graph; not
 # race-enabled), the xsiserve smoke (which covers a 4-shard boot), the
 # replication smoke (leader + 2 replicas, min_epoch read-back), short
-# path-parser and extent-decoder fuzz passes, the shard-, repl- and
-# scale-bench smokes, and a one-iteration smoke pass over every benchmark
-# in the module.
+# path-parser, extent-decoder and frame-reader fuzz passes, the shard-,
+# repl- and scale-bench smokes, and a one-iteration smoke pass over every
+# benchmark in the module.
 ci: build vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
@@ -150,6 +151,7 @@ ci: build vet
 	$(GO) run ./cmd/xsibench -exp shard -scale 64
 	$(GO) run ./cmd/xsibench -exp repl
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -30,25 +30,8 @@ var readOnlyAccessors = map[string]bool{
 // `sort.Slice(s.ISucc(i), ...)`); indirect aliasing through locals is
 // covered by the runtime copy tests next to the Snapshot implementation.
 func TestNoCallerMutatesSharedViews(t *testing.T) {
-	fset := token.NewFileSet()
 	var violations []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -79,16 +62,43 @@ func TestNoCallerMutatesSharedViews(t *testing.T) {
 			}
 			return true
 		})
+	})
+	for _, v := range violations {
+		t.Errorf("shared snapshot storage mutated: %s", v)
+	}
+}
+
+// eachGoFile parses every .go file of the module (hidden and testdata
+// directories skipped) and hands it to fn — the walk the vet-style source
+// scans share.
+func eachGoFile(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		fn(fset, path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range violations {
-		t.Errorf("shared snapshot storage mutated: %s", v)
-	}
 	if _, err := os.Stat("internal/snap/snap.go"); err != nil {
-		t.Fatal("scan ran outside the module root; accessor check covered nothing")
+		t.Fatal("scan ran outside the module root; it covered nothing")
 	}
 }
 

@@ -382,25 +382,32 @@ func replayRecord(x Index, rec *wal.Record) error {
 			return fmt.Errorf("record %d: script stopped at op %d of %d", rec.Seq, res.Applied, len(rec.Script))
 		}
 	case wal.RecSubgraph:
-		in := x.Graph().Labels()
-		sg := &Subgraph{
-			Labels:    make([]graph.LabelID, len(rec.Sub.Labels)),
-			Values:    rec.Sub.Values,
-			Edges:     rec.Sub.Edges,
-			EdgeKinds: rec.Sub.EdgeKinds,
-			CrossIn:   rec.Sub.CrossIn,
-			CrossOut:  rec.Sub.CrossOut,
-		}
-		for i, name := range rec.Sub.Labels {
-			sg.Labels[i] = in.Intern(name)
-		}
-		if _, err := x.AddSubgraph(sg); err != nil {
+		if _, err := graftPayload(x, rec.Sub); err != nil {
 			return fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
 	default:
 		return fmt.Errorf("record %d: unknown kind %v", rec.Seq, rec.Kind)
 	}
 	return nil
+}
+
+// graftPayload grafts a journal-form subgraph onto x, interning its label
+// names in x's graph — the one conversion behind the live write, recovery
+// and a follower's apply.
+func graftPayload(x Index, p *wal.SubgraphPayload) ([]NodeID, error) {
+	in := x.Graph().Labels()
+	sg := &Subgraph{
+		Labels:    make([]graph.LabelID, len(p.Labels)),
+		Values:    p.Values,
+		Edges:     p.Edges,
+		EdgeKinds: p.EdgeKinds,
+		CrossIn:   p.CrossIn,
+		CrossOut:  p.CrossOut,
+	}
+	for i, name := range p.Labels {
+		sg.Labels[i] = in.Intern(name)
+	}
+	return x.AddSubgraph(sg)
 }
 
 // ---- write path ----
@@ -640,26 +647,19 @@ func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
 	if err := db.writeErr(); err != nil {
 		return nil, err
 	}
-	in := db.idx.Graph().Labels()
-	local := *sg
-	local.Labels = make([]graph.LabelID, len(names))
-	for i, name := range names {
-		local.Labels[i] = in.Intern(name)
+	p := &wal.SubgraphPayload{
+		Labels:    names,
+		Values:    sg.Values,
+		Edges:     sg.Edges,
+		EdgeKinds: sg.EdgeKinds,
+		CrossIn:   sg.CrossIn,
+		CrossOut:  sg.CrossOut,
 	}
-	ids, err := db.idx.AddSubgraph(&local)
+	ids, err := graftPayload(db.idx, p)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.commit(len(names), func(l *wal.Log) (uint64, error) {
-		return l.AppendSubgraph(&wal.SubgraphPayload{
-			Labels:    names,
-			Values:    local.Values,
-			Edges:     local.Edges,
-			EdgeKinds: local.EdgeKinds,
-			CrossIn:   local.CrossIn,
-			CrossOut:  local.CrossOut,
-		})
-	}); err != nil {
+	if err := db.commit(len(names), func(l *wal.Log) (uint64, error) { return l.AppendSubgraph(p) }); err != nil {
 		return nil, err
 	}
 	return ids, db.EndWindow()
@@ -893,19 +893,7 @@ func writeFileAtomic(dir, name string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return fmt.Errorf("structix: %w", err)
 	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("structix: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("structix: %w", err)
-	}
-	return nil
+	return wal.SyncDir(dir)
 }
 
 // Close seals the store: writes stop, a final snapshot pins the current

@@ -369,24 +369,6 @@ func (x *Index) IntraSucc(I INodeID) []INodeID {
 	return append([]INodeID(nil), x.nodes[I].intraSucc.IDs...)
 }
 
-// IntraPred returns the A(k) intra-iedge predecessors of a level-k inode,
-// sorted.
-func (x *Index) IntraPred(I INodeID) []INodeID {
-	return append([]INodeID(nil), x.nodes[I].intraPred.IDs...)
-}
-
-// InterSucc returns the inter-iedge successors (level l+1) of a level-l
-// inode, sorted.
-func (x *Index) InterSucc(I INodeID) []INodeID {
-	return append([]INodeID(nil), x.nodes[I].succB.IDs...)
-}
-
-// InterPred returns the inter-iedge predecessors (level l−1) of a level-l
-// inode, sorted. These are I's index parents in the A(l−1)-index.
-func (x *Index) InterPred(I INodeID) []INodeID {
-	return append([]INodeID(nil), x.nodes[I].predB.IDs...)
-}
-
 // IntraSuccAt returns the intra-iedge successors of inode I *within its
 // own level* l < k — the "optional" §6 structure that speeds up evaluation
 // of expressions shorter than k. Nothing extra is stored: a level-l

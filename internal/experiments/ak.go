@@ -20,18 +20,6 @@ type AkConfig struct {
 	Seed        int64
 }
 
-// DefaultAkConfig returns the paper's §7.2 parameters.
-func DefaultAkConfig(seed int64) AkConfig {
-	return AkConfig{
-		Ks:          []int{2, 3, 4, 5},
-		Pairs:       1000,
-		RemoveFrac:  0.2,
-		SampleEvery: 100,
-		Threshold:   baseline.DefaultReconstructThreshold,
-		Seed:        seed,
-	}
-}
-
 // AkResult carries one (dataset, k) cell of Figure 13 and Tables 1-2.
 type AkResult struct {
 	Dataset string

@@ -171,19 +171,6 @@ func RandomNonEdge(rng *rand.Rand, g *graph.Graph) (u, v graph.NodeID, ok bool) 
 	return 0, 0, false
 }
 
-// RandomEdge returns a uniformly chosen existing edge. It does not check
-// that deleting the edge keeps every node reachable; callers that need a
-// rooted graph should prefer deleting IDREF edges. ok is false if the graph
-// has no edges.
-func RandomEdge(rng *rand.Rand, g *graph.Graph) (u, v graph.NodeID, ok bool) {
-	edges := g.EdgeListAll()
-	if len(edges) == 0 {
-		return 0, 0, false
-	}
-	e := edges[rng.Intn(len(edges))]
-	return e[0], e[1], true
-}
-
 // RandomOpBatch generates up to n edge operations that are valid when
 // applied in order, mutating sim (a scratch clone of the target graph) as
 // it goes: insertions pick current non-edges, deletions pick IDREF edges

@@ -307,13 +307,6 @@ func (x *Index) EachISucc(I INodeID, fn func(J INodeID)) {
 	}
 }
 
-// EachIPred calls fn for every index predecessor of I, in increasing order.
-func (x *Index) EachIPred(I INodeID, fn func(J INodeID)) {
-	for _, j := range x.inodes[I].pred.IDs {
-		fn(j)
-	}
-}
-
 // ISucc returns the index successors of I, sorted. Like Extent, the
 // returned slice is freshly allocated and owned by the caller.
 func (x *Index) ISucc(I INodeID) []INodeID {

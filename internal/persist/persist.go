@@ -8,6 +8,20 @@
 // index (§3), and loading through the ordinary constructors re-derives
 // extents, iedges and counts, so a loaded index passes the same structural
 // validation as a built one.
+//
+// # One encoder
+//
+// Each stream kind has one writer. graphToDTO is the only graph encoder: it
+// reads a live *graph.Graph and an immutable *graph.Frozen through the same
+// graphView, and numbers labels in first-seen NodeID order, so the loaded
+// graph's LabelIDs may differ from the live graph's while names, values,
+// NodeIDs (dead slots included), edges, the root and the self-loop policy
+// are preserved exactly. writeDatabase is the only writer of a "database"
+// stream (header, hasOne, hasAk, graph, partitions). SaveDatabase and
+// SaveSnapshot differ only in where the partition comes from — the live
+// index's ToPartition versus a snapshot's extents — and a stream written
+// by either loads with LoadDatabase / LoadDatabaseAuto, as do streams from
+// before the encoders were folded (label table in interner order).
 package persist
 
 import (
@@ -62,8 +76,16 @@ type partitionDTO struct {
 // ahead of what they decode, so nesting fresh decoders on one reader would
 // lose bytes.
 
-func writeHeader(enc *gob.Encoder, kind string) error {
-	return enc.Encode(header{Magic: magic, Version: version, Kind: kind})
+// encodeStream writes a header of the given kind, then each part, through
+// one encoder.
+func encodeStream(w io.Writer, kind string, parts ...any) error {
+	enc := gob.NewEncoder(w)
+	for _, p := range append([]any{header{Magic: magic, Version: version, Kind: kind}}, parts...) {
+		if err := enc.Encode(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func readHeader(dec *gob.Decoder, kind string) error {
@@ -86,11 +108,7 @@ func readHeader(dec *gob.Decoder, kind string) error {
 // SaveGraph writes the graph, preserving NodeIDs exactly (including dead
 // slots), so persisted indexes remain valid against the loaded graph.
 func SaveGraph(w io.Writer, g *graph.Graph) error {
-	enc := gob.NewEncoder(w)
-	if err := writeHeader(enc, "graph"); err != nil {
-		return err
-	}
-	return encodeGraph(enc, g)
+	return encodeStream(w, "graph", graphToDTO(g))
 }
 
 // LoadGraph reads a graph written by SaveGraph.
@@ -102,10 +120,6 @@ func LoadGraph(r io.Reader) (*graph.Graph, error) {
 	return decodeGraph(dec)
 }
 
-func encodeGraph(enc *gob.Encoder, g *graph.Graph) error {
-	return enc.Encode(graphToDTO(g))
-}
-
 func decodeGraph(dec *gob.Decoder) (*graph.Graph, error) {
 	var dto graphDTO
 	if err := dec.Decode(&dto); err != nil {
@@ -114,25 +128,47 @@ func decodeGraph(dec *gob.Decoder) (*graph.Graph, error) {
 	return graphFromDTO(&dto)
 }
 
-func graphToDTO(g *graph.Graph) *graphDTO {
-	labels := make([]string, g.Labels().Len())
-	for i := range labels {
-		labels[i] = g.Labels().Name(graph.LabelID(i))
-	}
+// graphView is what the encoder reads of a graph; *graph.Graph and
+// *graph.Frozen both satisfy it.
+type graphView interface {
+	Root() graph.NodeID
+	MaxNodeID() graph.NodeID
+	Alive(graph.NodeID) bool
+	LabelName(graph.NodeID) string
+	Value(graph.NodeID) string
+	EachSucc(graph.NodeID, func(graph.NodeID, graph.EdgeKind))
+	AllowSelfLoops() bool
+}
+
+func graphToDTO(g graphView) *graphDTO {
 	dto := &graphDTO{
-		Labels: labels,
-		Root:   int32(g.Root()),
-		Nodes:  make([]nodeDTO, g.MaxNodeID()),
+		Root:       int32(g.Root()),
+		AllowLoops: g.AllowSelfLoops(),
+		Nodes:      make([]nodeDTO, g.MaxNodeID()),
 	}
-	g.EachNode(func(v graph.NodeID) {
-		n := &dto.Nodes[v]
+	// The view carries label names, not interner ids: build the label
+	// table in first-seen order.
+	ids := make(map[string]int32)
+	for i := range dto.Nodes {
+		v := graph.NodeID(i)
+		if !g.Alive(v) {
+			continue
+		}
+		name := g.LabelName(v)
+		id, ok := ids[name]
+		if !ok {
+			id = int32(len(dto.Labels))
+			dto.Labels = append(dto.Labels, name)
+			ids[name] = id
+		}
+		n := &dto.Nodes[i]
 		n.Alive = true
-		n.Label = int32(g.Label(v))
+		n.Label = id
 		n.Value = g.Value(v)
 		g.EachSucc(v, func(w graph.NodeID, kind graph.EdgeKind) {
 			n.Succ = append(n.Succ, edgeDTO{To: int32(w), Kind: uint8(kind)})
 		})
-	})
+	}
 	return dto
 }
 
@@ -181,36 +217,17 @@ func graphFromDTO(dto *graphDTO) (*graph.Graph, error) {
 	return g, nil
 }
 
-// A 1-index is persisted as its dnode partition.
-func encodeOneIndex(enc *gob.Encoder, x *oneindex.Index) error {
-	return enc.Encode(partToDTO(x.ToPartition()))
-}
-
-func decodeOneIndex(dec *gob.Decoder, g *graph.Graph) (*oneindex.Index, error) {
+// decodePartition reads one partition and checks it against the graph it
+// sits beside.
+func decodePartition(dec *gob.Decoder, g *graph.Graph) (*partition.Partition, error) {
 	var dto partitionDTO
 	if err := dec.Decode(&dto); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	p, err := partFromDTO(&dto, g)
-	if err != nil {
-		return nil, err
-	}
-	return oneindex.FromPartition(g, p), nil
+	return partFromDTO(&dto, g)
 }
 
 // An A(k) family is persisted as k followed by its k+1 level partitions.
-func encodeAkIndex(enc *gob.Encoder, x *akindex.Index) error {
-	if err := enc.Encode(x.K()); err != nil {
-		return err
-	}
-	for l := 0; l <= x.K(); l++ {
-		if err := enc.Encode(partToDTO(x.ToPartition(l))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func decodeAkIndex(dec *gob.Decoder, g *graph.Graph) (*akindex.Index, error) {
 	var k int
 	if err := dec.Decode(&k); err != nil {
@@ -220,12 +237,8 @@ func decodeAkIndex(dec *gob.Decoder, g *graph.Graph) (*akindex.Index, error) {
 		return nil, fmt.Errorf("persist: implausible k=%d", k)
 	}
 	levels := make([]*partition.Partition, k+1)
-	for l := 0; l <= k; l++ {
-		var dto partitionDTO
-		if err := dec.Decode(&dto); err != nil {
-			return nil, fmt.Errorf("persist: level %d: %w", l, err)
-		}
-		p, err := partFromDTO(&dto, g)
+	for l := range levels {
+		p, err := decodePartition(dec, g)
 		if err != nil {
 			return nil, fmt.Errorf("persist: level %d: %w", l, err)
 		}
@@ -276,9 +289,14 @@ type Database struct {
 // distinguished by gzip's own magic bytes, so LoadDatabaseAuto accepts
 // either.
 func SaveDatabaseCompressed(w io.Writer, db *Database) error {
+	return gzipped(w, func(zw io.Writer) error { return SaveDatabase(zw, db) })
+}
+
+// gzipped runs save through a gzip layer over w. A save that fails is not
+// closed, so one that fails before its first byte leaves w untouched.
+func gzipped(w io.Writer, save func(io.Writer) error) error {
 	zw := gzip.NewWriter(w)
-	if err := SaveDatabase(zw, db); err != nil {
-		zw.Close()
+	if err := save(zw); err != nil {
 		return err
 	}
 	return zw.Close()
@@ -310,30 +328,34 @@ func LoadDatabaseAuto(r io.Reader) (*Database, error) {
 
 // SaveDatabase writes graph + optional indexes to one stream.
 func SaveDatabase(w io.Writer, db *Database) error {
-	enc := gob.NewEncoder(w)
-	if err := writeHeader(enc, "database"); err != nil {
-		return err
-	}
-	if err := enc.Encode(db.One != nil); err != nil {
-		return err
-	}
-	if err := enc.Encode(db.Ak != nil); err != nil {
-		return err
-	}
-	if err := encodeGraph(enc, db.Graph); err != nil {
-		return err
-	}
+	var one *partitionDTO
+	var ak []*partitionDTO
 	if db.One != nil {
-		if err := encodeOneIndex(enc, db.One); err != nil {
-			return err
-		}
+		one = partToDTO(db.One.ToPartition())
 	}
 	if db.Ak != nil {
-		if err := encodeAkIndex(enc, db.Ak); err != nil {
-			return err
+		for l := 0; l <= db.Ak.K(); l++ {
+			ak = append(ak, partToDTO(db.Ak.ToPartition(l)))
 		}
 	}
-	return nil
+	return writeDatabase(w, db.Graph, one, ak)
+}
+
+// writeDatabase is the one writer of a "database" stream: hasOne, hasAk,
+// the graph, then the 1-index partition and the A(k) family (k, then its
+// k+1 level partitions), each if present.
+func writeDatabase(w io.Writer, g graphView, one *partitionDTO, ak []*partitionDTO) error {
+	parts := []any{one != nil, ak != nil, graphToDTO(g)}
+	if one != nil {
+		parts = append(parts, one)
+	}
+	if ak != nil {
+		parts = append(parts, len(ak)-1)
+		for _, p := range ak {
+			parts = append(parts, p)
+		}
+	}
+	return encodeStream(w, "database", parts...)
 }
 
 // LoadDatabase reads a stream written by SaveDatabase. The indexes are
@@ -355,10 +377,12 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		return nil, err
 	}
 	db := &Database{Graph: g}
-	if hasOne {
-		if db.One, err = decodeOneIndex(dec, g); err != nil {
+	if hasOne { // a 1-index is persisted as its dnode partition
+		p, err := decodePartition(dec, g)
+		if err != nil {
 			return nil, err
 		}
+		db.One = oneindex.FromPartition(g, p)
 	}
 	if hasAk {
 		if db.Ak, err = decodeAkIndex(dec, g); err != nil {

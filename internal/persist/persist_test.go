@@ -2,7 +2,7 @@ package persist
 
 import (
 	"bytes"
-	"encoding/gob"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,6 +22,11 @@ func TestGraphRoundTrip(t *testing.T) {
 	// Punch holes in the NodeID space.
 	g.RemoveNode(g.Nodes()[10])
 	g.RemoveNode(g.Nodes()[20])
+	// A self-loop, which only a graph carrying the policy bit can reload.
+	g.SetAllowSelfLoops(true)
+	if err := g.AddEdge(g.Nodes()[5], g.Nodes()[5], graph.IDRef); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := SaveGraph(&buf, g); err != nil {
@@ -33,6 +38,9 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 	if err := g2.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !g2.AllowSelfLoops() {
+		t.Fatal("self-loop policy lost across round trip")
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() ||
 		g2.NumIDRefEdges() != g.NumIDRefEdges() || g2.Root() != g.Root() {
@@ -59,17 +67,26 @@ func TestGraphRoundTrip(t *testing.T) {
 // partitions, validate, and keep working under maintenance afterwards.
 func TestDatabaseRoundTrip(t *testing.T) {
 	const k = 3
+	xmark := func(*testing.T) *graph.Graph { return datagen.XMark(datagen.DefaultXMark(256, 1, 2)) }
 	for _, tc := range []struct {
 		name    string
 		one, ak bool
+		graph   func(*testing.T) *graph.Graph
+		save    func(io.Writer, *Database) error
 	}{
-		{"one only", true, false},
-		{"ak only", false, true},
-		{"both", true, true},
-		{"neither", false, false},
+		{"one only", true, false, xmark, SaveDatabase},
+		{"ak only", false, true, xmark, SaveDatabase},
+		{"both", true, true, xmark, SaveDatabase},
+		{"neither", false, false, xmark, SaveDatabase},
+		// A graph that permits self-loops and has one: the policy bit must
+		// travel with it, or the loader rejects the a→a edge.
+		{"self loop", true, false, selfLoopGraph, SaveDatabase},
+		// A stream laid out the way SaveDatabase wrote it before the
+		// encoders were folded: label table in interner order.
+		{"parent format", true, false, xmark, saveParentFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := datagen.XMark(datagen.DefaultXMark(256, 1, 2))
+			g := tc.graph(t)
 			db := &Database{Graph: g}
 			rng := rand.New(rand.NewSource(2))
 			if tc.one {
@@ -87,12 +104,15 @@ func TestDatabaseRoundTrip(t *testing.T) {
 				db.Ak = akindex.Build(g, k)
 			}
 			var buf bytes.Buffer
-			if err := SaveDatabase(&buf, db); err != nil {
+			if err := tc.save(&buf, db); err != nil {
 				t.Fatal(err)
 			}
 			db2, err := LoadDatabase(&buf)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if db2.Graph.AllowSelfLoops() != g.AllowSelfLoops() {
+				t.Fatalf("loaded AllowSelfLoops = %v, saved %v", db2.Graph.AllowSelfLoops(), g.AllowSelfLoops())
 			}
 			if (db2.One != nil) != tc.one || (db2.Ak != nil) != tc.ak {
 				t.Fatalf("loaded one=%v ak=%v, saved one=%v ak=%v", db2.One != nil, db2.Ak != nil, tc.one, tc.ak)
@@ -210,24 +230,42 @@ func TestTruncatedStreams(t *testing.T) {
 	}
 }
 
-// spliceDatabase hand-writes a database stream that carries graph g beside
-// the 1-index partition of x — an index over some other graph.
-func spliceDatabase(t *testing.T, g *graph.Graph, x *oneindex.Index) *bytes.Buffer {
+// selfLoopGraph is the XMark graph with the self-loop policy on and an
+// a→a IDREF on one of its nodes.
+func selfLoopGraph(t *testing.T) *graph.Graph {
+	g := datagen.XMark(datagen.DefaultXMark(256, 1, 2))
+	g.SetAllowSelfLoops(true)
+	a := g.Nodes()[g.NumNodes()/2]
+	if err := g.AddEdge(a, a, graph.IDRef); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// spliceDatabase hand-writes a database stream that carries the graph gdto
+// beside the 1-index partition of x — an index over some other graph, or a
+// graph encoding the current writer would not produce.
+func spliceDatabase(t *testing.T, gdto *graphDTO, x *oneindex.Index) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, err := range []error{
-		writeHeader(enc, "database"),
-		enc.Encode(true),  // has 1-index
-		enc.Encode(false), // no A(k)
-		encodeGraph(enc, g),
-		encodeOneIndex(enc, x),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := encodeStream(&buf, "database", true, false, gdto, partToDTO(x.ToPartition())); err != nil {
+		t.Fatal(err)
 	}
 	return &buf
+}
+
+// saveParentFormat splices db (graph + 1-index) the way SaveDatabase laid
+// a stream out before the fold: every interned label, by LabelID, whether
+// or not a node carries it.
+func saveParentFormat(w io.Writer, db *Database) error {
+	g := db.Graph
+	gdto := graphToDTO(g)
+	gdto.Labels = make([]string, g.Labels().Len())
+	for i := range gdto.Labels {
+		gdto.Labels[i] = g.Labels().Name(graph.LabelID(i))
+	}
+	g.EachNode(func(v graph.NodeID) { gdto.Nodes[v].Label = int32(g.Label(v)) })
+	return encodeStream(w, "database", true, false, gdto, partToDTO(db.One.ToPartition()))
 }
 
 func TestCorruptPartition(t *testing.T) {
@@ -240,7 +278,7 @@ func TestCorruptPartition(t *testing.T) {
 	g2.AddRoot()
 	n := g2.AddNode("a")
 	g2.RemoveNode(n)
-	if _, err := LoadDatabase(spliceDatabase(t, g2, oneindex.Build(g))); err == nil {
+	if _, err := LoadDatabase(spliceDatabase(t, graphToDTO(g2), oneindex.Build(g))); err == nil {
 		t.Errorf("liveness mismatch accepted")
 	}
 }
@@ -263,7 +301,7 @@ func TestLoadErrors(t *testing.T) {
 	other := graph.New()
 	other.AddRoot()
 	other.AddNode("extra")
-	if _, err := LoadDatabase(spliceDatabase(t, other, oneindex.Build(g))); err == nil {
+	if _, err := LoadDatabase(spliceDatabase(t, graphToDTO(other), oneindex.Build(g))); err == nil {
 		t.Errorf("mismatched graph accepted")
 	}
 }

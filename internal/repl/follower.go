@@ -42,8 +42,6 @@ type Config struct {
 	// MinBackoff..MaxBackoff bound the jittered exponential reconnect
 	// backoff. Defaults 100ms and 5s.
 	MinBackoff, MaxBackoff time.Duration
-	// Heartbeat only matters for tests that shrink timings.
-	_ struct{}
 }
 
 func (c Config) withDefaults() Config {
@@ -248,7 +246,7 @@ func (r *Runner) streamOnce() (healthy bool, err error) {
 	r.setState("streaming")
 
 	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	var buf []byte
+	fr := wal.NewFrameReader(br, from)
 	pendingWindow := false
 	for {
 		// Burst drained: close the commit window (group fsync under the
@@ -260,19 +258,14 @@ func (r *Runner) streamOnce() (healthy bool, err error) {
 			}
 			pendingWindow = false
 		}
-		payload, b, rerr := readFrame(br, buf)
-		buf = b
+		seq, kind, payload, rerr := fr.Next()
 		if rerr != nil {
 			if ctx.Err() != nil {
 				return healthy, nil // stopped or canceled, not a stream fault
 			}
-			// EOF, short read or CRC mismatch: a torn stream. Reconnect and
-			// resume from our own seq.
+			// EOF, short read, CRC mismatch or a seq out of line: a torn
+			// stream. Reconnect and resume from our own seq.
 			return healthy, rerr
-		}
-		seq, kind, derr := wal.DecodePayloadHeader(payload)
-		if derr != nil {
-			return healthy, derr
 		}
 		if seq == 0 { // control frame
 			if kind == ctrlHeartbeat {
@@ -292,9 +285,6 @@ func (r *Runner) streamOnce() (healthy bool, err error) {
 		rec, derr := wal.DecodePayload(payload)
 		if derr != nil {
 			return healthy, derr
-		}
-		if rec.Seq <= r.ap.Seq() {
-			continue // reconnect overlap: already applied
 		}
 		if err := r.ap.ApplyRecord(rec); err != nil {
 			return healthy, fmt.Errorf("repl: apply record %d: %w", rec.Seq, err)

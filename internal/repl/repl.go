@@ -3,8 +3,9 @@
 //
 // The wire format IS the journal format. A leader streams the exact
 // on-disk frame bytes ([4-byte length][4-byte CRC-32C][payload]) off
-// its WAL over a chunked HTTP response; a follower validates each
-// frame's CRC (torn-stream tolerance for free), decodes the record,
+// its WAL over a chunked HTTP response; a follower reads them back with
+// the journal's own reader (wal.FrameReader: length bounds, CRC and seq
+// continuity — torn-stream tolerance for free), decodes the record,
 // applies it through the store's normal apply→append→publish pipeline
 // into its *own* journal — preserving sequence numbers — and so ends up
 // with a frame-identical journal and a bit-identical index. Recovery on
@@ -79,16 +80,12 @@ type State struct {
 const ctrlHeartbeat = 0
 
 // heartbeatFrame encodes a control frame carrying the leader's ship seq
-// and wall clock.
+// and wall clock, sealed by the journal's own frame writer.
 func heartbeatFrame(ship uint64, now time.Time) []byte {
-	payload := binary.AppendUvarint(nil, 0) // seq 0: control
-	payload = append(payload, ctrlHeartbeat)
-	payload = binary.AppendUvarint(payload, ship)
-	payload = binary.AppendUvarint(payload, uint64(now.UnixNano()))
-	frame := make([]byte, wal.FrameHeaderBytes, wal.FrameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], wal.FrameChecksum(payload))
-	return append(frame, payload...)
+	b := wal.StartFrame(nil, 0, ctrlHeartbeat) // seq 0: control
+	b = binary.AppendUvarint(b, ship)
+	b = binary.AppendUvarint(b, uint64(now.UnixNano()))
+	return wal.SealFrame(b)
 }
 
 // decodeHeartbeat reads the body of a control frame (after the seq-0
@@ -103,36 +100,6 @@ func decodeHeartbeat(body []byte) (ship uint64, at time.Time, err error) {
 		return 0, time.Time{}, fmt.Errorf("repl: bad heartbeat frame")
 	}
 	return ship, time.Unix(0, int64(nanos)), nil
-}
-
-// readFrame reads one frame (header + payload) off the stream into buf,
-// re-validating the CRC. A short read or checksum mismatch is a torn
-// stream: the caller drops the connection and resumes from its last
-// applied seq.
-func readFrame(r io.Reader, buf []byte) (payload []byte, rest []byte, err error) {
-	if cap(buf) < wal.FrameHeaderBytes {
-		buf = make([]byte, wal.FrameHeaderBytes, 4096)
-	}
-	hdr := buf[:wal.FrameHeaderBytes]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, buf, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	if n == 0 || n > wal.MaxFramePayload {
-		return nil, buf, fmt.Errorf("repl: implausible frame length %d", n)
-	}
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, buf, err
-	}
-	if wal.FrameChecksum(payload) != want {
-		return nil, buf, fmt.Errorf("repl: frame CRC mismatch (torn stream)")
-	}
-	return payload, buf, nil
 }
 
 // FetchState asks a leader for its stream position.

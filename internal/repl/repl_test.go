@@ -119,11 +119,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHeartbeatFrameRoundTrip(t *testing.T) {
 	now := time.Unix(1700000000, 123456789)
 	frame := heartbeatFrame(42, now)
-	payload, _, err := readFrame(bytes.NewReader(frame), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, kind, err := wal.DecodePayloadHeader(payload)
+	seq, kind, payload, err := wal.NewFrameReader(bytes.NewReader(frame), 1).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +132,6 @@ func TestHeartbeatFrameRoundTrip(t *testing.T) {
 	}
 	if ship != 42 || !at.Equal(now) {
 		t.Fatalf("heartbeat decoded to (%d, %v), want (42, %v)", ship, at, now)
-	}
-}
-
-func TestReadFrameRejectsTornAndCorrupt(t *testing.T) {
-	frame := heartbeatFrame(7, time.Unix(1, 0))
-	// Torn mid-payload: an EOF, not garbage.
-	if _, _, err := readFrame(bytes.NewReader(frame[:len(frame)-2]), nil); err == nil {
-		t.Fatal("torn frame read back cleanly")
-	}
-	// Flipped payload byte: CRC catches it.
-	bad := append([]byte(nil), frame...)
-	bad[len(bad)-1] ^= 0xff
-	if _, _, err := readFrame(bytes.NewReader(bad), nil); err == nil {
-		t.Fatal("corrupt frame read back cleanly")
 	}
 }
 

@@ -9,27 +9,11 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
-
-// FrameHeaderBytes is the size of the on-disk frame header (4-byte
-// little-endian payload length + 4-byte CRC-32C of the payload).
-const FrameHeaderBytes = frameHeader
-
-// MaxFramePayload is the sanity bound on a single frame payload.
-const MaxFramePayload = maxFrame
-
-// FrameChecksum returns the CRC-32C (Castagnoli) of a frame payload —
-// the checksum the frame header carries.
-func FrameChecksum(payload []byte) uint32 {
-	return crc32.Checksum(payload, castagnoli)
-}
 
 // Watch returns a channel that is closed the next time the journal
 // grows or its durable horizon advances. Callers park on the channel,
@@ -74,6 +58,10 @@ func (l *Log) ShipSeq() uint64 {
 func (l *Log) OldestSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.oldestLocked()
+}
+
+func (l *Log) oldestLocked() uint64 {
 	for _, seg := range l.segs {
 		if seg.last >= seg.first {
 			return seg.first
@@ -83,98 +71,43 @@ func (l *Log) OldestSeq() uint64 {
 }
 
 // ReplayRaw streams the exact on-disk frame bytes (header + payload,
-// CRC re-validated) of every record with from ≤ seq ≤ to, in order.
-// The buffer passed to fn is reused across calls. Like Replay it fails
-// with ErrGap when the journal no longer reaches back to from — also
-// when compaction removes a segment mid-replay.
+// re-validated by ReadFrame) of every record with from ≤ seq ≤ to, in
+// order. The buffer passed to fn is reused across calls. It fails with
+// ErrGap when the journal no longer reaches back to from — also when
+// compaction removes a segment mid-replay.
 func (l *Log) ReplayRaw(from, to uint64, fn func(seq uint64, frame []byte) error) error {
 	if to < from {
 		return nil
 	}
 	l.mu.Lock()
 	segs := append([]segInfo(nil), l.segs...)
-	next := l.nextSeq
+	next, oldest := l.nextSeq, l.oldestLocked()
 	l.mu.Unlock()
-	if from < next {
-		oldest := next
-		for _, seg := range segs {
-			if seg.last >= seg.first {
-				oldest = seg.first
-				break
-			}
-		}
-		if oldest > from {
-			return fmt.Errorf("%w: oldest retained seq is %d, replay wants %d", ErrGap, oldest, from)
-		}
+	if from < next && oldest > from {
+		return fmt.Errorf("%w: oldest retained seq is %d, replay wants %d", ErrGap, oldest, from)
 	}
-	var frame []byte
+	var buf []byte
 	for _, seg := range segs {
 		if seg.last < from || seg.first > to {
 			continue
 		}
 		var err error
-		frame, err = replaySegmentRaw(seg, from, to, frame, fn)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// Compaction removed the segment after we snapshotted the
-				// list: the history is gone, same contract as ErrGap.
-				return fmt.Errorf("%w: segment %s compacted away mid-replay", ErrGap, filepath.Base(seg.path))
+		_, buf, err = walkSegment(seg.path, seg.first, min(seg.last, to), buf, func(seq uint64, frame []byte) error {
+			if seq < from {
+				return nil
 			}
+			return fn(seq, frame)
+		})
+		if errors.Is(err, os.ErrNotExist) {
+			// Compaction removed the segment after we snapshotted the
+			// list: the history is gone, same contract as ErrGap.
+			return fmt.Errorf("%w: segment %s compacted away mid-replay", ErrGap, filepath.Base(seg.path))
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func replaySegmentRaw(seg segInfo, from, to uint64, frame []byte, fn func(seq uint64, frame []byte) error) ([]byte, error) {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return frame, err
-	}
-	defer f.Close()
-	var magic [len(segMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
-		return frame, fmt.Errorf("%w: %s lost its magic", ErrCorrupt, filepath.Base(seg.path))
-	}
-	off := int64(len(segMagic))
-	for seq := seg.first; seq <= seg.last && seq <= to; seq++ {
-		if int64(cap(frame)) < frameHeader {
-			frame = make([]byte, frameHeader, 4096)
-		}
-		frame = frame[:frameHeader]
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return frame, fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-		}
-		n := int64(binary.LittleEndian.Uint32(frame[0:4]))
-		if n == 0 || n > maxFrame {
-			return frame, fmt.Errorf("%w: %s frame at %d", ErrCorrupt, filepath.Base(seg.path), off)
-		}
-		if int64(cap(frame)) < frameHeader+n {
-			grown := make([]byte, frameHeader+n)
-			copy(grown, frame)
-			frame = grown
-		}
-		frame = frame[:frameHeader+n]
-		if _, err := io.ReadFull(f, frame[frameHeader:]); err != nil {
-			return frame, fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-		}
-		payload := frame[frameHeader:]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
-			return frame, fmt.Errorf("%w: %s frame at %d", ErrCorrupt, filepath.Base(seg.path), off)
-		}
-		gotSeq, _, derr := decodeHeader(payload)
-		if derr != nil || gotSeq != seq {
-			return frame, fmt.Errorf("%w: %s carries seq %d, want %d", ErrCorrupt, filepath.Base(seg.path), gotSeq, seq)
-		}
-		off += frameHeader + n
-		if seq < from {
-			continue
-		}
-		if err := fn(seq, frame); err != nil {
-			return frame, err
-		}
-	}
-	return frame, nil
 }
 
 // AppendRecord re-appends a decoded record — the follower's side of log
@@ -183,35 +116,5 @@ func replaySegmentRaw(seg segInfo, from, to uint64, frame []byte, fn func(seq ui
 // journal, so the two sequence spaces stay identical. The caller is the
 // single appender on a follower log.
 func (l *Log) AppendRecord(rec *Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
-	if rec.Seq != l.nextSeq {
-		return 0, fmt.Errorf("wal: record seq %d does not follow the journal tail (next %d)", rec.Seq, l.nextSeq)
-	}
-	switch rec.Kind {
-	case RecEdges:
-		return l.appendEdgesLocked(rec.Edges)
-	case RecScript:
-		return l.appendScriptLocked(rec.Script)
-	case RecSubgraph:
-		return l.appendSubgraphLocked(rec.Sub)
-	}
-	return 0, fmt.Errorf("wal: cannot append record kind %d", rec.Kind)
-}
-
-// DecodePayloadHeader reads the (seq, kind) header off a frame payload
-// without decoding the body.
-func DecodePayloadHeader(payload []byte) (seq uint64, kind RecordKind, err error) {
-	s, k, err := decodeHeader(payload)
-	return s, RecordKind(k), err
-}
-
-// DecodePayload decodes one frame payload into a Record — the inverse
-// of the Append* encoders, exposed for stream consumers that receive
-// raw frames.
-func DecodePayload(payload []byte) (*Record, error) {
-	return decodeRecord(payload)
+	return l.append(rec, true)
 }

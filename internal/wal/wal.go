@@ -15,6 +15,11 @@
 //	[4 bytes] CRC-32C (Castagnoli) of the payload
 //	[N bytes] payload
 //
+// ReadFrame is the only parser of that layout and SealFrame (over a
+// buffer begun with StartFrame) the only writer; Open's scan, Replay,
+// ReplayRaw and a replication follower's stream loop all read through
+// them, so a check one path makes, every path makes.
+//
 // The payload is (uvarint seq, 1-byte record kind, kind-specific body).
 // Sequence numbers are assigned contiguously from 1 and never reused; a
 // record is the unit of atomicity. A torn write — the partial frame an
@@ -50,8 +55,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -187,15 +192,11 @@ type SubgraphPayload struct {
 }
 
 const (
-	segMagic    = "sxwal001"
-	frameHeader = 8           // 4-byte length + 4-byte CRC
-	maxFrame    = 1 << 30     // sanity bound on a single payload
-	segPrefix   = "wal-"      // segment file name prefix
-	segSuffix   = ".seg"      //
-	segNameLen  = len(segPrefix) + 16 + len(segSuffix)
+	segMagic   = "sxwal001"
+	segPrefix  = "wal-" // segment file name prefix
+	segSuffix  = ".seg" //
+	segNameLen = len(segPrefix) + 16 + len(segSuffix)
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports structural damage in a sealed (non-final) region of
 // the journal — damage that cannot be a torn tail write and therefore
@@ -238,15 +239,15 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	segs     []segInfo // sealed + active segments, ascending
-	f        *os.File  // active segment; nil until the first append
-	segSize  int64     // bytes written to the active segment
-	nextSeq  uint64
-	buf      []byte // frame scratch, reused across appends
-	dirty    bool   // unsynced appended bytes
-	err      error  // sticky failure: the log refuses further writes
-	watch    chan struct{} // closed when the journal grows; see Watch
+	mu      sync.Mutex
+	segs    []segInfo // sealed + active segments, ascending
+	f       *os.File  // active segment; nil until the first append
+	segSize int64     // bytes written to the active segment
+	nextSeq uint64
+	buf     []byte        // frame scratch, reused across appends
+	dirty   bool          // unsynced appended bytes
+	err     error         // sticky failure: the log refuses further writes
+	watch   chan struct{} // closed when the journal grows; see Watch
 
 	durable   atomic.Uint64 // last seq known fsynced
 	appended  atomic.Uint64 // last seq appended
@@ -291,7 +292,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			if err := os.Remove(path); err != nil {
 				return nil, fmt.Errorf("wal: removing magic-less segment %s: %w", name, err)
 			}
-			if err := syncDir(dir); err != nil {
+			if err := SyncDir(dir); err != nil {
 				return nil, err
 			}
 			l.truncated = torn
@@ -361,72 +362,71 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment validates one segment. expect is the required first seq (0
-// for "whatever the name says"). For the final segment a broken tail is
-// reported as torn bytes (to truncate); for sealed segments any damage
-// is ErrCorrupt.
+// scanSegment validates one segment for Open. expect is the required first
+// seq (0 for "whatever the name says"). For the final segment a broken
+// tail is reported as torn bytes (to truncate); for sealed segments any
+// damage is ErrCorrupt.
 func scanSegment(path string, expect uint64, final bool) (info segInfo, torn int64, err error) {
-	nameFirst, _ := parseSegName(filepath.Base(path))
-	if expect != 0 && nameFirst != expect {
-		return info, 0, fmt.Errorf("%w: segment %s starts at seq %d, want %d", ErrCorrupt, filepath.Base(path), nameFirst, expect)
+	first, _ := parseSegName(filepath.Base(path))
+	if expect != 0 && first != expect {
+		return info, 0, fmt.Errorf("%w: segment %s starts at seq %d, want %d", ErrCorrupt, filepath.Base(path), first, expect)
 	}
+	info, _, err = walkSegment(path, first, math.MaxUint64, nil, nil)
+	if final && errors.Is(err, ErrCorrupt) {
+		st, serr := os.Stat(path)
+		if serr != nil {
+			return info, 0, fmt.Errorf("wal: %w", serr)
+		}
+		return info, st.Size() - info.size, nil
+	}
+	return info, 0, err
+}
+
+// walkSegment is the one reader of a segment file: the magic, then frames
+// (through a FrameReader) whose records run contiguously from first. Each
+// frame, whole, goes to fn (nil: validate only); the walk ends after
+// record `to`, or at a clean end of file when to is unbounded. info
+// describes the intact prefix consumed. Any damage — bad magic, a frame
+// ReadFrame or the sequence check refuses, a control frame, a file that
+// ends before `to` — is ErrCorrupt at info.size; callers that can repair
+// a torn tail (scanSegment) reclassify it.
+func walkSegment(path string, first, to uint64, buf []byte, fn func(seq uint64, frame []byte) error) (info segInfo, _ []byte, err error) {
+	info = segInfo{path: path, first: first, last: first - 1}
 	f, err := os.Open(path)
 	if err != nil {
-		return info, 0, fmt.Errorf("wal: %w", err)
+		return info, buf, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return info, 0, fmt.Errorf("wal: %w", err)
+	corrupt := func(why any) (segInfo, []byte, error) {
+		return info, buf, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, filepath.Base(path), info.size, why)
 	}
-	total := st.Size()
-
-	info = segInfo{path: path, first: nameFirst, last: nameFirst - 1}
-	bad := func(at int64, msg string) (segInfo, int64, error) {
-		if final {
-			info.size = at
-			return info, total - at, nil
-		}
-		return info, 0, fmt.Errorf("%w: %s at offset %d: %s", ErrCorrupt, filepath.Base(path), at, msg)
-	}
-
 	var magic [len(segMagic)]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
-		return bad(0, "bad segment magic")
+		return corrupt("bad segment magic")
 	}
-	off := int64(len(segMagic))
-	var hdr [frameHeader]byte
-	var payload []byte
-	seq := nameFirst
-	for off < total {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return bad(off, "torn frame header")
+	info.size = int64(len(segMagic))
+	fr := FrameReader{r: f, buf: buf, next: first}
+	for fr.next <= to {
+		seq, _, _, err := fr.Next()
+		buf = fr.buf
+		if err == io.EOF && to == math.MaxUint64 {
+			break
 		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n == 0 || n > maxFrame || off+frameHeader+n > total {
-			return bad(off, "implausible frame length")
+		if err != nil {
+			return corrupt(err)
 		}
-		if int64(cap(payload)) < n {
-			payload = make([]byte, n)
+		if seq == 0 {
+			return corrupt("control frame in a segment")
 		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return bad(off, "torn payload")
+		info.last = seq
+		info.size += int64(len(buf))
+		if fn != nil {
+			if err := fn(seq, buf); err != nil {
+				return info, buf, err
+			}
 		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return bad(off, "payload CRC mismatch")
-		}
-		gotSeq, _, derr := decodeHeader(payload)
-		if derr != nil || gotSeq != seq {
-			return bad(off, "bad record header")
-		}
-		seq++
-		off += frameHeader + n
-		info.last = gotSeq
-		info.size = off
 	}
-	info.size = off
-	return info, 0, nil
+	return info, buf, nil
 }
 
 // syncLoop is the SyncInterval driver.
@@ -450,9 +450,6 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// DurableSeq returns the newest sequence number known to be fsynced.
-func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
-
 // Policy returns the fsync policy the log was opened with.
 func (l *Log) Policy() SyncPolicy { return l.opts.Policy }
 
@@ -464,125 +461,113 @@ func (l *Log) TruncatedBytes() int64 { return l.truncated }
 // encoded into a scratch buffer reused across calls: the hot path
 // allocates nothing at steady state.
 func (l *Log) AppendEdges(ops []graph.EdgeOp) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendEdgesLocked(ops)
-}
-
-func (l *Log) appendEdgesLocked(ops []graph.EdgeOp) (uint64, error) {
-	if l.err != nil {
-		return 0, l.err
-	}
-	b := l.startFrame(byte(RecEdges))
-	b = binary.AppendUvarint(b, uint64(len(ops)))
-	for _, op := range ops {
-		flags := byte(op.Kind) << 1
-		if op.Insert {
-			flags |= 1
-		}
-		b = append(b, flags)
-		b = binary.AppendUvarint(b, uint64(op.U))
-		b = binary.AppendUvarint(b, uint64(op.V))
-	}
-	return l.finishFrame(b)
+	return l.append(&Record{Kind: RecEdges, Edges: ops}, false)
 }
 
 // AppendScript journals an applied op-script prefix. Callers must pass
 // exactly the ops that were applied (Result.Applied of them), so replay
 // reproduces the partial application a failed script leaves behind.
 func (l *Log) AppendScript(ops []opscript.Op) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendScriptLocked(ops)
-}
-
-func (l *Log) appendScriptLocked(ops []opscript.Op) (uint64, error) {
-	if l.err != nil {
-		return 0, l.err
-	}
-	b := l.startFrame(byte(RecScript))
-	b = binary.AppendUvarint(b, uint64(len(ops)))
-	for _, op := range ops {
-		b = append(b, byte(op.Kind))
-		switch op.Kind {
-		case opscript.Insert:
-			b = binary.AppendUvarint(b, uint64(op.U))
-			b = binary.AppendUvarint(b, uint64(op.V))
-			b = append(b, byte(op.Edge))
-		case opscript.Delete:
-			b = binary.AppendUvarint(b, uint64(op.U))
-			b = binary.AppendUvarint(b, uint64(op.V))
-		case opscript.AddNode:
-			b = appendString(b, op.Label)
-			b = binary.AppendUvarint(b, uint64(op.V))
-		case opscript.DelNode, opscript.DelSub:
-			b = binary.AppendUvarint(b, uint64(op.U))
-		default:
-			l.buf = b[:0]
-			return 0, fmt.Errorf("wal: cannot journal op kind %v", op.Kind)
-		}
-	}
-	return l.finishFrame(b)
+	return l.append(&Record{Kind: RecScript, Script: ops}, false)
 }
 
 // AppendSubgraph journals a grafted subgraph with its full payload —
-// the operation the textual script syntax cannot express (see
-// opscript.Journal.DeleteSubgraph): label names, values, internal edges
-// and boundary-crossing edges, enough for replay to re-graft the exact
-// subtree.
+// the operation the textual script syntax cannot express: label names,
+// values, internal edges and boundary-crossing edges, enough for replay
+// to re-graft the exact subtree.
 func (l *Log) AppendSubgraph(p *SubgraphPayload) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendSubgraphLocked(p)
+	return l.append(&Record{Kind: RecSubgraph, Sub: p}, false)
 }
 
-func (l *Log) appendSubgraphLocked(p *SubgraphPayload) (uint64, error) {
+// append journals rec as the next record. mirror (AppendRecord) requires
+// rec.Seq to be exactly that next seq; otherwise rec.Seq is ignored.
+func (l *Log) append(rec *Record, mirror bool) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err != nil {
 		return 0, l.err
 	}
-	if len(p.Labels) != len(p.Values) || len(p.Edges) != len(p.EdgeKinds) {
-		return 0, fmt.Errorf("wal: malformed subgraph payload")
+	if mirror && rec.Seq != l.nextSeq {
+		return 0, fmt.Errorf("wal: record seq %d does not follow the journal tail (next %d)", rec.Seq, l.nextSeq)
 	}
-	b := l.startFrame(byte(RecSubgraph))
-	b = binary.AppendUvarint(b, uint64(len(p.Labels)))
-	for i := range p.Labels {
-		b = appendString(b, p.Labels[i])
-		b = appendString(b, p.Values[i])
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.Edges)))
-	for i, e := range p.Edges {
-		b = binary.AppendUvarint(b, uint64(e[0]))
-		b = binary.AppendUvarint(b, uint64(e[1]))
-		b = append(b, byte(p.EdgeKinds[i]))
-	}
-	for _, cross := range [2][]graph.CrossEdge{p.CrossIn, p.CrossOut} {
-		b = binary.AppendUvarint(b, uint64(len(cross)))
-		for _, c := range cross {
-			b = binary.AppendUvarint(b, uint64(c.Outside))
-			b = binary.AppendUvarint(b, uint64(c.Local))
-			b = append(b, byte(c.Kind))
-		}
+	b, err := appendBody(StartFrame(l.buf[:0], l.nextSeq, rec.Kind), rec)
+	if err != nil {
+		return 0, err
 	}
 	return l.finishFrame(b)
 }
 
-// startFrame begins a frame in the scratch buffer: header space, then
-// the record header (seq, kind). Callers append the body and hand the
-// buffer to finishFrame. l.mu held.
-func (l *Log) startFrame(kind byte) []byte {
-	b := append(l.buf[:0], make([]byte, frameHeader)...)
-	b = binary.AppendUvarint(b, l.nextSeq)
-	return append(b, kind)
+// appendBody encodes rec's kind-specific body — the inverse of
+// DecodePayload's switch.
+func appendBody(b []byte, rec *Record) ([]byte, error) {
+	switch rec.Kind {
+	case RecEdges:
+		b = binary.AppendUvarint(b, uint64(len(rec.Edges)))
+		for _, op := range rec.Edges {
+			flags := byte(op.Kind) << 1
+			if op.Insert {
+				flags |= 1
+			}
+			b = append(b, flags)
+			b = binary.AppendUvarint(b, uint64(op.U))
+			b = binary.AppendUvarint(b, uint64(op.V))
+		}
+	case RecScript:
+		b = binary.AppendUvarint(b, uint64(len(rec.Script)))
+		for _, op := range rec.Script {
+			b = append(b, byte(op.Kind))
+			switch op.Kind {
+			case opscript.Insert:
+				b = binary.AppendUvarint(b, uint64(op.U))
+				b = binary.AppendUvarint(b, uint64(op.V))
+				b = append(b, byte(op.Edge))
+			case opscript.Delete:
+				b = binary.AppendUvarint(b, uint64(op.U))
+				b = binary.AppendUvarint(b, uint64(op.V))
+			case opscript.AddNode:
+				b = appendString(b, op.Label)
+				b = binary.AppendUvarint(b, uint64(op.V))
+			case opscript.DelNode, opscript.DelSub:
+				b = binary.AppendUvarint(b, uint64(op.U))
+			default:
+				return b, fmt.Errorf("wal: cannot journal op kind %v", op.Kind)
+			}
+		}
+	case RecSubgraph:
+		p := rec.Sub
+		if len(p.Labels) != len(p.Values) || len(p.Edges) != len(p.EdgeKinds) {
+			return b, fmt.Errorf("wal: malformed subgraph payload")
+		}
+		b = binary.AppendUvarint(b, uint64(len(p.Labels)))
+		for i := range p.Labels {
+			b = appendString(b, p.Labels[i])
+			b = appendString(b, p.Values[i])
+		}
+		b = binary.AppendUvarint(b, uint64(len(p.Edges)))
+		for i, e := range p.Edges {
+			b = binary.AppendUvarint(b, uint64(e[0]))
+			b = binary.AppendUvarint(b, uint64(e[1]))
+			b = append(b, byte(p.EdgeKinds[i]))
+		}
+		for _, cross := range [2][]graph.CrossEdge{p.CrossIn, p.CrossOut} {
+			b = binary.AppendUvarint(b, uint64(len(cross)))
+			for _, c := range cross {
+				b = binary.AppendUvarint(b, uint64(c.Outside))
+				b = binary.AppendUvarint(b, uint64(c.Local))
+				b = append(b, byte(c.Kind))
+			}
+		}
+	default:
+		return b, fmt.Errorf("wal: cannot append record kind %d", rec.Kind)
+	}
+	return b, nil
 }
 
-// finishFrame seals the frame (length + CRC), writes it, and applies the
-// per-append fsync policy. l.mu held.
+// finishFrame seals the frame, writes it, and applies the per-append
+// fsync policy. l.mu held.
 func (l *Log) finishFrame(b []byte) (uint64, error) {
 	l.buf = b[:0] // retain grown capacity whatever happens below
-	payload := b[frameHeader:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
-	if err := l.write(b); err != nil {
+	if err := l.write(SealFrame(b)); err != nil {
 		l.fail(err)
 		return 0, l.err
 	}
@@ -654,7 +639,7 @@ func (l *Log) newSegment() error {
 	l.f = f
 	l.segSize = int64(len(segMagic))
 	l.segs = append(l.segs, segInfo{path: path, first: l.nextSeq, last: l.nextSeq - 1, size: l.segSize})
-	return syncDir(l.dir)
+	return SyncDir(l.dir)
 }
 
 // Sync forces appended frames to disk. Under SyncWindow the committer
@@ -696,13 +681,6 @@ func (l *Log) fail(err error) {
 	}
 }
 
-// Err returns the sticky failure, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Close seals the journal: final fsync (all policies) and file close.
 // The Log must not be used afterwards.
 func (l *Log) Close() error {
@@ -726,88 +704,20 @@ func (l *Log) Close() error {
 	return syncErr
 }
 
-// Replay streams every record with seq ≥ from, in order, to fn. The
-// segments were validated by Open, so damage here (a file mutated
-// underneath a live Log) is an error, not a torn tail. If records ≥ from
-// exist but the oldest retained record is newer than from, Replay fails
-// with ErrGap rather than silently replaying only the surviving tail.
-// Replay may run concurrently with appends; it observes at least every
-// record appended before the call.
+// Replay streams every record with seq ≥ from, in order, to fn: ReplayRaw
+// over the whole retained journal, each frame decoded. The segments were
+// validated by Open, so damage here (a file mutated underneath a live
+// Log) is ErrCorrupt, not a torn tail; a journal that no longer reaches
+// back to from is ErrGap. Replay may run concurrently with appends; it
+// observes at least every record appended before the call.
 func (l *Log) Replay(from uint64, fn func(*Record) error) error {
-	l.mu.Lock()
-	segs := append([]segInfo(nil), l.segs...)
-	next := l.nextSeq
-	l.mu.Unlock()
-	if from < next {
-		oldest := next
-		for _, seg := range segs {
-			if seg.last >= seg.first { // first non-empty segment
-				oldest = seg.first
-				break
-			}
-		}
-		if oldest > from {
-			return fmt.Errorf("%w: oldest retained seq is %d, replay wants %d", ErrGap, oldest, from)
-		}
-	}
-	for _, seg := range segs {
-		if seg.last < from {
-			continue
-		}
-		if err := replaySegment(seg, from, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func replaySegment(seg segInfo, from uint64, fn func(*Record) error) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var magic [len(segMagic)]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
-		return fmt.Errorf("%w: %s lost its magic", ErrCorrupt, filepath.Base(seg.path))
-	}
-	off := int64(len(segMagic))
-	var hdr [frameHeader]byte
-	var payload []byte
-	for seq := seg.first; seq <= seg.last; seq++ {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n == 0 || n > maxFrame {
-			return fmt.Errorf("%w: %s frame at %d", ErrCorrupt, filepath.Base(seg.path), off)
-		}
-		if int64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", filepath.Base(seg.path), err)
-		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return fmt.Errorf("%w: %s frame at %d", ErrCorrupt, filepath.Base(seg.path), off)
-		}
-		off += frameHeader + n
-		if seq < from {
-			continue
-		}
-		rec, err := decodeRecord(payload)
+	return l.ReplayRaw(from, math.MaxUint64, func(_ uint64, frame []byte) error {
+		rec, err := DecodePayload(frame[frameHeader:])
 		if err != nil {
 			return err
 		}
-		if rec.Seq != seq {
-			return fmt.Errorf("%w: %s carries seq %d, want %d", ErrCorrupt, filepath.Base(seg.path), rec.Seq, seq)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 // RemoveBelow deletes every sealed segment whose records all precede
@@ -830,21 +740,21 @@ func (l *Log) RemoveBelow(seq uint64) error {
 	}
 	l.segs = keep
 	if firstErr == nil {
-		firstErr = syncDir(l.dir)
+		firstErr = SyncDir(l.dir)
 	}
 	return firstErr
 }
 
 // Stats is a point-in-time durability report.
 type Stats struct {
-	Policy     SyncPolicy
-	NextSeq    uint64 // sequence number of the next append
-	AppendedSeq uint64
-	DurableSeq uint64 // newest fsynced sequence number
-	Segments   int
-	Bytes      int64 // bytes across live segments
-	Appends    int64
-	Syncs      int64
+	Policy         SyncPolicy
+	NextSeq        uint64 // sequence number of the next append
+	AppendedSeq    uint64
+	DurableSeq     uint64 // newest fsynced sequence number
+	Segments       int
+	Bytes          int64 // bytes across live segments
+	Appends        int64
+	Syncs          int64
 	TruncatedBytes int64 // torn bytes dropped at Open
 }
 
@@ -870,14 +780,6 @@ func (l *Log) Stats() Stats {
 }
 
 // ---- decoding ----
-
-func decodeHeader(payload []byte) (seq uint64, kind byte, err error) {
-	seq, n := binary.Uvarint(payload)
-	if n <= 0 || n >= len(payload) {
-		return 0, 0, fmt.Errorf("wal: bad record header")
-	}
-	return seq, payload[n], nil
-}
 
 // reader is a bounds-checked cursor over one frame payload.
 type reader struct {
@@ -922,7 +824,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func decodeRecord(payload []byte) (*Record, error) {
+// DecodePayload decodes one frame payload into a Record — the inverse of
+// the Append* encoders, for Replay and for stream consumers that receive
+// raw frames.
+func DecodePayload(payload []byte) (*Record, error) {
 	r := &reader{b: payload}
 	rec := &Record{Seq: r.uvarint(), Kind: RecordKind(r.byte())}
 	switch rec.Kind {
@@ -1020,8 +925,8 @@ func decodeRecord(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
-// syncDir fsyncs a directory so renames/creates/removes are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames/creates/removes are durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)

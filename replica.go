@@ -150,7 +150,7 @@ func wipeStore(dir string) error {
 	if err := os.RemoveAll(filepath.Join(dir, walSubdir)); err != nil {
 		return fmt.Errorf("structix: %w", err)
 	}
-	return syncDir(dir)
+	return wal.SyncDir(dir)
 }
 
 // ---- replication hooks on DB ----
