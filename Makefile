@@ -135,8 +135,9 @@ loc:
 # re-run them alone), the concurrent-stress and server-stress passes
 # (-count>1), the publication-scaling gate (bytes a commit's snapshot
 # publication allocates must follow what it dirtied, not the graph; not
-# race-enabled), the xsiserve smoke (which covers a 4-shard boot), the
-# replication smoke (leader + 2 replicas, min_epoch read-back), short
+# race-enabled), every example program end to end (`make examples`), the
+# xsiserve smoke (which covers a 4-shard boot), the replication smoke
+# (leader + 2 replicas, min_epoch read-back), short
 # path-parser, extent-decoder and frame-reader fuzz passes, the shard-,
 # repl- and scale-bench smokes, and a one-iteration smoke pass over every
 # benchmark in the module.
@@ -145,6 +146,7 @@ ci: build vet
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
 	$(GO) test -count=1 -run 'TestPublicationScaling' .
+	$(MAKE) examples
 	$(GO) run ./cmd/xsiserve -smoke
 	$(GO) run ./cmd/xsiserve -smoke-repl
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/

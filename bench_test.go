@@ -231,21 +231,21 @@ func BenchmarkQuery_Direct(b *testing.B) {
 
 func BenchmarkQuery_OneIndex(b *testing.B) {
 	g := xmark(1)
-	x := structix.BuildOneIndex(g)
+	s := structix.BuildOneIndex(g).Freeze(g.Freeze())
 	p := structix.MustParsePath("//open_auction/bidder/personref/person/name")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		structix.EvalOneIndex(p, x)
+		structix.EvalSnapshot(p, s)
 	}
 }
 
 func BenchmarkQuery_AkValidated(b *testing.B) {
 	g := xmark(1)
-	x := structix.BuildAkIndex(g, 3)
+	s := structix.BuildAkIndex(g, 3).Freeze(g.Freeze())
 	p := structix.MustParsePath("//open_auction/bidder/personref/person/name")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		structix.EvalAkValidated(p, x)
+		structix.EvalSnapshot(p, s)
 	}
 }
 

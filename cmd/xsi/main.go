@@ -85,7 +85,7 @@ func main() {
 		if strategy == "" {
 			strategy = "1"
 		}
-		runQueryDB(g, db, *expr, strategy, *k, *values)
+		runQuery(g, db, *expr, strategy, *k, *values)
 	case "validate":
 		validateDB(g, db, *k)
 	case "dot":
@@ -227,24 +227,6 @@ func loadDB(path string) *structix.Database {
 	return db
 }
 
-func runQueryDB(g *structix.Graph, db *structix.Database, expr, index string, k int, values bool) {
-	if db != nil {
-		p, err := structix.ParsePath(expr)
-		if err != nil {
-			fail(err.Error())
-		}
-		switch {
-		case index == "1" && db.One != nil:
-			printResults(g, p, structix.EvalOneIndex(p, db.One), values)
-			return
-		case index == "ak" && db.Ak != nil:
-			printResults(g, p, structix.EvalAkValidated(p, db.Ak), values)
-			return
-		}
-	}
-	runQuery(g, expr, index, k, values)
-}
-
 func validateDB(g *structix.Graph, db *structix.Database, k int) {
 	if db == nil {
 		validate(g, k)
@@ -352,27 +334,42 @@ func verboseStats(g *structix.Graph) {
 	}
 }
 
-func runQuery(g *structix.Graph, expr, index string, k int, values bool) {
+// runQuery evaluates expr by the chosen strategy. The index strategies
+// read snapshots frozen at one read point, of the database's own indexes
+// where it stores them; only an index it lacks is built.
+func runQuery(g *structix.Graph, db *structix.Database, expr, index string, k int, values bool) {
 	p, err := structix.ParsePath(expr)
 	if err != nil {
 		fail(err.Error())
+	}
+	var one *structix.OneIndex
+	var ak *structix.AkIndex
+	if db != nil {
+		one, ak = db.One, db.Ak
+	}
+	data := g.Freeze()
+	oneSnap := func() *structix.Snapshot {
+		if one == nil {
+			one = structix.BuildOneIndex(g)
+		}
+		return one.Freeze(data)
+	}
+	akSnap := func() *structix.Snapshot {
+		if ak == nil {
+			ak = structix.BuildAkIndex(g, k)
+		}
+		return ak.Freeze(data)
 	}
 	var result []structix.NodeID
 	switch index {
 	case "none":
 		result = structix.EvalGraph(p, g)
 	case "1":
-		result = structix.EvalOneIndex(p, structix.BuildOneIndex(g))
+		result = structix.EvalSnapshot(p, oneSnap())
 	case "ak":
-		result = structix.EvalAkValidated(p, structix.BuildAkIndex(g, k))
+		result = structix.EvalSnapshot(p, akSnap())
 	case "auto":
-		// Construction does not mutate the graph, so both indexes can share
-		// it for query-only use.
-		pl := &structix.Planner{
-			Graph: g,
-			One:   structix.BuildOneIndex(g),
-			Ak:    structix.BuildAkIndex(g, k),
-		}
+		pl := &structix.Planner{Data: data, One: oneSnap(), Ak: akSnap()}
 		var plan structix.QueryPlan
 		result, plan = pl.Eval(p)
 		fmt.Printf("plan: %s — %s\n", plan.Strategy, plan.Reason)

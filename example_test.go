@@ -6,7 +6,7 @@ import (
 	"structix"
 )
 
-// Parse a document, build the 1-index, and query through it.
+// Parse a document, build the 1-index, and query a snapshot of it.
 func ExampleBuildOneIndex() {
 	g, _ := structix.ParseXMLString(`
 		<site>
@@ -16,7 +16,8 @@ func ExampleBuildOneIndex() {
 	idx := structix.BuildOneIndex(g)
 	fmt.Println("dnodes:", g.NumNodes())
 	fmt.Println("inodes:", idx.Size())
-	fmt.Println("results:", len(structix.EvalOneIndex(structix.MustParsePath("//person/name"), idx)))
+	s := idx.Freeze(g.Freeze())
+	fmt.Println("results:", len(structix.EvalSnapshot(structix.MustParsePath("//person/name"), s)))
 	// Output:
 	// dnodes: 6
 	// inodes: 4
@@ -63,17 +64,18 @@ func ExampleParsePath() {
 	// true
 }
 
-// The planner explains which structure answers a query cheapest.
+// The planner explains which snapshot answers a query cheapest.
 func ExamplePlanner() {
 	g, _ := structix.ParseXMLString(`
 		<site>
 		  <person><name>Alice</name></person>
 		  <person><name>Bob</name></person>
 		</site>`)
+	data := g.Freeze() // one read point for both snapshots
 	pl := &structix.Planner{
-		Graph: g,
-		One:   structix.BuildOneIndex(g),
-		Ak:    structix.BuildAkIndex(g, 3),
+		Data: data,
+		One:  structix.BuildOneIndex(g).Freeze(data),
+		Ak:   structix.BuildAkIndex(g, 3).Freeze(data),
 	}
 	res, plan := pl.Eval(structix.MustParsePath("/site/person/name"))
 	fmt.Println("results:", len(res))
@@ -83,9 +85,9 @@ func ExamplePlanner() {
 	// strategy: ak-level
 }
 
-// The A(k)-index answers long queries with validation; raw evaluation is a
-// safe superset.
-func ExampleEvalAkValidated() {
+// An A(k) snapshot answers long queries with validation; its raw
+// candidates are a safe superset.
+func ExampleSnapshotCandidates() {
 	// The two <page> nodes are 1-bisimilar (both have a <book> parent) but
 	// only one lies under <fiction>: with k=1 the raw answer overshoots.
 	g, _ := structix.ParseXMLString(`
@@ -93,10 +95,10 @@ func ExampleEvalAkValidated() {
 		  <fiction><book><page/></book></fiction>
 		  <science><book><page/></book></science>
 		</lib>`)
-	ak := structix.BuildAkIndex(g, 1)
+	s := structix.BuildAkIndex(g, 1).Freeze(g.Freeze())
 	p := structix.MustParsePath("/lib/fiction/book/page")
-	fmt.Println("raw:", len(structix.EvalAk(p, ak)))
-	fmt.Println("validated:", len(structix.EvalAkValidated(p, ak)))
+	fmt.Println("raw:", len(structix.SnapshotCandidates(p, s)))
+	fmt.Println("validated:", len(structix.EvalSnapshot(p, s)))
 	// Output:
 	// raw: 2
 	// validated: 1

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"structix"
@@ -38,8 +39,13 @@ func main() {
 		}
 	}
 	fmt.Println("derived per-label locality targets:")
-	for l, k := range targets {
-		if k >= 4 {
+	labels := make([]string, 0, len(targets))
+	for l := range targets {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels) // map order would reorder the lines run to run
+	for _, l := range labels {
+		if k := targets[l]; k >= 4 {
 			fmt.Printf("  %-14s k=%d\n", l, k)
 		}
 	}

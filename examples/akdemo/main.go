@@ -28,12 +28,13 @@ func main() {
 	fmt.Println("k   A(k)-size  frac-of-1idx   raw-FPs  validated-time  storage-overhead")
 	for k := 1; k <= 5; k++ {
 		x := structix.BuildAkIndex(g.Clone(), k)
+		view := x.Freeze(x.Graph().Freeze())
 		falsePositives := 0
 		var valTime time.Duration
 		for _, q := range queries {
-			raw := structix.EvalAk(q, x)
+			raw := structix.SnapshotCandidates(q, view)
 			start := time.Now()
-			validated := structix.EvalAkValidated(q, x)
+			validated := structix.EvalSnapshot(q, view)
 			valTime += time.Since(start)
 			falsePositives += len(raw) - len(validated)
 		}

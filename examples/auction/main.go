@@ -52,7 +52,7 @@ func main() {
 		}
 		if (i+1)%100 == 0 {
 			min := structix.MinimumOneIndexSize(g)
-			res := structix.EvalOneIndex(queries[(i/100)%len(queries)], sm)
+			res := structix.EvalSnapshot(queries[(i/100)%len(queries)], sm.Freeze(g.Freeze()))
 			fmt.Printf("%7d   %16d  %14d  %7d   %d\n",
 				i+1, sm.Size(), prop.X.Size(), min, len(res))
 		}

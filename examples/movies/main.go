@@ -32,14 +32,15 @@ func main() {
 
 	// Queries longer than k pick up false positives on the A(k)-index; the
 	// validation pass removes them.
+	view := ak.Freeze(g.Freeze())
 	for _, expr := range []string{
 		"//movie/actorref/person",
 		"//person/filmographyref/movie/genre",
 		"//movie/actorref/person/filmographyref/movie",
 	} {
 		p := structix.MustParsePath(expr)
-		raw := structix.EvalAk(p, ak)
-		validated := structix.EvalAkValidated(p, ak)
+		raw := structix.SnapshotCandidates(p, view)
+		validated := structix.EvalSnapshot(p, view)
 		fmt.Printf("%-50s raw=%4d  validated=%4d  (false positives removed: %d)\n",
 			expr, len(raw), len(validated), len(raw)-len(validated))
 	}

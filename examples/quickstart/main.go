@@ -36,11 +36,13 @@ func main() {
 	idx := structix.BuildOneIndex(g)
 	fmt.Printf("1-index: %d inodes for %d dnodes\n", idx.Size(), g.NumNodes())
 
-	// Path queries run on the index graph and read whole extents — no
-	// document scan. The 1-index is precise: no false positives.
+	// Path queries run on an immutable snapshot of the index graph and
+	// read whole extents — no document scan. The 1-index is precise: no
+	// false positives.
+	s := idx.Freeze(g.Freeze())
 	for _, expr := range []string{"//person/name", "//open_auction/seller/person"} {
 		p := structix.MustParsePath(expr)
-		fmt.Printf("%-35s -> %d results\n", expr, len(structix.EvalOneIndex(p, idx)))
+		fmt.Printf("%-35s -> %d results\n", expr, len(structix.EvalSnapshot(p, s)))
 	}
 
 	// Update the document: Carol starts watching auction a2. The index is

@@ -26,7 +26,9 @@ func main() {
 		fmt.Printf("== %s: %d dnodes, %d dedges\n", tc.name, g.NumNodes(), g.NumEdges())
 
 		one := structix.BuildOneIndex(g)
-		ak := structix.BuildAkIndex(g.Clone(), 2)
+		ak := structix.BuildAkIndex(g, 2)
+		data := g.Freeze() // one read point for both snapshots
+		oneSnap, akSnap := one.Freeze(data), ak.Freeze(data)
 		fmt.Printf("   1-index: %6d inodes (%.1f%% of graph)\n",
 			one.Size(), 100*float64(one.Size())/float64(g.NumNodes()))
 		fmt.Printf("   A(2):    %6d inodes (%.1f%% of graph)\n",
@@ -47,8 +49,8 @@ func main() {
 		for _, expr := range []string{"//person/name", "/site/regions/*/item/name"} {
 			p := structix.MustParsePath(expr)
 			direct := structix.EvalGraph(p, g)
-			viaOne := structix.EvalOneIndex(p, one)
-			viaAk := structix.EvalAkValidated(p, ak)
+			viaOne := structix.EvalSnapshot(p, oneSnap)
+			viaAk := structix.EvalSnapshot(p, akSnap)
 			line := fmt.Sprintf("   %-28s direct=%d 1idx=%d ak=%d",
 				expr, len(direct), len(viaOne), len(viaAk))
 			if guide != nil && err == nil {
@@ -63,7 +65,7 @@ func main() {
 		// Selectivity straight off the index — the synopsis use (§1).
 		p := structix.MustParsePath("//open_auction/bidder")
 		fmt.Printf("   selectivity(%s) = %.4f (no data access)\n\n",
-			p, structix.Selectivity(p, one))
+			p, structix.Selectivity(p, oneSnap))
 	}
 
 	fmt.Println("The DataGuide is exact but unbounded; the 1-index is bounded but tracks")

@@ -35,15 +35,19 @@ func TestFacadeCountsAndSelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := structix.BuildOneIndex(g)
-	ak := structix.BuildAkIndex(g.Clone(), 2)
+	data := g.Freeze()
+	one := structix.BuildOneIndex(g).Freeze(data)
+	ak := structix.BuildAkIndex(g, 2).Freeze(data)
 	p := structix.MustParsePath("//person/name")
 	direct := len(structix.EvalGraph(p, g))
-	if got := structix.CountOneIndex(p, one); got != direct {
-		t.Errorf("CountOneIndex = %d, want %d", got, direct)
+	if got := structix.CountSnapshot(p, one); got != direct {
+		t.Errorf("1-index CountSnapshot = %d, want %d", got, direct)
 	}
-	if got := structix.CountAk(p, ak); got < direct {
-		t.Errorf("CountAk undercounts")
+	if got := structix.CountSnapshot(p, ak); got != direct {
+		t.Errorf("A(k) CountSnapshot = %d, want %d", got, direct)
+	}
+	if got := len(structix.SnapshotCandidates(p, ak)); got < direct {
+		t.Errorf("A(k) candidates undercount")
 	}
 	if s := structix.Selectivity(p, one); s <= 0 || s > 1 {
 		t.Errorf("Selectivity = %v", s)

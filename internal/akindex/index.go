@@ -318,15 +318,6 @@ func (x *Index) Extent(I INodeID) []graph.NodeID {
 	return out
 }
 
-// AppendExtent appends the dnode extent of I (descendant extents for
-// levels <k) to dst in unspecified order and returns the extended slice.
-// Result assembly that sorts the union afterwards (query evaluation)
-// avoids Extent's per-inode copy-and-sort this way.
-func (x *Index) AppendExtent(dst []graph.NodeID, I INodeID) []graph.NodeID {
-	x.eachExtentDnode(I, func(v graph.NodeID) { dst = append(dst, v) })
-	return dst
-}
-
 // ExtentSize returns |extent(I)| including refinement-tree descendants.
 func (x *Index) ExtentSize(I INodeID) int {
 	n := x.nodes[I]
@@ -367,26 +358,6 @@ func (x *Index) EachINodeAt(l int, fn func(I INodeID)) {
 // sorted. Freshly allocated; the caller owns it.
 func (x *Index) IntraSucc(I INodeID) []INodeID {
 	return append([]INodeID(nil), x.nodes[I].intraSucc.IDs...)
-}
-
-// IntraSuccAt returns the intra-iedge successors of inode I *within its
-// own level* l < k — the "optional" §6 structure that speeds up evaluation
-// of expressions shorter than k. Nothing extra is stored: a level-l
-// intra-iedge I→J exists iff I has an inter-iedge into some refinement-
-// tree child of J, so the set is derived from the maintained inter-iedges
-// by mapping each successor to its parent. For level-k inodes this equals
-// IntraSucc.
-func (x *Index) IntraSuccAt(I INodeID) []INodeID {
-	n := x.nodes[I]
-	if int(n.level) == x.k {
-		return x.IntraSucc(I)
-	}
-	out := make([]INodeID, 0, n.succB.Len())
-	for _, child := range n.succB.IDs {
-		out = append(out, x.nodes[child].parent)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // ToPartition exports the A(l)-index's dnode partition.

@@ -34,8 +34,9 @@ type QueryPerfResult struct {
 // evaluation times. The same results are cross-checked for equality; a
 // mismatch panics (it would mean an index correctness bug).
 func RunQueryPerf(name string, g *graph.Graph, exprs []string, k, reps int) []QueryPerfResult {
-	one := oneindex.Build(g)
-	ak := akindex.Build(g, k)
+	data := g.Freeze()
+	one := oneindex.Build(g).Freeze(data)
+	ak := akindex.Build(g, k).Freeze(data)
 	var out []QueryPerfResult
 	for _, expr := range exprs {
 		p := query.MustParse(expr)
@@ -54,12 +55,12 @@ func RunQueryPerf(name string, g *graph.Graph, exprs []string, k, reps int) []Qu
 		r.DirectTime = time.Since(start) / time.Duration(reps)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			viaOne = query.EvalOneIndex(p, one)
+			viaOne = query.EvalSnapshot(p, one)
 		}
 		r.OneIndexTime = time.Since(start) / time.Duration(reps)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			viaAk = query.EvalAkValidated(p, ak)
+			viaAk = query.EvalSnapshot(p, ak)
 		}
 		r.AkValidatedTime = time.Since(start) / time.Duration(reps)
 		if len(direct) != len(viaOne) || len(direct) != len(viaAk) {

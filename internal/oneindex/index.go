@@ -234,9 +234,6 @@ func (x *Index) Graph() *graph.Graph { return x.g }
 // Size returns the number of inodes.
 func (x *Index) Size() int { return x.numLive }
 
-// NumNodes returns the number of live dnodes in the underlying graph.
-func (x *Index) NumNodes() int { return x.g.NumNodes() }
-
 // INodeOf returns the inode containing dnode v.
 func (x *Index) INodeOf(v graph.NodeID) INodeID { return x.inodeOf[v] }
 
@@ -253,12 +250,6 @@ func (x *Index) RootINode() INodeID {
 // Label returns the (shared) label of the dnodes in inode I.
 func (x *Index) Label(I INodeID) graph.LabelID { return x.inodes[I].label }
 
-// LabelName returns I's label string — the live-index counterpart of
-// Snapshot.LabelName.
-func (x *Index) LabelName(I INodeID) string {
-	return x.g.Labels().Name(x.inodes[I].label)
-}
-
 // ExtentSize returns |extent(I)|.
 func (x *Index) ExtentSize(I INodeID) int { return len(x.inodes[I].extent) }
 
@@ -270,13 +261,6 @@ func (x *Index) Extent(I INodeID) []graph.NodeID {
 	out := append([]graph.NodeID(nil), x.inodes[I].extent...)
 	slices.Sort(out)
 	return out
-}
-
-// AppendExtent appends I's extent to dst in unspecified order and returns
-// the extended slice. Result assembly that sorts the union afterwards
-// (query evaluation) avoids Extent's per-inode copy-and-sort this way.
-func (x *Index) AppendExtent(dst []graph.NodeID, I INodeID) []graph.NodeID {
-	return append(dst, x.inodes[I].extent...)
 }
 
 // EachINode calls fn for every live inode in increasing id order.
@@ -298,13 +282,6 @@ func (x *Index) INodes() []INodeID {
 // HasIEdge reports whether the iedge I→J exists (≥1 underlying dedge).
 func (x *Index) HasIEdge(I, J INodeID) bool {
 	return x.inodes[I].succ.Contains(J)
-}
-
-// EachISucc calls fn for every index successor of I, in increasing order.
-func (x *Index) EachISucc(I INodeID, fn func(J INodeID)) {
-	for _, j := range x.inodes[I].succ.IDs {
-		fn(j)
-	}
 }
 
 // ISucc returns the index successors of I, sorted. Like Extent, the

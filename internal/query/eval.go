@@ -3,9 +3,7 @@ package query
 import (
 	"slices"
 
-	"structix/internal/akindex"
 	"structix/internal/graph"
-	"structix/internal/oneindex"
 )
 
 // EvalGraph evaluates the expression by direct traversal of the data graph
@@ -17,7 +15,7 @@ func EvalGraph(p *Path, g Source) []graph.NodeID {
 	if p.HasPredicates() {
 		return evalGraphFull(p, g)
 	}
-	res := run(p, &graphNav{g: g})
+	res := run(p, &graphNav{g: g}, []int64{int64(g.Root())})
 	out := make([]graph.NodeID, 0, len(res))
 	for _, n := range res {
 		out = append(out, graph.NodeID(n))
@@ -28,160 +26,11 @@ func EvalGraph(p *Path, g Source) []graph.NodeID {
 
 type graphNav struct{ g Source }
 
-func (n *graphNav) start() []int64 { return []int64{int64(n.g.Root())} }
 func (n *graphNav) succ(v int64, fn func(int64)) {
 	n.g.EachSucc(graph.NodeID(v), func(w graph.NodeID, _ graph.EdgeKind) { fn(int64(w)) })
 }
 func (n *graphNav) labelMatches(v int64, label string) bool {
 	return label == "*" || n.g.LabelName(graph.NodeID(v)) == label
-}
-
-// EvalOneIndex evaluates the expression on the 1-index graph and returns
-// the union of the matched inodes' extents, sorted. For the predicate-free
-// label-path language the 1-index is precise: the result equals
-// EvalGraph's. Predicates — which constrain *outgoing* structure and
-// values, invisible to backward bisimulation — are checked per candidate
-// against the data graph, so the final result is exact either way.
-func EvalOneIndex(p *Path, x *oneindex.Index) []graph.NodeID {
-	root := x.Graph().Root()
-	if root == graph.InvalidNode {
-		return nil
-	}
-	if p.HasPredicates() {
-		return filterByAllPredicates(p, x.Graph(), EvalOneIndex(p.Skeleton(), x))
-	}
-	res := run(p, &oneNav{x: x, root: x.INodeOf(root)})
-	total := 0
-	for _, n := range res {
-		total += x.ExtentSize(oneindex.INodeID(n))
-	}
-	out := make([]graph.NodeID, 0, total)
-	for _, n := range res {
-		out = x.AppendExtent(out, oneindex.INodeID(n))
-	}
-	sortNodes(out)
-	return out
-}
-
-type oneNav struct {
-	x    *oneindex.Index
-	root oneindex.INodeID
-}
-
-func (n *oneNav) start() []int64 { return []int64{int64(n.root)} }
-func (n *oneNav) succ(v int64, fn func(int64)) {
-	n.x.EachISucc(oneindex.INodeID(v), func(j oneindex.INodeID) { fn(int64(j)) })
-}
-func (n *oneNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.x.Graph().Labels().Name(n.x.Label(oneindex.INodeID(v))) == label
-}
-
-// EvalAk evaluates the expression on the A(k)-index's intra-iedges and
-// returns the union of the matched inodes' extents, sorted. The result is
-// safe (a superset of the true answer) but may contain false positives
-// when the expression is longer than k, uses descendant steps, or carries
-// predicates (which this raw evaluator ignores — they only ever shrink the
-// result, so ignoring preserves safety; use EvalAkValidated for exact
-// answers).
-func EvalAk(p *Path, x *akindex.Index) []graph.NodeID {
-	root := x.Graph().Root()
-	if root == graph.InvalidNode {
-		return nil
-	}
-	p = p.Skeleton()
-	res := run(p, &akNav{x: x, root: x.INodeOf(root)})
-	total := 0
-	for _, n := range res {
-		total += x.ExtentSize(akindex.INodeID(n))
-	}
-	out := make([]graph.NodeID, 0, total)
-	for _, n := range res {
-		out = x.AppendExtent(out, akindex.INodeID(n))
-	}
-	sortNodes(out)
-	return out
-}
-
-type akNav struct {
-	x    *akindex.Index
-	root akindex.INodeID
-}
-
-func (n *akNav) start() []int64 { return []int64{int64(n.root)} }
-func (n *akNav) succ(v int64, fn func(int64)) {
-	for _, j := range n.x.IntraSucc(akindex.INodeID(v)) {
-		fn(int64(j))
-	}
-}
-func (n *akNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.x.Graph().Labels().Name(n.x.Label(akindex.INodeID(v))) == label
-}
-
-// EvalAkLevel evaluates the expression on the A(l)-index *inside* an
-// A(0..k) family, for any 0 ≤ l ≤ k, using the derived level-l
-// intra-iedges — the "optional" structure §6 mentions for speeding up
-// short expressions: the A(l) graph is smaller than the A(k) graph, and
-// for anchored predicate-free expressions of length ≤ l it is just as
-// precise. The result is safe for any expression; combine with a
-// Validator (as EvalAkLevelValidated does) for exactness.
-func EvalAkLevel(p *Path, x *akindex.Index, l int) []graph.NodeID {
-	root := x.Graph().Root()
-	if root == graph.InvalidNode {
-		return nil
-	}
-	if l < 0 || l > x.K() {
-		l = x.K()
-	}
-	p = p.Skeleton()
-	res := run(p, &akLevelNav{x: x, root: x.LevelINodeOf(root, l)})
-	total := 0
-	for _, n := range res {
-		total += x.ExtentSize(akindex.INodeID(n))
-	}
-	out := make([]graph.NodeID, 0, total)
-	for _, n := range res {
-		out = x.AppendExtent(out, akindex.INodeID(n))
-	}
-	sortNodes(out)
-	return out
-}
-
-// EvalAkLevelValidated is EvalAkLevel followed by validation (and
-// predicate filtering), returning the exact result.
-func EvalAkLevelValidated(p *Path, x *akindex.Index, l int) []graph.NodeID {
-	candidates := EvalAkLevel(p, x, l)
-	if l < 0 || l > x.K() {
-		l = x.K()
-	}
-	if !p.HasPredicates() && !NeedsValidation(p, l) {
-		return candidates
-	}
-	va := newValidator(p.Skeleton(), x.Graph())
-	out := candidates[:0]
-	for _, v := range candidates {
-		if va.matches(v) {
-			out = append(out, v)
-		}
-	}
-	if p.HasPredicates() {
-		out = filterByAllPredicates(p, x.Graph(), out)
-	}
-	return out
-}
-
-type akLevelNav struct {
-	x    *akindex.Index
-	root akindex.INodeID
-}
-
-func (n *akLevelNav) start() []int64 { return []int64{int64(n.root)} }
-func (n *akLevelNav) succ(v int64, fn func(int64)) {
-	for _, j := range n.x.IntraSuccAt(akindex.INodeID(v)) {
-		fn(int64(j))
-	}
-}
-func (n *akLevelNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.x.Graph().Labels().Name(n.x.Label(akindex.INodeID(v))) == label
 }
 
 // NeedsValidation reports whether an A(k) result for p can contain false
@@ -197,28 +46,6 @@ func NeedsValidation(p *Path, k int) bool {
 		}
 	}
 	return false
-}
-
-// EvalAkValidated evaluates on the A(k)-index and, when needed, eliminates
-// false positives with the validation step of [9]: each candidate dnode is
-// re-checked against the data graph by a backward search for a root path
-// matching the expression. Predicates are honored (checked per candidate).
-func EvalAkValidated(p *Path, x *akindex.Index) []graph.NodeID {
-	if p.HasPredicates() {
-		return filterByAllPredicates(p, x.Graph(), EvalAkValidated(p.Skeleton(), x))
-	}
-	candidates := EvalAk(p, x)
-	if !NeedsValidation(p, x.K()) {
-		return candidates
-	}
-	v := newValidator(p, x.Graph())
-	out := candidates[:0]
-	for _, c := range candidates {
-		if v.matches(c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Validator performs per-candidate backward matching against the data

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"structix/internal/akindex"
 	"structix/internal/graph"
-	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 // Strategy names an evaluation route for one expression.
@@ -18,8 +17,9 @@ const (
 	// StrategyValueIndex drives evaluation from a value lookup (requires a
 	// value index and a final-step value predicate).
 	StrategyValueIndex Strategy = iota
-	// StrategyAkLevel evaluates on the lowest A(l) level that is already
-	// precise for the expression: the smallest graph with no validation.
+	// StrategyAkLevel evaluates on an A(k) level that is already precise
+	// for the expression, so nothing is validated. A snapshot holds level k
+	// only, so that is the level the planner names.
 	StrategyAkLevel
 	// StrategyAkValidated evaluates on the A(k) level and validates.
 	StrategyAkValidated
@@ -50,7 +50,7 @@ func (s Strategy) String() string {
 // Plan is a chosen strategy with its cost rationale.
 type Plan struct {
 	Strategy Strategy
-	Level    int    // for StrategyAkLevel / StrategyAkValidated
+	Level    int    // for StrategyAkLevel / StrategyAkValidated: the A(k) snapshot's k
 	Reason   string // one-line explanation for EXPLAIN-style output
 }
 
@@ -63,13 +63,14 @@ type ValueAccelerator interface {
 	EvalValuePredicate(p *Path) (result []graph.NodeID, ok bool)
 }
 
-// Planner picks evaluation strategies over whichever indexes exist. Any of
-// the index fields may be nil; the data graph is required.
+// Planner picks evaluation strategies over a set of snapshots pinned at
+// one read point. Data is required: the frozen graph the snapshots were
+// taken with. One (a 1-index snapshot), Ak (an A(k) snapshot) and Values
+// may each be nil.
 type Planner struct {
-	Graph  *graph.Graph
-	One    *oneindex.Index
-	Ak     *akindex.Index
-	Values ValueAccelerator
+	Data    *graph.Frozen
+	One, Ak *snap.Snapshot
+	Values  ValueAccelerator
 }
 
 // costedPlan is one strategy candidate with its estimated cost, in units
@@ -83,9 +84,10 @@ type costedPlan struct {
 // cost. The cost model follows the paper's evaluation: evaluation cost
 // tracks the number of (index) nodes the automaton touches, plus — for
 // imprecise routes — the per-candidate validation work, so the ranking
-// uses the index sizes as walk bounds, Selectivity (index-only counting)
-// for the result and candidate volumes, and the graph's mean in-degree
-// for the validation fan-out. Ties break in the fixed Strategy order.
+// uses the snapshot sizes as walk bounds, extent counts (index-only, O(1)
+// per matched slot) for the result and candidate volumes, and the graph's
+// mean in-degree for the validation fan-out. Ties break in the fixed
+// Strategy order.
 func (pl *Planner) Plan(p *Path) Plan {
 	best := pl.rank(p)[0]
 	return best.plan
@@ -94,10 +96,10 @@ func (pl *Planner) Plan(p *Path) Plan {
 // rank returns every available strategy candidate costed for p, cheapest
 // first (ties in Strategy order).
 func (pl *Planner) rank(p *Path) []costedPlan {
-	sk := p.Skeleton()
-	anchored := !NeedsValidation(sk, 1<<30) // no descendant steps at all
-	n := float64(pl.Graph.NumNodes())
-	e := float64(pl.Graph.NumEdges())
+	// The walk, the counts and NeedsValidation read only p's skeleton.
+	anchored := !NeedsValidation(p, 1<<30) // no descendant steps at all
+	n := float64(pl.Data.NumNodes())
+	e := float64(pl.Data.NumEdges())
 	fanIn := 1.0
 	if n > 0 && e > n {
 		fanIn = e / n
@@ -106,11 +108,14 @@ func (pl *Planner) rank(p *Path) []costedPlan {
 	// Estimated result size, from the best synopsis available: exact from
 	// the 1-index, an upper bound from the A(k)-index, a guess otherwise.
 	result := n / 8
-	switch {
-	case pl.One != nil:
-		result = float64(CountOne(sk, pl.One))
-	case pl.Ak != nil:
-		result = float64(CountAk(sk, pl.Ak))
+	akCands := 0.0
+	if pl.Ak != nil {
+		c, _ := extentCount(p, pl.Ak)
+		akCands, result = float64(c), float64(c)
+	}
+	if pl.One != nil {
+		c, _ := extentCount(p, pl.One)
+		result = float64(c)
 	}
 
 	var cands []costedPlan
@@ -129,29 +134,30 @@ func (pl *Planner) rank(p *Path) []costedPlan {
 		}, 1+result/4)
 	}
 	if pl.Ak != nil {
-		k := pl.Ak.K()
-		if anchored && sk.Len() <= k {
-			// Precise at level = length: walk bound is the level size.
+		k, size := pl.Ak.K(), float64(pl.Ak.Size())
+		if anchored && p.Len() <= k {
+			// Precise at level k, the level a snapshot holds: the walk bound
+			// is its size. (Cheaper levels l < k need per-slot ancestors in
+			// the snapshot.)
 			add(Plan{
 				Strategy: StrategyAkLevel,
-				Level:    sk.Len(),
-				Reason: fmt.Sprintf("anchored %d-step expression ≤ k=%d: A(%d) level is precise (%d inodes)",
-					sk.Len(), k, sk.Len(), pl.Ak.SizeAt(sk.Len())),
-			}, float64(pl.Ak.SizeAt(sk.Len()))+result)
+				Level:    k,
+				Reason: fmt.Sprintf("anchored %d-step expression ≤ k=%d: A(%d) is precise (%d inodes)",
+					p.Len(), k, k, pl.Ak.Size()),
+			}, size+result)
 		} else {
 			// Walk the A(k) graph, then validate each candidate with a
 			// backward search: ~length × fan-in data nodes per candidate.
-			akCands := float64(CountAk(sk, pl.Ak))
 			valCost := 0.0
-			if NeedsValidation(sk, k) {
-				valCost = akCands * float64(sk.Len()) * fanIn
+			if NeedsValidation(p, k) {
+				valCost = akCands * float64(p.Len()) * fanIn
 			}
 			add(Plan{
 				Strategy: StrategyAkValidated,
 				Level:    k,
 				Reason: fmt.Sprintf("A(%d) has %d inodes, ~%.0f candidates to validate",
 					k, pl.Ak.Size(), akCands),
-			}, float64(pl.Ak.Size())+valCost+result)
+			}, size+valCost+result)
 		}
 	}
 	if pl.One != nil {
@@ -255,25 +261,24 @@ func OrderPredicates(p *Path) *Path {
 func (pl *Planner) Eval(p *Path) ([]graph.NodeID, Plan) {
 	p = OrderPredicates(p)
 	plan := pl.Plan(p)
-	switch plan.Strategy {
-	case StrategyValueIndex:
+	if plan.Strategy == StrategyValueIndex {
 		if res, ok := pl.Values.EvalValuePredicate(p); ok {
 			return res, plan
 		}
 		// The accelerator declined (shape check drifted): fall back.
 		plan = Plan{Strategy: StrategyDirect, Reason: "value accelerator declined"}
-		return EvalGraph(p, pl.Graph), plan
-	case StrategyAkLevel:
-		res := EvalAkLevel(p, pl.Ak, plan.Level)
-		if p.HasPredicates() {
-			res = filterByAllPredicates(p, pl.Graph, res)
-		}
-		return res, plan
-	case StrategyAkValidated:
-		return EvalAkValidated(p, pl.Ak), plan
-	case StrategyOneIndex:
-		return EvalOneIndex(p, pl.One), plan
-	default:
-		return EvalGraph(p, pl.Graph), plan
 	}
+	return pl.exec(p, plan.Strategy), plan
+}
+
+// exec evaluates p by a structural strategy: on the snapshot it names, or
+// over the data graph for the direct route. Every route is exact.
+func (pl *Planner) exec(p *Path, st Strategy) []graph.NodeID {
+	switch st {
+	case StrategyAkLevel, StrategyAkValidated:
+		return EvalSnapshot(p, pl.Ak)
+	case StrategyOneIndex:
+		return EvalSnapshot(p, pl.One)
+	}
+	return EvalGraph(p, pl.Data)
 }

@@ -14,7 +14,7 @@ import (
 // estimate, and Plan returning exactly the head of the ranking.
 func TestPlannerRankOrdering(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(64, 1, 4))
-	pl := &Planner{Graph: g, One: oneindex.Build(g), Ak: akindex.Build(g.Clone(), 3)}
+	pl := snapPlanner(g, 3)
 	for _, expr := range []string{"/site/people/person", "//person//name", "//*", "/site/*/person/name"} {
 		p := MustParse(expr)
 		cands := pl.rank(p)
@@ -46,18 +46,19 @@ func TestPlannerRankOrdering(t *testing.T) {
 // The same expression must route differently as the cost inputs move.
 func TestPlannerCostFlips(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(64, 1, 4))
-	one := oneindex.Build(g)
+	data := g.Freeze()
+	one := oneindex.Build(g).Freeze(data)
 	anchored := MustParse("/site/people/person")
 
-	// k ≥ length: the A(3) level answers the 3-step expression precisely
-	// with a walk bounded by the (small) level size.
-	with3 := &Planner{Graph: g, One: one, Ak: akindex.Build(g.Clone(), 3)}
+	// k ≥ length: the A(3) snapshot answers the 3-step expression precisely
+	// with a walk bounded by the (small) A(3) size.
+	with3 := &Planner{Data: data, One: one, Ak: akindex.Build(g, 3).Freeze(data)}
 	if plan := with3.Plan(anchored); plan.Strategy != StrategyAkLevel || plan.Level != 3 {
 		t.Errorf("k=3 anchored: got %s level %d, want ak-level 3", plan.Strategy, plan.Level)
 	}
 	// k < length: the level shortcut is gone and the A(2) route pays a
 	// per-candidate validation surcharge — the plan must flip off AkLevel.
-	with2 := &Planner{Graph: g, One: one, Ak: akindex.Build(g.Clone(), 2)}
+	with2 := &Planner{Data: data, One: one, Ak: akindex.Build(g, 2).Freeze(data)}
 	if plan := with2.Plan(anchored); plan.Strategy == StrategyAkLevel {
 		t.Errorf("k=2 anchored 3-step: still ak-level (%s)", plan.Reason)
 	}
@@ -89,7 +90,7 @@ func TestPlannerCostFlips(t *testing.T) {
 	// accelerable expression flips to the value index the moment an
 	// accelerator exists — and back off it when the shape disqualifies.
 	fa := &fakeAccelerator{}
-	withVal := &Planner{Graph: g, One: one, Values: fa}
+	withVal := &Planner{Data: data, One: one, Values: fa}
 	if plan := withVal.Plan(MustParse("//person/name[text='x']")); plan.Strategy != StrategyValueIndex {
 		t.Errorf("value predicate with accelerator: got %s", plan.Strategy)
 	}

@@ -46,37 +46,12 @@ func (pr *Predicate) holds(g Source, v graph.NodeID) bool {
 
 // evalFrom evaluates a (relative) path with v as the context node.
 func evalFrom(p *Path, g Source, v graph.NodeID) []graph.NodeID {
-	res := runFrom(p, &graphNav{g: g}, []int64{int64(v)})
+	res := run(p, &graphNav{g: g}, []int64{int64(v)})
 	out := make([]graph.NodeID, len(res))
 	for i, n := range res {
 		out[i] = graph.NodeID(n)
 	}
 	return out
-}
-
-// runFrom is run with an explicit start frontier.
-func runFrom(p *Path, nav navigator, frontier []int64) []int64 {
-	for _, st := range p.steps {
-		if st.Descendant {
-			frontier = closure(nav, frontier)
-		}
-		next := make(map[int64]bool)
-		for _, n := range frontier {
-			nav.succ(n, func(c int64) {
-				if nav.labelMatches(c, st.Label) {
-					next[c] = true
-				}
-			})
-		}
-		frontier = frontier[:0]
-		for n := range next {
-			frontier = append(frontier, n)
-		}
-		if len(frontier) == 0 {
-			return nil
-		}
-	}
-	return frontier
 }
 
 // HasPredicates reports whether any step carries a predicate.

@@ -99,8 +99,9 @@ func TestEvalGraphPredicates(t *testing.T) {
 // Index evaluation with predicates must agree with direct evaluation.
 func TestIndexesHonorPredicates(t *testing.T) {
 	g := predGraph(t)
-	one := oneindex.Build(g)
-	ak := akindex.Build(g.Clone(), 2)
+	data := g.Freeze()
+	one := oneindex.Build(g).Freeze(data)
+	ak := akindex.Build(g, 2).Freeze(data)
 	exprs := []string{
 		`//person[name='Alice']`,
 		`//person[age]/name`,
@@ -112,8 +113,8 @@ func TestIndexesHonorPredicates(t *testing.T) {
 	for _, expr := range exprs {
 		p := MustParse(expr)
 		direct := EvalGraph(p, g)
-		viaOne := EvalOneIndex(p, one)
-		viaAk := EvalAkValidated(p, ak)
+		viaOne := EvalSnapshot(p, one)
+		viaAk := EvalSnapshot(p, ak)
 		if !equalIDs(direct, viaOne) {
 			t.Errorf("%s: 1-index %v != direct %v", expr, viaOne, direct)
 		}
@@ -121,7 +122,7 @@ func TestIndexesHonorPredicates(t *testing.T) {
 			t.Errorf("%s: A(k) %v != direct %v", expr, viaAk, direct)
 		}
 		// Raw A(k) must stay a superset even while ignoring predicates.
-		raw := EvalAk(p, ak)
+		raw := candidates(p, ak)
 		set := map[graph.NodeID]bool{}
 		for _, v := range raw {
 			set[v] = true
@@ -144,8 +145,9 @@ func TestPredicateAgreementRandom(t *testing.T) {
 				g.SetValue(v, strconv.Itoa(rng.Intn(3)))
 			}
 		})
-		one := oneindex.Build(g)
-		ak := akindex.Build(g.Clone(), 2)
+		data := g.Freeze()
+		one := oneindex.Build(g).Freeze(data)
+		ak := akindex.Build(g, 2).Freeze(data)
 		labels := []string{"a", "b", "c", "d", "*"}
 		for q := 0; q < 25; q++ {
 			expr := randomExpr(rng)
@@ -160,10 +162,10 @@ func TestPredicateAgreementRandom(t *testing.T) {
 			}
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
-			if got := EvalOneIndex(p, one); !equalIDs(direct, got) {
+			if got := EvalSnapshot(p, one); !equalIDs(direct, got) {
 				t.Fatalf("seed %d %s: 1-index %v != direct %v", seed, expr, got, direct)
 			}
-			if got := EvalAkValidated(p, ak); !equalIDs(direct, got) {
+			if got := EvalSnapshot(p, ak); !equalIDs(direct, got) {
 				t.Fatalf("seed %d %s: A(k) %v != direct %v", seed, expr, got, direct)
 			}
 		}

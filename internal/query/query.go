@@ -1,7 +1,7 @@
 // Package query evaluates simple path expressions — the workload
 // structural indexes exist to accelerate (§1, §3) — over a data graph
-// directly, over a 1-index, and over an A(k)-index with the validation
-// step for paths longer than k.
+// directly, or over an immutable snapshot of a 1-index or an A(k)-index,
+// with the validation step for paths longer than k.
 //
 // The expression language is the label-path core of XPath [4]:
 //
@@ -17,8 +17,8 @@
 // structural index built by extent-partitioning is *safe* — the result is
 // a superset of the true answer; the 1-index is also *precise* for these
 // expressions, while the A(k)-index can return false positives for
-// expressions longer than k, which EvalAkValidated removes by re-checking
-// candidates against the data graph.
+// expressions longer than k (SnapshotCandidates shows them), which
+// EvalSnapshot removes by re-checking candidates against the data graph.
 package query
 
 import (
@@ -155,17 +155,16 @@ func MustParse(expr string) *Path {
 }
 
 // navigator abstracts the graph the automaton runs over: the data graph or
-// an index graph.
+// an index snapshot.
 type navigator interface {
-	start() []int64
 	succ(n int64, fn func(int64))
 	labelMatches(n int64, label string) bool
 }
 
-// run executes the step automaton over any navigator and returns the nodes
-// matched by the final step.
-func run(p *Path, nav navigator) []int64 {
-	frontier := nav.start()
+// run executes the step automaton over any navigator from the context
+// nodes in frontier (which it consumes) and returns the nodes matched by
+// the final step.
+func run(p *Path, nav navigator, frontier []int64) []int64 {
 	for _, st := range p.steps {
 		if st.Descendant {
 			frontier = closure(nav, frontier)

@@ -9,6 +9,7 @@ import (
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
+	"structix/internal/snap"
 	"structix/internal/xmlload"
 )
 
@@ -99,18 +100,25 @@ func equalIDs(a, b []graph.NodeID) bool {
 	return true
 }
 
-// Precision of the 1-index: index evaluation must equal direct evaluation,
-// on handcrafted and randomized graphs and expressions.
+// candidates is SnapshotCandidates without a buffer or a context: the raw
+// extent union, before validation and predicate checks.
+func candidates(p *Path, s *snap.Snapshot) []graph.NodeID {
+	out, _ := SnapshotCandidates(nil, nil, p, s)
+	return out
+}
+
+// Precision of the 1-index: its raw extent union must equal direct
+// evaluation, on handcrafted and randomized graphs and expressions.
 func TestOneIndexPrecise(t *testing.T) {
 	g := load(t)
-	x := oneindex.Build(g)
+	x := oneindex.Build(g).Freeze(g.Freeze())
 	for _, expr := range []string{
 		"/site/people/person", "//name", "//person//name",
 		"//watch/auction/seller", "/site/*/*", "//auction//name",
 	} {
 		p := MustParse(expr)
 		direct := EvalGraph(p, g)
-		viaIdx := EvalOneIndex(p, x)
+		viaIdx := candidates(p, x)
 		if !equalIDs(direct, viaIdx) {
 			t.Errorf("%q: direct %v != index %v", expr, direct, viaIdx)
 		}
@@ -136,12 +144,12 @@ func TestOneIndexPreciseRandom(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := gtest.RandomCyclic(rng, 60, 40)
-		x := oneindex.Build(g)
+		x := oneindex.Build(g).Freeze(g.Freeze())
 		for q := 0; q < 20; q++ {
 			expr := randomExpr(rng)
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
-			viaIdx := EvalOneIndex(p, x)
+			viaIdx := candidates(p, x)
 			if !equalIDs(direct, viaIdx) {
 				t.Fatalf("seed %d %q: direct %v != index %v", seed, expr, direct, viaIdx)
 			}
@@ -149,19 +157,20 @@ func TestOneIndexPreciseRandom(t *testing.T) {
 	}
 }
 
-// Safety and validated precision of the A(k)-index: raw evaluation is a
-// superset of the truth; validation restores exactness.
+// Safety and validated precision of the A(k)-index: raw candidates are a
+// superset of the truth, exactly the truth when the snapshot needs no
+// validation, and validation restores exactness.
 func TestAkSafetyAndValidation(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*13 + int64(k)))
 			g := gtest.RandomCyclic(rng, 50, 35)
-			x := akindex.Build(g, k)
+			x := akindex.Build(g, k).Freeze(g.Freeze())
 			for q := 0; q < 15; q++ {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
 				direct := EvalGraph(p, g)
-				raw := EvalAk(p, x)
+				raw := candidates(p, x)
 				set := make(map[graph.NodeID]bool, len(raw))
 				for _, v := range raw {
 					set[v] = true
@@ -171,7 +180,10 @@ func TestAkSafetyAndValidation(t *testing.T) {
 						t.Fatalf("k=%d seed %d %q: A(k) result missed %d (unsafe!)", k, seed, expr, v)
 					}
 				}
-				validated := EvalAkValidated(p, x)
+				if !validates(p, x) && !equalIDs(direct, raw) {
+					t.Fatalf("k=%d seed %d %q: raw %v != direct %v though precise", k, seed, expr, raw, direct)
+				}
+				validated := EvalSnapshot(p, x)
 				if !equalIDs(direct, validated) {
 					t.Fatalf("k=%d seed %d %q: validated %v != direct %v", k, seed, expr, validated, direct)
 				}
@@ -234,20 +246,20 @@ func TestAkFalsePositivesExist(t *testing.T) {
 	if err := g.AddEdge(extra, a, graph.IDRef); err != nil {
 		t.Fatal(err)
 	}
-	x := akindex.Build(g, 1)
+	x := akindex.Build(g, 1).Freeze(g.Freeze())
 	// /site-less query: //marker/top/mid — true answer: pa only (a is the
 	// only top under marker). With k=1, pa and pb share an inode iff their
 	// parents share labels (both "top"): so the A(1) result contains pb.
 	p := MustParse("//marker/top/mid")
 	direct := EvalGraph(p, g)
-	raw := EvalAk(p, x)
+	raw := candidates(p, x)
 	if len(direct) != 1 || direct[0] != pa {
 		t.Fatalf("setup wrong: direct = %v", direct)
 	}
 	if len(raw) <= len(direct) {
 		t.Fatalf("expected false positives in raw A(1) result, got %v", raw)
 	}
-	validated := EvalAkValidated(p, x)
+	validated := EvalSnapshot(p, x)
 	if !equalIDs(direct, validated) {
 		t.Errorf("validation failed: %v != %v", validated, direct)
 	}
@@ -257,9 +269,6 @@ func TestAkFalsePositivesExist(t *testing.T) {
 func TestQueriesAfterMaintenance(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(128, 1, 3))
 	x := oneindex.Build(g)
-	a := akindex.Build(g.Clone(), 2)
-	// Note: a has its own clone; run updates on x's graph only for the
-	// 1-index comparison.
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 20; i++ {
 		u, v, ok := gtest.RandomNonEdge(rng, g)
@@ -270,11 +279,11 @@ func TestQueriesAfterMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s := x.Freeze(g.Freeze())
 	for _, expr := range []string{"//person/name", "/site/open_auctions/open_auction/itemref/item"} {
 		p := MustParse(expr)
-		if !equalIDs(EvalGraph(p, g), EvalOneIndex(p, x)) {
+		if !equalIDs(EvalGraph(p, g), candidates(p, s)) {
 			t.Errorf("%q: 1-index imprecise after maintenance", expr)
 		}
 	}
-	_ = a
 }

@@ -8,11 +8,11 @@ import (
 	"structix/internal/snap"
 )
 
-// Snapshot evaluation: the same automaton, validator and predicate
-// machinery as the live-index paths, but running entirely against an
-// immutable index snapshot and its frozen data graph. Nothing here reads
-// mutable state, so any number of goroutines may call these while the
-// live index is being maintained.
+// Snapshot evaluation: the automaton, validator and predicate machinery
+// running entirely against an immutable index snapshot and its frozen data
+// graph — the one read model of every index evaluator in this package.
+// Nothing here reads mutable state, so any number of goroutines may call
+// these while the live index is being maintained.
 //
 // One family serves both index kinds. A 1-index snapshot is precise for
 // every skeleton; an A(k) snapshot (s.Bounded()) only for anchored,
@@ -89,37 +89,45 @@ func EvalSnapshotInto(buf []graph.NodeID, p *Path, s *snap.Snapshot) []graph.Nod
 // EvalSnapshotIntoCtx combines the buffer-reuse contract of
 // EvalSnapshotInto with the cancellation contract of EvalSnapshotCtx.
 func EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
+	buf, err := SnapshotCandidates(ctx, buf, p, s)
+	if err != nil {
+		return buf, err
+	}
+	// Validation and the walk read only labels and axes, so both take p as
+	// it is; predicates are checked last, on the validated survivors.
+	if buf, err = validated(ctx, p, s, buf); err != nil {
+		return buf, err
+	}
+	if p.HasPredicates() {
+		buf = filterByAllPredicates(p, s.Data(), buf)
+	}
+	return buf, ctxErr(ctx)
+}
+
+// SnapshotCandidates returns the union of the extents of the slots p's
+// skeleton selects on s, sorted and assembled into buf like
+// EvalSnapshotInto: the raw answer, before validation and predicate
+// checks. It is exact for the skeleton when s is precise for it (a
+// 1-index, or an A(k) snapshot and an anchored, descendant-free path of
+// at most k steps); otherwise it is a safe superset, and its surplus is
+// the false positives EvalSnapshot's validation removes.
+func SnapshotCandidates(ctx context.Context, buf []graph.NodeID, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
 	buf = buf[:0]
 	if s.RootINode() == snap.NoID {
 		return buf, ctxErr(ctx)
 	}
-	if p.HasPredicates() {
-		cand, err := EvalSnapshotIntoCtx(ctx, buf, p.Skeleton(), s)
-		if err != nil {
-			return cand[:0], err
-		}
-		return filterByAllPredicates(p, s.Data(), cand), ctxErr(ctx)
-	}
 	if err := ctxErr(ctx); err != nil {
 		return buf, err
 	}
-	res := run(p, snapNav{s})
-	total := 0
-	for _, n := range res {
-		total += s.ExtentSize(snap.ID(n))
-	}
+	total, slots := extentCount(p, s)
 	buf = slices.Grow(buf, total)
-	for _, n := range res {
+	for _, n := range slots {
 		if err := ctxErr(ctx); err != nil {
 			return buf[:0], err
 		}
 		buf = s.ExtentView(snap.ID(n)).AppendTo(buf)
 	}
 	sortNodes(buf)
-	buf, err := validated(ctx, p, s, buf)
-	if err != nil {
-		return buf, err
-	}
 	return buf, ctxErr(ctx)
 }
 
@@ -133,9 +141,6 @@ func CountSnapshot(p *Path, s *snap.Snapshot) int {
 
 // CountSnapshotCtx is CountSnapshot under a context.
 func CountSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) (int, error) {
-	if s.RootINode() == snap.NoID {
-		return 0, ctxErr(ctx)
-	}
 	if p.HasPredicates() || validates(p, s) {
 		out, err := EvalSnapshotCtx(ctx, p, s)
 		return len(out), err
@@ -143,16 +148,12 @@ func CountSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) (int, erro
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, id := range run(p, snapNav{s}) {
-		n += s.ExtentSize(snap.ID(id))
-	}
+	n, _ := extentCount(p, s)
 	return n, ctxErr(ctx)
 }
 
 type snapNav struct{ s *snap.Snapshot }
 
-func (n snapNav) start() []int64 { return []int64{int64(n.s.RootINode())} }
 func (n snapNav) succ(v int64, fn func(int64)) {
 	for _, j := range n.s.ISucc(snap.ID(v)) {
 		fn(int64(j))

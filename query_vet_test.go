@@ -1,0 +1,71 @@
+package structix
+
+import (
+	"go/ast"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestQueryReadsSnapshotsOnly is a vet-style source scan that keeps one
+// read model: every index evaluator reads an immutable snapshot. No
+// non-test file of internal/query may import a live index package, and
+// the root facade may export no Eval* or Count* function taking a live
+// *OneIndex or *AkIndex. A second read stack over the mutable indexes
+// cannot come back unnoticed.
+func TestQueryReadsSnapshotsOnly(t *testing.T) {
+	queryFiles, facadeReaders := 0, 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		switch filepath.ToSlash(filepath.Dir(path)) {
+		case "internal/query":
+			queryFiles++
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "structix/internal/oneindex" || p == "structix/internal/akindex" {
+					t.Errorf("%s: internal/query imports %s; evaluate a snapshot instead", fset.Position(imp.Pos()), p)
+				}
+			}
+		case ".":
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !fn.Name.IsExported() ||
+					!(strings.HasPrefix(fn.Name.Name, "Eval") || strings.HasPrefix(fn.Name.Name, "Count")) {
+					continue
+				}
+				facadeReaders++
+				for _, field := range fn.Type.Params.List {
+					if name := liveIndexType(field.Type); name != "" {
+						t.Errorf("%s: %s takes a live %s; take a *Snapshot", fset.Position(fn.Pos()), fn.Name.Name, name)
+					}
+				}
+			}
+		}
+	})
+	if queryFiles == 0 || facadeReaders == 0 {
+		t.Fatalf("scanned %d internal/query files and %d facade readers: the scan covered nothing", queryFiles, facadeReaders)
+	}
+}
+
+// liveIndexType names the live index type e points to — *OneIndex,
+// *AkIndex, *oneindex.Index or *akindex.Index — or returns "".
+func liveIndexType(e ast.Expr) string {
+	star, ok := e.(*ast.StarExpr)
+	if !ok {
+		return ""
+	}
+	switch x := star.X.(type) {
+	case *ast.Ident:
+		if x.Name == "OneIndex" || x.Name == "AkIndex" {
+			return "*" + x.Name
+		}
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && x.Sel.Name == "Index" && (pkg.Name == "oneindex" || pkg.Name == "akindex") {
+			return "*" + pkg.Name + ".Index"
+		}
+	}
+	return ""
+}

@@ -299,8 +299,8 @@ func TestDBAkOracle(t *testing.T) {
 	}
 }
 
-// Property: snapshot reads are identical to reads of the live index taken
-// at the same quiescent point, across batches and rejections.
+// Property: snapshot reads are identical to direct reads of the live graph
+// taken at the same quiescent point, across batches and rejections.
 func TestSnapshotEqualsLiveReads(t *testing.T) {
 	g := structix.GenerateXMark(structix.DefaultXMark(768, 1, 4))
 	pool := poolEdges(g, 4)
@@ -308,11 +308,10 @@ func TestSnapshotEqualsLiveReads(t *testing.T) {
 		t.Skip("no pool edges at this scale")
 	}
 	idx := structix.BuildOneIndex(g)
-	snap := structix.NewDB(idx) // the live index is read at quiescent points only
+	snap := structix.NewDB(idx) // the live graphs are read at quiescent points only
 
 	gAk := g.Clone()
-	idxAk := structix.BuildAkIndex(gAk, 2)
-	snapAk := structix.NewDB(idxAk)
+	snapAk := structix.NewDB(structix.BuildAkIndex(gAk, 2))
 
 	queries := []*structix.Path{
 		structix.MustParsePath("//person/name"),
@@ -325,7 +324,7 @@ func TestSnapshotEqualsLiveReads(t *testing.T) {
 		t.Helper()
 		for _, p := range queries {
 			a := snap.Eval(p)
-			b := structix.EvalOneIndex(p, idx)
+			b := structix.EvalGraph(p, g)
 			if len(a) != len(b) {
 				t.Fatalf("%s %v: snapshot %d nodes, live %d", stage, p, len(a), len(b))
 			}
@@ -334,11 +333,11 @@ func TestSnapshotEqualsLiveReads(t *testing.T) {
 					t.Fatalf("%s %v: results differ at %d: %d vs %d", stage, p, i, a[i], b[i])
 				}
 			}
-			if snap.Count(p) != structix.CountOneIndex(p, idx) {
+			if snap.Count(p) != len(b) {
 				t.Fatalf("%s %v: counts differ", stage, p)
 			}
 			ea := snapAk.Eval(p)
-			eb := structix.EvalAkValidated(p, idxAk)
+			eb := structix.EvalGraph(p, gAk)
 			if len(ea) != len(eb) {
 				t.Fatalf("%s %v: ak snapshot %d nodes, live %d", stage, p, len(ea), len(eb))
 			}
@@ -482,7 +481,7 @@ func TestPersistRoundTripThenBatch(t *testing.T) {
 	// The loaded indexes can also serve snapshots immediately.
 	s := structix.NewDB(loaded.One)
 	p := structix.MustParsePath("//person/name")
-	if got, want := len(s.Eval(p)), len(structix.EvalOneIndex(p, loaded.One)); got != want {
+	if got, want := len(s.Eval(p)), len(structix.EvalGraph(p, loaded.Graph)); got != want {
 		t.Fatalf("snapshot over loaded index: %d results, want %d", got, want)
 	}
 }

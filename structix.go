@@ -18,10 +18,11 @@
 //     DataGuide and an incrementally maintained D(k)-index (the extension
 //     the paper's conclusion conjectures);
 //   - a path-expression engine (labels, *, //, predicates) that evaluates
-//     directly, via the 1-index (precise), via any A(l) level with
-//     validation, or value-first through an inverted value index — with a
-//     cost-based Planner ranking the exact routes per expression, and an
-//     automaton compiler (CompilePath) for the snapshot read path;
+//     directly, or on an immutable Snapshot of either index family
+//     (precise on a 1-index, validated beyond k on A(k)), or value-first
+//     through an inverted value index — with a cost-based Planner ranking
+//     the exact routes over snapshots pinned at one read point, and an
+//     automaton compiler (CompilePath) for the served read path;
 //   - persistence (versioned binary, optional gzip), textual update
 //     scripts, and one store for concurrent use, DB: serialized writers
 //     publish immutable epoch snapshots of either index family, so reads
@@ -36,7 +37,8 @@
 //
 //	g, err := structix.ParseXMLString(doc)
 //	idx := structix.BuildOneIndex(g)
-//	hits := structix.EvalOneIndex(structix.MustParsePath("//person/name"), idx)
+//	s := idx.Freeze(g.Freeze()) // an immutable read view of index and graph
+//	hits := structix.EvalSnapshot(structix.MustParsePath("//person/name"), s)
 //	err = idx.InsertEdge(u, v, structix.IDRef) // index stays minimal
 //
 // The exported names are aliases of the implementation packages under
@@ -245,30 +247,10 @@ func MustParsePath(expr string) *Path { return query.MustParse(expr) }
 // EvalGraph evaluates a path expression by direct graph traversal.
 func EvalGraph(p *Path, g *Graph) []NodeID { return query.EvalGraph(p, g) }
 
-// EvalOneIndex evaluates via the 1-index (precise for this language).
-func EvalOneIndex(p *Path, x *OneIndex) []NodeID { return query.EvalOneIndex(p, x) }
-
-// EvalAk evaluates via the A(k)-index without validation (safe, may
-// contain false positives for expressions longer than k).
-func EvalAk(p *Path, x *AkIndex) []NodeID { return query.EvalAk(p, x) }
-
-// EvalAkValidated evaluates via the A(k)-index and removes false positives
-// with the validation step of [9].
-func EvalAkValidated(p *Path, x *AkIndex) []NodeID { return query.EvalAkValidated(p, x) }
-
-// EvalAkLevel evaluates on the A(l)-index inside the family (the §6
-// optional structure): smaller graph, safe result, precise for anchored
-// expressions of length ≤ l.
-func EvalAkLevel(p *Path, x *AkIndex, l int) []NodeID { return query.EvalAkLevel(p, x, l) }
-
-// EvalAkLevelValidated is EvalAkLevel plus validation: the exact result.
-func EvalAkLevelValidated(p *Path, x *AkIndex, l int) []NodeID {
-	return query.EvalAkLevelValidated(p, x, l)
-}
-
-// Planner ranks the exact evaluation routes (value index, A(l) level,
+// Planner ranks the exact evaluation routes (value index, precise A(k),
 // validated A(k), 1-index, direct traversal) by estimated cost for each
-// expression, given whichever indexes exist, and picks the cheapest.
+// expression, over whichever snapshots it holds of one read point, and
+// picks the cheapest.
 type Planner = query.Planner
 
 // QueryPlan is a chosen strategy with an EXPLAIN-style rationale.
@@ -290,19 +272,6 @@ type ValueIndex = valindex.Index
 // BuildValueIndex indexes every non-empty node value of g.
 func BuildValueIndex(g *Graph) *ValueIndex { return valindex.Build(g) }
 
-// CountOneIndex returns the exact result size of p computed from the
-// 1-index alone (selectivity-estimation use of structural indexes, §1).
-func CountOneIndex(p *Path, x *OneIndex) int { return query.CountOneIndex(p, x) }
-
-// CountAk returns an upper bound on the result size of p from the
-// A(k)-index alone.
-func CountAk(p *Path, x *AkIndex) int { return query.CountAk(p, x) }
-
-// Selectivity returns the fraction of dnodes matching p's skeleton
-// (predicates stripped — an upper bound when p carries any), computed
-// exactly from the 1-index without touching the data graph.
-func Selectivity(p *Path, x *OneIndex) float64 { return query.Selectivity(p, x) }
-
 // EvalSnapshot evaluates a path expression against an index snapshot of
 // either family — exact, including predicates, with no access to mutable
 // state: an A(k) snapshot's candidates are validated against its frozen
@@ -318,6 +287,15 @@ func EvalSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) ([]NodeID, error
 	return query.EvalSnapshotCtx(ctx, p, s)
 }
 
+// SnapshotCandidates returns the raw answer of p's skeleton on s, before
+// validation and predicate checks: exact on a 1-index, and on an A(k)
+// snapshot a safe superset whose surplus is the false positives
+// EvalSnapshot's validation removes.
+func SnapshotCandidates(p *Path, s *Snapshot) []NodeID {
+	out, _ := query.SnapshotCandidates(nil, nil, p, s)
+	return out
+}
+
 // CountSnapshot returns the exact result size of p from an index snapshot.
 func CountSnapshot(p *Path, s *Snapshot) int { return query.CountSnapshot(p, s) }
 
@@ -325,6 +303,12 @@ func CountSnapshot(p *Path, s *Snapshot) int { return query.CountSnapshot(p, s) 
 func CountSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) (int, error) {
 	return query.CountSnapshotCtx(ctx, p, s)
 }
+
+// Selectivity returns the fraction of dnodes matching p's skeleton
+// (predicates stripped), computed from s's extent sizes without touching
+// the data graph: exact on a 1-index snapshot, an upper bound on A(k) —
+// the synopsis use of structural indexes (§1).
+func Selectivity(p *Path, s *Snapshot) float64 { return query.Selectivity(p, s) }
 
 // CompiledPath is a path expression compiled to an automaton (DFA with an
 // NFA fallback) for repeated evaluation over epoch snapshots; see

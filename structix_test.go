@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	p := structix.MustParsePath("//person/name")
 	direct := structix.EvalGraph(p, g)
-	viaIdx := structix.EvalOneIndex(p, one)
+	viaIdx := structix.EvalSnapshot(p, one.Freeze(g.Freeze()))
 	if len(direct) != 2 || len(viaIdx) != 2 {
 		t.Fatalf("query results: direct %d, index %d, want 2", len(direct), len(viaIdx))
 	}
@@ -73,12 +73,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("index not minimal after facade update")
 	}
 
-	ak := structix.BuildAkIndex(g.Clone(), 2)
-	got := structix.EvalAkValidated(structix.MustParsePath("//open_auction/seller"), ak)
+	ak := structix.BuildAkIndex(g, 2).Freeze(g.Freeze())
+	got := structix.EvalSnapshot(structix.MustParsePath("//open_auction/seller"), ak)
 	if len(got) != 1 {
 		t.Errorf("A(k) validated query returned %d results", len(got))
 	}
-	if raw := structix.EvalAk(structix.MustParsePath("//open_auction/seller"), ak); len(raw) < len(got) {
+	if raw := structix.SnapshotCandidates(structix.MustParsePath("//open_auction/seller"), ak); len(raw) < len(got) {
 		t.Errorf("raw A(k) result smaller than validated")
 	}
 }
