@@ -7,11 +7,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"structix/internal/graph"
+	"structix/internal/oneindex"
 	"structix/internal/opscript"
 	"structix/internal/wal"
 )
@@ -564,6 +566,19 @@ func TestKill9LosesNoAckedCommits(t *testing.T) {
 	}
 	if acked < 50 {
 		t.Fatalf("only %d acked commits on record, expected >= 50", acked)
+	}
+	// The child only added leaves under the root, which join one appended
+	// inode: every inode of the bootstrap keeps the id Build gave it.
+	boot, err := xmarkBootstrap(32)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := oneindex.Build(boot.Graph)
+	want, got := built.Freeze(boot.Graph.Freeze()), db.Snapshot()
+	for i := INodeID(0); int(i) < want.Slots(); i++ {
+		if !slices.Equal(got.Extent(i), want.Extent(i)) {
+			t.Fatalf("recovered inode %d holds %v, Build numbered it %v", i, got.Extent(i), want.Extent(i))
+		}
 	}
 	t.Logf("recovered all %d acked commits (replayed %d journal records)",
 		acked, db.Stats().ReplayedRecords)

@@ -134,3 +134,53 @@ func SnapshotDiff(a, b *snap.Snapshot) string {
 	}
 	return ""
 }
+
+// BreadthFirstDiff checks that a snapshot's inodes are numbered the way
+// oneindex.Build numbers them — breadth-first in first-reach order from
+// the root — and describes the first violation, "" when there is none.
+// The slots must be dense and the root must be slot 0; the slots the root
+// reaches must come first; and, calling a reached slot's parent its
+// smallest-numbered predecessor, every parent precedes its child and a
+// later slot never has an earlier parent. Together these say the ids are
+// the discovery order of a FIFO walk over the inode graph.
+func BreadthFirstDiff(s *snap.Snapshot) string {
+	n := s.Slots()
+	if s.Size() != n {
+		return fmt.Sprintf("%d live inodes in %d slots: ids are not dense", s.Size(), n)
+	}
+	if n > 0 && s.RootINode() != 0 {
+		return fmt.Sprintf("root inode is %d, want 0", s.RootINode())
+	}
+	parent := make([]snap.ID, n)
+	for i := range parent {
+		parent[i] = -1
+	}
+	reached := make([]bool, n)
+	if n > 0 {
+		reached[0] = true
+	}
+	// Slot ids ascend along the walk, so one ascending pass sees every
+	// reached slot before its successors need it.
+	for i := snap.ID(0); int(i) < n; i++ {
+		if !reached[i] {
+			continue
+		}
+		for _, j := range s.ISucc(i) {
+			if !reached[j] {
+				if j < i {
+					return fmt.Sprintf("slot %d is reached from %d but numbered before it", j, i)
+				}
+				reached[j], parent[j] = true, i
+			}
+		}
+	}
+	for i := 1; i < n; i++ {
+		switch {
+		case reached[i] && !reached[i-1]:
+			return fmt.Sprintf("reached slot %d follows unreached slot %d", i, i-1)
+		case reached[i] && parent[i] < parent[i-1]:
+			return fmt.Sprintf("slot %d (parent %d) follows slot %d (parent %d)", i, parent[i], i-1, parent[i-1])
+		}
+	}
+	return ""
+}

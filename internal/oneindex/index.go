@@ -168,9 +168,55 @@ type Stats struct {
 }
 
 // Build constructs the minimum 1-index of g from scratch: the coarsest
-// label-pure self-stable partition (Paige–Tarjan construction).
+// label-pure self-stable partition (Paige–Tarjan construction), with its
+// inodes numbered breadth-first from the root (see numberBreadthFirst).
 func Build(g *graph.Graph) *Index {
-	return FromPartition(g, partition.CoarsestStable(g, partition.ByLabel(g)))
+	p := partition.CoarsestStable(g, partition.ByLabel(g))
+	numberBreadthFirst(g, p)
+	return FromPartition(g, p)
+}
+
+// numberBreadthFirst renumbers p's blocks in breadth-first first-reach
+// order over the quotient graph from the root's block, so the root inode
+// is 0 and a query walk — itself breadth-first over ascending successor
+// lists — meets inodes in nearly ascending slot order. Blocks the root
+// cannot reach follow in order of their first member. FromPartition keeps
+// block ids, so every snapshot, saved file, recovery and follower of the
+// built index inherits the numbering; later splits append fresh ids.
+func numberBreadthFirst(g *graph.Graph, p *partition.Partition) {
+	blocks := p.Blocks()
+	newID := make([]int32, len(blocks))
+	for i := range newID {
+		newID[i] = partition.NoBlock
+	}
+	order := make([]int32, 0, len(blocks)) // old block ids, in new-id order
+	reach := func(b int32) {
+		if b != partition.NoBlock && newID[b] == partition.NoBlock {
+			newID[b] = int32(len(order))
+			order = append(order, b)
+		}
+	}
+	if r := g.Root(); r != graph.InvalidNode {
+		reach(p.Block(r))
+	}
+	seed := 0 // dnode cursor seeding the blocks the root cannot reach
+	for head := 0; ; head++ {
+		for head == len(order) && seed < p.Len() {
+			reach(p.Block(graph.NodeID(seed)))
+			seed++
+		}
+		if head == len(order) {
+			break
+		}
+		for _, u := range blocks[order[head]] {
+			g.EachSucc(u, func(w graph.NodeID, _ graph.EdgeKind) { reach(p.Block(w)) })
+		}
+	}
+	for b, members := range blocks {
+		for _, v := range members {
+			p.SetBlock(v, newID[b])
+		}
+	}
 }
 
 // FromPartition constructs an Index over g with the given dnode partition.

@@ -455,3 +455,43 @@ func BenchmarkInsertDeleteDAG(b *testing.B) {
 		}
 	}
 }
+
+// Build numbers inodes breadth-first in first-reach order from the root:
+// the root is inode 0, ids are dense, and a query walk meets them in
+// nearly ascending order. Pinned exactly on Figure 2 and by property on
+// random DAG and cyclic graphs; the Paige–Tarjan block order the numbering
+// replaces is shown to fail the same check, so the check has teeth.
+func TestBuildNumbersBreadthFirst(t *testing.T) {
+	g, _, _, ids := gtest.Fig2()
+	x := Build(g)
+	for name, want := range map[string]INodeID{"1": 1, "2": 2, "3": 3, "4": 3, "5": 4, "6": 5, "7": 5, "8": 6} {
+		if got := x.INodeOf(ids[name]); got != want {
+			t.Errorf("Figure 2 node %s in inode %d, want %d", name, got, want)
+		}
+	}
+	if x.RootINode() != 0 {
+		t.Errorf("Figure 2 root inode %d, want 0", x.RootINode())
+	}
+
+	unordered := 0
+	for _, shape := range []struct {
+		name string
+		gen  func(*rand.Rand, int, int) *graph.Graph
+	}{{"dag", gtest.RandomDAG}, {"cyclic", gtest.RandomCyclic}} {
+		for seed := int64(0); seed < 20; seed++ {
+			g := shape.gen(rand.New(rand.NewSource(seed)), 80, 50)
+			x := Build(g)
+			mustValid(t, x)
+			if d := gtest.BreadthFirstDiff(x.Freeze(g.Freeze())); d != "" {
+				t.Fatalf("%s seed %d: %s", shape.name, seed, d)
+			}
+			pt := FromPartition(g.Clone(), rebuild(x))
+			if gtest.BreadthFirstDiff(pt.Freeze(pt.Graph().Freeze())) != "" {
+				unordered++
+			}
+		}
+	}
+	if unordered == 0 {
+		t.Error("no Paige–Tarjan numbering failed the breadth-first check")
+	}
+}

@@ -120,3 +120,48 @@ func TestSaveSnapshotRejectsBounded(t *testing.T) {
 		}
 	}
 }
+
+// Build's breadth-first inode numbering is part of the saved state: a
+// fresh index saved from its snapshot and loaded back (plain or gzip
+// stream) rebuilds, through FromPartition, a snapshot equal to the
+// original slot for slot — so every recovery and follower bootstrap
+// serves the same walk-ordered layout as the store that saved it.
+func TestSnapshotRoundTripKeepsBuildNumbering(t *testing.T) {
+	graphs := []*graph.Graph{datagen.XMark(datagen.DefaultXMark(256, 1, 3))}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		graphs = append(graphs, gtest.RandomDAG(rng, 80, 50), gtest.RandomCyclic(rng, 80, 50))
+	}
+	for n, g := range graphs {
+		// A stream stores each node's edges in one canonical order, so
+		// load the graph once first: SnapshotDiff then compares the
+		// frozen data too, not only the inodes.
+		var gbuf bytes.Buffer
+		if err := SaveDatabase(&gbuf, &Database{Graph: g}); err != nil {
+			t.Fatal(err)
+		}
+		gdb, err := LoadDatabase(&gbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = gdb.Graph
+		x := oneindex.Build(g)
+		want := x.Freeze(g.Freeze())
+		if d := gtest.BreadthFirstDiff(want); d != "" {
+			t.Fatalf("graph %d: built index not breadth-first: %s", n, d)
+		}
+		for _, save := range []func(io.Writer, *oneindex.Snapshot) error{SaveSnapshot, SaveSnapshotCompressed} {
+			var buf bytes.Buffer
+			if err := save(&buf, want); err != nil {
+				t.Fatal(err)
+			}
+			db, err := LoadDatabaseAuto(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := gtest.SnapshotDiff(db.One.Freeze(db.Graph.Freeze()), want); d != "" {
+				t.Fatalf("graph %d: loaded index differs: %s", n, d)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 // Threading a context through the snapshot evaluators must not cost the
@@ -86,29 +87,48 @@ func TestFootprintEvalTwoAllocs(t *testing.T) {
 
 // BenchmarkEvalSnapshotFootprint is the cold-read kernel — automaton
 // walk, extent union and footprint emission with a warm Scratch — per
-// expression class of the repo benchmark's pools.
+// expression class of the repo benchmark's pools, reporting the expanded
+// slots per query (fp-slots) and the time per expanded slot (ns/slot).
+// The f1 cases run the `//` class on the read benchmark's xmark-f1
+// dataset: freshly built (desc), where inode ids follow Build's
+// breadth-first numbering, and after 2,000 random writes
+// (desc-churned), where splits have appended ids out of walk order.
 func BenchmarkEvalSnapshotFootprint(b *testing.B) {
-	one := oneindex.Build(datagen.XMark(datagen.DefaultXMark(8, 1, 1)))
-	snap := one.Freeze(one.Graph().Freeze())
+	d8 := oneindex.Build(datagen.XMark(datagen.DefaultXMark(8, 1, 1)))
+	d8snap := d8.Freeze(d8.Graph().Freeze())
 	for _, bc := range []struct{ name, expr string }{
 		{"child", "/site/regions/africa/item/name"},
 		{"desc", "/site//item/name"},
 		{"wild", "/site/regions/*/item/name"},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := MustCompile(MustParse(bc.expr))
-			var sc Scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			slots := 0
-			for i := 0; i < b.N; i++ {
-				_, fp, _, err := c.EvalSnapshotFootprint(nil, &sc, snap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				slots = len(fp)
-			}
-			b.ReportMetric(float64(slots), "fp-slots")
-		})
+		b.Run(bc.name, func(b *testing.B) { benchFootprint(b, bc.expr, d8snap) })
 	}
+	f1 := oneindex.Build(datagen.XMark(datagen.XMarkFactor(1, 1, 1)))
+	fresh := f1.Freeze(f1.Graph().Freeze())
+	b.Run("f1-desc", func(b *testing.B) { benchFootprint(b, "/site//item/name", fresh) })
+	ch := gtest.Churner{Rng: rand.New(rand.NewSource(1)), X: f1}
+	for i := 0; i < 2000; i++ {
+		if _, err := ch.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	churned := f1.Freeze(f1.Graph().Freeze())
+	b.Run("f1-desc-churned", func(b *testing.B) { benchFootprint(b, "/site//item/name", churned) })
+}
+
+func benchFootprint(b *testing.B, expr string, s *snap.Snapshot) {
+	c := MustCompile(MustParse(expr))
+	var sc Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	slots := 0
+	for i := 0; i < b.N; i++ {
+		_, fp, _, err := c.EvalSnapshotFootprint(nil, &sc, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slots = len(fp)
+	}
+	b.ReportMetric(float64(slots), "fp-slots")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
 }

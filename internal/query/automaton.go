@@ -11,36 +11,49 @@ import (
 
 // Automaton evaluation: one product-construction walk of (index graph ×
 // compiled automaton) replaces the per-step frontier maps of run(). All
-// mutable walk state lives in a Scratch of flat, epoch-stamped slot
-// arrays, so a caller that reuses one Scratch (and one result buffer)
-// across queries evaluates without allocating at all.
+// mutable walk state lives in a Scratch of epoch-stamped slot records, so
+// a caller that reuses one Scratch (and one result buffer) across queries
+// evaluates without allocating at all.
 
 const (
 	flagAccept uint8 = 1 << iota // slot already appended to the accept list
 	flagQueued                   // slot is on the NFA fixpoint worklist
 )
 
+// slotState is the walk's whole per-slot state, one 16-byte record, so
+// the first touch of a slot writes one cache line rather than one per
+// field.
+type slotState struct {
+	mask  uint64 // visited DFA states, or the NFA state set, of the slot
+	stamp uint32 // epoch of last touch
+	sym   uint8  // alphabet symbol of the slot's label, set on first touch
+	flag  uint8
+}
+
 // Scratch is the reusable per-goroutine evaluation state for compiled
 // queries. The zero value is ready to use; it grows to the largest slot
-// space it has seen. The per-slot arrays are reset in O(slots touched) per
-// evaluation via epoch stamps, never cleared wholesale; only the expanded
-// bitmap, one bit per slot, is cleared outright. A Scratch must not be
-// shared between goroutines; it may be reused freely across different
-// Compiled programs and snapshots.
+// space it has seen. The per-slot records are reset in O(slots touched)
+// per evaluation via epoch stamps, never cleared wholesale; only the
+// expanded bitmap, one bit per slot, is cleared outright.
+//
+// Walks are breadth-first over two swapped frontiers: oneindex.Build
+// numbers inodes in breadth-first first-reach order, so a walk pops slots
+// in nearly ascending order and its record, bitmap and snapshot reads
+// stream forward through memory instead of hopping. The frontiers retain
+// the widest level seen, not every push. A Scratch must not be shared
+// between goroutines; it may be reused freely across different Compiled
+// programs and snapshots.
 type Scratch struct {
 	epoch uint32
-	stamp []uint32 // per-slot epoch of last touch
-	mask  []uint64 // visited DFA states, or the NFA state set, of the slot
-	sym   []uint8  // alphabet symbol of the slot's label, set on first touch
-	flag  []uint8
+	slots []slotState
 
 	// expanded has one bit per slot, set when an index walk pops the slot
 	// and reads its successor list: the evaluation's footprint, kept in
 	// slot order so that emitting it needs no sort.
 	expanded []uint64
 
-	queue []int64
-	acc   []int32 // accepting slots, in discovery order
+	cur, next []int64 // the level being expanded, and the one it discovers
+	acc       []int32 // accepting slots, in discovery order
 
 	// ext is the scratch of the extent-union kernel that assembles the
 	// result from the accepting inodes' extents (dense or compressed).
@@ -51,51 +64,49 @@ type Scratch struct {
 
 // begin starts a new evaluation over a slot space of size n.
 func (sc *Scratch) begin(n int) {
-	if len(sc.stamp) < n {
+	if len(sc.slots) < n {
 		sc.grow(n)
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
-		clear(sc.stamp)
+		clear(sc.slots)
 		sc.epoch = 1
 	}
-	sc.queue = sc.queue[:0]
+	sc.cur, sc.next = sc.cur[:0], sc.next[:0]
 	sc.acc = sc.acc[:0]
 	clear(sc.expanded)
 }
 
 func (sc *Scratch) grow(n int) {
-	stamp := make([]uint32, n)
-	copy(stamp, sc.stamp)
-	sc.stamp = stamp
-	mask := make([]uint64, n)
-	copy(mask, sc.mask)
-	sc.mask = mask
-	sym := make([]uint8, n)
-	copy(sym, sc.sym)
-	sc.sym = sym
-	flag := make([]uint8, n)
-	copy(flag, sc.flag)
-	sc.flag = flag
+	slots := make([]slotState, n)
+	copy(slots, sc.slots)
+	sc.slots = slots
 	expanded := make([]uint64, (n+63)/64)
 	copy(expanded, sc.expanded)
 	sc.expanded = expanded
 }
 
-// touch brings a slot into the current epoch, zeroed, and reports whether
-// this is the evaluation's first sight of it — the one moment the caller
-// resolves the slot's label into sc.sym.
-func (sc *Scratch) touch(slot int32) bool {
-	if int(slot) >= len(sc.stamp) {
+// touch brings a slot into the current epoch, zeroed, and returns its
+// record with whether this is the evaluation's first sight of it — the
+// one moment the caller resolves the slot's label into sym. The record
+// stays valid until the next touch.
+func (sc *Scratch) touch(slot int32) (*slotState, bool) {
+	if int(slot) >= len(sc.slots) {
 		sc.grow(int(slot) + 1)
 	}
-	if sc.stamp[slot] == sc.epoch {
-		return false
+	st := &sc.slots[slot]
+	if st.stamp == sc.epoch {
+		return st, false
 	}
-	sc.stamp[slot] = sc.epoch
-	sc.mask[slot] = 0
-	sc.flag[slot] = 0
-	return true
+	*st = slotState{stamp: sc.epoch}
+	return st, true
+}
+
+// advance makes the discovered level the one to expand and reports
+// whether it is non-empty.
+func (sc *Scratch) advance() bool {
+	sc.cur, sc.next = sc.next, sc.cur[:0]
+	return len(sc.cur) > 0
 }
 
 // expand records that the walk is about to read slot's successor list.
@@ -119,21 +130,46 @@ func (sc *Scratch) footprint() []int32 {
 	return out
 }
 
+// relaxNFA folds the state set m, stepped over js's symbol, into js's set
+// (st, already touched), recording a new accept and queueing js for the
+// next level when its set grew.
+func (sc *Scratch) relaxNFA(c *Compiled, m uint64, js int32, st *slotState) {
+	nm := c.step(m, st.sym)
+	if nm&^st.mask == 0 {
+		return
+	}
+	st.mask |= nm
+	if st.mask&c.accept != 0 && st.flag&flagAccept == 0 {
+		st.flag |= flagAccept
+		sc.acc = append(sc.acc, js)
+	}
+	if st.flag&flagQueued == 0 {
+		st.flag |= flagQueued
+		sc.next = append(sc.next, int64(js))
+	}
+}
+
+// startNFA seeds an NFA fixpoint walk at root with the start set {q0}.
+func (sc *Scratch) startNFA(c *Compiled, root int32, label string) {
+	st, _ := sc.touch(root)
+	st.sym = c.symOf(label)
+	st.mask = 1
+	st.flag |= flagQueued
+	sc.next = append(sc.next, int64(root))
+}
+
 // autoWalk runs the compiled automaton over an index snapshot and returns
 // the accepting slots (aliasing sc.acc). The DFA product walk is preferred;
 // expressions whose determinization was declined use the NFA bitmask
 // fixpoint, which visits a slot once per state-set growth instead of once
-// per state but computes the same accepting set.
+// per state but computes the same accepting set. Both are breadth-first;
+// the accepting set and the footprint are sets, so the order is free.
 func autoWalk(c *Compiled, sc *Scratch, g *snap.Snapshot) []int32 {
 	sc.begin(g.Slots())
 	root := int32(g.RootINode())
 	if root < 0 {
 		return sc.acc
 	}
-	// The root is reached again as a successor when an edge points back at
-	// it, so its symbol is resolved here like any other first touch.
-	sc.touch(root)
-	sc.sym[root] = c.symOf(g.LabelName(snap.ID(root)))
 	if c.dfaNext != nil {
 		return autoWalkDFA(c, sc, g, root)
 	}
@@ -141,32 +177,37 @@ func autoWalk(c *Compiled, sc *Scratch, g *snap.Snapshot) []int32 {
 }
 
 func autoWalkDFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
-	sc.mask[root] = 1 // DFA start state 0 visited
-	sc.queue = append(sc.queue, int64(root)<<8)
-	for len(sc.queue) > 0 {
-		item := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		slot, st := int32(item>>8), int(item&0xFF)
-		row := c.dfaNext[st*c.numSyms : (st+1)*c.numSyms]
-		sc.expand(slot)
-		for _, j := range g.ISucc(snap.ID(slot)) {
-			js := int32(j)
-			if sc.touch(js) {
-				sc.sym[js] = c.symOf(g.LabelName(j))
-			}
-			ns := row[sc.sym[js]]
-			if ns < 0 {
-				continue
-			}
-			bit := uint64(1) << uint(ns)
-			if sc.mask[js]&bit != 0 {
-				continue
-			}
-			sc.mask[js] |= bit
-			sc.queue = append(sc.queue, int64(js)<<8|int64(ns))
-			if c.dfaAccept[ns] && sc.flag[js]&flagAccept == 0 {
-				sc.flag[js] |= flagAccept
-				sc.acc = append(sc.acc, js)
+	// The root is reached again as a successor when an edge points back at
+	// it, so its symbol is resolved here like any other first touch.
+	st, _ := sc.touch(root)
+	st.sym = c.symOf(g.LabelName(snap.ID(root)))
+	st.mask = 1 // DFA start state 0 visited
+	sc.next = append(sc.next, int64(root)<<8)
+	for sc.advance() {
+		for _, item := range sc.cur {
+			slot, q := int32(item>>8), int(item&0xFF)
+			row := c.dfaNext[q*c.numSyms : (q+1)*c.numSyms]
+			sc.expand(slot)
+			for _, j := range g.ISucc(snap.ID(slot)) {
+				js := int32(j)
+				st, first := sc.touch(js)
+				if first {
+					st.sym = c.symOf(g.LabelName(j))
+				}
+				ns := row[st.sym]
+				if ns < 0 {
+					continue
+				}
+				bit := uint64(1) << uint(ns)
+				if st.mask&bit != 0 {
+					continue
+				}
+				st.mask |= bit
+				sc.next = append(sc.next, int64(js)<<8|int64(ns))
+				if c.dfaAccept[ns] && st.flag&flagAccept == 0 {
+					st.flag |= flagAccept
+					sc.acc = append(sc.acc, js)
+				}
 			}
 		}
 	}
@@ -174,32 +215,21 @@ func autoWalkDFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32
 }
 
 func autoWalkNFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
-	sc.mask[root] = 1 // NFA start set {q0}
-	sc.flag[root] |= flagQueued
-	sc.queue = append(sc.queue, int64(root))
-	for len(sc.queue) > 0 {
-		slot := int32(sc.queue[len(sc.queue)-1])
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		sc.flag[slot] &^= flagQueued
-		m := sc.mask[slot]
-		sc.expand(slot)
-		for _, j := range g.ISucc(snap.ID(slot)) {
-			js := int32(j)
-			if sc.touch(js) {
-				sc.sym[js] = c.symOf(g.LabelName(j))
-			}
-			nm := c.step(m, sc.sym[js])
-			if nm&^sc.mask[js] == 0 {
-				continue
-			}
-			sc.mask[js] |= nm
-			if sc.mask[js]&c.accept != 0 && sc.flag[js]&flagAccept == 0 {
-				sc.flag[js] |= flagAccept
-				sc.acc = append(sc.acc, js)
-			}
-			if sc.flag[js]&flagQueued == 0 {
-				sc.flag[js] |= flagQueued
-				sc.queue = append(sc.queue, int64(js))
+	sc.startNFA(c, root, g.LabelName(snap.ID(root)))
+	for sc.advance() {
+		for _, item := range sc.cur {
+			slot := int32(item)
+			st := &sc.slots[slot]
+			st.flag &^= flagQueued
+			m := st.mask
+			sc.expand(slot)
+			for _, j := range g.ISucc(snap.ID(slot)) {
+				js := int32(j)
+				st, first := sc.touch(js)
+				if first {
+					st.sym = c.symOf(g.LabelName(j))
+				}
+				sc.relaxNFA(c, m, js, st)
 			}
 		}
 	}
@@ -315,36 +345,22 @@ func (c *Compiled) EvalSource(g Source) []graph.NodeID {
 	if root == graph.InvalidNode {
 		return nil
 	}
-	rs := int32(root)
-	sc.touch(rs)
-	sc.sym[rs] = c.symOf(g.LabelName(root))
-	sc.mask[rs] = 1
-	sc.flag[rs] |= flagQueued
-	sc.queue = append(sc.queue, int64(rs))
-	for len(sc.queue) > 0 {
-		slot := int32(sc.queue[len(sc.queue)-1])
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		sc.flag[slot] &^= flagQueued
-		m := sc.mask[slot]
-		g.EachSucc(graph.NodeID(slot), func(w graph.NodeID, _ graph.EdgeKind) {
-			js := int32(w)
-			if sc.touch(js) {
-				sc.sym[js] = c.symOf(g.LabelName(w))
-			}
-			nm := c.step(m, sc.sym[js])
-			if nm&^sc.mask[js] == 0 {
-				return
-			}
-			sc.mask[js] |= nm
-			if sc.mask[js]&c.accept != 0 && sc.flag[js]&flagAccept == 0 {
-				sc.flag[js] |= flagAccept
-				sc.acc = append(sc.acc, js)
-			}
-			if sc.flag[js]&flagQueued == 0 {
-				sc.flag[js] |= flagQueued
-				sc.queue = append(sc.queue, int64(js))
-			}
-		})
+	sc.startNFA(c, int32(root), g.LabelName(root))
+	for sc.advance() {
+		for _, item := range sc.cur {
+			slot := int32(item)
+			st := &sc.slots[slot]
+			st.flag &^= flagQueued
+			m := st.mask
+			g.EachSucc(graph.NodeID(slot), func(w graph.NodeID, _ graph.EdgeKind) {
+				js := int32(w)
+				st, first := sc.touch(js)
+				if first {
+					st.sym = c.symOf(g.LabelName(w))
+				}
+				sc.relaxNFA(c, m, js, st)
+			})
+		}
 	}
 	out := make([]graph.NodeID, 0, len(sc.acc))
 	for _, s := range sc.acc {

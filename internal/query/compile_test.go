@@ -1,14 +1,18 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"structix/internal/akindex"
+	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
+	"structix/internal/snap"
 )
 
 func TestCompileBasics(t *testing.T) {
@@ -254,4 +258,93 @@ func TestCompiledEvalZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("warm compiled evaluation allocates %.1f/op, want 0", n)
 	}
+}
+
+// The walks are breadth-first, but nothing in their contract depends on
+// the order: the accepting set and the footprint are sets. Against an
+// order-free reference — the per-slot NFA state sets iterated to their
+// fixpoint in plain slot order — both the DFA walk and the NFA fallback
+// must return the interpreter's result and expand exactly the slots the
+// fixpoint reaches, on freshly built (breadth-first numbered) indexes and
+// on churned ones whose splits appended ids out of walk order.
+func TestWalkOrderIndependent(t *testing.T) {
+	shapes := []struct {
+		name string
+		gen  func(*rand.Rand, int, int) *graph.Graph
+	}{{"dag", gtest.RandomDAG}, {"cyclic", gtest.RandomCyclic}}
+	for _, shape := range shapes {
+		for _, codec := range []extent.Codec{extent.Dense, extent.Compressed} {
+			t.Run(fmt.Sprintf("%s/%s", shape.name, codec), func(t *testing.T) {
+				for seed := int64(0); seed < 20; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					one := oneindex.Build(shape.gen(rng, 50, 35))
+					one.SetSnapshotCodec(codec)
+					s := one.Freeze(one.Graph().Freeze())
+					churn := gtest.Churner{Rng: rng, X: one}
+					var sc Scratch
+					for round := 0; round < 3; round++ {
+						for q := 0; q < 10; q++ {
+							p := MustParse(randomExpr(rng))
+							want := EvalGraph(p, one.Graph())
+							if got := EvalSnapshot(p, s); !equalIDs(got, want) {
+								t.Fatalf("seed %d round %d %q: interpreter %v, graph %v", seed, round, p, got, want)
+							}
+							c := MustCompile(p)
+							wantFp := fixpointFootprint(c, s)
+							for _, mode := range []string{"DFA", "NFA"} {
+								got, fp, _, err := c.EvalSnapshotFootprint(nil, &sc, s)
+								if err != nil || !equalIDs(got, want) {
+									t.Fatalf("seed %d round %d %q: %s walk %v, want %v (err %v)", seed, round, p, mode, got, want, err)
+								}
+								if !slices.Equal(fp, wantFp) {
+									t.Fatalf("seed %d round %d %q: %s footprint %v, fixpoint %v", seed, round, p, mode, fp, wantFp)
+								}
+								c.dfaNext, c.dfaAccept = nil, nil
+							}
+						}
+						for i := 0; i < 4; i++ {
+							if _, err := churn.Step(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						s = one.PatchSnapshot(s, one.Graph().Freeze())
+					}
+				}
+			})
+		}
+	}
+}
+
+// fixpointFootprint is the order-free reference for a walk's footprint:
+// it iterates every slot's NFA state set, in ascending slot order, until
+// nothing changes, and returns the slots that hold a non-empty set — the
+// root and every slot some path prefix of the expression reaches.
+func fixpointFootprint(c *Compiled, s *snap.Snapshot) []int32 {
+	root := s.RootINode()
+	if root < 0 {
+		return nil
+	}
+	set := make([]uint64, s.Slots())
+	set[root] = 1
+	for changed := true; changed; {
+		changed = false
+		for i, m := range set {
+			if m == 0 {
+				continue
+			}
+			for _, j := range s.ISucc(snap.ID(i)) {
+				if nm := c.step(m, c.symOf(s.LabelName(j))); nm&^set[j] != 0 {
+					set[j] |= nm
+					changed = true
+				}
+			}
+		}
+	}
+	var fp []int32
+	for i, m := range set {
+		if m != 0 {
+			fp = append(fp, int32(i))
+		}
+	}
+	return fp
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"structix/internal/gtest"
 	"structix/internal/repl"
 )
 
@@ -106,6 +107,39 @@ func TestFollowerBootstrapsAndTails(t *testing.T) {
 	}
 	if follower.LeaderURL() != srv.URL {
 		t.Fatalf("LeaderURL = %q", follower.LeaderURL())
+	}
+}
+
+// A follower bootstrapped from a freshly built leader serves the leader's
+// breadth-first inode numbering, and keeps serving the leader's ids slot
+// for slot once it has replayed the writes that followed.
+func TestFollowerKeepsLeaderNumbering(t *testing.T) {
+	leader, err := Open(t.TempDir(), Options{Bootstrap: xmarkBootstrap(64), CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	srv := replLeaderServer(t, leader)
+	follower, err := OpenFollower(t.TempDir(), srv.URL, Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if d := gtest.BreadthFirstDiff(follower.Snapshot()); d != "" {
+		t.Fatalf("bootstrapped follower not breadth-first: %s", d)
+	}
+	if d := gtest.SnapshotDiff(follower.Snapshot(), leader.Snapshot()); d != "" {
+		t.Fatalf("bootstrapped follower differs from the leader: %s", d)
+	}
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 4; i++ {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCaughtUp(t, follower, leader.Seq())
+	if d := gtest.SnapshotDiff(follower.Snapshot(), leader.Snapshot()); d != "" {
+		t.Fatalf("caught-up follower differs from the leader: %s", d)
 	}
 }
 
