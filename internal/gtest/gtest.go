@@ -5,6 +5,7 @@ package gtest
 
 import (
 	"math/rand"
+	"strconv"
 
 	"structix/internal/graph"
 )
@@ -152,6 +153,38 @@ func RandomCyclic(rng *rand.Rand, n, extra int) *graph.Graph {
 	return g
 }
 
+// AddHub grows g by a hub-shaped region and returns the hub: a node below
+// a random existing node, ten side nodes below the hub (labels s0..s9),
+// and fan children of the hub labelled c, child i also below side j for
+// every set bit j of i mod 1024. Children with distinct side sets are
+// distinct inodes, so with fan ≥ 1000 the hub's inode has over a thousand
+// index successors — the shape of XMark's open_auctions and watch inodes;
+// with fan = 2048 every child shares its inode with one twin, so edge
+// updates below the hub split and re-merge. Every new node gets a larger
+// id than its parents, so a DAG stays a topologically numbered DAG.
+func AddHub(rng *rand.Rand, g *graph.Graph, fan int) graph.NodeID {
+	nodes := g.Nodes()
+	hub := g.AddNode("hub")
+	mustAdd(g, nodes[rng.Intn(len(nodes))], hub)
+	var sides [10]graph.NodeID
+	for j := range sides {
+		sides[j] = g.AddNode("s" + strconv.Itoa(j))
+		mustAdd(g, hub, sides[j])
+	}
+	for i := 0; i < fan; i++ {
+		c := g.AddNode("c")
+		mustAdd(g, hub, c)
+		for j, s := range sides {
+			if (i%1024)>>j&1 != 0 {
+				if err := g.AddEdge(s, c, graph.IDRef); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return hub
+}
+
 // RandomNonEdge returns a uniformly chosen pair (u, v) that is not currently
 // an edge, suitable for insertion (u ≠ v, v not the root). ok is false if no
 // such pair was found within a bounded number of tries.
@@ -207,6 +240,36 @@ func RandomOpBatch(rng *rand.Rand, sim *graph.Graph, n int, forwardOnly bool) []
 		pool = append(pool, [2]graph.NodeID{u, v})
 	}
 	return ops
+}
+
+// XMarkEdgeBatches returns n batches of size distinct person→open_auction
+// IDREF edges absent from g, each batch inserted and then each deleted, in
+// that order, so applying the sequence leaves g as it was.
+func XMarkEdgeBatches(g *graph.Graph, n, size int, seed int64) [][]graph.EdgeOp {
+	var persons, auctions []graph.NodeID
+	g.EachNode(func(v graph.NodeID) {
+		switch g.LabelName(v) {
+		case "person":
+			persons = append(persons, v)
+		case "open_auction":
+			auctions = append(auctions, v)
+		}
+	})
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[[2]graph.NodeID]bool)
+	seq := make([][]graph.EdgeOp, 2*n)
+	for b := 0; b < n; b++ {
+		for len(seq[b]) < size {
+			u, v := persons[rng.Intn(len(persons))], auctions[rng.Intn(len(auctions))]
+			if seen[[2]graph.NodeID{u, v}] || g.HasEdge(u, v) {
+				continue
+			}
+			seen[[2]graph.NodeID{u, v}] = true
+			seq[b] = append(seq[b], graph.InsertOp(u, v, graph.IDRef))
+			seq[n+b] = append(seq[n+b], graph.DeleteOp(u, v))
+		}
+	}
+	return seq
 }
 
 func mustAdd(g *graph.Graph, u, v graph.NodeID) {

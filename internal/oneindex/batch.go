@@ -98,7 +98,7 @@ func (x *Index) hasParentIn(v graph.NodeID, iu INodeID) bool {
 
 // finishBatch runs the two deferred phases over the accumulated affected
 // set: one split phase seeded with every affected dnode, then one merge
-// pass over the frontier of inodes the batch touched. The batch scratch
+// pass searching from the affected dnodes' inodes. The batch scratch
 // (affected set, frontier) is reset unconditionally so no state survives
 // into the next batch; the dedup stamps expire with the epoch on their own.
 func (x *Index) finishBatch() {
@@ -108,12 +108,10 @@ func (x *Index) finishBatch() {
 	}
 	slices.Sort(x.batchAffected)
 	s := x.splitter()
-	s.collect = true
 	for _, v := range x.batchAffected {
 		s.seed(v)
 	}
 	s.run()
-	s.collect = false
 	x.noteIntermediate()
 	x.mergeFrontier()
 }
@@ -126,41 +124,36 @@ func (x *Index) resetBatchScratch() {
 	x.frontier = x.frontier[:0]
 }
 
-// mergeFrontier is the deferred minimization pass. A pair of inodes can
-// have *become* mergeable only if the batch changed the index-parent set of
-// at least one of them (the index was minimal before the batch): those are
-// exactly the update targets, split products and shrunken split originals
-// collected in x.frontier, plus — transitively — the index successors of
-// performed merges, which cascadeMerges covers. Splits alone cannot equalize
-// two untouched parent sets (they only replace a parent by a non-empty
-// subset of its parts, and part families of distinct parents are disjoint),
-// so scanning the frontier finds every newly mergeable pair and the index
-// is minimal afterwards (Definition 5) without a global scan.
-// Rather than searching a partner per frontier inode — which re-keys the
-// same successor sets once per entry — the pass seeds the cascade queue with
-// the distinct index-parents of the frontier: a merge partner shares the
-// whole index-parent set, in particular the smallest parent, so the keyed
-// group-scan of that parent's successors (cascadeMerges' step) finds every
-// partner, and each candidate set is keyed once instead of once per frontier
-// member. Frontier inodes without index parents fall back to the global
-// candidate search.
+// mergeFrontier is the deferred minimization pass — the batch form of
+// mergePhase, whose Lemma 3 argument it extends from one affected dnode to
+// many. The index was minimal before the batch, and after the split phase
+// every affected dnode v sits alone in an inode (seed singled it out; splits
+// only move dnodes into fresh inodes). Every other inode X is a part of one
+// pre-batch inode K whose members kept their pre-batch parent inodes, so the
+// parts containing X's parents come from exactly K's old parent set; as
+// parts of distinct inodes are disjoint, two such inodes with equal labels
+// and parent sets would come from one K — but the split phase separates
+// parts of K only by a parent one has and the other lacks. So every newly
+// mergeable pair contains some I[v]: the frontier is those singletons, and
+// merges performed change the parent sets of their index successors only,
+// which cascadeMerges regroups. The index is minimal afterwards
+// (Definition 5) without a global scan.
+// Each frontier inode searches its own partners (findMergeCandidate, under
+// its least-fan-out parent) and every survivor seeds the cascade. The pass
+// neither searches from split parts nor keys a parent's whole successor
+// list: on XMark the parents of those parts are hubs (open_auctions,
+// watches) with thousands of successors, and keying them cost ≈11,600
+// signatures per 8-op batch on xmark-f2 (BenchmarkApplyBatchXMark) against
+// ≈15 merges found.
 func (x *Index) mergeFrontier() {
-	f := x.frontier
-	slices.Sort(f)
+	f := x.frontier[:0]
+	for _, v := range x.batchAffected {
+		f = append(f, x.inodeOf[v])
+	}
 	queue := x.mergeQueue[:0]
-	prev := NoINode
 	for _, i := range f {
-		if i == prev {
-			continue
-		}
-		prev = i
 		if x.inodes[i] == nil {
-			continue // freed by the split phase, id not yet reused
-		}
-		p := x.minIPred(i)
-		if p != NoINode {
-			queue = append(queue, p)
-			continue
+			continue // absorbed by an earlier frontier inode's merge
 		}
 		merged := false
 		for {
@@ -176,29 +169,6 @@ func (x *Index) mergeFrontier() {
 		}
 	}
 	x.frontier = f[:0]
-	slices.Sort(queue)
-	x.mergeQueue = dedupINodes(queue)
+	x.mergeQueue = queue
 	x.cascadeMerges()
-}
-
-// minIPred returns the smallest index parent of I, or NoINode. The pred
-// list is sorted, so this is its first entry.
-func (x *Index) minIPred(i INodeID) INodeID {
-	if ids := x.inodes[i].pred.IDs; len(ids) > 0 {
-		return ids[0]
-	}
-	return NoINode
-}
-
-// dedupINodes removes consecutive duplicates from a sorted slice, in place.
-func dedupINodes(ids []INodeID) []INodeID {
-	out := ids[:0]
-	prev := NoINode
-	for _, id := range ids {
-		if id != prev {
-			out = append(out, id)
-			prev = id
-		}
-	}
-	return out
 }

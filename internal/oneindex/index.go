@@ -93,9 +93,9 @@ type Index struct {
 	split *splitCtx
 
 	// batchAffected collects the dnodes singled out by an in-flight
-	// ApplyBatch (deduplicated via batchStamp); frontier collects the
-	// inodes whose index-parent sets the batch may have changed, seeding
-	// the deferred merge pass.
+	// ApplyBatch (deduplicated via batchStamp); frontier holds their
+	// inodes after the split phase, where the deferred merge pass searches
+	// for partners.
 	batchAffected []graph.NodeID
 	frontier      []INodeID
 
@@ -165,6 +165,7 @@ type Stats struct {
 	UpdatesNoChange   int // updates that left the index untouched
 	UpdatesMaintained int // updates that ran the split/merge machinery
 	Batches           int // ApplyBatch calls
+	MergeProbes       int // candidate inodes the merge search compared or keyed
 }
 
 // Build constructs the minimum 1-index of g from scratch: the coarsest

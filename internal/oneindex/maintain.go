@@ -154,11 +154,6 @@ type splitCtx struct {
 	hitOrder []INodeID
 	hits     []hit
 	newIDs   []INodeID
-
-	// collect, during a batch, gathers every inode whose index-parent set
-	// may have changed — update targets, split products and shrunken split
-	// originals — into x.frontier for the deferred merge pass.
-	collect bool
 }
 
 // splitter returns the index's reusable split context.
@@ -211,19 +206,12 @@ func (x *Index) splitPhase(v graph.NodeID) {
 func (s *splitCtx) seed(v graph.NodeID) {
 	x := s.x
 	iv := x.inodeOf[v]
-	if s.collect {
-		// The op targeting v changed I[v]'s index-parent set.
-		x.frontier = append(x.frontier, iv)
-	}
 	if len(x.inodes[iv].extent) <= 1 {
 		return
 	}
 	nv := x.newINode(x.inodes[iv].label)
 	x.moveDNode(v, nv)
 	x.Stats.Splits++
-	if s.collect {
-		x.frontier = append(x.frontier, nv)
-	}
 	if c := s.member(iv); c != nil {
 		c.ids = append(c.ids, nv)
 		s.setMember(nv, c)
@@ -390,12 +378,6 @@ func (s *splitCtx) threeWaySplit(s1 []graph.NodeID) {
 			}
 		}
 		x.Stats.Splits += len(s.newIDs)
-		if s.collect {
-			// K lost members and the parts are new: all their index-parent
-			// sets changed.
-			x.frontier = append(x.frontier, k)
-			x.frontier = append(x.frontier, s.newIDs...)
-		}
 		// Compound bookkeeping: the parts of K join K's queued compound if
 		// any, otherwise they form a new compound.
 		if c := s.member(k); c != nil {
@@ -462,6 +444,7 @@ func (x *Index) cascadeMerges() {
 		}
 		// Snapshot the successors: merging mutates succ lists mid-walk.
 		x.succSnap = append(x.succSnap[:0], x.inodes[i].succ.IDs...)
+		x.Stats.MergeProbes += len(x.succSnap)
 		x.mergeTab.Reset()
 		ngroups := 0
 		for _, j := range x.succSnap {
@@ -491,22 +474,39 @@ func (x *Index) cascadeMerges() {
 }
 
 // findMergeCandidate returns an inode J ≠ I with the same label and the
-// same index-parent set as I, or NoINode. Candidates are sought among the
-// index successors of any one parent of I; for a (rare) parentless I a
-// global scan over parentless inodes is used.
+// same index-parent set as I, or NoINode. A partner shares every parent of
+// I, so it is a successor of each of them and any one parent's successor
+// list holds it: the search scans the parent with the fewest successors
+// (ties to the lower id), comparing each candidate with sameMergeKey. The
+// smallest-id parent would do as well but is often a hub — thousands of
+// successors on XMark — where the least-fan-out parent has a few. For a
+// (rare) parentless I a global scan over all inodes is used.
 func (x *Index) findMergeCandidate(i INodeID) INodeID {
 	preds := x.inodes[i].pred.IDs
 	if len(preds) == 0 {
 		found := NoINode
 		x.EachINode(func(c INodeID) {
-			if found == NoINode && c != i && x.sameMergeKey(i, c) {
-				found = c
+			if found == NoINode && c != i {
+				x.Stats.MergeProbes++
+				if x.sameMergeKey(i, c) {
+					found = c
+				}
 			}
 		})
 		return found
 	}
-	for _, c := range x.inodes[preds[0]].succ.IDs {
-		if c != i && x.sameMergeKey(i, c) {
+	p := preds[0]
+	for _, q := range preds[1:] {
+		if x.inodes[q].succ.Len() < x.inodes[p].succ.Len() {
+			p = q
+		}
+	}
+	for _, c := range x.inodes[p].succ.IDs {
+		if c == i {
+			continue
+		}
+		x.Stats.MergeProbes++
+		if x.sameMergeKey(i, c) {
 			return c
 		}
 	}

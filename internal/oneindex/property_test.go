@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"structix/internal/datagen"
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/partition"
@@ -96,35 +97,61 @@ func TestQuickMergeNeverLoses(t *testing.T) {
 	}
 }
 
+// batchShape is one family of inputs for the batch properties: the small
+// random graphs, or the same graphs grown by a hub region whose inode has
+// over a thousand index successors (gtest.AddHub), so the merge search
+// runs under parents of very unequal fan-out.
+type batchShape struct {
+	name  string
+	gen   func(rng *rand.Rand) *graph.Graph
+	count int
+}
+
+func batchShapes(base func(rng *rand.Rand) *graph.Graph, count int) []batchShape {
+	return []batchShape{
+		{"random", base, count},
+		{"hub", func(rng *rand.Rand) *graph.Graph {
+			g := base(rng)
+			gtest.AddHub(rng, g, 2048)
+			return g
+		}, 10},
+	}
+}
+
 // Property: on acyclic graphs a batch is equivalent to applying the same
 // operations one at a time — both land on the unique minimum 1-index
-// (Theorem 1), so the partitions match exactly (up to block relabeling).
+// (Theorem 1), so the partitions match exactly (up to block relabeling),
+// and both equal a from-scratch Build.
 func TestQuickBatchEqualsSequentialDAG(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gtest.RandomDAG(rng, 30, 10)
-		gb := g.Clone()
-		seq := Build(g)
-		bat := Build(gb)
-		sim := g.Clone()
-		ops := gtest.RandomOpBatch(rng, sim, 20, true)
-		for _, op := range ops {
-			if op.Insert {
-				if seq.InsertEdge(op.U, op.V, op.Kind) != nil {
+	dag := func(rng *rand.Rand) *graph.Graph { return gtest.RandomDAG(rng, 30, 10) }
+	for _, shape := range batchShapes(dag, 50) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g := shape.gen(rng)
+			gb := g.Clone()
+			seq := Build(g)
+			bat := Build(gb)
+			sim := g.Clone()
+			ops := gtest.RandomOpBatch(rng, sim, 20, true)
+			for _, op := range ops {
+				if op.Insert {
+					if seq.InsertEdge(op.U, op.V, op.Kind) != nil {
+						return false
+					}
+				} else if seq.DeleteEdge(op.U, op.V) != nil {
 					return false
 				}
-			} else if seq.DeleteEdge(op.U, op.V) != nil {
+			}
+			if bat.ApplyBatch(ops) != nil {
 				return false
 			}
+			return bat.Validate() == nil && bat.IsMinimal() &&
+				partition.Equal(seq.ToPartition(), bat.ToPartition()) &&
+				partition.Equal(rebuild(bat), bat.ToPartition())
 		}
-		if bat.ApplyBatch(ops) != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: shape.count}); err != nil {
+			t.Errorf("%s: %v", shape.name, err)
 		}
-		return bat.Validate() == nil && bat.IsMinimal() &&
-			partition.Equal(seq.ToPartition(), bat.ToPartition())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -133,24 +160,48 @@ func TestQuickBatchEqualsSequentialDAG(t *testing.T) {
 // so no exact comparison with the sequential history is possible; validity
 // and minimality are the full §5 guarantee.)
 func TestQuickBatchInvariantsCyclic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gtest.RandomCyclic(rng, 30, 20)
-		x := Build(g)
-		sim := g.Clone()
-		for round := 0; round < 4; round++ {
-			ops := gtest.RandomOpBatch(rng, sim, 10, false)
-			if x.ApplyBatch(ops) != nil {
-				return false
+	cyclic := func(rng *rand.Rand) *graph.Graph { return gtest.RandomCyclic(rng, 30, 20) }
+	for _, shape := range batchShapes(cyclic, 30) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g := shape.gen(rng)
+			x := Build(g)
+			sim := g.Clone()
+			for round := 0; round < 4; round++ {
+				ops := gtest.RandomOpBatch(rng, sim, 10, false)
+				if x.ApplyBatch(ops) != nil {
+					return false
+				}
+				if x.Validate() != nil || !x.IsMinimal() {
+					return false
+				}
 			}
-			if x.Validate() != nil || !x.IsMinimal() {
-				return false
-			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: shape.count}); err != nil {
+			t.Errorf("%s: %v", shape.name, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+}
+
+// A gtest.Churner stream — edge batches, node scripts, subtree cuts and
+// re-grafts — over a small cyclic XMark keeps the index valid and minimal
+// after every step. XMark's hubs (open_auctions, the watch inodes) are
+// what the merge search's choice of parent is about.
+func TestChurnXMarkStaysMinimal(t *testing.T) {
+	x := Build(datagen.XMark(datagen.DefaultXMark(64, 1, 5)))
+	ch := gtest.Churner{Rng: rand.New(rand.NewSource(5)), X: x}
+	for i := 0; i < 500; i++ {
+		kind, err := ch.Step()
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", i, kind, err)
+		}
+		if err := x.Validate(); err != nil {
+			t.Fatalf("step %d (%s): %v", i, kind, err)
+		}
+		if !x.IsMinimal() {
+			t.Fatalf("step %d (%s): not minimal", i, kind)
+		}
 	}
 }
 
