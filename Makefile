@@ -129,7 +129,8 @@ loc:
 	done | awk '{t += $$1; print} END {printf "%7d total\n", t}'
 
 # What CI runs — the same steps, in the same order, as
-# .github/workflows/ci.yml; change both together. Build, vet, race-enabled
+# .github/workflows/ci.yml; change both together. Build, vet, the gofmt
+# gate (no file may differ from its gofmt form), race-enabled
 # tests (which already cover the sharded-equivalence, crash-recovery,
 # replication and cache-footprint suites once — `make crash-test` etc.
 # re-run them alone), the concurrent-stress and server-stress passes
@@ -142,6 +143,7 @@ loc:
 # repl- and scale-bench smokes, and a one-iteration smoke pass over every
 # benchmark in the module.
 ci: build vet
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/

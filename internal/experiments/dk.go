@@ -58,7 +58,7 @@ func RunDk(name string, g *graph.Graph, hotLabels []string, hotQueries []string,
 			n = len(query.EvalSnapshot(p, aLow))
 		}
 		res.HotTimeALow += time.Since(start) / time.Duration(reps)
-		raw, _ := query.SnapshotCandidates(nil, nil, p, aLow)
+		raw := query.SnapshotCandidates(p, aLow)
 		res.HotFPALow += len(raw) - exact
 		mustSame(expr, n, exact)
 
@@ -75,7 +75,7 @@ func RunDk(name string, g *graph.Graph, hotLabels []string, hotQueries []string,
 			n = len(query.EvalSnapshot(p, aHigh))
 		}
 		res.HotTimeAHigh += time.Since(start) / time.Duration(reps)
-		raw, _ = query.SnapshotCandidates(nil, nil, p, aHigh)
+		raw = query.SnapshotCandidates(p, aHigh)
 		res.HotFPAHigh += len(raw) - exact
 		mustSame(expr, n, exact)
 	}

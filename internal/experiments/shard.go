@@ -260,9 +260,9 @@ func runShardCount(base *graph.Graph, pairs []shardPair, queries []*query.Path, 
 // and a delete batch of its shard's pairs.
 func runShardPhase(sdb *structix.ShardedDB, byShard [][]shardPair, queries []*query.Path, cfg ShardConfig, d time.Duration, readsPerWrite int) (ops, commits int, elapsed time.Duration, reads int, err error) {
 	var (
-		wg       sync.WaitGroup
+		wg                                 sync.WaitGroup
 		totalOps, totalCommits, totalReads atomic.Int64
-		firstErr atomic.Value
+		firstErr                           atomic.Value
 	)
 	start := time.Now()
 	deadline := start.Add(d)

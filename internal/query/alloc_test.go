@@ -14,48 +14,29 @@ import (
 )
 
 // Threading a context through the snapshot evaluators must not cost the
-// nil-context path anything: the non-Ctx entry points (what the in-process
-// API and the hot server path use for plain evaluation) must allocate
-// exactly as much as the Ctx variants given a nil context. Guarding the
-// equality rather than an absolute count keeps the gate robust to future
-// evaluator changes while still catching a ctx plumbing regression.
+// nil-context path anything: the non-Ctx entry points must allocate
+// exactly as much as the Ctx variants given a nil context. Both run on a
+// caller-owned Scratch: a pooled one would make the counts random under
+// -race, where sync.Pool drops items on purpose.
 func TestSnapshotCtxNilAllocParity(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	one := oneindex.Build(g).Freeze(g.Freeze())
 	ak := akindex.Build(g, 2).Freeze(g.Freeze())
 
 	for _, expr := range []string{"/a/b", "//c", "//b//c"} {
-		p := MustParse(expr)
+		c := MustCompile(MustParse(expr))
 		buf := make([]graph.NodeID, 0, g.NumNodes())
-
-		plain := testing.AllocsPerRun(200, func() {
-			buf = EvalSnapshotInto(buf, p, one)
-		})
-		withNil := testing.AllocsPerRun(200, func() {
-			buf, _ = EvalSnapshotIntoCtx(nil, buf, p, one)
-		})
-		if withNil > plain {
-			t.Errorf("%s: one eval allocs/op: nil-ctx %.1f > plain %.1f", expr, withNil, plain)
-		}
-
-		plainAk := testing.AllocsPerRun(200, func() {
-			buf = EvalSnapshotInto(buf, p, ak)
-		})
-		withNilAk := testing.AllocsPerRun(200, func() {
-			buf, _ = EvalSnapshotIntoCtx(nil, buf, p, ak)
-		})
-		if withNilAk > plainAk {
-			t.Errorf("%s: ak eval allocs/op: nil-ctx %.1f > plain %.1f", expr, withNilAk, plainAk)
-		}
-
-		plainC := testing.AllocsPerRun(200, func() {
-			CountSnapshot(p, one)
-		})
-		withNilC := testing.AllocsPerRun(200, func() {
-			CountSnapshotCtx(nil, p, one)
-		})
-		if withNilC > plainC {
-			t.Errorf("%s: one count allocs/op: nil-ctx %.1f > plain %.1f", expr, withNilC, plainC)
+		var sc Scratch
+		for _, s := range []*snap.Snapshot{one, ak} {
+			plain := testing.AllocsPerRun(200, func() {
+				buf = c.EvalSnapshotInto(buf, &sc, s)
+			})
+			withNil := testing.AllocsPerRun(200, func() {
+				buf, _ = c.EvalSnapshotIntoCtx(nil, buf, &sc, s)
+			})
+			if withNil > plain {
+				t.Errorf("%s (bounded %v): eval allocs/op: nil-ctx %.1f > plain %.1f", expr, s.Bounded(), withNil, plain)
+			}
 		}
 	}
 }
@@ -131,4 +112,41 @@ func benchFootprint(b *testing.B, expr string, s *snap.Snapshot) {
 	}
 	b.ReportMetric(float64(slots), "fp-slots")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
+}
+
+// BenchmarkEvalSnapshotPath is the facade read path — EvalSnapshot(p, s)
+// on a *Path, compile included, with a nil (pooled) Scratch — per
+// expression class over Figure 2, xmark-d8 and xmark-f1. On Figure 2 the
+// compile dominates: a caller repeating one expression compiles it once.
+func BenchmarkEvalSnapshotPath(b *testing.B) {
+	fig2, _, _, _ := gtest.Fig2()
+	d8 := oneindex.Build(datagen.XMark(datagen.DefaultXMark(8, 1, 1)))
+	f1 := oneindex.Build(datagen.XMark(datagen.XMarkFactor(1, 1, 1)))
+	graphs := []struct {
+		name string
+		s    *snap.Snapshot
+	}{
+		{"fig2", oneindex.Build(fig2).Freeze(fig2.Freeze())},
+		{"d8", d8.Freeze(d8.Graph().Freeze())},
+		{"f1", f1.Freeze(f1.Graph().Freeze())},
+	}
+	for _, gc := range graphs {
+		exprs := []struct{ name, expr string }{
+			{"child", "/site/regions/africa/item/name"},
+			{"desc", "/site//item/name"},
+			{"wild", "/site/regions/*/item/name"},
+		}
+		if gc.name == "fig2" {
+			exprs = []struct{ name, expr string }{{"child", "/a/b/c"}, {"desc", "//b//c"}, {"wild", "/*/b"}}
+		}
+		for _, ec := range exprs {
+			p := MustParse(ec.expr)
+			b.Run(gc.name+"/"+ec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					EvalSnapshot(p, gc.s)
+				}
+			})
+		}
+	}
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math/bits"
+	"sync"
 
 	"structix/internal/extent"
 	"structix/internal/graph"
@@ -10,10 +11,11 @@ import (
 )
 
 // Automaton evaluation: one product-construction walk of (index graph ×
-// compiled automaton) replaces the per-step frontier maps of run(). All
-// mutable walk state lives in a Scratch of epoch-stamped slot records, so
-// a caller that reuses one Scratch (and one result buffer) across queries
-// evaluates without allocating at all.
+// compiled automaton) per link is the only code that walks an index
+// snapshot. All mutable walk state lives in a Scratch of epoch-stamped
+// slot records, so a caller that reuses one Scratch (and one result
+// buffer) across queries evaluates without allocating at all; a nil
+// Scratch borrows one from scratchPool.
 
 const (
 	flagAccept uint8 = 1 << iota // slot already appended to the accept list
@@ -33,8 +35,9 @@ type slotState struct {
 // Scratch is the reusable per-goroutine evaluation state for compiled
 // queries. The zero value is ready to use; it grows to the largest slot
 // space it has seen. The per-slot records are reset in O(slots touched)
-// per evaluation via epoch stamps, never cleared wholesale; only the
-// expanded bitmap, one bit per slot, is cleared outright.
+// per automaton link via epoch stamps, never cleared wholesale; only the
+// expanded bitmap, one bit per slot, is cleared outright, once per
+// evaluation.
 //
 // Walks are breadth-first over two swapped frontiers: oneindex.Build
 // numbers inodes in breadth-first first-reach order, so a walk pops slots
@@ -48,12 +51,13 @@ type Scratch struct {
 	slots []slotState
 
 	// expanded has one bit per slot, set when an index walk pops the slot
-	// and reads its successor list: the evaluation's footprint, kept in
-	// slot order so that emitting it needs no sort.
+	// and reads its successor list: the evaluation's footprint across all
+	// links, kept in slot order so that emitting it needs no sort.
 	expanded []uint64
 
 	cur, next []int64 // the level being expanded, and the one it discovers
-	acc       []int32 // accepting slots, in discovery order
+	acc       []int32 // accepting slots of the running link, in discovery order
+	seeds     []int32 // the previous link's accepting slots: where this one starts
 
 	// ext is the scratch of the extent-union kernel that assembles the
 	// result from the accepting inodes' extents (dense or compressed).
@@ -62,19 +66,36 @@ type Scratch struct {
 	ext extent.KWay
 }
 
-// begin starts a new evaluation over a slot space of size n.
-func (sc *Scratch) begin(n int) {
+// scratchPool serves the evaluations whose caller passes a nil Scratch: a
+// fresh one costs O(slots) to allocate, far more than a warm walk.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// begin starts a new evaluation over a slot space of size n whose seed —
+// what the first link starts from, and the answer of the empty path — is
+// root; a negative root (a rootless snapshot) selects nothing.
+func (sc *Scratch) begin(n int, root int32) {
 	if len(sc.slots) < n {
 		sc.grow(n)
 	}
+	sc.cur, sc.next = sc.cur[:0], sc.next[:0]
+	sc.acc = sc.acc[:0]
+	if root >= 0 {
+		sc.acc = append(sc.acc, root)
+	}
+	clear(sc.expanded)
+}
+
+// link starts the walk of one automaton link: the slot records start over
+// under a new epoch, and the slots the previous link accepted become the
+// seeds it returns.
+func (sc *Scratch) link() []int32 {
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
 		clear(sc.slots)
 		sc.epoch = 1
 	}
-	sc.cur, sc.next = sc.cur[:0], sc.next[:0]
-	sc.acc = sc.acc[:0]
-	clear(sc.expanded)
+	sc.seeds, sc.acc = sc.acc, sc.seeds[:0]
+	return sc.seeds
 }
 
 func (sc *Scratch) grow(n int) {
@@ -87,9 +108,9 @@ func (sc *Scratch) grow(n int) {
 }
 
 // touch brings a slot into the current epoch, zeroed, and returns its
-// record with whether this is the evaluation's first sight of it — the
-// one moment the caller resolves the slot's label into sym. The record
-// stays valid until the next touch.
+// record with whether this is the link's first sight of it — the one
+// moment the caller resolves the slot's label into sym. The record stays
+// valid until the next touch.
 func (sc *Scratch) touch(slot int32) (*slotState, bool) {
 	if int(slot) >= len(sc.slots) {
 		sc.grow(int(slot) + 1)
@@ -133,13 +154,13 @@ func (sc *Scratch) footprint() []int32 {
 // relaxNFA folds the state set m, stepped over js's symbol, into js's set
 // (st, already touched), recording a new accept and queueing js for the
 // next level when its set grew.
-func (sc *Scratch) relaxNFA(c *Compiled, m uint64, js int32, st *slotState) {
-	nm := c.step(m, st.sym)
+func (sc *Scratch) relaxNFA(a *automaton, m uint64, js int32, st *slotState) {
+	nm := a.step(m, st.sym)
 	if nm&^st.mask == 0 {
 		return
 	}
 	st.mask |= nm
-	if st.mask&c.accept != 0 && st.flag&flagAccept == 0 {
+	if st.mask&a.accept != 0 && st.flag&flagAccept == 0 {
 		st.flag |= flagAccept
 		sc.acc = append(sc.acc, js)
 	}
@@ -149,50 +170,54 @@ func (sc *Scratch) relaxNFA(c *Compiled, m uint64, js int32, st *slotState) {
 	}
 }
 
-// startNFA seeds an NFA fixpoint walk at root with the start set {q0}.
-func (sc *Scratch) startNFA(c *Compiled, root int32, label string) {
-	st, _ := sc.touch(root)
-	st.sym = c.symOf(label)
+// startNFA seeds an NFA fixpoint walk at slot with the start set {q0}.
+func (sc *Scratch) startNFA(a *automaton, slot int32, label string) {
+	st, _ := sc.touch(slot)
+	st.sym = a.symOf(label)
 	st.mask = 1
 	st.flag |= flagQueued
-	sc.next = append(sc.next, int64(root))
+	sc.next = append(sc.next, int64(slot))
 }
 
-// autoWalk runs the compiled automaton over an index snapshot and returns
-// the accepting slots (aliasing sc.acc). The DFA product walk is preferred;
-// expressions whose determinization was declined use the NFA bitmask
-// fixpoint, which visits a slot once per state-set growth instead of once
-// per state but computes the same accepting set. Both are breadth-first;
-// the accepting set and the footprint are sets, so the order is free.
+// autoWalk runs the compiled program over an index snapshot and returns
+// the accepting slots (aliasing sc.acc): the root for the empty path, and
+// otherwise the last link's accepting slots, each link walked from the
+// previous one's. A link prefers the DFA product walk; a link whose
+// determinization was declined uses the NFA bitmask fixpoint, which visits
+// a slot once per state-set growth instead of once per state but computes
+// the same accepting set. Both are breadth-first; the accepting set and
+// the footprint are sets, so the order is free.
 func autoWalk(c *Compiled, sc *Scratch, g *snap.Snapshot) []int32 {
-	sc.begin(g.Slots())
-	root := int32(g.RootINode())
-	if root < 0 {
-		return sc.acc
+	sc.begin(g.Slots(), int32(g.RootINode()))
+	for a := c.head; a != nil && len(sc.acc) > 0; a = a.next {
+		if a.dfaNext != nil {
+			autoWalkDFA(a, sc, g)
+		} else {
+			autoWalkNFA(a, sc, g)
+		}
 	}
-	if c.dfaNext != nil {
-		return autoWalkDFA(c, sc, g, root)
-	}
-	return autoWalkNFA(c, sc, g, root)
+	return sc.acc
 }
 
-func autoWalkDFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
-	// The root is reached again as a successor when an edge points back at
+func autoWalkDFA(a *automaton, sc *Scratch, g *snap.Snapshot) {
+	// A seed is reached again as a successor when an edge points back at
 	// it, so its symbol is resolved here like any other first touch.
-	st, _ := sc.touch(root)
-	st.sym = c.symOf(g.LabelName(snap.ID(root)))
-	st.mask = 1 // DFA start state 0 visited
-	sc.next = append(sc.next, int64(root)<<8)
+	for _, seed := range sc.link() {
+		st, _ := sc.touch(seed)
+		st.sym = a.symOf(g.LabelName(snap.ID(seed)))
+		st.mask = 1 // DFA start state 0 visited
+		sc.next = append(sc.next, int64(seed)<<8)
+	}
 	for sc.advance() {
 		for _, item := range sc.cur {
 			slot, q := int32(item>>8), int(item&0xFF)
-			row := c.dfaNext[q*c.numSyms : (q+1)*c.numSyms]
+			row := a.dfaNext[q*a.numSyms : (q+1)*a.numSyms]
 			sc.expand(slot)
 			for _, j := range g.ISucc(snap.ID(slot)) {
 				js := int32(j)
 				st, first := sc.touch(js)
 				if first {
-					st.sym = c.symOf(g.LabelName(j))
+					st.sym = a.symOf(g.LabelName(j))
 				}
 				ns := row[st.sym]
 				if ns < 0 {
@@ -204,18 +229,19 @@ func autoWalkDFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32
 				}
 				st.mask |= bit
 				sc.next = append(sc.next, int64(js)<<8|int64(ns))
-				if c.dfaAccept[ns] && st.flag&flagAccept == 0 {
+				if a.dfaAccept[ns] && st.flag&flagAccept == 0 {
 					st.flag |= flagAccept
 					sc.acc = append(sc.acc, js)
 				}
 			}
 		}
 	}
-	return sc.acc
 }
 
-func autoWalkNFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32 {
-	sc.startNFA(c, root, g.LabelName(snap.ID(root)))
+func autoWalkNFA(a *automaton, sc *Scratch, g *snap.Snapshot) {
+	for _, seed := range sc.link() {
+		sc.startNFA(a, seed, g.LabelName(snap.ID(seed)))
+	}
 	for sc.advance() {
 		for _, item := range sc.cur {
 			slot := int32(item)
@@ -227,31 +253,29 @@ func autoWalkNFA(c *Compiled, sc *Scratch, g *snap.Snapshot, root int32) []int32
 				js := int32(j)
 				st, first := sc.touch(js)
 				if first {
-					st.sym = c.symOf(g.LabelName(j))
+					st.sym = a.symOf(g.LabelName(j))
 				}
-				sc.relaxNFA(c, m, js, st)
+				sc.relaxNFA(a, m, js, st)
 			}
 		}
 	}
-	return sc.acc
 }
 
 // ---- index snapshot evaluation ----
 
 // EvalSnapshot evaluates the compiled expression on an index snapshot of
-// either family and returns the matched dnodes, sorted — the compiled
-// counterpart of EvalSnapshot(p, s), with the identical (exact) result
-// contract: candidates from the automaton walk, backward validation when
-// an A(k) snapshot is not precise for the expression, then predicate
-// checks.
+// either family and returns the matched dnodes, sorted: candidates from
+// the automaton walk, backward validation when an A(k) snapshot is not
+// precise for the expression, then predicate checks.
 func (c *Compiled) EvalSnapshot(s *snap.Snapshot) []graph.NodeID {
 	return c.EvalSnapshotInto(nil, nil, s)
 }
 
-// EvalSnapshotInto is EvalSnapshot assembling the result into buf and
-// reusing sc across calls: with a warm buffer and scratch the whole
-// evaluation allocates nothing. A nil sc uses a throwaway scratch; neither
-// buf nor sc may be shared between goroutines.
+// EvalSnapshotInto is EvalSnapshot assembling the result into buf
+// (overwritten from the start, grown as needed) and reusing sc across
+// calls: with a warm buffer and scratch, an evaluation that needs no
+// validation and no predicate checks allocates nothing. A nil sc borrows
+// a pooled scratch; neither buf nor sc may be shared between goroutines.
 func (c *Compiled) EvalSnapshotInto(buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) []graph.NodeID {
 	out, _ := c.EvalSnapshotIntoCtx(nil, buf, sc, s)
 	return out
@@ -259,17 +283,18 @@ func (c *Compiled) EvalSnapshotInto(buf []graph.NodeID, sc *Scratch, s *snap.Sna
 
 // EvalSnapshotFootprint evaluates like EvalSnapshotIntoCtx but also
 // returns the evaluation's inode footprint: the slots the walk expanded —
-// popped and read the successor list of — strictly ascending and freshly
-// allocated. Slots the walk only read a label from (siblings that matched
-// no step) are not in it. Precise is true when the result depends on
-// nothing outside that footprint: any later index change that dirties no
-// footprint slot provably leaves the result unchanged, which is the
-// contract the result cache's targeted invalidation relies on. The
+// popped and read the successor list of, in any link — strictly ascending
+// and freshly allocated. Slots the walk only read a label from (siblings
+// that matched no step) are not in it. Precise is true when the result
+// depends on nothing outside that footprint: any later index change that
+// dirties no footprint slot provably leaves the result unchanged, which is
+// the contract the result cache's targeted invalidation relies on. The
 // argument is three lines:
 //
 //   - the result is a function of the expanded slots' successor lists,
 //     their successors' labels, and the accepting slots' extents, and
-//     every accepting slot is expanded;
+//     every accepting slot is expanded (a link's accepting slots are
+//     expanded in that link and again as the next link's seeds);
 //   - a successor list or an extent changes only through a mutator that
 //     marks that slot dirty (addIEdgeCount marks the edge's source);
 //   - a label is fixed while its slot is live, and a slot can only die
@@ -282,7 +307,8 @@ func (c *Compiled) EvalSnapshotInto(buf []graph.NodeID, sc *Scratch, s *snap.Sna
 // retain.
 func (c *Compiled) EvalSnapshotFootprint(ctx context.Context, sc *Scratch, s *snap.Snapshot) (nodes []graph.NodeID, footprint []int32, precise bool, err error) {
 	if sc == nil {
-		sc = &Scratch{}
+		sc = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(sc)
 	}
 	nodes, err = c.EvalSnapshotIntoCtx(ctx, nil, sc, s)
 	if err != nil {
@@ -298,21 +324,43 @@ func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s 
 }
 
 // EvalSnapshotIntoCtx is EvalSnapshotInto under a context, observing
-// cancellation between extent unions and between validation candidates.
+// cancellation between extent unions and between validation candidates:
+// candidates, then validation, then predicates.
 func (c *Compiled) EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, error) {
-	if sc == nil {
-		sc = &Scratch{}
+	buf, err := c.candidates(ctx, buf, sc, s)
+	if err != nil {
+		return buf, err
 	}
+	// Validation and the walk read only labels and axes, so both take the
+	// skeleton; predicates are checked last, on the validated survivors.
+	if buf, err = validated(ctx, c.skel, s, buf); err != nil {
+		return buf, err
+	}
+	if c.path.HasPredicates() {
+		buf = filterByAllPredicates(c.path, s.Data(), buf)
+	}
+	return buf, ctxErr(ctx)
+}
+
+// candidates walks s and assembles the union of the accepting slots'
+// extents into buf (overwritten from the start, grown as needed): the
+// skeleton's raw answer, sorted, before validation and predicate checks.
+// A nil sc borrows a pooled scratch.
+func (c *Compiled) candidates(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, error) {
 	buf = buf[:0]
 	if err := ctxErr(ctx); err != nil {
 		return buf, err
+	}
+	if sc == nil {
+		sc = scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(sc)
 	}
 	acc := autoWalk(c, sc, s)
 	views := sc.ext.Views(len(acc))
 	total := 0
 	for n, i := range acc {
 		if err := ctxErr(ctx); err != nil {
-			return buf[:0], err
+			return buf, err
 		}
 		views[n] = s.ExtentView(snap.ID(i))
 		total += views[n].Len()
@@ -322,14 +370,7 @@ func (c *Compiled) EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, 
 	}
 	// Extents partition the dnodes, so the union is disjoint and UnionInto
 	// returns buf already sorted — no post-sort.
-	buf, err := validated(ctx, c.skel, s, extent.UnionInto(buf, &sc.ext, views))
-	if err != nil {
-		return buf, err
-	}
-	if c.path.HasPredicates() {
-		return filterByAllPredicates(c.path, s.Data(), buf), ctxErr(ctx)
-	}
-	return buf, ctxErr(ctx)
+	return extent.UnionInto(buf, &sc.ext, views), nil
 }
 
 // ---- data-graph evaluation ----
@@ -339,27 +380,31 @@ func (c *Compiled) EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, 
 // equivalence tests. It always runs the NFA fixpoint (data graphs are not
 // slot-bounded up front, and this path is not performance-critical).
 func (c *Compiled) EvalSource(g Source) []graph.NodeID {
-	sc := &Scratch{}
-	sc.begin(0)
 	root := g.Root()
 	if root == graph.InvalidNode {
 		return nil
 	}
-	sc.startNFA(c, int32(root), g.LabelName(root))
-	for sc.advance() {
-		for _, item := range sc.cur {
-			slot := int32(item)
-			st := &sc.slots[slot]
-			st.flag &^= flagQueued
-			m := st.mask
-			g.EachSucc(graph.NodeID(slot), func(w graph.NodeID, _ graph.EdgeKind) {
-				js := int32(w)
-				st, first := sc.touch(js)
-				if first {
-					st.sym = c.symOf(g.LabelName(w))
-				}
-				sc.relaxNFA(c, m, js, st)
-			})
+	sc := &Scratch{}
+	sc.begin(0, int32(root))
+	for a := c.head; a != nil && len(sc.acc) > 0; a = a.next {
+		for _, seed := range sc.link() {
+			sc.startNFA(a, seed, g.LabelName(graph.NodeID(seed)))
+		}
+		for sc.advance() {
+			for _, item := range sc.cur {
+				slot := int32(item)
+				st := &sc.slots[slot]
+				st.flag &^= flagQueued
+				m := st.mask
+				g.EachSucc(graph.NodeID(slot), func(w graph.NodeID, _ graph.EdgeKind) {
+					js := int32(w)
+					st, first := sc.touch(js)
+					if first {
+						st.sym = a.symOf(g.LabelName(w))
+					}
+					sc.relaxNFA(a, m, js, st)
+				})
+			}
 		}
 	}
 	out := make([]graph.NodeID, 0, len(sc.acc))

@@ -14,10 +14,11 @@ import (
 
 // The extent codec is a storage choice, never a semantic one: every
 // evaluation strategy must return bit-identical results over a Compressed
-// snapshot and a Dense one of the same index state — interpreted and
-// compiled, eval and count, on full freezes and on incrementally patched
-// snapshots, across randomized graphs and maintenance batches. Run under
-// -race this also exercises concurrent-safety of the shared encodings.
+// snapshot and a Dense one of the same index state, both equal to the
+// interpreter over the frozen graph — eval and count, on a fresh and a
+// reused Scratch, on full freezes and on incrementally patched snapshots,
+// across randomized graphs and maintenance batches. Run under -race this
+// also exercises concurrent-safety of the shared encodings.
 func TestSnapshotCodecEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,11 +44,11 @@ func TestSnapshotCodecEquivalence(t *testing.T) {
 			for q := 0; q < 15; q++ {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
-				if got, want := EvalSnapshot(p, oneSnapC), EvalSnapshot(p, oneSnap); !equalIDs(got, want) {
-					t.Fatalf("seed %d round %d %q: 1-index interpreted: compressed %v != dense %v", seed, round, expr, got, want)
+				if got, want := EvalSnapshot(p, oneSnapC), EvalGraph(p, oneSnap.Data()); !equalIDs(got, want) {
+					t.Fatalf("seed %d round %d %q: 1-index: compressed %v != graph %v", seed, round, expr, got, want)
 				}
-				if got, want := EvalSnapshot(p, akSnapC), EvalSnapshot(p, akSnap); !equalIDs(got, want) {
-					t.Fatalf("seed %d round %d %q: A(k) interpreted: compressed %v != dense %v", seed, round, expr, got, want)
+				if got, want := EvalSnapshot(p, akSnapC), EvalGraph(p, akSnap.Data()); !equalIDs(got, want) {
+					t.Fatalf("seed %d round %d %q: A(k): compressed %v != graph %v", seed, round, expr, got, want)
 				}
 				if got, want := CountSnapshot(p, oneSnapC), CountSnapshot(p, oneSnap); got != want {
 					t.Fatalf("seed %d round %d %q: 1-index count: compressed %d != dense %d", seed, round, expr, got, want)

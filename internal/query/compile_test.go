@@ -21,8 +21,8 @@ func TestCompileBasics(t *testing.T) {
 		t.Errorf("Expr = %q", c.Expr())
 	}
 	// Distinct non-wildcard labels only: {a, b} plus the OTHER symbol.
-	if c.numSyms != 3 {
-		t.Errorf("numSyms = %d, want 3", c.numSyms)
+	if c.head.numSyms != 3 || c.head.next != nil {
+		t.Errorf("numSyms = %d, next link %v; want 3 symbols in one link", c.head.numSyms, c.head.next)
 	}
 	nfa, dfa := c.States()
 	if nfa != 5 {
@@ -35,15 +35,43 @@ func TestCompileBasics(t *testing.T) {
 		t.Errorf("String = %q, want dfa walk", c)
 	}
 
-	if _, err := Compile(&Path{}); err == nil {
-		t.Error("Compile accepted an empty path")
+	// Every path compiles: the empty one to zero links, a long one to a
+	// chain of links of at most maxSteps steps each.
+	for _, tc := range []struct {
+		p     *Path
+		links int
+	}{
+		{&Path{}, 0},
+		{MustParse(strings.Repeat("/a", maxSteps)), 1},
+		{MustParse(strings.Repeat("/a", maxSteps+1)), 2},
+		{MustParse(strings.Repeat("//*", 3*maxSteps)), 3},
+	} {
+		c, err := Compile(tc.p)
+		if err != nil || c == nil {
+			t.Fatalf("Compile(%d steps) = %v, %v", tc.p.Len(), c, err)
+		}
+		links := 0
+		for a := c.head; a != nil; a = a.next {
+			links++
+		}
+		if nfa, _ := c.States(); links != tc.links || nfa != tc.p.Len()+links {
+			t.Errorf("%d steps: %d links, %d nfa states; want %d links", tc.p.Len(), links, nfa, tc.links)
+		}
 	}
-	long := strings.Repeat("/a", maxSteps+1)
-	if _, err := Compile(MustParse(long)); err == nil {
-		t.Errorf("Compile accepted a %d-step path", maxSteps+1)
+	// The empty path answers with the root, like the interpreter.
+	g, _, _, _ := gtest.Fig2()
+	s := oneindex.Build(g).Freeze(g.Freeze())
+	want := []graph.NodeID{g.Root()}
+	got, interp := MustCompile(&Path{}).EvalSnapshot(s), EvalGraph(&Path{}, g)
+	if !equalIDs(got, want) || !equalIDs(interp, want) {
+		t.Errorf("empty path: compiled %v, interpreter %v; want %v", got, interp, want)
 	}
-	if c, err := Compile(MustParse(strings.Repeat("/a", maxSteps))); err != nil || c == nil {
-		t.Errorf("Compile rejected a %d-step path: %v", maxSteps, err)
+}
+
+// forceNFA strips every link's DFA, so evaluation runs the NFA fixpoint.
+func forceNFA(c *Compiled) {
+	for a := c.head; a != nil; a = a.next {
+		a.dfaNext, a.dfaAccept = nil, nil
 	}
 }
 
@@ -82,9 +110,10 @@ func TestCompiledEvalSourceMatchesInterpreterRandom(t *testing.T) {
 }
 
 // Compiled snapshot evaluation must be indistinguishable from the
-// interpreter's snapshot evaluation across randomized graphs, expressions,
-// maintenance rounds, and both index families — and the NFA-fixpoint
-// fallback must compute the same answers as the DFA product walk.
+// interpreter over the snapshot's frozen graph across randomized graphs,
+// expressions, maintenance rounds, and both index families — and the
+// NFA-fixpoint fallback must compute the same answers as the DFA product
+// walk.
 func TestCompiledSnapshotsMatchInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,18 +130,18 @@ func TestCompiledSnapshotsMatchInterpreter(t *testing.T) {
 			for q := 0; q < 12; q++ {
 				p := MustParse(randomExpr(rng))
 				c := MustCompile(p)
-				wantOne := EvalSnapshot(p, oneSnap)
+				wantOne := EvalGraph(p, oneSnap.Data())
 				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: compiled one %v != interpreter %v", seed, round, p, buf, wantOne)
 				}
-				wantAk := EvalSnapshot(p, akSnap)
+				wantAk := EvalGraph(p, akSnap.Data())
 				buf = c.EvalSnapshotInto(buf, &sc, akSnap)
 				if !equalIDs(buf, wantAk) {
 					t.Fatalf("seed %d round %d %q: compiled ak %v != interpreter %v", seed, round, p, buf, wantAk)
 				}
 				// Strip the DFA: the NFA bitmask fixpoint must agree.
-				c.dfaNext, c.dfaAccept = nil, nil
+				forceNFA(c)
 				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: NFA-fallback one %v != interpreter %v", seed, round, p, buf, wantOne)
@@ -184,7 +213,7 @@ func TestCompiledEdgeIntoRoot(t *testing.T) {
 				if got := c.EvalSnapshotInto(nil, &sc, akSnap); !equalIDs(got, want) {
 					t.Errorf("seed %d %q: %s ak %v != interpreter %v", seed, expr, mode, got, want)
 				}
-				c.dfaNext, c.dfaAccept = nil, nil
+				forceNFA(c)
 			}
 		}
 	}
@@ -206,7 +235,7 @@ func TestCompiledFootprint(t *testing.T) {
 	if !precise {
 		t.Error("predicate-free expression reported imprecise")
 	}
-	if !equalIDs(nodes, EvalSnapshot(c.Path(), snap)) {
+	if !equalIDs(nodes, EvalGraph(c.Path(), snap.Data())) {
 		t.Errorf("footprint eval result diverges: %v", nodes)
 	}
 	if len(fp) == 0 {
@@ -267,6 +296,7 @@ func TestCompiledEvalZeroAlloc(t *testing.T) {
 // must return the interpreter's result and expand exactly the slots the
 // fixpoint reaches, on freshly built (breadth-first numbered) indexes and
 // on churned ones whose splits appended ids out of walk order.
+// TestChainedPathsMatchGraph holds chained programs to the same reference.
 func TestWalkOrderIndependent(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -286,9 +316,6 @@ func TestWalkOrderIndependent(t *testing.T) {
 						for q := 0; q < 10; q++ {
 							p := MustParse(randomExpr(rng))
 							want := EvalGraph(p, one.Graph())
-							if got := EvalSnapshot(p, s); !equalIDs(got, want) {
-								t.Fatalf("seed %d round %d %q: interpreter %v, graph %v", seed, round, p, got, want)
-							}
 							c := MustCompile(p)
 							wantFp := fixpointFootprint(c, s)
 							for _, mode := range []string{"DFA", "NFA"} {
@@ -299,7 +326,7 @@ func TestWalkOrderIndependent(t *testing.T) {
 								if !slices.Equal(fp, wantFp) {
 									t.Fatalf("seed %d round %d %q: %s footprint %v, fixpoint %v", seed, round, p, mode, fp, wantFp)
 								}
-								c.dfaNext, c.dfaAccept = nil, nil
+								forceNFA(c)
 							}
 						}
 						for i := 0; i < 4; i++ {
@@ -316,35 +343,166 @@ func TestWalkOrderIndependent(t *testing.T) {
 }
 
 // fixpointFootprint is the order-free reference for a walk's footprint:
-// it iterates every slot's NFA state set, in ascending slot order, until
-// nothing changes, and returns the slots that hold a non-empty set — the
-// root and every slot some path prefix of the expression reaches.
+// per link, it iterates every slot's NFA state set, in ascending slot
+// order, until nothing changes, starting from the previous link's
+// accepting slots (the root, for the first), and returns the slots that
+// held a non-empty set in any link — the root and every slot some path
+// prefix of the expression reaches.
 func fixpointFootprint(c *Compiled, s *snap.Snapshot) []int32 {
 	root := s.RootINode()
-	if root < 0 {
+	if root < 0 || c.head == nil {
 		return nil
 	}
-	set := make([]uint64, s.Slots())
-	set[root] = 1
-	for changed := true; changed; {
-		changed = false
-		for i, m := range set {
-			if m == 0 {
-				continue
-			}
-			for _, j := range s.ISucc(snap.ID(i)) {
-				if nm := c.step(m, c.symOf(s.LabelName(j))); nm&^set[j] != 0 {
-					set[j] |= nm
-					changed = true
+	reached := make([]bool, s.Slots())
+	seeds := []int{int(root)}
+	for a := c.head; a != nil && len(seeds) > 0; a = a.next {
+		set := make([]uint64, s.Slots())
+		for _, i := range seeds {
+			set[i] = 1
+		}
+		for changed := true; changed; {
+			changed = false
+			for i, m := range set {
+				if m == 0 {
+					continue
 				}
+				for _, j := range s.ISucc(snap.ID(i)) {
+					if nm := a.step(m, a.symOf(s.LabelName(j))); nm&^set[j] != 0 {
+						set[j] |= nm
+						changed = true
+					}
+				}
+			}
+		}
+		seeds = seeds[:0]
+		for i, m := range set {
+			reached[i] = reached[i] || m != 0
+			if m&a.accept != 0 {
+				seeds = append(seeds, i)
 			}
 		}
 	}
 	var fp []int32
-	for i, m := range set {
-		if m != 0 {
+	for i, r := range reached {
+		if r {
 			fp = append(fp, int32(i))
 		}
 	}
 	return fp
+}
+
+// longExpr draws a 60–140-step expression — longer than one automaton
+// link, often longer than two — with five in seven steps a wildcard and
+// one in four a descendant step, so that on small cyclic graphs a fair
+// share of the answers is non-empty.
+func longExpr(rng *rand.Rand) string {
+	labels := []string{"a", "b", "c", "d", "e"}
+	var b strings.Builder
+	for n := 60 + rng.Intn(81); n > 0; n-- {
+		if rng.Intn(4) == 0 {
+			b.WriteString("//")
+		} else {
+			b.WriteString("/")
+		}
+		if rng.Intn(7) < 5 {
+			b.WriteString("*")
+		} else {
+			b.WriteString(labels[rng.Intn(len(labels))])
+		}
+	}
+	return b.String()
+}
+
+// Chained programs — expressions over one link's maxSteps — must answer
+// exactly what the interpreter answers over the snapshot's frozen graph,
+// under the DFA walk and the forced NFA walk, on both index families and
+// both extent codecs, over DAG and cyclic graphs, on fresh snapshots and
+// along a PatchSnapshot chain; their footprint must be the order-free
+// fixpoint's, and a cached answer whose footprint a publication leaves
+// clean must still be exact on the patched snapshot.
+func TestChainedPathsMatchGraph(t *testing.T) {
+	type entry struct {
+		c     *Compiled
+		nodes []graph.NodeID
+		fp    []int32
+	}
+	families := []struct {
+		name  string
+		build func(*graph.Graph) snapshotIndex
+	}{
+		{"1-index", func(g *graph.Graph) snapshotIndex { return oneindex.Build(g) }},
+		{"A(2)", func(g *graph.Graph) snapshotIndex { return akindex.Build(g, 2) }},
+	}
+	shapes := []struct {
+		name string
+		gen  func(*rand.Rand, int, int) *graph.Graph
+	}{{"dag", gtest.RandomDAG}, {"cyclic", gtest.RandomCyclic}}
+	nonEmpty, checked, survived := 0, 0, 0
+	for _, fam := range families {
+		for _, shape := range shapes {
+			for _, codec := range []extent.Codec{extent.Dense, extent.Compressed} {
+				t.Run(fmt.Sprintf("%s/%s/%s", fam.name, shape.name, codec), func(t *testing.T) {
+					for seed := int64(0); seed < 5; seed++ {
+						rng := rand.New(rand.NewSource(seed))
+						x := fam.build(shape.gen(rng, 40, 100))
+						x.SetSnapshotCodec(codec)
+						data := x.Graph().Freeze()
+						s := x.Freeze(data)
+						churn := gtest.Churner{Rng: rng, X: x}
+						var sc Scratch
+						var cached []entry
+						for round := 0; round < 3; round++ {
+							for q := 0; q < 4; q++ {
+								p := MustParse(longExpr(rng))
+								want := EvalGraph(p, data)
+								c := MustCompile(p)
+								if got := c.EvalSource(data); !equalIDs(got, want) {
+									t.Fatalf("seed %d round %d %s: EvalSource %v, graph %v", seed, round, p, got, want)
+								}
+								wantFp := fixpointFootprint(c, s)
+								for _, mode := range []string{"DFA", "NFA"} {
+									got, fp, precise, err := c.EvalSnapshotFootprint(nil, &sc, s)
+									if err != nil || !equalIDs(got, want) {
+										t.Fatalf("seed %d round %d %s: %s walk %v, graph %v (err %v)", seed, round, p, mode, got, want, err)
+									}
+									if !slices.Equal(fp, wantFp) {
+										t.Fatalf("seed %d round %d %s: %s footprint %v, fixpoint %v", seed, round, p, mode, fp, wantFp)
+									}
+									if mode == "DFA" && precise {
+										cached = append(cached, entry{c: c, nodes: got, fp: fp})
+									}
+									forceNFA(c)
+								}
+								checked++
+								if len(want) > 0 {
+									nonEmpty++
+								}
+							}
+							if _, err := churn.Step(); err != nil {
+								t.Fatal(err)
+							}
+							data = data.Rebuild(x.Graph(), nil)
+							s = x.PatchSnapshot(s, data)
+							dirty := sortedDirty(t, s)
+							for i, e := range cached {
+								fresh, fp, _, _ := e.c.EvalSnapshotFootprint(nil, &sc, s)
+								if !overlaps(dirty, e.fp) {
+									if !equalIDs(fresh, e.nodes) {
+										t.Fatalf("seed %d round %d %s: footprint disjoint from dirty %v but result changed: %v -> %v",
+											seed, round, e.c.Expr(), dirty, e.nodes, fresh)
+									}
+									survived++
+								}
+								cached[i].nodes, cached[i].fp = fresh, fp
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+	if nonEmpty == 0 || nonEmpty == checked || survived == 0 {
+		t.Errorf("%d of %d chained answers non-empty, %d cached answers survived a publication: the check is vacuous on one side",
+			nonEmpty, checked, survived)
+	}
 }

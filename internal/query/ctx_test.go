@@ -65,13 +65,14 @@ func TestSnapshotCtxEvaluators(t *testing.T) {
 }
 
 // A nil context (what the non-Ctx entry points pass) must behave exactly
-// like no context at all — including through the Into buffer-reuse path.
+// like no context at all — including through the compiled buffer-reuse
+// path with a nil (pooled) Scratch.
 func TestSnapshotCtxNilContext(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	one := oneindex.Build(g).Freeze(g.Freeze())
 	p := MustParse("//b/c")
 	want := EvalSnapshot(p, one)
-	got, err := EvalSnapshotIntoCtx(nil, nil, p, one)
+	got, err := MustCompile(p).EvalSnapshotIntoCtx(nil, nil, nil, one)
 	if err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("nil ctx eval = %v, %v; want %v", got, err, want)
 	}

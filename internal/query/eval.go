@@ -12,25 +12,9 @@ func EvalGraph(p *Path, g Source) []graph.NodeID {
 	if g.Root() == graph.InvalidNode {
 		return nil
 	}
-	if p.HasPredicates() {
-		return evalGraphFull(p, g)
-	}
-	res := run(p, &graphNav{g: g}, []int64{int64(g.Root())})
-	out := make([]graph.NodeID, 0, len(res))
-	for _, n := range res {
-		out = append(out, graph.NodeID(n))
-	}
+	out := run(p, g, []graph.NodeID{g.Root()})
 	sortNodes(out)
 	return out
-}
-
-type graphNav struct{ g Source }
-
-func (n *graphNav) succ(v int64, fn func(int64)) {
-	n.g.EachSucc(graph.NodeID(v), func(w graph.NodeID, _ graph.EdgeKind) { fn(int64(w)) })
-}
-func (n *graphNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.g.LabelName(graph.NodeID(v)) == label
 }
 
 // NeedsValidation reports whether an A(k) result for p can contain false

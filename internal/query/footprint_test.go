@@ -45,6 +45,15 @@ func sortedDirty(t *testing.T, s *snap.Snapshot) []int32 {
 	return dirty
 }
 
+// snapshotIndex is what both index families offer a test that churns an
+// index and publishes its snapshots.
+type snapshotIndex interface {
+	gtest.Maintained
+	SetSnapshotCodec(extent.Codec)
+	Freeze(*graph.Frozen) *snap.Snapshot
+	PatchSnapshot(*snap.Snapshot, *graph.Frozen) *snap.Snapshot
+}
+
 func strictlyAscending(fp []int32) bool {
 	for i := 1; i < len(fp); i++ {
 		if fp[i-1] >= fp[i] {
@@ -70,19 +79,13 @@ func TestFootprintInvalidationSound(t *testing.T) {
 		nodes []graph.NodeID
 		fp    []int32
 	}
-	type index interface {
-		gtest.Maintained
-		SetSnapshotCodec(extent.Codec)
-		Freeze(*graph.Frozen) *snap.Snapshot
-		PatchSnapshot(*snap.Snapshot, *graph.Frozen) *snap.Snapshot
-	}
 	families := []struct {
 		name  string
 		k     int
-		build func(*graph.Graph) index
+		build func(*graph.Graph) snapshotIndex
 	}{
-		{"1-index", snap.Unbounded, func(g *graph.Graph) index { return oneindex.Build(g) }},
-		{"A(3)", 3, func(g *graph.Graph) index { return akindex.Build(g, 3) }},
+		{"1-index", snap.Unbounded, func(g *graph.Graph) snapshotIndex { return oneindex.Build(g) }},
+		{"A(3)", 3, func(g *graph.Graph) snapshotIndex { return akindex.Build(g, 3) }},
 	}
 	shapes := []struct {
 		name string

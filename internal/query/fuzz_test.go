@@ -1,15 +1,20 @@
 package query
 
 import (
+	"strings"
 	"testing"
 
+	"structix/internal/akindex"
+	"structix/internal/oneindex"
+	"structix/internal/snap"
 	"structix/internal/xmlload"
 )
 
 // FuzzParsePath throws arbitrary byte strings at the parser; whatever it
 // accepts must round-trip through String, survive predicate reordering,
-// and — when compilable — evaluate identically under the interpreter and
-// the compiled automaton.
+// compile, and evaluate identically under the interpreter and the
+// compiled automaton — over the data graph, and over the document's
+// 1-index and A(2) snapshots.
 func FuzzParsePath(f *testing.F) {
 	for _, seed := range []string{
 		"/a", "//a", "/a/b/c", "/a//b/*", "//*//*",
@@ -18,6 +23,7 @@ func FuzzParsePath(f *testing.F) {
 		"//person[watches/watch]/name",
 		"/a[b][c='x']/d", "/a[b//c][d]",
 		"", "/", "//", "/a//", "/a b", "///(", "/a[", "/a[]", "/a['x']",
+		strings.Repeat("/*", 70), "/site" + strings.Repeat("//*", 64) + "/name",
 	} {
 		f.Add(seed)
 	}
@@ -25,6 +31,8 @@ func FuzzParsePath(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	data := g.Freeze()
+	snaps := []*snap.Snapshot{oneindex.Build(g).Freeze(data), akindex.Build(g, 2).Freeze(data)}
 	f.Fuzz(func(t *testing.T, expr string) {
 		p, err := Parse(expr)
 		if err != nil {
@@ -46,10 +54,15 @@ func FuzzParsePath(f *testing.F) {
 		}
 		c, err := Compile(p)
 		if err != nil {
-			return // over the step bound: interpreter-only expression
+			t.Fatalf("%q: Compile: %v", expr, err)
 		}
 		if got := c.EvalSource(g); !equalIDs(got, want) {
 			t.Fatalf("%q: compiled %v != interpreter %v", expr, got, want)
+		}
+		for _, s := range snaps {
+			if got := c.EvalSnapshot(s); !equalIDs(got, want) {
+				t.Fatalf("%q: compiled on snapshot (bounded %v) %v != interpreter %v", expr, s.Bounded(), got, want)
+			}
 		}
 	})
 }

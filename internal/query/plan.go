@@ -89,13 +89,13 @@ type costedPlan struct {
 // mean in-degree for the validation fan-out. Ties break in the fixed
 // Strategy order.
 func (pl *Planner) Plan(p *Path) Plan {
-	best := pl.rank(p)[0]
-	return best.plan
+	return pl.rank(MustCompile(p))[0].plan
 }
 
-// rank returns every available strategy candidate costed for p, cheapest
-// first (ties in Strategy order).
-func (pl *Planner) rank(p *Path) []costedPlan {
+// rank returns every available strategy candidate costed for c's
+// expression, cheapest first (ties in Strategy order).
+func (pl *Planner) rank(c *Compiled) []costedPlan {
+	p := c.Path()
 	// The walk, the counts and NeedsValidation read only p's skeleton.
 	anchored := !NeedsValidation(p, 1<<30) // no descendant steps at all
 	n := float64(pl.Data.NumNodes())
@@ -110,12 +110,11 @@ func (pl *Planner) rank(p *Path) []costedPlan {
 	result := n / 8
 	akCands := 0.0
 	if pl.Ak != nil {
-		c, _ := extentCount(p, pl.Ak)
-		akCands, result = float64(c), float64(c)
+		akCands = float64(c.extentCount(pl.Ak))
+		result = akCands
 	}
 	if pl.One != nil {
-		c, _ := extentCount(p, pl.One)
-		result = float64(c)
+		result = float64(c.extentCount(pl.One))
 	}
 
 	var cands []costedPlan
@@ -259,26 +258,26 @@ func OrderPredicates(p *Path) *Path {
 
 // Eval plans and executes in one step, always returning the exact result.
 func (pl *Planner) Eval(p *Path) ([]graph.NodeID, Plan) {
-	p = OrderPredicates(p)
-	plan := pl.Plan(p)
+	c := MustCompile(OrderPredicates(p))
+	plan := pl.rank(c)[0].plan
 	if plan.Strategy == StrategyValueIndex {
-		if res, ok := pl.Values.EvalValuePredicate(p); ok {
+		if res, ok := pl.Values.EvalValuePredicate(c.Path()); ok {
 			return res, plan
 		}
 		// The accelerator declined (shape check drifted): fall back.
 		plan = Plan{Strategy: StrategyDirect, Reason: "value accelerator declined"}
 	}
-	return pl.exec(p, plan.Strategy), plan
+	return pl.exec(c, plan.Strategy), plan
 }
 
-// exec evaluates p by a structural strategy: on the snapshot it names, or
+// exec evaluates c by a structural strategy: on the snapshot it names, or
 // over the data graph for the direct route. Every route is exact.
-func (pl *Planner) exec(p *Path, st Strategy) []graph.NodeID {
+func (pl *Planner) exec(c *Compiled, st Strategy) []graph.NodeID {
 	switch st {
 	case StrategyAkLevel, StrategyAkValidated:
-		return EvalSnapshot(p, pl.Ak)
+		return c.EvalSnapshot(pl.Ak)
 	case StrategyOneIndex:
-		return EvalSnapshot(p, pl.One)
+		return c.EvalSnapshot(pl.One)
 	}
-	return EvalGraph(p, pl.Data)
+	return EvalGraph(c.Path(), pl.Data)
 }

@@ -17,7 +17,7 @@ func TestPlannerRankOrdering(t *testing.T) {
 	pl := snapPlanner(g, 3)
 	for _, expr := range []string{"/site/people/person", "//person//name", "//*", "/site/*/person/name"} {
 		p := MustParse(expr)
-		cands := pl.rank(p)
+		cands := pl.rank(MustCompile(p))
 		if len(cands) < 3 {
 			t.Fatalf("%q: only %d candidates", expr, len(cands))
 		}
@@ -68,7 +68,7 @@ func TestPlannerCostFlips(t *testing.T) {
 	// more than the precise 1-index route.
 	wide := MustParse("//*//*//*//*")
 	var akCost, oneCost float64
-	for _, c := range with3.rank(wide) {
+	for _, c := range with3.rank(MustCompile(wide)) {
 		switch c.plan.Strategy {
 		case StrategyAkValidated:
 			akCost = c.cost

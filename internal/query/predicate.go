@@ -32,7 +32,7 @@ func (pr *Predicate) String() string {
 
 // holds reports whether the predicate holds at node v of g.
 func (pr *Predicate) holds(g Source, v graph.NodeID) bool {
-	matches := evalFrom(pr.Rel, g, v)
+	matches := run(pr.Rel, g, []graph.NodeID{v})
 	if !pr.HasValue {
 		return len(matches) > 0
 	}
@@ -42,16 +42,6 @@ func (pr *Predicate) holds(g Source, v graph.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// evalFrom evaluates a (relative) path with v as the context node.
-func evalFrom(p *Path, g Source, v graph.NodeID) []graph.NodeID {
-	res := run(p, &graphNav{g: g}, []int64{int64(v)})
-	out := make([]graph.NodeID, len(res))
-	for i, n := range res {
-		out[i] = graph.NodeID(n)
-	}
-	return out
 }
 
 // HasPredicates reports whether any step carries a predicate.
@@ -82,42 +72,6 @@ func stepHolds(st Step, g Source, v graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// EvalGraphFull evaluates an expression with predicates by direct
-// traversal. (EvalGraph delegates here when predicates are present.)
-func evalGraphFull(p *Path, g Source) []graph.NodeID {
-	frontier := []int64{int64(g.Root())}
-	nav := &graphNav{g: g}
-	for _, st := range p.steps {
-		if st.Descendant {
-			frontier = closure(nav, frontier)
-		}
-		next := make(map[int64]bool)
-		for _, n := range frontier {
-			nav.succ(n, func(c int64) {
-				if next[c] || !nav.labelMatches(c, st.Label) {
-					return
-				}
-				if stepHolds(st, g, graph.NodeID(c)) {
-					next[c] = true
-				}
-			})
-		}
-		frontier = frontier[:0]
-		for n := range next {
-			frontier = append(frontier, n)
-		}
-		if len(frontier) == 0 {
-			return nil
-		}
-	}
-	out := make([]graph.NodeID, len(frontier))
-	for i, n := range frontier {
-		out[i] = graph.NodeID(n)
-	}
-	sortNodes(out)
-	return out
 }
 
 // predicatesOnlyOnFinalStep reports whether every predicate sits on the
@@ -151,7 +105,7 @@ func filterByAllPredicates(p *Path, g Source, candidates []graph.NodeID) []graph
 		}
 		return out
 	}
-	exact := evalGraphFull(p, g)
+	exact := EvalGraph(p, g)
 	inExact := make(map[graph.NodeID]bool, len(exact))
 	for _, v := range exact {
 		inExact[v] = true

@@ -122,7 +122,7 @@ func TestIndexesHonorPredicates(t *testing.T) {
 			t.Errorf("%s: A(k) %v != direct %v", expr, viaAk, direct)
 		}
 		// Raw A(k) must stay a superset even while ignoring predicates.
-		raw := candidates(p, ak)
+		raw := SnapshotCandidates(p, ak)
 		set := map[graph.NodeID]bool{}
 		for _, v := range raw {
 			set[v] = true

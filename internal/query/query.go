@@ -12,18 +12,24 @@
 // Both object-subobject and IDREF edges are traversed, following the
 // graph data model of §3.
 //
-// Evaluating on an index runs the same automaton over the (much smaller)
-// index graph and returns the union of the matched inodes' extents. Any
-// structural index built by extent-partitioning is *safe* — the result is
-// a superset of the true answer; the 1-index is also *precise* for these
-// expressions, while the A(k)-index can return false positives for
-// expressions longer than k (SnapshotCandidates shows them), which
-// EvalSnapshot removes by re-checking candidates against the data graph.
+// Evaluating on an index snapshot compiles the expression (Compile) and
+// runs the compiled automaton over the (much smaller) index graph — the
+// one code path that walks a snapshot — and returns the union of the
+// matched inodes' extents. Any structural index built by
+// extent-partitioning is *safe* — the result is a superset of the true
+// answer; the 1-index is also *precise* for these expressions, while the
+// A(k)-index can return false positives for expressions longer than k
+// (SnapshotCandidates shows them), which EvalSnapshot removes by
+// re-checking candidates against the data graph. The step interpreter
+// walks only data graphs: EvalGraph, the reference the compiled path is
+// tested against, and predicate checks.
 package query
 
 import (
 	"fmt"
 	"strings"
+
+	"structix/internal/graph"
 )
 
 // Step is one location step of a path expression.
@@ -154,25 +160,21 @@ func MustParse(expr string) *Path {
 	return p
 }
 
-// navigator abstracts the graph the automaton runs over: the data graph or
-// an index snapshot.
-type navigator interface {
-	succ(n int64, fn func(int64))
-	labelMatches(n int64, label string) bool
-}
-
-// run executes the step automaton over any navigator from the context
-// nodes in frontier (which it consumes) and returns the nodes matched by
-// the final step.
-func run(p *Path, nav navigator, frontier []int64) []int64 {
+// run is the step interpreter over a data graph: it evaluates p from the
+// context nodes in frontier (which it consumes), one frontier set per
+// step, checking each step's predicates on the nodes it admits, and
+// returns the nodes matched by the final step, unordered. It is the
+// reference EvalGraph and predicate checks use; index snapshots are
+// walked by the compiled automaton instead.
+func run(p *Path, g Source, frontier []graph.NodeID) []graph.NodeID {
 	for _, st := range p.steps {
 		if st.Descendant {
-			frontier = closure(nav, frontier)
+			frontier = closure(g, frontier)
 		}
-		next := make(map[int64]bool)
+		next := make(map[graph.NodeID]bool)
 		for _, n := range frontier {
-			nav.succ(n, func(c int64) {
-				if nav.labelMatches(c, st.Label) {
+			g.EachSucc(n, func(c graph.NodeID, _ graph.EdgeKind) {
+				if (st.Label == "*" || g.LabelName(c) == st.Label) && !next[c] && stepHolds(st, g, c) {
 					next[c] = true
 				}
 			})
@@ -191,17 +193,17 @@ func run(p *Path, nav navigator, frontier []int64) []int64 {
 // closure returns the set reachable from frontier by zero or more edges
 // (the descendant gap: the following child step then supplies the ≥1
 // requirement).
-func closure(nav navigator, frontier []int64) []int64 {
-	seen := make(map[int64]bool, len(frontier))
-	stack := append([]int64(nil), frontier...)
+func closure(g Source, frontier []graph.NodeID) []graph.NodeID {
+	seen := make(map[graph.NodeID]bool, len(frontier))
+	stack := append([]graph.NodeID(nil), frontier...)
 	for _, n := range frontier {
 		seen[n] = true
 	}
-	out := append([]int64(nil), frontier...)
+	out := append([]graph.NodeID(nil), frontier...)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nav.succ(n, func(c int64) {
+		g.EachSucc(n, func(c graph.NodeID, _ graph.EdgeKind) {
 			if !seen[c] {
 				seen[c] = true
 				stack = append(stack, c)

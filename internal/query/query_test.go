@@ -9,7 +9,6 @@ import (
 	"structix/internal/graph"
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
-	"structix/internal/snap"
 	"structix/internal/xmlload"
 )
 
@@ -100,13 +99,6 @@ func equalIDs(a, b []graph.NodeID) bool {
 	return true
 }
 
-// candidates is SnapshotCandidates without a buffer or a context: the raw
-// extent union, before validation and predicate checks.
-func candidates(p *Path, s *snap.Snapshot) []graph.NodeID {
-	out, _ := SnapshotCandidates(nil, nil, p, s)
-	return out
-}
-
 // Precision of the 1-index: its raw extent union must equal direct
 // evaluation, on handcrafted and randomized graphs and expressions.
 func TestOneIndexPrecise(t *testing.T) {
@@ -118,7 +110,7 @@ func TestOneIndexPrecise(t *testing.T) {
 	} {
 		p := MustParse(expr)
 		direct := EvalGraph(p, g)
-		viaIdx := candidates(p, x)
+		viaIdx := SnapshotCandidates(p, x)
 		if !equalIDs(direct, viaIdx) {
 			t.Errorf("%q: direct %v != index %v", expr, direct, viaIdx)
 		}
@@ -149,7 +141,7 @@ func TestOneIndexPreciseRandom(t *testing.T) {
 			expr := randomExpr(rng)
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
-			viaIdx := candidates(p, x)
+			viaIdx := SnapshotCandidates(p, x)
 			if !equalIDs(direct, viaIdx) {
 				t.Fatalf("seed %d %q: direct %v != index %v", seed, expr, direct, viaIdx)
 			}
@@ -170,7 +162,7 @@ func TestAkSafetyAndValidation(t *testing.T) {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
 				direct := EvalGraph(p, g)
-				raw := candidates(p, x)
+				raw := SnapshotCandidates(p, x)
 				set := make(map[graph.NodeID]bool, len(raw))
 				for _, v := range raw {
 					set[v] = true
@@ -252,7 +244,7 @@ func TestAkFalsePositivesExist(t *testing.T) {
 	// parents share labels (both "top"): so the A(1) result contains pb.
 	p := MustParse("//marker/top/mid")
 	direct := EvalGraph(p, g)
-	raw := candidates(p, x)
+	raw := SnapshotCandidates(p, x)
 	if len(direct) != 1 || direct[0] != pa {
 		t.Fatalf("setup wrong: direct = %v", direct)
 	}
@@ -282,7 +274,7 @@ func TestQueriesAfterMaintenance(t *testing.T) {
 	s := x.Freeze(g.Freeze())
 	for _, expr := range []string{"//person/name", "/site/open_auctions/open_auction/itemref/item"} {
 		p := MustParse(expr)
-		if !equalIDs(EvalGraph(p, g), candidates(p, s)) {
+		if !equalIDs(EvalGraph(p, g), SnapshotCandidates(p, s)) {
 			t.Errorf("%q: 1-index imprecise after maintenance", expr)
 		}
 	}

@@ -8,17 +8,19 @@ import "structix/internal/snap"
 // snapshot gives exact counts for this package's expression language, an
 // A(k) snapshot an upper bound whose slack shrinks as k grows.
 
-// extentCount returns the slots p's skeleton selects on s and the number
-// of dnodes in their extents — the size of SnapshotCandidates' result,
-// read off the extent headers in O(1) per slot, with no data access.
-// Predicates are ignored (they only ever shrink a result), and a rootless
-// snapshot selects nothing.
-func extentCount(p *Path, s *snap.Snapshot) (n int, slots []int64) {
-	slots = run(p, snapNav{s}, []int64{int64(s.RootINode())})
-	for _, id := range slots {
-		n += s.ExtentSize(snap.ID(id))
+// extentCount returns the number of dnodes in the extents of the slots
+// the skeleton selects on s — the size of the candidates' union, read off
+// the extent headers in O(1) per slot, with no data access. Predicates
+// are ignored (they only ever shrink a result), and a rootless snapshot
+// selects nothing.
+func (c *Compiled) extentCount(s *snap.Snapshot) int {
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	n := 0
+	for _, i := range autoWalk(c, sc, s) {
+		n += s.ExtentSize(snap.ID(i))
 	}
-	return n, slots
+	return n
 }
 
 // Selectivity returns the fraction of dnodes matching p's skeleton,
@@ -29,6 +31,5 @@ func Selectivity(p *Path, s *snap.Snapshot) float64 {
 	if n == 0 {
 		return 0
 	}
-	c, _ := extentCount(p, s)
-	return float64(c) / float64(n)
+	return float64(MustCompile(p).extentCount(s)) / float64(n)
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"slices"
 
 	"structix/internal/graph"
 	"structix/internal/snap"
@@ -12,7 +11,9 @@ import (
 // running entirely against an immutable index snapshot and its frozen data
 // graph — the one read model of every index evaluator in this package.
 // Nothing here reads mutable state, so any number of goroutines may call
-// these while the live index is being maintained.
+// these while the live index is being maintained. The functions taking a
+// *Path compile it and run the Compiled program: the automaton walk is the
+// only code that reads a snapshot's successor lists.
 //
 // One family serves both index kinds. A 1-index snapshot is precise for
 // every skeleton; an A(k) snapshot (s.Bounded()) only for anchored,
@@ -63,72 +64,28 @@ func validated(ctx context.Context, p *Path, s *snap.Snapshot, cand []graph.Node
 
 // EvalSnapshot evaluates the expression on an index snapshot and returns
 // the matched dnodes, sorted — the exact result, with no access to
-// mutable state.
+// mutable state. It compiles p on every call; a caller that repeats one
+// expression compiles it once and keeps the Compiled.
 func EvalSnapshot(p *Path, s *snap.Snapshot) []graph.NodeID {
-	return EvalSnapshotInto(nil, p, s)
+	return MustCompile(p).EvalSnapshot(s)
 }
 
 // EvalSnapshotCtx is EvalSnapshot under a context: evaluation stops with
 // ctx.Err() as soon as cancellation is observed, returning no partial
 // result.
 func EvalSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
-	return EvalSnapshotIntoCtx(ctx, nil, p, s)
-}
-
-// EvalSnapshotInto is EvalSnapshot assembling the result into buf
-// (overwritten from the start, grown as needed) and returning it. A caller
-// issuing many queries against successive snapshots reuses one buffer —
-// and thereby the sort scratch — across calls instead of allocating a
-// fresh union slice per query. The buffer must not be shared between
-// goroutines; the snapshot itself may be.
-func EvalSnapshotInto(buf []graph.NodeID, p *Path, s *snap.Snapshot) []graph.NodeID {
-	out, _ := EvalSnapshotIntoCtx(nil, buf, p, s)
-	return out
-}
-
-// EvalSnapshotIntoCtx combines the buffer-reuse contract of
-// EvalSnapshotInto with the cancellation contract of EvalSnapshotCtx.
-func EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
-	buf, err := SnapshotCandidates(ctx, buf, p, s)
-	if err != nil {
-		return buf, err
-	}
-	// Validation and the walk read only labels and axes, so both take p as
-	// it is; predicates are checked last, on the validated survivors.
-	if buf, err = validated(ctx, p, s, buf); err != nil {
-		return buf, err
-	}
-	if p.HasPredicates() {
-		buf = filterByAllPredicates(p, s.Data(), buf)
-	}
-	return buf, ctxErr(ctx)
+	return MustCompile(p).EvalSnapshotIntoCtx(ctx, nil, nil, s)
 }
 
 // SnapshotCandidates returns the union of the extents of the slots p's
-// skeleton selects on s, sorted and assembled into buf like
-// EvalSnapshotInto: the raw answer, before validation and predicate
-// checks. It is exact for the skeleton when s is precise for it (a
-// 1-index, or an A(k) snapshot and an anchored, descendant-free path of
-// at most k steps); otherwise it is a safe superset, and its surplus is
+// skeleton selects on s, sorted: the raw answer, before validation and
+// predicate checks. It is exact for the skeleton when s is precise for it
+// (a 1-index, or an A(k) snapshot and an anchored, descendant-free path
+// of at most k steps); otherwise it is a safe superset, and its surplus is
 // the false positives EvalSnapshot's validation removes.
-func SnapshotCandidates(ctx context.Context, buf []graph.NodeID, p *Path, s *snap.Snapshot) ([]graph.NodeID, error) {
-	buf = buf[:0]
-	if s.RootINode() == snap.NoID {
-		return buf, ctxErr(ctx)
-	}
-	if err := ctxErr(ctx); err != nil {
-		return buf, err
-	}
-	total, slots := extentCount(p, s)
-	buf = slices.Grow(buf, total)
-	for _, n := range slots {
-		if err := ctxErr(ctx); err != nil {
-			return buf[:0], err
-		}
-		buf = s.ExtentView(snap.ID(n)).AppendTo(buf)
-	}
-	sortNodes(buf)
-	return buf, ctxErr(ctx)
+func SnapshotCandidates(p *Path, s *snap.Snapshot) []graph.NodeID {
+	out, _ := MustCompile(p).candidates(nil, nil, nil, s)
+	return out
 }
 
 // CountSnapshot returns the exact number of dnodes matching p, from extent
@@ -141,24 +98,13 @@ func CountSnapshot(p *Path, s *snap.Snapshot) int {
 
 // CountSnapshotCtx is CountSnapshot under a context.
 func CountSnapshotCtx(ctx context.Context, p *Path, s *snap.Snapshot) (int, error) {
+	c := MustCompile(p)
 	if p.HasPredicates() || validates(p, s) {
-		out, err := EvalSnapshotCtx(ctx, p, s)
+		out, err := c.EvalSnapshotIntoCtx(ctx, nil, nil, s)
 		return len(out), err
 	}
 	if err := ctxErr(ctx); err != nil {
 		return 0, err
 	}
-	n, _ := extentCount(p, s)
-	return n, ctxErr(ctx)
-}
-
-type snapNav struct{ s *snap.Snapshot }
-
-func (n snapNav) succ(v int64, fn func(int64)) {
-	for _, j := range n.s.ISucc(snap.ID(v)) {
-		fn(int64(j))
-	}
-}
-func (n snapNav) labelMatches(v int64, label string) bool {
-	return label == "*" || n.s.LabelName(snap.ID(v)) == label
+	return c.extentCount(s), ctxErr(ctx)
 }

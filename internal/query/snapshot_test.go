@@ -128,7 +128,7 @@ func TestEvalAkLevel(t *testing.T) {
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
 			for k, s := range family {
-				raw := candidates(p, s)
+				raw := SnapshotCandidates(p, s)
 				set := make(map[graph.NodeID]bool, len(raw))
 				for _, v := range raw {
 					set[v] = true
@@ -167,7 +167,7 @@ func TestEvalAkLevelPreciseWhenShort(t *testing.T) {
 			t.Errorf("%s on A(%d): validates", tc.expr, tc.k)
 		}
 		direct := EvalGraph(p, g)
-		if raw := candidates(p, s); !equalIDs(direct, raw) {
+		if raw := SnapshotCandidates(p, s); !equalIDs(direct, raw) {
 			t.Errorf("%s on A(%d): raw %v != direct %v (should be precise)",
 				tc.expr, tc.k, raw, direct)
 		}
@@ -190,13 +190,13 @@ func TestCountsAgainstDirectEvaluation(t *testing.T) {
 			if got := CountSnapshot(p, one); got != want {
 				t.Fatalf("seed %d %s: 1-index CountSnapshot = %d, want %d", seed, p, got, want)
 			}
-			if got, _ := extentCount(p, one); got != want {
+			if got := MustCompile(p).extentCount(one); got != want {
 				t.Fatalf("seed %d %s: 1-index extent count = %d, want %d", seed, p, got, want)
 			}
 			if got := CountSnapshot(p, ak); got != want {
 				t.Fatalf("seed %d %s: A(k) CountSnapshot = %d, want %d", seed, p, got, want)
 			}
-			if got, _ := extentCount(p, ak); got < want {
+			if got := MustCompile(p).extentCount(ak); got < want {
 				t.Fatalf("seed %d %s: A(k) extent count = %d undercounts %d", seed, p, got, want)
 			}
 		}
@@ -210,7 +210,7 @@ func TestCountAkTightWhenPrecise(t *testing.T) {
 	for _, expr := range []string{"/a", "/a/b", "/e/b/c"} {
 		p := MustParse(expr)
 		want := len(EvalGraph(p, g))
-		if got, _ := extentCount(p, ak); got != want {
+		if got := MustCompile(p).extentCount(ak); got != want {
 			t.Errorf("%s: A(k) extent count = %d, want exact %d", expr, got, want)
 		}
 	}

@@ -2,8 +2,8 @@ package server_test
 
 // End-to-end tests of the query result cache: hit reporting over the
 // wire, precise (footprint-based) invalidation across commits, the
-// cache-off mode, the interpreter fallback for expressions the compiler
-// declines, and the cache counters in stats and /metrics.
+// cache-off mode, chained programs for expressions longer than one
+// automaton link, and the cache counters in stats and /metrics.
 
 import (
 	"context"
@@ -317,20 +317,56 @@ func TestQueryCacheDisabledModes(t *testing.T) {
 	}
 }
 
-// Expressions beyond the compiler's step bound fall back to the
-// interpreter transparently (no 400), still answering exactly.
-func TestQueryOverlongExpressionFallsBack(t *testing.T) {
-	g, _, _, _ := gtest.Fig2()
+// An expression longer than one automaton link (63 steps) compiles to a
+// chain and is served like any other: its entry is cached with a precise
+// footprint, so a commit that dirties only another branch leaves it
+// serving, and a commit inside the footprint recomputes it exactly.
+func TestQueryOverlongExpressionCachedPrecisely(t *testing.T) {
+	g := graph.New()
+	root := g.AddRoot()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	x, y := g.AddNode("x"), g.AddNode("y")
+	for _, e := range []struct {
+		u, v graph.NodeID
+		kind graph.EdgeKind
+	}{
+		{root, a, graph.Tree}, {a, b, graph.Tree}, {b, c, graph.Tree}, {c, b, graph.IDRef},
+		{root, x, graph.Tree}, {x, y, graph.Tree},
+	} {
+		if err := g.AddEdge(e.u, e.v, e.kind); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ts := startServer(t, structix.BuildOneIndex(g), server.Config{})
 	defer ts.shutdown(t)
-	expr := "/a/b" + strings.Repeat("/*", 70) // 72 steps: not compilable
-	res, err := ts.cli.Query(context.Background(), expr)
+	ctx := context.Background()
+	// 72 steps: a, then b and c alternating around the c→b cycle, ending on b.
+	expr := "/a/b" + strings.Repeat("/*", 70)
+	query := func(when string, wantCached bool, want ...graph.NodeID) {
+		t.Helper()
+		res, err := ts.cli.Query(ctx, expr)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if res.Cached != wantCached || !equalNodeIDs(res.Nodes, want) {
+			t.Fatalf("%s: cached %v nodes %v, want cached %v nodes %v", when, res.Cached, res.Nodes, wantCached, want)
+		}
+	}
+	query("cold", false, b)
+	query("repeat", true, b)
+
+	if _, err := ts.cli.Update(ctx, []opscript.Op{{Kind: opscript.AddNode, Label: "z", V: y}}); err != nil {
+		t.Fatal(err)
+	}
+	query("after a commit on another branch", true, b)
+
+	// A second b below c: the c inode's successor list — in the footprint —
+	// grows, and the new b is a 72-step match too.
+	res, err := ts.cli.Update(ctx, []opscript.Op{{Kind: opscript.AddNode, Label: "b", V: c}})
 	if err != nil {
-		t.Fatalf("overlong expression: %v", err)
+		t.Fatal(err)
 	}
-	if res.Count != 0 {
-		t.Errorf("overlong expression count %d, want 0", res.Count)
-	}
+	query("after a commit inside the footprint", false, b, res.NewNodes[0])
 }
 
 // The /metrics exposition carries the cache counter families.

@@ -13,9 +13,10 @@ import (
 
 // engine is the server's query evaluation core: a bounded compiled-program
 // cache (raw expression → compiled automaton, so hot expressions skip the
-// parser entirely), a bounded negative cache for unparsable expressions, a
-// per-request scratch pool for allocation-free automaton walks, and one
-// epoch-keyed result cache per shard. The engine owns the read path; each
+// parser entirely), a bounded negative cache for unparsable expressions,
+// and one epoch-keyed result cache per shard. Every expression compiles,
+// so every miss takes the same route: the automaton walk with its
+// footprint, cached precisely. The engine owns the read path; each
 // shard's committer calls advance for its shard after every snapshot
 // publication there, so cached results can never outlive the epoch they
 // were computed in.
@@ -29,7 +30,7 @@ type engine struct {
 	store  *structix.ShardedDB
 	caches []*qcache.Cache // one per shard; nil when the result cache is disabled
 
-	progs     sync.Map // raw expr string → *program
+	progs     sync.Map // raw expr string → *query.Compiled
 	progCount atomic.Int64
 	progCap   int
 
@@ -40,17 +41,6 @@ type engine struct {
 	parseErrs   sync.Map // raw expr string → error
 	parseErrCnt atomic.Int64
 	parseErrCap int
-
-	scratch sync.Pool // *query.Scratch
-}
-
-// program is one parsed-and-compiled expression. compiled is nil when the
-// expression exceeds the compiler's step bound; evaluation then falls
-// back to the interpreter (and, having no footprint, caches imprecisely).
-type program struct {
-	path     *query.Path
-	compiled *query.Compiled
-	key      string // canonical cache key (predicate-ordered String form)
 }
 
 // maxPrograms bounds the program cache; expressions beyond the bound are
@@ -68,7 +58,6 @@ func newEngine(store *structix.ShardedDB, cacheEntries int) *engine {
 		progCap:     maxPrograms,
 		parseErrCap: maxParseErrors,
 	}
-	e.scratch.New = func() any { return &query.Scratch{} }
 	if cacheEntries >= 0 {
 		// One cache per shard (the entry bound is per shard): results are
 		// keyed by the shard's own snapshot pointer, and each shard's
@@ -99,11 +88,12 @@ func reserve(cnt *atomic.Int64, cap int, store func() (loaded bool)) {
 	}
 }
 
-// program parses (and compiles) expr, serving repeats — including repeats
-// of invalid expressions — from the caches.
-func (e *engine) program(expr string) (*program, error) {
+// program parses and compiles expr, with its predicates in cost order,
+// serving repeats — including repeats of invalid expressions — from the
+// caches. The program's Expr is its result-cache key.
+func (e *engine) program(expr string) (*query.Compiled, error) {
 	if v, ok := e.progs.Load(expr); ok {
-		return v.(*program), nil
+		return v.(*query.Compiled), nil
 	}
 	if v, ok := e.parseErrs.Load(expr); ok {
 		return nil, v.(error)
@@ -116,16 +106,12 @@ func (e *engine) program(expr string) (*program, error) {
 		})
 		return nil, err
 	}
-	p = query.OrderPredicates(p)
-	pr := &program{path: p, key: p.String()}
-	if c, err := query.Compile(p); err == nil {
-		pr.compiled = c
-	}
+	c := query.MustCompile(query.OrderPredicates(p))
 	reserve(&e.progCount, e.progCap, func() bool {
-		_, loaded := e.progs.LoadOrStore(expr, pr)
+		_, loaded := e.progs.LoadOrStore(expr, c)
 		return loaded
 	})
-	return pr, nil
+	return c, nil
 }
 
 // programs returns the compiled-program cache size for stats, clamped to
@@ -138,21 +124,21 @@ func (e *engine) programs() int {
 	return n
 }
 
-// run evaluates pr against the pinned sharded snapshot. On one shard the
+// run evaluates c against the pinned sharded snapshot. On one shard the
 // returned slice is shared (a cache entry or a fresh allocation the cache
 // now owns): read-only, but always safe to retain and re-slice. On many
 // shards it is a fresh merged slice the caller owns. cached reports that
 // every section came from a result cache.
-func (e *engine) run(ctx context.Context, pr *program, snap *structix.ShardedSnapshot) (nodes []graph.NodeID, cached bool, err error) {
+func (e *engine) run(ctx context.Context, c *query.Compiled, snap *structix.ShardedSnapshot) (nodes []graph.NodeID, cached bool, err error) {
 	if snap.NumShards() == 1 {
-		return e.runShard(ctx, pr, 0, snap.Shard(0))
+		return e.runShard(ctx, c, 0, snap.Shard(0))
 	}
 	m := snap.Map()
 	secs := make([][]graph.NodeID, snap.NumShards())
 	total := 0
 	cached = true
 	for s := 0; s < snap.NumShards(); s++ {
-		local, hit, err := e.runShard(ctx, pr, s, snap.Shard(s))
+		local, hit, err := e.runShard(ctx, c, s, snap.Shard(s))
 		if err != nil {
 			return nil, false, err
 		}
@@ -166,39 +152,22 @@ func (e *engine) run(ctx context.Context, pr *program, snap *structix.ShardedSna
 	return structix.MergeShardResults(make([]graph.NodeID, 0, total), secs), cached, nil
 }
 
-// runShard evaluates pr against one shard's snapshot, consulting that
+// runShard evaluates c against one shard's snapshot, consulting that
 // shard's result cache first. Results are in the shard's local id space.
-func (e *engine) runShard(ctx context.Context, pr *program, s int, snap *structix.Snapshot) (nodes []graph.NodeID, cached bool, err error) {
-	var cache *qcache.Cache
-	if e.caches != nil {
-		cache = e.caches[s]
-		if nodes, ok := cache.Get(pr.key, snap); ok {
-			return nodes, true, nil
-		}
-	}
-	if pr.compiled == nil {
-		nodes, err = structix.EvalSnapshotCtx(ctx, pr.path, snap)
-		if err != nil {
-			return nil, false, err
-		}
-		if cache != nil {
-			// No footprint from the interpreter: cache, but invalidate on
-			// every epoch.
-			cache.Put(pr.key, snap, nodes, nil, false)
-		}
-		return nodes, false, nil
-	}
-	sc := e.scratch.Get().(*query.Scratch)
-	defer e.scratch.Put(sc)
-	if cache == nil {
-		nodes, err = pr.compiled.EvalSnapshotIntoCtx(ctx, nil, sc, snap)
+func (e *engine) runShard(ctx context.Context, c *query.Compiled, s int, snap *structix.Snapshot) (nodes []graph.NodeID, cached bool, err error) {
+	if e.caches == nil {
+		nodes, err = c.EvalSnapshotIntoCtx(ctx, nil, nil, snap)
 		return nodes, false, err
 	}
-	nodes, footprint, precise, err := pr.compiled.EvalSnapshotFootprint(ctx, sc, snap)
+	cache := e.caches[s]
+	if nodes, ok := cache.Get(c.Expr(), snap); ok {
+		return nodes, true, nil
+	}
+	nodes, footprint, precise, err := c.EvalSnapshotFootprint(ctx, nil, snap)
 	if err != nil {
 		return nil, false, err
 	}
-	cache.Put(pr.key, snap, nodes, footprint, precise)
+	cache.Put(c.Expr(), snap, nodes, footprint, precise)
 	return nodes, false, nil
 }
 

@@ -373,3 +373,45 @@ func TestProgramCacheBounds(t *testing.T) {
 		t.Fatalf("program count %d disagrees with stored %d", e.progCount.Load(), stored)
 	}
 }
+
+// TestShardedServerRootResultOnce: with an IDREF into the root committed
+// on each of two shards, the replicated root is a result on both; the
+// merged reply must list it once and count it once, count_only included.
+func TestShardedServerRootResultOnce(t *testing.T) {
+	base := shardedFixture(9)
+	sdb, mapping := structix.NewShardedDB(base, 2)
+	srv := NewSharded(sdb, Config{})
+	defer func() {
+		for _, c := range srv.coms {
+			c.close()
+		}
+	}()
+	h := srv.Handler()
+	m := sdb.Map()
+	var ops []string
+	onShard := map[int]bool{}
+	for _, top := range base.Succ(base.Root()) {
+		if s := m.Router().ShardOf(mapping[top]); !onShard[s] {
+			onShard[s] = true
+			ops = append(ops, fmt.Sprintf(`{"op":"insert","u":%d,"v":%d,"kind":"idref"}`, mapping[top], m.GlobalRoot()))
+		}
+	}
+	if len(ops) != 2 {
+		t.Fatalf("top-level subtrees landed on %d shards, need 2", len(ops))
+	}
+	if code, b := postJSON(t, h, "/v1/update", `{"ops":[`+strings.Join(ops, ",")+`]}`); code != http.StatusOK {
+		t.Fatalf("root-ward IDREFs: status %d: %s", code, b)
+	}
+	expr := "//" + base.LabelName(base.Root())
+	for i := 0; i < 2; i++ { // a miss, then a cache hit
+		rep := queryNodes(t, h, expr)
+		if rep.Count != 1 || len(rep.Nodes) != 1 || rep.Nodes[0] != m.GlobalRoot() {
+			t.Fatalf("%s (query %d): count %d nodes %v, want the root once", expr, i, rep.Count, rep.Nodes)
+		}
+		code, body := postJSON(t, h, "/v1/query", fmt.Sprintf(`{"expr":%q,"count_only":true}`, expr))
+		var cnt QueryReply
+		if err := json.Unmarshal(body, &cnt); code != http.StatusOK || err != nil || cnt.Count != 1 {
+			t.Fatalf("%s count_only (query %d): status %d count %d (%v), want 1", expr, i, code, cnt.Count, err)
+		}
+	}
+}

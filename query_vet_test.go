@@ -69,3 +69,35 @@ func liveIndexType(e ast.Expr) string {
 	}
 	return ""
 }
+
+// TestOneSnapshotWalk keeps one path evaluator: in the non-test files of
+// internal/query only the automaton walks, autoWalkDFA and autoWalkNFA,
+// read a snapshot's successor lists (ISucc). Every other snapshot reader
+// runs a compiled program, so a second walker over index snapshots — an
+// interpreter, a navigator — cannot come back unnoticed.
+func TestOneSnapshotWalk(t *testing.T) {
+	readers := map[string]bool{}
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || filepath.ToSlash(filepath.Dir(path)) != "internal/query" {
+			return
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "ISucc" {
+					readers[fn.Name.Name] = true
+					if name := fn.Name.Name; name != "autoWalkDFA" && name != "autoWalkNFA" {
+						t.Errorf("%s: %s reads ISucc; walk snapshots with the compiled automaton", fset.Position(sel.Pos()), name)
+					}
+				}
+				return true
+			})
+		}
+	})
+	if !readers["autoWalkDFA"] || !readers["autoWalkNFA"] {
+		t.Fatalf("ISucc readers %v: the scan missed the automaton walks", readers)
+	}
+}

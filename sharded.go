@@ -511,54 +511,42 @@ func (ss *ShardedSnapshot) Size() int {
 	return n
 }
 
-// Eval evaluates a path expression by scatter-gather: the expression runs
-// against every shard snapshot and the per-shard results merge into one
-// globally sorted list. See EvalInto for the allocation contract.
+// Eval evaluates a path expression by scatter-gather: the expression is
+// compiled once, runs against every shard snapshot, and the per-shard
+// results merge into one globally sorted list.
 func (ss *ShardedSnapshot) Eval(p *Path) []NodeID {
-	out, _ := ss.evalInto(nil, nil, p)
+	out, _ := ss.EvalCtx(nil, p)
 	return out
 }
 
 // EvalCtx is Eval under a context; cancellation stops evaluation between
 // shards and extent unions.
 func (ss *ShardedSnapshot) EvalCtx(ctx context.Context, p *Path) ([]NodeID, error) {
-	return ss.evalInto(ctx, nil, p)
-}
-
-// EvalInto is Eval assembling the merged result into buf, which is
-// overwritten from the start and reused when its capacity suffices. At
-// one shard this is exactly the unsharded buffer-reuse evaluator (fully
-// allocation-free when warm); at more shards the per-shard gather
-// allocates its sections, and the merge into buf does not.
-func (ss *ShardedSnapshot) EvalInto(buf []NodeID, p *Path) []NodeID {
-	out, _ := ss.evalInto(nil, buf, p)
-	return out
-}
-
-func (ss *ShardedSnapshot) evalInto(ctx context.Context, buf []NodeID, p *Path) ([]NodeID, error) {
+	c := query.MustCompile(p)
 	if len(ss.snaps) == 1 {
 		// The 1-shard codec is the identity: the shard's own result is
 		// the global result.
-		return query.EvalSnapshotIntoCtx(ctx, buf, p, ss.snaps[0])
+		return c.EvalSnapshotIntoCtx(ctx, nil, nil, ss.snaps[0])
 	}
 	secs := make([][]NodeID, len(ss.snaps))
 	for s, snap := range ss.snaps {
-		sec, err := query.EvalSnapshotCtx(ctx, p, snap)
+		sec, err := c.EvalSnapshotIntoCtx(ctx, nil, nil, snap)
 		if err != nil {
 			return nil, err
 		}
 		secs[s] = ss.m.GlobalizeNodes(s, sec)
 	}
-	return MergeShardResults(buf, secs), nil
+	return MergeShardResults(nil, secs), nil
 }
 
 // MergeShardResults merges per-shard result sections — each sorted in
 // global ids — into one globally sorted list assembled into dst
 // (overwritten from the start, grown only when capacity falls short).
 // Striping is monotone per shard (global = local·N + shard), so each
-// shard's sorted local result stays sorted after translation, and
-// sections never share an id: the merge is a straight k-way minimum scan
-// with no dedup pass.
+// shard's sorted local result stays sorted after translation. Sections
+// share at most the global root, which every shard replicates and which
+// is a result on each shard where an edge leads back into it; the k-way
+// minimum scan emits every id once.
 func MergeShardResults(dst []NodeID, secs [][]NodeID) []NodeID {
 	dst = dst[:0]
 	total := 0
@@ -581,7 +569,7 @@ func MergeShardResults(dst []NodeID, secs [][]NodeID) []NodeID {
 		dst = make([]NodeID, 0, total)
 	}
 	heads := make([]int, len(secs))
-	for len(dst) < total {
+	for {
 		best, bestID := -1, NodeID(0)
 		for s, sec := range secs {
 			if heads[s] == len(sec) {
@@ -591,34 +579,31 @@ func MergeShardResults(dst []NodeID, secs [][]NodeID) []NodeID {
 				best, bestID = s, id
 			}
 		}
-		dst = append(dst, bestID)
+		if best == -1 {
+			return dst
+		}
 		heads[best]++
+		if n := len(dst); n == 0 || dst[n-1] != bestID {
+			dst = append(dst, bestID)
+		}
 	}
-	return dst
 }
 
-// Count returns the exact result size: the sum of per-shard counts
-// (global ids partition across shards and the root is never a result, so
-// shard counts never overlap).
+// Count returns the exact result size.
 func (ss *ShardedSnapshot) Count(p *Path) int {
-	n := 0
-	for _, snap := range ss.snaps {
-		n += query.CountSnapshot(p, snap)
-	}
+	n, _ := ss.CountCtx(nil, p)
 	return n
 }
 
-// CountCtx is Count under a context.
+// CountCtx is Count under a context. One shard counts from extent sizes
+// where it can (query.CountSnapshot); more shards count the merged
+// result, since the replicated root may be a result on several.
 func (ss *ShardedSnapshot) CountCtx(ctx context.Context, p *Path) (int, error) {
-	n := 0
-	for _, snap := range ss.snaps {
-		c, err := query.CountSnapshotCtx(ctx, p, snap)
-		if err != nil {
-			return 0, err
-		}
-		n += c
+	if len(ss.snaps) == 1 {
+		return query.CountSnapshotCtx(ctx, p, ss.snaps[0])
 	}
-	return n, nil
+	out, err := ss.EvalCtx(ctx, p)
+	return len(out), err
 }
 
 // Eval evaluates a path expression against the current snapshot vector.

@@ -500,3 +500,44 @@ func TestUpdatePublishOnlyOnSuccess(t *testing.T) {
 		t.Fatalf("successful update not visible: %d", n)
 	}
 }
+
+// Every shard replicates the root, so once an IDREF on each of two shards
+// leads back into it the root is a result on both: scatter-gather must
+// still report it once, in Eval and in Count, as the unsharded store does.
+func TestShardedRootResultOnce(t *testing.T) {
+	base := shardForest(1, 8, 6)
+	root := base.Root()
+	sdb, mapping := NewShardedDB(base.Clone(), 2)
+	defer sdb.Close()
+	ref := NewDB(BuildOneIndex(base.Clone()))
+	var refOps, shardOps []EdgeOp
+	onShard := map[int]bool{}
+	for _, top := range base.Succ(root) {
+		if s := int(mapping[top]) % 2; !onShard[s] {
+			onShard[s] = true
+			refOps = append(refOps, InsertOp(top, root, IDRef))
+			shardOps = append(shardOps, InsertOp(mapping[top], sdb.GlobalRoot(), IDRef))
+		}
+	}
+	if len(shardOps) != 2 {
+		t.Fatalf("top-level subtrees landed on %d shards, need 2", len(shardOps))
+	}
+	if err := ref.ApplyBatch(refOps); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.ApplyBatch(shardOps); err != nil {
+		t.Fatal(err)
+	}
+	snap := sdb.Snapshot()
+	rootLabel := base.LabelName(root)
+	for _, expr := range []string{"//" + rootLabel, "/*/" + rootLabel, "//" + rootLabel + "/a", "//*"} {
+		p := MustParsePath(expr)
+		want := translate(t, mapping, ref.Eval(p))
+		if got := snap.Eval(p); !slices.Equal(got, want) {
+			t.Errorf("%s: sharded %v != unsharded %v", expr, got, want)
+		}
+		if got := snap.Count(p); got != len(want) {
+			t.Errorf("%s: sharded count %d != %d", expr, got, len(want))
+		}
+	}
+}

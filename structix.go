@@ -21,8 +21,8 @@
 //     directly, or on an immutable Snapshot of either index family
 //     (precise on a 1-index, validated beyond k on A(k)), or value-first
 //     through an inverted value index — with a cost-based Planner ranking
-//     the exact routes over snapshots pinned at one read point, and an
-//     automaton compiler (CompilePath) for the served read path;
+//     the exact routes over snapshots pinned at one read point; every
+//     snapshot read runs one compiled automaton program (CompilePath);
 //   - persistence (versioned binary, optional gzip), textual update
 //     scripts, and one store for concurrent use, DB: serialized writers
 //     publish immutable epoch snapshots of either index family, so reads
@@ -291,10 +291,7 @@ func EvalSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) ([]NodeID, error
 // validation and predicate checks: exact on a 1-index, and on an A(k)
 // snapshot a safe superset whose surplus is the false positives
 // EvalSnapshot's validation removes.
-func SnapshotCandidates(p *Path, s *Snapshot) []NodeID {
-	out, _ := query.SnapshotCandidates(nil, nil, p, s)
-	return out
-}
+func SnapshotCandidates(p *Path, s *Snapshot) []NodeID { return query.SnapshotCandidates(p, s) }
 
 // CountSnapshot returns the exact result size of p from an index snapshot.
 func CountSnapshot(p *Path, s *Snapshot) int { return query.CountSnapshot(p, s) }
@@ -310,14 +307,14 @@ func CountSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) (int, error) {
 // the synopsis use of structural indexes (§1).
 func Selectivity(p *Path, s *Snapshot) float64 { return query.Selectivity(p, s) }
 
-// CompiledPath is a path expression compiled to an automaton (DFA with an
-// NFA fallback) for repeated evaluation over epoch snapshots; see
-// query.Compile for the evaluation methods and limits.
+// CompiledPath is a path expression compiled to a chain of automata (DFA
+// with an NFA fallback) — the program every snapshot read runs. Compile
+// once for repeated evaluation over epoch snapshots; see query.Compiled
+// for the evaluation methods.
 type CompiledPath = query.Compiled
 
-// CompilePath compiles p for the snapshot read path. Expressions beyond
-// the compiler's step bound return an error; callers fall back to the
-// interpreting evaluators.
+// CompilePath compiles p for the snapshot read path. Every path compiles;
+// the error result is always nil.
 func CompilePath(p *Path) (*CompiledPath, error) { return query.Compile(p) }
 
 // ---- DataGuide ----
