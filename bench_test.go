@@ -29,7 +29,7 @@ type maintainer interface {
 	DeleteEdge(u, v structix.NodeID) error
 }
 
-func benchPairs(b *testing.B, g *structix.Graph, m maintainer, pool []structix.UpdateOp) {
+func benchPairs(b *testing.B, g *structix.Graph, m maintainer, pool []structix.EdgeOp) {
 	b.Helper()
 	if len(pool) == 0 {
 		b.Skip("empty pool")
@@ -50,17 +50,17 @@ func benchPairs(b *testing.B, g *structix.Graph, m maintainer, pool []structix.U
 // insertPool removes 20% of g's IDREF edges (via the workload preparation
 // with zero scripted pairs) and returns them: each pool edge is absent from
 // the graph, so benchPairs can insert and delete it indefinitely.
-func insertPool(g *structix.Graph, seed int64) []structix.UpdateOp {
+func insertPool(g *structix.Graph, seed int64) []structix.EdgeOp {
 	before := g.EdgeList(structix.IDRef)
 	structix.MixedUpdateScript(g, 0.2, 0, seed)
 	present := make(map[[2]structix.NodeID]bool)
 	for _, e := range g.EdgeList(structix.IDRef) {
 		present[e] = true
 	}
-	var pool []structix.UpdateOp
+	var pool []structix.EdgeOp
 	for _, e := range before {
 		if !present[e] {
-			pool = append(pool, structix.UpdateOp{Insert: true, U: e[0], V: e[1]})
+			pool = append(pool, structix.InsertOp(e[0], e[1], structix.IDRef))
 		}
 	}
 	return pool

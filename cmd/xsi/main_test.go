@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,6 +26,27 @@ func TestQueryAutoUsesStoredIndexes(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 results for /site/people") {
 		t.Fatalf("wrong result:\n%s", out)
+	}
+}
+
+// An update script that points an IDREF edge into the root is accepted by
+// xsi update, so xsi validate must accept the database it leaves behind.
+func TestValidateAfterRootInEdgeUpdate(t *testing.T) {
+	g, err := structix.ParseXMLString(`<site><people/></site>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &structix.Database{Graph: g, One: structix.BuildOneIndex(g), Ak: structix.BuildAkIndex(g, 2)}
+	site := g.Succ(g.Root())[0]
+	script := filepath.Join(t.TempDir(), "ops.txt")
+	if err := os.WriteFile(script, []byte(fmt.Sprintf("insert %d %d idref\n", site, g.Root())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	captureStdout(t, func() { update(db, script, "", false) })
+	// A rejected database makes validateDB exit the test binary non-zero.
+	out := captureStdout(t, func() { validateDB(g, db, 2) })
+	if !strings.Contains(out, "ok: persisted database validates") {
+		t.Fatalf("validate output:\n%s", out)
 	}
 }
 

@@ -397,6 +397,32 @@ func TestInMemoryDB(t *testing.T) {
 	}
 }
 
+// Every write path accepts an IDREF edge into the root, so the store's
+// Validate must accept the result, over both index families.
+func TestDBValidateAcceptsRootInEdge(t *testing.T) {
+	for _, build := range []func(*Graph) Index{
+		func(g *Graph) Index { return BuildOneIndex(g) },
+		func(g *Graph) Index { return BuildAkIndex(g, 2) },
+	} {
+		g := NewGraph()
+		r := g.AddRoot()
+		a := g.AddNode("a")
+		if err := g.AddEdge(r, a, Tree); err != nil {
+			t.Fatal(err)
+		}
+		db := NewDB(build(g))
+		if err := db.InsertEdge(a, r, IDRef); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Validate(); err != nil {
+			t.Errorf("%T: Validate rejected an accepted root in-edge: %v", db.idx, err)
+		}
+		if got := db.Eval(MustParsePath("/a/ROOT")); len(got) != 1 || got[0] != r {
+			t.Errorf("%T: /a/ROOT = %v, want [%d]", db.idx, got, r)
+		}
+	}
+}
+
 func TestUpdateRejectedOnDurableDB(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {

@@ -73,7 +73,7 @@ func main() {
 	ops := structix.GenerateMixedOps(dk.Graph(), 100, 23)
 	for _, op := range ops {
 		var err error
-		if op.Kind == 0 {
+		if op.Kind == structix.ScriptInsert {
 			err = dk.InsertEdge(op.U, op.V, op.Edge)
 		} else {
 			err = dk.DeleteEdge(op.U, op.V)

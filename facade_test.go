@@ -2,10 +2,14 @@ package structix_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"structix"
+	"structix/internal/workload"
 )
 
 // Facade surface tests: every exported entry point does what its alias
@@ -109,9 +113,45 @@ func TestFacadeExtract(t *testing.T) {
 	}
 }
 
+// The §7.1 generators' draw sequences are pinned: the experiments' goldens
+// and every replayed script depend on them, so a changed digest is a
+// changed workload, not a refactor.
+func TestWorkloadDigestsPinned(t *testing.T) {
+	want := map[string]string{
+		"mixed/c0":    "2de188681b32037ed62ff4b0445d3b021d163cabd197dd3910ec4f59d42f298a",
+		"mixed/c1":    "0a488d622ee6cfd54aa497fc7556c9885df2f4b6c7ae1c67523c350cbef93e33",
+		"skewed/c0":   "63f22c8242372c793846dc7ec630f100ab470c06a8d6ca6b6651994fc611f31c",
+		"skewed/c1":   "00fcd776075de2fa4f1e7fcc6f84a0d27953a73a7831b359f5fd819b1ba0bdf5",
+		"generate/c0": "48c172c9c9db291d932fd5969236a0e158990929ab8f6d32d7f03772ea1da630",
+		"generate/c1": "15b141ad8a0515313b30538fc83dee156d91e557e9b226997387c5b4becd4a32",
+	}
+	for c, cyc := range []float64{0, 1} {
+		g := structix.GenerateXMark(structix.DefaultXMark(64, cyc, 3))
+		var mixed, skewed, gen bytes.Buffer
+		for _, op := range structix.MixedUpdateScript(g.Clone(), 0.2, 500, 9) {
+			fmt.Fprintf(&mixed, "%v %d %d\n", op.Insert, op.U, op.V)
+		}
+		for _, op := range workload.SkewedScript(g.Clone(), 0.2, 0.05, 500, 9) {
+			fmt.Fprintf(&skewed, "%v %d %d\n", op.Insert, op.U, op.V)
+		}
+		if err := structix.FormatOps(&gen, structix.GenerateMixedOps(g, 400, 17)); err != nil {
+			t.Fatal(err)
+		}
+		for name, buf := range map[string][]byte{"mixed": mixed.Bytes(), "skewed": skewed.Bytes(), "generate": gen.Bytes()} {
+			key := fmt.Sprintf("%s/c%d", name, c)
+			if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != want[key] {
+				t.Errorf("%s: digest %x, want %s", key, sum, want[key])
+			}
+		}
+	}
+}
+
 func TestFacadeOpsRoundTrip(t *testing.T) {
 	g := structix.GenerateXMark(structix.DefaultXMark(512, 1, 10))
 	ops := structix.GenerateMixedOps(g, 10, 10)
+	if ops[0].Kind != structix.ScriptDelete || ops[1].Kind != structix.ScriptInsert || ops[1].Edge != structix.IDRef {
+		t.Errorf("in-place script must open with a delete and an IDREF insert: %v %v", ops[0], ops[1])
+	}
 	var buf bytes.Buffer
 	if err := structix.FormatOps(&buf, ops); err != nil {
 		t.Fatal(err)

@@ -192,16 +192,6 @@ func Build(g *graph.Graph, k int) *Index {
 	return FromLevels(g, partition.KBisimLevels(g, k))
 }
 
-// BuildParallel is Build with each refinement step's signature computation
-// sharded across GOMAXPROCS workers. The resulting family is identical to
-// Build's.
-func BuildParallel(g *graph.Graph, k int) *Index {
-	if k < 1 {
-		panic("akindex: k must be ≥ 1")
-	}
-	return FromLevels(g, partition.KBisimLevelsWith(g, k, partition.Config{Parallel: true}))
-}
-
 // FromLevels constructs an Index over g from the given level partitions
 // (levels[i] is the A(i) partition; len(levels) = k+1). The partitions are
 // trusted to form a valid family: level 0 the label partition, each level a

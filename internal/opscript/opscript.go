@@ -1,4 +1,4 @@
-// Package opscript reads, writes, generates and applies textual update
+// Package opscript reads, writes and applies textual update
 // scripts against indexed databases — the operational face of incremental
 // maintenance: a stream of updates arrives, the indexes follow, no rebuild.
 //
@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -174,34 +173,12 @@ func Format(w io.Writer, ops []Op) error {
 	return bw.Flush()
 }
 
-// GenerateMixed produces a §7.1-style mixed edge workload that is valid
-// against the graph *as it stands* (no preparatory mutation): it simulates
-// presence, starting with a deletion of an existing IDREF edge and
-// alternating deletions and (re-)insertions thereafter.
-func GenerateMixed(g *graph.Graph, pairs int, seed int64) []Op {
-	rng := rand.New(rand.NewSource(seed))
-	present := g.EdgeList(graph.IDRef)
-	var pool [][2]graph.NodeID
-	var ops []Op
-	for i := 0; i < pairs; i++ {
-		if len(present) == 0 {
-			break
-		}
-		di := rng.Intn(len(present))
-		del := present[di]
-		present[di] = present[len(present)-1]
-		present = present[:len(present)-1]
-		pool = append(pool, del)
-		ops = append(ops, Op{Kind: Delete, U: del[0], V: del[1]})
-
-		pi := rng.Intn(len(pool))
-		ins := pool[pi]
-		pool[pi] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		present = append(present, ins)
-		ops = append(ops, Op{Kind: Insert, U: ins[0], V: ins[1], Edge: graph.IDRef})
+// FromEdgeOp is the script form of an edge op.
+func FromEdgeOp(op graph.EdgeOp) Op {
+	if op.Insert {
+		return Op{Kind: Insert, U: op.U, V: op.V, Edge: op.Kind}
 	}
-	return ops
+	return Op{Kind: Delete, U: op.U, V: op.V}
 }
 
 // OpError reports the script operation that made Apply (or ApplyShared)

@@ -11,6 +11,7 @@ import (
 	"structix/internal/gtest"
 	"structix/internal/oneindex"
 	"structix/internal/partition"
+	"structix/internal/workload"
 )
 
 func TestParseAndFormatRoundTrip(t *testing.T) {
@@ -73,9 +74,18 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestGenerateMixedValid(t *testing.T) {
+// mixedOps is the script form of workload.InPlaceScript.
+func mixedOps(g *graph.Graph, pairs int, seed int64) []Op {
+	var ops []Op
+	for _, op := range workload.InPlaceScript(g, pairs, seed) {
+		ops = append(ops, FromEdgeOp(op))
+	}
+	return ops
+}
+
+func TestInPlaceScriptApplies(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(128, 1, 3))
-	ops := GenerateMixed(g, 60, 3)
+	ops := mixedOps(g, 60, 3)
 	if len(ops) != 120 {
 		t.Fatalf("generated %d ops, want 120", len(ops))
 	}
@@ -155,7 +165,7 @@ func TestApplyStopsOnError(t *testing.T) {
 // would have put them.
 func TestApplyShared(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(256, 0, 7)) // acyclic: minimum unique
-	ops := GenerateMixed(g, 40, 7)
+	ops := mixedOps(g, 40, 7)
 	one := oneindex.Build(g)
 	ak := akindex.Build(g, 2)
 	res, err := ApplyShared(g, ops, one, ak)
@@ -186,7 +196,7 @@ func TestApplyShared(t *testing.T) {
 // Both index families satisfy Target; the same script drives either.
 func TestApplyToAkIndex(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(256, 1, 5))
-	ops := GenerateMixed(g, 25, 5)
+	ops := mixedOps(g, 25, 5)
 	x := akindex.Build(g, 2)
 	if _, err := Apply(x, ops); err != nil {
 		t.Fatal(err)

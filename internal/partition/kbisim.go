@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -9,30 +8,12 @@ import (
 	"structix/internal/sigtab"
 )
 
-// Config controls the A(k) level construction.
-type Config struct {
-	// Parallel shards each refinement step's per-node signature computation
-	// across worker goroutines. The resulting partitions are identical to
-	// the sequential construction (same block numbering, not merely
-	// isomorphic): workers only compute signatures, and block ids are
-	// assigned in a deterministic sequential pass afterwards.
-	Parallel bool
-	// Workers caps the worker count when Parallel is set; ≤0 means
-	// GOMAXPROCS.
-	Workers int
-}
-
 // bisimScratch holds the refinement step's reusable buffers: the signature
-// intern table and the flat per-node signature storage of the parallel
-// step. Pooled so consecutive levels (and consecutive constructions) churn
-// zero steady-state allocations.
+// intern table and one node's signature. Pooled so consecutive levels (and
+// consecutive constructions) churn zero steady-state allocations.
 type bisimScratch struct {
-	tab   sigtab.Table
-	sig   []int32        // one node's signature (sequential step)
-	nodes []graph.NodeID // live nodes in EachNode order (parallel step)
-	offs  []int32        // per-node offsets into flat (parallel step)
-	lens  []int32        // per-node signature lengths (parallel step)
-	flat  []int32        // all nodes' signatures, offset-addressed
+	tab sigtab.Table
+	sig []int32
 }
 
 var bisimPool = sync.Pool{New: func() any { return new(bisimScratch) }}
@@ -47,21 +28,12 @@ var bisimPool = sync.Pool{New: func() any { return new(bisimScratch) }}
 // and all later levels are copies; the fixpoint partition is the maximal
 // bisimulation, i.e. the minimum 1-index partition.
 func KBisimLevels(g *graph.Graph, k int) []*Partition {
-	return KBisimLevelsWith(g, k, Config{})
-}
-
-// KBisimLevelsWith is KBisimLevels under an explicit Config.
-func KBisimLevelsWith(g *graph.Graph, k int, cfg Config) []*Partition {
 	sc := bisimPool.Get().(*bisimScratch)
 	defer bisimPool.Put(sc)
 	levels := make([]*Partition, k+1)
 	levels[0] = ByLabel(g)
 	for i := 1; i <= k; i++ {
-		if cfg.Parallel {
-			levels[i] = bisimStepParallel(g, levels[i-1], cfg.Workers, sc)
-		} else {
-			levels[i] = bisimStep(g, levels[i-1], sc)
-		}
+		levels[i] = bisimStep(g, levels[i-1], sc)
 		if levels[i].NumBlocks() == levels[i-1].NumBlocks() {
 			// A refinement with the same block count is the same partition;
 			// the remaining levels are identical.
@@ -128,67 +100,4 @@ func bisimSig(sig []int32, g *graph.Graph, prev *Partition, v graph.NodeID) []in
 		}
 	}
 	return sig[:out]
-}
-
-// bisimStepParallel is bisimStep with the signature computation sharded
-// across workers. Per-node signatures land in disjoint regions of one flat
-// buffer (offsets precomputed from 1+indegree bounds), so workers share no
-// mutable state; block ids are then assigned by a sequential intern pass
-// in node order, making the output bit-identical to the sequential step.
-func bisimStepParallel(g *graph.Graph, prev *Partition, workers int, sc *bisimScratch) *Partition {
-	sc.nodes = sc.nodes[:0]
-	g.EachNode(func(v graph.NodeID) { sc.nodes = append(sc.nodes, v) })
-	nodes := sc.nodes
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 {
-		return bisimStep(g, prev, sc)
-	}
-	sc.offs = resizeI32(sc.offs, len(nodes)+1)
-	sc.lens = resizeI32(sc.lens, len(nodes))
-	sc.offs[0] = 0
-	for i, v := range nodes {
-		sc.offs[i+1] = sc.offs[i] + 1 + int32(g.InDegree(v))
-	}
-	sc.flat = resizeI32(sc.flat, int(sc.offs[len(nodes)]))
-	chunk := (len(nodes) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(nodes))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for idx := lo; idx < hi; idx++ {
-				// Three-index slice: appends stay inside this node's region.
-				region := sc.flat[sc.offs[idx]:sc.offs[idx]:sc.offs[idx+1]]
-				sc.lens[idx] = int32(len(bisimSig(region, g, prev, nodes[idx])))
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	p := NewPartition(graph.NodeID(prev.Len()))
-	sc.tab.Reset()
-	sc.tab.Grow(len(nodes))
-	for idx, v := range nodes {
-		id, _ := sc.tab.Intern(sc.flat[sc.offs[idx] : sc.offs[idx]+sc.lens[idx]])
-		p.SetBlock(v, id)
-	}
-	p.SetNumBlocks(sc.tab.Len())
-	return p
-}
-
-// resizeI32 returns s with length n, reallocating only on capacity growth.
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }

@@ -1,8 +1,9 @@
 // Package partition implements the partition-refinement algorithms that
-// underlie structural-index construction: the coarsest-stable-refinement
-// computation of Paige and Tarjan (used to build the minimum 1-index) and
-// the level-by-level k-bisimulation construction (used to build the minimum
-// A(0)..A(k) indexes).
+// underlie structural-index construction, one engine per job: the worklist
+// coarsest-stable refinement (used to build the minimum 1-index) and the
+// level-by-level k-bisimulation construction (used to build the minimum
+// A(0)..A(k) indexes). NaiveCoarsestStable, RefineWrt and BisimFixpoint
+// are the references the tests compare them with.
 //
 // Terminology follows the paper (§3): a block (inode extent) I is stable
 // with respect to a block J if I ⊆ Succ(J) or I ∩ Succ(J) = ∅. A partition

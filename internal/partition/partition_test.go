@@ -1,10 +1,12 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"structix/internal/datagen"
 	"structix/internal/graph"
 	"structix/internal/gtest"
 )
@@ -92,20 +94,32 @@ func TestCoarsestStableIsStableAndPure(t *testing.T) {
 }
 
 func TestCoarsestStableMatchesNaive(t *testing.T) {
+	check := func(name string, g *graph.Graph) *Partition {
+		t.Helper()
+		fast := CoarsestStable(g, ByLabel(g))
+		slow := NaiveCoarsestStable(g, ByLabel(g))
+		if !Equal(fast, slow) {
+			t.Fatalf("%s: CoarsestStable disagrees with naive reference\nfast: %s\nslow: %s",
+				name, fast.Fingerprint(), slow.Fingerprint())
+		}
+		return fast
+	}
+	g := graph.New()
+	if got := check("empty graph", g).NumBlocks(); got != 0 {
+		t.Errorf("empty graph: %d blocks, want 0", got)
+	}
+	g.AddRoot()
+	if got := check("single node", g).NumBlocks(); got != 1 {
+		t.Errorf("single node: %d blocks, want 1", got)
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 30; i++ {
-		var g *graph.Graph
 		if i%2 == 0 {
 			g = gtest.RandomDAG(rng, 40, 25)
 		} else {
 			g = gtest.RandomCyclic(rng, 40, 25)
 		}
-		fast := CoarsestStable(g, ByLabel(g))
-		slow := NaiveCoarsestStable(g, ByLabel(g))
-		if !Equal(fast, slow) {
-			t.Fatalf("iter %d: CoarsestStable disagrees with naive reference\nfast: %s\nslow: %s",
-				i, fast.Fingerprint(), slow.Fingerprint())
-		}
+		check(fmt.Sprintf("iter %d", i), g)
 	}
 }
 
@@ -283,20 +297,43 @@ func TestRefineWrtAgainstNaiveStability(t *testing.T) {
 	}
 }
 
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// benchGraphs are the construction benchmarks' inputs: a random cyclic
+// graph and the served XMark shapes, xmark-d8 and xmark-f1 (f1 skipped
+// under -short).
+func benchGraphs() []namedGraph {
+	graphs := []namedGraph{
+		{"cyclic5k", gtest.RandomCyclic(rand.New(rand.NewSource(1)), 5000, 3000)},
+		{"d8", datagen.XMark(datagen.DefaultXMark(8, 1, 1))},
+	}
+	if !testing.Short() {
+		graphs = append(graphs, namedGraph{"f1", datagen.XMark(datagen.XMarkFactor(1, 1, 1))})
+	}
+	return graphs
+}
+
 func BenchmarkCoarsestStable(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gtest.RandomCyclic(rng, 5000, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CoarsestStable(g, ByLabel(g))
+	for _, tc := range benchGraphs() {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				CoarsestStable(tc.g, ByLabel(tc.g))
+			}
+		})
 	}
 }
 
 func BenchmarkKBisimLevelsK5(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gtest.RandomCyclic(rng, 5000, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KBisimLevels(g, 5)
+	for _, tc := range benchGraphs() {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				KBisimLevels(tc.g, 5)
+			}
+		})
 	}
 }

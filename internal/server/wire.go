@@ -297,12 +297,7 @@ func EdgeOpOf(op opscript.Op) (graph.EdgeOp, bool) {
 
 // ScriptOpOf is the inverse of EdgeOpOf: the opscript rendering of a
 // graph.EdgeOp, used when a *graph.BatchError is sent over the wire.
-func ScriptOpOf(op graph.EdgeOp) opscript.Op {
-	if op.Insert {
-		return opscript.Op{Kind: opscript.Insert, U: op.U, V: op.V, Edge: op.Kind}
-	}
-	return opscript.Op{Kind: opscript.Delete, U: op.U, V: op.V}
-}
+func ScriptOpOf(op graph.EdgeOp) opscript.Op { return opscript.FromEdgeOp(op) }
 
 // BatchErrorReply renders a rejected atomic batch as its wire form; the
 // caller has already re-based OpIndex into the request's own ops slice.

@@ -22,9 +22,9 @@
 // any shard, and the identity when N = 1 (an unsharded store is exactly a
 // 1-shard store). The one exception is the root: every shard carries its
 // own replica of the distinguished ROOT node, and all replicas present as
-// the single global root id (shard 0's). The root has no incoming edges,
-// so it can never appear in a path-expression result; the replicas are
-// visible only as the shared anchor that ops and placements route around.
+// the single global root id (shard 0's). An IDREF edge into the root can
+// put it in a path-expression result on several shards at once; a gathered
+// result lists it once.
 package shard
 
 import (

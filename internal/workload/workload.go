@@ -11,12 +11,6 @@ import (
 	"structix/internal/graph"
 )
 
-// Op is one edge update.
-type Op struct {
-	Insert bool
-	U, V   graph.NodeID
-}
-
 // MixedScript prepares the mixed workload: it removes removeFrac of the
 // graph's IDREF edges (they become the insertion pool) and returns a
 // deterministic script of `pairs` insert/delete pairs — each step inserts a
@@ -26,39 +20,12 @@ type Op struct {
 // The graph is mutated (pool edges removed) before the script is computed,
 // so callers can Clone the graph afterwards and replay the same script
 // against several index maintainers.
-func MixedScript(g *graph.Graph, removeFrac float64, pairs int, seed int64) []Op {
+func MixedScript(g *graph.Graph, removeFrac float64, pairs int, seed int64) []graph.EdgeOp {
 	rng := rand.New(rand.NewSource(seed))
-	idref := g.EdgeList(graph.IDRef)
-	rng.Shuffle(len(idref), func(i, j int) { idref[i], idref[j] = idref[j], idref[i] })
-	nPool := int(removeFrac * float64(len(idref)))
-	pool := append([][2]graph.NodeID(nil), idref[:nPool]...)
-	present := append([][2]graph.NodeID(nil), idref[nPool:]...)
-	for _, e := range pool {
-		if err := g.DeleteEdge(e[0], e[1]); err != nil {
-			panic("workload: " + err.Error())
-		}
-	}
-	ops := make([]Op, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		if len(pool) == 0 || len(present) == 0 {
-			break
-		}
-		// Insert a random pool edge.
-		pi := rng.Intn(len(pool))
-		ins := pool[pi]
-		pool[pi] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		present = append(present, ins)
-		ops = append(ops, Op{Insert: true, U: ins[0], V: ins[1]})
-		// Delete a random present edge back into the pool.
-		di := rng.Intn(len(present))
-		del := present[di]
-		present[di] = present[len(present)-1]
-		present = present[:len(present)-1]
-		pool = append(pool, del)
-		ops = append(ops, Op{Insert: false, U: del[0], V: del[1]})
-	}
-	return ops
+	pool, present := splitPool(g, removeFrac, rng)
+	return pairScript(pool, present, false, pairs, func(edges [][2]graph.NodeID) int {
+		return rng.Intn(len(edges))
+	})
 }
 
 // SkewedScript is MixedScript with a hot spot: a fraction hotFrac of the
@@ -68,18 +35,9 @@ func MixedScript(g *graph.Graph, removeFrac float64, pairs int, seed int64) []Op
 // workload probes whether maintenance quality depends on update locality.
 // Like MixedScript, the graph is mutated (pool edges removed) before the
 // script is computed.
-func SkewedScript(g *graph.Graph, removeFrac, hotFrac float64, pairs int, seed int64) []Op {
+func SkewedScript(g *graph.Graph, removeFrac, hotFrac float64, pairs int, seed int64) []graph.EdgeOp {
 	rng := rand.New(rand.NewSource(seed))
-	idref := g.EdgeList(graph.IDRef)
-	rng.Shuffle(len(idref), func(i, j int) { idref[i], idref[j] = idref[j], idref[i] })
-	nPool := int(removeFrac * float64(len(idref)))
-	pool := append([][2]graph.NodeID(nil), idref[:nPool]...)
-	present := append([][2]graph.NodeID(nil), idref[nPool:]...)
-	for _, e := range pool {
-		if err := g.DeleteEdge(e[0], e[1]); err != nil {
-			panic("workload: " + err.Error())
-		}
-	}
+	pool, present := splitPool(g, removeFrac, rng)
 	// Hot set: the endpoints of a hotFrac-sized prefix of the pool.
 	hot := make(map[graph.NodeID]bool)
 	nHot := int(hotFrac * float64(len(pool)))
@@ -87,7 +45,7 @@ func SkewedScript(g *graph.Graph, removeFrac, hotFrac float64, pairs int, seed i
 		hot[e[0]] = true
 		hot[e[1]] = true
 	}
-	pick := func(edges [][2]graph.NodeID) int {
+	return pairScript(pool, present, false, pairs, func(edges [][2]graph.NodeID) int {
 		// Strongly prefer hot edges: sample up to 8 candidates.
 		for t := 0; t < 8; t++ {
 			i := rng.Intn(len(edges))
@@ -96,24 +54,61 @@ func SkewedScript(g *graph.Graph, removeFrac, hotFrac float64, pairs int, seed i
 			}
 		}
 		return rng.Intn(len(edges))
-	}
-	ops := make([]Op, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		if len(pool) == 0 || len(present) == 0 {
-			break
+	})
+}
+
+// InPlaceScript is a §7.1-style mixed script that is valid against the
+// graph as it stands, with no preparatory mutation: each step deletes a
+// random present IDREF edge into the pool and then re-inserts a random
+// pool edge.
+func InPlaceScript(g *graph.Graph, pairs int, seed int64) []graph.EdgeOp {
+	rng := rand.New(rand.NewSource(seed))
+	return pairScript(nil, g.EdgeList(graph.IDRef), true, pairs, func(edges [][2]graph.NodeID) int {
+		return rng.Intn(len(edges))
+	})
+}
+
+// splitPool shuffles g's IDREF edges, removes a removeFrac prefix of them
+// from g as the insertion pool, and returns that pool and the edges left.
+func splitPool(g *graph.Graph, removeFrac float64, rng *rand.Rand) (pool, present [][2]graph.NodeID) {
+	idref := g.EdgeList(graph.IDRef)
+	rng.Shuffle(len(idref), func(i, j int) { idref[i], idref[j] = idref[j], idref[i] })
+	nPool := int(removeFrac * float64(len(idref)))
+	pool = append(pool, idref[:nPool]...)
+	present = append(present, idref[nPool:]...)
+	for _, e := range pool {
+		if err := g.DeleteEdge(e[0], e[1]); err != nil {
+			panic("workload: " + err.Error())
 		}
-		pi := pick(pool)
-		ins := pool[pi]
-		pool[pi] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		present = append(present, ins)
-		ops = append(ops, Op{Insert: true, U: ins[0], V: ins[1]})
-		di := pick(present)
-		del := present[di]
-		present[di] = present[len(present)-1]
-		present = present[:len(present)-1]
-		pool = append(pool, del)
-		ops = append(ops, Op{Insert: false, U: del[0], V: del[1]})
+	}
+	return pool, present
+}
+
+// pairScript is the §7.1 pair loop: each of up to pairs steps moves a
+// picked pool edge to the present side (an insertion) and a picked present
+// edge back to the pool (a deletion), the deletion first when deleteFirst
+// is set. It stops early when a step finds no present edge, or an empty
+// pool to draw first from.
+func pairScript(pool, present [][2]graph.NodeID, deleteFirst bool, pairs int, pick func([][2]graph.NodeID) int) []graph.EdgeOp {
+	move := func(from, to *[][2]graph.NodeID) [2]graph.NodeID {
+		i := pick(*from)
+		e := (*from)[i]
+		(*from)[i] = (*from)[len(*from)-1]
+		*from = (*from)[:len(*from)-1]
+		*to = append(*to, e)
+		return e
+	}
+	ops := make([]graph.EdgeOp, 0, 2*pairs)
+	for i := 0; i < pairs && len(present) > 0 && (deleteFirst || len(pool) > 0); i++ {
+		if deleteFirst {
+			del := move(&present, &pool)
+			ins := move(&pool, &present)
+			ops = append(ops, graph.DeleteOp(del[0], del[1]), graph.InsertOp(ins[0], ins[1], graph.IDRef))
+		} else {
+			ins := move(&pool, &present)
+			del := move(&present, &pool)
+			ops = append(ops, graph.InsertOp(ins[0], ins[1], graph.IDRef), graph.DeleteOp(del[0], del[1]))
+		}
 	}
 	return ops
 }

@@ -204,10 +204,6 @@ type AkStorage = akindex.Storage
 // BuildAkIndex constructs the minimum A(0..k) family of g.
 func BuildAkIndex(g *Graph, k int) *AkIndex { return akindex.Build(g, k) }
 
-// BuildAkIndexParallel is BuildAkIndex with the per-level signature
-// computation sharded across GOMAXPROCS workers; the result is identical.
-func BuildAkIndexParallel(g *Graph, k int) *AkIndex { return akindex.BuildParallel(g, k) }
-
 // ---- baselines ----
 
 // Propagate is the split-only 1-index maintainer of Kaushik et al. with
@@ -371,13 +367,10 @@ func GenerateIMDB(cfg IMDBConfig) *Graph { return datagen.IMDB(cfg) }
 // DefaultIMDB scales the paper's IMDB extract down by scale.
 func DefaultIMDB(scale int, seed int64) IMDBConfig { return datagen.DefaultIMDB(scale, seed) }
 
-// UpdateOp is one scripted edge update.
-type UpdateOp = workload.Op
-
 // MixedUpdateScript prepares the §7.1 mixed workload: it moves removeFrac
 // of g's IDREF edges into an insertion pool (removing them from g) and
-// returns a deterministic script of insert/delete pairs.
-func MixedUpdateScript(g *Graph, removeFrac float64, pairs int, seed int64) []UpdateOp {
+// returns a deterministic script of IDREF insert/delete pairs.
+func MixedUpdateScript(g *Graph, removeFrac float64, pairs int, seed int64) []EdgeOp {
 	return workload.MixedScript(g, removeFrac, pairs, seed)
 }
 
@@ -453,6 +446,18 @@ func LoadGraph(r io.Reader) (*Graph, error) { return persist.LoadGraph(r) }
 // internal/opscript for the format).
 type ScriptOp = opscript.Op
 
+// The kinds a ScriptOp's Kind takes: ScriptInsert and ScriptDelete act on
+// the edge U→V (an insertion's edge kind is Edge); ScriptAddNode adds a
+// node labelled Label under V; ScriptDelNode and ScriptDelSub remove U,
+// alone or with its subtree.
+const (
+	ScriptInsert  = opscript.Insert
+	ScriptDelete  = opscript.Delete
+	ScriptAddNode = opscript.AddNode
+	ScriptDelNode = opscript.DelNode
+	ScriptDelSub  = opscript.DelSub
+)
+
 // OpResult summarizes an applied script.
 type OpResult = opscript.Result
 
@@ -465,7 +470,12 @@ func FormatOps(w io.Writer, ops []ScriptOp) error { return opscript.Format(w, op
 // GenerateMixedOps produces a mixed edge-update script valid against the
 // graph as it stands (no preparatory mutation).
 func GenerateMixedOps(g *Graph, pairs int, seed int64) []ScriptOp {
-	return opscript.GenerateMixed(g, pairs, seed)
+	edges := workload.InPlaceScript(g, pairs, seed)
+	ops := make([]ScriptOp, len(edges))
+	for i, op := range edges {
+		ops[i] = opscript.FromEdgeOp(op)
+	}
+	return ops
 }
 
 // ApplyOps runs a script against one maintained index (either family).
