@@ -83,7 +83,7 @@ func mixedOps(g *graph.Graph, pairs int, seed int64) []Op {
 	return ops
 }
 
-func TestInPlaceScriptApplies(t *testing.T) {
+func TestGenerateMixedValid(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(128, 1, 3))
 	ops := mixedOps(g, 60, 3)
 	if len(ops) != 120 {

@@ -2,28 +2,43 @@ package partition
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"structix/internal/graph"
 	"structix/internal/gtest"
 )
 
-// requireIdenticalLevels asserts the parallel construction yields exactly
-// the sequential one — same block ids, not merely isomorphic partitions.
+// requireIdenticalLevels asserts that KBisimLevels run from several
+// goroutines at once over the same graph yields exactly the
+// single-goroutine construction — same block ids, not merely isomorphic
+// partitions. The scratch is pooled per call and the graph is only read,
+// so concurrent constructions must not see each other's state.
 func requireIdenticalLevels(t *testing.T, g *graph.Graph, k int) {
 	t.Helper()
 	seq := KBisimLevels(g, k)
-	for _, workers := range []int{0, 1, 2, 3, 7} {
-		par := KBisimLevelsWith(g, k, Config{Parallel: true, Workers: workers})
-		for l := 0; l <= k; l++ {
-			if seq[l].NumBlocks() != par[l].NumBlocks() {
-				t.Fatalf("workers=%d level %d: %d blocks sequential, %d parallel",
-					workers, l, seq[l].NumBlocks(), par[l].NumBlocks())
-			}
-			for v := 0; v < seq[l].Len(); v++ {
-				if seq[l].Block(graph.NodeID(v)) != par[l].Block(graph.NodeID(v)) {
-					t.Fatalf("workers=%d level %d node %d: block %d sequential, %d parallel",
-						workers, l, v, seq[l].Block(graph.NodeID(v)), par[l].Block(graph.NodeID(v)))
+	for _, workers := range []int{1, 2, 3, 7} {
+		par := make([][]*Partition, workers)
+		var wg sync.WaitGroup
+		for w := range par {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				par[w] = KBisimLevels(g, k)
+			}(w)
+		}
+		wg.Wait()
+		for w, levels := range par {
+			for l := 0; l <= k; l++ {
+				if seq[l].NumBlocks() != levels[l].NumBlocks() {
+					t.Fatalf("workers=%d goroutine %d level %d: %d blocks alone, %d concurrently",
+						workers, w, l, seq[l].NumBlocks(), levels[l].NumBlocks())
+				}
+				for v := 0; v < seq[l].Len(); v++ {
+					if seq[l].Block(graph.NodeID(v)) != levels[l].Block(graph.NodeID(v)) {
+						t.Fatalf("workers=%d goroutine %d level %d node %d: block %d alone, %d concurrently",
+							workers, w, l, v, seq[l].Block(graph.NodeID(v)), levels[l].Block(graph.NodeID(v)))
+					}
 				}
 			}
 		}
@@ -56,8 +71,8 @@ func TestParallelKBisimRandom(t *testing.T) {
 	}
 }
 
-// Deleted nodes leave dead slots in the NodeID space; the parallel step
-// must shard over live nodes only, exactly as EachNode does.
+// Deleted nodes leave dead slots in the NodeID space; every concurrent
+// construction must leave them at NoBlock, exactly as a lone one does.
 func TestParallelKBisimWithDeadNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := gtest.RandomDAG(rng, 40, 20)

@@ -8,61 +8,64 @@ import (
 	"structix/internal/gtest"
 )
 
-func TestPTMatchesWorklistEngine(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var g *graph.Graph
-		switch seed % 3 {
-		case 0:
-			g = gtest.RandomDAG(rng, 50, 30)
-		case 1:
-			g = gtest.RandomCyclic(rng, 50, 35)
-		default:
-			g = gtest.RandomCyclic(rng, 20, 60) // dense
-		}
-		a := CoarsestStable(g, ByLabel(g))
-		b := CoarsestStablePT(g, ByLabel(g))
-		if !Equal(a, b) {
-			t.Fatalf("seed %d: PT disagrees with worklist engine (%d vs %d blocks)\nworklist: %s\nPT:       %s",
-				seed, a.NumBlocks(), b.NumBlocks(), a.Fingerprint(), b.Fingerprint())
-		}
+// The TestPT* tests hold CoarsestStable, the Paige–Tarjan-style worklist
+// engine, to the naive fixpoint reference on the paper's fixtures, on
+// degenerate graphs and on graphs with dead NodeID slots.
+
+// requireMatchesNaive asserts CoarsestStable equals NaiveCoarsestStable on
+// g's label partition and returns it.
+func requireMatchesNaive(t *testing.T, name string, g *graph.Graph) *Partition {
+	t.Helper()
+	fast := CoarsestStable(g, ByLabel(g))
+	slow := NaiveCoarsestStable(g, ByLabel(g))
+	if !Equal(fast, slow) {
+		t.Fatalf("%s: CoarsestStable disagrees with naive reference\nfast: %s\nslow: %s",
+			name, fast.Fingerprint(), slow.Fingerprint())
 	}
+	return fast
 }
 
 func TestPTFixtures(t *testing.T) {
 	g2, u, v, _ := gtest.Fig2()
-	p := CoarsestStablePT(g2, ByLabel(g2))
-	if p.NumBlocks() != 7 {
-		t.Errorf("Fig2 before: %d blocks, want 7", p.NumBlocks())
+	if got := requireMatchesNaive(t, "Fig2 before", g2).NumBlocks(); got != 7 {
+		t.Errorf("Fig2 before: %d blocks, want 7", got)
 	}
 	if err := g2.AddEdge(u, v, graph.IDRef); err != nil {
 		t.Fatal(err)
 	}
-	if got := CoarsestStablePT(g2, ByLabel(g2)).NumBlocks(); got != 7 {
+	if got := requireMatchesNaive(t, "Fig2 after", g2).NumBlocks(); got != 7 {
 		t.Errorf("Fig2 after: %d blocks, want 7", got)
 	}
 
 	g4, _ := gtest.Fig4()
-	if got := CoarsestStablePT(g4, ByLabel(g4)).NumBlocks(); got != 2 {
+	if got := requireMatchesNaive(t, "Fig4", g4).NumBlocks(); got != 2 {
 		t.Errorf("Fig4: %d blocks, want 2 (cycle with index self-loop)", got)
 	}
 
 	g5, _, _ := gtest.Fig5(10)
-	a := CoarsestStable(g5, ByLabel(g5))
-	b := CoarsestStablePT(g5, ByLabel(g5))
-	if !Equal(a, b) {
-		t.Errorf("Fig5: engines disagree")
-	}
+	requireMatchesNaive(t, "Fig5", g5)
 }
 
+// Every engine that stays agrees on the degenerate inputs: no nodes gives
+// no blocks, a lone root gives one.
 func TestPTTrivialCases(t *testing.T) {
 	g := graph.New()
-	if got := CoarsestStablePT(g, ByLabel(g)).NumBlocks(); got != 0 {
-		t.Errorf("empty graph: %d blocks", got)
-	}
-	g.AddRoot()
-	if got := CoarsestStablePT(g, ByLabel(g)).NumBlocks(); got != 1 {
-		t.Errorf("single node: %d blocks", got)
+	for _, want := range []int{0, 1} {
+		if want == 1 {
+			g.AddRoot()
+		}
+		got := map[string]int{
+			"CoarsestStable":      CoarsestStable(g, ByLabel(g)).NumBlocks(),
+			"NaiveCoarsestStable": NaiveCoarsestStable(g, ByLabel(g)).NumBlocks(),
+			"BisimFixpoint":       BisimFixpoint(g).NumBlocks(),
+			"KBisimLevels[2]":     KBisimLevels(g, 2)[2].NumBlocks(),
+			"RefineWrt":           RefineWrt(g, ByLabel(g), ByLabel(g)).NumBlocks(),
+		}
+		for name, n := range got {
+			if n != want {
+				t.Errorf("%d-node graph: %s gives %d blocks, want %d", want, name, n, want)
+			}
+		}
 	}
 }
 
@@ -70,20 +73,14 @@ func TestPTWithDeadNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gtest.RandomDAG(rng, 30, 10)
 	nodes := g.Nodes()
-	g.RemoveNode(nodes[len(nodes)-1])
-	g.RemoveNode(nodes[len(nodes)-2])
-	a := CoarsestStable(g, ByLabel(g))
-	b := CoarsestStablePT(g, ByLabel(g))
-	if !Equal(a, b) {
-		t.Errorf("engines disagree with dead nodes")
+	dead := []graph.NodeID{nodes[len(nodes)-1], nodes[len(nodes)-2]}
+	for _, v := range dead {
+		g.RemoveNode(v)
 	}
-}
-
-func BenchmarkCoarsestStablePT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gtest.RandomCyclic(rng, 5000, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CoarsestStablePT(g, ByLabel(g))
+	p := requireMatchesNaive(t, "dead nodes", g)
+	for _, v := range dead {
+		if p.Block(v) != NoBlock {
+			t.Errorf("dead node %d assigned block %d", v, p.Block(v))
+		}
 	}
 }
