@@ -96,6 +96,7 @@ bench-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=20s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=20s ./internal/akindex/
+	$(GO) test -fuzz=FuzzBatchOps -fuzztime=20s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=20s ./internal/akindex/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/xmlload/
 	$(GO) test -fuzz=FuzzLoaderMultiDoc -fuzztime=10s ./internal/xmlload/
@@ -139,7 +140,9 @@ loc:
 # race-enabled), every example program end to end (`make examples`), the
 # xsiserve smoke (which covers a 4-shard boot), the replication smoke
 # (leader + 2 replicas, min_epoch read-back), short
-# path-parser, extent-decoder and frame-reader fuzz passes, the shard-,
+# path-parser, extent-decoder and frame-reader fuzz passes, the
+# maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps over both index
+# families), the shard-,
 # repl- and scale-bench smokes, and a one-iteration smoke pass over every
 # benchmark in the module.
 ci: build vet
@@ -156,6 +159,10 @@ ci: build vet
 	$(GO) run ./cmd/xsibench -exp repl
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
+	$(GO) test -fuzz=FuzzMaintenance -fuzztime=10s ./internal/oneindex/
+	$(GO) test -fuzz=FuzzMaintenance -fuzztime=10s ./internal/akindex/
+	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/oneindex/
+	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/akindex/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

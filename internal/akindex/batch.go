@@ -6,22 +6,24 @@ import (
 	"structix/internal/graph"
 )
 
-// ApplyBatch applies a sequence of edge updates as one maintenance round:
-// every operation is first ingested into the data graph and the iedge
-// counts, recording for each affected dnode the lowest level at which some
-// operation disturbed its index membership; then one split phase runs over
-// the deduplicated compound-block worklist; finally one upward merge sweep
-// restores the unique minimum family.
+// ApplyBatch applies a sequence of edge updates as one maintenance round —
+// the only maintenance driver of the family: every operation is first
+// ingested into the data graph and the iedge counts, recording for each
+// affected dnode the lowest level at which some operation disturbed its
+// index membership; then one split phase runs over the deduplicated
+// compound-block worklist; finally one upward merge sweep restores the
+// unique minimum family. Figure 7 is this round over one op: InsertEdge,
+// DeleteEdge, the Note and node entry points and AddSubgraph's root
+// attachment all run it.
 //
 // The result equals applying the operations one at a time (Theorem 2: the
 // minimum A(0..k) family is unique on any graph, cyclic or not), at a
 // fraction of the cost: E operations share one split phase and one merge
 // sweep instead of running E of each. The per-operation affectedness level
-// is the same largest-stable-level test as the per-edge path; it is
-// evaluated against the pre-batch partition, which stays fixed during
-// ingestion because splits are deferred. Taking the minimum level over a
-// dnode's operations is conservative — extra singling out is undone by the
-// merge sweep.
+// is Figure 7's largest-stable-level test; it is evaluated against the
+// pre-round partition, which stays fixed during ingestion because splits
+// are deferred. Taking the minimum level over a dnode's operations is
+// conservative — extra singling out is undone by the merge sweep.
 //
 // Operations are ingested in order; an operation may therefore delete an
 // edge inserted earlier in the same batch.
@@ -37,50 +39,72 @@ func (x *Index) ApplyBatch(ops []graph.EdgeOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	return x.applyRound(ops, graph.InvalidNode)
+}
+
+// applyRound validates ops and runs one maintenance round over them. A
+// dnode also, when not InvalidNode, joins the affected set at every level
+// 1..k whatever the ops do: a new parentless node, which no edge op
+// disturbs but which may merge with an existing chain.
+func (x *Index) applyRound(ops []graph.EdgeOp, also graph.NodeID) error {
 	if err := x.g.ValidateOps(ops); err != nil {
 		return err
 	}
+	x.beginRound()
+	for _, op := range ops {
+		var err error
+		if op.Insert {
+			err = x.g.AddEdge(op.U, op.V, op.Kind)
+		} else {
+			err = x.g.DeleteEdge(op.U, op.V)
+		}
+		if err != nil {
+			panic("akindex: validated op failed: " + err.Error())
+		}
+		x.ingest(op)
+	}
+	if also != graph.InvalidNode {
+		x.affect(also, -1)
+	}
+	x.finishRound()
+	return nil
+}
+
+// beginRound opens a maintenance round: a new epoch invalidates every dedup
+// stamp from previous rounds; only a full wrap of the counter needs an
+// actual clearing pass.
+func (x *Index) beginRound() {
 	x.Stats.Batches++
-	// New epoch invalidates every dedup stamp from previous batches; only a
-	// full wrap of the counter needs an actual clearing pass.
 	x.batchEpoch++
 	if x.batchEpoch == 0 {
 		clear(x.batchStamp[:cap(x.batchStamp)])
 		x.batchEpoch = 1
 	}
-	for _, op := range ops {
-		if op.Insert {
-			// As in InsertEdge: the stable level is computed before the edge
-			// exists so the new edge itself is not counted as a parent.
-			i := x.largestStableLevel(op.U, op.V, graph.InvalidNode)
-			if err := x.g.AddEdge(op.U, op.V, op.Kind); err != nil {
-				panic("akindex: validated op failed: " + err.Error())
-			}
-			x.addEdgeCounts(op.U, op.V, 1)
-			x.noteBatchOp(op.V, i)
-		} else {
-			if err := x.g.DeleteEdge(op.U, op.V); err != nil {
-				panic("akindex: validated op failed: " + err.Error())
-			}
-			x.addEdgeCounts(op.U, op.V, -1)
-			x.noteBatchOp(op.V, x.largestStableLevel(op.U, op.V, graph.InvalidNode))
-		}
-	}
-	x.finishBatch()
-	return nil
 }
 
-// noteBatchOp records one ingested operation with stable level i for sink
-// v: levels i+2..k of v need re-derivation. i ≥ k−1 makes that range empty
-// (a no-change op); otherwise v joins the batch's affected set
-// (deduplicated through the batch epoch stamp) keeping the minimum level
-// seen.
-func (x *Index) noteBatchOp(v graph.NodeID, i int) {
+// ingest records one op that the graph already carries, with stable level
+// i for its sink v: levels i+2..k of v need re-derivation. i ≥ k−1 makes
+// that range empty (a no-change op); otherwise v joins the round's
+// affected set.
+func (x *Index) ingest(op graph.EdgeOp) {
+	delta := int32(-1)
+	if op.Insert {
+		delta = 1
+	}
+	x.addEdgeCounts(op.U, op.V, delta)
+	i := x.largestStableLevel(op.U, op.V)
 	if i >= x.k-1 {
 		x.Stats.UpdatesNoChange++
 		return
 	}
 	x.Stats.UpdatesMaintained++
+	x.affect(op.V, i)
+}
+
+// affect adds v to the round's affected set at stable level i,
+// deduplicated through the batch epoch stamp and keeping the minimum level
+// seen.
+func (x *Index) affect(v graph.NodeID, i int) {
 	if x.batchStamp[v] != x.batchEpoch {
 		x.batchStamp[v] = x.batchEpoch
 		x.batchAffected = append(x.batchAffected, v)
@@ -90,78 +114,64 @@ func (x *Index) noteBatchOp(v graph.NodeID, i int) {
 	}
 }
 
-// finishBatch runs the deferred phases over the accumulated affected set:
+// finishRound runs the deferred phases over the accumulated affected set:
 // one split phase seeded with every affected dnode at its recorded level,
-// then one upward merge sweep over the frontier of inodes the batch
-// touched. The batch scratch (affected set, frontier) is reset
-// unconditionally so no state survives into the next batch; the dedup
-// stamps die with the epoch.
-func (x *Index) finishBatch() {
-	defer x.resetBatchScratch()
+// then one upward merge sweep from the affected dnodes' inodes. Truncating
+// the affected set ends the round; the per-dnode dedup stamps and levels
+// die with the epoch.
+func (x *Index) finishRound() {
 	if len(x.batchAffected) == 0 {
 		return
 	}
 	slices.Sort(x.batchAffected)
 	ctx := x.splitter()
-	ctx.collect = true
 	for _, v := range x.batchAffected {
 		x.seedSplit(ctx, v, int(x.batchLevel[v]))
 	}
 	ctx.run()
-	ctx.collect = false
 	x.mergeFrontier()
-}
-
-// resetBatchScratch truncates the per-batch scratch state. The per-dnode
-// dedup stamps and levels need no touch-up: they are invalidated wholesale
-// when the next ApplyBatch bumps the epoch.
-func (x *Index) resetBatchScratch() {
 	x.batchAffected = x.batchAffected[:0]
-	x.frontier = x.frontier[:0]
 }
 
-// mergeFrontier is the deferred minimization pass. A pair of level-l inodes
-// can have *become* mergeable only if the batch changed the inter-iedge
-// predecessor set of at least one of them (the family was minimum before):
-// those are exactly the update targets, hats and shrunken split originals
-// collected in x.frontier, plus — transitively — consequences of performed
-// merges, which the drain covers through both the inter-iedge successors
-// and the refinement-tree children of each merged inode. Splits alone
-// cannot equalize two untouched predecessor sets (they replace a
-// predecessor by a non-empty subset of its parts, and part families of
-// distinct predecessors are disjoint), so the frontier finds every newly
-// mergeable pair without a global scan.
+// mergeFrontier is the round's merge phase. The family was minimum before
+// the round, and after the split phase each affected dnode v sits alone at
+// every level it was seeded at (i+2..k for stable level i). Every other
+// level-l inode X is a part of one pre-round inode K whose members kept
+// their level-(l−1) parent blocks — a dnode whose parents changed below
+// its seeding level keeps its parent block set there — so X's
+// predecessors are parts of exactly K's old predecessors, each of them
+// represented. Two such inodes under one parent with equal keys would
+// therefore come from pre-round inodes with equal keys, i.e. from one K;
+// but the split phase separates parts of one inode only by a level-j
+// compound member that one part has as a predecessor and the other lacks,
+// which their level-(l−1) predecessors inherit. So every newly mergeable
+// pair contains an inode of some v at a seeded level — with one op, that
+// is Figure 7's search from I⁽ʲ⁾[v], j = i+2..k. Merges performed change
+// the predecessor sets of their inter-iedge successors and make their
+// children siblings, which drainCascade regroups.
 //
 // The sweep runs strictly upward: level l−1 is minimal before the level-l
 // frontier is processed, which makes the sibling-only candidate search
 // complete — with A(l−1) minimal, equal label and predecessor sets imply
 // extents in the same A(l−1) block, i.e. a shared refinement-tree parent.
-// Frontier ids freed by earlier merges (or by the split phase and since
-// reused — the reusing hat is itself in the frontier) are skipped or
-// harmlessly re-checked; merging frees inodes but never allocates, so live
-// entries keep their identity throughout the sweep.
-// Rather than searching a sibling partner per frontier inode — which
-// re-keys the same sibling sets once per entry — the sweep visits the
-// distinct refinement-tree *parents* of the frontier, bucketed by parent
-// level, and runs one keyed group-scan over each parent's children
-// (mergeAmongChildren): with the level below final, a merge partner is
-// necessarily a sibling, so the scan finds every partner while keying each
-// sibling set once.
+// So the sweep visits the distinct refinement-tree *parents* of the
+// frontier inodes, bucketed by level, and runs one keyed group-scan over
+// each parent's children (mergeAmongChildren), keying each sibling set
+// once however many frontier inodes share it. Merging frees inodes but
+// never allocates, so a parent freed by an earlier merge is skipped (its
+// children were rehung under the survivor, which the cascade scans).
 func (x *Index) mergeFrontier() {
-	f := x.frontier
-	slices.Sort(f)
-	parents := make([][]INodeID, x.k) // distinct parents by parent level
-	prev := NoINode
-	for _, i := range f {
-		if i == prev || x.nodes[i] == nil {
-			continue
-		}
-		prev = i
-		if p := x.nodes[i].parent; p != NoINode {
-			parents[int(x.nodes[p].level)] = append(parents[int(x.nodes[p].level)], p)
+	parents := x.frontierParents // distinct parents by level
+	for l := range parents {
+		parents[l] = parents[l][:0]
+	}
+	path := x.pathU
+	for _, v := range x.batchAffected {
+		x.path(v, path)
+		for l := int(x.batchLevel[v]) + 1; l < x.k; l++ {
+			parents[l] = append(parents[l], path[l]) // parent of I⁽ˡ⁺¹⁾[v]
 		}
 	}
-	x.frontier = f[:0]
 
 	x.resetCascade()
 	for l := 0; l <= x.k-1; l++ {
@@ -178,29 +188,6 @@ func (x *Index) mergeFrontier() {
 			}
 			x.mergeAmongChildren(p)
 		}
-		x.drainBatchMerges()
-	}
-}
-
-// drainBatchMerges is the batch variant of drainMerges: each popped inode
-// additionally scans its refinement-tree children (see mergeAmongChildren).
-func (x *Index) drainBatchMerges() {
-	for {
-		var cur INodeID = NoINode
-		for l := range x.cascade {
-			if n := len(x.cascade[l]); n > 0 {
-				cur = x.cascade[l][n-1]
-				x.cascade[l] = x.cascade[l][:n-1]
-				break
-			}
-		}
-		if cur == NoINode {
-			return
-		}
-		if x.nodes[cur] == nil {
-			continue // absorbed by a later merge while queued
-		}
-		x.mergeAmongChildren(cur)
-		x.mergeAmongSuccessors(cur)
+		x.drainCascade()
 	}
 }

@@ -25,10 +25,11 @@
 // of building string keys. Freed inodes return to a pool with their slice
 // capacity intact.
 //
-// The maintenance entry points InsertEdge and DeleteEdge implement Figure 7
-// and keep the family the unique minimum set of A(i)-indexes for any data
-// graph, cyclic or not (Theorem 2). AddSubgraph and DeleteSubgraph extend
-// the same machinery to batched subtree updates.
+// Every maintenance entry point runs one round of ApplyBatch's split/merge
+// maintenance; InsertEdge and DeleteEdge are that round over one op, which
+// is Figure 7. It keeps the family the unique minimum set of A(i)-indexes
+// for any data graph, cyclic or not (Theorem 2). AddSubgraph and
+// DeleteSubgraph extend the same machinery to subtree updates.
 package akindex
 
 import (
@@ -88,8 +89,8 @@ type Index struct {
 	Stats Stats
 
 	// Epoch-stamped scratch marks over dnodes: split marks (bits 1 and 2)
-	// are valid only under the current splitEpoch, the ApplyBatch dedup
-	// stamp only under the current batchEpoch — no clearing passes.
+	// are valid only under the current splitEpoch, the maintenance round's
+	// dedup stamp only under the current batchEpoch — no clearing passes.
 	markStamp  []uint64 // epoch<<2 | split mark bits
 	splitEpoch uint64
 	batchStamp []uint32
@@ -97,9 +98,9 @@ type Index struct {
 
 	// Reusable level-indexed (k+1) scratch paths, so the hot maintenance
 	// paths do not allocate at steady state. Each pair is private to one
-	// non-reentrant routine: pathU/pathP to addEdgeCounts and
-	// largestStableLevel, rpOld/rpNbr to reassignPath, mergePath to
-	// mergeANodes.
+	// non-reentrant routine: pathU/pathP to addEdgeCounts,
+	// largestStableLevel and mergeFrontier, rpOld/rpNbr to reassignPath,
+	// mergePath to mergeANodes.
 	pathU, pathP []INodeID
 	rpOld, rpNbr []INodeID
 	mergePath    []INodeID
@@ -107,14 +108,13 @@ type Index struct {
 	// split is the reusable split-phase context (created on first use).
 	split *akSplitCtx
 
-	// batch bookkeeping: affected dnodes of an in-flight ApplyBatch with
-	// the lowest stable level seen per dnode (deduplicated via batchStamp,
-	// levels in batchLevel); frontier collects the inodes whose inter-iedge
-	// predecessor sets the batch may have changed, seeding the deferred
-	// merge sweep.
-	batchAffected []graph.NodeID
-	batchLevel    []int32 // by dnode, valid when batchStamp matches
-	frontier      []INodeID
+	// Round bookkeeping: affected dnodes of an in-flight maintenance round
+	// with the lowest stable level seen per dnode (deduplicated via
+	// batchStamp, levels in batchLevel); the merge sweep buckets the
+	// refinement-tree parents of their inodes by level in frontierParents.
+	batchAffected   []graph.NodeID
+	batchLevel      []int32 // by dnode, valid when batchStamp matches
+	frontierParents [][]INodeID
 
 	// Merge-phase scratch: the cascade queue buckets (k of them, levels
 	// 0..k-1), the signature table grouping inodes by merge key, per-group
@@ -180,7 +180,7 @@ type Stats struct {
 	Merges            int
 	UpdatesNoChange   int
 	UpdatesMaintained int
-	Batches           int // ApplyBatch calls
+	Batches           int // maintenance rounds (ApplyBatch calls and one-op rounds)
 }
 
 // Build constructs the minimum A(0..k) family for g from scratch using the
@@ -216,6 +216,9 @@ func FromLevels(g *graph.Graph, levels []*partition.Partition) *Index {
 		rpOld:      make([]INodeID, k+1),
 		rpNbr:      make([]INodeID, k+1),
 		mergePath:  make([]INodeID, k+1),
+
+		cascade:         make([][]INodeID, k),
+		frontierParents: make([][]INodeID, k),
 	}
 	for i := range x.inodeOf {
 		x.inodeOf[i] = NoINode

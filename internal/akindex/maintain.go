@@ -7,38 +7,21 @@ import (
 )
 
 // InsertEdge adds the dedge u→v and incrementally maintains the whole
-// A(0..k) family with the split/merge algorithm of Figure 7. The family
-// remains the unique minimum set of A(i)-indexes (Theorem 2).
+// A(0..k) family with the split/merge algorithm of Figure 7 — the
+// maintenance round of ApplyBatch over this one op. The family remains the
+// unique minimum set of A(i)-indexes (Theorem 2).
 func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
-	// Find the largest i such that v ∈ Succ(I⁽ⁱ⁾[u]) *before* the edge is
-	// added: the A(i+1)-index — and everything below — is unaffected.
-	i := x.largestStableLevel(u, v, graph.InvalidNode)
 	if err := x.g.AddEdge(u, v, kind); err != nil {
 		return err
 	}
-	x.noteInsert(u, v, i)
+	x.noteOp(graph.InsertOp(u, v, kind))
 	return nil
 }
 
 // NoteEdgeInserted maintains the family for a dedge u→v that the caller
-// has already added to the shared data graph (multi-index setups). The
-// stable-level computation excludes the new edge itself.
+// has already added to the shared data graph (multi-index setups).
 func (x *Index) NoteEdgeInserted(u, v graph.NodeID, kind graph.EdgeKind) {
-	_ = kind // edge kinds do not influence the partitions
-	x.noteInsert(u, v, x.largestStableLevel(u, v, u))
-}
-
-func (x *Index) noteInsert(u, v graph.NodeID, i int) {
-	x.addEdgeCounts(u, v, 1)
-	if i >= x.k-1 {
-		// Split and merge ranges (i+2..k) are empty: only iedge counts
-		// change.
-		x.Stats.UpdatesNoChange++
-		return
-	}
-	x.Stats.UpdatesMaintained++
-	x.splitPhase(v, i)
-	x.mergePhase(v, i)
+	x.noteOp(graph.InsertOp(u, v, kind))
 }
 
 // DeleteEdge removes the dedge u→v and incrementally maintains the family
@@ -47,37 +30,37 @@ func (x *Index) DeleteEdge(u, v graph.NodeID) error {
 	if err := x.g.DeleteEdge(u, v); err != nil {
 		return err
 	}
-	x.NoteEdgeDeleted(u, v)
+	x.noteOp(graph.DeleteOp(u, v))
 	return nil
 }
 
 // NoteEdgeDeleted maintains the family for a dedge u→v that the caller has
 // already removed from the shared data graph.
 func (x *Index) NoteEdgeDeleted(u, v graph.NodeID) {
-	x.addEdgeCounts(u, v, -1)
-	// After the deletion, the largest i with v ∈ Succ(I⁽ⁱ⁾[u]) bounds the
-	// unaffected prefix of the family exactly as for insertion.
-	i := x.largestStableLevel(u, v, graph.InvalidNode)
-	if i >= x.k-1 {
-		x.Stats.UpdatesNoChange++
-		return
-	}
-	x.Stats.UpdatesMaintained++
-	x.splitPhase(v, i)
-	x.mergePhase(v, i)
+	x.noteOp(graph.DeleteOp(u, v))
 }
 
-// largestStableLevel returns the largest level l such that v currently has
-// a parent in the extent of I⁽ˡ⁾[u], or −1 if it has none at any level
-// (equivalently: −1 when no parent of v shares even u's label class).
-// A parent equal to exclude is skipped — used to discount an edge that has
-// already been added to the graph but not yet to the index.
-func (x *Index) largestStableLevel(u, v, exclude graph.NodeID) int {
+// noteOp runs one maintenance round over a single op the graph already
+// carries.
+func (x *Index) noteOp(op graph.EdgeOp) {
+	x.beginRound()
+	x.ingest(op)
+	x.finishRound()
+}
+
+// largestStableLevel returns the largest level l such that v has a parent
+// other than u in the extent of I⁽ˡ⁾[u], or −1 if it has none at any
+// level (equivalently: −1 when no such parent shares even u's label
+// class). Skipping u discounts the edge u→v of an insertion the graph
+// already carries; after a deletion u is no parent of v anyway. Levels
+// i+2..k of v are the ones the update disturbs: the A(i+1)-index — and
+// everything below — is unaffected.
+func (x *Index) largestStableLevel(u, v graph.NodeID) int {
 	pu, pp := x.pathU, x.pathP
 	x.path(u, pu)
 	best := -1
 	x.g.EachPred(v, func(p graph.NodeID, _ graph.EdgeKind) {
-		if best == x.k || p == exclude {
+		if best == x.k || p == u {
 			return
 		}
 		x.path(p, pp)
@@ -125,11 +108,6 @@ type akSplitCtx struct {
 	byLevel  [][]*akCompound // queue buckets indexed by level 0..k-1
 	memberOf []*akCompound   // by INodeID; nil when not in a queued compound
 	free     []*akCompound   // compound pool
-
-	// collect, when set (batch mode), gathers every inode whose inter-iedge
-	// predecessor set the phase may change — update targets, hats and
-	// shrunken split originals — into x.frontier for the deferred merge.
-	collect bool
 
 	// seeding scratch
 	seedOld, seedNew []INodeID
@@ -196,33 +174,16 @@ func (c *akSplitCtx) newCompound(level int, ids ...INodeID) *akCompound {
 	return &akCompound{level: level, ids: append([]INodeID(nil), ids...)}
 }
 
-// splitPhase performs the initial singleton splits of v at levels i+2..k
-// and propagates splits level by level until every A(l) is stable with
-// respect to A(l−1) again.
-func (x *Index) splitPhase(v graph.NodeID, i int) {
-	ctx := x.splitter()
-	x.seedSplit(ctx, v, i)
-	ctx.run()
-}
-
 // seedSplit singles v out at levels i+2..k, queuing the resulting compound
 // blocks into ctx. When an inode on v's path is already a member of a
-// queued compound — batch seeding, where several affected dnodes can share
-// path prefixes — the new hat joins that compound instead of opening a new
-// one: the hat's members were carved out of the compound member, so the
+// queued compound — several affected dnodes of one round can share path
+// prefixes — the new hat joins that compound instead of opening a new one:
+// the hat's members were carved out of the compound member, so the
 // compound's union (what the rest of the index is stable against) is
 // unchanged.
 func (x *Index) seedSplit(ctx *akSplitCtx, v graph.NodeID, i int) {
 	old := ctx.seedOld
 	x.path(v, old)
-	if ctx.collect {
-		// The batch operations changed the inter-iedge predecessor sets of
-		// v's inodes at every affected level — even where no hat is carved
-		// (v already singled out), those inodes may now merge with a sibling.
-		for l := i + 2; l <= x.k; l++ {
-			x.frontier = append(x.frontier, old[l])
-		}
-	}
 	// single[l]: I⁽ˡ⁾[v] already contains only v.
 	single := ctx.single
 	single[x.k] = len(x.nodes[old[x.k]].extent) == 1
@@ -237,9 +198,6 @@ func (x *Index) seedSplit(ctx *akSplitCtx, v graph.NodeID, i int) {
 			break // all higher levels are singletons too
 		}
 		newPath[l] = x.newANode(int32(l), x.g.Label(v), newPath[l-1])
-		if ctx.collect {
-			x.frontier = append(x.frontier, newPath[l])
-		}
 		hi = l
 		x.Stats.Splits++
 	}
@@ -443,9 +401,6 @@ func (c *akSplitCtx) threeWay(j int, s1 []graph.NodeID) {
 			if c.deadStamp[r.orig] != c.owEpoch {
 				c.parts = append(c.parts, r.orig)
 			}
-			if c.collect {
-				x.frontier = append(x.frontier, c.parts...)
-			}
 			x.Stats.Splits += len(c.parts) - 1
 			if l == x.k {
 				continue // level-k splits never seed compound blocks
@@ -473,12 +428,9 @@ func (c *akSplitCtx) threeWay(j int, s1 []graph.NodeID) {
 // ---- merge phase ----
 
 // resetCascade readies the shared merge cascade queue (buckets for levels
-// 1..k−1, indexed 0..k−1). The queue is shared by mergePhase,
-// mergeFrontier and AddSubgraph — never active in two of them at once.
+// 0..k−1). The queue is shared by mergeFrontier and AddSubgraph's A(0)
+// fusion — never active in both at once.
 func (x *Index) resetCascade() {
-	if x.cascade == nil {
-		x.cascade = make([][]INodeID, x.k)
-	}
 	for l := range x.cascade {
 		x.cascade[l] = x.cascade[l][:0]
 	}
@@ -488,26 +440,13 @@ func (x *Index) cascadePush(l int, id INodeID) {
 	x.cascade[l] = append(x.cascade[l], id)
 }
 
-// mergePhase attempts, for each affected level j = i+2..k, to merge
-// I⁽ʲ⁾[v] with a refinement-tree sibling that has the same index parents in
-// the A(j−1)-index, then cascades merges through inter-iedge successors
-// level by level.
-func (x *Index) mergePhase(v graph.NodeID, i int) {
-	x.resetCascade()
-	for j := i + 2; j <= x.k; j++ {
-		pj := x.LevelINodeOf(v, j)
-		cand := x.findSiblingCandidate(pj)
-		if cand != NoINode {
-			m := x.mergeANodes(pj, cand)
-			if j <= x.k-1 {
-				x.cascadePush(j, m)
-			}
-		}
-		x.drainMerges()
-	}
-}
-
-func (x *Index) drainMerges() {
+// drainCascade pops queued merged inodes, lowest level first, until the
+// cascade is empty. Merging two inodes changes the index-parent sets of
+// exactly their inter-iedge successors and makes their refinement-tree
+// children siblings, so each popped inode regroups both
+// (mergeAmongChildren, mergeAmongSuccessors), queuing the merges that
+// result in turn.
+func (x *Index) drainCascade() {
 	for {
 		var cur INodeID = NoINode
 		for l := range x.cascade {
@@ -523,6 +462,7 @@ func (x *Index) drainMerges() {
 		if x.nodes[cur] == nil {
 			continue // absorbed by a later merge while queued
 		}
+		x.mergeAmongChildren(cur)
 		x.mergeAmongSuccessors(cur)
 	}
 }
@@ -591,11 +531,10 @@ func (x *Index) mergeAmongSuccessors(i INodeID) {
 
 // mergeAmongChildren groups the refinement-tree children of a freshly
 // merged level-l inode by (label, index parents in A(l)) and merges each
-// group. The per-edge cascade never needs this — a single update leaves at
-// most one mergeable pair per level, found through the inter-iedges — but a
-// batch merge can unite two parents whose children become siblings for the
+// group. Merging two parents can make their children siblings for the
 // first time: a child pair with equal keys need not share an inter-iedge
-// predecessor with the merged parent, so only the child scan finds it.
+// predecessor with the merged parent, so only the child scan finds it. It
+// is also the merge sweep's partner search (see mergeFrontier).
 func (x *Index) mergeAmongChildren(i INodeID) {
 	l := int(x.nodes[i].level)
 	if l >= x.k {
@@ -612,23 +551,6 @@ func (x *Index) mergeAmongChildren(i INodeID) {
 		ngroups = x.internMergeGroup(c, ngroups, false)
 	}
 	x.mergeGroupRun(ngroups, l)
-}
-
-// findSiblingCandidate returns a refinement-tree sibling of I with the same
-// label and the same index parents in the level above, or NoINode. The
-// comparison walks the sorted predecessor lists directly; no keys are
-// materialized.
-func (x *Index) findSiblingCandidate(i INodeID) INodeID {
-	parent := x.nodes[i].parent
-	if parent == NoINode {
-		return NoINode
-	}
-	for _, c := range x.nodes[parent].child {
-		if c != i && x.sameMergeKey(i, c) {
-			return c
-		}
-	}
-	return NoINode
 }
 
 // mergeANodes unions two same-level inodes that share a label, a

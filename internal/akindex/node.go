@@ -9,7 +9,7 @@ import (
 // InsertNode adds a new dnode with the given label and, when parent is not
 // InvalidNode, attaches it below parent. The new node joins its A(0) label
 // class (created if the label is new) and starts as a singleton chain at
-// levels 1..k; the edge-insertion machinery then attaches and merges it.
+// levels 1..k; a maintenance round then attaches and merges it.
 // Returns the new NodeID.
 func (x *Index) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.EdgeKind) (graph.NodeID, error) {
 	if parent != graph.InvalidNode && !x.g.Alive(parent) {
@@ -34,8 +34,9 @@ func (x *Index) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.
 	x.extentAdd(cur, v)
 	x.inodeOf[v] = cur
 	if parent == graph.InvalidNode {
-		x.mergePhase(v, -1)
-		return v, nil
+		// Detached node: no edge op disturbs it, but its chain may still
+		// merge with another parentless one at every level 1..k.
+		return v, x.applyRound(nil, v)
 	}
 	// The edge insertion sees a parentless v (largest stable level −1), so
 	// its split phase is a no-op on the singleton chain and its merge

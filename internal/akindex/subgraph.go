@@ -11,10 +11,10 @@ import (
 // the A(0..k) family, following the 1-index recipe of Figure 6 adapted as
 // §6 suggests: build the subgraph's own minimum family, union it in (fusing
 // the level-0 label classes and cascading the merges that fusion enables),
-// batch-attach the incoming edges of the subgraph root with a single merge
-// phase when the root is alone at every level, and push every remaining
-// cross edge through the ordinary insertion algorithm. Returns the NodeIDs
-// assigned to the subgraph's local nodes.
+// attach the subgraph root by one maintenance round over all its incoming
+// edges, and push every remaining cross edge through the ordinary
+// insertion algorithm. Returns the NodeIDs assigned to the subgraph's
+// local nodes.
 func (x *Index) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 	if sg.NumNodes() == 0 {
 		return nil, nil
@@ -64,6 +64,9 @@ func (x *Index) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 
 	// Fuse A(0): every fresh label class joins the pre-existing class of
 	// the same label, and the fusions cascade upward through the family.
+	// The cascade regroups the children of every merged inode, so the
+	// still-parentless root's chain already merges with any equal
+	// parentless chain here, with or without incoming edges.
 	x.resetCascade()
 	for _, f := range fresh0 {
 		if x.nodes[f] == nil {
@@ -76,27 +79,21 @@ func (x *Index) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 		m := x.mergeANodes(host, f)
 		x.cascadePush(0, m)
 	}
-	x.drainMerges()
+	x.drainCascade()
 
-	// Attach the root. The batched path of Figure 6 applies when the root
-	// is alone in its inode at every level ≥1 (incoming edges then change
-	// no partition); otherwise fall back to ordinary insertions.
+	// Root attachment: one round over the root's incoming edges.
 	root := ids[0]
+	var rootIn []graph.EdgeOp
 	var laterIn []graph.CrossEdge
-	if x.rootAloneAtAllLevels(root) {
-		for _, ce := range sg.CrossIn {
-			if ce.Local != 0 {
-				laterIn = append(laterIn, ce)
-				continue
-			}
-			if err := x.g.AddEdge(ce.Outside, root, ce.Kind); err != nil {
-				return nil, fmt.Errorf("cross edge into subgraph root: %w", err)
-			}
-			x.addEdgeCounts(ce.Outside, root, 1)
+	for _, ce := range sg.CrossIn {
+		if ce.Local != 0 {
+			laterIn = append(laterIn, ce)
+			continue
 		}
-		x.mergePhase(root, -1)
-	} else {
-		laterIn = sg.CrossIn
+		rootIn = append(rootIn, graph.InsertOp(ce.Outside, root, ce.Kind))
+	}
+	if err := x.applyRound(rootIn, graph.InvalidNode); err != nil {
+		return nil, fmt.Errorf("cross edge into subgraph root: %w", err)
 	}
 	for _, ce := range laterIn {
 		if err := x.InsertEdge(ce.Outside, ids[ce.Local], ce.Kind); err != nil {
@@ -109,20 +106,6 @@ func (x *Index) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 		}
 	}
 	return ids, nil
-}
-
-func (x *Index) rootAloneAtAllLevels(root graph.NodeID) bool {
-	if len(x.nodes[x.inodeOf[root]].extent) != 1 {
-		return false
-	}
-	id := x.inodeOf[root]
-	for l := x.k; l > 1; l-- {
-		id = x.nodes[id].parent
-		if len(x.nodes[id].child) != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // DeleteSubgraph removes the subtree rooted at root (tree edges only when

@@ -137,3 +137,37 @@ func TestAkSubgraphChurn(t *testing.T) {
 	}
 	mustValid(t, x)
 }
+
+// Two identical detached islands must share inodes at every level once the
+// second is added: with no incoming edge, the A(0) fusion cascade is what
+// merges the parentless root chain with the first island's.
+func TestAkTwoIdenticalIslandsMerge(t *testing.T) {
+	g, _, _, _ := gtest.Fig2()
+	x := Build(g, 3)
+	mk := func() *graph.Subgraph {
+		return &graph.Subgraph{
+			Labels:    []graph.LabelID{g.Labels().Intern("isl"), g.Labels().Intern("leaf"), g.Labels().Intern("leaf")},
+			Values:    []string{"", "", ""},
+			Edges:     [][2]int32{{0, 1}, {1, 2}},
+			EdgeKinds: []graph.EdgeKind{graph.Tree, graph.Tree},
+		}
+	}
+	if _, err := x.AddSubgraph(mk()); err != nil {
+		t.Fatal(err)
+	}
+	mustMinimum(t, x, "first island")
+	var sizes []int
+	for l := 0; l <= x.K(); l++ {
+		sizes = append(sizes, x.SizeAt(l))
+	}
+	if _, err := x.AddSubgraph(mk()); err != nil {
+		t.Fatal(err)
+	}
+	mustValid(t, x)
+	mustMinimum(t, x, "second island")
+	for l := 0; l <= x.K(); l++ {
+		if x.SizeAt(l) != sizes[l] {
+			t.Errorf("level %d: %d inodes after the second island, want %d", l, x.SizeAt(l), sizes[l])
+		}
+	}
+}

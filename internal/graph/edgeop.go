@@ -87,6 +87,9 @@ func (g *Graph) ValidateOps(ops []EdgeOp) error {
 		} else if !exists {
 			return reject(i, ErrNoEdge)
 		}
+		if i == len(ops)-1 {
+			break // no later op reads the overlay
+		}
 		if overlay == nil {
 			overlay = make(map[[2]NodeID]int8)
 		}

@@ -6,12 +6,14 @@ import (
 	"structix/internal/graph"
 )
 
-// ApplyBatch applies a sequence of edge updates as one maintenance round:
-// every operation is first ingested into the data graph and the iedge
-// counts, collecting the distinct dnodes whose index-parent block set
-// changed; then a single split phase runs over the deduplicated
-// compound-block worklist; finally one deferred minimization pass merges
-// until the index is minimal again.
+// ApplyBatch applies a sequence of edge updates as one maintenance round —
+// the only maintenance driver of the index: every operation is first
+// ingested into the data graph and the iedge counts, collecting the
+// distinct dnodes whose index-parent block set changed; then a single split
+// phase runs over the deduplicated compound-block worklist; finally one
+// deferred minimization pass merges until the index is minimal again.
+// Figure 3 is this round over one op: InsertEdge, DeleteEdge, the Note and
+// node entry points and AddSubgraph's root attachment all run it.
 //
 // The result is a valid minimal 1-index, and on acyclic graphs the unique
 // minimum — identical to applying the operations one at a time — at a
@@ -35,74 +37,96 @@ func (x *Index) ApplyBatch(ops []graph.EdgeOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	return x.applyRound(ops, graph.InvalidNode, true)
+}
+
+// applyRound validates ops and runs one maintenance round over them. A
+// dnode also, when not InvalidNode, joins the affected set whatever the
+// ops do: a new parentless node or subgraph root, which no edge op
+// disturbs but which may merge with an existing inode. merge false skips
+// the merge phase (the propagate baseline).
+func (x *Index) applyRound(ops []graph.EdgeOp, also graph.NodeID, merge bool) error {
 	if err := x.g.ValidateOps(ops); err != nil {
 		return err
 	}
+	x.beginRound()
+	for _, op := range ops {
+		var err error
+		if op.Insert {
+			err = x.g.AddEdge(op.U, op.V, op.Kind)
+		} else {
+			err = x.g.DeleteEdge(op.U, op.V)
+		}
+		if err != nil {
+			panic("oneindex: validated op failed: " + err.Error())
+		}
+		x.ingest(op)
+	}
+	if also != graph.InvalidNode {
+		x.affect(also)
+	}
+	x.finishRound(merge)
+	return nil
+}
+
+// beginRound opens a maintenance round: a fresh epoch invalidates every
+// previous round's dedup stamps.
+func (x *Index) beginRound() {
 	x.Stats.Batches++
-	// A fresh batch epoch invalidates every previous batch's dedup stamps.
 	x.batchEpoch++
 	if x.batchEpoch == 0 {
 		clear(x.batchStamp[:cap(x.batchStamp)])
 		x.batchEpoch = 1
 	}
-	for _, op := range ops {
-		if op.Insert {
-			// Per-dnode affectedness test: v's index-parent *block* set
-			// changes iff v has no parent in I[u] yet. (The per-edge path
-			// tests the iedge I[u]→I[v] instead, which is equivalent only
-			// while the index is stable — mid-batch it is not.)
-			had := x.hasParentIn(op.V, x.inodeOf[op.U])
-			if err := x.g.AddEdge(op.U, op.V, op.Kind); err != nil {
-				panic("oneindex: validated op failed: " + err.Error())
-			}
-			x.addIEdgeCount(x.inodeOf[op.U], x.inodeOf[op.V], 1)
-			x.noteBatchOp(op.V, had)
-		} else {
-			iu := x.inodeOf[op.U]
-			if err := x.g.DeleteEdge(op.U, op.V); err != nil {
-				panic("oneindex: validated op failed: " + err.Error())
-			}
-			x.addIEdgeCount(iu, x.inodeOf[op.V], -1)
-			x.noteBatchOp(op.V, x.hasParentIn(op.V, iu))
-		}
-	}
-	x.finishBatch()
-	return nil
 }
 
-// noteBatchOp records one ingested operation: an unchanged index-parent set
-// is a no-change op; otherwise the sink joins the batch's affected set
-// (deduplicated through the epoch-stamped batchStamp vector).
-func (x *Index) noteBatchOp(v graph.NodeID, unchanged bool) {
-	if unchanged {
+// ingest records one op that the graph already carries: it moves the iedge
+// count, and when the op changed v's index-parent block set — v has no
+// parent in I[u] other than u itself — v joins the round's affected set.
+// The test reads the pre-round partition, which stays fixed until
+// finishRound. When no other dedge runs from I[u] to I[v] it needs no
+// scan of v's parents; on a stable index it is Figure 3's iedge test.
+func (x *Index) ingest(op graph.EdgeOp) {
+	iu := x.inodeOf[op.U]
+	delta := int32(-1)
+	if op.Insert {
+		delta = 1
+	}
+	others := x.addIEdgeCount(iu, x.inodeOf[op.V], delta) // dedges I[u]→I[v] besides u→v
+	if op.Insert {
+		others--
+	}
+	kept := false
+	if others > 0 {
+		x.g.EachPred(op.V, func(p graph.NodeID, _ graph.EdgeKind) {
+			if !kept && p != op.U && x.inodeOf[p] == iu {
+				kept = true
+			}
+		})
+	}
+	if kept {
 		x.Stats.UpdatesNoChange++
 		return
 	}
 	x.Stats.UpdatesMaintained++
+	x.affect(op.V)
+}
+
+// affect adds v to the round's affected set, deduplicated through the
+// epoch-stamped batchStamp vector.
+func (x *Index) affect(v graph.NodeID) {
 	if x.batchStamp[v] != x.batchEpoch {
 		x.batchStamp[v] = x.batchEpoch
 		x.batchAffected = append(x.batchAffected, v)
 	}
 }
 
-// hasParentIn reports whether v currently has a parent inside inode iu.
-func (x *Index) hasParentIn(v graph.NodeID, iu INodeID) bool {
-	found := false
-	x.g.EachPred(v, func(p graph.NodeID, _ graph.EdgeKind) {
-		if !found && x.inodeOf[p] == iu {
-			found = true
-		}
-	})
-	return found
-}
-
-// finishBatch runs the two deferred phases over the accumulated affected
-// set: one split phase seeded with every affected dnode, then one merge
-// pass searching from the affected dnodes' inodes. The batch scratch
-// (affected set, frontier) is reset unconditionally so no state survives
-// into the next batch; the dedup stamps expire with the epoch on their own.
-func (x *Index) finishBatch() {
-	defer x.resetBatchScratch()
+// finishRound runs the two deferred phases over the accumulated affected
+// set: one split phase seeded with every affected dnode, then (with merge)
+// one merge pass searching from the affected dnodes' inodes. Truncating the
+// affected set ends the round; the dedup stamps expire with the epoch on
+// their own.
+func (x *Index) finishRound(merge bool) {
 	if len(x.batchAffected) == 0 {
 		return
 	}
@@ -112,24 +136,21 @@ func (x *Index) finishBatch() {
 		s.seed(v)
 	}
 	s.run()
-	x.noteIntermediate()
-	x.mergeFrontier()
-}
-
-// resetBatchScratch truncates the per-batch scratch: the affected set and
-// the merge frontier. The dedup stamps need no clearing — the next batch's
-// epoch bump invalidates them wholesale.
-func (x *Index) resetBatchScratch() {
+	x.Stats.LastIntermediate = x.numLive
+	x.Stats.MaxIntermediate = max(x.Stats.MaxIntermediate, x.numLive)
+	if merge {
+		x.mergeFrontier()
+	}
 	x.batchAffected = x.batchAffected[:0]
-	x.frontier = x.frontier[:0]
 }
 
-// mergeFrontier is the deferred minimization pass — the batch form of
-// mergePhase, whose Lemma 3 argument it extends from one affected dnode to
-// many. The index was minimal before the batch, and after the split phase
-// every affected dnode v sits alone in an inode (seed singled it out; splits
-// only move dnodes into fresh inodes). Every other inode X is a part of one
-// pre-batch inode K whose members kept their pre-batch parent inodes, so the
+// mergeFrontier is the round's merge phase. With one affected dnode v it is
+// Figure 3's: by the proof of Lemma 3 only I[v]'s merging can have been
+// enabled by the update; the argument extends to many affected dnodes. The
+// index was minimal before the round, and after the split phase every
+// affected dnode v sits alone in an inode (seed singled it out; splits only
+// move dnodes into fresh inodes). Every other inode X is a part of one
+// pre-round inode K whose members kept their pre-round parent inodes, so the
 // parts containing X's parents come from exactly K's old parent set; as
 // parts of distinct inodes are disjoint, two such inodes with equal labels
 // and parent sets would come from one K — but the split phase separates
@@ -163,6 +184,11 @@ func (x *Index) mergeFrontier() {
 			}
 			i = x.merge(i, j)
 			merged = true
+			if len(f) == 1 {
+				// Non-frontier inodes are pairwise unmergeable, so a lone
+				// frontier inode has at most one partner (Figure 3).
+				break
+			}
 		}
 		if merged {
 			queue = append(queue, i)

@@ -19,9 +19,12 @@
 // pool with their slice capacity intact, so steady-state maintenance churn
 // allocates nothing.
 //
-// The maintenance entry points are InsertEdge, DeleteEdge, AddSubgraph and
-// DeleteSubgraph. Each keeps the index a valid, minimal 1-index (Lemma 3);
-// on acyclic graphs the result is the unique minimum 1-index (Theorem 1).
+// The maintenance entry points are InsertEdge, DeleteEdge, ApplyBatch, the
+// node operations, AddSubgraph and DeleteSubgraph. Each runs one or more
+// rounds of ApplyBatch's split/merge maintenance — InsertEdge and
+// DeleteEdge are the round over one op, which is Figure 3 — and keeps the
+// index a valid, minimal 1-index (Lemma 3); on acyclic graphs the result
+// is the unique minimum 1-index (Theorem 1).
 // The split-only variants (used by the propagate baseline of Kaushik et
 // al.) keep the index valid but not minimal.
 package oneindex
@@ -80,7 +83,7 @@ type Index struct {
 	// dnode's split marks (bits 1 and 2) are valid only when the stamp's
 	// epoch part matches splitEpoch, so a new split step invalidates every
 	// mark by bumping the epoch — no clearing pass. batchStamp plays the
-	// same role for ApplyBatch's affected-dnode dedup.
+	// same role for the maintenance round's affected-dnode dedup.
 	markStamp  []uint64 // epoch<<2 | split mark bits
 	splitEpoch uint64
 	batchStamp []uint32
@@ -93,9 +96,9 @@ type Index struct {
 	split *splitCtx
 
 	// batchAffected collects the dnodes singled out by an in-flight
-	// ApplyBatch (deduplicated via batchStamp); frontier holds their
-	// inodes after the split phase, where the deferred merge pass searches
-	// for partners.
+	// maintenance round (deduplicated via batchStamp); frontier holds their
+	// inodes after the split phase, where the merge pass searches for
+	// partners.
 	batchAffected []graph.NodeID
 	frontier      []INodeID
 
@@ -164,7 +167,7 @@ type Stats struct {
 	MaxIntermediate   int // max #inodes observed between split and merge phase
 	UpdatesNoChange   int // updates that left the index untouched
 	UpdatesMaintained int // updates that ran the split/merge machinery
-	Batches           int // ApplyBatch calls
+	Batches           int // maintenance rounds (ApplyBatch calls and one-op rounds)
 	MergeProbes       int // candidate inodes the merge search compared or keyed
 }
 
@@ -432,12 +435,16 @@ func (x *Index) detachDNode(v graph.NodeID) {
 	in.extent = m[:len(m)-1]
 }
 
-func (x *Index) addIEdgeCount(from, to INodeID, delta int32) {
+// addIEdgeCount moves the dedge count of iedge from→to by delta and
+// returns the new count.
+func (x *Index) addIEdgeCount(from, to INodeID, delta int32) int32 {
 	x.markDirty(from) // the snapshot view carries from's successor list
-	if x.inodes[from].succ.Add(to, delta) < 0 {
+	n := x.inodes[from].succ.Add(to, delta)
+	if n < 0 {
 		panic("oneindex: negative iedge count")
 	}
 	x.inodes[to].pred.Add(from, delta)
+	return n
 }
 
 // moveDNode reassigns dnode w from its current inode to inode dst, updating

@@ -7,9 +7,10 @@ import (
 )
 
 // InsertEdge adds the dedge u→v to the data graph and incrementally
-// maintains the index with the split/merge algorithm of Figure 3. If the
-// index was minimal before the call it is minimal after it (Lemma 3), and
-// minimum if the graph is acyclic (Theorem 1).
+// maintains the index with the split/merge algorithm of Figure 3 — the
+// maintenance round of ApplyBatch over this one op. If the index was
+// minimal before the call it is minimal after it (Lemma 3), and minimum if
+// the graph is acyclic (Theorem 1).
 func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
 	return x.insertEdge(u, v, kind, true)
 }
@@ -26,43 +27,21 @@ func (x *Index) InsertEdgeSplitOnly(u, v graph.NodeID, kind graph.EdgeKind) erro
 // several indexes over one graph: mutate the graph through one index (or
 // directly) and Note the change on the others.
 func (x *Index) NoteEdgeInserted(u, v graph.NodeID, kind graph.EdgeKind) {
-	x.noteInsert(u, v, true)
+	x.noteOp(graph.InsertOp(u, v, kind), true)
 }
 
 // NoteEdgeDeleted maintains the index for a dedge u→v that the caller has
 // already removed from the shared data graph.
 func (x *Index) NoteEdgeDeleted(u, v graph.NodeID) {
-	x.noteDelete(u, v, true)
+	x.noteOp(graph.DeleteOp(u, v), true)
 }
 
 func (x *Index) insertEdge(u, v graph.NodeID, kind graph.EdgeKind, merge bool) error {
 	if err := x.g.AddEdge(u, v, kind); err != nil {
 		return err
 	}
-	x.noteInsert(u, v, merge)
+	x.noteOp(graph.InsertOp(u, v, kind), merge)
 	return nil
-}
-
-// noteInsert updates the index for the (already present) dedge u→v. The
-// index's own iedge counts do not yet include the edge, so the covered-
-// iedge fast path still reads pre-insertion state.
-func (x *Index) noteInsert(u, v graph.NodeID, merge bool) {
-	iu, iv := x.inodeOf[u], x.inodeOf[v]
-	hadIEdge := x.inodes[iu].succ.Contains(iv)
-	x.addIEdgeCount(iu, iv, 1)
-	// If the iedge I[u]→I[v] already existed then, by stability, v already
-	// had a parent in I[u]: no index-parent set changed and the index is
-	// untouched.
-	if hadIEdge {
-		x.Stats.UpdatesNoChange++
-		return
-	}
-	x.Stats.UpdatesMaintained++
-	x.splitPhase(v)
-	x.noteIntermediate()
-	if merge {
-		x.mergePhase(v)
-	}
 }
 
 // DeleteEdge removes the dedge u→v and incrementally maintains the index
@@ -87,37 +66,16 @@ func (x *Index) deleteEdge(u, v graph.NodeID, merge bool) error {
 	if err := x.g.DeleteEdge(u, v); err != nil {
 		return err
 	}
-	x.noteDelete(u, v, merge)
+	x.noteOp(graph.DeleteOp(u, v), merge)
 	return nil
 }
 
-// noteDelete updates the index for the (already removed) dedge u→v.
-func (x *Index) noteDelete(u, v graph.NodeID, merge bool) {
-	iu := x.inodeOf[u]
-	x.addIEdgeCount(iu, x.inodeOf[v], -1)
-	still := false
-	x.g.EachPred(v, func(p graph.NodeID, _ graph.EdgeKind) {
-		if x.inodeOf[p] == iu {
-			still = true
-		}
-	})
-	if still {
-		x.Stats.UpdatesNoChange++
-		return
-	}
-	x.Stats.UpdatesMaintained++
-	x.splitPhase(v)
-	x.noteIntermediate()
-	if merge {
-		x.mergePhase(v)
-	}
-}
-
-func (x *Index) noteIntermediate() {
-	x.Stats.LastIntermediate = x.numLive
-	if x.numLive > x.Stats.MaxIntermediate {
-		x.Stats.MaxIntermediate = x.numLive
-	}
+// noteOp runs one maintenance round over a single op the graph already
+// carries.
+func (x *Index) noteOp(op graph.EdgeOp, merge bool) {
+	x.beginRound()
+	x.ingest(op)
+	x.finishRound(merge)
 }
 
 // ---- split phase ----
@@ -189,20 +147,12 @@ func (s *splitCtx) newCompound(ids ...INodeID) *compound {
 	return &compound{ids: append([]INodeID(nil), ids...)}
 }
 
-// splitPhase singles v out of its inode and propagates splits in the style
-// of Paige–Tarjan until the index partition is self-stable again.
-func (x *Index) splitPhase(v graph.NodeID) {
-	s := x.splitter()
-	s.seed(v)
-	s.run()
-}
-
 // seed singles v out of its inode (when it has company) and queues the
 // resulting compound block. When the inode is already a member of a queued
-// compound — which happens during batch seeding, where several affected
-// dnodes can share an inode — the fresh singleton joins that compound
-// instead: its union is unchanged, so the compound invariant (the rest of
-// the index is stable with respect to the union) is preserved.
+// compound — several affected dnodes of one round can share an inode — the
+// fresh singleton joins that compound instead: its union is unchanged, so
+// the compound invariant (the rest of the index is stable with respect to
+// the union) is preserved.
 func (s *splitCtx) seed(v graph.NodeID) {
 	x := s.x
 	iv := x.inodeOf[v]
@@ -412,20 +362,6 @@ func resizeI32(s []int32, n int) []int32 {
 }
 
 // ---- merge phase ----
-
-// mergePhase starts from I[v] — the only inode whose merging can have been
-// enabled by the update (see the proof of Lemma 3) — and cascades merges
-// through index successors until no two inodes share a label and an
-// index-parent set.
-func (x *Index) mergePhase(v graph.NodeID) {
-	iv := x.inodeOf[v]
-	j := x.findMergeCandidate(iv)
-	if j == NoINode {
-		return
-	}
-	x.mergeQueue = append(x.mergeQueue[:0], x.merge(iv, j))
-	x.cascadeMerges()
-}
 
 // cascadeMerges propagates merges downstream from the queued inodes in
 // x.mergeQueue (consumed by the call): merging two inodes changes the

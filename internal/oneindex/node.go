@@ -9,8 +9,8 @@ import (
 // InsertNode adds a new dnode with the given label and, when parent is not
 // InvalidNode, attaches it below parent with an edge of the given kind —
 // the node-insertion operation §1 describes as built on edge insertion.
-// The new node starts in a fresh singleton inode; the merge machinery then
-// coalesces it with an existing inode when one has the same label and
+// The new node starts in a fresh singleton inode; the maintenance round
+// then coalesces it with an existing inode when one has the same label and
 // index parents. Returns the new NodeID.
 func (x *Index) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.EdgeKind) (graph.NodeID, error) {
 	if parent != graph.InvalidNode && !x.g.Alive(parent) {
@@ -21,12 +21,12 @@ func (x *Index) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.
 	in := x.newINode(label)
 	x.attachDNode(v, in)
 	if parent == graph.InvalidNode {
-		// Detached node: it may still merge with another parentless inode.
-		x.mergePhase(v)
-		return v, nil
+		// Detached node: no edge op disturbs it, but it may still merge
+		// with another parentless inode.
+		return v, x.applyRound(nil, v, true)
 	}
-	// The edge-insertion algorithm does the rest: the split phase is a
-	// no-op on a singleton and the merge phase finds the sibling, if any.
+	// The edge-insertion round does the rest: the split phase is a no-op
+	// on a singleton and the merge phase finds the sibling, if any.
 	if err := x.InsertEdge(parent, v, kind); err != nil {
 		return graph.InvalidNode, err
 	}

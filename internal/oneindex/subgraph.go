@@ -9,9 +9,10 @@ import (
 
 // AddSubgraph grafts a rooted subgraph into the data graph and maintains
 // the index with the batched algorithm of Figure 6: build the 1-index of
-// the subgraph alone, union it with the current index, add all incoming
-// dedges to the subgraph root followed by a single merge phase, then insert
-// every remaining cross edge with the ordinary edge-insertion algorithm.
+// the subgraph alone, union it with the current index, attach the
+// subgraph root by one maintenance round over all its incoming dedges,
+// then insert every remaining cross edge with the ordinary edge-insertion
+// algorithm.
 // It returns the NodeIDs assigned to the subgraph's local nodes.
 //
 // The guarantees of Corollary 1 apply: the result is minimal, and minimum
@@ -21,8 +22,8 @@ func (x *Index) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 }
 
 // AddSubgraphSplitOnly is AddSubgraph with every merge suppressed: cross
-// edges are inserted with the propagate algorithm and the batched root
-// merge is skipped. It reproduces the second alternative of the Figure 12
+// edges are inserted with the propagate algorithm and the root round skips
+// its merge phase. It reproduces the second alternative of the Figure 12
 // experiment (subgraph addition via propagate). The index stays valid but
 // can grow beyond minimal.
 func (x *Index) AddSubgraphSplitOnly(sg *graph.Subgraph) ([]graph.NodeID, error) {
@@ -64,22 +65,22 @@ func (x *Index) addSubgraph(sg *graph.Subgraph, merge bool) ([]graph.NodeID, err
 		x.addIEdgeCount(x.inodeOf[ids[e[0]]], x.inodeOf[ids[e[1]]], 1)
 	}
 
+	// Root attachment: one round over the root's incoming dedges. The root
+	// sits alone in its inode, so the split phase has nothing to do; the
+	// merge phase runs even when no edge enters the root, which may still
+	// join another parentless inode.
 	root := ids[0]
-	// Batched root attachment: incoming dedges to the root need no split
-	// (its inode is a singleton), so add them all and merge once.
+	var rootIn []graph.EdgeOp
 	var laterIn []graph.CrossEdge
 	for _, ce := range sg.CrossIn {
 		if ce.Local != 0 {
 			laterIn = append(laterIn, ce)
 			continue
 		}
-		if err := x.g.AddEdge(ce.Outside, root, ce.Kind); err != nil {
-			return nil, fmt.Errorf("cross edge into subgraph root: %w", err)
-		}
-		x.addIEdgeCount(x.inodeOf[ce.Outside], x.inodeOf[root], 1)
+		rootIn = append(rootIn, graph.InsertOp(ce.Outside, root, ce.Kind))
 	}
-	if merge {
-		x.mergePhase(root)
+	if err := x.applyRound(rootIn, root, merge); err != nil {
+		return nil, fmt.Errorf("cross edge into subgraph root: %w", err)
 	}
 
 	// Every other cross edge goes through the ordinary insertion algorithm.

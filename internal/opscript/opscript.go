@@ -237,11 +237,6 @@ var (
 	_ EdgeTarget = (*akindex.Index)(nil)
 )
 
-// ApplyShared runs an edge-update script against *several* indexes that
-// share one data graph: each graph mutation happens exactly once, and
-// every index is maintained incrementally through its Note entry points.
-// Only Insert and Delete operations are supported in shared mode; node and
-// subtree operations require the single-index Apply.
 // guardOp rejects an op naming a dead (or never-allocated) node before it
 // reaches the graph layer: the graph's mutators treat invalid ids as caller
 // bugs and panic, but scripts arrive from untrusted sources (files, the
@@ -260,6 +255,11 @@ func guardOp(g *graph.Graph, op Op) error {
 	return nil
 }
 
+// ApplyShared runs an edge-update script against *several* indexes that
+// share one data graph: each graph mutation happens exactly once, and
+// every index is maintained incrementally through its Note entry points.
+// Only Insert and Delete operations are supported in shared mode; node and
+// subtree operations require the single-index Apply.
 func ApplyShared(g *graph.Graph, ops []Op, targets ...EdgeTarget) (Result, error) {
 	var res Result
 	for i, op := range ops {
