@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
+	$(GO) test -fuzz=FuzzRefine -fuzztime=10s ./internal/partition/
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -139,12 +140,11 @@ loc:
 # publication allocates must follow what it dirtied, not the graph; not
 # race-enabled), every example program end to end (`make examples`), the
 # xsiserve smoke (which covers a 4-shard boot), the replication smoke
-# (leader + 2 replicas, min_epoch read-back), short
-# path-parser, extent-decoder and frame-reader fuzz passes, the
-# maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps over both index
-# families), the shard-,
-# repl- and scale-bench smokes, and a one-iteration smoke pass over every
-# benchmark in the module.
+# (leader + 2 replicas, min_epoch read-back), short path-parser,
+# extent-decoder, frame-reader and refinement-engine (FuzzRefine) fuzz
+# passes, the maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps
+# over both index families), the shard-, repl- and scale-bench smokes,
+# and a one-iteration smoke pass over every benchmark in the module.
 ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
@@ -159,6 +159,7 @@ ci: build vet
 	$(GO) run ./cmd/xsibench -exp repl
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
+	$(GO) test -fuzz=FuzzRefine -fuzztime=10s ./internal/partition/
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=10s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=10s ./internal/akindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/oneindex/

@@ -98,7 +98,7 @@ func TestDeepAkEqualsBisimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := gtest.RandomDAG(rng, 60, 30)
 	x := Build(g, 12)
-	fix := partition.BisimFixpoint(g)
+	fix := partition.CoarsestStable(g, partition.ByLabel(g))
 	if !partition.Equal(x.ToPartition(12), fix) {
 		// Only guaranteed if the fixpoint is reached by level 12; check.
 		lv := partition.KBisimLevels(g, 12)

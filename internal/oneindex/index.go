@@ -172,8 +172,9 @@ type Stats struct {
 }
 
 // Build constructs the minimum 1-index of g from scratch: the coarsest
-// label-pure self-stable partition (Paige–Tarjan construction), with its
-// inodes numbered breadth-first from the root (see numberBreadthFirst).
+// label-pure self-stable partition (partition.CoarsestStable, the
+// signature-refinement engine run to its fixpoint), with its inodes
+// numbered breadth-first from the root (see numberBreadthFirst).
 func Build(g *graph.Graph) *Index {
 	p := partition.CoarsestStable(g, partition.ByLabel(g))
 	numberBreadthFirst(g, p)

@@ -7,11 +7,12 @@ import (
 )
 
 // TestKBisimLevelsAllocsPerNode gates the per-node allocation cost of the
-// refinement engine. bisimStep interns integer signatures into a pooled
-// arena-backed table, so a full KBisimLevels run allocates the result
-// partitions and a bounded amount of scratch growth — far below one object
-// per node. (The string-keyed signature scheme allocated one interned key
-// per node per level: ≥ k·n objects on the same input.)
+// refinement engine. The engine keeps its adjacency, block ranges and
+// arena-backed signature table in a pooled refiner, so a full KBisimLevels
+// run allocates the result partitions and a bounded amount of scratch
+// growth — far below one object per node. (The string-keyed signature
+// scheme allocated one interned key per node per level: ≥ k·n objects on
+// the same input.)
 func TestKBisimLevelsAllocsPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs the full-size graph")

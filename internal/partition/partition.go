@@ -1,9 +1,11 @@
-// Package partition implements the partition-refinement algorithms that
-// underlie structural-index construction, one engine per job: the worklist
-// coarsest-stable refinement (used to build the minimum 1-index) and the
-// level-by-level k-bisimulation construction (used to build the minimum
-// A(0)..A(k) indexes). NaiveCoarsestStable, RefineWrt and BisimFixpoint
-// are the references the tests compare them with.
+// Package partition implements the partition refinement that underlies
+// structural-index construction: one signature-refinement engine (see
+// refiner) whose round splits every block by its members' sets of parent
+// blocks. KBisimLevels runs k rounds from the label partition for the
+// minimum A(0)..A(k) indexes (Definition 4); CoarsestStable runs them to
+// the fixpoint, which from the label partition is the minimum 1-index
+// (Lemma 1). NaiveCoarsestStable is the reference the tests compare it
+// with.
 //
 // Terminology follows the paper (§3): a block (inode extent) I is stable
 // with respect to a block J if I ⊆ Succ(J) or I ∩ Succ(J) = ∅. A partition

@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -123,14 +125,19 @@ func TestCoarsestStableMatchesNaive(t *testing.T) {
 	}
 }
 
+// The bisimulation fixpoint is the coarsest stable refinement of the
+// label partition: CoarsestStable must equal the naive reference and the
+// k-bisimulation levels taken past their fixpoint.
 func TestCoarsestStableMatchesBisimFixpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 20; i++ {
 		g := gtest.RandomCyclic(rng, 80, 60)
 		a := CoarsestStable(g, ByLabel(g))
-		b := BisimFixpoint(g)
-		if !Equal(a, b) {
-			t.Fatalf("iter %d: CoarsestStable disagrees with bisimulation fixpoint", i)
+		if b := NaiveCoarsestStable(g, ByLabel(g)); !Equal(a, b) {
+			t.Fatalf("iter %d: CoarsestStable disagrees with the naive reference", i)
+		}
+		if deep := KBisimLevels(g, 100)[100]; !samePartition(a, deep) {
+			t.Fatalf("iter %d: CoarsestStable disagrees with A(100)", i)
 		}
 	}
 }
@@ -160,28 +167,40 @@ func TestKBisimLevels(t *testing.T) {
 }
 
 // A(i) levels must be *minimum*: coarsest among refinements of A(i-1)
-// stable wrt A(i-1). Cross-check against RefineWrt.
+// stable wrt A(i-1). Cross-check each level, id for id, against the
+// test-local one-level step.
 func TestKBisimMatchesRefineWrt(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 10; iter++ {
 		g := gtest.RandomCyclic(rng, 50, 30)
 		levels := KBisimLevels(g, 4)
 		for i := 1; i <= 4; i++ {
-			want := RefineWrt(g, levels[i-1], levels[i-1])
-			if !Equal(levels[i], want) {
-				t.Fatalf("iter %d level %d: KBisimLevels disagrees with RefineWrt", iter, i)
+			if want := refStep(g, levels[i-1]); !samePartition(levels[i], want) {
+				t.Fatalf("iter %d level %d: KBisimLevels disagrees with the one-level step", iter, i)
 			}
 		}
 	}
 }
 
+// Iterating the one-level step to its fixpoint gives the maximal
+// bisimulation: deep KBisimLevels and the naive coarsest stable refinement
+// must both reach it.
 func TestBisimFixpointEqualsDeepKBisim(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gtest.RandomCyclic(rng, 60, 40)
-	fix := BisimFixpoint(g)
-	deep := KBisimLevels(g, 100) // far beyond the fixpoint depth
-	if !Equal(fix, deep[100]) {
-		t.Errorf("BisimFixpoint != A(100)")
+	fix := ByLabel(g)
+	for {
+		next := refStep(g, fix)
+		if next.NumBlocks() == fix.NumBlocks() {
+			break
+		}
+		fix = next
+	}
+	if deep := KBisimLevels(g, 100); !samePartition(fix, deep[100]) {
+		t.Errorf("bisimulation fixpoint != A(100)")
+	}
+	if !Equal(fix, NaiveCoarsestStable(g, ByLabel(g))) {
+		t.Errorf("bisimulation fixpoint != NaiveCoarsestStable")
 	}
 }
 
@@ -282,58 +301,119 @@ func TestCoarsestStableIsCoarsest(t *testing.T) {
 	}
 }
 
+// Every k-bisimulation level is stable with respect to, and refines, the
+// level before it — checked by IsStableWrt's marking pass — and equals the
+// test-local one-level step on it.
 func TestRefineWrtAgainstNaiveStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 10; i++ {
 		g := gtest.RandomCyclic(rng, 40, 25)
-		base := ByLabel(g)
-		ref := RefineWrt(g, base, base)
-		if !IsStableWrt(g, ref, base) {
-			t.Fatalf("iter %d: RefineWrt result not stable wrt base", i)
-		}
-		if !IsRefinementOf(ref, base) {
-			t.Fatalf("iter %d: RefineWrt result not a refinement", i)
+		levels := KBisimLevels(g, 3)
+		for l := 1; l <= 3; l++ {
+			if !IsStableWrt(g, levels[l], levels[l-1]) {
+				t.Fatalf("iter %d: A(%d) not stable wrt A(%d)", i, l, l-1)
+			}
+			if !IsRefinementOf(levels[l], levels[l-1]) {
+				t.Fatalf("iter %d: A(%d) not a refinement of A(%d)", i, l, l-1)
+			}
+			if !Equal(levels[l], refStep(g, levels[l-1])) {
+				t.Fatalf("iter %d: A(%d) differs from the one-level step", i, l)
+			}
 		}
 	}
 }
 
-type namedGraph struct {
+// refStep is the test-local reference for one refinement round: nodes
+// grouped by their block in p and the sorted set of their parents'
+// blocks, keyed through a map, numbered by smallest member.
+func refStep(g *graph.Graph, p *Partition) *Partition {
+	out := NewPartition(graph.NodeID(p.Len()))
+	ids := map[string]int32{}
+	for v := 0; v < p.Len(); v++ {
+		if p.Block(graph.NodeID(v)) == NoBlock {
+			continue
+		}
+		parents := map[int32]bool{}
+		g.EachPred(graph.NodeID(v), func(u graph.NodeID, _ graph.EdgeKind) {
+			if b := p.Block(u); b != NoBlock {
+				parents[b] = true
+			}
+		})
+		set := make([]int, 0, len(parents))
+		for b := range parents {
+			set = append(set, int(b))
+		}
+		sort.Ints(set)
+		key := fmt.Sprint(p.Block(graph.NodeID(v)), set)
+		id, ok := ids[key]
+		if !ok {
+			id = int32(len(ids))
+			ids[key] = id
+		}
+		out.SetBlock(graph.NodeID(v), id)
+	}
+	out.SetNumBlocks(len(ids))
+	return out
+}
+
+// samePartition reports whether p and q assign every node the same block
+// id: the engine's numbering, not just its grouping.
+func samePartition(p, q *Partition) bool {
+	if p.Len() != q.Len() || p.NumBlocks() != q.NumBlocks() {
+		return false
+	}
+	for v := 0; v < p.Len(); v++ {
+		if p.Block(graph.NodeID(v)) != q.Block(graph.NodeID(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// benchRung is one construction benchmark input. Its graph is generated
+// on first use and kept for the rest of the process, so a -bench filter
+// that skips the rung never builds it.
+type benchRung struct {
 	name string
+	long bool // skipped under -short
+	gen  func() *graph.Graph
+	once sync.Once
 	g    *graph.Graph
 }
 
-// benchGraphs are the construction benchmarks' inputs: a random cyclic
-// graph and the served XMark shapes, xmark-d8 and xmark-f1 (f1 skipped
-// under -short).
-func benchGraphs() []namedGraph {
-	graphs := []namedGraph{
-		{"cyclic5k", gtest.RandomCyclic(rand.New(rand.NewSource(1)), 5000, 3000)},
-		{"d8", datagen.XMark(datagen.DefaultXMark(8, 1, 1))},
+// benchRungs are the construction benchmarks' inputs: a random cyclic
+// graph and the XMark ladder, xmark-d8 and xmark-f1, f2, f4 and f8 (the
+// f rungs skipped under -short).
+var benchRungs = []*benchRung{
+	{name: "cyclic5k", gen: func() *graph.Graph { return gtest.RandomCyclic(rand.New(rand.NewSource(1)), 5000, 3000) }},
+	{name: "d8", gen: func() *graph.Graph { return datagen.XMark(datagen.DefaultXMark(8, 1, 1)) }},
+	{name: "f1", long: true, gen: func() *graph.Graph { return datagen.XMark(datagen.XMarkFactor(1, 1, 1)) }},
+	{name: "f2", long: true, gen: func() *graph.Graph { return datagen.XMark(datagen.XMarkFactor(2, 1, 1)) }},
+	{name: "f4", long: true, gen: func() *graph.Graph { return datagen.XMark(datagen.XMarkFactor(4, 1, 1)) }},
+	{name: "f8", long: true, gen: func() *graph.Graph { return datagen.XMark(datagen.XMarkFactor(8, 1, 1)) }},
+}
+
+// benchEachRung runs build once per iteration on every rung's graph.
+func benchEachRung(b *testing.B, build func(g *graph.Graph)) {
+	for _, r := range benchRungs {
+		b.Run(r.name, func(b *testing.B) {
+			if r.long && testing.Short() {
+				b.Skip("xmark-f rungs skipped under -short")
+			}
+			r.once.Do(func() { r.g = r.gen() })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build(r.g)
+			}
+		})
 	}
-	if !testing.Short() {
-		graphs = append(graphs, namedGraph{"f1", datagen.XMark(datagen.XMarkFactor(1, 1, 1))})
-	}
-	return graphs
 }
 
 func BenchmarkCoarsestStable(b *testing.B) {
-	for _, tc := range benchGraphs() {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				CoarsestStable(tc.g, ByLabel(tc.g))
-			}
-		})
-	}
+	benchEachRung(b, func(g *graph.Graph) { CoarsestStable(g, ByLabel(g)) })
 }
 
 func BenchmarkKBisimLevelsK5(b *testing.B) {
-	for _, tc := range benchGraphs() {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				KBisimLevels(tc.g, 5)
-			}
-		})
-	}
+	benchEachRung(b, func(g *graph.Graph) { KBisimLevels(g, 5) })
 }

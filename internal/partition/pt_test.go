@@ -8,8 +8,8 @@ import (
 	"structix/internal/gtest"
 )
 
-// The TestPT* tests hold CoarsestStable, the Paige–Tarjan-style worklist
-// engine, to the naive fixpoint reference on the paper's fixtures, on
+// The TestPT* tests hold CoarsestStable, the signature-refinement engine,
+// to the naive fixpoint reference on the paper's fixtures, on
 // degenerate graphs and on graphs with dead NodeID slots.
 
 // requireMatchesNaive asserts CoarsestStable equals NaiveCoarsestStable on
@@ -57,9 +57,7 @@ func TestPTTrivialCases(t *testing.T) {
 		got := map[string]int{
 			"CoarsestStable":      CoarsestStable(g, ByLabel(g)).NumBlocks(),
 			"NaiveCoarsestStable": NaiveCoarsestStable(g, ByLabel(g)).NumBlocks(),
-			"BisimFixpoint":       BisimFixpoint(g).NumBlocks(),
 			"KBisimLevels[2]":     KBisimLevels(g, 2)[2].NumBlocks(),
-			"RefineWrt":           RefineWrt(g, ByLabel(g), ByLabel(g)).NumBlocks(),
 		}
 		for name, n := range got {
 			if n != want {

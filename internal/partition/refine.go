@@ -1,6 +1,12 @@
 package partition
 
-import "structix/internal/graph"
+import (
+	"slices"
+	"sync"
+
+	"structix/internal/graph"
+	"structix/internal/sigtab"
+)
 
 // CoarsestStable computes the coarsest refinement of init that is stable
 // with respect to itself, over the graph g. Applied to the label partition
@@ -8,212 +14,296 @@ import "structix/internal/graph"
 // applied to a partially split partition it is the correctness engine of
 // the reconstruction baseline.
 //
-// The implementation is a worklist partition-refinement in the style of
-// Paige and Tarjan [12]: blocks are split by the successor set of a
-// splitter block, and both halves of every split are re-enqueued. Unlike
-// Hopcroft's automaton algorithm, enqueueing only the smaller half is not
-// sound for general relations (a node can have parents in both halves), so
-// both halves are enqueued; the compound-block/counting machinery that
-// recovers the O(m log n) bound is not needed at the scales this package
-// targets, and the maintenance algorithms (which are the paper's
-// contribution) perform their own localized splitting in package oneindex.
+// A block I is stable with respect to every block iff all of I's members
+// have parents in the same set of blocks, so the result is the fixpoint of
+// the refinement round (see refiner) started from init. Block ids are
+// numbered in order of each block's smallest member.
 func CoarsestStable(g *graph.Graph, init *Partition) *Partition {
 	r := newRefiner(g, init)
-	for len(r.queue) > 0 {
-		b := r.queue[len(r.queue)-1]
-		r.queue = r.queue[:len(r.queue)-1]
-		r.pending[b] = false
-		r.splitBy(b)
+	defer refinerPool.Put(r)
+	for r.round() {
 	}
 	return r.partition()
 }
 
-// RefineWrt computes the coarsest refinement of p that is stable with
-// respect to the fixed partition q (one pass: every block of q is used as a
-// splitter exactly once; no fixpoint iteration). This is the single-level
-// step of A(k)-index construction: A(i) = RefineWrt(A(i-1), A(i-1)).
-func RefineWrt(g *graph.Graph, p, q *Partition) *Partition {
-	r := newRefiner(g, p)
-	// Splitters come from q, not from p's own blocks: disable the worklist.
-	r.queue = nil
-	r.track = false
-	for _, J := range q.Blocks() {
-		if len(J) > 0 {
-			r.splitByMembers(J)
+// KBisimLevels constructs the minimum A(0)..A(k) partitions of g
+// (Definition 4): level 0 partitions nodes by label; level i refines level
+// i−1 so that two nodes share a block iff they share a label and their
+// parents cover the same set of level-(i−1) blocks — one refinement round
+// per level, which mirrors the O(km) construction of Kaushik et al. [9].
+// The returned slice has k+1 entries, each numbered like ByLabel: in order
+// of each block's smallest member.
+//
+// Once a round splits nothing the sequence has reached a fixpoint and all
+// later levels are copies; the fixpoint partition is the maximal
+// bisimulation, i.e. the minimum 1-index partition.
+func KBisimLevels(g *graph.Graph, k int) []*Partition {
+	levels := make([]*Partition, k+1)
+	levels[0] = ByLabel(g)
+	if k == 0 {
+		return levels
+	}
+	r := newRefiner(g, levels[0])
+	defer refinerPool.Put(r)
+	for i := 1; i <= k; i++ {
+		if !r.round() {
+			for j := i; j <= k; j++ {
+				levels[j] = levels[i-1].Clone()
+			}
+			break
 		}
+		levels[i] = r.partition()
 	}
-	return r.partition()
+	return levels
 }
 
-// refHit is one block partially covered by the current splitter's
-// successor set; moved keeps its capacity across split rounds.
-type refHit struct {
-	block int32
-	moved []graph.NodeID
-}
-
-// refiner holds the mutable block structure during refinement. The
-// per-round scratch (marked successors, hit-block grouping, splitter
-// snapshot) lives on the struct in epoch-stamped dense arrays, so a round
-// allocates only when a buffer outgrows its high-water mark.
+// refiner is the one refinement engine behind both construction jobs. It
+// reads g once into a flat adjacency (CSR offsets + targets) and keeps the
+// blocks as contiguous ranges elems[start[b]:end[b]] of one member array.
+//
+// A round is level-synchronous: every re-keyed block groups its members by
+// the sorted set of their parents' blocks as of the previous round, and
+// only then are the splits applied. The largest group keeps the block id
+// and the others take fresh ids, so a node whose id did not change has
+// parents in the same blocks as before; a block none of whose members has
+// a parent that moved therefore cannot split, and a round re-keys only the
+// blocks holding a successor of a node moved in the previous round (every
+// block, when a quarter of the nodes moved or in the first round).
 type refiner struct {
-	g       *graph.Graph
-	blockOf []int32
-	members [][]graph.NodeID // per block id
-	pos     []int32          // node's position within members[blockOf[node]]
-	pending []bool           // per block id: queued as splitter
-	queue   []int32
-	track   bool   // re-enqueue split halves (CoarsestStable mode)
-	mark    []bool // scratch: marked successors
+	predOff, pred []int32 // parents of v: pred[predOff[v]:predOff[v+1]]
+	succOff, succ []int32 // the transpose of pred
 
-	epoch    uint32
-	hitStamp []uint32 // per block id: hitOf valid this round
-	hitOf    []int32
-	hits     []refHit
-	marked   []graph.NodeID
-	snap     []graph.NodeID
+	blockOf    []int32 // node → block, NoBlock outside the partition
+	elems      []int32 // members, grouped by block
+	start, end []int32 // block → its range of elems
+	nb         int32   // blocks in use
+
+	all   bool    // re-key every block in the next round
+	moved []int32 // nodes that changed block in the last round
+	dirty []int32 // blocks re-keyed this round
+	mark  []bool  // per block: listed in dirty
+	grp   []int32 // per elems index: the member's group this round
+	split []int32 // (block, groups) pairs to apply this round
+
+	tab   sigtab.Table // one block's signatures → its groups
+	sig   []int32      // the signature being built
+	count []int32      // splitBlock: per-group sizes, then range offsets
+	buf   []int32      // block-id remaps; splitBlock's copy of a range
 }
 
+var refinerPool = sync.Pool{New: func() any { return new(refiner) }}
+
+// resize returns s with length n, reusing its capacity.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// newRefiner takes a pooled refiner and loads g's adjacency and init's
+// blocks into it. Callers return it to refinerPool when done.
 func newRefiner(g *graph.Graph, init *Partition) *refiner {
+	r := refinerPool.Get().(*refiner)
 	n := int(g.MaxNodeID())
-	r := &refiner{
-		g:       g,
-		blockOf: make([]int32, n),
-		pos:     make([]int32, n),
-		mark:    make([]bool, n),
-		track:   true,
-	}
-	blocks := init.Blocks()
-	r.members = make([][]graph.NodeID, 0, len(blocks))
-	r.pending = make([]bool, 0, len(blocks))
-	for i := range r.blockOf {
-		r.blockOf[i] = NoBlock
-	}
-	for _, blk := range blocks {
-		if len(blk) == 0 {
-			continue
-		}
-		id := int32(len(r.members))
-		r.members = append(r.members, append([]graph.NodeID(nil), blk...))
-		r.pending = append(r.pending, true)
-		r.queue = append(r.queue, id)
-		for j, v := range blk {
-			r.blockOf[v] = id
-			r.pos[v] = int32(j)
+
+	// Parents, then children by transposing them: succ lists come out in
+	// increasing node order.
+	r.predOff = resize(r.predOff, n+1)
+	r.pred = r.pred[:0]
+	for v := 0; v < n; v++ {
+		r.predOff[v] = int32(len(r.pred))
+		if g.Alive(graph.NodeID(v)) {
+			g.EachPred(graph.NodeID(v), func(u graph.NodeID, _ graph.EdgeKind) {
+				r.pred = append(r.pred, int32(u))
+			})
 		}
 	}
-	r.hitStamp = make([]uint32, len(r.members))
-	r.hitOf = make([]int32, len(r.members))
+	r.predOff[n] = int32(len(r.pred))
+	r.succOff = resize(r.succOff, n+1)
+	clear(r.succOff)
+	for _, u := range r.pred {
+		r.succOff[u+1]++
+	}
+	for v := 0; v < n; v++ {
+		r.succOff[v+1] += r.succOff[v]
+	}
+	r.succ = resize(r.succ, len(r.pred))
+	for v := 0; v < n; v++ {
+		for _, u := range r.pred[r.predOff[v]:r.predOff[v+1]] {
+			r.succ[r.succOff[u]] = int32(v)
+			r.succOff[u]++
+		}
+	}
+	copy(r.succOff[1:], r.succOff[:n])
+	r.succOff[0] = 0
+
+	// Every member of init starts in block 0, which splitBlock then splits
+	// by init's blocks, renumbered densely.
+	remap := resize(r.buf, init.NumBlocks())
+	for i := range remap {
+		remap[i] = NoBlock
+	}
+	r.blockOf = resize(r.blockOf, n)
+	r.elems, r.grp = r.elems[:0], r.grp[:0]
+	groups := int32(0)
+	for v := range r.blockOf {
+		b := init.blockAt(v)
+		if b != NoBlock {
+			if remap[b] == NoBlock {
+				remap[b] = groups
+				groups++
+			}
+			r.elems = append(r.elems, int32(v))
+			r.grp = append(r.grp, remap[b])
+			b = 0
+		}
+		r.blockOf[v] = b
+	}
+	r.buf = remap
+	r.start, r.end = resize(r.start, n), resize(r.end, n)
+	r.nb, r.moved = 0, r.moved[:0]
+	if groups > 0 {
+		r.nb = 1
+		r.start[0], r.end[0] = 0, int32(len(r.elems))
+		r.splitBlock(0, int(groups))
+	}
+	if cap(r.mark) < n {
+		r.mark = make([]bool, n)
+	}
+	r.mark = r.mark[:n]
+	r.all = true
 	return r
 }
 
-func (r *refiner) enqueue(b int32) {
-	if !r.pending[b] {
-		r.pending[b] = true
-		r.queue = append(r.queue, b)
-	}
-}
-
-// splitBy splits every block that partially intersects Succ(members[b]).
-func (r *refiner) splitBy(b int32) {
-	// Snapshot: the splitter's own membership may change if it splits
-	// itself (a node in b with a parent in b).
-	r.snap = append(r.snap[:0], r.members[b]...)
-	r.splitByMembers(r.snap)
-}
-
-// splitByMembers splits every block that partially intersects Succ(set).
-func (r *refiner) splitByMembers(set []graph.NodeID) {
-	// Mark Succ(set), deduplicated.
-	r.marked = r.marked[:0]
-	for _, u := range set {
-		r.g.EachSucc(u, func(w graph.NodeID, _ graph.EdgeKind) {
-			if !r.mark[w] {
-				r.mark[w] = true
-				r.marked = append(r.marked, w)
+// round runs one refinement round and reports whether any block split.
+func (r *refiner) round() bool {
+	r.dirty = r.dirty[:0]
+	if r.all || 4*len(r.moved) >= len(r.elems) {
+		for b := int32(0); b < r.nb; b++ {
+			if r.end[b]-r.start[b] > 1 {
+				r.dirty = append(r.dirty, b)
 			}
-		})
+		}
+	} else {
+		for _, u := range r.moved {
+			for _, w := range r.succ[r.succOff[u]:r.succOff[u+1]] {
+				if b := r.blockOf[w]; b != NoBlock && !r.mark[b] && r.end[b]-r.start[b] > 1 {
+					r.mark[b] = true
+					r.dirty = append(r.dirty, b)
+				}
+			}
+		}
+		for _, b := range r.dirty {
+			r.mark[b] = false
+		}
 	}
-	// Group marked nodes by block.
-	r.epoch++
-	nHits := 0
-	for _, w := range r.marked {
-		blk := r.blockOf[w]
-		if blk == NoBlock {
+	r.all = false
+
+	r.split = r.split[:0]
+	for _, b := range r.dirty {
+		r.tab.Reset()
+		for i := r.start[b]; i < r.end[b]; i++ {
+			r.grp[i], _ = r.tab.Intern(r.signature(r.elems[i]))
+		}
+		if n := r.tab.Len(); n > 1 {
+			r.split = append(r.split, b, int32(n))
+		}
+	}
+
+	r.moved = r.moved[:0]
+	for i := 0; i < len(r.split); i += 2 {
+		r.splitBlock(r.split[i], int(r.split[i+1]))
+	}
+	return len(r.moved) > 0
+}
+
+// signature returns the sorted, deduplicated set of v's parents' blocks.
+func (r *refiner) signature(v int32) []int32 {
+	sig := r.sig[:0]
+	for _, u := range r.pred[r.predOff[v]:r.predOff[v+1]] {
+		if b := r.blockOf[u]; b != NoBlock {
+			sig = append(sig, b)
+		}
+	}
+	if len(sig) > 1 {
+		slices.Sort(sig)
+		sig = slices.Compact(sig)
+	}
+	r.sig = sig
+	return sig
+}
+
+// splitBlock regroups block b's range by this round's groups (numbered
+// 0..groups-1): the largest group stays first and keeps b, every other
+// group follows as a fresh block whose members are recorded as moved.
+func (r *refiner) splitBlock(b int32, groups int) {
+	s, e := r.start[b], r.end[b]
+	r.count = resize(r.count, groups)
+	clear(r.count)
+	for _, gr := range r.grp[s:e] {
+		r.count[gr]++
+	}
+	big := int32(0)
+	for gr, c := range r.count {
+		if c > r.count[big] {
+			big = int32(gr)
+		}
+	}
+	// count[gr] becomes the next free index of group gr's range.
+	at := s + r.count[big]
+	r.count[big] = s
+	for gr, c := range r.count {
+		if int32(gr) != big {
+			r.count[gr] = at
+			at += c
+		}
+	}
+	r.buf = append(r.buf[:0], r.elems[s:e]...)
+	grp := r.grp[s:e]
+	for i, v := range r.buf {
+		j := r.count[grp[i]]
+		r.count[grp[i]]++
+		r.elems[j] = v
+	}
+	// count[gr] is now the end of group gr's range.
+	r.end[b] = r.count[big]
+	from := r.end[b]
+	for gr, to := range r.count {
+		if int32(gr) == big {
 			continue
 		}
-		if r.hitStamp[blk] != r.epoch {
-			r.hitStamp[blk] = r.epoch
-			if nHits == len(r.hits) {
-				r.hits = append(r.hits, refHit{})
-			}
-			r.hits[nHits].block = blk
-			r.hits[nHits].moved = r.hits[nHits].moved[:0]
-			r.hitOf[blk] = int32(nHits)
-			nHits++
+		nb := r.nb
+		r.nb++
+		r.start[nb], r.end[nb] = from, to
+		for _, v := range r.elems[from:to] {
+			r.blockOf[v] = nb
+			r.moved = append(r.moved, v)
 		}
-		h := &r.hits[r.hitOf[blk]]
-		h.moved = append(h.moved, w)
-	}
-	for i := 0; i < nHits; i++ {
-		h := &r.hits[i]
-		if len(h.moved) == len(r.members[h.block]) {
-			continue // whole block in Succ(set): stable, no split
-		}
-		nb := int32(len(r.members))
-		r.members = append(r.members, nil)
-		r.pending = append(r.pending, false)
-		r.hitStamp = append(r.hitStamp, 0)
-		r.hitOf = append(r.hitOf, 0)
-		for _, w := range h.moved {
-			r.detach(w)
-			r.blockOf[w] = nb
-			r.pos[w] = int32(len(r.members[nb]))
-			r.members[nb] = append(r.members[nb], w)
-		}
-		// Both halves must be re-processed as splitters (see doc comment on
-		// CoarsestStable). For RefineWrt the queue is unused and stays empty.
-		if r.track {
-			r.enqueue(h.block)
-			r.enqueue(nb)
-		}
-	}
-	for _, w := range r.marked {
-		r.mark[w] = false
+		from = to
 	}
 }
 
-// detach removes w from its current block by swap-removal.
-func (r *refiner) detach(w graph.NodeID) {
-	b := r.blockOf[w]
-	m := r.members[b]
-	i := r.pos[w]
-	last := m[len(m)-1]
-	m[i] = last
-	r.pos[last] = i
-	r.members[b] = m[:len(m)-1]
-}
-
-// partition converts the refiner state back into a Partition with dense
-// block ids (empty blocks squeezed out).
+// partition returns the current blocks as a Partition numbered in order
+// of each block's smallest member.
 func (r *refiner) partition() *Partition {
 	p := &Partition{blockOf: make([]int32, len(r.blockOf))}
-	remap := make([]int32, len(r.members))
+	remap := resize(r.buf, int(r.nb))
 	for i := range remap {
 		remap[i] = NoBlock
 	}
 	next := int32(0)
-	for i, b := range r.blockOf {
-		if b == NoBlock {
-			p.blockOf[i] = NoBlock
-			continue
+	for v, b := range r.blockOf {
+		if b != NoBlock {
+			if remap[b] == NoBlock {
+				remap[b] = next
+				next++
+			}
+			b = remap[b]
 		}
-		if remap[b] == NoBlock {
-			remap[b] = next
-			next++
-		}
-		p.blockOf[i] = remap[b]
+		p.blockOf[v] = b
 	}
+	r.buf = remap
 	p.numBlocks = int(next)
 	return p
 }

@@ -2,17 +2,18 @@
 // using an open-addressed hash table over a flat arena.
 //
 // It replaces the string-keyed maps the index cores used for signature
-// grouping: partition.bisimStep's per-node varint string keys, and the
-// merge-partner grouping in oneindex/akindex (label + sorted pred-inode
-// ids). A signature is any []int32; equal slices intern to the same dense
-// id, and ids are assigned in first-appearance order — which is exactly
-// the sequential block-id assignment the bisimulation layers rely on for
-// bit-identical results.
+// grouping: the partition refinement engine's grouping of a block's
+// members by their parents' blocks, and the merge-partner grouping in
+// oneindex/akindex (label + sorted pred-inode ids). A signature is any
+// []int32; equal slices intern to the same dense id, and ids are assigned
+// in first-appearance order.
 //
 // The table hashes with FNV-1a over the signature's little-endian bytes,
 // probes linearly, and collision-checks against the arena. Nothing escapes
 // to the heap per lookup; Reset keeps every buffer for the next round.
 package sigtab
+
+import "slices"
 
 // fnv1a hashes a signature's int32s as 4 little-endian bytes each.
 // (Matching the byte-level FNV the stdlib uses keeps the constant choice
@@ -57,14 +58,25 @@ func (t *Table) Sig(id int32) []int32 {
 	return t.arena[t.start[id]:t.start[id+1]]
 }
 
-// Reset empties the table, keeping all buffers for reuse.
+// Reset empties the table, keeping all buffers for reuse. The slot table
+// never shrinks, so when under a quarter of it is in use Reset clears just
+// the used slots, each found by probing from its signature's hash: a table
+// once grown for a large round stays cheap to reuse for small ones.
 func (t *Table) Reset() {
+	if 4*t.Len() < len(t.slots) {
+		for id, h := range t.hash {
+			i := h & t.mask
+			for t.slots[i] != int32(id)+1 {
+				i = (i + 1) & t.mask
+			}
+			t.slots[i] = 0
+		}
+	} else {
+		clear(t.slots)
+	}
 	t.arena = t.arena[:0]
 	t.start = t.start[:0]
 	t.hash = t.hash[:0]
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
 }
 
 // Grow pre-sizes the slot table for n signatures, avoiding rehashes when
@@ -109,7 +121,7 @@ func (t *Table) Intern(sig []int32) (int32, bool) {
 			return id, true
 		}
 		id := s - 1
-		if t.hash[id] == h && t.sigEqual(id, sig) {
+		if t.hash[id] == h && slices.Equal(t.Sig(id), sig) {
 			return id, false
 		}
 		i = (i + 1) & t.mask
@@ -129,24 +141,11 @@ func (t *Table) Lookup(sig []int32) int32 {
 			return -1
 		}
 		id := s - 1
-		if t.hash[id] == h && t.sigEqual(id, sig) {
+		if t.hash[id] == h && slices.Equal(t.Sig(id), sig) {
 			return id
 		}
 		i = (i + 1) & t.mask
 	}
-}
-
-func (t *Table) sigEqual(id int32, sig []int32) bool {
-	a := t.arena[t.start[id]:t.start[id+1]]
-	if len(a) != len(sig) {
-		return false
-	}
-	for i := range a {
-		if a[i] != sig[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rehash resizes the slot table to want (a power of two) and reinserts
@@ -154,9 +153,7 @@ func (t *Table) sigEqual(id int32, sig []int32) bool {
 func (t *Table) rehash(want int) {
 	if cap(t.slots) >= want {
 		t.slots = t.slots[:want]
-		for i := range t.slots {
-			t.slots[i] = 0
-		}
+		clear(t.slots)
 	} else {
 		t.slots = make([]int32, want)
 	}

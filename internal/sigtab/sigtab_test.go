@@ -90,6 +90,42 @@ func TestResetKeepsCapacityAndWorks(t *testing.T) {
 	}
 }
 
+// TestResetAfterGrowth resets a table grown to at least 2¹⁶ slots, once
+// with under a quarter of them in use (Reset clears only the used slots)
+// and once with more (Reset clears them all): the table must come back
+// empty, miss every old signature and restart ids at 0.
+func TestResetAfterGrowth(t *testing.T) {
+	for _, n := range []int{1000, 40000} {
+		var tab Table
+		tab.Grow(1 << 15)
+		for i := 0; i < n; i++ {
+			tab.Intern([]int32{int32(i), int32(i) * 7})
+		}
+		if len(tab.slots) < 1<<16 {
+			t.Fatalf("n=%d: table has %d slots, want ≥ 2¹⁶", n, len(tab.slots))
+		}
+		tab.Reset()
+		if tab.Len() != 0 {
+			t.Fatalf("n=%d: Len after Reset = %d, want 0", n, tab.Len())
+		}
+		for i, s := range tab.slots {
+			if s != 0 {
+				t.Fatalf("n=%d: slot %d still holds %d after Reset", n, i, s)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if id := tab.Lookup([]int32{int32(i), int32(i) * 7}); id != -1 {
+				t.Fatalf("n=%d: Lookup of old signature %d = %d after Reset, want -1", n, i, id)
+			}
+		}
+		for want := int32(0); want < 3; want++ {
+			if id, added := tab.Intern([]int32{-1, want}); !added || id != want {
+				t.Fatalf("n=%d: post-Reset Intern = (%d, %v), want (%d, true)", n, id, added, want)
+			}
+		}
+	}
+}
+
 func TestGrowAvoidsRehash(t *testing.T) {
 	var tab Table
 	tab.Grow(1000)
@@ -116,5 +152,22 @@ func TestInternNoAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Intern/Lookup allocated %.1f times per run", allocs)
+	}
+}
+
+// BenchmarkResetAfterGrowth is one small round — Reset, then 20 signatures
+// — on a table that an earlier large round grew to 2²⁰ slots: the shape of
+// a per-block refinement round, or of a small subgraph's construction
+// after a large graph's.
+func BenchmarkResetAfterGrowth(b *testing.B) {
+	var tab Table
+	tab.Grow(1 << 19)
+	sig := make([]int32, 2)
+	for i := 0; i < b.N; i++ {
+		tab.Reset()
+		for j := int32(0); j < 20; j++ {
+			sig[0], sig[1] = j, j%3
+			tab.Intern(sig)
+		}
 	}
 }
