@@ -23,9 +23,11 @@ race:
 
 # Repeated race-enabled runs of the concurrency surface: lock-free readers
 # against DB writers over both index families — batches, per-edge updates,
-# subtree round trips, the A(k) oracle stream and pinned snapshots.
+# subtree round trips, the A(k) oracle stream and pinned snapshots — and
+# frozen graph views read while one writer runs every graph mutator.
 stress:
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
+	$(GO) test -race -count=3 -run 'TestFrozen' ./internal/graph/
 
 # Race-enabled stress of the serving layer: readers against the
 # group-commit loop, graceful shutdown under load, admission control,
@@ -149,6 +151,7 @@ ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
+	$(GO) test -race -count=3 -run 'TestFrozen' ./internal/graph/
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
 	$(GO) test -count=1 -run 'TestPublicationScaling' .
 	$(MAKE) examples

@@ -48,8 +48,8 @@ var (
 // lock and never block on maintenance, at the cost of answering from the
 // state as of the most recently completed write. Publication is
 // copy-on-write: a write re-copies only the pages of the inodes and graph
-// nodes it touched (the index's dirty set and the graph's change record
-// say which), not the whole index.
+// nodes it touched (the index's dirty set says which inodes; the graph
+// copies its own pages as it writes them), not the whole index.
 //
 // Open makes the store durable: every write is journaled to a write-ahead
 // log before it is acknowledged, so the state survives crashes. Open loads
@@ -412,12 +412,12 @@ func graftPayload(x Index, p *wal.SubgraphPayload) ([]NodeID, error) {
 
 // ---- write path ----
 
-// publish stores the successor of the current snapshot: the graph's own
-// change record and the index's dirty set say what to re-copy, so every
-// write kind costs what it touched. Callers hold db.mu.
+// publish stores the successor of the current snapshot: Freeze hands
+// over the graph's copy-on-write pages as they stand, and the index's
+// dirty set says what to re-copy, so every write kind costs what it
+// touched. Callers hold db.mu.
 func (db *DB) publish() {
-	prev := db.cur.Load()
-	db.cur.Store(db.idx.PatchSnapshot(prev, prev.Data().Rebuild(db.idx.Graph(), nil)))
+	db.cur.Store(db.idx.PatchSnapshot(db.cur.Load(), db.idx.Graph().Freeze()))
 	db.noteVisible()
 }
 

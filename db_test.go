@@ -530,6 +530,69 @@ func TestRejectedBatchJournalsNothing(t *testing.T) {
 	}
 }
 
+// TestMalformedSubgraphRejected grafts subgraphs whose parts disagree,
+// through AddSubgraphNamed and through ApplyRecord of a subgraph record
+// (a follower's path): each returns ErrBadSubgraph instead of panicking,
+// and the seq, the journal, the graph's id space and every invariant stay
+// as they were. The well-formed original then applies through both.
+func TestMalformedSubgraphRejected(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{CompactEvery: -1, Bootstrap: xmarkBootstrap(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	root := db.idx.Graph().Root()
+	good := func() *wal.SubgraphPayload {
+		return &wal.SubgraphPayload{
+			Labels:    []string{"item", "name"},
+			Values:    []string{"", "x"},
+			Edges:     [][2]int32{{0, 1}},
+			EdgeKinds: []EdgeKind{graph.Tree},
+			CrossIn:   []graph.CrossEdge{{Outside: root, Local: 0, Kind: graph.Tree}},
+			CrossOut:  []graph.CrossEdge{{Outside: root, Local: 1, Kind: graph.IDRef}},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(p *wal.SubgraphPayload)
+	}{
+		{"internal edge past the last node", func(p *wal.SubgraphPayload) { p.Edges[0][1] = 2 }},
+		{"values shorter than labels", func(p *wal.SubgraphPayload) { p.Values = p.Values[:1] }},
+		{"edge kinds shorter than edges", func(p *wal.SubgraphPayload) { p.EdgeKinds = nil }},
+		{"cross-in local out of range", func(p *wal.SubgraphPayload) { p.CrossIn[0].Local = 5 }},
+		{"cross-out local negative", func(p *wal.SubgraphPayload) { p.CrossOut[0].Local = -1 }},
+	} {
+		p := good()
+		tc.edit(p)
+		seq, appends, maxID := db.Seq(), db.Stats().JournalAppends, db.idx.Graph().MaxNodeID()
+		sg := &Subgraph{Values: p.Values, Edges: p.Edges, EdgeKinds: p.EdgeKinds, CrossIn: p.CrossIn, CrossOut: p.CrossOut}
+		if _, err := db.AddSubgraphNamed(p.Labels, sg); !errors.Is(err, ErrBadSubgraph) {
+			t.Errorf("%s: AddSubgraphNamed error %v, want ErrBadSubgraph", tc.name, err)
+		}
+		if err := db.ApplyRecord(&wal.Record{Seq: seq + 1, Kind: wal.RecSubgraph, Sub: p}); !errors.Is(err, ErrBadSubgraph) {
+			t.Errorf("%s: ApplyRecord error %v, want ErrBadSubgraph", tc.name, err)
+		}
+		if db.Seq() != seq || db.Stats().JournalAppends != appends || db.idx.Graph().MaxNodeID() != maxID {
+			t.Errorf("%s: seq %d→%d, journal appends %d→%d, id space %d→%d", tc.name,
+				seq, db.Seq(), appends, db.Stats().JournalAppends, maxID, db.idx.Graph().MaxNodeID())
+		}
+		if err := db.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	p := good()
+	if err := db.ApplyRecord(&wal.Record{Seq: db.Seq() + 1, Kind: wal.RecSubgraph, Sub: p}); err != nil {
+		t.Fatalf("well-formed record: %v", err)
+	}
+	sg := &Subgraph{Values: p.Values, Edges: p.Edges, EdgeKinds: p.EdgeKinds, CrossIn: p.CrossIn, CrossOut: p.CrossOut}
+	if _, err := db.AddSubgraphNamed(p.Labels, sg); err != nil {
+		t.Fatalf("well-formed subgraph: %v", err)
+	}
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotFallbackOnCorruptNewest(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{CompactEvery: -1, Bootstrap: xmarkBootstrap(24)})

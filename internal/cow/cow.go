@@ -1,9 +1,11 @@
 // Package cow provides the paged copy-on-write array the epoch snapshots
-// are built on: a spine of pointers to fixed-size pages. A published Array
-// is immutable; the next epoch is derived through an Editor that copies
-// the spine once and a page only on the first write into it, so every
-// untouched page is shared between the two epochs and publication costs
-// what the update touched, not what the array holds.
+// and the live data graph are built on: a spine of pointers to fixed-size
+// pages. A published Array is immutable; the next epoch is derived through
+// an Editor that copies the spine once and a page only on the first write
+// into it, so every untouched page is shared between the two epochs and
+// publication costs what the update touched, not what the array holds.
+// The live graph keeps its Editor open between publications, reading and
+// growing through it.
 //
 // Bytes copied per derivation ≈ 8·n/PageSize (the spine) + d·PageSize·r
 // (the dirty pages) for n slots of r bytes with d slots written. The
@@ -42,11 +44,9 @@ func (a *Array[T]) Edit(n int) Editor[T] {
 	if n < a.n {
 		panic("cow: Edit cannot shrink an array")
 	}
-	spine := make([]*page[T], (n+pageMask)>>pageBits)
-	for i := copy(spine, a.spine); i < len(spine); i++ {
-		spine[i] = new(page[T])
-	}
-	return Editor[T]{prev: a.spine, next: Array[T]{spine: spine, n: n}}
+	e := Editor[T]{prev: a.spine, next: Array[T]{spine: append([]*page[T](nil), a.spine...), n: a.n}}
+	e.Grow(n)
+	return e
 }
 
 // Editor writes the slots in which a successor differs from its
@@ -55,6 +55,22 @@ func (a *Array[T]) Edit(n int) Editor[T] {
 type Editor[T any] struct {
 	prev []*page[T]
 	next Array[T]
+}
+
+// Len returns the successor's number of slots.
+func (e *Editor[T]) Len() int { return e.next.n }
+
+// At returns a read-only pointer to slot i of the successor, which may
+// still be shared with the predecessor.
+func (e *Editor[T]) At(i int) *T { return e.next.At(i) }
+
+// Grow extends the successor to n ≥ Len() slots; the new slots start as
+// the zero T.
+func (e *Editor[T]) Grow(n int) {
+	for len(e.next.spine)<<pageBits < n {
+		e.next.spine = append(e.next.spine, new(page[T]))
+	}
+	e.next.n = n
 }
 
 // Slot returns a writable pointer to slot i of the successor, copying

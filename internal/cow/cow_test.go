@@ -150,6 +150,37 @@ func TestPatchOfPatchSharing(t *testing.T) {
 	}
 }
 
+// TestEditorGrowAndRead grows an editor one slot at a time across page
+// boundaries, the way the live graph adds nodes, reading each slot back
+// through the editor: the predecessor keeps its length and values, its
+// untouched first page stays shared, and the partly filled page the
+// growth writes into is copied.
+func TestEditorGrowAndRead(t *testing.T) {
+	a := fill(PageSize + 3)
+	e := a.Edit(a.Len())
+	for i := a.Len(); i < 4*PageSize+5; i++ {
+		e.Grow(i + 1)
+		if e.Len() != i+1 || *e.At(i) != 0 {
+			t.Fatalf("slot %d: Len %d, fresh value %d", i, e.Len(), *e.At(i))
+		}
+		*e.Slot(i) = -i
+		if *e.At(i) != -i || *e.At(i - 1) == 0 {
+			t.Fatalf("slot %d reads %d after its write, %d before it", i, *e.At(i), *e.At(i - 1))
+		}
+	}
+	b := e.Array()
+	check(t, &a, func(i int) int { return i + 1 })
+	check(t, &b, func(i int) int {
+		if i < PageSize+3 {
+			return i + 1
+		}
+		return -i
+	})
+	if a.Len() != PageSize+3 || shared(&a, &b) != 1 || a.spine[0] != b.spine[0] {
+		t.Fatalf("predecessor: %d slots, %d pages shared", a.Len(), shared(&a, &b))
+	}
+}
+
 func TestEditCannotShrink(t *testing.T) {
 	a := fill(10)
 	defer func() {

@@ -2,7 +2,7 @@ package graph
 
 import "structix/internal/cow"
 
-// Frozen is an immutable point-in-time copy of a Graph, built for
+// Frozen is an immutable point-in-time view of a Graph, built for
 // snapshot-isolated readers: once published, nothing about it ever
 // changes, so any number of goroutines may traverse it while the live
 // graph keeps mutating under its writers. Query evaluation needs label
@@ -10,97 +10,46 @@ import "structix/internal/cow"
 // successors, A(k) validation walks predecessors), and that is exactly
 // what a Frozen holds.
 //
-// The per-node records sit in a paged copy-on-write array (internal/cow):
-// Rebuild shares every page of the previous Frozen that holds no changed
-// node, so publishing a new view costs one spine copy (8 bytes per 64
-// slots) plus a 64-pointer page and the adjacency of each node the writers
-// touched — whatever the write was (edge batch, node script, subtree
-// delete or graft) and however large the graph is.
-//
-// The graph itself keeps the list of changed nodes: Freeze turns the
-// record on, every mutator (AddNodeL, AddEdge, DeleteEdge, RemoveNode,
-// SetValue) adds to it, and Rebuild consumes it. A chain of views must
-// therefore be derived in order — each Rebuild from the view the previous
-// Freeze or Rebuild of the same graph returned.
+// A Frozen is not a copy: it holds the live graph's own copy-on-write
+// pages of record pointers as they stood at Freeze, and the label names
+// interned by then. The writer copies a page, and a record with its
+// adjacency, before its first write after a Freeze, so publishing a view
+// costs one spine copy (8 bytes per 64 slots) and each later write pays
+// for the page and record it touches — whatever the write was (edge
+// batch, node script, subtree delete or graft) and however large the
+// graph is. Views may be taken in any order and any number of times; each
+// is exactly the graph at its Freeze.
 type Frozen struct {
 	root       NodeID
 	numAlive   int
 	numEdges   int
 	allowLoops bool
-	nodes      cow.Array[*frozenNode] // by NodeID; nil for dead slots
+	names      []string         // the interner's names at freeze time
+	nodes      cow.Array[*node] // by NodeID; the pages the graph published
 }
 
-// frozenNode is one immutable node record. The succ/pred slices are owned
-// by the record and never mutated after construction.
-type frozenNode struct {
-	name  string
-	value string
-	succ  []Edge
-	pred  []Edge
-}
-
-// Freeze builds a complete immutable copy of the graph's current state
-// and starts (or restarts) the change record later Rebuilds consume.
+// Freeze ends the graph's current epoch and returns the immutable view of
+// it, in O(spine): the view shares every page, and mut copies a page
+// before the next write into it.
 func (g *Graph) Freeze() *Frozen {
-	for _, v := range g.stale {
-		g.nodes[v].stale = false
-	}
-	g.stale = g.stale[:0]
-	g.track = true
-	var empty cow.Array[*frozenNode]
-	e := empty.Edit(len(g.nodes))
-	for i := range g.nodes {
-		if g.nodes[i].alive {
-			*e.Slot(i) = g.freezeNode(NodeID(i))
-		}
-	}
-	return g.frozen(e.Array())
-}
-
-func (g *Graph) frozen(nodes cow.Array[*frozenNode]) *Frozen {
+	a := g.nodes.Array()
+	g.nodes = a.Edit(a.Len())
+	g.epoch++
 	return &Frozen{
 		root:       g.root,
 		numAlive:   g.numAlive,
 		numEdges:   g.numEdges,
 		allowLoops: g.allowLoops,
-		nodes:      nodes,
+		names:      g.labels.names,
+		nodes:      a,
 	}
 }
 
-func (g *Graph) freezeNode(v NodeID) *frozenNode {
-	n := &g.nodes[v]
-	return &frozenNode{
-		name:  g.labels.Name(n.label),
-		value: n.value,
-		succ:  append([]Edge(nil), n.succ...),
-		pred:  append([]Edge(nil), n.pred...),
-	}
-}
-
-// Rebuild derives the next Frozen from this one by re-copying from the
-// live graph the nodes its change record lists plus those in touched;
-// every page without such a node is shared with the receiver. touched is
-// for callers that changed the graph behind a view the record does not
-// cover; ids outside the graph's id space and duplicates are ignored.
-func (f *Frozen) Rebuild(g *Graph, touched []NodeID) *Frozen {
-	g.track = true
-	for _, v := range touched {
-		if v >= 0 && int(v) < len(g.nodes) {
-			g.touch(v)
-		}
-	}
-	e := f.nodes.Edit(len(g.nodes))
-	for _, v := range g.stale {
-		g.nodes[v].stale = false
-		var n *frozenNode
-		if g.nodes[v].alive {
-			n = g.freezeNode(v)
-		}
-		*e.Slot(int(v)) = n
-	}
-	g.stale = g.stale[:0]
-	return g.frozen(e.Array())
-}
+// Rebuild returns g.Freeze(), which already shares every unchanged page
+// with f; touched is ignored. It remains only because the repo benchmark's
+// layer ladder (bench/ladder.go), which changes only with the benchmark
+// itself, calls it; ROADMAP item 1 retires it.
+func (f *Frozen) Rebuild(g *Graph, touched []NodeID) *Frozen { return g.Freeze() }
 
 // Root returns the root node at freeze time (InvalidNode if none).
 func (f *Frozen) Root() NodeID { return f.root }
@@ -113,11 +62,14 @@ func (f *Frozen) AllowSelfLoops() bool { return f.allowLoops }
 func (f *Frozen) Alive(v NodeID) bool { return f.node(v) != nil }
 
 // node returns v's record, nil for a dead or unknown node.
-func (f *Frozen) node(v NodeID) *frozenNode {
+func (f *Frozen) node(v NodeID) *node {
 	if uint(v) >= uint(f.nodes.Len()) {
 		return nil
 	}
-	return *f.nodes.At(int(v))
+	if n := *f.nodes.At(int(v)); n.alive {
+		return n
+	}
+	return nil
 }
 
 // NumNodes returns the live-node count at freeze time.
@@ -132,7 +84,7 @@ func (f *Frozen) MaxNodeID() NodeID { return NodeID(f.nodes.Len()) }
 // LabelName returns v's label string ("" for a dead or unknown node).
 func (f *Frozen) LabelName(v NodeID) string {
 	if n := f.node(v); n != nil {
-		return n.name
+		return labelName(f.names, n.label)
 	}
 	return ""
 }

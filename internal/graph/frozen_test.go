@@ -2,6 +2,11 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"structix/internal/cow"
@@ -134,16 +139,13 @@ func TestFrozenRebuildIgnoresOutOfRangeIDs(t *testing.T) {
 }
 
 // TestFrozenRebuildFromChangeRecord drives every mutator after a Freeze
-// and rebuilds with no touched list at all: the graph's own record must
-// name every changed node — including one that is added and removed
-// without ever having an edge — and a Rebuild must consume the record.
+// and rebuilds with no touched list at all: the next view must carry every
+// changed node — including one that is added and removed without ever
+// having an edge — and leave the first view as it was.
 func TestFrozenRebuildFromChangeRecord(t *testing.T) {
 	g, n := buildDiamond(t)
 	lone := g.AddNode("lone")
 	f := g.Freeze()
-	if len(g.stale) != 0 {
-		t.Fatalf("Freeze left %d nodes in the change record", len(g.stale))
-	}
 
 	g.RemoveNode(lone)
 	g.SetValue(n[1], "changed")
@@ -165,9 +167,6 @@ func TestFrozenRebuildFromChangeRecord(t *testing.T) {
 	if f2.Alive(lone) || f2.Alive(added[100]) || f2.MaxNodeID() != g.MaxNodeID() {
 		t.Fatal("rebuilt view kept a removed node or missed the id-space growth")
 	}
-	if len(g.stale) != 0 {
-		t.Fatalf("Rebuild left %d nodes in the change record", len(g.stale))
-	}
 	if !f.Alive(lone) || f.Value(n[1]) != "" || f.MaxNodeID() != lone+1 {
 		t.Fatal("rebuild mutated the source frozen view")
 	}
@@ -179,6 +178,168 @@ func TestFrozenRebuildFromChangeRecord(t *testing.T) {
 			t.Fatalf("page of slot %d copied by an empty rebuild", i)
 		}
 	}
+}
+
+// TestFreezeMidChain takes a second view between two writes: every view
+// stays exactly the graph at its own Freeze, and a later view — taken by
+// Freeze or by the Rebuild forwarder from the first view — carries both
+// writes, the one before the second Freeze included.
+func TestFreezeMidChain(t *testing.T) {
+	g, n := buildDiamond(t)
+	f1, ref1 := g.Freeze(), refOf(g)
+	if err := g.AddEdge(n[3], n[1], IDRef); err != nil { // A
+		t.Fatal(err)
+	}
+	f2, ref2 := g.Freeze(), refOf(g)
+	g.SetValue(n[2], "B")
+
+	want := refOf(g)
+	for _, tc := range []struct {
+		name string
+		f    *Frozen
+	}{{"f1.Rebuild", f1.Rebuild(g, nil)}, {"Freeze", g.Freeze()}} {
+		assertFrozenEquals(t, tc.f, g)
+		if d := want.diff(tc.f); d != "" {
+			t.Fatalf("%s: %s", tc.name, d)
+		}
+	}
+	if d := ref1.diff(f1); d != "" {
+		t.Fatalf("first view changed: %s", d)
+	}
+	if d := ref2.diff(f2); d != "" {
+		t.Fatalf("second view changed: %s", d)
+	}
+}
+
+// TestFrozenReadersDuringWrites runs readers over successive views while
+// one writer drives every mutator — node additions across page boundaries,
+// new labels, edge inserts and deletes, values, node removals — and
+// freezes after each step. Each view must match, every time a reader
+// looks, the deep copy captured when it was frozen. Run it under -race.
+func TestFrozenReadersDuringWrites(t *testing.T) {
+	type view struct {
+		f   *Frozen
+		ref *frozenRef
+	}
+	g, n := buildDiamond(t)
+	var cur atomic.Pointer[view]
+	cur.Store(&view{g.Freeze(), refOf(g)})
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []*view
+			for !done.Load() {
+				if h := cur.Load(); len(held) == 0 || held[len(held)-1] != h {
+					held = append(held, h)
+				}
+				if len(held) > 8 {
+					held = held[1:]
+				}
+				for _, h := range held {
+					if d := h.ref.diff(h.f); d != "" {
+						t.Errorf("view changed under a reader: %s", d)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	live := append([]NodeID(nil), n...)
+	pick := func() NodeID { return live[rng.Intn(len(live))] }
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(6) {
+		case 0, 1: // a run of new nodes, some under new labels
+			for i := rng.Intn(cow.PageSize / 2); i >= 0; i-- {
+				parent := pick()
+				v := g.AddNodeL(g.Labels().Intern(fmt.Sprintf("l%d", rng.Intn(step+2))))
+				if err := g.AddEdge(parent, v, Tree); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, v)
+			}
+		case 2:
+			if err := g.AddEdge(pick(), pick(), IDRef); err != nil && !errors.Is(err, ErrEdgeExists) && !errors.Is(err, ErrSelfLoop) {
+				t.Fatal(err)
+			}
+		case 3:
+			if u := pick(); g.OutDegree(u) > 0 {
+				if err := g.DeleteEdge(u, g.Succ(u)[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 4:
+			g.SetValue(pick(), fmt.Sprintf("v%d", step))
+		case 5:
+			if i := 1 + rng.Intn(len(live)-1); len(live) > 4 { // never the root
+				g.RemoveNode(live[i])
+				live = slices.Delete(live, i, i+1)
+			}
+		}
+		cur.Store(&view{g.Freeze(), refOf(g)})
+	}
+	done.Store(true)
+	wg.Wait()
+	if g.MaxNodeID() < 3*cow.PageSize {
+		t.Fatalf("the writer stayed within %d slots", g.MaxNodeID())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frozenRef is a deep copy of a graph's state that shares nothing with
+// the graph, its label interner included.
+type frozenRef struct {
+	root  NodeID
+	edges int
+	nodes []refNode // by NodeID
+}
+
+type refNode struct {
+	alive        bool
+	label, value string
+	succ, pred   []Edge
+}
+
+func refOf(g *Graph) *frozenRef {
+	r := &frozenRef{root: g.Root(), edges: g.NumEdges(), nodes: make([]refNode, g.MaxNodeID())}
+	g.EachNode(func(v NodeID) {
+		n := g.rec(v)
+		r.nodes[v] = refNode{true, g.LabelName(v), n.value, slices.Clone(n.succ), slices.Clone(n.pred)}
+	})
+	return r
+}
+
+// diff describes the first difference between f and r, "" if none;
+// adjacency must match in order.
+func (r *frozenRef) diff(f *Frozen) string {
+	if f.Root() != r.root || f.NumEdges() != r.edges || f.MaxNodeID() != NodeID(len(r.nodes)) {
+		return fmt.Sprintf("header: root %d/%d edges %d/%d max %d/%d", f.Root(), r.root, f.NumEdges(), r.edges, f.MaxNodeID(), len(r.nodes))
+	}
+	alive := 0
+	for i, want := range r.nodes {
+		v := NodeID(i)
+		var got refNode
+		if got.alive = f.Alive(v); got.alive {
+			alive++
+			got.label, got.value = f.LabelName(v), f.Value(v)
+			f.EachSucc(v, func(w NodeID, k EdgeKind) { got.succ = append(got.succ, Edge{w, k}) })
+			f.EachPred(v, func(u NodeID, k EdgeKind) { got.pred = append(got.pred, Edge{u, k}) })
+		}
+		if got.alive != want.alive || got.label != want.label || got.value != want.value ||
+			!slices.Equal(got.succ, want.succ) || !slices.Equal(got.pred, want.pred) {
+			return fmt.Sprintf("node %d: %+v, want %+v", v, got, want)
+		}
+	}
+	if alive != f.NumNodes() {
+		return fmt.Sprintf("%d live nodes, NumNodes %d", alive, f.NumNodes())
+	}
+	return ""
 }
 
 func assertFrozenEquals(t *testing.T, f *Frozen, g *Graph) {

@@ -14,12 +14,22 @@
 // The package maintains both successor and predecessor adjacency, which the
 // index maintenance algorithms need: splits scan Succ sets, and index-edge
 // counts are updated by scanning the incident edges of moved nodes.
+//
+// The graph is kept once. Pointers to its node records live in the pages
+// of a copy-on-write array (internal/cow); Freeze publishes those pages as
+// an immutable Frozen view, and the writer copies a page, and a record
+// with its adjacency, before its first write after a Freeze. Readers of a
+// view and the writer of the live graph therefore never share a mutable
+// byte.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"structix/internal/cow"
 )
 
 // NodeID identifies a node (a "dnode" in the paper's terminology) within a
@@ -92,11 +102,13 @@ func (in *Interner) Lookup(name string) (LabelID, bool) {
 }
 
 // Name returns the string for an interned LabelID.
-func (in *Interner) Name(id LabelID) string {
-	if id < 0 || int(id) >= len(in.names) {
+func (in *Interner) Name(id LabelID) string { return labelName(in.names, id) }
+
+func labelName(names []string, id LabelID) string {
+	if id < 0 || int(id) >= len(names) {
 		return fmt.Sprintf("label#%d", id)
 	}
-	return in.names[id]
+	return names[id]
 }
 
 // Len reports the number of distinct interned labels.
@@ -109,32 +121,30 @@ type Edge struct {
 	Kind EdgeKind
 }
 
+// node is one node record. A record is immutable once a Freeze has
+// published the page pointing to it; mut hands the writer a private copy.
 type node struct {
 	label LabelID
+	alive bool
+	epoch uint64 // the Graph.epoch whose writer owns this record
 	value string
 	succ  []Edge // outgoing edges; Edge.To is the sink
 	pred  []Edge // incoming edges; Edge.To is the source
-	alive bool
-	stale bool // listed in Graph.stale (see touch)
 }
 
 // Graph is a mutable directed labeled graph. It is not safe for concurrent
-// mutation; concurrent readers are safe in the absence of writers.
+// mutation; concurrent readers are safe in the absence of writers. Views
+// returned by Freeze stay readable from any goroutine while it mutates.
 type Graph struct {
 	labels     *Interner
-	nodes      []node
+	nodes      cow.Editor[*node] // by NodeID; published pages are shared with Frozen views
+	epoch      uint64            // incremented by Freeze
 	root       NodeID
 	numAlive   int
 	numEdges   int
 	numIDRef   int
 	rootLabel  LabelID
 	allowLoops bool
-
-	// Frozen-view change record (see frozen.go): once Freeze has been
-	// called, every node whose adjacency, value or liveness a mutator
-	// changes is listed here, once, so Frozen.Rebuild re-copies only those.
-	track bool
-	stale []NodeID
 }
 
 // New creates an empty graph with a fresh label interner and no root.
@@ -160,10 +170,10 @@ func (g *Graph) AddNode(label string) NodeID {
 
 // AddNodeL creates a node with an already-interned label.
 func (g *Graph) AddNodeL(label LabelID) NodeID {
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, node{label: label, alive: true})
+	id := NodeID(g.nodes.Len())
+	g.nodes.Grow(int(id) + 1)
+	*g.nodes.Slot(int(id)) = &node{label: label, alive: true, epoch: g.epoch}
 	g.numAlive++
-	g.touch(id)
 	return id
 }
 
@@ -179,7 +189,7 @@ func (g *Graph) AddRoot() NodeID {
 
 // SetRoot marks an existing node as the root.
 func (g *Graph) SetRoot(v NodeID) {
-	g.mustAlive(v)
+	g.live(v)
 	g.root = v
 }
 
@@ -188,21 +198,18 @@ func (g *Graph) Root() NodeID { return g.root }
 
 // SetValue attaches a string value to a node.
 func (g *Graph) SetValue(v NodeID, value string) {
-	g.mustAlive(v)
-	g.nodes[v].value = value
-	g.touch(v)
+	g.live(v)
+	g.mut(v).value = value
 }
 
 // Value returns the node's value (empty if none was set).
 func (g *Graph) Value(v NodeID) string {
-	g.mustAlive(v)
-	return g.nodes[v].value
+	return g.live(v).value
 }
 
 // Label returns the node's interned label.
 func (g *Graph) Label(v NodeID) LabelID {
-	g.mustAlive(v)
-	return g.nodes[v].label
+	return g.live(v).label
 }
 
 // LabelName returns the node's label as a string.
@@ -212,7 +219,7 @@ func (g *Graph) LabelName(v NodeID) string {
 
 // Alive reports whether v identifies a live (non-deleted) node.
 func (g *Graph) Alive(v NodeID) bool {
-	return v >= 0 && int(v) < len(g.nodes) && g.nodes[v].alive
+	return v >= 0 && int(v) < g.nodes.Len() && g.rec(v).alive
 }
 
 // NumNodes returns the number of live nodes.
@@ -226,7 +233,7 @@ func (g *Graph) NumIDRefEdges() int { return g.numIDRef }
 
 // MaxNodeID returns the exclusive upper bound of NodeIDs ever assigned;
 // useful for sizing NodeID-indexed side arrays.
-func (g *Graph) MaxNodeID() NodeID { return NodeID(len(g.nodes)) }
+func (g *Graph) MaxNodeID() NodeID { return NodeID(g.nodes.Len()) }
 
 // ErrEdgeExists is returned by AddEdge when the edge is already present;
 // the paper's model treats E as a set, so parallel edges are rejected.
@@ -251,42 +258,40 @@ var ErrNoEdge = errors.New("graph: no such edge")
 
 // AddEdge inserts a directed edge u→v of the given kind.
 func (g *Graph) AddEdge(u, v NodeID, kind EdgeKind) error {
-	g.mustAlive(u)
-	g.mustAlive(v)
+	g.live(u)
+	g.live(v)
 	if u == v && !g.allowLoops {
 		return ErrSelfLoop
 	}
 	if g.HasEdge(u, v) {
 		return ErrEdgeExists
 	}
-	g.nodes[u].succ = append(g.nodes[u].succ, Edge{To: v, Kind: kind})
-	g.nodes[v].pred = append(g.nodes[v].pred, Edge{To: u, Kind: kind})
+	nu := g.mut(u)
+	nu.succ = append(nu.succ, Edge{To: v, Kind: kind})
+	nv := g.mut(v)
+	nv.pred = append(nv.pred, Edge{To: u, Kind: kind})
 	g.numEdges++
 	if kind == IDRef {
 		g.numIDRef++
 	}
-	g.touch(u)
-	g.touch(v)
 	return nil
 }
 
 // DeleteEdge removes the directed edge u→v.
 func (g *Graph) DeleteEdge(u, v NodeID) error {
-	g.mustAlive(u)
-	g.mustAlive(v)
-	kind, ok := removeEdge(&g.nodes[u].succ, v)
+	g.live(u)
+	g.live(v)
+	kind, ok := removeEdge(&g.mut(u).succ, v)
 	if !ok {
 		return ErrNoEdge
 	}
-	if _, ok := removeEdge(&g.nodes[v].pred, u); !ok {
+	if _, ok := removeEdge(&g.mut(v).pred, u); !ok {
 		panic("graph: adjacency lists out of sync")
 	}
 	g.numEdges--
 	if kind == IDRef {
 		g.numIDRef--
 	}
-	g.touch(u)
-	g.touch(v)
 	return nil
 }
 
@@ -305,9 +310,7 @@ func removeEdge(list *[]Edge, to NodeID) (EdgeKind, bool) {
 
 // HasEdge reports whether the edge u→v exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	g.mustAlive(u)
-	g.mustAlive(v)
-	su, sv := g.nodes[u].succ, g.nodes[v].pred
+	su, sv := g.live(u).succ, g.live(v).pred
 	// Scan the shorter adjacency list.
 	if len(su) <= len(sv) {
 		for _, e := range su {
@@ -327,8 +330,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 
 // EdgeKindOf returns the kind of edge u→v, if present.
 func (g *Graph) EdgeKindOf(u, v NodeID) (EdgeKind, bool) {
-	g.mustAlive(u)
-	for _, e := range g.nodes[u].succ {
+	for _, e := range g.live(u).succ {
 		if e.To == v {
 			return e.Kind, true
 		}
@@ -339,14 +341,14 @@ func (g *Graph) EdgeKindOf(u, v NodeID) (EdgeKind, bool) {
 // RemoveNode deletes a node together with all of its incident edges.
 // The NodeID is never reused.
 func (g *Graph) RemoveNode(v NodeID) {
-	g.mustAlive(v)
+	g.live(v)
 	// Copy slices since DeleteEdge mutates them.
-	for _, e := range append([]Edge(nil), g.nodes[v].succ...) {
+	for _, e := range slices.Clone(g.rec(v).succ) {
 		if err := g.DeleteEdge(v, e.To); err != nil {
 			panic("graph: RemoveNode: " + err.Error())
 		}
 	}
-	for _, e := range append([]Edge(nil), g.nodes[v].pred...) {
+	for _, e := range slices.Clone(g.rec(v).pred) {
 		if e.To == v {
 			continue // self-loop already removed via the succ pass
 		}
@@ -354,10 +356,10 @@ func (g *Graph) RemoveNode(v NodeID) {
 			panic("graph: RemoveNode: " + err.Error())
 		}
 	}
-	g.nodes[v].alive = false
-	g.nodes[v].value = ""
+	n := g.mut(v)
+	n.alive = false
+	n.value = ""
 	g.numAlive--
-	g.touch(v)
 	if g.root == v {
 		g.root = InvalidNode
 	}
@@ -365,38 +367,34 @@ func (g *Graph) RemoveNode(v NodeID) {
 
 // OutDegree returns the number of outgoing edges of v.
 func (g *Graph) OutDegree(v NodeID) int {
-	g.mustAlive(v)
-	return len(g.nodes[v].succ)
+	return len(g.live(v).succ)
 }
 
 // InDegree returns the number of incoming edges of v.
 func (g *Graph) InDegree(v NodeID) int {
-	g.mustAlive(v)
-	return len(g.nodes[v].pred)
+	return len(g.live(v).pred)
 }
 
 // EachSucc calls fn for every successor of v. The iteration order is
 // unspecified. fn must not mutate the graph.
 func (g *Graph) EachSucc(v NodeID, fn func(w NodeID, kind EdgeKind)) {
-	g.mustAlive(v)
-	for _, e := range g.nodes[v].succ {
+	for _, e := range g.live(v).succ {
 		fn(e.To, e.Kind)
 	}
 }
 
 // EachPred calls fn for every predecessor of v. fn must not mutate the graph.
 func (g *Graph) EachPred(v NodeID, fn func(u NodeID, kind EdgeKind)) {
-	g.mustAlive(v)
-	for _, e := range g.nodes[v].pred {
+	for _, e := range g.live(v).pred {
 		fn(e.To, e.Kind)
 	}
 }
 
 // Succ returns a fresh slice of v's successors.
 func (g *Graph) Succ(v NodeID) []NodeID {
-	g.mustAlive(v)
-	out := make([]NodeID, 0, len(g.nodes[v].succ))
-	for _, e := range g.nodes[v].succ {
+	adj := g.live(v).succ
+	out := make([]NodeID, 0, len(adj))
+	for _, e := range adj {
 		out = append(out, e.To)
 	}
 	return out
@@ -404,9 +402,9 @@ func (g *Graph) Succ(v NodeID) []NodeID {
 
 // Pred returns a fresh slice of v's predecessors.
 func (g *Graph) Pred(v NodeID) []NodeID {
-	g.mustAlive(v)
-	out := make([]NodeID, 0, len(g.nodes[v].pred))
-	for _, e := range g.nodes[v].pred {
+	adj := g.live(v).pred
+	out := make([]NodeID, 0, len(adj))
+	for _, e := range adj {
 		out = append(out, e.To)
 	}
 	return out
@@ -414,8 +412,8 @@ func (g *Graph) Pred(v NodeID) []NodeID {
 
 // EachNode calls fn for every live node in increasing NodeID order.
 func (g *Graph) EachNode(fn func(v NodeID)) {
-	for i := range g.nodes {
-		if g.nodes[i].alive {
+	for i := 0; i < g.nodes.Len(); i++ {
+		if g.rec(NodeID(i)).alive {
 			fn(NodeID(i))
 		}
 	}
@@ -430,11 +428,12 @@ func (g *Graph) Nodes() []NodeID {
 
 // EachEdge calls fn for every edge (u, v, kind), grouped by source node.
 func (g *Graph) EachEdge(fn func(u, v NodeID, kind EdgeKind)) {
-	for i := range g.nodes {
-		if !g.nodes[i].alive {
+	for i := 0; i < g.nodes.Len(); i++ {
+		n := g.rec(NodeID(i))
+		if !n.alive {
 			continue
 		}
-		for _, e := range g.nodes[i].succ {
+		for _, e := range n.succ {
 			fn(NodeID(i), e.To, e.Kind)
 		}
 	}
@@ -474,9 +473,10 @@ func sortEdgePairs(s [][2]NodeID) {
 
 // Clone returns a deep copy of the graph sharing the label interner.
 func (g *Graph) Clone() *Graph {
+	var empty cow.Array[*node]
 	cp := &Graph{
 		labels:     g.labels,
-		nodes:      make([]node, len(g.nodes)),
+		nodes:      empty.Edit(g.nodes.Len()),
 		root:       g.root,
 		numAlive:   g.numAlive,
 		numEdges:   g.numEdges,
@@ -484,14 +484,10 @@ func (g *Graph) Clone() *Graph {
 		rootLabel:  g.rootLabel,
 		allowLoops: g.allowLoops,
 	}
-	for i, n := range g.nodes {
-		cp.nodes[i] = node{
-			label: n.label,
-			value: n.value,
-			succ:  append([]Edge(nil), n.succ...),
-			pred:  append([]Edge(nil), n.pred...),
-			alive: n.alive,
-		}
+	for i := 0; i < g.nodes.Len(); i++ {
+		n := *g.rec(NodeID(i))
+		n.epoch, n.succ, n.pred = 0, slices.Clone(n.succ), slices.Clone(n.pred)
+		*cp.nodes.Slot(i) = &n
 	}
 	return cp
 }
@@ -505,15 +501,15 @@ func (g *Graph) Clone() *Graph {
 // Indexes hold NodeIDs and must be rebuilt (or re-derived from a persisted
 // partition remapped with the returned table) against the compacted graph.
 func (g *Graph) Compact() (*Graph, []NodeID) {
-	remap := make([]NodeID, len(g.nodes))
+	remap := make([]NodeID, g.nodes.Len())
 	for i := range remap {
 		remap[i] = InvalidNode
 	}
 	ng := NewShared(g.labels)
 	ng.allowLoops = g.allowLoops
 	g.EachNode(func(v NodeID) {
-		nv := ng.AddNodeL(g.nodes[v].label)
-		if val := g.nodes[v].value; val != "" {
+		nv := ng.AddNodeL(g.rec(v).label)
+		if val := g.rec(v).value; val != "" {
 			ng.SetValue(nv, val)
 		}
 		remap[v] = nv
@@ -529,17 +525,29 @@ func (g *Graph) Compact() (*Graph, []NodeID) {
 	return ng, remap
 }
 
-// touch records that v's frozen record is out of date. Every mutator
-// calls it; it does nothing until the first Freeze.
-func (g *Graph) touch(v NodeID) {
-	if g.track && !g.nodes[v].stale {
-		g.nodes[v].stale = true
-		g.stale = append(g.stale, v)
+// rec returns v's record for reading; it may be shared with Frozen views.
+func (g *Graph) rec(v NodeID) *node { return *g.nodes.At(int(v)) }
+
+// mut returns v's record for writing. The first write after a Freeze
+// copies the record's page of pointers, and the record with its
+// adjacency, all of which the published views share.
+func (g *Graph) mut(v NodeID) *node {
+	p := g.nodes.Slot(int(v))
+	if (*p).epoch != g.epoch {
+		n := **p
+		n.epoch = g.epoch
+		n.succ, n.pred = slices.Clone(n.succ), slices.Clone(n.pred)
+		*p = &n
 	}
+	return *p
 }
 
-func (g *Graph) mustAlive(v NodeID) {
-	if !g.Alive(v) {
-		panic(fmt.Sprintf("graph: invalid or deleted node %d", v))
+// live returns v's record for reading; it panics unless v is a live node.
+func (g *Graph) live(v NodeID) *node {
+	if uint(v) < uint(g.nodes.Len()) {
+		if n := g.rec(v); n.alive {
+			return n
+		}
 	}
+	panic(fmt.Sprintf("graph: invalid or deleted node %d", v))
 }

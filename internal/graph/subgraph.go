@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Subgraph is a detached rooted subgraph, used by the subgraph
 // addition/deletion operations of §5.2 and by the update workloads: a
@@ -75,11 +78,47 @@ func Extract(g *Graph, root NodeID, skipIDRef bool) *Subgraph {
 	return s
 }
 
+// ErrBadSubgraph is wrapped by the error of a Subgraph whose parts
+// disagree: fewer values than labels, fewer edge kinds than edges, or an
+// internal or cross edge naming a local node the subgraph does not have.
+var ErrBadSubgraph = errors.New("graph: malformed subgraph")
+
+// Check reports the first disagreement among s's parts (see
+// ErrBadSubgraph). InsertNodes, and so BuildGraph, runs it before adding
+// any node.
+func (s *Subgraph) Check() error {
+	n := int32(len(s.Labels))
+	local := func(i int32) bool { return 0 <= i && i < n }
+	if len(s.Values) < len(s.Labels) {
+		return fmt.Errorf("%w: %d values for %d nodes", ErrBadSubgraph, len(s.Values), n)
+	}
+	if len(s.EdgeKinds) < len(s.Edges) {
+		return fmt.Errorf("%w: %d edge kinds for %d edges", ErrBadSubgraph, len(s.EdgeKinds), len(s.Edges))
+	}
+	for i, e := range s.Edges {
+		if !local(e[0]) || !local(e[1]) {
+			return fmt.Errorf("%w: internal edge %d is %d->%d over %d nodes", ErrBadSubgraph, i, e[0], e[1], n)
+		}
+	}
+	for _, cross := range [][]CrossEdge{s.CrossIn, s.CrossOut} {
+		for _, ce := range cross {
+			if !local(ce.Local) {
+				return fmt.Errorf("%w: cross edge at local node %d over %d nodes", ErrBadSubgraph, ce.Local, n)
+			}
+		}
+	}
+	return nil
+}
+
 // InsertNodes materializes the subgraph's local nodes and internal edges in
 // g and returns the mapping from local index to new NodeID. Cross edges are
 // not added; index-maintaining callers add them one by one (or in the
-// batched root-first order of Figure 6).
+// batched root-first order of Figure 6). A malformed subgraph (Check) adds
+// nothing.
 func (s *Subgraph) InsertNodes(g *Graph) ([]NodeID, error) {
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
 	ids := make([]NodeID, len(s.Labels))
 	for i, l := range s.Labels {
 		ids[i] = g.AddNodeL(l)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,5 +151,41 @@ func TestExtractInsertProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMalformedSubgraphRejected feeds InsertNodes and BuildGraph each
+// shape whose parts disagree: both must return ErrBadSubgraph, not panic,
+// and leave the host graph as it was.
+func TestMalformedSubgraphRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(s *Subgraph)
+	}{
+		{"internal edge past the last node", func(s *Subgraph) { s.Edges = append(s.Edges, [2]int32{0, int32(len(s.Labels))}) }},
+		{"internal edge from a negative node", func(s *Subgraph) { s.Edges[0][0] = -1 }},
+		{"values shorter than labels", func(s *Subgraph) { s.Values = s.Values[:len(s.Values)-1] }},
+		{"edge kinds shorter than edges", func(s *Subgraph) { s.EdgeKinds = s.EdgeKinds[:len(s.EdgeKinds)-1] }},
+		{"cross-in local out of range", func(s *Subgraph) { s.CrossIn[0].Local = int32(len(s.Labels)) }},
+		{"cross-out local out of range", func(s *Subgraph) { s.CrossOut[0].Local = int32(len(s.Labels)) + 7 }},
+		{"cross-out local negative", func(s *Subgraph) { s.CrossOut[0].Local = -1 }},
+	}
+	for _, tc := range cases {
+		g, sub := buildHost(t)
+		s := Extract(g, sub, true)
+		if err := s.Check(); err != nil {
+			t.Fatalf("%s: the extracted subgraph fails Check: %v", tc.name, err)
+		}
+		tc.edit(s)
+		before := g.Clone().Freeze()
+		if _, err := s.InsertNodes(g); !errors.Is(err, ErrBadSubgraph) {
+			t.Errorf("%s: InsertNodes error %v, want ErrBadSubgraph", tc.name, err)
+		}
+		if _, _, err := s.BuildGraph(g.Labels()); !errors.Is(err, ErrBadSubgraph) {
+			t.Errorf("%s: BuildGraph error %v, want ErrBadSubgraph", tc.name, err)
+		}
+		if d := refOf(g).diff(before); d != "" {
+			t.Errorf("%s: the host graph changed: %s", tc.name, d)
+		}
 	}
 }

@@ -8,13 +8,14 @@ package graph
 // graphs the minimal 1-index is unique and minimum (Lemma 4), so the
 // split/merge algorithm maintains the minimum index exactly (Theorem 1).
 func (g *Graph) TopoOrder() ([]NodeID, bool) {
-	indeg := make([]int, len(g.nodes))
+	indeg := make([]int, g.nodes.Len())
 	queue := make([]NodeID, 0, g.numAlive)
-	for i := range g.nodes {
-		if !g.nodes[i].alive {
+	for i := range indeg {
+		n := g.rec(NodeID(i))
+		if !n.alive {
 			continue
 		}
-		indeg[i] = len(g.nodes[i].pred)
+		indeg[i] = len(n.pred)
 		if indeg[i] == 0 {
 			queue = append(queue, NodeID(i))
 		}
@@ -24,7 +25,7 @@ func (g *Graph) TopoOrder() ([]NodeID, bool) {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		order = append(order, v)
-		for _, e := range g.nodes[v].succ {
+		for _, e := range g.rec(v).succ {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
 				queue = append(queue, e.To)
@@ -48,14 +49,14 @@ func (g *Graph) IsAcyclic() bool {
 // traversal used to extract subtrees for the subgraph-addition workload,
 // which deliberately does not follow IDREF edges (§7.1).
 func (g *Graph) Reachable(v NodeID, skipIDRef bool) []NodeID {
-	g.mustAlive(v)
+	g.live(v)
 	seen := map[NodeID]bool{v: true}
 	stack := []NodeID{v}
 	out := []NodeID{v}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.nodes[u].succ {
+		for _, e := range g.rec(u).succ {
 			if skipIDRef && e.Kind == IDRef {
 				continue
 			}
@@ -73,7 +74,7 @@ func (g *Graph) Reachable(v NodeID, skipIDRef bool) []NodeID {
 // most depth (v itself is distance 0 and included). This is the BFS the
 // simple A(k) baseline of [17] uses to find potentially affected dnodes.
 func (g *Graph) DescendantsWithin(v NodeID, depth int) []NodeID {
-	g.mustAlive(v)
+	g.live(v)
 	if depth < 0 {
 		return nil
 	}
@@ -83,7 +84,7 @@ func (g *Graph) DescendantsWithin(v NodeID, depth int) []NodeID {
 	for d := 0; d < depth && len(frontier) > 0; d++ {
 		var next []NodeID
 		for _, u := range frontier {
-			for _, e := range g.nodes[u].succ {
+			for _, e := range g.rec(u).succ {
 				if !seen[e.To] {
 					seen[e.To] = true
 					next = append(next, e.To)

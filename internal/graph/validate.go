@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Validate checks the graph's internal invariants: successor/predecessor
@@ -14,8 +13,8 @@ import (
 // the first violation found.
 func (g *Graph) Validate() error {
 	nEdges, nIDRef := 0, 0
-	for i := range g.nodes {
-		n := &g.nodes[i]
+	for i := 0; i < g.nodes.Len(); i++ {
+		n := g.rec(NodeID(i))
 		if !n.alive {
 			if len(n.succ) != 0 || len(n.pred) != 0 {
 				return fmt.Errorf("deleted node %d still has incident edges", i)
@@ -34,7 +33,7 @@ func (g *Graph) Validate() error {
 			if !g.Alive(e.To) {
 				return fmt.Errorf("edge %d->%d targets deleted node", i, e.To)
 			}
-			if !hasMirror(g.nodes[e.To].pred, NodeID(i), e.Kind) {
+			if !hasMirror(g.rec(e.To).pred, NodeID(i), e.Kind) {
 				return fmt.Errorf("edge %d->%d missing from pred list of %d", i, e.To, e.To)
 			}
 			nEdges++
@@ -46,7 +45,7 @@ func (g *Graph) Validate() error {
 			if !g.Alive(e.To) {
 				return fmt.Errorf("pred edge %d<-%d from deleted node", i, e.To)
 			}
-			if !hasMirror(g.nodes[e.To].succ, NodeID(i), e.Kind) {
+			if !hasMirror(g.rec(e.To).succ, NodeID(i), e.Kind) {
 				return fmt.Errorf("pred edge %d<-%d missing from succ list of %d", i, e.To, e.To)
 			}
 		}
@@ -81,20 +80,14 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "digraph G {"); err != nil {
 		return err
 	}
-	var nodes []int
-	for i := range g.nodes {
-		if g.nodes[i].alive {
-			nodes = append(nodes, i)
-		}
-	}
-	sort.Ints(nodes)
+	nodes := g.Nodes()
 	for _, i := range nodes {
-		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", i, fmt.Sprintf("%s#%d", g.labels.Name(g.nodes[i].label), i)); err != nil {
+		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", i, fmt.Sprintf("%s#%d", g.LabelName(i), i)); err != nil {
 			return err
 		}
 	}
 	for _, i := range nodes {
-		for _, e := range g.nodes[i].succ {
+		for _, e := range g.rec(i).succ {
 			style := ""
 			if e.Kind == IDRef {
 				style = " [style=dashed]"

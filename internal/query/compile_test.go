@@ -481,7 +481,7 @@ func TestChainedPathsMatchGraph(t *testing.T) {
 							if _, err := churn.Step(); err != nil {
 								t.Fatal(err)
 							}
-							data = data.Rebuild(x.Graph(), nil)
+							data = x.Graph().Freeze()
 							s = x.PatchSnapshot(s, data)
 							dirty := sortedDirty(t, s)
 							for i, e := range cached {

@@ -138,7 +138,7 @@ func TestFootprintInvalidationSound(t *testing.T) {
 								t.Fatalf("seed %d round %d (%s): %v", seed, round, kind, err)
 							}
 							kinds[kind]++
-							data = data.Rebuild(one.Graph(), nil)
+							data = one.Graph().Freeze()
 							snap = one.PatchSnapshot(snap, data)
 							dirty := sortedDirty(t, snap)
 							for key, e := range cache {
@@ -222,7 +222,7 @@ func TestFootprintCatchesRelabelledSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data = data.Rebuild(one.Graph(), nil)
+	data = one.Graph().Freeze()
 	snap = one.PatchSnapshot(snap, data)
 
 	// The premises: same slot, new label, same successor list above it.

@@ -83,7 +83,7 @@ func TestPlannerExactOnPatchedChain(t *testing.T) {
 				if _, err := churnAk.Step(); err != nil {
 					t.Fatalf("step %d (%s) on A(k): %v", step, what, err)
 				}
-				dataOne, dataAk = dataOne.Rebuild(one.Graph(), nil), dataAk.Rebuild(ak.Graph(), nil)
+				dataOne, dataAk = one.Graph().Freeze(), ak.Graph().Freeze()
 				if d := gtest.FrozenDiff(dataOne, dataAk); d != "" {
 					t.Fatalf("step %d (%s): twin graphs diverged: %s", step, what, d)
 				}

@@ -140,7 +140,7 @@ func TestPatchedChainEqualsFreeze(t *testing.T) {
 						if err != nil {
 							t.Fatalf("step %d (%s): %v", step, what, err)
 						}
-						s = x.PatchSnapshot(s, s.Data().Rebuild(g, nil))
+						s = x.PatchSnapshot(s, g.Freeze())
 						if _, ok := s.Changed(); !ok {
 							t.Fatalf("step %d (%s): published by full freeze", step, what)
 						}

@@ -366,6 +366,9 @@ func (sdb *ShardedDB) DeleteSubtree(root NodeID) (*Subgraph, error) {
 // by the label of its attach point. Returns the new global ids,
 // local-index order.
 func (sdb *ShardedDB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
+	if err := sg.Check(); err != nil {
+		return nil, err
+	}
 	sdb.lmu.Lock()
 	names := make([]string, len(sg.Labels))
 	for i, l := range sg.Labels {

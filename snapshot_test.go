@@ -541,9 +541,10 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 // publicationCost applies the benchmark's write traffic — 8-op batches of
 // new person→open_auction IDREF edges, inserted and then deleted again —
 // to an XMark graph of the given scale (the divisor of the paper
-// instance: smaller is larger) and returns the bytes Frozen.Rebuild plus
+// instance: smaller is larger) and returns the bytes Graph.Freeze plus
 // PatchSnapshot allocated over all commits and the inode slots they
-// dirtied.
+// dirtied. The graph's own page copies are paid inside ApplyBatch, by
+// the first write to each page after a Freeze.
 func publicationCost(t *testing.T, scale int) (nodes int, bytes uint64, dirtied int) {
 	g := structix.GenerateXMark(structix.DefaultXMark(scale, 1, 1))
 	var persons, auctions []structix.NodeID
@@ -574,7 +575,7 @@ func publicationCost(t *testing.T, scale int) (nodes int, bytes uint64, dirtied 
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)
-		snap = idx.PatchSnapshot(snap, snap.Data().Rebuild(g, nil))
+		snap = idx.PatchSnapshot(snap, g.Freeze())
 		runtime.ReadMemStats(&after)
 		bytes += after.TotalAlloc - before.TotalAlloc
 		changed, _ := snap.Changed()

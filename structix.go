@@ -107,6 +107,12 @@ type BatchError = graph.BatchError
 // is not live in the graph.
 var ErrDeadNode = graph.ErrDeadNode
 
+// ErrBadSubgraph is the cause when AddSubgraph, or the replay of a
+// journaled graft, gets a Subgraph whose parts disagree (an edge naming a
+// local node it does not have, or fewer values or edge kinds than nodes
+// or edges): nothing is applied.
+var ErrBadSubgraph = graph.ErrBadSubgraph
+
 // InsertOp describes the insertion of dedge u→v for ApplyBatch.
 func InsertOp(u, v NodeID, kind EdgeKind) EdgeOp { return graph.InsertOp(u, v, kind) }
 
