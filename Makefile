@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=20s ./internal/akindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=20s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=20s ./internal/akindex/
+	$(GO) test -fuzz=FuzzPublish -fuzztime=10s ./internal/snap/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/xmlload/
 	$(GO) test -fuzz=FuzzLoaderMultiDoc -fuzztime=10s ./internal/xmlload/
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/server/
@@ -145,8 +146,11 @@ loc:
 # (leader + 2 replicas, min_epoch read-back), short path-parser,
 # extent-decoder, frame-reader and refinement-engine (FuzzRefine) fuzz
 # passes, the maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps
-# over both index families), the shard-, repl- and scale-bench smokes,
-# and a one-iteration smoke pass over every benchmark in the module.
+# over both index families), the publication fuzz pass (FuzzPublish: any
+# interleaving of writes, stale predecessors, reference freezes and codec
+# switches publishes what a fresh Freeze does), the shard-, repl- and
+# scale-bench smokes, and a one-iteration smoke pass over every benchmark
+# in the module.
 ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
@@ -167,6 +171,7 @@ ci: build vet
 	$(GO) test -fuzz=FuzzMaintenance -fuzztime=10s ./internal/akindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/akindex/
+	$(GO) test -fuzz=FuzzPublish -fuzztime=10s ./internal/snap/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

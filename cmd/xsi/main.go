@@ -19,8 +19,10 @@
 // and checks every structural invariant; dot writes the data graph (or,
 // with -index 1, the index graph) in Graphviz format; build persists the
 // graph together with both indexes to a binary database file (-z gzips
-// it); update applies an update script through incremental maintenance and
-// persists the result; genops emits a mixed edge-update script valid
+// it); update applies an update script of edge, node and subtree ops
+// through incremental maintenance and persists the result (a database
+// holding both indexes maintains the 1-index and rebuilds the A(k) family
+// over the updated graph); genops emits a mixed edge-update script valid
 // against the database.
 //
 // Everywhere an XML file list is accepted, -db db.sx loads a persisted
@@ -150,14 +152,18 @@ func update(db *structix.Database, scriptPath, out string, compress bool) {
 	}
 	switch {
 	case db.One != nil && db.Ak != nil:
-		// Both indexes share the database graph: mutate it once and let
-		// each index follow incrementally.
-		res, err := structix.ApplyOpsShared(db.Graph, ops, db.One, db.Ak)
+		// Both indexes share the database graph: maintain the 1-index
+		// through the script, then rebuild the A(k) family over the result.
+		// The maintained family is the unique minimum on any graph
+		// (Theorem 2), so the rebuild is exactly what maintenance would
+		// produce, level by level.
+		res, err := structix.ApplyOps(db.One, ops)
 		if err != nil {
 			fail(err.Error())
 		}
-		fmt.Printf("applied %d ops (%d inserts, %d deletes) to both indexes: 1-index %d inodes, A(%d) %d inodes\n",
-			res.Applied, res.Inserted, res.Deleted, db.One.Size(), db.Ak.K(), db.Ak.Size())
+		db.Ak = structix.BuildAkIndex(db.Graph, db.Ak.K())
+		fmt.Printf("applied %d ops (%d inserts, %d deletes, %d new nodes, %d removed) to both indexes: 1-index %d inodes, A(%d) %d inodes\n",
+			res.Applied, res.Inserted, res.Deleted, len(res.NewNodes), res.Removed, db.One.Size(), db.Ak.K(), db.Ak.Size())
 	case db.One != nil:
 		res, err := structix.ApplyOps(db.One, ops)
 		if err != nil {

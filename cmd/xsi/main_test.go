@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"structix"
+	"structix/internal/partition"
 )
 
 // query -index auto over a loaded database must plan over the indexes the
@@ -47,6 +48,60 @@ func TestValidateAfterRootInEdgeUpdate(t *testing.T) {
 	out := captureStdout(t, func() { validateDB(g, db, 2) })
 	if !strings.Contains(out, "ok: persisted database validates") {
 		t.Fatalf("validate output:\n%s", out)
+	}
+}
+
+// xsi update runs every op kind against a database xsi build wrote, which
+// holds both indexes. The stored A(k) family must then equal, level by
+// level, one maintained through the same script.
+func TestUpdateBuiltDatabaseAllOpKinds(t *testing.T) {
+	g, err := structix.ParseXMLString(`<site><people><person><name>A</name></person>` +
+		`<person><name>B</name><watch/></person></people><auctions><auction><item/></auction></auctions></site>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	built, updated := filepath.Join(dir, "db.sx"), filepath.Join(dir, "db2.sx")
+	captureStdout(t, func() { build(g, 2, built, false) })
+	db := loadDB(built)
+	g = db.Graph
+	first := func(label string, nth int) structix.NodeID {
+		for _, v := range g.Nodes() {
+			if g.LabelName(v) == label {
+				if nth == 0 {
+					return v
+				}
+				nth--
+			}
+		}
+		t.Fatalf("no %s #%d", label, nth)
+		return structix.InvalidNode
+	}
+	p1, p2, name2 := first("person", 0), first("person", 1), first("name", 1)
+	text := fmt.Sprintf("insert %d %d idref\naddnode hobby %d\ninsert %d %d idref\ndelete %d %d\ndelnode %d\ndelsub %d\n",
+		p1, name2, p2, first("site", 0), p2, p1, name2, first("watch", 0), first("auctions", 0))
+	ops, err := structix.ParseOps(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := structix.BuildAkIndex(g.Clone(), 2)
+	if _, err := structix.ApplyOps(want, ops); err != nil {
+		t.Fatal(err)
+	}
+	script := filepath.Join(dir, "ops.txt")
+	if err := os.WriteFile(script, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A failing update or validation exits the test binary non-zero.
+	captureStdout(t, func() { update(db, script, updated, false) })
+	db = loadDB(updated)
+	if out := captureStdout(t, func() { validateDB(db.Graph, db, 2) }); !strings.Contains(out, "ok: persisted database validates") {
+		t.Fatalf("validate output:\n%s", out)
+	}
+	for l := 0; l <= 2; l++ {
+		if !partition.Equal(db.Ak.ToPartition(l), want.ToPartition(l)) {
+			t.Errorf("A(%d) level differs from the maintained family's", l)
+		}
 	}
 }
 

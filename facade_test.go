@@ -163,21 +163,6 @@ func TestFacadeOpsRoundTrip(t *testing.T) {
 	if len(again) != len(ops) {
 		t.Fatalf("ops round trip lost entries")
 	}
-	one := structix.BuildOneIndex(g)
-	ak := structix.BuildAkIndex(g, 2)
-	res, err := structix.ApplyOpsShared(g, again, one, ak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != len(ops) {
-		t.Errorf("applied %d of %d", res.Applied, len(ops))
-	}
-	if err := one.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ak.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeConcurrentFullSurface(t *testing.T) {

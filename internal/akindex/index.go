@@ -129,50 +129,16 @@ type Index struct {
 	ibuf        []INodeID
 	cbuf        []int32
 
-	// Snapshot dirty tracking (see snapshot.go): once Freeze has been
-	// called, every inode slot whose level-k-visible state (extent,
-	// intra-iedges, liveness) may have changed is recorded here so
-	// PatchSnapshot can re-copy only the touched slots.
-	trackDirty bool
-	dirtySet   []bool // by INodeID slot
-	dirtyIDs   []INodeID
-
-	// codec is the extent representation snapshots freeze into (see
-	// internal/extent). The live family always stays dense — the zero-alloc
-	// maintenance paths never touch it — so the codec only matters at
-	// Freeze/PatchSnapshot time.
-	codec extent.Codec
+	pub snap.Publisher // publishes snapshots; maintenance Marks what it changes
 }
 
 // SetSnapshotCodec selects the extent representation later Freeze and
 // PatchSnapshot calls encode extents into; the live maintenance structures
-// are unaffected. Switching codecs disables dirty-patching once, so the
-// next snapshot is a full freeze re-encoding every extent — otherwise a
-// patched snapshot would share stale-codec views for untouched slots.
-func (x *Index) SetSnapshotCodec(c extent.Codec) {
-	if x.codec == c {
-		return
-	}
-	x.codec = c
-	x.trackDirty = false
-}
+// are unaffected. The next snapshot after a switch is a full freeze.
+func (x *Index) SetSnapshotCodec(c extent.Codec) { x.pub.SetCodec(c) }
 
 // SnapshotCodec returns the codec snapshots currently freeze into.
-func (x *Index) SnapshotCodec() extent.Codec { return x.codec }
-
-// markDirty records that inode slot i changed since the last Freeze/Patch.
-func (x *Index) markDirty(i INodeID) {
-	if !x.trackDirty {
-		return
-	}
-	for int(i) >= len(x.dirtySet) {
-		x.dirtySet = append(x.dirtySet, false)
-	}
-	if !x.dirtySet[i] {
-		x.dirtySet[i] = true
-		x.dirtyIDs = append(x.dirtyIDs, i)
-	}
-}
+func (x *Index) SnapshotCodec() extent.Codec { return x.pub.Codec() }
 
 // Stats counts maintenance work across all levels.
 type Stats struct {
@@ -399,7 +365,7 @@ func (x *Index) newANode(level int32, label graph.LabelID, parent INodeID) INode
 		x.addChild(parent, id)
 	}
 	x.numLive[level]++
-	x.markDirty(id)
+	x.pub.Mark(id)
 	return id
 }
 
@@ -420,7 +386,7 @@ func (x *Index) freeANode(id INodeID) {
 	x.freeIDs = append(x.freeIDs, id)
 	x.pool = append(x.pool, n)
 	x.numLive[n.level]--
-	x.markDirty(id)
+	x.pub.Mark(id)
 }
 
 // addChild inserts c into p's sorted child slice.
@@ -476,7 +442,7 @@ func (x *Index) addBoundaryCount(src, dst INodeID, delta int32) {
 }
 
 func (x *Index) addIntraCount(src, dst INodeID, delta int32) {
-	x.markDirty(src) // the snapshot view carries src's intra-successor list
+	x.pub.Mark(src) // the snapshot view carries src's intra-successor list
 	if x.nodes[src].intraSucc.Add(dst, delta) < 0 {
 		panic("akindex: negative intra-iedge count")
 	}
@@ -543,8 +509,8 @@ func (x *Index) reassignPath(w graph.NodeID, newPath []INodeID) {
 		x.extentRemove(old[x.k], w)
 		x.extentAdd(newPath[x.k], w)
 		x.inodeOf[w] = newPath[x.k]
-		x.markDirty(old[x.k])
-		x.markDirty(newPath[x.k])
+		x.pub.Mark(old[x.k])
+		x.pub.Mark(newPath[x.k])
 	}
 }
 

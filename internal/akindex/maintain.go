@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"structix/internal/graph"
+	"structix/internal/ilist"
 )
 
 // InsertEdge adds the dedge u→v and incrementally maintains the whole
@@ -18,12 +19,6 @@ func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
 	return nil
 }
 
-// NoteEdgeInserted maintains the family for a dedge u→v that the caller
-// has already added to the shared data graph (multi-index setups).
-func (x *Index) NoteEdgeInserted(u, v graph.NodeID, kind graph.EdgeKind) {
-	x.noteOp(graph.InsertOp(u, v, kind))
-}
-
 // DeleteEdge removes the dedge u→v and incrementally maintains the family
 // (the deletion variant of Figure 7).
 func (x *Index) DeleteEdge(u, v graph.NodeID) error {
@@ -32,12 +27,6 @@ func (x *Index) DeleteEdge(u, v graph.NodeID) error {
 	}
 	x.noteOp(graph.DeleteOp(u, v))
 	return nil
-}
-
-// NoteEdgeDeleted maintains the family for a dedge u→v that the caller has
-// already removed from the shared data graph.
-func (x *Index) NoteEdgeDeleted(u, v graph.NodeID) {
-	x.noteOp(graph.DeleteOp(u, v))
 }
 
 // noteOp runs one maintenance round over a single op the graph already
@@ -327,11 +316,11 @@ func (c *akSplitCtx) threeWay(j int, s1 []graph.NodeID) {
 		clear(c.deadStamp[:cap(c.deadStamp)])
 		c.owEpoch = 1
 	}
-	c.owStamp = resizeU32(c.owStamp, n)
-	c.deadStamp = resizeU32(c.deadStamp, n)
-	c.hat1 = resizeIDs(c.hat1, n)
-	c.hat2 = resizeIDs(c.hat2, n)
-	c.recOf = resizeI32(c.recOf, n)
+	c.owStamp = ilist.Resize(c.owStamp, n)
+	c.deadStamp = ilist.Resize(c.deadStamp, n)
+	c.hat1 = ilist.Resize(c.hat1, n)
+	c.hat2 = ilist.Resize(c.hat2, n)
+	c.recOf = ilist.Resize(c.recOf, n)
 	for l := range c.recsByLevel {
 		c.recsByLevel[l] = c.recsByLevel[l][:0]
 	}
@@ -604,33 +593,4 @@ func (x *Index) mergeANodes(a, b INodeID) INodeID {
 	}
 	x.Stats.Merges++
 	return a
-}
-
-// ---- dense scratch resizing ----
-
-func resizeU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		ns := make([]uint32, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		ns := make([]int32, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func resizeIDs(s []INodeID, n int) []INodeID {
-	if cap(s) < n {
-		ns := make([]INodeID, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
 }

@@ -68,7 +68,7 @@ func (x *Index) DeleteNode(v graph.NodeID) error {
 	x.g.RemoveNode(v)
 	x.extentRemove(iv, v)
 	x.inodeOf[v] = NoINode
-	x.markDirty(iv)
+	x.pub.Mark(iv)
 	for id := iv; id != NoINode; {
 		n := x.nodes[id]
 		if len(n.extent) > 0 || len(n.child) > 0 {

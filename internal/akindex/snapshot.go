@@ -14,31 +14,19 @@ type Snapshot = snap.Snapshot
 
 // Freeze builds a complete Snapshot of the family's current level-k state
 // (the caller supplies the matching frozen graph, normally
-// x.Graph().Freeze()) and enables dirty tracking so that later
-// PatchSnapshot calls can reuse the untouched pages.
+// x.Graph().Freeze()).
 func (x *Index) Freeze(data *graph.Frozen) *Snapshot { return x.PatchSnapshot(nil, data) }
 
-// PatchSnapshot derives a new Snapshot from prev by re-copying only the
-// inode slots dirtied since prev was built. Falls back to a full Freeze
-// when prev is nil or dirty tracking was not active (e.g. after a codec
-// switch). The caller supplies the frozen graph matching the family's
-// current state.
+// PatchSnapshot publishes the family's current level-k state, re-copying
+// only the inode slots dirtied since prev when prev is the family's latest
+// publication (see snap.Publisher) and freezing every slot otherwise. The
+// caller supplies the frozen graph matching the family's current state.
 func (x *Index) PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot {
-	if !x.trackDirty {
-		prev = nil
-	}
-	h := snap.Header{Data: data, K: x.k, Root: NoINode, Size: x.numLive[x.k], Slots: len(x.nodes), Codec: x.codec}
+	h := snap.Header{Data: data, K: x.k, Root: NoINode, Size: x.numLive[x.k], Slots: len(x.nodes)}
 	if r := x.g.Root(); r != graph.InvalidNode {
 		h.Root = x.inodeOf[r]
 	}
-	s := snap.Patch(prev, h, x.dirtyIDs, x.fill)
-	// The snapshot has consumed the dirty set.
-	for _, i := range x.dirtyIDs {
-		x.dirtySet[i] = false
-	}
-	x.dirtyIDs = x.dirtyIDs[:0]
-	x.trackDirty = true
-	return s
+	return x.pub.Publish(prev, h, x.fill)
 }
 
 // fill is what a snapshot records of slot i: zero if the slot is dead or

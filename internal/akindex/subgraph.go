@@ -138,7 +138,7 @@ func (x *Index) DeleteSubgraph(root graph.NodeID, skipIDRef bool) (*graph.Subgra
 		x.g.RemoveNode(w)
 		x.extentRemove(iw, w)
 		x.inodeOf[w] = NoINode
-		x.markDirty(iw)
+		x.pub.Mark(iw)
 		// Free the now-empty tail of w's refinement-tree path.
 		for id := iw; id != NoINode; {
 			n := x.nodes[id]

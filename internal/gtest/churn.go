@@ -184,3 +184,35 @@ func BreadthFirstDiff(s *snap.Snapshot) string {
 	}
 	return ""
 }
+
+// GrowOneByOne builds a small graph, hands it to build, and runs rounds of
+// writes that each leave the index one inode larger — a leaf under the root
+// with a label of its own — and then split a two-member inode and merge it
+// back, so every round runs the split phase over the grown arena. It
+// returns how many times capOf's result changed across the rounds.
+func GrowOneByOne(rounds int, build func(*graph.Graph) Maintained, capOf func() int) (changes int, err error) {
+	g := graph.New()
+	root := g.AddNode("root")
+	g.SetRoot(root)
+	a1, a2, c := g.AddNode("a"), g.AddNode("a"), g.AddNode("c")
+	for _, v := range []graph.NodeID{a1, a2, c} {
+		mustAdd(g, root, v)
+	}
+	x := build(g)
+	last := capOf()
+	for i := 0; i < rounds; i++ {
+		if _, err := x.InsertNode(g.Labels().Intern(fmt.Sprintf("leaf%d", i)), root, graph.Tree); err != nil {
+			return changes, err
+		}
+		if err := x.ApplyBatch([]graph.EdgeOp{graph.InsertOp(c, a1, graph.IDRef)}); err != nil {
+			return changes, err
+		}
+		if err := x.ApplyBatch([]graph.EdgeOp{graph.DeleteOp(c, a1)}); err != nil {
+			return changes, err
+		}
+		if n := capOf(); n != last {
+			changes, last = changes+1, n
+		}
+	}
+	return changes, nil
+}

@@ -1,5 +1,7 @@
-// Package ilist provides small sorted (id, count) slice pairs used as the
-// flat replacement for the index cores' map[INodeID]int32 iedge counters.
+// Package ilist provides the flat slices the index cores share: small
+// sorted (id, count) slice pairs used as the replacement for their
+// map[INodeID]int32 iedge counters, and Resize, the one growth rule for
+// their slot-indexed scratch arrays.
 //
 // An inode's iedge fan-out is small in practice (bounded by the number of
 // distinct labels reachable in one step), so a sorted slice with
@@ -11,6 +13,22 @@
 // The package is generic over the id type because oneindex.INodeID and
 // akindex.INodeID are distinct ~int32 types.
 package ilist
+
+import "slices"
+
+// Resize returns s with length n, keeping its first min(len(s), n)
+// elements. Growing past the capacity reallocates with headroom
+// (slices.Grow), so an array tracking an arena that grows one slot at a
+// time reallocates O(log n) times, not once per slot. Elements past the
+// old length are zero after a reallocation and hold whatever an earlier,
+// longer use left otherwise, so the arrays sized this way are
+// epoch-stamped, or guarded by an array that is.
+func Resize[S ~[]E, E any](s S, n int) S {
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
+}
 
 // Counts is a sorted multiset of ids with int32 multiplicities. The zero
 // value is an empty list ready for use. IDs and N are parallel slices and

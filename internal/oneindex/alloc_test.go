@@ -1,6 +1,7 @@
 package oneindex
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -36,5 +37,30 @@ func TestEdgeMaintenanceAllocs(t *testing.T) {
 	pair() // reach scratch steady state
 	if allocs := testing.AllocsPerRun(200, pair); allocs > 8 {
 		t.Errorf("warm insert+delete pair allocates %.1f objects, ceiling 8", allocs)
+	}
+}
+
+// TestSplitScratchGrowsWithHeadroom grows the inode arena one slot per
+// round and counts reallocations of the split phase's slot-indexed scratch:
+// with headroom they are O(log n), where an exact-size resize reallocates
+// every round the arena grows.
+func TestSplitScratchGrowsWithHeadroom(t *testing.T) {
+	const rounds = 300
+	var x *Index
+	build := func(g *graph.Graph) gtest.Maintained { x = Build(g); return x }
+	changes, err := gtest.GrowOneByOne(rounds, build, func() int {
+		if x.split == nil {
+			return 0
+		}
+		return cap(x.split.hitStamp) + cap(x.split.hitOf)<<32
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(x.inodes) < rounds {
+		t.Fatalf("arena grew to %d slots over %d rounds", len(x.inodes), rounds)
+	}
+	if limit := 2 * bits.Len(uint(len(x.inodes))); changes > limit {
+		t.Errorf("split scratch reallocated %d times as the arena grew to %d slots, limit %d", changes, len(x.inodes), limit)
 	}
 }

@@ -112,50 +112,16 @@ type Index struct {
 	succSnap    []INodeID
 	mergeBuf    []graph.NodeID
 
-	// Snapshot dirty tracking (see snapshot.go): once Freeze has been
-	// called, every inode whose label, extent, successor set or liveness
-	// changes is recorded here so PatchSnapshot can re-copy only the
-	// touched slots.
-	trackDirty bool
-	dirtySet   []bool // by INodeID slot
-	dirtyIDs   []INodeID
-
-	// codec is the extent representation snapshots freeze into (see
-	// internal/extent). The live index itself always stays dense — the
-	// zero-alloc maintenance paths never touch it — so the codec only
-	// matters at Freeze/PatchSnapshot time.
-	codec extent.Codec
+	pub snap.Publisher // publishes snapshots; maintenance Marks what it changes
 }
 
 // SetSnapshotCodec selects the extent representation later Freeze and
 // PatchSnapshot calls encode extents into; the live maintenance structures
-// are unaffected. Switching codecs disables dirty-patching once, so the
-// next snapshot is a full freeze re-encoding every extent — otherwise a
-// patched snapshot would share stale-codec views for untouched slots.
-func (x *Index) SetSnapshotCodec(c extent.Codec) {
-	if x.codec == c {
-		return
-	}
-	x.codec = c
-	x.trackDirty = false
-}
+// are unaffected. The next snapshot after a switch is a full freeze.
+func (x *Index) SetSnapshotCodec(c extent.Codec) { x.pub.SetCodec(c) }
 
 // SnapshotCodec returns the codec snapshots currently freeze into.
-func (x *Index) SnapshotCodec() extent.Codec { return x.codec }
-
-// markDirty records that inode slot i changed since the last Freeze/Patch.
-func (x *Index) markDirty(i INodeID) {
-	if !x.trackDirty {
-		return
-	}
-	for int(i) >= len(x.dirtySet) {
-		x.dirtySet = append(x.dirtySet, false)
-	}
-	if !x.dirtySet[i] {
-		x.dirtySet[i] = true
-		x.dirtyIDs = append(x.dirtyIDs, i)
-	}
-}
+func (x *Index) SnapshotCodec() extent.Codec { return x.pub.Codec() }
 
 // Stats counts maintenance work, mirroring the cost accounting of §5.1: the
 // number of split operations is |Φ1|−|Φ0| and of merges |Φ1|−|Φ2|, where
@@ -354,24 +320,23 @@ func (x *Index) NumIEdges() int {
 }
 
 // ToPartition exports the index's dnode partition, e.g. for comparison with
-// a from-scratch construction.
+// a from-scratch construction or for saving. Blocks number the live inodes
+// in slot order — the numbering a snapshot of the index is saved under —
+// so a built index keeps Build's breadth-first layout through a save and
+// load.
 func (x *Index) ToPartition() *partition.Partition {
 	p := partition.NewPartition(graph.NodeID(len(x.inodeOf)))
-	remap := make(map[INodeID]int32, x.numLive)
-	next := int32(0)
-	for v, id := range x.inodeOf {
-		if id == NoINode {
+	b := int32(0)
+	for _, in := range x.inodes {
+		if in == nil {
 			continue
 		}
-		b, ok := remap[id]
-		if !ok {
-			b = next
-			next++
-			remap[id] = b
+		for _, v := range in.extent {
+			p.SetBlock(v, b)
 		}
-		p.SetBlock(graph.NodeID(v), b)
+		b++
 	}
-	p.SetNumBlocks(int(next))
+	p.SetNumBlocks(int(b))
 	return p
 }
 
@@ -396,7 +361,7 @@ func (x *Index) newINode(label graph.LabelID) INodeID {
 		x.inodes = append(x.inodes, in)
 	}
 	x.numLive++
-	x.markDirty(id)
+	x.pub.Mark(id)
 	return id
 }
 
@@ -412,7 +377,7 @@ func (x *Index) freeINode(id INodeID) {
 	x.freeIDs = append(x.freeIDs, id)
 	x.pool = append(x.pool, in)
 	x.numLive--
-	x.markDirty(id)
+	x.pub.Mark(id)
 }
 
 // attachDNode appends dnode v to inode id's extent (v must not currently
@@ -439,7 +404,7 @@ func (x *Index) detachDNode(v graph.NodeID) {
 // addIEdgeCount moves the dedge count of iedge from→to by delta and
 // returns the new count.
 func (x *Index) addIEdgeCount(from, to INodeID, delta int32) int32 {
-	x.markDirty(from) // the snapshot view carries from's successor list
+	x.pub.Mark(from) // the snapshot view carries from's successor list
 	n := x.inodes[from].succ.Add(to, delta)
 	if n < 0 {
 		panic("oneindex: negative iedge count")
@@ -457,8 +422,8 @@ func (x *Index) moveDNode(w graph.NodeID, dst INodeID) {
 	}
 	x.detachDNode(w)
 	x.attachDNode(w, dst)
-	x.markDirty(src)
-	x.markDirty(dst)
+	x.pub.Mark(src)
+	x.pub.Mark(dst)
 	x.g.EachPred(w, func(p graph.NodeID, _ graph.EdgeKind) {
 		ip := x.inodeOf[p]
 		x.addIEdgeCount(ip, src, -1)

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"structix/internal/graph"
+	"structix/internal/ilist"
 )
 
 // InsertEdge adds the dedge u→v to the data graph and incrementally
@@ -20,20 +21,6 @@ func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
 // can grow beyond minimal.
 func (x *Index) InsertEdgeSplitOnly(u, v graph.NodeID, kind graph.EdgeKind) error {
 	return x.insertEdge(u, v, kind, false)
-}
-
-// NoteEdgeInserted maintains the index for a dedge u→v that the caller has
-// already added to the shared data graph — the entry point for keeping
-// several indexes over one graph: mutate the graph through one index (or
-// directly) and Note the change on the others.
-func (x *Index) NoteEdgeInserted(u, v graph.NodeID, kind graph.EdgeKind) {
-	x.noteOp(graph.InsertOp(u, v, kind), true)
-}
-
-// NoteEdgeDeleted maintains the index for a dedge u→v that the caller has
-// already removed from the shared data graph.
-func (x *Index) NoteEdgeDeleted(u, v graph.NodeID) {
-	x.noteOp(graph.DeleteOp(u, v), true)
 }
 
 func (x *Index) insertEdge(u, v graph.NodeID, kind graph.EdgeKind, merge bool) error {
@@ -257,8 +244,8 @@ func (s *splitCtx) threeWaySplit(s1 []graph.NodeID) {
 		clear(s.hitStamp[:cap(s.hitStamp)])
 		s.hitEpoch = 1
 	}
-	s.hitStamp = resizeU32(s.hitStamp, len(x.inodes))
-	s.hitOf = resizeI32(s.hitOf, len(x.inodes))
+	s.hitStamp = ilist.Resize(s.hitStamp, len(x.inodes))
+	s.hitOf = ilist.Resize(s.hitOf, len(x.inodes))
 	s.hitOrder = s.hitOrder[:0]
 	nhits := 0
 	for _, w := range s1 {
@@ -341,24 +328,6 @@ func (s *splitCtx) threeWaySplit(s1 []graph.NodeID) {
 			s.push(nc)
 		}
 	}
-}
-
-// resizeU32 returns s with length n; grown regions read as stamp 0, which
-// never matches a live epoch.
-func resizeU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-// resizeI32 returns s with length n; grown regions are garbage guarded by
-// the accompanying stamp array.
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // ---- merge phase ----

@@ -57,7 +57,7 @@ func (x *Index) DeleteNode(v graph.NodeID) error {
 	iv := x.inodeOf[v]
 	x.detachDNode(v)
 	x.inodeOf[v] = NoINode
-	x.markDirty(iv)
+	x.pub.Mark(iv)
 	x.g.RemoveNode(v)
 	if len(x.inodes[iv].extent) == 0 {
 		x.freeINode(iv)

@@ -12,29 +12,16 @@ import (
 type Snapshot = snap.Snapshot
 
 // Freeze builds a complete Snapshot of the index's current state (the
-// caller supplies the matching frozen graph, normally x.Graph().Freeze())
-// and enables dirty tracking so that later PatchSnapshot calls can reuse
-// the untouched pages.
+// caller supplies the matching frozen graph, normally x.Graph().Freeze()).
 func (x *Index) Freeze(data *graph.Frozen) *Snapshot { return x.PatchSnapshot(nil, data) }
 
-// PatchSnapshot derives a new Snapshot from prev by re-copying only the
-// inodes dirtied since prev was built. Falls back to a full Freeze when
-// prev is nil or dirty tracking was not active (e.g. the first call, after
-// a manual mutation bypassing the index, or after a codec switch). The
-// caller supplies the frozen graph matching the index's current state.
+// PatchSnapshot publishes the index's current state, re-copying only the
+// inodes dirtied since prev when prev is the index's latest publication
+// (see snap.Publisher) and freezing every inode otherwise. The caller
+// supplies the frozen graph matching the index's current state.
 func (x *Index) PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot {
-	if !x.trackDirty {
-		prev = nil
-	}
-	h := snap.Header{Data: data, K: snap.Unbounded, Root: x.RootINode(), Size: x.numLive, Slots: len(x.inodes), Codec: x.codec}
-	s := snap.Patch(prev, h, x.dirtyIDs, x.fill)
-	// The snapshot has consumed the dirty set.
-	for _, i := range x.dirtyIDs {
-		x.dirtySet[i] = false
-	}
-	x.dirtyIDs = x.dirtyIDs[:0]
-	x.trackDirty = true
-	return s
+	h := snap.Header{Data: data, K: snap.Unbounded, Root: x.RootINode(), Size: x.numLive, Slots: len(x.inodes)}
+	return x.pub.Publish(prev, h, x.fill)
 }
 
 // fill is what a snapshot records of slot i: zero if the slot is dead.

@@ -185,7 +185,7 @@ func (x *Index) DeleteSubgraph(root graph.NodeID, skipIDRef bool) (*graph.Subgra
 		x.g.RemoveNode(w)
 		x.detachDNode(w)
 		x.inodeOf[w] = NoINode
-		x.markDirty(iw)
+		x.pub.Mark(iw)
 		if len(x.inodes[iw].extent) == 0 {
 			x.freeINode(iw)
 		}

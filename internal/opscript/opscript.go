@@ -181,10 +181,10 @@ func FromEdgeOp(op graph.EdgeOp) Op {
 	return Op{Kind: Delete, U: op.U, V: op.V}
 }
 
-// OpError reports the script operation that made Apply (or ApplyShared)
-// stop: Index is the 0-based position in the ops slice, Op the operation,
-// and Err the underlying cause (graph.ErrEdgeExists, graph.ErrNoEdge, ...,
-// retrievable with errors.Is/errors.As). Operations before Index have been
+// OpError reports the script operation that made Apply stop: Index is the
+// 0-based position in the ops slice, Op the operation, and Err the
+// underlying cause (graph.ErrEdgeExists, graph.ErrNoEdge, ..., retrievable
+// with errors.Is/errors.As). Operations before Index have been
 // applied; scripts are a stream, not an atomic batch — use the index
 // ApplyBatch entry points when all-or-nothing semantics are required.
 type OpError struct {
@@ -225,18 +225,6 @@ var (
 	_ Target = (*akindex.Index)(nil)
 )
 
-// EdgeTarget is the maintenance surface for indexes that follow a graph
-// mutated externally; both index types satisfy it.
-type EdgeTarget interface {
-	NoteEdgeInserted(u, v graph.NodeID, kind graph.EdgeKind)
-	NoteEdgeDeleted(u, v graph.NodeID)
-}
-
-var (
-	_ EdgeTarget = (*oneindex.Index)(nil)
-	_ EdgeTarget = (*akindex.Index)(nil)
-)
-
 // guardOp rejects an op naming a dead (or never-allocated) node before it
 // reaches the graph layer: the graph's mutators treat invalid ids as caller
 // bugs and panic, but scripts arrive from untrusted sources (files, the
@@ -253,42 +241,6 @@ func guardOp(g *graph.Graph, op Op) error {
 		}
 	}
 	return nil
-}
-
-// ApplyShared runs an edge-update script against *several* indexes that
-// share one data graph: each graph mutation happens exactly once, and
-// every index is maintained incrementally through its Note entry points.
-// Only Insert and Delete operations are supported in shared mode; node and
-// subtree operations require the single-index Apply.
-func ApplyShared(g *graph.Graph, ops []Op, targets ...EdgeTarget) (Result, error) {
-	var res Result
-	for i, op := range ops {
-		if err := guardOp(g, op); err != nil {
-			return res, &OpError{Index: i, Op: op, Err: err}
-		}
-		switch op.Kind {
-		case Insert:
-			if err := g.AddEdge(op.U, op.V, op.Edge); err != nil {
-				return res, &OpError{Index: i, Op: op, Err: err}
-			}
-			for _, t := range targets {
-				t.NoteEdgeInserted(op.U, op.V, op.Edge)
-			}
-			res.Inserted++
-		case Delete:
-			if err := g.DeleteEdge(op.U, op.V); err != nil {
-				return res, &OpError{Index: i, Op: op, Err: err}
-			}
-			for _, t := range targets {
-				t.NoteEdgeDeleted(op.U, op.V)
-			}
-			res.Deleted++
-		default:
-			return res, fmt.Errorf("opscript: op %d: %s is not supported in shared-graph mode", i+1, op.Kind)
-		}
-		res.Applied++
-	}
-	return res, nil
 }
 
 // Apply runs a script against a maintained index. It stops at the first

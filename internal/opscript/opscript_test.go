@@ -160,39 +160,6 @@ func TestApplyStopsOnError(t *testing.T) {
 	}
 }
 
-// ApplyShared maintains several indexes over one graph with a single
-// mutation per op; both must end exactly where independent maintenance
-// would have put them.
-func TestApplyShared(t *testing.T) {
-	g := datagen.XMark(datagen.DefaultXMark(256, 0, 7)) // acyclic: minimum unique
-	ops := mixedOps(g, 40, 7)
-	one := oneindex.Build(g)
-	ak := akindex.Build(g, 2)
-	res, err := ApplyShared(g, ops, one, ak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != len(ops) {
-		t.Fatalf("applied %d of %d", res.Applied, len(ops))
-	}
-	if err := one.Validate(); err != nil {
-		t.Fatalf("1-index: %v", err)
-	}
-	if err := ak.Validate(); err != nil {
-		t.Fatalf("A(k): %v", err)
-	}
-	if !partition.Equal(one.ToPartition(), partition.CoarsestStable(g, partition.ByLabel(g))) {
-		t.Errorf("shared-maintained 1-index not minimum")
-	}
-	if !ak.IsMinimum() {
-		t.Errorf("shared-maintained A(k) family not minimum")
-	}
-	// Node ops are rejected in shared mode.
-	if _, err := ApplyShared(g, []Op{{Kind: DelNode, U: 1}}, one, ak); err == nil {
-		t.Errorf("shared mode accepted a node op")
-	}
-}
-
 // Both index families satisfy Target; the same script drives either.
 func TestApplyToAkIndex(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(256, 1, 5))

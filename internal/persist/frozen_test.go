@@ -165,3 +165,37 @@ func TestSnapshotRoundTripKeepsBuildNumbering(t *testing.T) {
 		}
 	}
 }
+
+// SaveDatabase writes a live 1-index under the numbering SaveSnapshot
+// writes its snapshot under — live inodes in slot order — so the two
+// streams are byte-identical, fresh and after churn, and a built index
+// loads back from either still numbered breadth-first.
+func TestSaveDatabaseKeepsBuildNumbering(t *testing.T) {
+	g := datagen.XMark(datagen.DefaultXMark(64, 1, 3))
+	x := oneindex.Build(g)
+	c := gtest.Churner{Rng: rand.New(rand.NewSource(1)), X: x}
+	for step := 0; step <= 50; step++ {
+		var live, frozen bytes.Buffer
+		if err := SaveDatabase(&live, &Database{Graph: g, One: x}); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveSnapshot(&frozen, x.Freeze(g.Freeze())); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live.Bytes(), frozen.Bytes()) {
+			t.Fatalf("step %d: SaveDatabase wrote %d bytes, SaveSnapshot %d, or they differ", step, live.Len(), frozen.Len())
+		}
+		if step == 0 {
+			db, err := LoadDatabase(&live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := gtest.BreadthFirstDiff(db.One.Freeze(db.Graph.Freeze())); d != "" {
+				t.Fatalf("loaded index not breadth-first: %s", d)
+			}
+		}
+		if what, err := c.Step(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+	}
+}

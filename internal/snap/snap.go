@@ -35,7 +35,7 @@ const (
 // They live in two paged copy-on-write arrays (internal/cow), split by who
 // reads them: the walk records (label and successors, 40 B — a walk step
 // reads one) and the extents (read only for the slots a walk accepts).
-// Patch copies the two page spines plus the 64-slot pages holding a
+// A patch copies the two page spines plus the 64-slot pages holding a
 // dirtied slot, sharing every other page with its predecessor —
 // publication costs what the commit dirtied, not what the index holds.
 // Slots readers cannot see (dead, or not at level k of an A(k) family)
@@ -54,8 +54,11 @@ type Snapshot struct {
 
 	denseBytes, encodedBytes int64 // see ExtentBytes
 
-	changed []ID // see Changed: the dirty set Patch consumed
+	changed []ID // see Changed: the dirty set the patch consumed
 	partial bool // false for a full freeze
+
+	pub *byte  // identity of the Publisher that published it
+	gen uint64 // and its generation at the time
 }
 
 // Header is what the live index states about itself when it publishes.
@@ -65,7 +68,7 @@ type Header struct {
 	Root  ID            // inode of the data root; NoID if no root
 	Size  int           // live inodes
 	Slots int           // inode slot space, dead slots included
-	Codec extent.Codec
+	Codec extent.Codec  // set by Publish to the publisher's codec
 }
 
 // walkRec is what an automaton step reads of one inode slot; the zero
@@ -84,11 +87,11 @@ var deadRec walkRec
 // ownership, so the dense codec costs no extra copy.
 type Fill func(i ID) (name string, succs []ID, ext []graph.NodeID)
 
-// Patch derives prev's successor by re-copying only the dirty slots —
+// patch derives prev's successor by re-copying only the dirty slots —
 // those whose label, extent, successor list or liveness changed since prev
 // was built; every page without one is shared with prev. A nil prev builds
 // a complete snapshot (and dirty is ignored).
-func Patch(prev *Snapshot, h Header, dirty []ID, fill Fill) *Snapshot {
+func patch(prev *Snapshot, h Header, dirty []ID, fill Fill) *Snapshot {
 	s := &Snapshot{h: h}
 	if prev == nil {
 		prev = &Snapshot{}

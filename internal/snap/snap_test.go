@@ -166,3 +166,112 @@ func TestPatchedChainEqualsFreeze(t *testing.T) {
 		}
 	}
 }
+
+// TestPatchFromStalePredecessor hands PatchSnapshot a predecessor the dirty
+// set is not relative to and checks the result against a fresh Freeze:
+// such a prev must give a full freeze, never a patch missing the writes
+// between prev and the latest publication. A reference Freeze taken
+// between two links leaves the chain patchable.
+func TestPatchFromStalePredecessor(t *testing.T) {
+	cases := []struct {
+		name    string
+		patched bool // the last publication must be a patch
+		run     func(x, other family, step func()) (prev *snap.Snapshot)
+	}{
+		{"older link", false, func(x, _ family, step func()) *snap.Snapshot {
+			s0 := x.Freeze(x.Graph().Freeze())
+			step()
+			x.PatchSnapshot(s0, x.Graph().Freeze())
+			step()
+			return s0
+		}},
+		{"other index", false, func(x, other family, step func()) *snap.Snapshot {
+			foreign := other.Freeze(other.Graph().Freeze())
+			s0 := x.Freeze(x.Graph().Freeze())
+			step()
+			x.PatchSnapshot(s0, x.Graph().Freeze())
+			step()
+			return foreign
+		}},
+		{"codec switch", false, func(x, _ family, step func()) *snap.Snapshot {
+			s0 := x.Freeze(x.Graph().Freeze())
+			step()
+			s1 := x.PatchSnapshot(s0, x.Graph().Freeze())
+			x.SetSnapshotCodec(extent.Compressed)
+			step()
+			return s1
+		}},
+		{"reference freeze between links", true, func(x, _ family, step func()) *snap.Snapshot {
+			s0 := x.Freeze(x.Graph().Freeze())
+			step()
+			s1 := x.PatchSnapshot(s0, x.Graph().Freeze())
+			x.Freeze(x.Graph().Clone().Freeze())
+			step()
+			return s1
+		}},
+	}
+	for _, f := range families {
+		for _, tc := range cases {
+			t.Run(f.name+"/"+tc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(5))
+				g := gtest.RandomDAG(rng, 200, 80)
+				other := f.build(g)
+				x := f.build(g)
+				step := func() {
+					if err := x.ApplyBatch(gtest.RandomOpBatch(rng, g.Clone(), 6, false)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				prev := tc.run(x, other, step)
+				s := x.PatchSnapshot(prev, g.Freeze())
+				if _, ok := s.Changed(); ok != tc.patched {
+					t.Errorf("published as a patch: %v, want %v", ok, tc.patched)
+				}
+				if d := gtest.SnapshotDiff(s, x.Freeze(g.Clone().Freeze())); d != "" {
+					t.Fatalf("differs from a fresh freeze: %s", d)
+				}
+			})
+		}
+	}
+}
+
+// FuzzPublish decodes a byte string into an interleaving of writes,
+// publications from any earlier snapshot, reference freezes and codec
+// switches over both index families, and checks every publication against
+// a fresh Freeze. Right after a publication the dirty set is empty, so the
+// check itself leaves the chain as it was.
+func FuzzPublish(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 5, 2, 0, 9, 3, 0, 1})
+	f.Add([]byte{0, 0, 1, 0, 0, 13, 0, 2, 1, 3, 0, 17})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 48 {
+			prog = prog[:48]
+		}
+		for _, fam := range families {
+			rng := rand.New(rand.NewSource(int64(len(prog))))
+			g := gtest.RandomDAG(rng, 80, 30)
+			x := fam.build(g)
+			c := gtest.Churner{Rng: rng, X: x}
+			chain := []*snap.Snapshot{x.Freeze(g.Freeze())}
+			codecs := []extent.Codec{extent.Dense, extent.Compressed}
+			for pc, b := range prog {
+				switch b % 4 {
+				case 0:
+					if what, err := c.Step(); err != nil {
+						t.Fatalf("%s: op %d (%s): %v", fam.name, pc, what, err)
+					}
+				case 1:
+					s := x.PatchSnapshot(chain[int(b/4)%len(chain)], g.Freeze())
+					if d := gtest.SnapshotDiff(s, x.Freeze(g.Clone().Freeze())); d != "" {
+						t.Fatalf("%s: op %d: published snapshot differs from a fresh freeze: %s", fam.name, pc, d)
+					}
+					chain = append(chain, s)
+				case 2:
+					chain = append(chain, x.Freeze(g.Freeze()))
+				case 3:
+					x.SetSnapshotCodec(codecs[int(b/4)%2])
+				}
+			}
+		}
+	})
+}

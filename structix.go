@@ -488,10 +488,3 @@ func GenerateMixedOps(g *Graph, pairs int, seed int64) []ScriptOp {
 func ApplyOps(x opscript.Target, ops []ScriptOp) (OpResult, error) {
 	return opscript.Apply(x, ops)
 }
-
-// ApplyOpsShared runs an edge-update script against several indexes
-// sharing one graph: each graph mutation happens once, every index follows
-// incrementally.
-func ApplyOpsShared(g *Graph, ops []ScriptOp, targets ...opscript.EdgeTarget) (OpResult, error) {
-	return opscript.ApplyShared(g, ops, targets...)
-}
