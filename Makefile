@@ -148,7 +148,9 @@ loc:
 # passes, the maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps
 # over both index families), the publication fuzz pass (FuzzPublish: any
 # interleaving of writes, stale predecessors, reference freezes and codec
-# switches publishes what a fresh Freeze does), the shard-, repl- and
+# switches publishes what a fresh Freeze does), the update-decoder fuzz
+# pass (FuzzDecodeUpdate: any /v1/update body leaves the store with a
+# live root and a clean Validate), the shard-, repl- and
 # scale-bench smokes, and a one-iteration smoke pass over every benchmark
 # in the module.
 ci: build vet
@@ -172,6 +174,7 @@ ci: build vet
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/oneindex/
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/akindex/
 	$(GO) test -fuzz=FuzzPublish -fuzztime=10s ./internal/snap/
+	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

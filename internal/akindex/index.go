@@ -25,11 +25,13 @@
 // of building string keys. Freed inodes return to a pool with their slice
 // capacity intact.
 //
-// Every maintenance entry point runs one round of ApplyBatch's split/merge
-// maintenance; InsertEdge and DeleteEdge are that round over one op, which
-// is Figure 7. It keeps the family the unique minimum set of A(i)-indexes
-// for any data graph, cyclic or not (Theorem 2). AddSubgraph and
-// DeleteSubgraph extend the same machinery to subtree updates.
+// Every maintenance entry point is internal/maint's op driver over this
+// package's round kernel (Figure 7's largest-stable-level ingest, the
+// level-wise split phase, the upward merge sweep); InsertEdge and
+// DeleteEdge are the round over one op, which is Figure 7. It keeps the
+// family the unique minimum set of A(i)-indexes for any data graph,
+// cyclic or not (Theorem 2); AddSubgraph and DeleteSubgraph run the same
+// rounds for subtree updates.
 package akindex
 
 import (
@@ -39,6 +41,7 @@ import (
 	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/ilist"
+	"structix/internal/maint"
 	"structix/internal/partition"
 	"structix/internal/sigtab"
 	"structix/internal/snap"
@@ -89,12 +92,9 @@ type Index struct {
 	Stats Stats
 
 	// Epoch-stamped scratch marks over dnodes: split marks (bits 1 and 2)
-	// are valid only under the current splitEpoch, the maintenance round's
-	// dedup stamp only under the current batchEpoch — no clearing passes.
+	// are valid only under the current splitEpoch — no clearing passes.
 	markStamp  []uint64 // epoch<<2 | split mark bits
 	splitEpoch uint64
-	batchStamp []uint32
-	batchEpoch uint32
 
 	// Reusable level-indexed (k+1) scratch paths, so the hot maintenance
 	// paths do not allocate at steady state. Each pair is private to one
@@ -108,12 +108,13 @@ type Index struct {
 	// split is the reusable split-phase context (created on first use).
 	split *akSplitCtx
 
-	// Round bookkeeping: affected dnodes of an in-flight maintenance round
-	// with the lowest stable level seen per dnode (deduplicated via
-	// batchStamp, levels in batchLevel); the merge sweep buckets the
-	// refinement-tree parents of their inodes by level in frontierParents.
-	batchAffected   []graph.NodeID
-	batchLevel      []int32 // by dnode, valid when batchStamp matches
+	// Round bookkeeping: the op driver's affected set of an in-flight
+	// maintenance round, kept between rounds for its storage, with the
+	// lowest stable level seen per affected dnode in batchLevel; the merge
+	// sweep buckets the refinement-tree parents of their inodes by level
+	// in frontierParents.
+	round           maint.Round
+	batchLevel      []int32 // by dnode, valid while it is in the round
 	frontierParents [][]INodeID
 
 	// Merge-phase scratch: the cascade queue buckets (k of them, levels
@@ -169,50 +170,54 @@ func FromLevels(g *graph.Graph, levels []*partition.Partition) *Index {
 		panic("akindex: need at least levels 0 and 1")
 	}
 	x := &Index{
-		g:          g,
-		k:          k,
-		inodeOf:    make([]INodeID, g.MaxNodeID()),
-		pos:        make([]int32, g.MaxNodeID()),
-		numLive:    make([]int, k+1),
-		markStamp:  make([]uint64, g.MaxNodeID()),
-		batchStamp: make([]uint32, g.MaxNodeID()),
-		batchLevel: make([]int32, g.MaxNodeID()),
-		pathU:      make([]INodeID, k+1),
-		pathP:      make([]INodeID, k+1),
-		rpOld:      make([]INodeID, k+1),
-		rpNbr:      make([]INodeID, k+1),
-		mergePath:  make([]INodeID, k+1),
+		g:         g,
+		k:         k,
+		numLive:   make([]int, k+1),
+		pathU:     make([]INodeID, k+1),
+		pathP:     make([]INodeID, k+1),
+		rpOld:     make([]INodeID, k+1),
+		rpNbr:     make([]INodeID, k+1),
+		mergePath: make([]INodeID, k+1),
 
 		cascade:         make([][]INodeID, k),
 		frontierParents: make([][]INodeID, k),
 	}
-	for i := range x.inodeOf {
-		x.inodeOf[i] = NoINode
-	}
-	// One inode per block per level, linked into the refinement tree.
-	blockTo := make([]map[int32]INodeID, k+1)
-	for l := 0; l <= k; l++ {
-		blockTo[l] = make(map[int32]INodeID)
-	}
-	g.EachNode(func(v graph.NodeID) {
-		var parent INodeID = NoINode
-		for l := 0; l <= k; l++ {
-			b := levels[l].Block(v)
-			id, ok := blockTo[l][b]
-			if !ok {
-				id = x.newANode(int32(l), g.Label(v), parent)
-				blockTo[l][b] = id
-			}
-			parent = id
-		}
-		// After the loop, parent is v's level-k inode.
-		x.extentAdd(parent, v)
-		x.inodeOf[v] = parent
-	})
+	(*kernel)(x).Grow()
+	nodes := g.Nodes()
+	x.mirror(levels, nodes, nodes)
 	g.EachEdge(func(u, w graph.NodeID, _ graph.EdgeKind) {
 		x.addEdgeCounts(u, w, 1)
 	})
 	return x
+}
+
+// mirror files the dnodes ids under one fresh anode per block per level
+// of levels, linked into the refinement tree, where local[i] is ids[i]'s
+// node in the levels' graph. It returns the level-0 anodes it created.
+func (x *Index) mirror(levels []*partition.Partition, ids, local []graph.NodeID) []INodeID {
+	blockTo := make([]map[int32]INodeID, x.k+1)
+	for l := range blockTo {
+		blockTo[l] = make(map[int32]INodeID)
+	}
+	var fresh0 []INodeID
+	for i, v := range ids {
+		var parent INodeID = NoINode
+		for l := 0; l <= x.k; l++ {
+			b := levels[l].Block(local[i])
+			id, ok := blockTo[l][b]
+			if !ok {
+				id = x.newANode(int32(l), x.g.Label(v), parent)
+				blockTo[l][b] = id
+				if l == 0 {
+					fresh0 = append(fresh0, id)
+				}
+			}
+			parent = id
+		}
+		x.extentAdd(parent, v) // parent is v's level-k inode
+		x.inodeOf[v] = parent
+	}
+	return fresh0
 }
 
 // Graph returns the underlying data graph.
@@ -512,35 +517,6 @@ func (x *Index) reassignPath(w graph.NodeID, newPath []INodeID) {
 		x.pub.Mark(old[x.k])
 		x.pub.Mark(newPath[x.k])
 	}
-}
-
-// growScratch extends NodeID-indexed arrays after the graph has grown.
-func (x *Index) growScratch() {
-	n := int(x.g.MaxNodeID())
-	for len(x.inodeOf) < n {
-		x.inodeOf = append(x.inodeOf, NoINode)
-	}
-	for len(x.pos) < n {
-		x.pos = append(x.pos, 0)
-	}
-	for len(x.markStamp) < n {
-		x.markStamp = append(x.markStamp, 0)
-	}
-	for len(x.batchStamp) < n {
-		x.batchStamp = append(x.batchStamp, 0)
-	}
-	for len(x.batchLevel) < n {
-		x.batchLevel = append(x.batchLevel, 0)
-	}
-}
-
-// sameMergeKey reports whether same-level inodes i and j share a label and
-// an index-parent set in the level above — the merge-eligibility criterion
-// of §6. The predB lists are sorted, so the comparison is one parallel
-// walk; no key object is ever materialized.
-func (x *Index) sameMergeKey(i, j INodeID) bool {
-	a, b := x.nodes[i], x.nodes[j]
-	return a.label == b.label && a.predB.EqualIDs(&b.predB)
 }
 
 // mergeKeySig appends the integer merge-grouping signature of I — label

@@ -7,36 +7,6 @@ import (
 	"structix/internal/ilist"
 )
 
-// InsertEdge adds the dedge u→v and incrementally maintains the whole
-// A(0..k) family with the split/merge algorithm of Figure 7 — the
-// maintenance round of ApplyBatch over this one op. The family remains the
-// unique minimum set of A(i)-indexes (Theorem 2).
-func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
-	if err := x.g.AddEdge(u, v, kind); err != nil {
-		return err
-	}
-	x.noteOp(graph.InsertOp(u, v, kind))
-	return nil
-}
-
-// DeleteEdge removes the dedge u→v and incrementally maintains the family
-// (the deletion variant of Figure 7).
-func (x *Index) DeleteEdge(u, v graph.NodeID) error {
-	if err := x.g.DeleteEdge(u, v); err != nil {
-		return err
-	}
-	x.noteOp(graph.DeleteOp(u, v))
-	return nil
-}
-
-// noteOp runs one maintenance round over a single op the graph already
-// carries.
-func (x *Index) noteOp(op graph.EdgeOp) {
-	x.beginRound()
-	x.ingest(op)
-	x.finishRound()
-}
-
 // largestStableLevel returns the largest level l such that v has a parent
 // other than u in the extent of I⁽ˡ⁾[u], or −1 if it has none at any
 // level (equivalently: −1 when no such parent shares even u's label
@@ -417,8 +387,8 @@ func (c *akSplitCtx) threeWay(j int, s1 []graph.NodeID) {
 // ---- merge phase ----
 
 // resetCascade readies the shared merge cascade queue (buckets for levels
-// 0..k−1). The queue is shared by mergeFrontier and AddSubgraph's A(0)
-// fusion — never active in both at once.
+// 0..k−1). The queue is shared by mergeFrontier and the A(0) fusion of
+// the kernel's Union — never active in both at once.
 func (x *Index) resetCascade() {
 	for l := range x.cascade {
 		x.cascade[l] = x.cascade[l][:0]

@@ -93,3 +93,57 @@ func TestMaintenanceStreamPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSubtreeStreamPinned pins, for fixed streams of edge batches, single
+// edge updates, subtree cuts and re-grafts (gtest.SubtreeStream), the
+// SHA-256 of every dnode's inode id at each level of an A(3) family and
+// the split/merge counts after every step. The digests were recorded with
+// per-family subtree drivers, before the op decomposition moved to
+// internal/maint.
+func TestSubtreeStreamPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		g    func() *graph.Graph
+		want string
+	}{
+		{"cyclic1", func() *graph.Graph { return gtest.RandomCyclic(rand.New(rand.NewSource(1)), 80, 60) }, "920ff70b7d86ba530076d244a1bd1790bc96988a6812f762b86bd5fb96c40a89"},
+		{"cyclic2", func() *graph.Graph { return gtest.RandomCyclic(rand.New(rand.NewSource(2)), 120, 30) }, "c5c6d600f9cff3d397a38662e5931c135e7d4b3bb6e6d3787b243359afa6a193"},
+		{"xmark", func() *graph.Graph { return datagen.XMark(datagen.DefaultXMark(256, 0.5, 7)) }, "b514c72b456f164f5110d93563299444f5ce737f1452ec5d809648a76eaa7d3c"},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := Build(tc.g(), 3)
+			h := sha256.New()
+			var buf []byte
+			path := make([]INodeID, x.K()+1)
+			err := gtest.SubtreeStream(rand.New(rand.NewSource(int64(200+i))), x, 200, func() {
+				buf = buf[:0]
+				for v, id := range x.inodeOf {
+					if id == NoINode {
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+						continue
+					}
+					x.path(graph.NodeID(v), path)
+					for _, p := range path {
+						buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
+					}
+				}
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x.Stats.Splits))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(x.Stats.Merges))
+				h.Write(buf)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if !x.IsMinimum() {
+				t.Fatal("family not minimum after the stream")
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("digest %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}

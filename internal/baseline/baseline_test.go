@@ -32,11 +32,11 @@ func TestReconstructRecoversMinimum(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := x.InsertEdgeSplitOnly(u, v, graph.IDRef); err != nil {
+			if err := oneindex.SplitOnly(x).InsertEdge(u, v, graph.IDRef); err != nil {
 				t.Fatal(err)
 			}
 			if step%3 == 0 {
-				if err := x.DeleteEdgeSplitOnly(u, v); err != nil {
+				if err := oneindex.SplitOnly(x).DeleteEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
 			}

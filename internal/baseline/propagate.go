@@ -48,7 +48,7 @@ func NewPropagate(x *oneindex.Index, threshold float64) *Propagate {
 
 // InsertEdge inserts a dedge with the propagate algorithm.
 func (p *Propagate) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
-	if err := p.X.InsertEdgeSplitOnly(u, v, kind); err != nil {
+	if err := oneindex.SplitOnly(p.X).InsertEdge(u, v, kind); err != nil {
 		return err
 	}
 	p.maybeReconstruct()
@@ -57,7 +57,7 @@ func (p *Propagate) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
 
 // DeleteEdge deletes a dedge with the propagate algorithm.
 func (p *Propagate) DeleteEdge(u, v graph.NodeID) error {
-	if err := p.X.DeleteEdgeSplitOnly(u, v); err != nil {
+	if err := oneindex.SplitOnly(p.X).DeleteEdge(u, v); err != nil {
 		return err
 	}
 	p.maybeReconstruct()
@@ -67,7 +67,7 @@ func (p *Propagate) DeleteEdge(u, v graph.NodeID) error {
 // AddSubgraph adds a subgraph, inserting its cross edges with propagate
 // (the second alternative of the Figure 12 experiment).
 func (p *Propagate) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
-	ids, err := p.X.AddSubgraphSplitOnly(sg)
+	ids, err := oneindex.SplitOnly(p.X).AddSubgraph(sg)
 	if err != nil {
 		return nil, err
 	}

@@ -99,9 +99,9 @@ func RunMixed(name string, g *graph.Graph, cfg MixedConfig) MixedResult {
 
 		start = time.Now()
 		if op.Insert {
-			must(pr.InsertEdgeSplitOnly(op.U, op.V, graph.IDRef))
+			must(oneindex.SplitOnly(pr).InsertEdge(op.U, op.V, graph.IDRef))
 		} else {
-			must(pr.DeleteEdgeSplitOnly(op.U, op.V))
+			must(oneindex.SplitOnly(pr).DeleteEdge(op.U, op.V))
 		}
 		pTime += time.Since(start)
 		reconstruct(pr, &pLast, &pRecon, &pReconTime)

@@ -91,13 +91,13 @@ func RunSubgraphAdditions(name string, g *graph.Graph, cfg SubgraphConfig) Subgr
 		smTime += time.Since(start)
 
 		start = time.Now()
-		if _, err := pr.AddSubgraphSplitOnly(sg); err != nil {
+		if _, err := oneindex.SplitOnly(pr).AddSubgraph(sg); err != nil {
 			panic("experiments: " + err.Error())
 		}
 		pTime += time.Since(start)
 
 		start = time.Now()
-		if _, err := rc.AddSubgraphSplitOnly(sg); err != nil {
+		if _, err := oneindex.SplitOnly(rc).AddSubgraph(sg); err != nil {
 			panic("experiments: " + err.Error())
 		}
 		*rc = *baseline.ReconstructOneIndex(rc)

@@ -54,6 +54,12 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // node that is deleted or was never allocated.
 var ErrDeadNode = fmt.Errorf("graph: no such live node")
 
+// ErrRootNode is the cause when a deletion would remove the graph root
+// and strand the nodes below it — a subtree holding the root, or the root
+// node while other nodes are live: every query path starts at the root,
+// and no write could re-attach anything to a rootless graph.
+var ErrRootNode = fmt.Errorf("graph: the root cannot be deleted")
+
 // ValidateOps checks a batch of edge operations against the graph without
 // applying any of them: every op is simulated in order against the current
 // edge set overlaid with the effects of the earlier ops, so a batch may

@@ -19,14 +19,15 @@
 // pool with their slice capacity intact, so steady-state maintenance churn
 // allocates nothing.
 //
-// The maintenance entry points are InsertEdge, DeleteEdge, ApplyBatch, the
-// node operations, AddSubgraph and DeleteSubgraph. Each runs one or more
-// rounds of ApplyBatch's split/merge maintenance — InsertEdge and
-// DeleteEdge are the round over one op, which is Figure 3 — and keeps the
-// index a valid, minimal 1-index (Lemma 3); on acyclic graphs the result
-// is the unique minimum 1-index (Theorem 1).
-// The split-only variants (used by the propagate baseline of Kaushik et
-// al.) keep the index valid but not minimal.
+// The maintenance entry points — ApplyBatch, InsertEdge, DeleteEdge, the
+// node operations, AddSubgraph and DeleteSubgraph — are internal/maint's
+// op driver over this package's round kernel (Ingest, the split phase,
+// the frontier merge pass); InsertEdge and DeleteEdge are the round over
+// one op, which is Figure 3. They keep the index a valid, minimal 1-index
+// (Lemma 3); on acyclic graphs the result is the unique minimum 1-index
+// (Theorem 1). SplitOnly is the same driver over a kernel that skips
+// merges — the propagate baseline of Kaushik et al. — which keeps the
+// index valid but not minimal.
 package oneindex
 
 import (
@@ -36,6 +37,7 @@ import (
 	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/ilist"
+	"structix/internal/maint"
 	"structix/internal/partition"
 	"structix/internal/sigtab"
 	"structix/internal/snap"
@@ -82,12 +84,13 @@ type Index struct {
 	// Epoch-stamped scratch marks sized to the graph's NodeID bound. A
 	// dnode's split marks (bits 1 and 2) are valid only when the stamp's
 	// epoch part matches splitEpoch, so a new split step invalidates every
-	// mark by bumping the epoch — no clearing pass. batchStamp plays the
-	// same role for the maintenance round's affected-dnode dedup.
+	// mark by bumping the epoch — no clearing pass.
 	markStamp  []uint64 // epoch<<2 | split mark bits
 	splitEpoch uint64
-	batchStamp []uint32
-	batchEpoch uint32
+
+	// round is the op driver's affected set of an in-flight maintenance
+	// round, kept between rounds for its storage.
+	round maint.Round
 
 	// split is the reusable split-phase context (created on first use); its
 	// queues, membership vector and snapshot buffers keep their storage
@@ -95,12 +98,9 @@ type Index struct {
 	// state.
 	split *splitCtx
 
-	// batchAffected collects the dnodes singled out by an in-flight
-	// maintenance round (deduplicated via batchStamp); frontier holds their
-	// inodes after the split phase, where the merge pass searches for
-	// partners.
-	batchAffected []graph.NodeID
-	frontier      []INodeID
+	// frontier holds the round's affected dnodes' inodes after the split
+	// phase, where the merge pass searches for partners.
+	frontier []INodeID
 
 	// Merge-phase scratch: the signature table grouping inodes by
 	// (label, index-parent set), the per-group member lists, the cascade
@@ -194,17 +194,8 @@ func numberBreadthFirst(g *graph.Graph, p *partition.Partition) {
 // The partition is trusted to be label-pure; callers wanting a *valid*
 // 1-index must pass a self-stable partition (Build does).
 func FromPartition(g *graph.Graph, p *partition.Partition) *Index {
-	idx := &Index{
-		g:          g,
-		inodeOf:    make([]INodeID, g.MaxNodeID()),
-		pos:        make([]int32, g.MaxNodeID()),
-		inodes:     make([]*inode, 0, p.NumBlocks()),
-		markStamp:  make([]uint64, g.MaxNodeID()),
-		batchStamp: make([]uint32, g.MaxNodeID()),
-	}
-	for i := range idx.inodeOf {
-		idx.inodeOf[i] = NoINode
-	}
+	idx := &Index{g: g, inodes: make([]*inode, 0, p.NumBlocks())}
+	(*kernel)(idx).Grow()
 	// Inodes are created in block-id order, NOT first-seen-node order: a
 	// partition decoded from a persisted snapshot numbers its blocks in
 	// the saver's inode order, so honoring block ids here makes the loaded
@@ -434,24 +425,6 @@ func (x *Index) moveDNode(w graph.NodeID, dst INodeID) {
 		x.addIEdgeCount(src, is, -1)
 		x.addIEdgeCount(dst, is, 1)
 	})
-}
-
-// growScratch extends the NodeID-indexed scratch arrays after the data
-// graph has grown (subgraph insertion).
-func (x *Index) growScratch() {
-	n := int(x.g.MaxNodeID())
-	for len(x.inodeOf) < n {
-		x.inodeOf = append(x.inodeOf, NoINode)
-	}
-	for len(x.pos) < n {
-		x.pos = append(x.pos, 0)
-	}
-	for len(x.markStamp) < n {
-		x.markStamp = append(x.markStamp, 0)
-	}
-	for len(x.batchStamp) < n {
-		x.batchStamp = append(x.batchStamp, 0)
-	}
 }
 
 // sameMergeKey reports whether inodes i and j share a label and an

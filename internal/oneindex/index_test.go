@@ -329,14 +329,14 @@ func TestSplitOnlyValidButGrows(t *testing.T) {
 			if err := x.InsertEdge(u, v, graph.IDRef); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.InsertEdgeSplitOnly(u, v, graph.IDRef); err != nil {
+			if err := SplitOnly(p).InsertEdge(u, v, graph.IDRef); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			if err := x.DeleteEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.DeleteEdgeSplitOnly(u, v); err != nil {
+			if err := SplitOnly(p).DeleteEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}

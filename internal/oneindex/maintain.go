@@ -7,64 +7,6 @@ import (
 	"structix/internal/ilist"
 )
 
-// InsertEdge adds the dedge u→v to the data graph and incrementally
-// maintains the index with the split/merge algorithm of Figure 3 — the
-// maintenance round of ApplyBatch over this one op. If the index was
-// minimal before the call it is minimal after it (Lemma 3), and minimum if
-// the graph is acyclic (Theorem 1).
-func (x *Index) InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error {
-	return x.insertEdge(u, v, kind, true)
-}
-
-// InsertEdgeSplitOnly is InsertEdge without the merge phase — the
-// *propagate* algorithm of Kaushik et al. [8]. The index stays valid but
-// can grow beyond minimal.
-func (x *Index) InsertEdgeSplitOnly(u, v graph.NodeID, kind graph.EdgeKind) error {
-	return x.insertEdge(u, v, kind, false)
-}
-
-func (x *Index) insertEdge(u, v graph.NodeID, kind graph.EdgeKind, merge bool) error {
-	if err := x.g.AddEdge(u, v, kind); err != nil {
-		return err
-	}
-	x.noteOp(graph.InsertOp(u, v, kind), merge)
-	return nil
-}
-
-// DeleteEdge removes the dedge u→v and incrementally maintains the index
-// with the split/merge algorithm (the deletion variant of Figure 3).
-//
-// The early-exit test is "does v still have a parent in I[u]": only then is
-// v's index-parent set unchanged. (The condition as printed in the paper —
-// any remaining dedge between the two extents — would skip a necessary
-// split when v loses its last parent in I[u] while its inode siblings keep
-// theirs; the proof of Lemma 3 relies on the per-v test.)
-func (x *Index) DeleteEdge(u, v graph.NodeID) error {
-	return x.deleteEdge(u, v, true)
-}
-
-// DeleteEdgeSplitOnly is DeleteEdge without the merge phase (propagate
-// baseline).
-func (x *Index) DeleteEdgeSplitOnly(u, v graph.NodeID) error {
-	return x.deleteEdge(u, v, false)
-}
-
-func (x *Index) deleteEdge(u, v graph.NodeID, merge bool) error {
-	if err := x.g.DeleteEdge(u, v); err != nil {
-		return err
-	}
-	x.noteOp(graph.DeleteOp(u, v), merge)
-	return nil
-}
-
-// noteOp runs one maintenance round over a single op the graph already
-// carries.
-func (x *Index) noteOp(op graph.EdgeOp, merge bool) {
-	x.beginRound()
-	x.ingest(op)
-	x.finishRound(merge)
-}
-
 // ---- split phase ----
 
 // compound is a compound block: the set of inodes a former inode has been

@@ -86,7 +86,7 @@ func TestQuickMergeNeverLoses(t *testing.T) {
 			if a.InsertEdge(u, v, graph.IDRef) != nil {
 				return false
 			}
-			if b.InsertEdgeSplitOnly(u, v, graph.IDRef) != nil {
+			if SplitOnly(b).InsertEdge(u, v, graph.IDRef) != nil {
 				return false
 			}
 		}

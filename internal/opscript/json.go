@@ -3,6 +3,7 @@ package opscript
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"structix/internal/graph"
 )
@@ -73,6 +74,9 @@ func (op *Op) UnmarshalJSON(data []byte) error {
 	need := func(name string, p *int64, dst *graph.NodeID) error {
 		if p == nil {
 			return fmt.Errorf("opscript: %s wants %q", w.Op, name)
+		}
+		if *p < math.MinInt32 || *p > math.MaxInt32 {
+			return fmt.Errorf("opscript: %s %q %d is out of the node id range", w.Op, name, *p)
 		}
 		*dst = graph.NodeID(*p)
 		return nil

@@ -20,9 +20,7 @@ import (
 	"strconv"
 	"strings"
 
-	"structix/internal/akindex"
 	"structix/internal/graph"
-	"structix/internal/oneindex"
 )
 
 // Kind enumerates script operations.
@@ -136,12 +134,14 @@ func parseOp(fields []string) (Op, error) {
 	}
 }
 
+// parseNodes reads two node operands. A NodeID is 32 bits wide, so an
+// operand outside that range is an error, not a wrap onto a live node.
 func parseNodes(a string, u *graph.NodeID, b string, v *graph.NodeID) error {
-	ai, err := strconv.Atoi(a)
+	ai, err := strconv.ParseInt(a, 10, 32)
 	if err != nil {
 		return fmt.Errorf("bad node id %q", a)
 	}
-	bi, err := strconv.Atoi(b)
+	bi, err := strconv.ParseInt(b, 10, 32)
 	if err != nil {
 		return fmt.Errorf("bad node id %q", b)
 	}
@@ -210,7 +210,7 @@ type Result struct {
 }
 
 // Target is the maintained-index surface a script runs against; both
-// *oneindex.Index and *akindex.Index satisfy it.
+// index families satisfy it (the facade's Index embeds it).
 type Target interface {
 	InsertEdge(u, v graph.NodeID, kind graph.EdgeKind) error
 	DeleteEdge(u, v graph.NodeID) error
@@ -220,24 +220,23 @@ type Target interface {
 	Graph() *graph.Graph
 }
 
-var (
-	_ Target = (*oneindex.Index)(nil)
-	_ Target = (*akindex.Index)(nil)
-)
-
 // guardOp rejects an op naming a dead (or never-allocated) node before it
 // reaches the graph layer: the graph's mutators treat invalid ids as caller
 // bugs and panic, but scripts arrive from untrusted sources (files, the
-// network), so liveness is a script error, not a programming error.
+// network), so liveness is a script error, not a programming error. The
+// deletions check their own operands (maint.Driver), except for one rule
+// of the store's: the driver lets DeleteNode remove a root that is the
+// graph's last node, but a script's graph keeps its root, the one node
+// every later write can attach below.
 func guardOp(g *graph.Graph, op Op) error {
 	switch op.Kind {
 	case Insert, Delete:
 		if !g.Alive(op.U) || !g.Alive(op.V) {
 			return graph.ErrDeadNode
 		}
-	case DelNode, DelSub:
-		if !g.Alive(op.U) {
-			return graph.ErrDeadNode
+	case DelNode:
+		if op.U == g.Root() && g.Alive(op.U) {
+			return graph.ErrRootNode
 		}
 	}
 	return nil

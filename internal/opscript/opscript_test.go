@@ -2,6 +2,8 @@ package opscript
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,5 +175,36 @@ func TestApplyToAkIndex(t *testing.T) {
 	}
 	if !x.IsMinimum() {
 		t.Errorf("A(k) family not minimum after scripted workload")
+	}
+}
+
+// TestNodeIDRange feeds node operands just inside and just outside the
+// 32-bit NodeID range to the text parser and the JSON decoder: outside is
+// an error in both, never a wrap onto a live node (4294967296 is 0 in 32
+// bits).
+func TestNodeIDRange(t *testing.T) {
+	for _, tc := range []struct {
+		n  int64
+		ok bool
+	}{{2147483647, true}, {-2147483648, true}, {2147483648, false}, {4294967296, false}, {-2147483649, false}} {
+		for _, text := range []string{
+			fmt.Sprintf("insert %d 1", tc.n), fmt.Sprintf("insert 1 %d", tc.n), fmt.Sprintf("delete %d 1", tc.n),
+			fmt.Sprintf("addnode a %d", tc.n), fmt.Sprintf("delnode %d", tc.n), fmt.Sprintf("delsub %d", tc.n),
+		} {
+			ops, err := Parse(strings.NewReader(text))
+			if (err == nil) != tc.ok {
+				t.Errorf("Parse(%q) = %v, %v", text, ops, err)
+			}
+		}
+		for _, js := range []string{
+			fmt.Sprintf(`{"op":"insert","u":%d,"v":1}`, tc.n), fmt.Sprintf(`{"op":"delete","u":1,"v":%d}`, tc.n),
+			fmt.Sprintf(`{"op":"addnode","label":"a","parent":%d}`, tc.n),
+			fmt.Sprintf(`{"op":"delnode","node":%d}`, tc.n), fmt.Sprintf(`{"op":"delsub","node":%d}`, tc.n),
+		} {
+			var op Op
+			if err := json.Unmarshal([]byte(js), &op); (err == nil) != tc.ok {
+				t.Errorf("Unmarshal(%s) = %+v, %v", js, op, err)
+			}
+		}
 	}
 }

@@ -16,13 +16,14 @@ import (
 	"structix/internal/server"
 )
 
-func fuzzHandler() http.Handler {
+func fuzzHandler() (http.Handler, *structix.DB) {
 	g, _, _, _ := gtest.Fig2()
-	return server.New(structix.NewDB(structix.BuildOneIndex(g)), server.Config{}).Handler()
+	db := structix.NewDB(structix.BuildOneIndex(g))
+	return server.New(db, server.Config{}).Handler(), db
 }
 
 func FuzzDecodeQuery(f *testing.F) {
-	h := fuzzHandler()
+	h, _ := fuzzHandler()
 	for _, seed := range []string{
 		`{"expr":"//b/c"}`,
 		`{"expr":"/a","count_only":true}`,
@@ -55,8 +56,13 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
+// FuzzDecodeUpdate posts arbitrary bodies at /v1/update against one
+// store, which every request may change: after each, the store must still
+// have a live root and validate. The seeds include root deletions, direct
+// and through a tree edge into the root, and node ids outside the 32-bit
+// range, which once wrapped onto the root.
 func FuzzDecodeUpdate(f *testing.F) {
-	h := fuzzHandler()
+	h, db := fuzzHandler()
 	for _, seed := range []string{
 		`{"ops":[{"op":"insert","u":2,"v":4,"kind":"idref"}]}`,
 		`{"ops":[{"op":"insert","u":2,"v":4,"kind":"tree"},{"op":"delete","u":2,"v":4}]}`,
@@ -80,6 +86,13 @@ func FuzzDecodeUpdate(f *testing.F) {
 		`{"ops":[{"op":"insert","u":2,"v":4}]} extra`,
 		`{"ops":[{"op":"insert","u":"2","v":4}]}`,
 		"\x00\x01\x02",
+		`{"ops":[{"op":"delnode","node":0}]}`,
+		`{"ops":[{"op":"delsub","node":0}]}`,
+		`{"ops":[{"op":"insert","u":2,"v":0,"kind":"tree"},{"op":"delsub","node":2}]}`,
+		`{"ops":[{"op":"delnode","node":4294967296}]}`,
+		`{"ops":[{"op":"delsub","node":4294967296}]}`,
+		`{"ops":[{"op":"addnode","label":"z","parent":4294967297}]}`,
+		`{"ops":[{"op":"insert","u":4294967298,"v":-4294967296}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -93,6 +106,12 @@ func FuzzDecodeUpdate(f *testing.F) {
 			http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		if s := db.Snapshot().Data(); !s.Alive(s.Root()) {
+			t.Fatalf("body %q left the store without a live root", body)
+		}
+		if err := db.Validate(); err != nil {
+			t.Fatalf("body %q left the store invalid: %v", body, err)
 		}
 	})
 }

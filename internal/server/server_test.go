@@ -8,7 +8,9 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -490,4 +492,67 @@ func countFrozenEdges(f *graph.Frozen) int {
 		f.EachSucc(v, func(graph.NodeID, graph.EdgeKind) { n++ })
 	}
 	return n
+}
+
+// TestServerRootAndRangeErrors sends the writes that once stranded or
+// corrupted a store over the wire, on both index families: a root
+// deletion is a 409 with cause "root", a node id outside the 32-bit range
+// a 400, and an addnode under a dead parent comes back to the client as
+// ErrDeadNode. The store keeps its root throughout.
+func TestServerRootAndRangeErrors(t *testing.T) {
+	for _, fam := range []struct {
+		name string
+		idx  func(*graph.Graph) structix.Index
+	}{
+		{"1-index", func(g *graph.Graph) structix.Index { return structix.BuildOneIndex(g) }},
+		{"A(2)", func(g *graph.Graph) structix.Index { return structix.BuildAkIndex(g, 2) }},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			g, _, _, ids := gtest.Fig2()
+			root := g.Root()
+			db := structix.NewDB(fam.idx(g))
+			ts := startServerOn(t, db, nil, server.Config{})
+			defer ts.shutdown(t)
+			post := func(body string) (int, server.ErrorReply) {
+				t.Helper()
+				resp, err := http.Post(ts.url+"/v1/update", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var rep server.ErrorReply
+				_ = json.NewDecoder(resp.Body).Decode(&rep)
+				return resp.StatusCode, rep
+			}
+			for _, op := range []string{"delnode", "delsub"} {
+				body := fmt.Sprintf(`{"ops":[{"op":%q,"node":%d}]}`, op, root)
+				if code, rep := post(body); code != http.StatusConflict || rep.Cause != "root" {
+					t.Fatalf("%s: %d %+v, want 409 cause root", body, code, rep)
+				}
+			}
+			for _, body := range []string{
+				`{"ops":[{"op":"delsub","node":4294967296}]}`,
+				`{"ops":[{"op":"delnode","node":-2147483649}]}`,
+				`{"ops":[{"op":"insert","u":4294967298,"v":4}]}`,
+			} {
+				if code, rep := post(body); code != http.StatusBadRequest {
+					t.Fatalf("%s: %d %+v, want 400", body, code, rep)
+				}
+			}
+			_, err := ts.cli.Update(context.Background(), []opscript.Op{{Kind: opscript.AddNode, Label: "z", V: 9999}})
+			if !errors.Is(err, graph.ErrDeadNode) {
+				t.Fatalf("addnode under a dead parent: %v, want ErrDeadNode", err)
+			}
+			_, err = ts.cli.Update(context.Background(), []opscript.Op{{Kind: opscript.DelNode, U: ids["1"]}, {Kind: opscript.DelSub, U: root}})
+			if !errors.Is(err, graph.ErrRootNode) {
+				t.Fatalf("delsub root after a delnode: %v, want ErrRootNode", err)
+			}
+			if err := db.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if s := db.Snapshot().Data(); !s.Alive(root) {
+				t.Fatal("store lost its root")
+			}
+		})
+	}
 }

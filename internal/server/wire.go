@@ -116,6 +116,7 @@ const (
 	causeNoEdge     = "no_edge"
 	causeSelfLoop   = "self_loop"
 	causeDeadNode   = "dead_node"
+	causeRoot       = "root"
 	causeCrossShard = "cross_shard"
 )
 
@@ -255,6 +256,8 @@ func CauseString(err error) string {
 		return causeSelfLoop
 	case errors.Is(err, graph.ErrDeadNode):
 		return causeDeadNode
+	case errors.Is(err, graph.ErrRootNode):
+		return causeRoot
 	case errors.Is(err, shard.ErrCrossShard):
 		return causeCrossShard
 	}
@@ -274,6 +277,8 @@ func CauseError(cause, fallback string) error {
 		return graph.ErrSelfLoop
 	case causeDeadNode:
 		return graph.ErrDeadNode
+	case causeRoot:
+		return graph.ErrRootNode
 	case causeCrossShard:
 		return shard.ErrCrossShard
 	}

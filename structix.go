@@ -107,6 +107,11 @@ type BatchError = graph.BatchError
 // is not live in the graph.
 var ErrDeadNode = graph.ErrDeadNode
 
+// ErrRootNode is the cause when DeleteNode or DeleteSubtree would remove
+// the graph root and strand the nodes below it: a subtree holding the
+// root, or the root while other nodes are live. Nothing is applied.
+var ErrRootNode = graph.ErrRootNode
+
 // ErrBadSubgraph is the cause when AddSubgraph, or the replay of a
 // journaled graft, gets a Subgraph whose parts disagree (an edge naming a
 // local node it does not have, or fewer values or edge kinds than nodes
