@@ -105,6 +105,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoaderMultiDoc -fuzztime=10s ./internal/xmlload/
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
+	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
@@ -144,13 +145,17 @@ loc:
 # race-enabled), every example program end to end (`make examples`), the
 # xsiserve smoke (which covers a 4-shard boot), the replication smoke
 # (leader + 2 replicas, min_epoch read-back), short path-parser,
-# extent-decoder, frame-reader and refinement-engine (FuzzRefine) fuzz
+# extent-decoder, frame-reader (a decoded payload re-encodes byte for
+# byte) and refinement-engine (FuzzRefine) fuzz
 # passes, the maintenance fuzz passes (FuzzMaintenance and FuzzBatchOps
 # over both index families), the publication fuzz pass (FuzzPublish: any
 # interleaving of writes, stale predecessors, reference freezes and codec
 # switches publishes what a fresh Freeze does), the update-decoder fuzz
 # pass (FuzzDecodeUpdate: any /v1/update body leaves the store with a
-# live root and a clean Validate), the shard-, repl- and
+# live root and a clean Validate), the write-record fuzz pass
+# (FuzzWriteRecord: on any write stream the leader, a follower fed its
+# records and recovery from its journal publish equal snapshots, and the
+# two journals are byte-identical), the shard-, repl- and
 # scale-bench smokes, and a one-iteration smoke pass over every benchmark
 # in the module.
 ci: build vet
@@ -175,6 +180,7 @@ ci: build vet
 	$(GO) test -fuzz=FuzzBatchOps -fuzztime=10s ./internal/akindex/
 	$(GO) test -fuzz=FuzzPublish -fuzztime=10s ./internal/snap/
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
+	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -300,8 +300,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	db.snapSeq.Store(baseSeq)
 	db.tornBytes = log.TruncatedBytes()
 	if err := log.Replay(baseSeq+1, func(rec *wal.Record) error {
-		if err := replayRecord(idx, rec); err != nil {
-			return err
+		if _, _, err := apply(idx, rec); err != nil {
+			return fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
 		db.appliedSeq.Store(rec.Seq)
 		db.replayed++
@@ -361,53 +361,43 @@ func listSnapshots(dir string) (seqs []uint64, staleTmp []string, err error) {
 	return seqs, staleTmp, nil
 }
 
-// replayRecord applies one journal record to the live index. Application
-// is deterministic (NodeIDs are assigned densely in order, labels are
-// re-interned by name), so replaying the journal against the snapshot it
-// was written on top of reproduces the pre-crash state exactly; any
-// failure here means the journal and snapshot disagree and recovery must
-// stop rather than guess.
-func replayRecord(x Index, rec *wal.Record) error {
+// apply applies one journal record to x. It is the only code that
+// changes a store's index: the leader's write, Open's replay and a
+// follower's ApplyRecord all come here, so the same record runs the same
+// code wherever it is applied. Application is deterministic (NodeIDs are
+// assigned densely in order, labels re-interned by name), so replaying the
+// journal against the snapshot it was written on top of reproduces the
+// pre-crash state exactly. An edge record applies atomically; a script
+// stops at its first failing op, leaving the ops before it applied (res
+// says how many); a subgraph is grafted with its label names interned in
+// x's graph. cut is the subtree the script's last delsub removed.
+func apply(x Index, rec *wal.Record) (res OpResult, cut *Subgraph, err error) {
 	switch rec.Kind {
 	case wal.RecEdges:
 		if err := x.ApplyBatch(rec.Edges); err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
+			return res, nil, err
 		}
+		return opscript.BatchResult(rec.Edges), nil, nil
 	case wal.RecScript:
-		res, err := opscript.Apply(x, rec.Script)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
-		}
-		if res.Applied != len(rec.Script) {
-			return fmt.Errorf("record %d: script stopped at op %d of %d", rec.Seq, res.Applied, len(rec.Script))
-		}
+		return opscript.ApplyCut(x, rec.Script)
 	case wal.RecSubgraph:
-		if _, err := graftPayload(x, rec.Sub); err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
+		p := rec.Sub
+		in := x.Graph().Labels()
+		sg := &Subgraph{
+			Labels:    make([]graph.LabelID, len(p.Labels)),
+			Values:    p.Values,
+			Edges:     p.Edges,
+			EdgeKinds: p.EdgeKinds,
+			CrossIn:   p.CrossIn,
+			CrossOut:  p.CrossOut,
 		}
-	default:
-		return fmt.Errorf("record %d: unknown kind %v", rec.Seq, rec.Kind)
+		for i, name := range p.Labels {
+			sg.Labels[i] = in.Intern(name)
+		}
+		res.NewNodes, err = x.AddSubgraph(sg)
+		return res, nil, err
 	}
-	return nil
-}
-
-// graftPayload grafts a journal-form subgraph onto x, interning its label
-// names in x's graph — the one conversion behind the live write, recovery
-// and a follower's apply.
-func graftPayload(x Index, p *wal.SubgraphPayload) ([]NodeID, error) {
-	in := x.Graph().Labels()
-	sg := &Subgraph{
-		Labels:    make([]graph.LabelID, len(p.Labels)),
-		Values:    p.Values,
-		Edges:     p.Edges,
-		EdgeKinds: p.EdgeKinds,
-		CrossIn:   p.CrossIn,
-		CrossOut:  p.CrossOut,
-	}
-	for i, name := range p.Labels {
-		sg.Labels[i] = in.Intern(name)
-	}
-	return x.AddSubgraph(sg)
+	return res, nil, fmt.Errorf("unknown record kind %v", rec.Kind)
 }
 
 // ---- write path ----
@@ -434,33 +424,27 @@ func (db *DB) noteVisible() {
 	db.seqMu.Unlock()
 }
 
-// noteRecord accounts one journaled record of the given weight in ops and
-// pokes the compactor when the cadence is due. Callers hold db.mu.
-func (db *DB) noteRecord(seq uint64, ops int) {
-	db.appliedSeq.Store(seq)
-	db.sinceSnap += ops
-	if db.compactReq != nil && db.sinceSnap >= db.opts.CompactEvery {
-		db.sinceSnap = 0
-		select {
-		case db.compactReq <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// commit makes a mutation just applied to the live index durable and
-// visible — the tail every write shares: journal it (journal appends the
-// record naming it), account the record's ops toward the compaction
-// cadence, publish the snapshot. A failed append leaves the mutation
-// unpublished and freezes the store (see journalFailed). Callers hold
-// db.mu and have passed their gate.
-func (db *DB) commit(ops int, journal func(*wal.Log) (uint64, error)) error {
+// commit makes a record just applied to the live index durable and
+// visible — the tail the leader's write and a follower's ApplyRecord
+// share: journal it, account its ops toward the compaction cadence, and
+// publish the snapshot. A failed append leaves the mutation unpublished
+// and freezes the store (see journalFailed). Callers hold db.mu and have
+// passed their gate.
+func (db *DB) commit(rec *wal.Record) error {
 	if db.log != nil {
-		seq, err := journal(db.log)
+		seq, err := db.log.Append(rec)
 		if err != nil {
 			return db.journalFailed(err)
 		}
-		db.noteRecord(seq, ops)
+		db.appliedSeq.Store(seq)
+		db.sinceSnap += rec.Ops()
+		if db.compactReq != nil && db.sinceSnap >= db.opts.CompactEvery {
+			db.sinceSnap = 0
+			select {
+			case db.compactReq <- struct{}{}:
+			default:
+			}
+		}
 	}
 	db.publish()
 	return nil
@@ -494,41 +478,53 @@ func (db *DB) writeErr() error {
 	return nil
 }
 
-// ApplyBatchWindowed applies a batch of edge updates atomically, journals
-// it as one record, and publishes the snapshot — WITHOUT the end-of-window
-// durability barrier. This is the group-commit building block: the
-// committer applies every request of a window through the Windowed entry
-// points, then calls EndWindow once before acknowledging any of them.
-// A rejected batch (*BatchError) applies, journals and publishes nothing.
-func (db *DB) ApplyBatchWindowed(ops []EdgeOp) error {
+// write is the one leader write: gate, apply the record, journal exactly
+// what applied, publish. A script that stops part-way journals its applied
+// prefix; a record that applied nothing journals and publishes nothing.
+// The end-of-window durability barrier is the caller's (EndWindow).
+func (db *DB) write(rec *wal.Record) (res OpResult, cut *Subgraph, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.writeErr(); err != nil {
-		return err
+		return res, nil, err
 	}
-	if err := db.idx.ApplyBatch(ops); err != nil {
-		return err
+	res, cut, err = apply(db.idx, rec)
+	if rec.Kind == wal.RecScript {
+		if res.Applied == 0 {
+			return res, cut, err
+		}
+		if res.Applied < len(rec.Script) {
+			rec = &wal.Record{Kind: wal.RecScript, Script: rec.Script[:res.Applied]}
+		}
+	} else if err != nil {
+		return res, cut, err
 	}
-	return db.commit(len(ops), func(l *wal.Log) (uint64, error) { return l.AppendEdges(ops) })
+	if cerr := db.commit(rec); cerr != nil {
+		return res, cut, cerr
+	}
+	return res, cut, err
 }
 
-// ApplyScriptWindowed runs a script with stop-at-first-error semantics,
-// journals exactly the applied prefix, and publishes the snapshot —
-// without the end-of-window barrier (see ApplyBatchWindowed).
-func (db *DB) ApplyScriptWindowed(ops []ScriptOp) (OpResult, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
-		return OpResult{}, err
+// WriteWindowed applies one write record, journals what applied and
+// publishes the snapshot — WITHOUT the end-of-window durability barrier.
+// This is the group-commit building block: the committer writes every
+// request of a window through it, then calls EndWindow once before
+// acknowledging any of them. A rejected edge record (*BatchError) applies,
+// journals and publishes nothing; a script stops at its first failing op
+// (*OpError) with the ops before it committed.
+func (db *DB) WriteWindowed(rec *wal.Record) (OpResult, error) {
+	res, _, err := db.write(rec)
+	return res, err
+}
+
+// writeWindow is write as its own commit window: the barrier runs after
+// it, whatever it applied.
+func (db *DB) writeWindow(rec *wal.Record) (OpResult, *Subgraph, error) {
+	res, cut, err := db.write(rec)
+	if serr := db.EndWindow(); serr != nil && err == nil {
+		err = serr
 	}
-	res, aerr := opscript.Apply(db.idx, ops)
-	if res.Applied == 0 {
-		return res, aerr
-	}
-	if err := db.commit(res.Applied, func(l *wal.Log) (uint64, error) { return l.AppendScript(ops[:res.Applied]) }); err != nil {
-		return res, err
-	}
-	return res, aerr
+	return res, cut, err
 }
 
 // EndWindow is the end-of-commit-window durability barrier: under
@@ -547,20 +543,15 @@ func (db *DB) EndWindow() error {
 // commit window: when ApplyBatch returns, the batch is applied, published
 // and — under SyncAlways and SyncWindow — durable.
 func (db *DB) ApplyBatch(ops []EdgeOp) error {
-	if err := db.ApplyBatchWindowed(ops); err != nil {
-		return err
-	}
-	return db.EndWindow()
+	_, _, err := db.writeWindow(&wal.Record{Kind: wal.RecEdges, Edges: ops})
+	return err
 }
 
 // ApplyScript runs a script as its own commit window (see ApplyBatch).
 // Stop-at-first-error semantics: the applied prefix commits and is
 // journaled; the failing op and everything after it do not.
 func (db *DB) ApplyScript(ops []ScriptOp) (OpResult, error) {
-	res, err := db.ApplyScriptWindowed(ops)
-	if serr := db.EndWindow(); serr != nil && err == nil {
-		err = serr
-	}
+	res, _, err := db.writeWindow(&wal.Record{Kind: wal.RecScript, Script: ops})
 	return res, err
 }
 
@@ -605,18 +596,18 @@ func (db *DB) DeleteSubtree(root NodeID) (*Subgraph, error) {
 // label names, values, internal and boundary-crossing edges — so replay
 // re-grafts the identical subtree.
 func (db *DB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
-	// A LabelID names the same label for the store's lifetime, so the names
-	// stay right across the gap between the two critical sections.
-	db.mu.Lock()
-	names := labelNames(db.idx.Graph(), sg.Labels)
-	db.mu.Unlock()
-	return db.AddSubgraphNamed(names, sg)
+	return db.AddSubgraphNamed(db.labelNames(sg.Labels), sg)
 }
 
-func labelNames(g *Graph, labels []graph.LabelID) []string {
+// labelNames resolves this store's LabelIDs to names under the writer
+// lock, which interning writers hold. A LabelID names the same label for
+// the store's lifetime, so the names stay right once the lock is dropped.
+func (db *DB) labelNames(labels []graph.LabelID) []string {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	names := make([]string, len(labels))
 	for i, l := range labels {
-		names[i] = g.Labels().Name(l)
+		names[i] = db.idx.Graph().Labels().Name(l)
 	}
 	return names
 }
@@ -642,12 +633,16 @@ func (db *DB) ValidateBatch(ops []EdgeOp) error {
 // re-interned here, so a subtree extracted from one store (or one shard)
 // grafts into another whose interner assigns different ids.
 func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
+	res, _, err := db.writeWindow(&wal.Record{Kind: wal.RecSubgraph, Sub: payloadOf(names, sg)})
+	if err != nil {
 		return nil, err
 	}
-	p := &wal.SubgraphPayload{
+	return res.NewNodes, nil
+}
+
+// payloadOf is the journal form of sg with its labels named.
+func payloadOf(names []string, sg *Subgraph) *wal.SubgraphPayload {
+	return &wal.SubgraphPayload{
 		Labels:    names,
 		Values:    sg.Values,
 		Edges:     sg.Edges,
@@ -655,37 +650,18 @@ func (db *DB) AddSubgraphNamed(names []string, sg *Subgraph) ([]NodeID, error) {
 		CrossIn:   sg.CrossIn,
 		CrossOut:  sg.CrossOut,
 	}
-	ids, err := graftPayload(db.idx, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.commit(len(names), func(l *wal.Log) (uint64, error) { return l.AppendSubgraph(p) }); err != nil {
-		return nil, err
-	}
-	return ids, db.EndWindow()
 }
 
 // DeleteSubtreeNamed removes the subtree rooted at root as its own commit
-// window, also returning the label name of each subgraph-local node,
-// resolved under the writer lock — the form a cross-store coordinator
-// needs, since the returned Subgraph's LabelIDs are meaningless outside
-// this store's interner.
+// window, also returning the label name of each subgraph-local node — the
+// form a cross-store coordinator needs, since the returned Subgraph's
+// LabelIDs are meaningless outside this store's interner.
 func (db *DB) DeleteSubtreeNamed(root NodeID) ([]string, *Subgraph, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
-		return nil, nil, err
-	}
-	sg, err := db.idx.DeleteSubgraph(root, true)
+	_, sg, err := db.writeWindow(&wal.Record{Kind: wal.RecScript, Script: []ScriptOp{{Kind: opscript.DelSub, U: root}}})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, unwrapOpError(err)
 	}
-	if err := db.commit(1, func(l *wal.Log) (uint64, error) {
-		return l.AppendScript([]ScriptOp{{Kind: opscript.DelSub, U: root}})
-	}); err != nil {
-		return nil, nil, err
-	}
-	return labelNames(db.idx.Graph(), sg.Labels), sg, db.EndWindow()
+	return db.labelNames(sg.Labels), sg, nil
 }
 
 // unwrapOpError strips the single-op script wrapper from the convenience

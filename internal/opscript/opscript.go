@@ -181,6 +181,18 @@ func FromEdgeOp(op graph.EdgeOp) Op {
 	return Op{Kind: Delete, U: op.U, V: op.V}
 }
 
+// ToEdgeOp is the inverse of FromEdgeOp: the graph.EdgeOp of an insert or
+// delete; ok is false for the node and subtree ops.
+func ToEdgeOp(op Op) (_ graph.EdgeOp, ok bool) {
+	switch op.Kind {
+	case Insert:
+		return graph.InsertOp(op.U, op.V, op.Edge), true
+	case Delete:
+		return graph.DeleteOp(op.U, op.V), true
+	}
+	return graph.EdgeOp{}, false
+}
+
 // OpError reports the script operation that made Apply stop: Index is the
 // 0-based position in the ops slice, Op the operation, and Err the
 // underlying cause (graph.ErrEdgeExists, graph.ErrNoEdge, ..., retrievable
@@ -223,15 +235,21 @@ type Target interface {
 // guardOp rejects an op naming a dead (or never-allocated) node before it
 // reaches the graph layer: the graph's mutators treat invalid ids as caller
 // bugs and panic, but scripts arrive from untrusted sources (files, the
-// network), so liveness is a script error, not a programming error. The
-// deletions check their own operands (maint.Driver), except for one rule
-// of the store's: the driver lets DeleteNode remove a root that is the
-// graph's last node, but a script's graph keeps its root, the one node
-// every later write can attach below.
+// network), so liveness is a script error, not a programming error. An
+// addnode parent must be live too: the driver reads InvalidNode as "add
+// detached", which a script must not reach — nothing could ever get to
+// the node. The deletions check their own operands (maint.Driver), except
+// for one rule of the store's: the driver lets DeleteNode remove a root
+// that is the graph's last node, but a script's graph keeps its root, the
+// one node every later write can attach below.
 func guardOp(g *graph.Graph, op Op) error {
 	switch op.Kind {
 	case Insert, Delete:
 		if !g.Alive(op.U) || !g.Alive(op.V) {
+			return graph.ErrDeadNode
+		}
+	case AddNode:
+		if !g.Alive(op.V) {
 			return graph.ErrDeadNode
 		}
 	case DelNode:
@@ -245,11 +263,17 @@ func guardOp(g *graph.Graph, op Op) error {
 // Apply runs a script against a maintained index. It stops at the first
 // failing operation, returning the error together with how far it got.
 func Apply(x Target, ops []Op) (Result, error) {
-	var res Result
+	res, _, err := ApplyCut(x, ops)
+	return res, err
+}
+
+// ApplyCut is Apply that also returns the subgraph the script's last
+// delsub removed (nil if none) — what a store's DeleteSubtree hands back.
+func ApplyCut(x Target, ops []Op) (res Result, cut *graph.Subgraph, _ error) {
 	g := x.Graph()
 	for i, op := range ops {
 		if err := guardOp(g, op); err != nil {
-			return res, &OpError{Index: i, Op: op, Err: err}
+			return res, cut, &OpError{Index: i, Op: op, Err: err}
 		}
 		var err error
 		switch op.Kind {
@@ -274,12 +298,27 @@ func Apply(x Target, ops []Op) (Result, error) {
 			var sg *graph.Subgraph
 			if sg, err = x.DeleteSubgraph(op.U, true); err == nil {
 				res.Removed += sg.NumNodes()
+				cut = sg
 			}
 		}
 		if err != nil {
-			return res, &OpError{Index: i, Op: op, Err: err}
+			return res, cut, &OpError{Index: i, Op: op, Err: err}
 		}
 		res.Applied++
 	}
-	return res, nil
+	return res, cut, nil
+}
+
+// BatchResult is the Result of an atomic edge batch that applied: every op
+// counted as an insert or a delete.
+func BatchResult(ops []graph.EdgeOp) Result {
+	res := Result{Applied: len(ops)}
+	for _, op := range ops {
+		if op.Insert {
+			res.Inserted++
+		} else {
+			res.Deleted++
+		}
+	}
+	return res
 }

@@ -3,6 +3,7 @@ package opscript
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -206,5 +207,35 @@ func TestNodeIDRange(t *testing.T) {
 				t.Errorf("Unmarshal(%s) = %+v, %v", js, op, err)
 			}
 		}
+	}
+}
+
+// TestAddNodeUnreachableParent parses addnode scripts whose parent is not
+// a live node — the invalid id -1, a deleted node, an id never allocated —
+// and applies each: the op fails with ErrDeadNode and adds nothing, where
+// -1 once added a node with no parent that nothing could reach.
+func TestAddNodeUnreachableParent(t *testing.T) {
+	g, _, _, ids := gtest.Fig2()
+	x := oneindex.Build(g)
+	if err := x.DeleteNode(ids["8"]); err != nil {
+		t.Fatal(err)
+	}
+	for _, parent := range []graph.NodeID{graph.InvalidNode, ids["8"], g.MaxNodeID() + 5} {
+		ops, err := Parse(strings.NewReader(fmt.Sprintf("addnode x %d\n", parent)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := g.NumNodes()
+		res, err := Apply(x, ops)
+		var oe *OpError
+		if !errors.As(err, &oe) || oe.Index != 0 || !errors.Is(err, graph.ErrDeadNode) || res.Applied != 0 {
+			t.Fatalf("addnode x %d: %+v, %v; want ErrDeadNode at op 0", parent, res, err)
+		}
+		if g.NumNodes() != nodes {
+			t.Fatalf("addnode x %d added a node", parent)
+		}
+	}
+	if err := x.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -203,6 +203,9 @@ func graphFromDTO(dto *graphDTO) (*graph.Graph, error) {
 	}
 	for i, n := range dto.Nodes {
 		for _, e := range n.Succ {
+			if k := graph.EdgeKind(e.Kind); k != graph.Tree && k != graph.IDRef {
+				return nil, fmt.Errorf("persist: edge %d->%d has unknown kind %d", i, e.To, e.Kind)
+			}
 			if err := g.AddEdge(graph.NodeID(i), graph.NodeID(e.To), graph.EdgeKind(e.Kind)); err != nil {
 				return nil, fmt.Errorf("persist: edge %d->%d: %w", i, e.To, err)
 			}

@@ -305,3 +305,23 @@ func TestLoadErrors(t *testing.T) {
 		t.Errorf("mismatched graph accepted")
 	}
 }
+
+// TestUnknownEdgeKind loads a graph stream whose one edge carries a kind
+// that is neither tree nor idref — what a damaged or hostile snapshot (a
+// follower bootstraps from one downloaded off its leader) can hold.
+func TestUnknownEdgeKind(t *testing.T) {
+	g := graph.New()
+	root := g.AddRoot()
+	if err := g.AddEdge(root, g.AddNode("a"), graph.Tree); err != nil {
+		t.Fatal(err)
+	}
+	dto := graphToDTO(g)
+	dto.Nodes[root].Succ[0].Kind = 7
+	var buf bytes.Buffer
+	if err := encodeStream(&buf, "graph", dto); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadGraph(&buf); err == nil || !strings.Contains(err.Error(), "unknown kind 7") {
+		t.Fatalf("edge kind 7 loaded: %v", err)
+	}
+}

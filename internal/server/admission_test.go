@@ -16,6 +16,8 @@ import (
 
 	"structix"
 	"structix/internal/gtest"
+	"structix/internal/shard"
+	"structix/internal/wal"
 )
 
 // stalledCommitter builds a committer whose loop never runs, with a queue
@@ -70,8 +72,8 @@ func TestCommitterCloseDrainsQueue(t *testing.T) {
 	// Queue a valid edge insert, then close: the drain pass must still
 	// resolve the waiter with a committed outcome.
 	req := &updateReq{
-		edges: []structix.EdgeOp{structix.InsertOp(2, 4, structix.Tree)},
-		done:  make(chan updateOutcome, 1),
+		Part: shard.Part{Rec: &wal.Record{Kind: wal.RecEdges, Edges: []structix.EdgeOp{structix.InsertOp(2, 4, structix.Tree)}}},
+		done: make(chan updateOutcome, 1),
 	}
 	if err := c.submit(req); err != nil {
 		t.Fatalf("submit: %v", err)
@@ -145,7 +147,7 @@ func TestHealthzWhileDraining(t *testing.T) {
 // order up to MaxBatch ops, and hands a queued script back as interrupted.
 func TestCollectIsClockless(t *testing.T) {
 	edge := func() *updateReq {
-		return &updateReq{edges: []structix.EdgeOp{structix.InsertOp(2, 4, structix.Tree)}}
+		return &updateReq{Part: shard.Part{Rec: &wal.Record{Kind: wal.RecEdges, Edges: []structix.EdgeOp{structix.InsertOp(2, 4, structix.Tree)}}}}
 	}
 	collect := func(c *committer, first *updateReq) (batch []*updateReq, interrupted *updateReq) {
 		t.Helper()
@@ -190,7 +192,7 @@ func TestCollectIsClockless(t *testing.T) {
 	c = stalledCommitter(16)
 	c.maxOps = 256
 	e1, e2, after := edge(), edge(), edge()
-	script := &updateReq{script: []structix.ScriptOp{{}}}
+	script := &updateReq{Part: shard.Part{Rec: &wal.Record{Kind: wal.RecScript, Script: []structix.ScriptOp{{}}}}}
 	for _, r := range []*updateReq{e1, e2, script, after} {
 		c.queue <- r
 	}
@@ -218,7 +220,7 @@ func TestCloseFlushRespectsMaxBatch(t *testing.T) {
 		if i%2 == 1 {
 			op = structix.DeleteOp(2, 4)
 		}
-		reqs[i] = &updateReq{edges: []structix.EdgeOp{op}, done: make(chan updateOutcome, 1)}
+		reqs[i] = &updateReq{Part: shard.Part{Rec: &wal.Record{Kind: wal.RecEdges, Edges: []structix.EdgeOp{op}}}, done: make(chan updateOutcome, 1)}
 		if err := c.submit(reqs[i]); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -8,24 +8,27 @@ import (
 	"structix"
 	"structix/internal/graph"
 	"structix/internal/opscript"
+	"structix/internal/shard"
+	"structix/internal/wal"
 )
 
 // The group-commit pipeline. The server runs one committer per shard
 // (exactly one for an unsharded store), each owning its shard's writes
-// end to end, so shards commit — and fsync — independently. Concurrent
-// update requests land in a bounded admission queue; the shard's single
-// committer goroutine drains it, coalescing
-// edge-only requests into one ApplyBatch per commit window (closed when
-// the queue runs dry or the pooled ops reach MaxBatch — see collect), so
-// the split phase, the deferred merge pass, and the snapshot publication
-// are all paid once per window instead of once per request. Each waiter
-// gets its own outcome back: when a coalesced batch is rejected, the
-// committer falls back to applying every member request alone, in arrival
-// order, so one invalid request costs its neighbors one extra validation
-// pass, never their commit.
+// end to end, so shards commit — and fsync — independently. Every update
+// request carries one journal record. Concurrent requests land in a
+// bounded admission queue; the shard's single committer goroutine drains
+// it, joining consecutive edge records into one record per commit window
+// (closed when the queue runs dry or the pooled ops reach MaxBatch — see
+// collect), so the split phase, the deferred merge pass, and the snapshot
+// publication are all paid once per window instead of once per request; a
+// script record is a window of its own. Each waiter gets its own outcome
+// back: when a joined batch is rejected, the committer falls back to
+// writing every member request alone, in arrival order, so one invalid
+// request costs its neighbors one extra validation pass, never their
+// commit.
 //
-// Durability rides the same batching: the store's Windowed entry points
-// apply and journal without fsyncing, and the committer calls EndWindow
+// Durability rides the same batching: the store's WriteWindowed applies
+// and journals without fsyncing, and the committer calls EndWindow
 // once per commit window — after every member has applied, before any
 // waiter is acknowledged. Under fsync=window the group commit is thus
 // also a group fsync (one disk flush amortized over the window); under
@@ -44,17 +47,12 @@ var (
 	ErrShuttingDown = errors.New("server: shutting down")
 )
 
-// updateReq is one admitted update waiting for a commit loop. Exactly
-// one of edges/script is set: edge-only requests coalesce, scripts apply
-// alone. On a sharded server the ops are already in the target shard's
-// local id space; shard and orig carry what the HTTP layer needs to
-// translate the outcome back (orig is SplitEdges' original-index column
-// for this shard's sub-batch; nil when the indexes already agree).
+// updateReq is one admitted update waiting for a commit loop: the part
+// of the request's record that routed to this committer's shard, in the
+// shard's local ids, with what the HTTP layer needs to translate the
+// outcome back (see shard.Part).
 type updateReq struct {
-	edges  []graph.EdgeOp
-	script []opscript.Op
-	shard  int
-	orig   []int
+	shard.Part
 	queued time.Time          // stamped by submit: the start of the queue-wait stage
 	done   chan updateOutcome // buffered(1): the committer never blocks on it
 }
@@ -187,17 +185,17 @@ func (c *committer) run() {
 	}
 }
 
-// dispatch routes one request: scripts go alone, edge requests open a
-// commit window and coalesce.
+// dispatch opens a commit window at req and commits it, then the script
+// that closed it, if one did.
 func (c *committer) dispatch(req *updateReq) {
-	if req.script != nil {
-		c.applyScript(req)
+	if req.Rec.Kind != wal.RecEdges {
+		c.commit([]*updateReq{req})
 		return
 	}
 	batch, interrupted := c.collect(req)
-	c.commitEdges(batch)
+	c.commit(batch)
 	if interrupted != nil {
-		c.applyScript(interrupted)
+		c.commit([]*updateReq{interrupted})
 	}
 }
 
@@ -205,22 +203,22 @@ func (c *committer) dispatch(req *updateReq) {
 // already queued, then whatever one runtime.Gosched lets the runnable
 // update handlers enqueue (writers the last window's acks just woke), and
 // so on while a yield still produces a request. It stops at maxOps pooled
-// ops, at a script (returned separately; it applies after the window,
+// ops, at a script (returned separately; it commits after the window,
 // preserving arrival order), or at the first yield that adds nothing. No
 // clock, no sleep: a lone request commits at once, a loaded server batches
 // what arrived while the previous window applied and fsynced. Shutdown's
 // final flush is this same loop, so maxOps bounds it too.
 func (c *committer) collect(first *updateReq) (batch []*updateReq, interrupted *updateReq) {
 	batch = []*updateReq{first}
-	n := len(first.edges)
+	n := len(first.Rec.Edges)
 	for yielded := false; n < c.maxOps; {
 		select {
 		case req := <-c.queue:
-			if req.script != nil {
+			if req.Rec.Kind != wal.RecEdges {
 				return batch, req
 			}
 			batch = append(batch, req)
-			n += len(req.edges)
+			n += len(req.Rec.Edges)
 			yielded = false
 		default:
 			if yielded {
@@ -233,107 +231,82 @@ func (c *committer) collect(first *updateReq) (batch []*updateReq, interrupted *
 	return batch, nil
 }
 
-// commitEdges applies one coalesced window. The fast path is a single
-// ApplyBatch over the concatenated ops; on rejection every member request
-// retries alone so each waiter gets its own typed outcome with op indexes
-// in its own coordinate space.
-func (c *committer) commitEdges(batch []*updateReq) {
-	total := 0
+// commit writes one window: its members' edge records joined into one, or
+// a lone script. The fast path is one WriteWindowed; when a joined batch
+// is rejected every member retries alone, so each waiter gets its own
+// typed outcome with op indexes in its own coordinate space. The window's
+// one EndWindow covers every member that committed before anyone is
+// acknowledged.
+func (c *committer) commit(batch []*updateReq) {
 	start := time.Now() // the window starts applying: every member's queue wait ends
+	n := 0
 	for _, r := range batch {
-		total += len(r.edges)
 		c.m.queueWait.observe(start.Sub(r.queued))
+		n += len(r.Rec.Edges)
 	}
-	ops := make([]graph.EdgeOp, 0, total)
-	for _, r := range batch {
-		ops = append(ops, r.edges...)
-	}
-	if err := c.store.ApplyBatchWindowed(ops); err == nil {
-		epoch := c.published()
-		seq := c.store.Seq()
-		// The durability barrier comes before any acknowledgment: once a
-		// waiter hears "committed" the ops are applied, journaled, and —
-		// under fsync=window — on disk. One fsync covers the whole window.
-		if serr := c.store.EndWindow(); serr != nil {
-			for _, r := range batch {
-				r.done <- updateOutcome{err: serr, epoch: epoch}
-			}
-			return
-		}
-		// Commit counters move only after the barrier: a window whose
-		// fsync failed was not acknowledged as committed, and must not be
-		// counted as one (the mean batch size would drift from what
-		// clients were actually told).
-		c.m.batches.Add(1)
-		c.m.batchedOps.Add(int64(total))
+	rec := batch[0].Rec
+	if len(batch) > 1 {
+		ops := make([]graph.EdgeOp, 0, n)
 		for _, r := range batch {
-			r.done <- updateOutcome{epoch: epoch, seq: seq, batchSize: total}
+			ops = append(ops, r.Rec.Edges...)
 		}
-		return
+		rec = &wal.Record{Kind: wal.RecEdges, Edges: ops}
 	}
-	// The window contained at least one invalid request. ApplyBatch
-	// validated before mutating, so nothing has been applied (and nothing
-	// was journaled); re-run each request as its own atomic batch, in
-	// arrival order, collecting outcomes so one EndWindow still covers
-	// every successful member before anyone is acknowledged.
 	outs := make([]updateOutcome, len(batch))
 	committed, committedOps := int64(0), int64(0)
-	for i, r := range batch {
-		err := c.store.ApplyBatchWindowed(r.edges)
-		if err != nil {
-			// The rejection epoch is captured here, at this member's own
-			// outcome — later members of the window may still publish, and
-			// their epochs must not leak into an earlier rejection (the
-			// waiter would believe its failure was observed at a snapshot
-			// that postdates it).
-			epoch := c.m.epoch.Load()
-			outs[i] = updateOutcome{err: err, epoch: epoch}
-			continue
+	if out := c.write(rec); out.err == nil || len(batch) == 1 {
+		if out.err == nil {
+			committed, committedOps = 1, int64(out.batchSize)
 		}
-		epoch := c.published()
-		outs[i] = updateOutcome{epoch: epoch, seq: c.store.Seq(), batchSize: len(r.edges)}
-		committed++
-		committedOps += int64(len(r.edges))
+		for i, r := range batch {
+			outs[i] = out
+			if len(batch) > 1 {
+				outs[i].res = opscript.BatchResult(r.Rec.Edges)
+			}
+		}
+	} else {
+		// The window held at least one invalid request. An edge record is
+		// validated before anything mutates, so nothing has been applied
+		// (or journaled); re-run each request as its own atomic batch, in
+		// arrival order. A rejection's epoch is captured at its own
+		// outcome: later members may still publish, and their epochs must
+		// not leak into an earlier rejection.
+		for i, r := range batch {
+			if outs[i] = c.write(r.Rec); outs[i].err == nil {
+				committed++
+				committedOps += int64(outs[i].batchSize)
+			}
+		}
 	}
+	// Commit counters move only after the barrier: a window whose fsync
+	// failed was not acknowledged as committed, and must not be counted as
+	// one (the mean batch size would drift from what clients were told).
 	serr := c.store.EndWindow()
-	if serr == nil {
-		// As on the fast path: count commits only once the barrier held.
+	if serr == nil && rec.Kind == wal.RecEdges {
 		c.m.batches.Add(committed)
 		c.m.batchedOps.Add(committedOps)
+	} else if serr == nil {
+		c.m.scripts.Add(1)
 	}
 	for i, r := range batch {
 		if serr != nil && outs[i].err == nil {
-			outs[i] = updateOutcome{err: serr, epoch: outs[i].epoch}
+			outs[i].err = serr
 		}
 		r.done <- outs[i]
 	}
 }
 
-// applyScript runs a node/subtree script alone under the writer lock with
-// stop-at-first-error semantics (the opscript contract); the store
-// journals exactly the applied prefix and publishes a snapshot reflecting
-// it. The script is its own commit window, so the durability barrier runs
-// before the waiter hears the outcome.
-func (c *committer) applyScript(req *updateReq) {
-	c.m.queueWait.observe(time.Since(req.queued))
-	res, err := c.store.ApplyScriptWindowed(req.script)
-	// Publish only when something actually applied: a script whose every
-	// op was rejected (or that was refused outright — a follower store
-	// rejects all writes) produced no new snapshot, and advancing the
-	// cache/epoch for it would violate the single-advancer contract on a
-	// replica, where the stream runner owns publication.
-	var epoch uint64
+// write writes one record and reads its outcome: the epoch its
+// publication advanced to (the current one when it applied nothing — a
+// follower store, where the stream runner owns publication, rejects every
+// write), the journal seq it left, and the window's op count.
+func (c *committer) write(rec *wal.Record) updateOutcome {
+	res, err := c.store.WriteWindowed(rec)
+	out := updateOutcome{err: err, res: res, batchSize: rec.Ops()}
 	if res.Applied > 0 {
-		epoch = c.published()
+		out.epoch, out.seq = c.published(), c.store.Seq()
 	} else {
-		epoch = c.m.epoch.Load()
+		out.epoch = c.m.epoch.Load()
 	}
-	seq := c.store.Seq()
-	serr := c.store.EndWindow()
-	if serr == nil {
-		c.m.scripts.Add(1)
-	} else if err == nil {
-		err = serr
-	}
-	req.done <- updateOutcome{err: err, res: res, epoch: epoch, seq: seq, batchSize: len(req.script)}
+	return out
 }

@@ -6,8 +6,9 @@
 // snapshot — one atomic pointer load per request, never blocked by
 // maintenance — with request-context cancellation threaded through the
 // evaluator. Writes (POST /v1/update) go through a group-commit pipeline:
-// concurrent edge-update requests coalesce into one ApplyBatch per commit
-// window (closed by a dry queue or MaxBatch ops, never a timer), each
+// each request becomes one journal record, and concurrent edge records
+// join into one per commit window (closed by a dry queue or MaxBatch ops,
+// never a timer), each
 // waiter gets its per-request outcome (a rejected atomic batch round-trips
 // the offending op index and cause, reconstructible as a typed
 // *graph.BatchError by internal/client), and a bounded admission queue
@@ -17,8 +18,8 @@
 // durability is the store's concern, not the server's: when the DB was
 // opened with structix.Open, every commit window is journaled to the
 // write-ahead log before its waiters are acknowledged (the committer
-// applies the window through the Windowed entry points and calls
-// EndWindow once per window, making group commit and group fsync the
+// writes the window through DB.WriteWindowed and calls EndWindow once
+// per window, making group commit and group fsync the
 // same batch), and crash recovery is whatever structix.Open does. An
 // in-memory DB (structix.NewDB) serves identically with durability off.
 //
@@ -27,9 +28,10 @@
 // committer goroutine, commit window, WAL — so independent writes on
 // different shards coalesce, apply, publish and fsync concurrently, while
 // queries scatter across the per-shard epoch snapshots and gather one
-// globally sorted answer. Updates are routed by the shard map before
-// admission: an edge batch splits into per-shard sub-batches (atomic per
-// shard), a node/subtree script must route whole to one shard. New is
+// globally sorted answer. Updates are routed by the shard map
+// (shard.Map.Route) before admission: an edge batch splits into per-shard
+// sub-batches (atomic per shard), a node/subtree script must route whole
+// to one shard. New is
 // exactly NewSharded over a 1-shard wrap, so the unsharded server is the
 // same code with no routing or translation on its hot paths.
 //
@@ -60,6 +62,7 @@ import (
 	"structix/internal/opscript"
 	"structix/internal/repl"
 	"structix/internal/shard"
+	"structix/internal/wal"
 )
 
 // Config tunes the serving layer; the zero value serves with defaults.
@@ -379,152 +382,53 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	edges := make([]graph.EdgeOp, 0, len(req.Ops))
-	for _, op := range req.Ops {
-		if eop, ok := EdgeOpOf(op); ok {
-			edges = append(edges, eop)
-		} else {
-			edges = nil
-			break
-		}
-	}
-
-	start := time.Now()
-	if edges == nil {
-		s.updateScript(w, req.Ops, start)
-		return
-	}
-	if s.store.NumShards() == 1 {
-		// Identity codec: no routing, no translation — the unsharded
-		// pipeline, byte for byte.
-		ur := &updateReq{edges: edges, done: make(chan updateOutcome, 1)}
-		s.updateOne(w, 0, ur, start)
-		return
-	}
-	per, orig, err := s.store.Map().SplitEdges(edges)
+	rec := recordOf(req.Ops)
+	parts, err := s.store.Map().Route(rec)
 	if err != nil {
-		s.writeError(w, http.StatusConflict, crossShardReply(s.store.Map(), edges))
-		return
-	}
-	involved := make([]int, 0, len(per))
-	for sh := range per {
-		if len(per[sh]) > 0 {
-			involved = append(involved, sh)
-		}
-	}
-	if len(involved) == 1 {
-		sh := involved[0]
-		ur := &updateReq{edges: per[sh], shard: sh, orig: orig[sh], done: make(chan updateOutcome, 1)}
-		s.updateOne(w, sh, ur, start)
-		return
-	}
-	s.updateScatter(w, involved, per, orig, edges, start)
-}
-
-// updateScript routes a node/subtree script whole to one shard's pipeline
-// (scripts are a sequential stream against a single index, so a script
-// whose ops disagree on the shard is refused before admission).
-func (s *Server) updateScript(w http.ResponseWriter, ops []opscript.Op, start time.Time) {
-	sh, local := 0, ops
-	if s.store.NumShards() > 1 {
-		var err error
-		sh, local, err = s.store.Map().RouteScript(ops)
-		if err != nil {
+		if rec.Kind == wal.RecEdges {
+			s.writeError(w, http.StatusConflict, crossShardReply(s.store.Map(), rec.Edges))
+		} else {
 			s.writeError(w, http.StatusConflict, ErrorReply{
 				Error: "script spans shards: " + err.Error(),
 				Code:  CodeBatchRejected,
 				Cause: CauseString(err),
 			})
-			return
 		}
-	}
-	ur := &updateReq{script: local, shard: sh, done: make(chan updateOutcome, 1)}
-	s.updateOne(w, sh, ur, start)
-}
-
-// updateOne submits one (already shard-local) request to shard sh's
-// pipeline and renders its outcome.
-func (s *Server) updateOne(w http.ResponseWriter, sh int, ur *updateReq, start time.Time) {
-	if err := s.coms[sh].submit(ur); err != nil {
-		s.rejectSubmit(w, err, 0)
 		return
 	}
-	// Once admitted an update is not abandoned on client disconnect: it
-	// will commit (or be rejected) regardless, so the outcome below is
-	// always authoritative.
-	out := s.coms[sh].wait(ur)
-	s.m.updates.Add(1)
-	s.m.updateLat.observe(time.Since(start))
-	s.respondUpdate(w, ur, out)
-}
-
-// updateScatter fans a cross-shard edge request out to every involved
-// shard's pipeline and gathers the outcomes. Atomicity is per shard: each
-// sub-batch commits or rejects as a unit, but one shard's rejection does
-// not roll back another's commit — the reply's Applied counts the ops
-// that did commit.
-func (s *Server) updateScatter(w http.ResponseWriter, involved []int, per [][]graph.EdgeOp, orig [][]int, edges []graph.EdgeOp, start time.Time) {
-	urs := make([]*updateReq, len(involved))
-	subErr := make([]error, len(involved))
-	// Submit everywhere before waiting anywhere, so the sub-batches sit in
-	// their pipelines concurrently rather than committing one by one.
-	for i, sh := range involved {
-		urs[i] = &updateReq{edges: per[sh], shard: sh, orig: orig[sh], done: make(chan updateOutcome, 1)}
-		subErr[i] = s.coms[sh].submit(urs[i])
+	start := time.Now()
+	// Submit every part before waiting on any, so the sub-batches of a
+	// cross-shard request sit in their pipelines concurrently rather than
+	// committing one by one. Once admitted a part is not abandoned on
+	// client disconnect: it commits (or is rejected) regardless, so the
+	// outcome is always authoritative.
+	urs := make([]*updateReq, len(parts))
+	outs := make([]updateOutcome, len(parts))
+	for i, p := range parts {
+		urs[i] = &updateReq{Part: p, done: make(chan updateOutcome, 1)}
+		outs[i].err = s.coms[p.Shard].submit(urs[i])
 	}
-	outs := make([]updateOutcome, len(involved))
-	for i, sh := range involved {
-		if subErr[i] != nil {
-			outs[i] = updateOutcome{err: subErr[i]}
-			continue
+	for i, ur := range urs {
+		if outs[i].err == nil {
+			outs[i] = s.coms[ur.Shard].wait(ur)
 		}
-		outs[i] = s.coms[sh].wait(urs[i])
 	}
 	s.m.updates.Add(1)
 	s.m.updateLat.observe(time.Since(start))
+	s.respondUpdate(w, urs, outs)
+}
 
-	applied, batch, firstErr := 0, 0, -1
-	var epoch uint64
-	for i, sh := range involved {
-		if outs[i].err != nil {
-			if firstErr == -1 {
-				firstErr = i
-			}
-			continue
-		}
-		applied += len(per[sh])
-		batch += outs[i].batchSize
-		if outs[i].epoch > epoch {
-			epoch = outs[i].epoch
+// recordOf is the journal record a request's ops make: edge ops alone are
+// one atomic edge batch, anything else a stop-at-first-error script.
+func recordOf(ops []opscript.Op) *wal.Record {
+	edges := make([]graph.EdgeOp, len(ops))
+	for i, op := range ops {
+		var ok bool
+		if edges[i], ok = opscript.ToEdgeOp(op); !ok {
+			return &wal.Record{Kind: wal.RecScript, Script: ops}
 		}
 	}
-	if firstErr == -1 {
-		rep := UpdateReply{Epoch: epoch, Applied: applied, BatchSize: batch}
-		for _, op := range edges {
-			if op.Insert {
-				rep.Inserted++
-			} else {
-				rep.Deleted++
-			}
-		}
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	err := outs[firstErr].err
-	if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrShuttingDown) {
-		s.rejectSubmit(w, err, applied)
-		return
-	}
-	sh := involved[firstErr]
-	err = s.store.Map().GlobalizeBatchError(sh, err, orig[sh])
-	var be *graph.BatchError
-	if errors.As(err, &be) {
-		rep := BatchErrorReply(be)
-		rep.Applied = applied
-		s.writeError(w, http.StatusConflict, rep)
-		return
-	}
-	s.writeError(w, http.StatusInternalServerError, ErrorReply{Error: err.Error(), Code: "internal", Applied: applied})
+	return &wal.Record{Kind: wal.RecEdges, Edges: edges}
 }
 
 // rejectSubmit renders an admission failure (applied > 0 when other
@@ -559,53 +463,54 @@ func crossShardReply(m *shard.Map, edges []graph.EdgeOp) ErrorReply {
 	return ErrorReply{Error: "batch spans shards", Code: CodeBatchRejected, Cause: causeCrossShard}
 }
 
-// respondUpdate renders a commit outcome on the wire, translating
-// shard-local node ids and op indexes back into the request's global
-// coordinate space (the identity translation on one shard).
-func (s *Server) respondUpdate(w http.ResponseWriter, ur *updateReq, out updateOutcome) {
+// respondUpdate renders the outcome of a request's parts on the wire as
+// one OpResult, translating shard-local node ids and op indexes back into
+// the request's global coordinate space (the identity on one shard).
+// Atomicity is per part: one shard's rejection does not roll back
+// another's commit, so a rejection reports how many ops did commit.
+func (s *Server) respondUpdate(w http.ResponseWriter, urs []*updateReq, outs []updateOutcome) {
 	m := s.store.Map()
-	if out.err == nil {
-		rep := UpdateReply{Epoch: out.epoch, BatchSize: out.batchSize, Seq: out.seq}
-		if ur.edges != nil {
-			rep.Applied = len(ur.edges)
-			for _, op := range ur.edges {
-				if op.Insert {
-					rep.Inserted++
-				} else {
-					rep.Deleted++
-				}
+	var rep UpdateReply
+	failed := -1
+	for i, out := range outs {
+		if out.err != nil {
+			if failed == -1 {
+				failed = i
 			}
-		} else {
-			rep.Applied = out.res.Applied
-			rep.Inserted = out.res.Inserted
-			rep.Deleted = out.res.Deleted
-			rep.NewNodes = m.GlobalizeNodes(ur.shard, out.res.NewNodes)
-			rep.Removed = out.res.Removed
+			continue
+		}
+		rep.Applied += out.res.Applied
+		rep.Inserted += out.res.Inserted
+		rep.Deleted += out.res.Deleted
+		rep.Removed += out.res.Removed
+		rep.NewNodes = append(rep.NewNodes, m.GlobalizeNodes(urs[i].Shard, out.res.NewNodes)...)
+		rep.BatchSize += out.batchSize
+		rep.Epoch = max(rep.Epoch, out.epoch)
+	}
+	if failed == -1 {
+		if len(outs) == 1 {
+			rep.Seq = outs[0].seq
 		}
 		writeJSON(w, http.StatusOK, rep)
 		return
 	}
-	err := out.err
-	if ur.edges != nil {
-		err = m.GlobalizeBatchError(ur.shard, err, ur.orig)
-	} else {
-		err = m.GlobalizeOpError(ur.shard, err)
-	}
+	out := outs[failed]
+	err := m.Globalize(urs[failed].Part, out.err)
 	var nle *structix.NotLeaderError
-	if errors.As(err, &nle) {
+	var be *graph.BatchError
+	var oe *opscript.OpError
+	switch {
+	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrShuttingDown):
+		s.rejectSubmit(w, err, rep.Applied)
+	case errors.As(err, &nle):
 		s.m.notLeader.Add(1)
 		s.writeError(w, http.StatusMisdirectedRequest, ErrorReply{Error: err.Error(), Code: CodeNotLeader, Leader: nle.Leader})
-		return
-	}
-	var be *graph.BatchError
-	if errors.As(err, &be) {
-		s.writeError(w, http.StatusConflict, BatchErrorReply(be))
-		return
-	}
-	var oe *opscript.OpError
-	if errors.As(err, &oe) {
-		i := oe.Index
-		op := oe.Op
+	case errors.As(err, &be):
+		erep := BatchErrorReply(be)
+		erep.Applied = rep.Applied
+		s.writeError(w, http.StatusConflict, erep)
+	case errors.As(err, &oe):
+		i, op := oe.Index, oe.Op
 		s.writeError(w, http.StatusConflict, ErrorReply{
 			Error:   oe.Error(),
 			Code:    CodeOpFailed,
@@ -614,13 +519,9 @@ func (s *Server) respondUpdate(w http.ResponseWriter, ur *updateReq, out updateO
 			Cause:   CauseString(oe.Err),
 			Applied: out.res.Applied,
 		})
-		return
+	default:
+		s.writeError(w, http.StatusInternalServerError, ErrorReply{Error: err.Error(), Code: "internal", Applied: rep.Applied})
 	}
-	if errors.Is(err, ErrShuttingDown) {
-		s.writeError(w, http.StatusServiceUnavailable, ErrorReply{Error: err.Error(), Code: CodeShuttingDown})
-		return
-	}
-	s.writeError(w, http.StatusInternalServerError, ErrorReply{Error: err.Error(), Code: "internal"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -552,6 +553,38 @@ func TestServerRootAndRangeErrors(t *testing.T) {
 			}
 			if s := db.Snapshot().Data(); !s.Alive(root) {
 				t.Fatal("store lost its root")
+			}
+		})
+	}
+}
+
+// TestServerAddNodeUnreachableParent sends an addnode whose parent is -1
+// to an unsharded and a 2-shard server: a 409 with cause "dead_node" at op
+// 0 and no new node, where it once added a node nothing could reach (on
+// shard 0 of a sharded store).
+func TestServerAddNodeUnreachableParent(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			g, _, _, _ := gtest.Fig2()
+			sdb, _ := structix.NewShardedDB(g, shards)
+			srv := server.NewSharded(sdb, server.Config{})
+			defer srv.Shutdown(context.Background())
+			nodes := sdb.Count(structix.MustParsePath("//*"))
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update",
+				strings.NewReader(`{"ops":[{"op":"addnode","label":"x","parent":-1}]}`)))
+			var rep server.ErrorReply
+			if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusConflict || rep.Cause != "dead_node" || rep.OpIndex == nil || *rep.OpIndex != 0 {
+				t.Fatalf("addnode under -1: %d %s, want 409 cause dead_node at op 0", rec.Code, rec.Body)
+			}
+			if got := sdb.Count(structix.MustParsePath("//*")); got != nodes {
+				t.Fatalf("//* = %d after the rejected addnode, want %d", got, nodes)
+			}
+			if err := sdb.Validate(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

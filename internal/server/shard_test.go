@@ -3,7 +3,7 @@ package server
 // White-box tests for the sharded serving layer and the commit-pipeline
 // and engine fixes that rode along with it: per-shard pipelines behind
 // one HTTP surface, scatter-gather queries, cross-shard rejection, and
-// the metrics/epoch discipline of commitEdges.
+// the metrics/epoch discipline of the window commit.
 
 import (
 	"encoding/json"
@@ -18,6 +18,8 @@ import (
 
 	"structix"
 	"structix/internal/graph"
+	"structix/internal/shard"
+	"structix/internal/wal"
 )
 
 // shardedFixture builds a forest of small components under the root (so a
@@ -262,16 +264,16 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 	com := &committer{store: store, m: m,
 		closing: make(chan struct{}), quit: make(chan struct{}), doneCh: make(chan struct{})}
 
-	// queued is what submit would have stamped: commitEdges ends every
+	// queued is what submit would have stamped: commit ends every
 	// member's queue-wait stage when the window starts applying.
 	mk := func(ops ...graph.EdgeOp) *updateReq {
-		return &updateReq{edges: ops, queued: time.Now(), done: make(chan updateOutcome, 1)}
+		return &updateReq{Part: shard.Part{Rec: &wal.Record{Kind: wal.RecEdges, Edges: ops}}, queued: time.Now(), done: make(chan updateOutcome, 1)}
 	}
 
 	// Clean window: one batch, both ops counted, same epoch for both.
 	r1 := mk(graph.InsertOp(a, b, graph.IDRef))
 	r2 := mk(graph.InsertOp(b, c, graph.IDRef))
-	com.commitEdges([]*updateReq{r1, r2})
+	com.commit([]*updateReq{r1, r2})
 	if got := m.batches.Load(); got != 1 {
 		t.Fatalf("batches after clean window: %d, want 1", got)
 	}
@@ -291,7 +293,7 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 	f1 := mk(graph.InsertOp(a, c, graph.IDRef))
 	f2 := mk(graph.InsertOp(a, c, graph.IDRef)) // duplicate: rejected alone
 	f3 := mk(graph.DeleteOp(a, b))
-	com.commitEdges([]*updateReq{f1, f2, f3})
+	com.commit([]*updateReq{f1, f2, f3})
 	out1, out2, out3 := <-f1.done, <-f2.done, <-f3.done
 	if out1.err != nil || out3.err != nil {
 		t.Fatalf("fallback members failed: %v / %v", out1.err, out3.err)

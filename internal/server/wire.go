@@ -288,20 +288,8 @@ func CauseError(cause, fallback string) error {
 	return errors.New(fallback)
 }
 
-// EdgeOpOf converts an edge-kind script op to the graph.EdgeOp ApplyBatch
-// vocabulary; ok is false for node/subtree ops.
-func EdgeOpOf(op opscript.Op) (graph.EdgeOp, bool) {
-	switch op.Kind {
-	case opscript.Insert:
-		return graph.InsertOp(op.U, op.V, op.Edge), true
-	case opscript.Delete:
-		return graph.DeleteOp(op.U, op.V), true
-	}
-	return graph.EdgeOp{}, false
-}
-
-// ScriptOpOf is the inverse of EdgeOpOf: the opscript rendering of a
-// graph.EdgeOp, used when a *graph.BatchError is sent over the wire.
+// ScriptOpOf is the opscript rendering of a graph.EdgeOp, used when a
+// *graph.BatchError is sent over the wire.
 func ScriptOpOf(op graph.EdgeOp) opscript.Op { return opscript.FromEdgeOp(op) }
 
 // BatchErrorReply renders a rejected atomic batch as its wire form; the
@@ -324,7 +312,7 @@ func BatchErrorOf(rep ErrorReply) (*graph.BatchError, error) {
 	if rep.Code != CodeBatchRejected || rep.OpIndex == nil || rep.Op == nil {
 		return nil, fmt.Errorf("server: reply is not a batch rejection (code %q)", rep.Code)
 	}
-	eop, ok := EdgeOpOf(*rep.Op)
+	eop, ok := opscript.ToEdgeOp(*rep.Op)
 	if !ok {
 		return nil, fmt.Errorf("server: batch rejection names non-edge op %v", rep.Op.Kind)
 	}

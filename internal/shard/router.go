@@ -12,8 +12,9 @@
 //
 //   - Router: the global↔(shard, local) NodeID codec and the label-hash
 //     placement function for new top-level subtrees;
-//   - Map: Router plus the per-shard root ids, routing whole edge batches
-//     and op scripts to shards and translating results back;
+//   - Map: Router plus the per-shard root ids, routing write records
+//     (edge batches, op scripts, subgraphs) to shards and translating
+//     results and errors back;
 //   - Split: the bootstrap partitioner, assigning each connected component
 //     of root-children to a shard.
 //
@@ -29,10 +30,13 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"structix/internal/graph"
 	"structix/internal/opscript"
+	"structix/internal/wal"
 )
 
 // ErrCrossShard is returned when a batch, script or subgraph references
@@ -157,7 +161,7 @@ func (m *Map) ToGlobal(s int, l graph.NodeID) graph.NodeID {
 // Resolve translates a global id to (shard, local). The global root
 // resolves to shard 0's replica; ops that may legally target the root on
 // any shard (edge endpoints, AddNode parents) route around it with
-// RouteEdge/RouteScript instead.
+// RouteEdge/Route instead.
 func (m *Map) Resolve(g graph.NodeID) (int, graph.NodeID) {
 	if g == m.gRoot {
 		return 0, m.roots[0]
@@ -216,16 +220,97 @@ func (m *Map) SplitEdges(ops []graph.EdgeOp) (perShard [][]graph.EdgeOp, origIdx
 	return perShard, origIdx, nil
 }
 
-// RouteScript routes a whole op script (global ids) to a single shard and
-// returns the translated ops. Scripts are a sequential stream against one
-// index, so every op must land on the same shard: edge ops route like
+// Part is the share of one write record that lands on one shard: the
+// record in that shard's local ids, and for an edge batch the index in
+// the caller's record of each of its ops (nil when the indexes agree).
+type Part struct {
+	Shard int
+	Rec   *wal.Record
+	Orig  []int
+}
+
+// Route splits a write record (global ids) into per-shard parts, in shard
+// order, touching no shard it has no op for. An edge batch splits op by op
+// (SplitEdges); a script is a sequential stream against one index, so it
+// routes whole to one shard (see routeScript); a subgraph goes whole to
+// the shard its cross edges name — one attached to the root alone (or
+// detached) is a new top-level subtree, placed by the label of its attach
+// point. A record that would span shards is ErrCrossShard, and an empty
+// edge batch has no parts. On one shard every id is already local and a
+// non-empty record is its own part.
+func (m *Map) Route(rec *wal.Record) ([]Part, error) {
+	if m.r.n == 1 && rec.Ops() > 0 {
+		return []Part{{Rec: rec}}, nil
+	}
+	switch rec.Kind {
+	case wal.RecEdges:
+		per, orig, err := m.SplitEdges(rec.Edges)
+		if err != nil {
+			return nil, err
+		}
+		var parts []Part
+		for s := range per {
+			if per[s] != nil {
+				parts = append(parts, Part{Shard: s, Rec: &wal.Record{Kind: wal.RecEdges, Edges: per[s]}, Orig: orig[s]})
+			}
+		}
+		return parts, nil
+	case wal.RecScript:
+		s, err := m.routeScript(rec.Script)
+		if err != nil {
+			return nil, err
+		}
+		local := make([]opscript.Op, len(rec.Script))
+		for i, op := range rec.Script {
+			op.U, op.V = m.localOn(s, op.U), m.localOn(s, op.V)
+			local[i] = op
+		}
+		return []Part{{Shard: s, Rec: &wal.Record{Kind: wal.RecScript, Script: local}}}, nil
+	case wal.RecSubgraph:
+		p := rec.Sub
+		s := -1
+		for _, ce := range slices.Concat(p.CrossIn, p.CrossOut) {
+			if m.IsRoot(ce.Outside) {
+				continue
+			}
+			if t := m.r.ShardOf(ce.Outside); s == -1 {
+				s = t
+			} else if s != t {
+				return nil, ErrCrossShard
+			}
+		}
+		if s == -1 {
+			at := 0
+			if len(p.CrossIn) > 0 {
+				at = int(p.CrossIn[0].Local)
+			}
+			s = m.r.Place(p.Labels[at])
+		}
+		local := *p
+		local.CrossIn = m.localCross(s, p.CrossIn)
+		local.CrossOut = m.localCross(s, p.CrossOut)
+		return []Part{{Shard: s, Rec: &wal.Record{Kind: wal.RecSubgraph, Sub: &local}}}, nil
+	}
+	return nil, fmt.Errorf("shard: cannot route record kind %v", rec.Kind)
+}
+
+func (m *Map) localCross(s int, cross []graph.CrossEdge) []graph.CrossEdge {
+	out := make([]graph.CrossEdge, len(cross))
+	for i, ce := range cross {
+		ce.Outside = m.localOn(s, ce.Outside)
+		out[i] = ce
+	}
+	return out
+}
+
+// routeScript picks the one shard a script runs on: edge ops route like
 // RouteEdge, delnode/delsub by their target, and addnode by its parent —
 // except an addnode directly under the global root, which is a new
 // top-level subtree and is placed by its label. A script whose ops
 // disagree is ErrCrossShard. A script whose every op is placement-free
 // (all ops target the root alone) routes to the placement of the first
 // addnode label, or shard 0 if there is none.
-func (m *Map) RouteScript(ops []opscript.Op) (int, []opscript.Op, error) {
+func (m *Map) routeScript(ops []opscript.Op) (int, error) {
 	s := -1
 	claim := func(t int) error {
 		if s == -1 {
@@ -236,56 +321,37 @@ func (m *Map) RouteScript(ops []opscript.Op) (int, []opscript.Op, error) {
 		return nil
 	}
 	for _, op := range ops {
+		var err error
 		switch op.Kind {
 		case opscript.Insert, opscript.Delete:
-			if m.IsRoot(op.U) && m.IsRoot(op.V) {
-				continue // degenerate; any shard rejects it identically
-			}
-			if m.IsRoot(op.U) {
-				if err := claim(m.r.ShardOf(op.V)); err != nil {
-					return 0, nil, err
-				}
-			} else if m.IsRoot(op.V) {
-				if err := claim(m.r.ShardOf(op.U)); err != nil {
-					return 0, nil, err
-				}
-			} else {
-				if m.r.ShardOf(op.U) != m.r.ShardOf(op.V) {
-					return 0, nil, ErrCrossShard
-				}
-				if err := claim(m.r.ShardOf(op.U)); err != nil {
-					return 0, nil, err
-				}
+			switch {
+			case m.IsRoot(op.U) && m.IsRoot(op.V):
+				// degenerate; any shard rejects it identically
+			case m.IsRoot(op.U):
+				err = claim(m.r.ShardOf(op.V))
+			case m.IsRoot(op.V):
+				err = claim(m.r.ShardOf(op.U))
+			case m.r.ShardOf(op.U) != m.r.ShardOf(op.V):
+				err = ErrCrossShard
+			default:
+				err = claim(m.r.ShardOf(op.U))
 			}
 		case opscript.AddNode:
 			if m.IsRoot(op.V) {
-				if err := claim(m.r.Place(op.Label)); err != nil {
-					return 0, nil, err
-				}
+				err = claim(m.r.Place(op.Label))
 			} else {
-				if err := claim(m.r.ShardOf(op.V)); err != nil {
-					return 0, nil, err
-				}
+				err = claim(m.r.ShardOf(op.V))
 			}
 		default: // DelNode, DelSub
 			if !m.IsRoot(op.U) {
-				if err := claim(m.r.ShardOf(op.U)); err != nil {
-					return 0, nil, err
-				}
+				err = claim(m.r.ShardOf(op.U))
 			}
 		}
+		if err != nil {
+			return 0, err
+		}
 	}
-	if s == -1 {
-		s = 0
-	}
-	local := make([]opscript.Op, len(ops))
-	for i, op := range ops {
-		lop := op
-		lop.U = m.localOn(s, op.U)
-		lop.V = m.localOn(s, op.V)
-		local[i] = lop
-	}
-	return s, local, nil
+	return max(s, 0), nil
 }
 
 // GlobalizeNodes translates shard-local ids to global ids in place and
@@ -308,45 +374,26 @@ func (m *Map) AppendGlobal(dst []graph.NodeID, s int, locals []graph.NodeID) []g
 	return dst
 }
 
-// GlobalizeEdgeOp translates a shard-local edge op back to global ids
-// (BatchError round-tripping).
-func (m *Map) GlobalizeEdgeOp(s int, op graph.EdgeOp) graph.EdgeOp {
-	op.U = m.ToGlobal(s, op.U)
-	op.V = m.ToGlobal(s, op.V)
-	return op
-}
-
-// GlobalizeOp translates a shard-local script op back to global ids
-// (OpError round-tripping).
-func (m *Map) GlobalizeOp(s int, op opscript.Op) opscript.Op {
-	op.U = m.ToGlobal(s, op.U)
-	op.V = m.ToGlobal(s, op.V)
-	return op
-}
-
-// GlobalizeBatchError re-bases a shard-local *graph.BatchError into the
-// caller's coordinate space: the op index via origIdx (from SplitEdges;
-// nil means the indexes already agree) and the op's node ids to global.
-// Non-BatchError errors pass through untouched.
-func (m *Map) GlobalizeBatchError(s int, err error, origIdx []int) error {
+// Globalize re-bases an error from part p into the caller's coordinate
+// space: a *graph.BatchError's op index through p.Orig and its op's node
+// ids to global, an *opscript.OpError's op ids to global (a script routes
+// whole, so its index already agrees). Other errors pass through.
+func (m *Map) Globalize(p Part, err error) error {
 	var be *graph.BatchError
-	if !errors.As(err, &be) {
-		return err
+	if errors.As(err, &be) {
+		idx := be.OpIndex
+		if p.Orig != nil && idx >= 0 && idx < len(p.Orig) {
+			idx = p.Orig[idx]
+		}
+		op := be.Op
+		op.U, op.V = m.ToGlobal(p.Shard, op.U), m.ToGlobal(p.Shard, op.V)
+		return &graph.BatchError{OpIndex: idx, Op: op, Err: be.Err}
 	}
-	idx := be.OpIndex
-	if origIdx != nil && idx >= 0 && idx < len(origIdx) {
-		idx = origIdx[idx]
-	}
-	return &graph.BatchError{OpIndex: idx, Op: m.GlobalizeEdgeOp(s, be.Op), Err: be.Err}
-}
-
-// GlobalizeOpError re-bases a shard-local *opscript.OpError: the index is
-// already in the script's own coordinates (scripts route whole), so only
-// the op's node ids translate. Non-OpErrors pass through untouched.
-func (m *Map) GlobalizeOpError(s int, err error) error {
 	var oe *opscript.OpError
-	if !errors.As(err, &oe) {
-		return err
+	if errors.As(err, &oe) {
+		op := oe.Op
+		op.U, op.V = m.ToGlobal(p.Shard, op.U), m.ToGlobal(p.Shard, op.V)
+		return &opscript.OpError{Index: oe.Index, Op: op, Err: oe.Err}
 	}
-	return &opscript.OpError{Index: oe.Index, Op: m.GlobalizeOp(s, oe.Op), Err: oe.Err}
+	return err
 }

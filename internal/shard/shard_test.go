@@ -7,6 +7,7 @@ import (
 
 	"structix/internal/graph"
 	"structix/internal/opscript"
+	"structix/internal/wal"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -129,7 +130,7 @@ func TestSplitEdges(t *testing.T) {
 
 	// Re-base a shard-local rejection back into the caller's frame.
 	be := &graph.BatchError{OpIndex: 1, Op: per[0][1], Err: graph.ErrNoEdge}
-	got := m.GlobalizeBatchError(0, be, idx[0])
+	got := m.Globalize(Part{Shard: 0, Orig: idx[0]}, be)
 	var gbe *graph.BatchError
 	if !errors.As(got, &gbe) || gbe.OpIndex != 2 || gbe.Op.U != ops[2].U || !errors.Is(gbe.Err, graph.ErrNoEdge) {
 		t.Fatalf("globalized batch error %v", got)
@@ -139,6 +140,13 @@ func TestSplitEdges(t *testing.T) {
 func TestRouteScript(t *testing.T) {
 	m := testMap(t, 4)
 	r := m.Router()
+	routeScript := func(ops []opscript.Op) (int, []opscript.Op, error) {
+		parts, err := m.Route(&wal.Record{Kind: wal.RecScript, Script: ops})
+		if err != nil {
+			return 0, nil, err
+		}
+		return parts[0].Shard, parts[0].Rec.Script, nil
+	}
 
 	// A subtree graft under the root routes by label placement.
 	home := r.Place("person")
@@ -146,7 +154,7 @@ func TestRouteScript(t *testing.T) {
 		{Kind: opscript.AddNode, Label: "person", V: m.GlobalRoot()},
 		{Kind: opscript.AddNode, Label: "name", V: r.GlobalOf(home, 7)},
 	}
-	s, local, err := m.RouteScript(ops)
+	s, local, err := routeScript(ops)
 	if err != nil || s != home {
 		t.Fatalf("graft script: shard %d err %v, want %d", s, err, home)
 	}
@@ -159,13 +167,13 @@ func TestRouteScript(t *testing.T) {
 		{Kind: opscript.DelNode, U: r.GlobalOf(1, 5)},
 		{Kind: opscript.DelNode, U: r.GlobalOf(2, 5)},
 	}
-	if _, _, err := m.RouteScript(bad); !errors.Is(err, ErrCrossShard) {
+	if _, _, err := routeScript(bad); !errors.Is(err, ErrCrossShard) {
 		t.Fatalf("cross-shard script err = %v", err)
 	}
 
 	// DelSub of a whole top-level subtree routes by the target.
 	one := []opscript.Op{{Kind: opscript.DelSub, U: r.GlobalOf(3, 11)}}
-	if s, local, err = m.RouteScript(one); err != nil || s != 3 || local[0].U != 11 {
+	if s, local, err = routeScript(one); err != nil || s != 3 || local[0].U != 11 {
 		t.Fatalf("delsub route (%d,%+v,%v)", s, local, err)
 	}
 }

@@ -219,10 +219,38 @@ func TestReadFrameBoundsAllocation(t *testing.T) {
 	}
 }
 
+// laxFrames are record bodies a decoder that was not canonical accepted:
+// each decoded to a record the encoder never writes.
+var laxFrames = []struct {
+	kind wal.RecordKind
+	body []byte
+}{
+	{wal.RecEdges, []byte{1, 7<<1 | 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1}},            // insert 4294967296→1, kind 7
+	{wal.RecEdges, []byte{1, 1, 0x80, 0x00, 1}},                                     // insert 0→1, id padded
+	{wal.RecScript, []byte{1, 0, 1, 2, 7}},                                          // insert 1→2, kind 7
+	{wal.RecSubgraph, []byte{2, 0, 0, 0, 0, 1, 0, 1, 9, 0, 0}},                      // edge 0→1, kind 9
+	{wal.RecSubgraph, []byte{1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}}, // cross-in from 2^32-1
+}
+
+// TestDecodeRejectsLaxFrames: the decoder refuses every lax frame, so a
+// follower never applies a record the leader did not write.
+func TestDecodeRejectsLaxFrames(t *testing.T) {
+	for _, c := range laxFrames {
+		b := append(wal.StartFrame(nil, 1, c.kind), c.body...)
+		if rec, err := wal.DecodePayload(b[wal.FrameHeader:]); err == nil {
+			t.Errorf("%s body %x decoded to %+v", c.kind, c.body, rec)
+		}
+	}
+}
+
 // FuzzReadFrame: over arbitrary bytes ReadFrame never panics, never
 // allocates beyond what the input delivered plus one chunk (with the
 // growth slack of append), and a frame it accepts is exactly what the
-// sealer would have written for that payload.
+// sealer would have written for that payload. A payload DecodePayload
+// accepts re-encodes byte for byte: the decoder is canonical, so a
+// follower applies exactly the record the leader wrote. The crafted seeds
+// are frames a lax decoder took: a node id past 32 bits, an unknown edge
+// kind, a padded varint.
 func FuzzReadFrame(f *testing.F) {
 	frames := segmentFrames(f, func(l *wal.Log) { appendEdges(f, l, 5) })
 	for _, row := range damageRows {
@@ -231,7 +259,13 @@ func FuzzReadFrame(f *testing.F) {
 	for _, frame := range segmentFrames(f, func(l *wal.Log) { wal.AppendPinnedScript(f, l) }) {
 		f.Add(frame) // one valid frame of each record kind
 	}
+	for _, c := range laxFrames {
+		f.Add(wal.SealFrame(append(wal.StartFrame(nil, 1, c.kind), c.body...)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The input as a payload, too: the CRC keeps random frames from
+		// ever reaching the decoder.
+		canonicalPayload(t, data)
 		r := bytes.NewReader(data)
 		payload, buf, err := wal.ReadFrame(r, nil)
 		if limit := 2 * (len(data) + wal.FrameChunk); cap(buf) > limit {
@@ -244,5 +278,22 @@ func FuzzReadFrame(f *testing.F) {
 		if resealed := wal.SealFrame(append(make([]byte, wal.FrameHeader), payload...)); !bytes.Equal(resealed, consumed) {
 			t.Fatalf("accepted frame %x re-seals to %x", consumed, resealed)
 		}
+		canonicalPayload(t, payload)
 	})
+}
+
+// canonicalPayload checks that a payload DecodePayload accepts re-encodes
+// to exactly its bytes.
+func canonicalPayload(t *testing.T, payload []byte) {
+	rec, err := wal.DecodePayload(payload)
+	if err != nil {
+		return
+	}
+	b, err := wal.AppendBody(wal.StartFrame(nil, rec.Seq, rec.Kind), rec)
+	if err != nil {
+		t.Fatalf("decoded record %+v does not re-encode: %v", rec, err)
+	}
+	if !bytes.Equal(b[wal.FrameHeader:], payload) {
+		t.Fatalf("payload %x decodes to %+v, which re-encodes to %x", payload, rec, b[wal.FrameHeader:])
+	}
 }

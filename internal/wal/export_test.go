@@ -11,4 +11,5 @@ const (
 var (
 	SegName            = segName
 	AppendPinnedScript = appendPinnedScript
+	AppendBody         = appendBody
 )

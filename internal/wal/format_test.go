@@ -31,23 +31,23 @@ func appendPinnedScript(t testing.TB, l *Log) {
 			})
 		},
 		func() (uint64, error) {
-			return l.AppendScript([]opscript.Op{
+			return l.Append(&Record{Kind: RecScript, Script: []opscript.Op{
 				{Kind: opscript.Insert, U: 1, V: 2, Edge: graph.Tree},
 				{Kind: opscript.Delete, U: 2, V: 3},
 				{Kind: opscript.AddNode, Label: "item", V: 7},
 				{Kind: opscript.DelNode, U: 8},
 				{Kind: opscript.DelSub, U: 9},
-			})
+			}})
 		},
 		func() (uint64, error) {
-			return l.AppendSubgraph(&SubgraphPayload{
+			return l.Append(&Record{Kind: RecSubgraph, Sub: &SubgraphPayload{
 				Labels:    []string{"a", "b"},
 				Values:    []string{"", "x"},
 				Edges:     [][2]int32{{0, 1}},
 				EdgeKinds: []graph.EdgeKind{graph.Tree},
 				CrossIn:   []graph.CrossEdge{{Outside: 3, Local: 0, Kind: graph.Tree}},
 				CrossOut:  []graph.CrossEdge{{Outside: 4, Local: 1, Kind: graph.IDRef}},
-			})
+			}})
 		},
 		func() (uint64, error) { return l.AppendEdges(nil) },
 	}

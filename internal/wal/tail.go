@@ -3,8 +3,8 @@
 // on-disk bytes, so followers inherit the CRC framing for free) up to
 // the ship bound — the newest record that is safe to hand to another
 // process — and parks on Watch until the journal grows. A follower
-// re-appends decoded records into its own journal with AppendRecord,
-// which preserves sequence numbers so leader and follower journals are
+// re-appends decoded records into its own journal with Append, which
+// keeps their sequence numbers so leader and follower journals are
 // frame-identical.
 package wal
 
@@ -108,13 +108,4 @@ func (l *Log) ReplayRaw(from, to uint64, fn func(seq uint64, frame []byte) error
 		}
 	}
 	return nil
-}
-
-// AppendRecord re-appends a decoded record — the follower's side of log
-// shipping. The record's sequence number must be exactly the journal's
-// next: followers apply the leader's history in order into their own
-// journal, so the two sequence spaces stay identical. The caller is the
-// single appender on a follower log.
-func (l *Log) AppendRecord(rec *Record) (uint64, error) {
-	return l.append(rec, true)
 }

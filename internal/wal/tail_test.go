@@ -101,7 +101,7 @@ func TestAppendRecordMirrorsJournal(t *testing.T) {
 	if _, err := l.AppendEdges([]graph.EdgeOp{graph.InsertOp(1, 2, graph.Tree), graph.DeleteOp(3, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendSubgraph(&SubgraphPayload{Labels: []string{"a"}, Values: []string{"v"}}); err != nil {
+	if _, err := l.Append(&Record{Kind: RecSubgraph, Sub: &SubgraphPayload{Labels: []string{"a"}, Values: []string{"v"}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +112,7 @@ func TestAppendRecordMirrorsJournal(t *testing.T) {
 	}
 	defer f.Close()
 	if err := l.Replay(1, func(rec *Record) error {
-		seq, err := f.AppendRecord(rec)
+		seq, err := f.Append(rec)
 		if err == nil && seq != rec.Seq {
 			t.Fatalf("follower assigned seq %d to record %d", seq, rec.Seq)
 		}
@@ -140,12 +140,12 @@ func TestAppendRecordMirrorsJournal(t *testing.T) {
 
 	// Out-of-order and replayed records are refused.
 	rec := &Record{Seq: 99, Kind: RecEdges}
-	if _, err := f.AppendRecord(rec); err == nil {
-		t.Fatal("AppendRecord accepted a gap")
+	if _, err := f.Append(rec); err == nil {
+		t.Fatal("Append accepted a gap")
 	}
 	rec.Seq = 1
-	if _, err := f.AppendRecord(rec); err == nil {
-		t.Fatal("AppendRecord accepted a duplicate")
+	if _, err := f.Append(rec); err == nil {
+		t.Fatal("Append accepted a duplicate")
 	}
 }
 

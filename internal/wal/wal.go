@@ -178,6 +178,16 @@ type Record struct {
 	Sub    *SubgraphPayload
 }
 
+// Ops is the record's weight in ops: its edge ops, its script ops, or the
+// nodes of its subgraph. Replay time is proportional to it.
+func (rec *Record) Ops() int {
+	n := len(rec.Edges) + len(rec.Script)
+	if rec.Sub != nil {
+		n += len(rec.Sub.Labels)
+	}
+	return n
+}
+
 // SubgraphPayload is the journal form of a grafted graph.Subgraph:
 // label *names* instead of interner ids, so replay against a recovered
 // graph re-interns and is independent of interner history. The
@@ -457,37 +467,27 @@ func (l *Log) Policy() SyncPolicy { return l.opts.Policy }
 // recovery diagnostic for "the previous process died mid-write".
 func (l *Log) TruncatedBytes() int64 { return l.truncated }
 
-// AppendEdges journals one committed batch of edge ops. The frame is
-// encoded into a scratch buffer reused across calls: the hot path
-// allocates nothing at steady state.
+// AppendEdges journals one committed batch of edge ops — Append over an
+// edge record, kept for callers that time the journal stage alone. The
+// frame is encoded into a scratch buffer reused across calls: the hot
+// path allocates nothing at steady state.
 func (l *Log) AppendEdges(ops []graph.EdgeOp) (uint64, error) {
-	return l.append(&Record{Kind: RecEdges, Edges: ops}, false)
+	return l.Append(&Record{Kind: RecEdges, Edges: ops})
 }
 
-// AppendScript journals an applied op-script prefix. Callers must pass
-// exactly the ops that were applied (Result.Applied of them), so replay
-// reproduces the partial application a failed script leaves behind.
-func (l *Log) AppendScript(ops []opscript.Op) (uint64, error) {
-	return l.append(&Record{Kind: RecScript, Script: ops}, false)
-}
-
-// AppendSubgraph journals a grafted subgraph with its full payload —
-// the operation the textual script syntax cannot express: label names,
-// values, internal edges and boundary-crossing edges, enough for replay
-// to re-graft the exact subtree.
-func (l *Log) AppendSubgraph(p *SubgraphPayload) (uint64, error) {
-	return l.append(&Record{Kind: RecSubgraph, Sub: p}, false)
-}
-
-// append journals rec as the next record. mirror (AppendRecord) requires
-// rec.Seq to be exactly that next seq; otherwise rec.Seq is ignored.
-func (l *Log) append(rec *Record, mirror bool) (uint64, error) {
+// Append journals rec as the next record and returns its seq. A zero
+// rec.Seq takes the journal's next seq (a leader's write); any other must
+// be exactly that seq — a follower re-appending the leader's history, so
+// the two journals stay frame-identical. A script record must hold
+// exactly the ops that were applied, so replay reproduces the partial
+// application a failed script leaves behind.
+func (l *Log) Append(rec *Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return 0, l.err
 	}
-	if mirror && rec.Seq != l.nextSeq {
+	if rec.Seq != 0 && rec.Seq != l.nextSeq {
 		return 0, fmt.Errorf("wal: record seq %d does not follow the journal tail (next %d)", rec.Seq, l.nextSeq)
 	}
 	b, err := appendBody(StartFrame(l.buf[:0], l.nextSeq, rec.Kind), rec)
@@ -788,14 +788,38 @@ type reader struct {
 	bad bool
 }
 
+// uvarint reads a minimally encoded uvarint: binary.Uvarint also takes a
+// padded form (80 00 for 0), which would decode to a record the encoder
+// never writes.
 func (r *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.pos+n-1] == 0 {
 		r.bad = true
 		return 0
 	}
 	r.pos += n
 	return v
+}
+
+// int32 reads what the encoder writes for an int32 (a NodeID or a local
+// index): the uvarint of its sign extension. Anything else would wrap.
+func (r *reader) int32() int32 {
+	v := r.uvarint()
+	if int64(v) != int64(int32(v)) {
+		r.bad = true
+	}
+	return int32(v)
+}
+
+func (r *reader) node() graph.NodeID { return graph.NodeID(r.int32()) }
+
+// kind reads an edge kind byte; only tree and idref exist.
+func (r *reader) kind() graph.EdgeKind {
+	k := graph.EdgeKind(r.byte())
+	if k != graph.Tree && k != graph.IDRef {
+		r.bad = true
+	}
+	return k
 }
 
 func (r *reader) byte() byte {
@@ -825,8 +849,10 @@ func appendString(b []byte, s string) []byte {
 }
 
 // DecodePayload decodes one frame payload into a Record — the inverse of
-// the Append* encoders, for Replay and for stream consumers that receive
-// raw frames.
+// Append's encoder, for Replay and for stream consumers that receive raw
+// frames. It is canonical: it accepts only what the encoder writes (node
+// ids and local indexes that fit an int32, the two edge kinds, minimal
+// varints), so an accepted payload re-encodes byte for byte.
 func DecodePayload(payload []byte) (*Record, error) {
 	r := &reader{b: payload}
 	rec := &Record{Seq: r.uvarint(), Kind: RecordKind(r.byte())}
@@ -839,12 +865,10 @@ func DecodePayload(payload []byte) (*Record, error) {
 		rec.Edges = make([]graph.EdgeOp, 0, n)
 		for i := uint64(0); i < n; i++ {
 			flags := r.byte()
-			op := graph.EdgeOp{
-				Insert: flags&1 != 0,
-				Kind:   graph.EdgeKind(flags >> 1),
-				U:      graph.NodeID(r.uvarint()),
-				V:      graph.NodeID(r.uvarint()),
+			if flags > byte(graph.IDRef)<<1|1 {
+				r.bad = true
 			}
+			op := graph.EdgeOp{Insert: flags&1 != 0, Kind: graph.EdgeKind(flags >> 1), U: r.node(), V: r.node()}
 			rec.Edges = append(rec.Edges, op)
 		}
 	case RecScript:
@@ -858,17 +882,13 @@ func DecodePayload(payload []byte) (*Record, error) {
 			op.Kind = opscript.Kind(r.byte())
 			switch op.Kind {
 			case opscript.Insert:
-				op.U = graph.NodeID(r.uvarint())
-				op.V = graph.NodeID(r.uvarint())
-				op.Edge = graph.EdgeKind(r.byte())
+				op.U, op.V, op.Edge = r.node(), r.node(), r.kind()
 			case opscript.Delete:
-				op.U = graph.NodeID(r.uvarint())
-				op.V = graph.NodeID(r.uvarint())
+				op.U, op.V = r.node(), r.node()
 			case opscript.AddNode:
-				op.Label = r.string()
-				op.V = graph.NodeID(r.uvarint())
+				op.Label, op.V = r.string(), r.node()
 			case opscript.DelNode, opscript.DelSub:
-				op.U = graph.NodeID(r.uvarint())
+				op.U = r.node()
 			default:
 				return nil, fmt.Errorf("wal: bad script op kind %d", op.Kind)
 			}
@@ -892,9 +912,8 @@ func DecodePayload(payload []byte) (*Record, error) {
 			return nil, fmt.Errorf("wal: bad subgraph record")
 		}
 		for i := uint64(0); i < ne; i++ {
-			from, to := r.uvarint(), r.uvarint()
-			p.Edges = append(p.Edges, [2]int32{int32(from), int32(to)})
-			p.EdgeKinds = append(p.EdgeKinds, graph.EdgeKind(r.byte()))
+			p.Edges = append(p.Edges, [2]int32{r.int32(), r.int32()})
+			p.EdgeKinds = append(p.EdgeKinds, r.kind())
 		}
 		for pass := 0; pass < 2; pass++ {
 			nc := r.uvarint()
@@ -903,11 +922,7 @@ func DecodePayload(payload []byte) (*Record, error) {
 			}
 			cross := make([]graph.CrossEdge, 0, nc)
 			for i := uint64(0); i < nc; i++ {
-				cross = append(cross, graph.CrossEdge{
-					Outside: graph.NodeID(r.uvarint()),
-					Local:   int32(r.uvarint()),
-					Kind:    graph.EdgeKind(r.byte()),
-				})
+				cross = append(cross, graph.CrossEdge{Outside: r.node(), Local: r.int32(), Kind: r.kind()})
 			}
 			if pass == 0 {
 				p.CrossIn = cross

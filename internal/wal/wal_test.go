@@ -51,10 +51,10 @@ func TestRoundTrip(t *testing.T) {
 	if _, err := l.AppendEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendScript(script); err != nil {
+	if _, err := l.Append(&Record{Kind: RecScript, Script: script}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendSubgraph(sub); err != nil {
+	if _, err := l.Append(&Record{Kind: RecSubgraph, Sub: sub}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -266,7 +266,7 @@ func TestAppendScriptNoAllocs(t *testing.T) {
 		{Kind: opscript.DelNode, U: 4},
 	}
 	app := func() {
-		if _, err := l.AppendScript(ops); err != nil {
+		if _, err := l.Append(&Record{Kind: RecScript, Script: ops}); err != nil {
 			t.Fatal(err)
 		}
 	}

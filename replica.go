@@ -191,11 +191,12 @@ func (db *DB) WaitForSeq(ctx context.Context, seq uint64) error {
 	}
 }
 
-// ApplyRecord applies one replicated journal record: replay into the
-// live index, append to the local journal (preserving the leader's
-// sequence number), publish the snapshot. It is the follower half of
-// the commit protocol, called in order by the replication runner;
-// records at or below the applied seq are ignored (reconnect overlap).
+// ApplyRecord applies one replicated journal record: apply it to the live
+// index (the function the leader's write and recovery use), append it to
+// the local journal (preserving the leader's sequence number), publish the
+// snapshot. It is the follower half of the commit protocol, called in
+// order by the replication runner; records at or below the applied seq
+// are ignored (reconnect overlap).
 func (db *DB) ApplyRecord(rec *wal.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -215,14 +216,10 @@ func (db *DB) ApplyRecord(rec *wal.Record) error {
 	if rec.Seq != applied+1 {
 		return fmt.Errorf("structix: replicated record %d does not follow applied seq %d", rec.Seq, applied)
 	}
-	if err := replayRecord(db.idx, rec); err != nil {
-		return fmt.Errorf("structix: replicated %w", err)
+	if _, _, err := apply(db.idx, rec); err != nil {
+		return fmt.Errorf("structix: replicated record %d: %w", rec.Seq, err)
 	}
-	ops := len(rec.Edges) + len(rec.Script)
-	if rec.Sub != nil {
-		ops += len(rec.Sub.Labels)
-	}
-	return db.commit(ops, func(l *wal.Log) (uint64, error) { return l.AppendRecord(rec) })
+	return db.commit(rec)
 }
 
 // Journal exposes the write-ahead log (nil on an in-memory store) — the

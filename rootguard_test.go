@@ -127,7 +127,7 @@ func TestLegacyRootDeleteRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := l.AppendScript(script)
+	at, err := l.Append(&wal.Record{Kind: wal.RecScript, Script: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +140,71 @@ func TestLegacyRootDeleteRecord(t *testing.T) {
 	}
 	if !errors.Is(err, ErrRootNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", at)) {
 		t.Fatalf("Open: %v, want ErrRootNode naming record %d", err, at)
+	}
+}
+
+// TestInsertNodeUnreachableParent adds a node under InvalidNode through
+// the facade and through a 2-shard store: ErrDeadNode, and no node added
+// (a sharded store once placed it on shard 0).
+func TestInsertNodeUnreachableParent(t *testing.T) {
+	db := NewDB(BuildOneIndex(datagen.XMark(datagen.DefaultXMark(16, 1, 2))))
+	sdb, _ := NewShardedDB(shardForest(3, 6, 5), 2)
+	defer sdb.Close()
+	for name, s := range map[string]struct {
+		insert func(string, NodeID) (NodeID, error)
+		nodes  func() int
+	}{
+		"db": {db.InsertNode, func() int { return db.Snapshot().Data().NumNodes() }},
+		"sharded": {sdb.InsertNode, func() int {
+			return sdb.Shard(0).Snapshot().Data().NumNodes() + sdb.Shard(1).Snapshot().Data().NumNodes()
+		}},
+	} {
+		nodes := s.nodes()
+		if v, err := s.insert("x", InvalidNode); !errors.Is(err, ErrDeadNode) || v != InvalidNode {
+			t.Fatalf("%s: InsertNode under InvalidNode = %d, %v; want ErrDeadNode", name, v, err)
+		}
+		if got := s.nodes(); got != nodes {
+			t.Fatalf("%s: %d nodes after the rejected insert, want %d", name, got, nodes)
+		}
+	}
+}
+
+// TestLegacyUnreachableAddNodeRecord replays a journal record that adds a
+// node under parent -1, as a build without the addnode rule could have
+// written: a follower's apply and recovery both stop at it with
+// ErrDeadNode, naming the record.
+func TestLegacyUnreachableAddNodeRecord(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{Bootstrap: xmarkBootstrap(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Stats().AppliedSeq
+	rec := &wal.Record{Seq: seq + 1, Kind: wal.RecScript, Script: []opscript.Op{{Kind: opscript.AddNode, Label: "x", V: InvalidNode}}}
+	if err := db.ApplyRecord(rec); !errors.Is(err, ErrDeadNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", seq+1)) {
+		t.Fatalf("ApplyRecord: %v, want ErrDeadNode naming record %d", err, seq+1)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{Policy: wal.SyncNone, FirstSeq: seq + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Seq = 0
+	at, err := l.Append(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, Options{}); err == nil {
+		db.Close()
+		t.Fatal("Open replayed an addnode under parent -1")
+	}
+	if !errors.Is(err, ErrDeadNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", at)) {
+		t.Fatalf("Open: %v, want ErrDeadNode naming record %d", err, at)
 	}
 }

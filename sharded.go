@@ -15,6 +15,7 @@ import (
 	"structix/internal/opscript"
 	"structix/internal/query"
 	"structix/internal/shard"
+	"structix/internal/wal"
 )
 
 // ShardedDB partitions the store into N independent DBs for in-process
@@ -237,51 +238,8 @@ func (sdb *ShardedDB) GlobalRoot() NodeID { return sdb.m.GlobalRoot() }
 // caller's (global) coordinates; a batch that would create a cross-shard
 // edge is rejected with shard.ErrCrossShard.
 func (sdb *ShardedDB) ApplyBatch(ops []EdgeOp) error {
-	per, orig, err := sdb.m.SplitEdges(ops)
-	if err != nil {
-		return err
-	}
-	touched := -1
-	multi := false
-	for s := range per {
-		if per[s] == nil {
-			continue
-		}
-		if touched >= 0 {
-			multi = true
-			break
-		}
-		touched = s
-	}
-	if touched < 0 {
-		return nil
-	}
-	if !multi {
-		sdb.wmu.RLock()
-		defer sdb.wmu.RUnlock()
-		return sdb.m.GlobalizeBatchError(touched, sdb.shards[touched].ApplyBatch(per[touched]), orig[touched])
-	}
-	sdb.wmu.Lock()
-	defer sdb.wmu.Unlock()
-	for s := range per {
-		if per[s] == nil {
-			continue
-		}
-		if err := sdb.shards[s].ValidateBatch(per[s]); err != nil {
-			return sdb.m.GlobalizeBatchError(s, err, orig[s])
-		}
-	}
-	for s := range per {
-		if per[s] == nil {
-			continue
-		}
-		if err := sdb.shards[s].ApplyBatch(per[s]); err != nil {
-			// Unreachable by construction: validation passed and the
-			// exclusive lock excludes every other facade writer.
-			return sdb.m.GlobalizeBatchError(s, err, orig[s])
-		}
-	}
-	return nil
+	_, err := sdb.write(&wal.Record{Kind: wal.RecEdges, Edges: ops})
+	return err
 }
 
 // ApplyScript runs an op script (global ids) with stop-at-first-error
@@ -290,15 +248,43 @@ func (sdb *ShardedDB) ApplyBatch(ops []EdgeOp) error {
 // is placed by its label; the rest of the script follows). Result ids and
 // any *OpError come back in global coordinates.
 func (sdb *ShardedDB) ApplyScript(ops []ScriptOp) (OpResult, error) {
-	s, local, err := sdb.m.RouteScript(ops)
-	if err != nil {
+	return sdb.write(&wal.Record{Kind: wal.RecScript, Script: ops})
+}
+
+// write routes a record (global ids) through the shard map and commits
+// each part as its own window on its shard. One part runs concurrently
+// with other shards' writers; several (only an edge batch splits) take
+// the facade exclusively and are validated before any applies, so once
+// validation passes the per-shard writes cannot fail (the lock excludes
+// every other facade writer). Result ids and errors come back global.
+func (sdb *ShardedDB) write(rec *wal.Record) (OpResult, error) {
+	parts, err := sdb.m.Route(rec)
+	if err != nil || len(parts) == 0 {
 		return OpResult{}, err
 	}
-	sdb.wmu.RLock()
-	defer sdb.wmu.RUnlock()
-	res, aerr := sdb.shards[s].ApplyScript(local)
-	res.NewNodes = sdb.m.GlobalizeNodes(s, res.NewNodes)
-	return res, sdb.m.GlobalizeOpError(s, aerr)
+	if len(parts) == 1 {
+		p := parts[0]
+		sdb.wmu.RLock()
+		res, _, err := sdb.shards[p.Shard].writeWindow(p.Rec)
+		sdb.wmu.RUnlock()
+		res.NewNodes = sdb.m.GlobalizeNodes(p.Shard, res.NewNodes)
+		return res, sdb.m.Globalize(p, err)
+	}
+	sdb.wmu.Lock()
+	defer sdb.wmu.Unlock()
+	for _, p := range parts {
+		if err := sdb.shards[p.Shard].ValidateBatch(p.Rec.Edges); err != nil {
+			return OpResult{}, sdb.m.Globalize(p, err)
+		}
+	}
+	for _, p := range parts {
+		if _, _, err := sdb.shards[p.Shard].writeWindow(p.Rec); err != nil {
+			// Unreachable by construction: validation passed and the
+			// exclusive lock excludes every other facade writer.
+			return OpResult{}, sdb.m.Globalize(p, err)
+		}
+	}
+	return opscript.BatchResult(rec.Edges), nil
 }
 
 // InsertEdge inserts a dedge (global ids) as its own commit window.
@@ -375,50 +361,11 @@ func (sdb *ShardedDB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
 		names[i] = sdb.labels.Name(l)
 	}
 	sdb.lmu.Unlock()
-
-	s := -1
-	for _, ce := range append(append([]graph.CrossEdge(nil), sg.CrossIn...), sg.CrossOut...) {
-		if sdb.m.IsRoot(ce.Outside) {
-			continue
-		}
-		t := sdb.m.Router().ShardOf(ce.Outside)
-		if s == -1 {
-			s = t
-		} else if s != t {
-			return nil, shard.ErrCrossShard
-		}
-	}
-	if s == -1 { // attached to the root alone (or detached): place by label
-		at := 0
-		if len(sg.CrossIn) > 0 {
-			at = int(sg.CrossIn[0].Local)
-		}
-		s = sdb.m.Router().Place(names[at])
-	}
-
-	local := *sg
-	local.CrossIn = append([]graph.CrossEdge(nil), sg.CrossIn...)
-	local.CrossOut = append([]graph.CrossEdge(nil), sg.CrossOut...)
-	for i := range local.CrossIn {
-		local.CrossIn[i].Outside = sdb.localOn(s, local.CrossIn[i].Outside)
-	}
-	for i := range local.CrossOut {
-		local.CrossOut[i].Outside = sdb.localOn(s, local.CrossOut[i].Outside)
-	}
-	sdb.wmu.RLock()
-	ids, err := sdb.shards[s].AddSubgraphNamed(names, &local)
-	sdb.wmu.RUnlock()
+	res, err := sdb.write(&wal.Record{Kind: wal.RecSubgraph, Sub: payloadOf(names, sg)})
 	if err != nil {
 		return nil, err
 	}
-	return sdb.m.GlobalizeNodes(s, ids), nil
-}
-
-func (sdb *ShardedDB) localOn(s int, g NodeID) NodeID {
-	if sdb.m.IsRoot(g) {
-		return sdb.m.LocalRoot(s)
-	}
-	return sdb.m.Router().LocalOf(g)
+	return res.NewNodes, nil
 }
 
 // Sync fsyncs every shard's journal (explicit durability barrier).

@@ -1,0 +1,139 @@
+package structix
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestOneWritePath is a vet-style check that keeps one write path: every
+// store write is a journal record, applied by apply alone — on the leader
+// (DB.write), in Open's replay and in a follower's ApplyRecord — and
+// journaled by commit alone. It type-checks the root package and the two
+// packages that drive a store, internal/server and internal/repl, and fails
+//
+//   - when a root function other than apply calls an index mutator or
+//     opscript.Apply (ApplyOps, which runs a script against a caller's
+//     own index and no store, is the one exception);
+//   - when a function other than the root's commit calls a wal.Log append
+//     (bench/ times AppendEdges alone and is not scanned);
+//   - when internal/server calls other than exactly one store write
+//     method;
+//   - when a name the one write path replaced is declared or used
+//     anywhere, or SplitEdges — kept because bench/ times it — is called
+//     outside internal/shard.
+func TestOneWritePath(t *testing.T) {
+	mutators := map[string]bool{
+		"ApplyBatch": true, "InsertEdge": true, "DeleteEdge": true, "InsertNode": true,
+		"DeleteNode": true, "DeleteSubgraph": true, "AddSubgraph": true,
+	}
+	storeWrites := []string{
+		"ApplyBatch", "ApplyScript", "InsertEdge", "DeleteEdge", "InsertNode", "DeleteNode", "DeleteSubtree",
+		"DeleteSubtreeNamed", "AddSubgraph", "AddSubgraphNamed", "ApplyRecord", "Update", "WriteWindowed",
+	}
+	for _, name := range storeWrites {
+		if _, ok := reflect.TypeOf(&DB{}).MethodByName(name); !ok {
+			t.Fatalf("DB has no write method %s: the list has rotted", name)
+		}
+	}
+	isStore := func(recv types.Type) bool {
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		n, ok := recv.(*types.Named)
+		return ok && n.Obj().Pkg().Path() == "structix" && (n.Obj().Name() == "DB" || n.Obj().Name() == "ShardedDB")
+	}
+
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	serverWrites := map[string]bool{}
+	for _, dir := range []string{".", "internal/server", "internal/repl"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, p := range paths {
+			if !strings.HasSuffix(p, "_test.go") {
+				f, err := parser.ParseFile(fset, p, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no files; the scan ran outside the module root", dir)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if _, err := conf.Check("structix/"+dir, fset, files, info); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[sel.Sel].(*types.Func)
+					if !ok || fn.Pkg() == nil {
+						return true
+					}
+					at := fset.Position(sel.Pos())
+					name, pkg := fn.Name(), fn.Pkg().Path()
+					s := info.Selections[sel]
+					switch {
+					case s != nil && pkg == "structix/internal/wal" && strings.HasPrefix(name, "Append"):
+						if dir != "." || fd.Name.Name != "commit" {
+							t.Errorf("%s: %s calls wal.Log.%s; only commit journals", at, fd.Name.Name, name)
+						}
+					case dir == "." && (s != nil && mutators[name] && !isStore(s.Recv()) ||
+						s == nil && pkg == "structix/internal/opscript" && strings.HasPrefix(name, "Apply")):
+						if fd.Name.Name != "apply" && fd.Name.Name != "ApplyOps" {
+							t.Errorf("%s: %s calls %s; only apply changes a store's index", at, fd.Name.Name, name)
+						}
+					case dir == "internal/server" && s != nil && isStore(s.Recv()) && slices.Contains(storeWrites, name):
+						serverWrites[name] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(serverWrites) != 1 {
+		t.Errorf("internal/server calls %d store write methods %v; it writes through exactly one", len(serverWrites), serverWrites)
+	}
+
+	replaced := map[string]bool{
+		"replayRecord": true, "graftPayload": true, "ApplyBatchWindowed": true, "ApplyScriptWindowed": true,
+		"EdgeOpOf": true, "RouteScript": true, "GlobalizeBatchError": true, "GlobalizeOpError": true,
+		"GlobalizeEdgeOp": true, "GlobalizeOp": true, "AppendScript": true, "AppendSubgraph": true,
+		"AppendRecord": true, "commitEdges": true,
+	}
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if replaced[id.Name] {
+					t.Errorf("%s: %s is left; the one write path replaced it", fset.Position(id.Pos()), id.Name)
+				}
+				if id.Name == "SplitEdges" && dir != "internal/shard" && dir != "bench" {
+					t.Errorf("%s: routes through SplitEdges; use shard.Map.Route", fset.Position(id.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}
