@@ -2,6 +2,7 @@ package structix
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -132,11 +133,20 @@ func TestCrashInjectionRecoversCommitPrefix(t *testing.T) {
 
 // Sharded crash-injection property: each shard journals independently, so
 // whatever damage a crash leaves across the per-shard WALs, every shard
-// recovers to some prefix of ITS OWN committed batches — the shards need
-// not agree on a depth, but none may land between commits. Every commit
-// here targets a single shard through the facade, so each shard's legal
-// states are exactly its recorded fingerprints.
+// recovers to some prefix of ITS OWN committed parts — the shards need
+// not agree on a depth, but none may land between commits. The
+// single-shard input commits one batch per shard per round; the spanning
+// input also commits, every other round, one batch that spans every
+// shard, whose parts commit per shard (one such batch in two has a
+// rejected part, which leaves its siblings committed). Each shard records
+// a prefix after each of its own parts, so its legal states are exactly
+// its recorded fingerprints.
 func TestShardedCrashRecoversPerShardPrefixes(t *testing.T) {
+	t.Run("single-shard", func(t *testing.T) { testShardedCrash(t, false) })
+	t.Run("spanning", func(t *testing.T) { testShardedCrash(t, true) })
+}
+
+func testShardedCrash(t *testing.T, spanning bool) {
 	dir := t.TempDir()
 	const shards = 3
 	boot := func() (*Database, error) { return &Database{Graph: shardForest(21, 9, 8)}, nil }
@@ -153,15 +163,40 @@ func TestShardedCrashRecoversPerShardPrefixes(t *testing.T) {
 		prefixes[s] = [][]byte{snapshotBytes(t, sdb.Shard(s).Snapshot())}
 	}
 	rng := rand.New(rand.NewSource(23))
+	part := func(s int) []EdgeOp {
+		local := insertBatch(rng, sdb.Shard(s).idx.Graph(), 4)
+		ops := make([]EdgeOp, len(local))
+		for i, op := range local {
+			ops[i] = graph.InsertOp(m.ToGlobal(s, op.U), m.ToGlobal(s, op.V), op.Kind)
+		}
+		return ops
+	}
 	for round := 0; round < 8; round++ {
-		for s := 0; s < shards; s++ {
-			local := insertBatch(rng, sdb.Shard(s).idx.Graph(), 4)
-			if len(local) < 2 {
-				continue
+		if spanning && round%2 == 1 {
+			var ops []EdgeOp
+			for s := 0; s < shards; s++ {
+				ops = append(ops, part(s)...)
 			}
-			ops := make([]EdgeOp, len(local))
-			for i, op := range local {
-				ops[i] = graph.InsertOp(m.ToGlobal(s, op.U), m.ToGlobal(s, op.V), op.Kind)
+			rejected := -1 // the shard whose part is rejected, if any
+			if round%4 == 3 && len(ops) > 0 {
+				last := ops[len(ops)-1]
+				rejected, _, _, _ = m.RouteEdge(last.U, last.V)
+				ops = append(ops, last) // inserted twice: its shard's part is rejected
+			}
+			if err := sdb.ApplyBatch(ops); (err != nil) != (rejected >= 0) || rejected >= 0 && !errors.Is(err, graph.ErrEdgeExists) {
+				t.Fatalf("round %d: spanning batch: %v (rejected part on shard %d)", round, err, rejected)
+			}
+			for s := 0; s < shards; s++ {
+				if s != rejected {
+					prefixes[s] = append(prefixes[s], snapshotBytes(t, sdb.Shard(s).Snapshot()))
+				}
+			}
+			continue
+		}
+		for s := 0; s < shards; s++ {
+			ops := part(s)
+			if len(ops) < 2 {
+				continue
 			}
 			if err := sdb.ApplyBatch(ops); err != nil {
 				t.Fatalf("round %d shard %d: %v", round, s, err)

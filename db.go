@@ -612,21 +612,6 @@ func (db *DB) labelNames(labels []graph.LabelID) []string {
 	return names
 }
 
-// ValidateBatch checks that ops would apply cleanly against the current
-// graph, without applying anything: the same overlay pre-validation
-// ApplyBatch itself runs, exposed so a cross-shard coordinator can
-// validate every shard's sub-batch before committing to any of them. A
-// nil return from every shard guarantees the subsequent per-shard applies
-// succeed, provided no other writer intervenes.
-func (db *DB) ValidateBatch(ops []EdgeOp) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeErr(); err != nil {
-		return err
-	}
-	return db.idx.Graph().ValidateOps(ops)
-}
-
 // AddSubgraphNamed is AddSubgraph with the labels given by name instead of
 // by this store's LabelIDs — the cross-store transfer form (exactly what
 // the journal's subgraph records carry): sg.Labels is ignored and names

@@ -680,16 +680,23 @@ func TestSnapshotFallbackAfterCompaction(t *testing.T) {
 // When the journal genuinely cannot reach back to the snapshot recovery
 // starts from (here: the fallback snapshot with its oldest covering
 // segment deleted), Open must fail loudly with wal.ErrGap instead of
-// replaying only the surviving tail onto a too-old base.
+// replaying only the surviving tail onto a too-old base. The test
+// compacts by itself, between the two halves of its workload, so the
+// snapshots and surviving segments do not depend on a background
+// compactor's timing: Close then writes the second snapshot.
 func TestOpenFailsOnJournalGap(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
-		CompactEvery: 8, SegmentBytes: 256, Bootstrap: xmarkBootstrap(24),
+		CompactEvery: -1, SegmentBytes: 256, Bootstrap: xmarkBootstrap(24),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyWorkload(t, db, 22, 100)
+	applyWorkload(t, db, 22, 50)
+	if err := db.compactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	applyWorkload(t, db, 23, 50)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

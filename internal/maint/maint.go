@@ -17,6 +17,21 @@ import (
 	"structix/internal/ilist"
 )
 
+// NodeError is a refusal that names one node: Text formats Node (its one
+// verb) and Err is the cause, graph.ErrDeadNode or graph.ErrRootNode. The
+// id is typed so a store that translates ids, a sharded one, can rewrite
+// it into its caller's coordinates.
+type NodeError struct {
+	Text string
+	Node graph.NodeID
+	Err  error
+}
+
+func (e *NodeError) Error() string { return fmt.Sprintf(e.Text, e.Node) + ": " + e.Err.Error() }
+
+// Unwrap exposes the cause to errors.Is/errors.As.
+func (e *NodeError) Unwrap() error { return e.Err }
+
 // Kernel is one index family's half of a maintenance round.
 type Kernel interface {
 	// Ingest records one edge op the graph already carries in the
@@ -170,7 +185,7 @@ func (d Driver) one(err error, op graph.EdgeOp) error {
 // not a live node is graph.ErrDeadNode. Returns the new NodeID.
 func (d Driver) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.EdgeKind) (graph.NodeID, error) {
 	if parent != graph.InvalidNode && !d.G.Alive(parent) {
-		return graph.InvalidNode, fmt.Errorf("maint: parent %d: %w", parent, graph.ErrDeadNode)
+		return graph.InvalidNode, &NodeError{"maint: parent %d", parent, graph.ErrDeadNode}
 	}
 	v := d.G.AddNodeL(label)
 	d.K.Grow()
@@ -191,10 +206,10 @@ func (d Driver) InsertNode(label graph.LabelID, parent graph.NodeID, kind graph.
 // the last node, with nothing left to strand.
 func (d Driver) DeleteNode(v graph.NodeID) error {
 	if !d.G.Alive(v) {
-		return fmt.Errorf("maint: node %d: %w", v, graph.ErrDeadNode)
+		return &NodeError{"maint: node %d", v, graph.ErrDeadNode}
 	}
 	if v == d.G.Root() && d.G.NumNodes() > 1 {
-		return fmt.Errorf("maint: node %d: %w", v, graph.ErrRootNode)
+		return &NodeError{"maint: node %d", v, graph.ErrRootNode}
 	}
 	for _, s := range d.G.Succ(v) {
 		if err := d.DeleteEdge(v, s); err != nil {
@@ -217,13 +232,18 @@ func (d Driver) DeleteNode(v graph.NodeID) error {
 // one round over all its incoming cross edges, then inserts every other
 // cross edge by its own round. It returns the NodeIDs assigned to the
 // subgraph's local nodes. A malformed subgraph is graph.ErrBadSubgraph,
-// before any node is added.
+// and a cross edge to a node that is not live, or one given twice, is a
+// *NodeError (graph.ErrDeadNode, graph.ErrEdgeExists), before any node is
+// added.
 func (d Driver) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 	if sg.NumNodes() == 0 {
 		return nil, nil
 	}
 	sub, local, err := sg.BuildGraph(d.G.Labels())
 	if err != nil {
+		return nil, err
+	}
+	if err := d.checkCross(sg); err != nil {
 		return nil, err
 	}
 	ids, err := sg.InsertNodes(d.G)
@@ -256,6 +276,26 @@ func (d Driver) AddSubgraph(sg *graph.Subgraph) ([]graph.NodeID, error) {
 		}
 	}
 	return ids, nil
+}
+
+// checkCross rejects the cross edges that could not be inserted once the
+// subgraph's nodes are: one whose outside endpoint is not live, and one
+// given twice. Nothing else about a cross edge can fail.
+func (d Driver) checkCross(sg *graph.Subgraph) error {
+	seen := make(map[[3]int64]bool)
+	for dir, cross := range [][]graph.CrossEdge{sg.CrossIn, sg.CrossOut} {
+		for _, ce := range cross {
+			e := [3]int64{int64(ce.Outside), int64(ce.Local), int64(dir)}
+			switch {
+			case !d.G.Alive(ce.Outside):
+				return &NodeError{"maint: cross edge endpoint %d", ce.Outside, graph.ErrDeadNode}
+			case seen[e]:
+				return &NodeError{"maint: cross edge endpoint %d", ce.Outside, graph.ErrEdgeExists}
+			}
+			seen[e] = true
+		}
+	}
+	return nil
 }
 
 // DeleteSubgraph removes the subtree rooted at root (following tree edges
@@ -305,10 +345,10 @@ func (d Driver) DeleteSubgraph(root graph.NodeID, skipIDRef bool) (*graph.Subgra
 // graph.ErrRootNode.
 func (d Driver) CheckDelete(root graph.NodeID, skipIDRef bool) error {
 	if !d.G.Alive(root) {
-		return fmt.Errorf("maint: node %d: %w", root, graph.ErrDeadNode)
+		return &NodeError{"maint: node %d", root, graph.ErrDeadNode}
 	}
 	if slices.Contains(d.G.Reachable(root, skipIDRef), d.G.Root()) {
-		return fmt.Errorf("maint: subtree of %d holds the root: %w", root, graph.ErrRootNode)
+		return &NodeError{"maint: subtree of %d holds the root", root, graph.ErrRootNode}
 	}
 	return nil
 }

@@ -86,8 +86,10 @@ func TestDeleteRootRejected(t *testing.T) {
 }
 
 // TestDeadNodeOpsTyped names a dead or never-allocated node as addnode
-// parent, delnode node and delsub root on both families: each is
-// graph.ErrDeadNode and changes nothing.
+// parent, delnode node, delsub root and a grafted subgraph's cross-edge
+// endpoint on both families: each is graph.ErrDeadNode and changes
+// nothing, and so does a subgraph giving one cross edge twice
+// (graph.ErrEdgeExists).
 func TestDeadNodeOpsTyped(t *testing.T) {
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
@@ -107,8 +109,28 @@ func TestDeadNodeOpsTyped(t *testing.T) {
 				if _, err := x.DeleteSubgraph(dead, true); !errors.Is(err, graph.ErrDeadNode) {
 					t.Fatalf("DeleteSubgraph(%d) = %v, want ErrDeadNode", dead, err)
 				}
+				// A cross edge to a dead node, into the subgraph root or
+				// below it, out of it, fails before any node is added.
+				l := g.Labels().Intern("z")
+				for _, sg := range []*graph.Subgraph{
+					{Labels: []graph.LabelID{l}, Values: []string{""}, CrossIn: []graph.CrossEdge{{Outside: dead, Kind: graph.Tree}}},
+					{Labels: []graph.LabelID{l, l}, Values: []string{"", ""}, Edges: [][2]int32{{0, 1}}, EdgeKinds: []graph.EdgeKind{graph.Tree},
+						CrossIn: []graph.CrossEdge{{Outside: g.Root(), Kind: graph.Tree}, {Outside: dead, Local: 1, Kind: graph.IDRef}}},
+					{Labels: []graph.LabelID{l}, Values: []string{""}, CrossOut: []graph.CrossEdge{{Outside: dead, Kind: graph.IDRef}}},
+				} {
+					if _, err := x.AddSubgraph(sg); !errors.Is(err, graph.ErrDeadNode) {
+						t.Fatalf("AddSubgraph with a cross edge to %d = %v, want ErrDeadNode", dead, err)
+					}
+				}
 				unchanged(t, x, n, e, size)
 			}
+			l := g.Labels().Intern("z")
+			twice := &graph.Subgraph{Labels: []graph.LabelID{l}, Values: []string{""},
+				CrossOut: []graph.CrossEdge{{Outside: ids["2"], Kind: graph.IDRef}, {Outside: ids["2"], Kind: graph.Tree}}}
+			if _, err := x.AddSubgraph(twice); !errors.Is(err, graph.ErrEdgeExists) {
+				t.Fatalf("AddSubgraph with a cross edge twice = %v, want ErrEdgeExists", err)
+			}
+			unchanged(t, x, n, e, size)
 		})
 	}
 }

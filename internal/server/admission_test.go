@@ -55,12 +55,12 @@ func TestCommitterWaitPrefersBufferedOutcome(t *testing.T) {
 	close(c.doneCh)
 	req := &updateReq{done: make(chan updateOutcome, 1)}
 	req.done <- updateOutcome{epoch: 7, batchSize: 3}
-	if out := c.wait(req); out.err != nil || out.epoch != 7 {
+	if out := c.wait(req); out.Err != nil || out.epoch != 7 {
 		t.Fatalf("wait with buffered outcome: got %+v, want epoch 7", out)
 	}
 	// Same race without an outcome: the request never committed.
 	req2 := &updateReq{done: make(chan updateOutcome, 1)}
-	if out := c.wait(req2); !errors.Is(out.err, ErrShuttingDown) {
+	if out := c.wait(req2); !errors.Is(out.Err, ErrShuttingDown) {
 		t.Fatalf("wait after loop exit: got %+v, want ErrShuttingDown", out)
 	}
 }
@@ -80,8 +80,8 @@ func TestCommitterCloseDrainsQueue(t *testing.T) {
 	}
 	c.close()
 	out := c.wait(req)
-	if out.err != nil {
-		t.Fatalf("queued update lost across close: %v", out.err)
+	if out.Err != nil {
+		t.Fatalf("queued update lost across close: %v", out.Err)
 	}
 	found := false
 	store.Snapshot().Data().EachSucc(2, func(w structix.NodeID, _ structix.EdgeKind) {
@@ -229,8 +229,8 @@ func TestCloseFlushRespectsMaxBatch(t *testing.T) {
 	c.close()
 	for i, r := range reqs {
 		out := c.wait(r)
-		if out.err != nil {
-			t.Fatalf("request %d lost across close: %v", i, out.err)
+		if out.Err != nil {
+			t.Fatalf("request %d lost across close: %v", i, out.Err)
 		}
 		// The cap plus the ops of the request that crossed it (1 here, and
 		// a 1-op request cannot cross: the window closes exactly at the cap).

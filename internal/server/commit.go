@@ -59,8 +59,7 @@ type updateReq struct {
 
 // updateOutcome is what the committer hands back to a waiter.
 type updateOutcome struct {
-	err       error
-	res       opscript.Result
+	shard.Outcome
 	epoch     uint64
 	seq       uint64 // journal seq covered once the request committed (0 in-memory)
 	batchSize int    // ops in the group commit that carried the request
@@ -138,7 +137,7 @@ func (c *committer) wait(req *updateReq) updateOutcome {
 		case out := <-req.done:
 			return out
 		default:
-			return updateOutcome{err: ErrShuttingDown}
+			return updateOutcome{Outcome: shard.Outcome{Err: ErrShuttingDown}}
 		}
 	}
 }
@@ -254,14 +253,14 @@ func (c *committer) commit(batch []*updateReq) {
 	}
 	outs := make([]updateOutcome, len(batch))
 	committed, committedOps := int64(0), int64(0)
-	if out := c.write(rec); out.err == nil || len(batch) == 1 {
-		if out.err == nil {
+	if out := c.write(rec); out.Err == nil || len(batch) == 1 {
+		if out.Err == nil {
 			committed, committedOps = 1, int64(out.batchSize)
 		}
 		for i, r := range batch {
 			outs[i] = out
 			if len(batch) > 1 {
-				outs[i].res = opscript.BatchResult(r.Rec.Edges)
+				outs[i].Res = opscript.BatchResult(r.Rec.Edges)
 			}
 		}
 	} else {
@@ -272,7 +271,7 @@ func (c *committer) commit(batch []*updateReq) {
 		// outcome: later members may still publish, and their epochs must
 		// not leak into an earlier rejection.
 		for i, r := range batch {
-			if outs[i] = c.write(r.Rec); outs[i].err == nil {
+			if outs[i] = c.write(r.Rec); outs[i].Err == nil {
 				committed++
 				committedOps += int64(outs[i].batchSize)
 			}
@@ -289,8 +288,8 @@ func (c *committer) commit(batch []*updateReq) {
 		c.m.scripts.Add(1)
 	}
 	for i, r := range batch {
-		if serr != nil && outs[i].err == nil {
-			outs[i].err = serr
+		if serr != nil && outs[i].Err == nil {
+			outs[i].Err = serr
 		}
 		r.done <- outs[i]
 	}
@@ -302,7 +301,7 @@ func (c *committer) commit(batch []*updateReq) {
 // write), the journal seq it left, and the window's op count.
 func (c *committer) write(rec *wal.Record) updateOutcome {
 	res, err := c.store.WriteWindowed(rec)
-	out := updateOutcome{err: err, res: res, batchSize: rec.Ops()}
+	out := updateOutcome{Outcome: shard.Outcome{Res: res, Err: err}, batchSize: rec.Ops()}
 	if res.Applied > 0 {
 		out.epoch, out.seq = c.published(), c.store.Seq()
 	} else {

@@ -194,15 +194,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // returns http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(ln net.Listener) error { return s.hs.Serve(ln) }
 
-// ListenAndServe binds addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Shutdown drains the server gracefully: admission closes first (new
 // updates get 503 + Retry-After), the HTTP server stops accepting and
 // waits for in-flight handlers within ctx, the commit loop flushes
@@ -382,18 +373,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rec := recordOf(req.Ops)
-	parts, err := s.store.Map().Route(rec)
+	parts, err := s.store.Map().Route(recordOf(req.Ops))
 	if err != nil {
-		if rec.Kind == wal.RecEdges {
-			s.writeError(w, http.StatusConflict, crossShardReply(s.store.Map(), rec.Edges))
-		} else {
-			s.writeError(w, http.StatusConflict, ErrorReply{
-				Error: "script spans shards: " + err.Error(),
-				Code:  CodeBatchRejected,
-				Cause: CauseString(err),
-			})
-		}
+		s.updateError(w, err, 0)
 		return
 	}
 	start := time.Now()
@@ -406,16 +388,16 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	outs := make([]updateOutcome, len(parts))
 	for i, p := range parts {
 		urs[i] = &updateReq{Part: p, done: make(chan updateOutcome, 1)}
-		outs[i].err = s.coms[p.Shard].submit(urs[i])
+		outs[i].Err = s.coms[p.Shard].submit(urs[i])
 	}
 	for i, ur := range urs {
-		if outs[i].err == nil {
+		if outs[i].Err == nil {
 			outs[i] = s.coms[ur.Shard].wait(ur)
 		}
 	}
 	s.m.updates.Add(1)
 	s.m.updateLat.observe(time.Since(start))
-	s.respondUpdate(w, urs, outs)
+	s.respondUpdate(w, parts, outs)
 }
 
 // recordOf is the journal record a request's ops make: edge ops alone are
@@ -431,83 +413,53 @@ func recordOf(ops []opscript.Op) *wal.Record {
 	return &wal.Record{Kind: wal.RecEdges, Edges: edges}
 }
 
-// rejectSubmit renders an admission failure (applied > 0 when other
-// shards of a scattered request had already committed their sub-batches).
-func (s *Server) rejectSubmit(w http.ResponseWriter, err error, applied int) {
-	s.m.rejected.Add(1)
-	if errors.Is(err, ErrShuttingDown) {
-		s.writeError(w, http.StatusServiceUnavailable, ErrorReply{Error: err.Error(), Code: CodeShuttingDown, Applied: applied})
-		return
-	}
-	s.writeError(w, http.StatusTooManyRequests, ErrorReply{Error: err.Error(), Code: CodeOverloaded, Applied: applied})
-}
-
-// crossShardReply pinpoints the first op of an atomic edge batch whose
-// endpoints live on different shards — such an op can never commit,
-// whatever the graph state, so the reply names it like a validation
-// rejection with cause "cross_shard".
-func crossShardReply(m *shard.Map, edges []graph.EdgeOp) ErrorReply {
-	for i, op := range edges {
-		if _, _, _, err := m.RouteEdge(op.U, op.V); err != nil {
-			idx := i
-			sop := ScriptOpOf(op)
-			return ErrorReply{
-				Error:   fmt.Sprintf("op %d: %v", i, err),
-				Code:    CodeBatchRejected,
-				OpIndex: &idx,
-				Op:      &sop,
-				Cause:   CauseString(err),
-			}
-		}
-	}
-	return ErrorReply{Error: "batch spans shards", Code: CodeBatchRejected, Cause: causeCrossShard}
-}
-
-// respondUpdate renders the outcome of a request's parts on the wire as
-// one OpResult, translating shard-local node ids and op indexes back into
-// the request's global coordinate space (the identity on one shard).
-// Atomicity is per part: one shard's rejection does not roll back
-// another's commit, so a rejection reports how many ops did commit.
-func (s *Server) respondUpdate(w http.ResponseWriter, urs []*updateReq, outs []updateOutcome) {
-	m := s.store.Map()
+// respondUpdate renders the outcome of a request's parts on the wire: the
+// parts fold into one result in the request's global coordinates
+// (shard.Map.Fold, the facade's fold too), and the reply adds what only
+// the wire carries — the epoch, the journal seq and the group-commit size.
+// Each part commits on its own, so a rejection reports how many ops the
+// other parts committed.
+func (s *Server) respondUpdate(w http.ResponseWriter, parts []shard.Part, outs []updateOutcome) {
 	var rep UpdateReply
-	failed := -1
+	folded := make([]shard.Outcome, len(outs))
 	for i, out := range outs {
-		if out.err != nil {
-			if failed == -1 {
-				failed = i
-			}
-			continue
+		folded[i] = out.Outcome
+		if out.Err == nil {
+			rep.BatchSize += out.batchSize
+			rep.Epoch = max(rep.Epoch, out.epoch)
 		}
-		rep.Applied += out.res.Applied
-		rep.Inserted += out.res.Inserted
-		rep.Deleted += out.res.Deleted
-		rep.Removed += out.res.Removed
-		rep.NewNodes = append(rep.NewNodes, m.GlobalizeNodes(urs[i].Shard, out.res.NewNodes)...)
-		rep.BatchSize += out.batchSize
-		rep.Epoch = max(rep.Epoch, out.epoch)
 	}
-	if failed == -1 {
-		if len(outs) == 1 {
-			rep.Seq = outs[0].seq
-		}
-		writeJSON(w, http.StatusOK, rep)
+	res, err := s.store.Map().Fold(parts, folded)
+	if err != nil {
+		s.updateError(w, err, res.Applied)
 		return
 	}
-	out := outs[failed]
-	err := m.Globalize(urs[failed].Part, out.err)
+	rep.Applied, rep.Inserted, rep.Deleted, rep.Removed, rep.NewNodes = res.Applied, res.Inserted, res.Deleted, res.Removed, res.NewNodes
+	if len(outs) == 1 {
+		rep.Seq = outs[0].seq
+	}
+	writeJSON(w, http.StatusOK, rep)
+}
+
+// updateError renders a refused or failed update, err in the request's
+// coordinates; applied is how many of its ops committed all the same.
+func (s *Server) updateError(w http.ResponseWriter, err error, applied int) {
 	var nle *structix.NotLeaderError
 	var be *graph.BatchError
 	var oe *opscript.OpError
 	switch {
-	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrShuttingDown):
-		s.rejectSubmit(w, err, rep.Applied)
+	case errors.Is(err, ErrShuttingDown):
+		s.m.rejected.Add(1)
+		s.writeError(w, http.StatusServiceUnavailable, ErrorReply{Error: err.Error(), Code: CodeShuttingDown, Applied: applied})
+	case errors.Is(err, ErrOverloaded):
+		s.m.rejected.Add(1)
+		s.writeError(w, http.StatusTooManyRequests, ErrorReply{Error: err.Error(), Code: CodeOverloaded, Applied: applied})
 	case errors.As(err, &nle):
 		s.m.notLeader.Add(1)
 		s.writeError(w, http.StatusMisdirectedRequest, ErrorReply{Error: err.Error(), Code: CodeNotLeader, Leader: nle.Leader})
 	case errors.As(err, &be):
 		erep := BatchErrorReply(be)
-		erep.Applied = rep.Applied
+		erep.Applied = applied
 		s.writeError(w, http.StatusConflict, erep)
 	case errors.As(err, &oe):
 		i, op := oe.Index, oe.Op
@@ -517,10 +469,10 @@ func (s *Server) respondUpdate(w http.ResponseWriter, urs []*updateReq, outs []u
 			OpIndex: &i,
 			Op:      &op,
 			Cause:   CauseString(oe.Err),
-			Applied: out.res.Applied,
+			Applied: applied,
 		})
 	default:
-		s.writeError(w, http.StatusInternalServerError, ErrorReply{Error: err.Error(), Code: "internal", Applied: rep.Applied})
+		s.writeError(w, http.StatusInternalServerError, ErrorReply{Error: err.Error(), Code: "internal", Applied: applied})
 	}
 }
 

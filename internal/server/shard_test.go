@@ -170,6 +170,16 @@ func TestShardedServerUpdateRouting(t *testing.T) {
 		t.Fatalf("cross-shard insert: op index %v, want 0", er.OpIndex)
 	}
 
+	// A script whose ops disagree on a shard: refused at the first op that
+	// disagrees, as a failed script op, before anything commits.
+	body = fmt.Sprintf(`{"ops":[{"op":"addnode","label":"n","parent":%d},{"op":"addnode","label":"n","parent":%d}]}`, u, v)
+	code, b = postJSON(t, h, "/v1/update", body)
+	er = ErrorReply{}
+	if err := json.Unmarshal(b, &er); err != nil || code != http.StatusConflict || er.Code != CodeOpFailed || er.Cause != causeCrossShard ||
+		er.OpIndex == nil || *er.OpIndex != 1 || er.Op == nil || er.Op.V != v || er.Applied != 0 {
+		t.Fatalf("cross-shard script: status %d: %s", code, b)
+	}
+
 	// A script grafting a new top-level node routes by label placement and
 	// returns a global id queries can see.
 	before := queryNodes(t, h, "/q").Count
@@ -281,7 +291,7 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 		t.Fatalf("batchedOps after clean window: %d, want 2", got)
 	}
 	o1, o2 := <-r1.done, <-r2.done
-	if o1.err != nil || o2.err != nil || o1.epoch != o2.epoch {
+	if o1.Err != nil || o2.Err != nil || o1.epoch != o2.epoch {
 		t.Fatalf("clean window outcomes: %+v / %+v", o1, o2)
 	}
 
@@ -295,10 +305,10 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 	f3 := mk(graph.DeleteOp(a, b))
 	com.commit([]*updateReq{f1, f2, f3})
 	out1, out2, out3 := <-f1.done, <-f2.done, <-f3.done
-	if out1.err != nil || out3.err != nil {
-		t.Fatalf("fallback members failed: %v / %v", out1.err, out3.err)
+	if out1.Err != nil || out3.Err != nil {
+		t.Fatalf("fallback members failed: %v / %v", out1.Err, out3.Err)
 	}
-	if out2.err == nil {
+	if out2.Err == nil {
 		t.Fatal("duplicate member committed, want rejection")
 	}
 	if out1.epoch != e0+1 || out3.epoch != e0+2 {

@@ -68,13 +68,17 @@ type QueryReply struct {
 // requests into one ApplyBatch. A request containing node or subtree
 // operations is applied alone with script (stop-at-first-error) semantics.
 //
-// On a sharded server atomicity is per shard: an edge request whose ops
-// span shards is split into per-shard sub-batches, each committing or
-// rejecting as a unit through its own pipeline. A rejection reply then
-// carries Applied = the ops that committed on other shards (always 0 on
-// one shard). Node/subtree scripts must route whole to a single shard;
-// a script whose ops disagree is refused with cause "cross_shard", as is
-// any single edge op whose endpoints live on different shards.
+// On a sharded server a request that spans shards commits per shard, the
+// rule the Go facade (structix.ShardedDB) follows too: an edge request
+// splits into one sub-batch per shard, and each commits or rejects as a
+// unit through its own shard's pipeline, whatever the others did. A
+// rejection reply then carries Applied = the ops the other parts
+// committed (always 0 on one shard). Each shard journals only its own
+// parts, so after a crash every shard recovers a prefix of its own parts.
+// A node/subtree script must route whole to one shard: its first op that
+// disagrees is refused (op_failed, cause "cross_shard", that op's index),
+// and an edge op whose endpoints live on different shards refuses its
+// request (batch_rejected, cause "cross_shard") before any part commits.
 type UpdateRequest struct {
 	Ops []opscript.Op `json:"ops"`
 }

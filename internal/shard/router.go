@@ -35,6 +35,7 @@ import (
 	"slices"
 
 	"structix/internal/graph"
+	"structix/internal/maint"
 	"structix/internal/opscript"
 	"structix/internal/wal"
 )
@@ -200,26 +201,6 @@ func (m *Map) localOn(s int, g graph.NodeID) graph.NodeID {
 	return m.r.LocalOf(g)
 }
 
-// SplitEdges partitions a batch of edge ops (global ids) by shard. It
-// returns, per shard, the translated sub-batch and the original batch
-// index of each of its ops (for re-basing a *graph.BatchError into the
-// caller's coordinate space). Shards with no ops get nil slices.
-func (m *Map) SplitEdges(ops []graph.EdgeOp) (perShard [][]graph.EdgeOp, origIdx [][]int, err error) {
-	perShard = make([][]graph.EdgeOp, m.r.n)
-	origIdx = make([][]int, m.r.n)
-	for i, op := range ops {
-		s, lu, lv, rerr := m.RouteEdge(op.U, op.V)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		lop := op
-		lop.U, lop.V = lu, lv
-		perShard[s] = append(perShard[s], lop)
-		origIdx[s] = append(origIdx[s], i)
-	}
-	return perShard, origIdx, nil
-}
-
 // Part is the share of one write record that lands on one shard: the
 // record in that shard's local ids, and for an edge batch the index in
 // the caller's record of each of its ops (nil when the indexes agree).
@@ -229,32 +210,52 @@ type Part struct {
 	Orig  []int
 }
 
+// SplitEdges is Route for an edge batch (global ids): one part per shard
+// the batch has ops for, in shard order, each op in local ids and its
+// index in ops kept in Orig. The first op whose endpoints live on
+// different shards is a *graph.BatchError with cause ErrCrossShard, in
+// the caller's coordinates.
+func (m *Map) SplitEdges(ops []graph.EdgeOp) ([]Part, error) {
+	per := make([]Part, m.r.n)
+	for i, op := range ops {
+		s, lu, lv, err := m.RouteEdge(op.U, op.V)
+		if err != nil {
+			return nil, &graph.BatchError{OpIndex: i, Op: op, Err: err}
+		}
+		if per[s].Rec == nil {
+			per[s] = Part{Shard: s, Rec: &wal.Record{Kind: wal.RecEdges}}
+		}
+		op.U, op.V = lu, lv
+		per[s].Rec.Edges = append(per[s].Rec.Edges, op)
+		per[s].Orig = append(per[s].Orig, i)
+	}
+	return slices.DeleteFunc(per, func(p Part) bool { return p.Rec == nil }), nil
+}
+
 // Route splits a write record (global ids) into per-shard parts, in shard
 // order, touching no shard it has no op for. An edge batch splits op by op
 // (SplitEdges); a script is a sequential stream against one index, so it
 // routes whole to one shard (see routeScript); a subgraph goes whole to
 // the shard its cross edges name — one attached to the root alone (or
 // detached) is a new top-level subtree, placed by the label of its attach
-// point. A record that would span shards is ErrCrossShard, and an empty
-// edge batch has no parts. On one shard every id is already local and a
-// non-empty record is its own part.
+// point. A record that would span shards is refused in the caller's
+// coordinates: a *graph.BatchError at an edge batch's first cross-shard
+// op, an *opscript.OpError at a script's first op that disagrees on the
+// shard, ErrCrossShard for a subgraph. A record with no op has no parts.
+// On one shard every id is already local and a record is its own part.
+//
+// The parts commit independently (see Fold): they touch disjoint graphs,
+// so nothing in the index needs them to commit together.
 func (m *Map) Route(rec *wal.Record) ([]Part, error) {
-	if m.r.n == 1 && rec.Ops() > 0 {
+	if rec.Ops() == 0 {
+		return nil, nil
+	}
+	if m.r.n == 1 {
 		return []Part{{Rec: rec}}, nil
 	}
 	switch rec.Kind {
 	case wal.RecEdges:
-		per, orig, err := m.SplitEdges(rec.Edges)
-		if err != nil {
-			return nil, err
-		}
-		var parts []Part
-		for s := range per {
-			if per[s] != nil {
-				parts = append(parts, Part{Shard: s, Rec: &wal.Record{Kind: wal.RecEdges, Edges: per[s]}, Orig: orig[s]})
-			}
-		}
-		return parts, nil
+		return m.SplitEdges(rec.Edges)
 	case wal.RecScript:
 		s, err := m.routeScript(rec.Script)
 		if err != nil {
@@ -306,49 +307,39 @@ func (m *Map) localCross(s int, cross []graph.CrossEdge) []graph.CrossEdge {
 // routeScript picks the one shard a script runs on: edge ops route like
 // RouteEdge, delnode/delsub by their target, and addnode by its parent —
 // except an addnode directly under the global root, which is a new
-// top-level subtree and is placed by its label. A script whose ops
-// disagree is ErrCrossShard. A script whose every op is placement-free
-// (all ops target the root alone) routes to the placement of the first
-// addnode label, or shard 0 if there is none.
+// top-level subtree and is placed by its label. The first op that
+// disagrees with the ops before it is an *opscript.OpError with cause
+// ErrCrossShard. A script whose every op is placement-free (all ops
+// target the root alone) routes to shard 0.
 func (m *Map) routeScript(ops []opscript.Op) (int, error) {
 	s := -1
-	claim := func(t int) error {
-		if s == -1 {
-			s = t
-		} else if s != t {
-			return ErrCrossShard
-		}
-		return nil
-	}
-	for _, op := range ops {
-		var err error
+	for i, op := range ops {
+		t := -1
 		switch op.Kind {
 		case opscript.Insert, opscript.Delete:
-			switch {
-			case m.IsRoot(op.U) && m.IsRoot(op.V):
-				// degenerate; any shard rejects it identically
-			case m.IsRoot(op.U):
-				err = claim(m.r.ShardOf(op.V))
-			case m.IsRoot(op.V):
-				err = claim(m.r.ShardOf(op.U))
-			case m.r.ShardOf(op.U) != m.r.ShardOf(op.V):
-				err = ErrCrossShard
-			default:
-				err = claim(m.r.ShardOf(op.U))
+			var err error
+			if t, _, _, err = m.RouteEdge(op.U, op.V); err != nil {
+				return 0, &opscript.OpError{Index: i, Op: op, Err: err}
+			}
+			if m.IsRoot(op.U) && m.IsRoot(op.V) {
+				t = -1 // degenerate; any shard rejects it identically
 			}
 		case opscript.AddNode:
 			if m.IsRoot(op.V) {
-				err = claim(m.r.Place(op.Label))
+				t = m.r.Place(op.Label)
 			} else {
-				err = claim(m.r.ShardOf(op.V))
+				t = m.r.ShardOf(op.V)
 			}
 		default: // DelNode, DelSub
 			if !m.IsRoot(op.U) {
-				err = claim(m.r.ShardOf(op.U))
+				t = m.r.ShardOf(op.U)
 			}
 		}
-		if err != nil {
-			return 0, err
+		if t != -1 && s != -1 && t != s {
+			return 0, &opscript.OpError{Index: i, Op: op, Err: ErrCrossShard}
+		}
+		if s == -1 {
+			s = t
 		}
 	}
 	return max(s, 0), nil
@@ -374,26 +365,60 @@ func (m *Map) AppendGlobal(dst []graph.NodeID, s int, locals []graph.NodeID) []g
 	return dst
 }
 
+// Outcome is what committing one part produced: its result in the
+// shard's local ids, and its error.
+type Outcome struct {
+	Res opscript.Result
+	Err error
+}
+
+// Fold combines the outcomes of a record's parts, outs[i] being parts[i]'s,
+// into the record's one outcome in the caller's coordinates: the counts
+// summed, NewNodes globalized and concatenated in part order, and the
+// first failing part's error re-based by Globalize. Each part commits on
+// its own shard whatever its siblings did, so a failed part leaves the
+// others' commits standing and the summed Applied counts them.
+func (m *Map) Fold(parts []Part, outs []Outcome) (opscript.Result, error) {
+	var res opscript.Result
+	var err error
+	for i, o := range outs {
+		res.Applied += o.Res.Applied
+		res.Inserted += o.Res.Inserted
+		res.Deleted += o.Res.Deleted
+		res.Removed += o.Res.Removed
+		res.NewNodes = append(res.NewNodes, m.GlobalizeNodes(parts[i].Shard, o.Res.NewNodes)...)
+		if o.Err != nil && err == nil {
+			err = m.Globalize(parts[i], o.Err)
+		}
+	}
+	return res, err
+}
+
 // Globalize re-bases an error from part p into the caller's coordinate
 // space: a *graph.BatchError's op index through p.Orig and its op's node
 // ids to global, an *opscript.OpError's op ids to global (a script routes
-// whole, so its index already agrees). Other errors pass through.
+// whole, so its index already agrees), and a *maint.NodeError's node id
+// to global, also as the cause of either. Other errors pass through.
 func (m *Map) Globalize(p Part, err error) error {
 	var be *graph.BatchError
-	if errors.As(err, &be) {
+	var oe *opscript.OpError
+	var ne *maint.NodeError
+	cause := Part{Shard: p.Shard}
+	switch {
+	case errors.As(err, &be):
 		idx := be.OpIndex
 		if p.Orig != nil && idx >= 0 && idx < len(p.Orig) {
 			idx = p.Orig[idx]
 		}
 		op := be.Op
 		op.U, op.V = m.ToGlobal(p.Shard, op.U), m.ToGlobal(p.Shard, op.V)
-		return &graph.BatchError{OpIndex: idx, Op: op, Err: be.Err}
-	}
-	var oe *opscript.OpError
-	if errors.As(err, &oe) {
+		return &graph.BatchError{OpIndex: idx, Op: op, Err: m.Globalize(cause, be.Err)}
+	case errors.As(err, &oe):
 		op := oe.Op
 		op.U, op.V = m.ToGlobal(p.Shard, op.U), m.ToGlobal(p.Shard, op.V)
-		return &opscript.OpError{Index: oe.Index, Op: op, Err: oe.Err}
+		return &opscript.OpError{Index: oe.Index, Op: op, Err: m.Globalize(cause, oe.Err)}
+	case errors.As(err, &ne):
+		return &maint.NodeError{Text: ne.Text, Node: m.ToGlobal(p.Shard, ne.Node), Err: ne.Err}
 	}
 	return err
 }

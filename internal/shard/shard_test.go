@@ -2,10 +2,13 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"structix/internal/graph"
+	"structix/internal/maint"
 	"structix/internal/opscript"
 	"structix/internal/wal"
 )
@@ -114,15 +117,19 @@ func TestSplitEdges(t *testing.T) {
 		graph.InsertOp(r.GlobalOf(1, 1), r.GlobalOf(1, 2), graph.IDRef),
 		graph.DeleteOp(r.GlobalOf(0, 1), r.GlobalOf(0, 2)),
 	}
-	per, idx, err := m.SplitEdges(ops)
+	parts, err := m.SplitEdges(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(parts) != 2 || parts[0].Shard != 0 || parts[1].Shard != 1 {
+		t.Fatalf("split into %+v", parts)
+	}
+	per := [][]graph.EdgeOp{parts[0].Rec.Edges, parts[1].Rec.Edges}
 	if len(per[0]) != 2 || len(per[1]) != 1 {
 		t.Fatalf("split sizes %d/%d", len(per[0]), len(per[1]))
 	}
-	if idx[0][0] != 0 || idx[0][1] != 2 || idx[1][0] != 1 {
-		t.Fatalf("orig indexes %v %v", idx[0], idx[1])
+	if !reflect.DeepEqual(parts[0].Orig, []int{0, 2}) || !reflect.DeepEqual(parts[1].Orig, []int{1}) {
+		t.Fatalf("orig indexes %v %v", parts[0].Orig, parts[1].Orig)
 	}
 	if per[0][0].U != 1 || per[0][0].V != 2 || !per[0][0].Insert {
 		t.Fatalf("translated op %+v", per[0][0])
@@ -130,10 +137,66 @@ func TestSplitEdges(t *testing.T) {
 
 	// Re-base a shard-local rejection back into the caller's frame.
 	be := &graph.BatchError{OpIndex: 1, Op: per[0][1], Err: graph.ErrNoEdge}
-	got := m.Globalize(Part{Shard: 0, Orig: idx[0]}, be)
+	got := m.Globalize(parts[0], be)
 	var gbe *graph.BatchError
 	if !errors.As(got, &gbe) || gbe.OpIndex != 2 || gbe.Op.U != ops[2].U || !errors.Is(gbe.Err, graph.ErrNoEdge) {
 		t.Fatalf("globalized batch error %v", got)
+	}
+}
+
+// TestRouteRejectsTyped: a record that would span shards is refused in
+// the caller's coordinates, and a record with no op has no parts.
+func TestRouteRejectsTyped(t *testing.T) {
+	m := testMap(t, 2)
+	r := m.Router()
+	ops := []graph.EdgeOp{
+		graph.InsertOp(r.GlobalOf(0, 1), r.GlobalOf(0, 2), graph.Tree),
+		graph.InsertOp(r.GlobalOf(0, 1), r.GlobalOf(1, 2), graph.IDRef),
+	}
+	_, err := m.Route(&wal.Record{Kind: wal.RecEdges, Edges: ops})
+	var be *graph.BatchError
+	if !errors.As(err, &be) || be.OpIndex != 1 || be.Op != ops[1] || !errors.Is(err, ErrCrossShard) {
+		t.Fatalf("cross-shard batch err = %v, want op 1 ErrCrossShard", err)
+	}
+	for _, n := range []int{1, 2} {
+		for _, rec := range []*wal.Record{
+			{Kind: wal.RecEdges},
+			{Kind: wal.RecScript},
+			{Kind: wal.RecSubgraph, Sub: &wal.SubgraphPayload{}},
+		} {
+			if parts, err := testMap(t, n).Route(rec); parts != nil || err != nil {
+				t.Fatalf("%d shards: empty %v record: %v, %v", n, rec.Kind, parts, err)
+			}
+		}
+	}
+}
+
+// TestFold: the parts' results sum, their new ids globalize in part
+// order, and the first failing part's error comes back re-based — node
+// ids inside its cause included.
+func TestFold(t *testing.T) {
+	m := testMap(t, 3)
+	r := m.Router()
+	parts := []Part{{Shard: 0}, {Shard: 1}, {Shard: 2}}
+	dead := &maint.NodeError{Text: "maint: node %d", Node: 4, Err: graph.ErrDeadNode}
+	outs := []Outcome{
+		{Res: opscript.Result{Applied: 2, Inserted: 1, NewNodes: []graph.NodeID{4}}},
+		{Res: opscript.Result{Applied: 1, Removed: 3}, Err: &opscript.OpError{Index: 1, Op: opscript.Op{Kind: opscript.DelNode, U: 4}, Err: dead}},
+		{Err: graph.ErrNoEdge},
+	}
+	res, err := m.Fold(parts, outs)
+	want := opscript.Result{Applied: 3, Inserted: 1, Removed: 3, NewNodes: []graph.NodeID{r.GlobalOf(0, 4)}}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("folded %+v, want %+v", res, want)
+	}
+	var oe *opscript.OpError
+	var ne *maint.NodeError
+	g := r.GlobalOf(1, 4)
+	if !errors.As(err, &oe) || oe.Op.U != g || !errors.As(err, &ne) || ne.Node != g || !errors.Is(err, graph.ErrDeadNode) {
+		t.Fatalf("folded error %v, want op and node %d", err, g)
+	}
+	if want := fmt.Sprintf("opscript: op 2 (delnode): maint: node %d: graph: no such live node", g); err.Error() != want {
+		t.Fatalf("folded error %q, want %q", err, want)
 	}
 }
 
@@ -167,8 +230,14 @@ func TestRouteScript(t *testing.T) {
 		{Kind: opscript.DelNode, U: r.GlobalOf(1, 5)},
 		{Kind: opscript.DelNode, U: r.GlobalOf(2, 5)},
 	}
-	if _, _, err := routeScript(bad); !errors.Is(err, ErrCrossShard) {
-		t.Fatalf("cross-shard script err = %v", err)
+	var oe *opscript.OpError
+	if _, _, err := routeScript(bad); !errors.As(err, &oe) || oe.Index != 1 || oe.Op != bad[1] || !errors.Is(err, ErrCrossShard) {
+		t.Fatalf("cross-shard script err = %v, want op 1 ErrCrossShard", err)
+	}
+	// An edge op across shards is refused at that op, in caller ids.
+	mixed := []opscript.Op{bad[0], {Kind: opscript.Insert, U: r.GlobalOf(1, 5), V: r.GlobalOf(2, 5)}}
+	if _, _, err := routeScript(mixed); !errors.As(err, &oe) || oe.Index != 1 || oe.Op != mixed[1] || !errors.Is(err, ErrCrossShard) {
+		t.Fatalf("cross-shard edge in script err = %v, want op 1 ErrCrossShard", err)
 	}
 
 	// DelSub of a whole top-level subtree routes by the target.

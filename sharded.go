@@ -36,30 +36,54 @@ import (
 // is applied. New top-level subtrees (nodes or subgraphs grafted under
 // the root) are placed deterministically by label hash.
 //
-// Writes touching a single shard run concurrently with writes on other
-// shards. A batch spanning several shards takes the facade's exclusive
-// lock, pre-validates every shard's sub-batch, and only then applies:
-// a rejected cross-shard batch applies nothing anywhere, and once
-// validation passes the per-shard applies cannot fail (the lock excludes
-// every other facade writer). Reads never lock: Snapshot gathers each
-// shard's current epoch snapshot — a vector of per-shard snapshots, each
-// internally consistent; cross-shard reads are per-shard consistent, not
-// a global point-in-time cut.
+// A write is one journal record, routed by shard.Map.Route into one part
+// per shard it touches. A record that spans shards commits per shard, the
+// same rule the server follows: each part commits on its own shard, as
+// its own commit window, whatever its siblings did, and the outcomes fold
+// into one (shard.Map.Fold) — the parts' results summed, plus the first
+// failing part's error. A rejection thus leaves the other parts
+// committed, and the result's Applied counts them. Each shard journals
+// only its own parts, so after a crash every shard recovers a prefix of
+// its own parts. Writes on different shards run concurrently. Reads
+// never lock: Snapshot gathers each shard's current epoch snapshot — a
+// vector of per-shard snapshots, each internally consistent; cross-shard
+// reads are per-shard consistent, not a global point-in-time cut.
 type ShardedDB struct {
 	shards []*DB
 	m      *shard.Map
 	dir    string
+	labels *labelSpace
+}
 
-	// wmu lets single-shard writes run concurrently (RLock) while a
-	// cross-shard batch gets the whole facade to itself (Lock).
-	wmu sync.RWMutex
+// labelSpace is the facade's own label space for the public Subgraph
+// surface: a Subgraph returned by DeleteSubtree carries its LabelIDs.
+// Shard interners are private (sharing one across concurrently
+// committing shards would race), so this one has its own lock.
+type labelSpace struct {
+	mu sync.Mutex
+	in *graph.Interner
+}
 
-	// The facade's own label space for the public Subgraph surface: a
-	// Subgraph returned by DeleteSubtree carries LabelIDs of this
-	// interner (shard interners are private — sharing one across
-	// concurrently committing shards would race).
-	lmu    sync.Mutex
-	labels *graph.Interner
+// ids interns names, in order.
+func (ls *labelSpace) ids(names []string) []graph.LabelID {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ids := make([]graph.LabelID, len(names))
+	for i, name := range names {
+		ids[i] = ls.in.Intern(name)
+	}
+	return ids
+}
+
+// names resolves ids, in order.
+func (ls *labelSpace) names(ids []graph.LabelID) []string {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	names := make([]string, len(ids))
+	for i, l := range ids {
+		names[i] = ls.in.Name(l)
+	}
+	return names
 }
 
 const shardManifest = "shards"
@@ -206,16 +230,16 @@ func wrap(shards []*DB) *ShardedDB {
 	return &ShardedDB{
 		shards: shards,
 		m:      shard.NewMap(shard.NewRouter(len(shards)), roots),
-		labels: graph.NewInterner(),
+		labels: &labelSpace{in: graph.NewInterner()},
 	}
 }
 
 // NumShards returns the shard count.
 func (sdb *ShardedDB) NumShards() int { return len(sdb.shards) }
 
-// Shard returns shard s's DB. Direct writes on it take shard-local ids
-// and bypass the facade's cross-shard coordination; the server's
-// per-shard committers use this, routing through Map first.
+// Shard returns shard s's DB. Writes on it take shard-local ids; the
+// server's per-shard committers write through it, routing with Map first
+// and folding the outcomes with Map.Fold, exactly as the facade does.
 func (sdb *ShardedDB) Shard(s int) *DB { return sdb.shards[s] }
 
 // Map returns the global↔local translation layer.
@@ -229,14 +253,13 @@ func (sdb *ShardedDB) GlobalRoot() NodeID { return sdb.m.GlobalRoot() }
 
 // ---- write path ----
 
-// ApplyBatch applies a batch of edge updates (global ids) atomically.
-// A batch confined to one shard commits on that shard alone, concurrently
-// with other shards' writers. A cross-shard batch takes the facade
-// exclusively, validates every shard's sub-batch, then commits them
-// shard by shard — nothing is applied unless everything validates.
-// A rejected batch returns *BatchError with indices and ids in the
-// caller's (global) coordinates; a batch that would create a cross-shard
-// edge is rejected with shard.ErrCrossShard.
+// ApplyBatch applies a batch of edge updates (global ids). The batch's
+// part on each shard commits atomically, as its own commit window on that
+// shard; a part rejected on one shard leaves the others committed. The
+// first rejected part's *BatchError comes back with its index and ids in
+// the caller's (global) coordinates; a batch with an edge across shards
+// is refused before anything commits, a *BatchError with cause
+// shard.ErrCrossShard at the first such op.
 func (sdb *ShardedDB) ApplyBatch(ops []EdgeOp) error {
 	_, err := sdb.write(&wal.Record{Kind: wal.RecEdges, Edges: ops})
 	return err
@@ -245,46 +268,26 @@ func (sdb *ShardedDB) ApplyBatch(ops []EdgeOp) error {
 // ApplyScript runs an op script (global ids) with stop-at-first-error
 // semantics. A script is a sequential program against one index, so all
 // its ops must route to the same shard (an addnode under the global root
-// is placed by its label; the rest of the script follows). Result ids and
-// any *OpError come back in global coordinates.
+// is placed by its label; the rest of the script follows); the first op
+// that disagrees is an *OpError with cause shard.ErrCrossShard. Result
+// ids and any *OpError come back in global coordinates.
 func (sdb *ShardedDB) ApplyScript(ops []ScriptOp) (OpResult, error) {
 	return sdb.write(&wal.Record{Kind: wal.RecScript, Script: ops})
 }
 
-// write routes a record (global ids) through the shard map and commits
-// each part as its own window on its shard. One part runs concurrently
-// with other shards' writers; several (only an edge batch splits) take
-// the facade exclusively and are validated before any applies, so once
-// validation passes the per-shard writes cannot fail (the lock excludes
-// every other facade writer). Result ids and errors come back global.
+// write routes a record (global ids) through the shard map, commits each
+// part as its own window on its shard, and folds the outcomes (see the
+// type's doc).
 func (sdb *ShardedDB) write(rec *wal.Record) (OpResult, error) {
 	parts, err := sdb.m.Route(rec)
-	if err != nil || len(parts) == 0 {
+	if err != nil {
 		return OpResult{}, err
 	}
-	if len(parts) == 1 {
-		p := parts[0]
-		sdb.wmu.RLock()
-		res, _, err := sdb.shards[p.Shard].writeWindow(p.Rec)
-		sdb.wmu.RUnlock()
-		res.NewNodes = sdb.m.GlobalizeNodes(p.Shard, res.NewNodes)
-		return res, sdb.m.Globalize(p, err)
+	outs := make([]shard.Outcome, len(parts))
+	for i, p := range parts {
+		outs[i].Res, _, outs[i].Err = sdb.shards[p.Shard].writeWindow(p.Rec)
 	}
-	sdb.wmu.Lock()
-	defer sdb.wmu.Unlock()
-	for _, p := range parts {
-		if err := sdb.shards[p.Shard].ValidateBatch(p.Rec.Edges); err != nil {
-			return OpResult{}, sdb.m.Globalize(p, err)
-		}
-	}
-	for _, p := range parts {
-		if _, _, err := sdb.shards[p.Shard].writeWindow(p.Rec); err != nil {
-			// Unreachable by construction: validation passed and the
-			// exclusive lock excludes every other facade writer.
-			return OpResult{}, sdb.m.Globalize(p, err)
-		}
-	}
-	return opscript.BatchResult(rec.Edges), nil
+	return sdb.m.Fold(parts, outs)
 }
 
 // InsertEdge inserts a dedge (global ids) as its own commit window.
@@ -322,18 +325,11 @@ func (sdb *ShardedDB) DeleteNode(v NodeID) error {
 // to re-graft anywhere via AddSubgraph.
 func (sdb *ShardedDB) DeleteSubtree(root NodeID) (*Subgraph, error) {
 	s, l := sdb.m.Resolve(root)
-	sdb.wmu.RLock()
 	names, sg, err := sdb.shards[s].DeleteSubtreeNamed(l)
-	sdb.wmu.RUnlock()
 	if err != nil {
-		return nil, err
+		return nil, sdb.m.Globalize(shard.Part{Shard: s}, err)
 	}
-	sdb.lmu.Lock()
-	sg.Labels = make([]graph.LabelID, len(names))
-	for i, name := range names {
-		sg.Labels[i] = sdb.labels.Intern(name)
-	}
-	sdb.lmu.Unlock()
+	sg.Labels = sdb.labels.ids(names)
 	sg.Members = sdb.m.GlobalizeNodes(s, sg.Members)
 	for i := range sg.CrossIn {
 		sg.CrossIn[i].Outside = sdb.m.ToGlobal(s, sg.CrossIn[i].Outside)
@@ -355,13 +351,7 @@ func (sdb *ShardedDB) AddSubgraph(sg *Subgraph) ([]NodeID, error) {
 	if err := sg.Check(); err != nil {
 		return nil, err
 	}
-	sdb.lmu.Lock()
-	names := make([]string, len(sg.Labels))
-	for i, l := range sg.Labels {
-		names[i] = sdb.labels.Name(l)
-	}
-	sdb.lmu.Unlock()
-	res, err := sdb.write(&wal.Record{Kind: wal.RecSubgraph, Sub: payloadOf(names, sg)})
+	res, err := sdb.write(&wal.Record{Kind: wal.RecSubgraph, Sub: payloadOf(sdb.labels.names(sg.Labels), sg)})
 	if err != nil {
 		return nil, err
 	}
@@ -389,11 +379,8 @@ func (sdb *ShardedDB) Validate() error {
 }
 
 // SetExtentCodec switches every shard's snapshot extent representation
-// (see DB.SetExtentCodec). Taken under the facade's exclusive lock so the
-// per-shard re-freezes do not interleave with cross-shard batches.
+// (see DB.SetExtentCodec), shard by shard.
 func (sdb *ShardedDB) SetExtentCodec(c ExtentCodec) error {
-	sdb.wmu.Lock()
-	defer sdb.wmu.Unlock()
 	for s, db := range sdb.shards {
 		if err := db.SetExtentCodec(c); err != nil {
 			return fmt.Errorf("structix: shard %d: %w", s, err)

@@ -1,6 +1,7 @@
 package structix
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,8 +11,16 @@ import (
 	"sync"
 	"testing"
 
+	"structix/internal/graph"
+	"structix/internal/maint"
 	"structix/internal/opscript"
+	"structix/internal/shard"
+	"structix/internal/wal"
 )
+
+// WriteRecord is the facade's one write, exported to the external tests:
+// the folded outcome of a record, which ApplyBatch reduces to its error.
+func (sdb *ShardedDB) WriteRecord(rec *wal.Record) (OpResult, error) { return sdb.write(rec) }
 
 // shardForest builds a graph of comps independent top-level subtrees
 // (the unit of shard placement), each a small random tree plus a few
@@ -265,7 +274,7 @@ func testShardedEquivalence(t *testing.T, n int, seed int64) {
 }
 
 // TestShardedConcurrentWriters drives one writer per shard through the
-// facade (the concurrent RLock path) while readers evaluate merged
+// facade while readers evaluate merged
 // results, then checks the end state equals an unsharded store that
 // applied the same ops. Run with -race this pins the claim that per-shard
 // commits are coordination-free.
@@ -402,12 +411,93 @@ func TestShardedCrossShardRejected(t *testing.T) {
 	if a == InvalidNode || b == InvalidNode {
 		t.Skip("could not find nodes on two shards")
 	}
-	if err := sdb.InsertEdge(a, b, IDRef); err == nil {
-		t.Fatal("cross-shard edge accepted")
+	if err := sdb.InsertEdge(a, b, IDRef); !errors.Is(err, shard.ErrCrossShard) {
+		t.Fatalf("cross-shard edge: %v, want ErrCrossShard", err)
 	}
-	if err := sdb.ApplyBatch([]EdgeOp{InsertOp(a, b, IDRef)}); err == nil {
-		t.Fatal("cross-shard batch accepted")
+	// The refusal names the op in the caller's coordinates, as the wire
+	// does, and nothing commits — not even the batch's other parts.
+	same := InsertOp(a, sdb.GlobalRoot(), IDRef)
+	var be *BatchError
+	err := sdb.ApplyBatch([]EdgeOp{same, InsertOp(a, b, IDRef)})
+	if !errors.As(err, &be) || be.OpIndex != 1 || be.Op != InsertOp(a, b, IDRef) || !errors.Is(err, shard.ErrCrossShard) {
+		t.Fatalf("cross-shard batch: %v, want op 1 ErrCrossShard", err)
 	}
+	if err := sdb.ApplyBatch([]EdgeOp{same}); err != nil {
+		t.Fatalf("the refused batch's first op: %v; it committed", err)
+	}
+	var oe *opscript.OpError
+	_, err = sdb.ApplyScript([]ScriptOp{
+		{Kind: opscript.AddNode, Label: "n", V: a},
+		{Kind: opscript.AddNode, Label: "n", V: b},
+	})
+	if !errors.As(err, &oe) || oe.Index != 1 || oe.Op.V != b || !errors.Is(err, shard.ErrCrossShard) {
+		t.Fatalf("cross-shard script: %v, want op 1 ErrCrossShard", err)
+	}
+}
+
+// TestShardedEmptySubgraph: a subgraph with no nodes passes Check, and
+// the single store grafts nothing; the sharded store must agree, on any
+// shard count, rather than fail to place it.
+func TestShardedEmptySubgraph(t *testing.T) {
+	db := NewDB(BuildOneIndex(shardForest(4, 4, 4)))
+	defer db.Close()
+	want, err := db.AddSubgraph(&Subgraph{})
+	if err != nil || len(want) != 0 {
+		t.Fatalf("DB.AddSubgraph(empty) = %v, %v", want, err)
+	}
+	for _, n := range []int{1, 2, 3} {
+		sdb, _ := NewShardedDB(shardForest(4, 4, 4), n)
+		ids, err := sdb.AddSubgraph(&Subgraph{})
+		if err != nil || len(ids) != 0 {
+			t.Fatalf("%d shards: AddSubgraph(empty) = %v, %v", n, ids, err)
+		}
+		if err := sdb.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sdb.Close()
+	}
+}
+
+// TestShardedErrorsInGlobalIds: a refusal that names a node names the
+// caller's global id, whether it comes back from a script, a single-op
+// entry point, DeleteSubtree or AddSubgraph.
+func TestShardedErrorsInGlobalIds(t *testing.T) {
+	sdb, _ := NewShardedDB(shardForest(6, 8, 5), 2)
+	defer sdb.Close()
+	top, err := sdb.InsertNode("annex", sdb.GlobalRoot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := sdb.InsertNode("memo", top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sdb.DeleteNode(v); err != nil {
+		t.Fatal(err)
+	}
+	if sdb.Map().Router().LocalOf(v) == v {
+		t.Fatalf("node %d has the same id on its shard; the test shows nothing", v)
+	}
+	named := func(what string, err error, node NodeID, cause error) {
+		t.Helper()
+		var ne *maint.NodeError
+		if !errors.As(err, &ne) || ne.Node != node || !errors.Is(err, cause) {
+			t.Fatalf("%s: %v, want node %d: %v", what, err, node, cause)
+		}
+	}
+	named("DeleteNode", sdb.DeleteNode(v), v, ErrDeadNode)
+	_, err = sdb.DeleteSubtree(v)
+	named("DeleteSubtree", err, v, ErrDeadNode)
+	_, err = sdb.DeleteSubtree(sdb.GlobalRoot())
+	named("DeleteSubtree(root)", err, sdb.GlobalRoot(), ErrRootNode)
+	_, err = sdb.ApplyScript([]ScriptOp{{Kind: opscript.DelSub, U: v}})
+	var oe *opscript.OpError
+	if !errors.As(err, &oe) || oe.Op.U != v {
+		t.Fatalf("delsub script: %v, want op on %d", err, v)
+	}
+	named("delsub script", err, v, ErrDeadNode)
+	_, err = sdb.AddSubgraph(&Subgraph{Labels: []graph.LabelID{0}, Values: []string{""}, CrossOut: []graph.CrossEdge{{Outside: v, Kind: IDRef}}})
+	named("AddSubgraph", err, v, ErrDeadNode)
 }
 
 // TestOpenShardedDurable exercises the durable lifecycle: bootstrap,

@@ -26,9 +26,15 @@ import (
 //     (bench/ times AppendEdges alone and is not scanned);
 //   - when internal/server calls other than exactly one store write
 //     method;
-//   - when a name the one write path replaced is declared or used
-//     anywhere, or SplitEdges — kept because bench/ times it — is called
-//     outside internal/shard.
+//   - when shard.Map.Fold, the one fold of a record's per-shard outcomes,
+//     is called by other than ShardedDB.write and the server's
+//     respondUpdate, or internal/server re-bases ids by itself
+//     (Map.Globalize, Map.GlobalizeNodes) — one cross-shard rule;
+//   - when ShardedDB declares a lock field: its parts commit per shard,
+//     with no facade-wide coordination;
+//   - when a name the one write path or the one cross-shard rule
+//     replaced is declared or used anywhere, or SplitEdges — kept because
+//     bench/ times it — is called outside internal/shard.
 func TestOneWritePath(t *testing.T) {
 	mutators := map[string]bool{
 		"ApplyBatch": true, "InsertEdge": true, "DeleteEdge": true, "InsertNode": true,
@@ -54,6 +60,7 @@ func TestOneWritePath(t *testing.T) {
 	fset := token.NewFileSet()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	serverWrites := map[string]bool{}
+	folds := map[string]bool{}
 	for _, dir := range []string{".", "internal/server", "internal/repl"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -73,14 +80,31 @@ func TestOneWritePath(t *testing.T) {
 			t.Fatalf("%s: no files; the scan ran outside the module root", dir)
 		}
 		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		if _, err := conf.Check("structix/"+dir, fset, files, info); err != nil {
+		pkg, err := conf.Check("structix/"+dir, fset, files, info)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if dir == "." {
+			st := pkg.Scope().Lookup("ShardedDB").Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if ft := strings.TrimPrefix(st.Field(i).Type().String(), "*"); ft == "sync.Mutex" || ft == "sync.RWMutex" {
+					t.Errorf("ShardedDB.%s is a %s; a record's parts commit per shard, uncoordinated", st.Field(i).Name(), ft)
+				}
+			}
 		}
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
+				}
+				caller := fd.Name.Name
+				if fd.Recv != nil {
+					recv := fd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					caller = recv.(*ast.Ident).Name + "." + caller
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					sel, ok := n.(*ast.SelectorExpr)
@@ -106,6 +130,10 @@ func TestOneWritePath(t *testing.T) {
 						}
 					case dir == "internal/server" && s != nil && isStore(s.Recv()) && slices.Contains(storeWrites, name):
 						serverWrites[name] = true
+					case pkg == "structix/internal/shard" && name == "Fold":
+						folds[caller] = true
+					case dir == "internal/server" && pkg == "structix/internal/shard" && strings.HasPrefix(name, "Globalize"):
+						t.Errorf("%s: %s calls Map.%s; the server's outcomes re-base through Map.Fold", at, caller, name)
 					}
 					return true
 				})
@@ -115,12 +143,15 @@ func TestOneWritePath(t *testing.T) {
 	if len(serverWrites) != 1 {
 		t.Errorf("internal/server calls %d store write methods %v; it writes through exactly one", len(serverWrites), serverWrites)
 	}
+	if want := map[string]bool{"ShardedDB.write": true, "Server.respondUpdate": true}; !reflect.DeepEqual(folds, want) {
+		t.Errorf("shard.Map.Fold is called by %v; want exactly %v", folds, want)
+	}
 
 	replaced := map[string]bool{
 		"replayRecord": true, "graftPayload": true, "ApplyBatchWindowed": true, "ApplyScriptWindowed": true,
 		"EdgeOpOf": true, "RouteScript": true, "GlobalizeBatchError": true, "GlobalizeOpError": true,
 		"GlobalizeEdgeOp": true, "GlobalizeOp": true, "AppendScript": true, "AppendSubgraph": true,
-		"AppendRecord": true, "commitEdges": true,
+		"AppendRecord": true, "commitEdges": true, "ValidateBatch": true, "crossShardReply": true,
 	}
 	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))

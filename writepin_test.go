@@ -6,20 +6,61 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"structix"
+	"structix/internal/maint"
+	"structix/internal/opscript"
 	"structix/internal/server"
+	"structix/internal/wal"
 )
+
+// edgesOf is ops as an edge batch, when every op is an edge op — the
+// record the server makes of a request.
+func edgesOf(ops []structix.ScriptOp) ([]structix.EdgeOp, bool) {
+	edges := make([]structix.EdgeOp, len(ops))
+	for i, op := range ops {
+		var ok bool
+		if edges[i], ok = opscript.ToEdgeOp(op); !ok {
+			return nil, false
+		}
+	}
+	return edges, true
+}
+
+// globalIDs fails unless err, returned for ops (global ids), names only
+// the caller's ids: a rejected op is the op the caller sent, and a node
+// a refusal names is that op's node.
+func globalIDs(t *testing.T, ops []structix.ScriptOp, err error) {
+	t.Helper()
+	var be *structix.BatchError
+	var oe *opscript.OpError
+	var ne *maint.NodeError
+	switch {
+	case errors.As(err, &be):
+		if edges, _ := edgesOf(ops); be.Op != edges[be.OpIndex] {
+			t.Errorf("%v: op %d is %v", err, be.OpIndex, edges[be.OpIndex])
+		}
+	case errors.As(err, &oe):
+		if oe.Op != ops[oe.Index] {
+			t.Errorf("%v: op %d is %+v", err, oe.Index, ops[oe.Index])
+		}
+	}
+	if errors.As(err, &ne) && oe != nil && ne.Node != oe.Op.U && ne.Node != oe.Op.V {
+		t.Errorf("%v: names node %d, not one of op %+v's", err, ne.Node, oe.Op)
+	}
+}
 
 // writeDigest accumulates the three fingerprints TestWriteStreamPinned
 // holds: every reply a write returned, the dnode→inode map of the
@@ -103,7 +144,9 @@ func pinForest() (*structix.Database, error) {
 // a rejected member, and pins the SHA-256 of the replies, of the inode
 // map after every write and of the journal segments. The digests were
 // recorded before every store write became one journal record applied by
-// one function.
+// one function; the sharded one again when a record spanning shards began
+// to commit per shard, the server's rule (the rejected two-shard batch now
+// commits its shard-0 part) and refusals began to name global ids.
 func TestWriteStreamPinned(t *testing.T) {
 	want := map[string][3]string{
 		"db": {
@@ -112,9 +155,9 @@ func TestWriteStreamPinned(t *testing.T) {
 			"b74bc722898717fc13d92b96b41eece692f59f6cf64a45c43af0bb888318ab89",
 		},
 		"sharded": {
-			"a1a5084d8b9bbcdef1067e5a1cdc84544b9348ccc3cb9d6d2e96b2072f909f08",
-			"fb1eeb8d3a2bd10e80783324ee0b7ba2e7016f74973a4c9d60b104d8365575a1",
-			"627b4c85b6733d68e026dd91041aeceb358662e71a8b48649f6a719c804f898a",
+			"d41cd3fdc360ad9df0b7d3118f34c59176e10f8d131ae4de0ab14fc7253860d8",
+			"044d3fe6b1d867407d329ad12258a214073a75eedacbcb3388ba6afd9c9beda5",
+			"611ce0f4eba3c93da004be288685705ee6d9b863a7794fd0bcc0bb653e99edf9",
 		},
 		"window": {
 			"516eede0c9d6d6d9d182439253f6425fee84fab88c823664232911e3fb454510",
@@ -254,6 +297,146 @@ func TestWriteStreamPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, "sharded", d)
+	})
+
+	// The edge and script part of the sharded stream, plus a script whose
+	// ops disagree on a shard, through the facade and through the server
+	// over an identical store: one cross-shard rule means equal outcomes
+	// (applied counts, error texts — op indexes, ops and causes) and
+	// byte-identical per-shard journals and inode maps.
+	t.Run("sharded-server", func(t *testing.T) {
+		type outcome struct {
+			applied int
+			nodes   []structix.NodeID
+			err     string
+		}
+		type frontEnd struct {
+			sdb   *structix.ShardedDB
+			dir   string
+			d     *writeDigest
+			write func(ops []structix.ScriptOp) outcome
+		}
+		open := func() *frontEnd {
+			dir := t.TempDir()
+			sdb, err := structix.OpenSharded(dir, structix.Options{Shards: 2, Sync: structix.SyncNone, CompactEvery: -1, Bootstrap: pinForest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sdb.Close() })
+			return &frontEnd{sdb: sdb, dir: dir, d: newWriteDigest()}
+		}
+		fac, srv := open(), open()
+		fac.write = func(ops []structix.ScriptOp) outcome {
+			rec := &wal.Record{Kind: wal.RecScript, Script: ops}
+			if edges, ok := edgesOf(ops); ok {
+				rec = &wal.Record{Kind: wal.RecEdges, Edges: edges}
+			}
+			res, err := fac.sdb.WriteRecord(rec)
+			o := outcome{applied: res.Applied, nodes: res.NewNodes}
+			if err != nil {
+				o.err = err.Error()
+				globalIDs(t, ops, err)
+			}
+			return o
+		}
+		s := server.NewSharded(srv.sdb, server.Config{})
+		defer s.Shutdown(context.Background())
+		srv.write = func(ops []structix.ScriptOp) outcome {
+			b, err := json.Marshal(server.UpdateRequest{Ops: ops})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", strings.NewReader(string(b))))
+			if rec.Code == http.StatusOK {
+				var rep server.UpdateReply
+				if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+					t.Fatal(err)
+				}
+				return outcome{applied: rep.Applied, nodes: rep.NewNodes}
+			}
+			var rep server.ErrorReply
+			if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || rec.Code != http.StatusConflict {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			return outcome{applied: rep.Applied, err: rep.Error}
+		}
+
+		r := fac.sdb.Map().Router()
+		ps := fac.sdb.Eval(structix.MustParsePath("//person"))
+		as := fac.sdb.Eval(structix.MustParsePath("//open_auction"))
+		var on [2][]int
+		for i, p := range ps {
+			on[r.ShardOf(p)] = append(on[r.ShardOf(p)], i)
+		}
+		ins := func(s, i int) structix.ScriptOp {
+			j := on[s][i]
+			return structix.ScriptOp{Kind: structix.ScriptInsert, U: ps[j], V: as[j], Edge: structix.IDRef}
+		}
+		del := func(s, i int) structix.ScriptOp {
+			op := ins(s, i)
+			return structix.ScriptOp{Kind: structix.ScriptDelete, U: op.U, V: op.V}
+		}
+		var top, v structix.NodeID
+		steps := []struct {
+			name string
+			ops  func() []structix.ScriptOp
+			then func(o outcome)
+		}{
+			{"one-shard batch", func() []structix.ScriptOp { return []structix.ScriptOp{ins(0, 0), ins(0, 1)} }, nil},
+			{"two-shard batch", func() []structix.ScriptOp { return []structix.ScriptOp{ins(1, 0), ins(0, 2), ins(1, 1)} }, nil},
+			{"rejected two-shard batch", func() []structix.ScriptOp { return []structix.ScriptOp{ins(0, 3), ins(1, 2), ins(1, 0)} }, nil},
+			{"cross-shard batch", func() []structix.ScriptOp {
+				return []structix.ScriptOp{{Kind: structix.ScriptInsert, U: ps[on[0][4]], V: as[on[1][4]], Edge: structix.IDRef}}
+			}, nil},
+			{"stopped script", func() []structix.ScriptOp {
+				e := ins(1, 3)
+				return []structix.ScriptOp{e, e, {Kind: structix.ScriptAddNode, Label: "note", V: e.U}}
+			}, nil},
+			{"cross-shard script", func() []structix.ScriptOp {
+				return []structix.ScriptOp{ins(0, 5), {Kind: structix.ScriptAddNode, Label: "note", V: ps[on[1][5]]}}
+			}, nil},
+			{"insert edge", func() []structix.ScriptOp { return []structix.ScriptOp{ins(0, 5)} }, nil},
+			{"delete edge", func() []structix.ScriptOp { return []structix.ScriptOp{del(0, 5)} }, nil},
+			{"delete missing edge", func() []structix.ScriptOp { return []structix.ScriptOp{del(0, 5)} }, nil},
+			{"insert top node", func() []structix.ScriptOp {
+				return []structix.ScriptOp{{Kind: structix.ScriptAddNode, Label: "annex", V: fac.sdb.GlobalRoot()}}
+			}, func(o outcome) { top = o.nodes[0] }},
+			{"insert node", func() []structix.ScriptOp {
+				return []structix.ScriptOp{{Kind: structix.ScriptAddNode, Label: "memo", V: top}}
+			}, func(o outcome) { v = o.nodes[0] }},
+			{"delete node", func() []structix.ScriptOp { return []structix.ScriptOp{{Kind: structix.ScriptDelNode, U: v}} }, nil},
+			{"delete dead node", func() []structix.ScriptOp { return []structix.ScriptOp{{Kind: structix.ScriptDelNode, U: v}} }, nil},
+		}
+		for _, st := range steps {
+			ops := st.ops()
+			got := [2]outcome{fac.write(ops), srv.write(ops)}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("%s: facade %+v, server %+v", st.name, got[0], got[1])
+			}
+			for _, fe := range []*frontEnd{fac, srv} {
+				for sh := 0; sh < fe.sdb.NumShards(); sh++ {
+					fe.d.snapshot(fe.sdb.Shard(sh).Snapshot())
+				}
+			}
+			if st.then != nil {
+				st.then(got[0])
+			}
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range []*frontEnd{fac, srv} {
+			for sh := 0; sh < fe.sdb.NumShards(); sh++ {
+				fe.d.segments(t, filepath.Join(fe.dir, fmt.Sprintf("shard-%02d", sh), "wal"))
+			}
+			if err := fe.sdb.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f, g := fac.d.sums(), srv.d.sums(); f[1] != g[1] || f[2] != g[2] {
+			t.Errorf("inode maps or journals differ: facade %v, server %v", f[1:], g[1:])
+		}
 	})
 
 	t.Run("window", func(t *testing.T) {
