@@ -23,10 +23,11 @@ race:
 
 # Repeated race-enabled runs of the concurrency surface: lock-free readers
 # against DB writers over both index families — batches, per-edge updates,
-# subtree round trips, the A(k) oracle stream and pinned snapshots — and
-# frozen graph views read while one writer runs every graph mutator.
+# subtree round trips, the A(k) oracle stream and pinned snapshots — one
+# writer per shard of a multi-shard DB, and frozen graph views read while
+# one writer runs every graph mutator.
 stress:
-	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
+	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot|TestShardedConcurrentWriters' .
 	$(GO) test -race -count=3 -run 'TestFrozen' ./internal/graph/
 
 # Race-enabled stress of the serving layer: readers against the

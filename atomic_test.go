@@ -79,18 +79,17 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := NodeID(0)
-	db.View(func(s *OneSnapshot) {
-		f := s.Data()
-		f.EachSucc(f.Root(), func(w NodeID, _ EdgeKind) {
-			if victim == 0 {
-				victim = w
-			}
-		})
+	s := db.Shard(0).Snapshot()
+	f := s.Data()
+	f.EachSucc(f.Root(), func(w NodeID, _ EdgeKind) {
+		if victim == 0 {
+			victim = w
+		}
 	})
 	if _, err := db.DeleteSubtree(victim); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotBytes(t, db.Snapshot())
+	want := snapshotBytes(t, db.Shard(0).Snapshot())
 	if err := db.Close(); err != nil { // seals a snapshot
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 		t.Fatalf("Open with a stale snapshot temp file: %v", err)
 	}
 	defer db2.Close()
-	if got := snapshotBytes(t, db2.Snapshot()); !bytes.Equal(got, want) {
+	if got := snapshotBytes(t, db2.Shard(0).Snapshot()); !bytes.Equal(got, want) {
 		t.Error("recovered state differs")
 	}
 	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
@@ -134,7 +133,7 @@ func TestWipeStoreRemovesStaleSnapshotTmp(t *testing.T) {
 
 func TestOpenShardedManifestAtomic(t *testing.T) {
 	dir := t.TempDir()
-	sdb, err := OpenSharded(dir, Options{Shards: 3, CompactEvery: -1})
+	sdb, err := Open(dir, Options{Shards: 3, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,14 @@
 // the stream from its own seq; a replica that fell behind the leader's
 // compacted journal re-bootstraps on the next start.
 //
-// -shards N (default 1) partitions the graph into N in-process shards,
-// each with its own commit pipeline, epoch snapshots and — under -data —
-// its own WAL directory (shard-00/, shard-01/, ...): writes to different
+// -shards N partitions a new store's graph into N in-process shards, each
+// with its own commit pipeline, epoch snapshots and — under -data — its
+// own WAL directory (shard-00/, shard-01/, ...): writes to different
 // shards commit independently, queries scatter-gather across all of them.
-// A durable directory remembers its shard count; reopen with the same
-// -shards (or leave it at 1 to accept the stored width). Node ids are
-// re-striped across shards when a store is first sharded, so ids from an
-// unsharded run do not carry over.
+// A durable directory keeps the layout it was created with; leave -shards
+// unset to open it as it is, or give the count it holds — any other count
+// is refused. Node ids are striped across shards, so ids from a store of
+// one width do not carry over to another.
 //
 // Endpoints:
 //
@@ -86,7 +86,7 @@ func main() {
 		maxBatch  = flag.Int("maxbatch", 256, "close the commit window at this many pooled edge ops (else when the queue runs dry)")
 		queue     = flag.Int("queue", 1024, "admission queue depth (full queue sheds updates with 429)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
-		shards    = flag.Int("shards", 1, "partition the graph into this many in-process shards")
+		shards    = flag.Int("shards", 0, "partition a new store's graph into this many in-process shards (default 1, or what -data holds)")
 		extents   = flag.String("extents", "dense", "snapshot extent codec: dense|compressed")
 		replicaOf = flag.String("replica-of", "", "serve as a read replica streaming this leader's WAL (requires -data, -shards 1)")
 		smoke     = flag.Bool("smoke", false, "run the self-test and exit")
@@ -94,8 +94,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "xsiserve: -shards must be >= 1")
+	if *shards < 0 {
+		fmt.Fprintln(os.Stderr, "xsiserve: -shards must not be negative")
 		os.Exit(2)
 	}
 	if *replicaOf != "" {
@@ -136,46 +136,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xsiserve: %v\n", err)
 		os.Exit(1)
 	}
-	sdb, err := openStore(*data, *fsync, *load, *replicaOf, *xmark, *cyclicity, *seed, *shards, codec)
+	db, err := openStore(*data, *fsync, *load, *replicaOf, *xmark, *cyclicity, *seed, *shards, codec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xsiserve: %v\n", err)
 		os.Exit(1)
 	}
 	if *replicaOf != "" {
-		db0 := sdb.Shard(0)
+		sh := db.Shard(0)
 		fmt.Printf("xsiserve: read replica of %s, streaming from seq %d (writes redirect to the leader)\n",
-			db0.LeaderURL(), db0.Seq()+1)
+			sh.LeaderURL(), sh.Seq()+1)
 	}
-	snap := sdb.Snapshot()
+	snap := db.Snapshot()
 	nodes := 0
 	for s := 0; s < snap.NumShards(); s++ {
 		nodes += snap.Shard(s).Data().NumNodes()
 	}
 	nodes -= snap.NumShards() - 1 // the root replica counts once
 	fmt.Printf("xsiserve: serving %d dnodes, 1-index %d inodes on %s", nodes, snap.Size(), *addr)
-	if n := sdb.NumShards(); n > 1 {
+	if n := db.NumShards(); n > 1 {
 		fmt.Printf(" (%d shards)", n)
 	}
 	fmt.Println()
-	dss := sdb.ShardStats()
-	if dss[0].Durable {
-		replayed, torn := 0, int64(0)
-		for _, ds := range dss {
-			replayed += ds.ReplayedRecords
-			torn += ds.TornBytesDropped
-		}
-		dir := dss[0].Dir
-		if sdb.NumShards() > 1 {
-			dir = sdb.Dir()
-		}
-		fmt.Printf("xsiserve: durable store %s (fsync=%s)", dir, dss[0].Policy)
-		if replayed > 0 || torn > 0 {
-			fmt.Printf(", recovered %d journal records (%d torn bytes dropped)", replayed, torn)
+	if ds := db.Stats(); ds.Durable {
+		fmt.Printf("xsiserve: durable store %s (fsync=%s)", ds.Dir, ds.Policy)
+		if ds.ReplayedRecords > 0 || ds.TornBytesDropped > 0 {
+			fmt.Printf(", recovered %d journal records (%d torn bytes dropped)", ds.ReplayedRecords, ds.TornBytesDropped)
 		}
 		fmt.Println()
 	}
 
-	srv := server.NewSharded(sdb, server.Config{
+	srv := server.New(db, server.Config{
 		MaxBatch:   *maxBatch,
 		QueueDepth: *queue,
 	})
@@ -204,7 +194,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xsiserve: shutdown: %v\n", err)
 		os.Exit(1)
 	}
-	if err := sdb.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "xsiserve: close: %v\n", err)
 		os.Exit(1)
 	}
@@ -213,12 +203,10 @@ func main() {
 	}
 }
 
-// openStore builds the store handle: durable (structix.Open or, for
-// -shards > 1, structix.OpenSharded over -data) or in-memory (-load /
-// generated dataset, partitioned with NewShardedDB when sharded).
-// An unsharded request always goes down the original single-DB paths and
-// is wrapped at the end, so -shards 1 leaves layouts and ids untouched.
-func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64, seed int64, shards int, codec structix.ExtentCodec) (*structix.ShardedDB, error) {
+// openStore builds the store: durable over -data (structix.Open, which
+// reads the directory's layout, or structix.OpenFollower for a replica)
+// or in-memory from -load / a generated dataset.
+func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64, seed int64, shards int, codec structix.ExtentCodec) (*structix.DB, error) {
 	bootstrap := func() (*structix.Database, error) {
 		if load != "" {
 			return loadFile(load)
@@ -231,41 +219,28 @@ func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64
 		if err != nil {
 			return nil, err
 		}
+		opts := structix.Options{Sync: policy, Extents: codec}
 		if replicaOf != "" {
-			db, err := structix.OpenFollower(data, replicaOf, structix.Options{Sync: policy, Extents: codec})
-			if err != nil {
-				return nil, err
-			}
-			return structix.WrapDB(db), nil
+			return structix.OpenFollower(data, replicaOf, opts)
 		}
-		if shards > 1 {
-			return structix.OpenSharded(data, structix.Options{
-				Sync: policy, Shards: shards, Bootstrap: bootstrap, Extents: codec,
-			})
-		}
-		db, err := structix.Open(data, structix.Options{Sync: policy, Bootstrap: bootstrap, Extents: codec})
-		if err != nil {
-			return nil, err
-		}
-		return structix.WrapDB(db), nil
+		opts.Shards, opts.Bootstrap = shards, bootstrap
+		return structix.Open(data, opts)
 	}
-	db, err := bootstrap()
+	base, err := bootstrap()
 	if err != nil {
 		return nil, err
 	}
+	var db *structix.DB
 	if shards > 1 {
-		sdb, _ := structix.NewShardedDB(db.Graph, shards)
-		if err := sdb.SetExtentCodec(codec); err != nil {
-			return nil, err
+		db, _ = structix.NewShardedDB(base.Graph, shards)
+	} else {
+		idx := base.One
+		if idx == nil {
+			idx = structix.BuildOneIndex(base.Graph)
 		}
-		return sdb, nil
+		db = structix.NewDB(idx)
 	}
-	idx := db.One
-	if idx == nil {
-		idx = structix.BuildOneIndex(db.Graph)
-	}
-	idx.SetSnapshotCodec(codec)
-	return structix.WrapDB(structix.NewDB(idx)), nil
+	return db, db.SetExtentCodec(codec)
 }
 
 func loadFile(path string) (*structix.Database, error) {

@@ -156,7 +156,7 @@ func runSmoke() error {
 		return fmt.Errorf("recovered store answers %d for %s, served answer was %d", got, expr, n)
 	}
 	fmt.Printf("xsiserve: smoke: %d nodes, %s -> %d matches, store %s recovers\n",
-		db2.Snapshot().Data().NumNodes(), expr, n, dir)
+		db2.Snapshot().Shard(0).Data().NumNodes(), expr, n, dir)
 	return runSmokeSharded()
 }
 
@@ -199,7 +199,7 @@ func runSmokeSharded() error {
 	defer os.RemoveAll(dir)
 
 	const shards = 4
-	sdb, err := structix.OpenSharded(dir, structix.Options{
+	sdb, err := structix.Open(dir, structix.Options{
 		Sync:   structix.SyncAlways,
 		Shards: shards,
 		Bootstrap: func() (*structix.Database, error) {
@@ -209,7 +209,7 @@ func runSmokeSharded() error {
 	if err != nil {
 		return fmt.Errorf("sharded open: %w", err)
 	}
-	srv := server.NewSharded(sdb, server.Config{})
+	srv := server.New(sdb, server.Config{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -286,7 +286,7 @@ func runSmokeSharded() error {
 	}
 
 	// Reopen without naming the width: the store remembers its shard count.
-	sdb2, err := structix.OpenSharded(dir, structix.Options{})
+	sdb2, err := structix.Open(dir, structix.Options{})
 	if err != nil {
 		return fmt.Errorf("sharded reopen: %w", err)
 	}

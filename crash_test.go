@@ -48,17 +48,17 @@ func TestCrashInjectionRecoversCommitPrefix(t *testing.T) {
 	// Record the fingerprint after bootstrap and after every commit: the
 	// only states recovery is allowed to land on.
 	rng := rand.New(rand.NewSource(11))
-	prefixes := [][]byte{snapshotBytes(t, db.Snapshot())}
+	prefixes := [][]byte{snapshotBytes(t, db.Shard(0).Snapshot())}
 	const commits = 24
 	for i := 0; i < commits; i++ {
-		ops := insertBatch(rng, db.idx.Graph(), 4)
+		ops := insertBatch(rng, db.Shard(0).idx.Graph(), 4)
 		if len(ops) < 2 {
 			continue
 		}
 		if err := db.ApplyBatch(ops); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
-		prefixes = append(prefixes, snapshotBytes(t, db.Snapshot()))
+		prefixes = append(prefixes, snapshotBytes(t, db.Shard(0).Snapshot()))
 	}
 	if err := db.Sync(); err != nil { // settle the page-cache image, then "crash"
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestCrashInjectionRecoversCommitPrefix(t *testing.T) {
 		if err := db2.Validate(); err != nil {
 			t.Fatalf("trial %d (%s at %d): recovered store invalid: %v", trial, kind, off, err)
 		}
-		got := snapshotBytes(t, db2.Snapshot())
+		got := snapshotBytes(t, db2.Shard(0).Snapshot())
 		match := -1
 		for i, p := range prefixes {
 			if string(got) == string(p) {
@@ -126,7 +126,7 @@ func TestCrashInjectionRecoversCommitPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotBytes(t, db3.Snapshot()); string(got) != string(prefixes[len(prefixes)-1]) {
+	if got := snapshotBytes(t, db3.Shard(0).Snapshot()); string(got) != string(prefixes[len(prefixes)-1]) {
 		t.Fatal("intact journal did not recover the full committed state")
 	}
 }
@@ -150,7 +150,7 @@ func testShardedCrash(t *testing.T, spanning bool) {
 	dir := t.TempDir()
 	const shards = 3
 	boot := func() (*Database, error) { return &Database{Graph: shardForest(21, 9, 8)}, nil }
-	sdb, err := OpenSharded(dir, Options{Sync: SyncNone, CompactEvery: -1, Shards: shards, Bootstrap: boot})
+	sdb, err := Open(dir, Options{Sync: SyncNone, CompactEvery: -1, Shards: shards, Bootstrap: boot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func testShardedCrash(t *testing.T, spanning bool) {
 				t.Fatal(err)
 			}
 		}
-		sdb2, err := OpenSharded(dir, Options{Sync: SyncNone, CompactEvery: -1})
+		sdb2, err := Open(dir, Options{Sync: SyncNone, CompactEvery: -1})
 		if err != nil {
 			t.Fatalf("trial %d: reopen: %v", trial, err)
 		}
@@ -256,7 +256,7 @@ func testShardedCrash(t *testing.T, spanning bool) {
 			}
 			if match < 0 {
 				t.Fatalf("trial %d: shard %d recovered outside its commit-prefix set (replayed %d records)",
-					trial, s, sdb2.ShardStats()[s].ReplayedRecords)
+					trial, s, sdb2.Shard(s).Stats().ReplayedRecords)
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func testShardedCrash(t *testing.T, spanning bool) {
 			t.Fatal(err)
 		}
 	}
-	sdb3, err := OpenSharded(dir, Options{Sync: SyncNone, CompactEvery: -1})
+	sdb3, err := Open(dir, Options{Sync: SyncNone, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestCrashTornAppendKeepsAckedState(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 8; i++ {
-		ops := insertBatch(rng, db.idx.Graph(), 4)
+		ops := insertBatch(rng, db.Shard(0).idx.Graph(), 4)
 		if len(ops) == 0 {
 			continue
 		}
@@ -298,7 +298,7 @@ func TestCrashTornAppendKeepsAckedState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	acked := snapshotBytes(t, db.Snapshot())
+	acked := snapshotBytes(t, db.Shard(0).Snapshot())
 	ackedSeq := db.Stats().AppliedSeq
 
 	// The crash: a partial frame of junk lands after the last acked one.
@@ -326,7 +326,7 @@ func TestCrashTornAppendKeepsAckedState(t *testing.T) {
 	if st.TornBytesDropped != int64(len(junk)) {
 		t.Fatalf("dropped %d torn bytes, injected %d", st.TornBytesDropped, len(junk))
 	}
-	if got := snapshotBytes(t, db2.Snapshot()); string(got) != string(acked) {
+	if got := snapshotBytes(t, db2.Shard(0).Snapshot()); string(got) != string(acked) {
 		t.Fatal("recovered state differs from the acked state")
 	}
 }
@@ -342,9 +342,9 @@ func TestTornSegmentMagicAppendAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot := snapshotBytes(t, db.Snapshot())
+	boot := snapshotBytes(t, db.Shard(0).Snapshot())
 	rng := rand.New(rand.NewSource(29))
-	if err := db.ApplyBatch(insertBatch(rng, db.idx.Graph(), 4)); err != nil {
+	if err := db.ApplyBatch(insertBatch(rng, db.Shard(0).idx.Graph(), 4)); err != nil {
 		t.Fatal(err)
 	}
 	seg := walSegments(t, dir)[0]
@@ -376,20 +376,20 @@ func TestTornSegmentMagicAppendAndRecover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", dmg.name, err)
 		}
-		if got := snapshotBytes(t, db2.Snapshot()); string(got) != string(boot) {
+		if got := snapshotBytes(t, db2.Shard(0).Snapshot()); string(got) != string(boot) {
 			t.Fatalf("%s: recovered state is not the snapshot state", dmg.name)
 		}
 		// Commit into the recovered store (fsync=always: acked == durable),
 		// crash again without Close, and recover: the acked batch must be
 		// there — i.e. the post-recovery journal is a well-formed segment.
-		ops := insertBatch(rng, db2.idx.Graph(), 4)
+		ops := insertBatch(rng, db2.Shard(0).idx.Graph(), 4)
 		if len(ops) < 2 {
 			t.Fatalf("%s: batch too small", dmg.name)
 		}
 		if err := db2.ApplyBatch(ops); err != nil {
 			t.Fatalf("%s: commit after recovery: %v", dmg.name, err)
 		}
-		want := snapshotBytes(t, db2.Snapshot())
+		want := snapshotBytes(t, db2.Shard(0).Snapshot())
 		db3, err := Open(dir, Options{CompactEvery: -1})
 		if err != nil {
 			t.Fatalf("%s: re-open: %v", dmg.name, err)
@@ -397,7 +397,7 @@ func TestTornSegmentMagicAppendAndRecover(t *testing.T) {
 		if err := db3.Validate(); err != nil {
 			t.Fatalf("%s: recovered store invalid: %v", dmg.name, err)
 		}
-		if got := snapshotBytes(t, db3.Snapshot()); string(got) != string(want) {
+		if got := snapshotBytes(t, db3.Shard(0).Snapshot()); string(got) != string(want) {
 			t.Fatalf("%s: acked commit lost across the second recovery", dmg.name)
 		}
 	}
@@ -412,7 +412,7 @@ func TestSubgraphFrameReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := db.idx.Graph()
+	g := db.Shard(0).idx.Graph()
 	victim := graph.InvalidNode
 	for _, v := range g.Nodes() {
 		hasChild := false
@@ -436,7 +436,7 @@ func TestSubgraphFrameReplayEquivalence(t *testing.T) {
 	if _, err := db.AddSubgraph(sg); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotBytes(t, db.Snapshot())
+	want := snapshotBytes(t, db.Shard(0).Snapshot())
 
 	// The journal must carry the delete as a script record and the
 	// re-graft as a full-payload subgraph record with as many nodes as
@@ -485,7 +485,7 @@ func TestSubgraphFrameReplayEquivalence(t *testing.T) {
 	if err := db2.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotBytes(t, db2.Snapshot()); string(got) != string(want) {
+	if got := snapshotBytes(t, db2.Shard(0).Snapshot()); string(got) != string(want) {
 		t.Fatal("recovered state differs after subgraph replay")
 	}
 }
@@ -509,7 +509,7 @@ func TestKill9Child(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := db.idx.Graph().Root()
+	root := db.Shard(0).idx.Graph().Root()
 	for i := 0; i < 1_000_000; i++ { // the parent SIGKILLs us mid-loop
 		id, err := db.InsertNode("crash", root)
 		if err != nil {
@@ -580,7 +580,7 @@ func TestKill9LosesNoAckedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	g := db.idx.Graph()
+	g := db.Shard(0).idx.Graph()
 	acked := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -609,7 +609,7 @@ func TestKill9LosesNoAckedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	built := oneindex.Build(boot.Graph)
-	want, got := built.Freeze(boot.Graph.Freeze()), db.Snapshot()
+	want, got := built.Freeze(boot.Graph.Freeze()), db.Shard(0).Snapshot()
 	for i := INodeID(0); int(i) < want.Slots(); i++ {
 		if !slices.Equal(got.Extent(i), want.Extent(i)) {
 			t.Fatalf("recovered inode %d holds %v, Build numbered it %v", i, got.Extent(i), want.Extent(i))

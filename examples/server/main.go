@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	idx := structix.NewDB(db.One)
-	fmt.Printf("loaded: %d dnodes, 1-index %d inodes\n", db.Graph.NumNodes(), idx.Size())
+	fmt.Printf("loaded: %d dnodes, 1-index %d inodes\n", db.Graph.NumNodes(), idx.Snapshot().Size())
 
 	// The update stream (generated up front so it is valid against the
 	// loaded graph).
@@ -86,9 +86,9 @@ func main() {
 
 	fmt.Printf("served %d queries (%d total results) concurrently with %d updates\n",
 		served.Load(), results.Load(), len(ops))
-	// The readers are done, and Update holds the writer lock: the live
-	// index may be inspected directly.
-	if err := idx.Update(func(structix.Index) error {
+	// The readers are done, and Update holds the (only) shard's writer
+	// lock: the live index may be inspected directly.
+	if err := idx.Shard(0).Update(func(structix.Index) error {
 		fmt.Printf("final index: %d inodes, minimal=%v, quality=%.2f%%\n",
 			db.One.Size(), db.One.IsMinimal(), 100*db.One.Quality())
 		return nil
@@ -99,7 +99,7 @@ func main() {
 	// Persist the maintained state from the published snapshot — no lock
 	// held for the write; the next restart resumes from here.
 	disk.Reset()
-	if err := structix.SaveSnapshot(&disk, idx.Snapshot()); err != nil {
+	if err := structix.SaveSnapshot(&disk, idx.Snapshot().Shard(0)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("persisted maintained database: %d bytes\n", disk.Len())

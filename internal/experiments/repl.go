@@ -181,7 +181,7 @@ func RunRepl(name string, g *graph.Graph, cfg ReplConfig) (ReplResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("experiments: repl: open leader: %w", err)
 	}
-	res.INodes = ldb.Size()
+	res.INodes = ldb.Snapshot().Size()
 	leader, err := startReplNode(ldb)
 	if err != nil {
 		return res, err

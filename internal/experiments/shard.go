@@ -15,7 +15,7 @@ import (
 )
 
 // The sharding benchmark: the same forest of XMark instances served by an
-// in-process ShardedDB at increasing shard counts, under one writer per
+// in-process sharded DB at increasing shard counts, under one writer per
 // shard committing small same-shard IDREF batches. Every commit pays a
 // snapshot publication proportional to its shard's graph, so partitioning
 // the forest divides that per-commit cost — the write-throughput curve
@@ -258,7 +258,7 @@ func runShardCount(base *graph.Graph, pairs []shardPair, queries []*query.Path, 
 // runShardPhase runs one timed phase: per populated shard, a worker
 // cycling readsPerWrite evaluations (0 = write-only) then an insert batch
 // and a delete batch of its shard's pairs.
-func runShardPhase(sdb *structix.ShardedDB, byShard [][]shardPair, queries []*query.Path, cfg ShardConfig, d time.Duration, readsPerWrite int) (ops, commits int, elapsed time.Duration, reads int, err error) {
+func runShardPhase(sdb *structix.DB, byShard [][]shardPair, queries []*query.Path, cfg ShardConfig, d time.Duration, readsPerWrite int) (ops, commits int, elapsed time.Duration, reads int, err error) {
 	var (
 		wg                                 sync.WaitGroup
 		totalOps, totalCommits, totalReads atomic.Int64

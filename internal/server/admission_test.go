@@ -68,7 +68,7 @@ func TestCommitterWaitPrefersBufferedOutcome(t *testing.T) {
 func TestCommitterCloseDrainsQueue(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	store := structix.NewDB(structix.BuildOneIndex(g))
-	c := newCommitter(store, 0, 8, 256, newMetrics(1), nil)
+	c := newCommitter(store.Shard(0), 0, 8, 256, newMetrics(1), nil)
 	// Queue a valid edge insert, then close: the drain pass must still
 	// resolve the waiter with a committed outcome.
 	req := &updateReq{
@@ -84,7 +84,7 @@ func TestCommitterCloseDrainsQueue(t *testing.T) {
 		t.Fatalf("queued update lost across close: %v", out.Err)
 	}
 	found := false
-	store.Snapshot().Data().EachSucc(2, func(w structix.NodeID, _ structix.EdgeKind) {
+	store.Shard(0).Snapshot().Data().EachSucc(2, func(w structix.NodeID, _ structix.EdgeKind) {
 		if w == 4 {
 			found = true
 		}
@@ -212,7 +212,7 @@ func TestCloseFlushRespectsMaxBatch(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	store := structix.NewDB(structix.BuildOneIndex(g))
 	c := stalledCommitter(nReqs)
-	c.store, c.maxOps, c.m = store, maxOps, newMetrics(1)
+	c.store, c.maxOps, c.m = store.Shard(0), maxOps, newMetrics(1)
 	// Insert/delete of one absent edge alternate, so any prefix is valid.
 	reqs := make([]*updateReq, nReqs)
 	for i := range reqs {

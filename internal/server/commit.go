@@ -66,8 +66,8 @@ type updateOutcome struct {
 }
 
 type committer struct {
-	store  *structix.DB // the shard's store handle
-	shard  int          // which shard this pipeline commits to
+	store  *structix.Shard // the shard this pipeline commits to
+	shard  int             // which shard this pipeline commits to
 	queue  chan *updateReq
 	maxOps int
 	m      *metrics
@@ -78,7 +78,7 @@ type committer struct {
 	doneCh  chan struct{} // closed when the loop has exited
 }
 
-func newCommitter(store *structix.DB, shard int, queueDepth, maxOps int, m *metrics, eng *engine) *committer {
+func newCommitter(store *structix.Shard, shard int, queueDepth, maxOps int, m *metrics, eng *engine) *committer {
 	c := &committer{
 		store:   store,
 		shard:   shard,

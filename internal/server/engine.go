@@ -27,7 +27,7 @@ import (
 // scatter-gather read path. A 1-shard store takes none of those detours:
 // run is then exactly the unsharded evaluator.
 type engine struct {
-	store  *structix.ShardedDB
+	store  *structix.DB
 	caches []*qcache.Cache // one per shard; nil when the result cache is disabled
 
 	progs     sync.Map // raw expr string → *query.Compiled
@@ -52,7 +52,7 @@ const (
 	maxParseErrors = 1024
 )
 
-func newEngine(store *structix.ShardedDB, cacheEntries int) *engine {
+func newEngine(store *structix.DB, cacheEntries int) *engine {
 	e := &engine{
 		store:       store,
 		progCap:     maxPrograms,

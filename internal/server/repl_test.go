@@ -304,7 +304,7 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	want := fingerprint(t, ldb)
 	for i, s := range strategies {
 		wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
-		err := fdbs[i].WaitForSeq(wctx, ldb.Seq())
+		err := fdbs[i].Shard(0).WaitForSeq(wctx, ldb.Shard(0).Seq())
 		cancel()
 		if err != nil {
 			t.Fatalf("%s follower never caught up: %v", s.name, err)
@@ -321,7 +321,7 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 func fingerprint(t *testing.T, db *structix.DB) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := persist.SaveSnapshot(&buf, db.Snapshot()); err != nil {
+	if err := persist.SaveSnapshot(&buf, db.Snapshot().Shard(0)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

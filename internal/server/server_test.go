@@ -430,7 +430,7 @@ func TestServerGracefulShutdownUnderLoad(t *testing.T) {
 	}
 
 	servedEdges := 0
-	ts.db.View(func(s *structix.OneSnapshot) { servedEdges = countFrozenEdges(s.Data()) })
+	servedEdges = countFrozenEdges(ts.db.Snapshot().Shard(0).Data())
 	if err := ts.db.Close(); err != nil {
 		t.Fatalf("close store: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestServerGracefulShutdownUnderLoad(t *testing.T) {
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("recovered store invalid: %v", err)
 	}
-	snap := rec.Snapshot().Data()
+	snap := rec.Snapshot().Shard(0).Data()
 	hasEdge := func(p [2]graph.NodeID) bool {
 		found := false
 		snap.EachSucc(p[0], func(w graph.NodeID, _ graph.EdgeKind) {
@@ -551,7 +551,7 @@ func TestServerRootAndRangeErrors(t *testing.T) {
 			if err := db.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if s := db.Snapshot().Data(); !s.Alive(root) {
+			if s := db.Snapshot().Shard(0).Data(); !s.Alive(root) {
 				t.Fatal("store lost its root")
 			}
 		})
@@ -567,7 +567,7 @@ func TestServerAddNodeUnreachableParent(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			g, _, _, _ := gtest.Fig2()
 			sdb, _ := structix.NewShardedDB(g, shards)
-			srv := server.NewSharded(sdb, server.Config{})
+			srv := server.New(sdb, server.Config{})
 			defer srv.Shutdown(context.Background())
 			nodes := sdb.Count(structix.MustParsePath("//*"))
 			rec := httptest.NewRecorder()

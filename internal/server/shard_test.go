@@ -73,7 +73,7 @@ func TestShardedServerEquivalence(t *testing.T) {
 	defer ref.coms[0].close()
 
 	sdb, mapping := structix.NewShardedDB(base, 3)
-	srv := NewSharded(sdb, Config{})
+	srv := New(sdb, Config{})
 	defer func() {
 		for _, c := range srv.coms {
 			c.close()
@@ -111,7 +111,7 @@ func TestShardedServerEquivalence(t *testing.T) {
 func TestShardedServerUpdateRouting(t *testing.T) {
 	base := shardedFixture(9)
 	sdb, mapping := structix.NewShardedDB(base, 3)
-	srv := NewSharded(sdb, Config{})
+	srv := New(sdb, Config{})
 	defer func() {
 		for _, c := range srv.coms {
 			c.close()
@@ -271,7 +271,7 @@ func TestCommitMetricsAfterBarrier(t *testing.T) {
 
 	store := structix.NewDB(structix.BuildOneIndex(g))
 	m := newMetrics(1)
-	com := &committer{store: store, m: m,
+	com := &committer{store: store.Shard(0), m: m,
 		closing: make(chan struct{}), quit: make(chan struct{}), doneCh: make(chan struct{})}
 
 	// queued is what submit would have stamped: commit ends every
@@ -392,7 +392,7 @@ func TestProgramCacheBounds(t *testing.T) {
 func TestShardedServerRootResultOnce(t *testing.T) {
 	base := shardedFixture(9)
 	sdb, mapping := structix.NewShardedDB(base, 2)
-	srv := NewSharded(sdb, Config{})
+	srv := New(sdb, Config{})
 	defer func() {
 		for _, c := range srv.coms {
 			c.close()

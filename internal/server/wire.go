@@ -69,7 +69,7 @@ type QueryReply struct {
 // operations is applied alone with script (stop-at-first-error) semantics.
 //
 // On a sharded server a request that spans shards commits per shard, the
-// rule the Go facade (structix.ShardedDB) follows too: an edge request
+// rule the Go store (structix.DB) follows too: an edge request
 // splits into one sub-batch per shard, and each commits or rejects as a
 // unit through its own shard's pipeline, whatever the others did. A
 // rejection reply then carries Applied = the ops the other parts

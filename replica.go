@@ -44,13 +44,11 @@ func (e *NotLeaderError) Is(target error) bool { return target == ErrNotLeader }
 // fresh snapshot — a replica's history is always a prefix of the
 // leader's, so nothing of value is lost.
 //
-// The returned DB serves the full read path (Snapshot, Eval, Count, and
-// the serving layer's queries, caches and compiled plans on top) while
-// every write entry point fails with a *NotLeaderError naming
-// leaderURL. Replicated records flow through the same
-// apply→append→publish pipeline local writes use, into the follower's
-// own WAL, so a follower crash recovers a commit-prefix state locally
-// and resumes without re-downloading anything.
+// The returned one-shard DB serves the full read path while every write
+// fails with a *NotLeaderError naming leaderURL. Replicated records flow
+// through the apply→append→publish pipeline local writes use, into the
+// follower's own WAL, so a crashed follower recovers a commit-prefix
+// state locally and resumes without re-downloading anything.
 //
 // opts.Bootstrap must be nil (follower state comes from the leader) and
 // opts.Shards must be 0 or 1 (replication streams one journal; shard a
@@ -88,16 +86,16 @@ func OpenFollower(dir, leaderURL string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	db, err := Open(dir, opts)
+	sh, err := openShard(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	if db.appliedSeq.Load()+1 < st.OldestSeq {
+	if sh.appliedSeq.Load()+1 < st.OldestSeq {
 		// The leader compacted past our resume point while we were down:
 		// streaming cannot bridge the gap (ErrGap), so re-seed from a
 		// fresh snapshot. Discarding local state is safe — it is a strict
 		// prefix of the leader's history.
-		if err := db.Close(); err != nil {
+		if err := sh.close(); err != nil {
 			return nil, err
 		}
 		if err := wipeStore(dir); err != nil {
@@ -106,13 +104,13 @@ func OpenFollower(dir, leaderURL string, opts Options) (*DB, error) {
 		if err := fetchLeaderSnapshot(hc, leaderURL, dir); err != nil {
 			return nil, err
 		}
-		if db, err = Open(dir, opts); err != nil {
+		if sh, err = openShard(dir, opts); err != nil {
 			return nil, err
 		}
 	}
-	db.leader = leaderURL
-	db.runner = repl.Start(repl.Config{Leader: leaderURL}, db)
-	return db, nil
+	sh.leader = leaderURL
+	sh.runner = repl.Start(repl.Config{Leader: leaderURL}, sh)
+	return newDB(dir, []*Shard{sh}), nil
 }
 
 // fetchLeaderSnapshot downloads the leader's current snapshot into dir
@@ -153,31 +151,31 @@ func wipeStore(dir string) error {
 	return wal.SyncDir(dir)
 }
 
-// ---- replication hooks on DB ----
+// ---- replication hooks on Shard ----
 
 // Seq returns the journal sequence number covered by the published
 // snapshot — the replication epoch: 0 on an in-memory store, the last
 // locally committed seq on a leader, the last applied seq on a
 // follower. Query replies carry it; WaitForSeq turns it into
 // read-your-writes across replicas.
-func (db *DB) Seq() uint64 { return db.visibleSeq.Load() }
+func (sh *Shard) Seq() uint64 { return sh.visibleSeq.Load() }
 
 // WaitForSeq blocks until the published snapshot covers seq (then
 // returns nil) or ctx expires. It is the follower half of
 // read-your-writes: a client that wrote through the leader at seq S
 // reads from a replica with min seq S and sees its own write.
-func (db *DB) WaitForSeq(ctx context.Context, seq uint64) error {
-	if db.visibleSeq.Load() >= seq {
+func (sh *Shard) WaitForSeq(ctx context.Context, seq uint64) error {
+	if sh.visibleSeq.Load() >= seq {
 		return nil
 	}
 	for {
-		db.seqMu.Lock()
-		if db.seqWatch == nil {
-			db.seqWatch = make(chan struct{})
+		sh.seqMu.Lock()
+		if sh.seqWatch == nil {
+			sh.seqWatch = make(chan struct{})
 		}
-		ch := db.seqWatch
-		db.seqMu.Unlock()
-		if db.visibleSeq.Load() >= seq {
+		ch := sh.seqWatch
+		sh.seqMu.Unlock()
+		if sh.visibleSeq.Load() >= seq {
 			return nil
 		}
 		select {
@@ -185,7 +183,7 @@ func (db *DB) WaitForSeq(ctx context.Context, seq uint64) error {
 			return ctx.Err()
 		case <-ch:
 		}
-		if db.visibleSeq.Load() >= seq {
+		if sh.visibleSeq.Load() >= seq {
 			return nil
 		}
 	}
@@ -197,54 +195,54 @@ func (db *DB) WaitForSeq(ctx context.Context, seq uint64) error {
 // snapshot. It is the follower half of the commit protocol, called in
 // order by the replication runner; records at or below the applied seq
 // are ignored (reconnect overlap).
-func (db *DB) ApplyRecord(rec *wal.Record) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+func (sh *Shard) ApplyRecord(rec *wal.Record) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
 		return ErrClosed
 	}
-	if db.failed != nil {
-		return db.failed
+	if sh.failed != nil {
+		return sh.failed
 	}
-	if db.log == nil {
+	if sh.log == nil {
 		return errors.New("structix: an in-memory store cannot apply replicated records")
 	}
-	applied := db.appliedSeq.Load()
+	applied := sh.appliedSeq.Load()
 	if rec.Seq <= applied {
 		return nil
 	}
 	if rec.Seq != applied+1 {
 		return fmt.Errorf("structix: replicated record %d does not follow applied seq %d", rec.Seq, applied)
 	}
-	if _, _, err := apply(db.idx, rec); err != nil {
+	if _, _, err := apply(sh.idx, rec); err != nil {
 		return fmt.Errorf("structix: replicated record %d: %w", rec.Seq, err)
 	}
-	return db.commit(rec)
+	return sh.commit(rec)
 }
 
 // Journal exposes the write-ahead log (nil on an in-memory store) — the
 // leader side of the replication Source.
-func (db *DB) Journal() *wal.Log { return db.log }
+func (sh *Shard) Journal() *wal.Log { return sh.log }
 
 // PinSnapshot pairs the current epoch snapshot with the journal seq it
 // covers and returns a writer for the compressed snapshot format — the
 // bootstrap half of the replication Source. The pin is an atomic load
 // under the writer lock; the write runs on immutable state and may take
 // as long as the download takes.
-func (db *DB) PinSnapshot() (uint64, func(io.Writer) error) {
-	db.mu.Lock()
-	snap := db.cur.Load()
-	seq := db.visibleSeq.Load()
-	db.mu.Unlock()
+func (sh *Shard) PinSnapshot() (uint64, func(io.Writer) error) {
+	sh.mu.Lock()
+	snap := sh.cur.Load()
+	seq := sh.visibleSeq.Load()
+	sh.mu.Unlock()
 	return seq, func(w io.Writer) error {
 		return persist.SaveSnapshotCompressed(w, snap)
 	}
 }
 
-// Follower returns the replication runner on a follower DB, nil
+// Follower returns the replication runner on a follower shard, nil
 // otherwise — the serving layer reads lag stats and installs its
 // publication hook through it.
-func (db *DB) Follower() *repl.Runner { return db.runner }
+func (sh *Shard) Follower() *repl.Runner { return sh.runner }
 
 // LeaderURL returns the leader base URL on a follower, "" otherwise.
-func (db *DB) LeaderURL() string { return db.leader }
+func (sh *Shard) LeaderURL() string { return sh.leader }

@@ -30,7 +30,7 @@ func replLeaderServer(t *testing.T, db *DB) *httptest.Server {
 
 func replLeaderServerStats(t *testing.T, db *DB) (*httptest.Server, *repl.Leader) {
 	t.Helper()
-	ld := repl.NewLeader(db)
+	ld := repl.NewLeader(db.Shard(0))
 	ld.Heartbeat = 50 * time.Millisecond
 	mux := http.NewServeMux()
 	mux.HandleFunc(repl.PathStream, ld.ServeStream)
@@ -47,8 +47,8 @@ func waitCaughtUp(t *testing.T, follower *DB, seq uint64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := follower.WaitForSeq(ctx, seq); err != nil {
-		t.Fatalf("follower never reached seq %d (at %d): %v", seq, follower.Seq(), err)
+	if err := follower.Shard(0).WaitForSeq(ctx, seq); err != nil {
+		t.Fatalf("follower never reached seq %d (at %d): %v", seq, follower.Shard(0).Seq(), err)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestFollowerBootstrapsAndTails(t *testing.T) {
 	defer leader.Close()
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 3; i++ {
-		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 5)); err != nil {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,20 +75,20 @@ func TestFollowerBootstrapsAndTails(t *testing.T) {
 
 	// Writes that land after the follower attached stream over.
 	for i := 0; i < 4; i++ {
-		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 5)); err != nil {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	if got, want := snapshotBytes(t, follower.Snapshot()), snapshotBytes(t, leader.Snapshot()); string(got) != string(want) {
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	if got, want := snapshotBytes(t, follower.Shard(0).Snapshot()), snapshotBytes(t, leader.Shard(0).Snapshot()); string(got) != string(want) {
 		t.Fatal("caught-up follower snapshot is not bit-identical to the leader's")
 	}
-	if follower.Seq() != leader.Seq() {
-		t.Fatalf("follower seq %d != leader seq %d", follower.Seq(), leader.Seq())
+	if follower.Shard(0).Seq() != leader.Shard(0).Seq() {
+		t.Fatalf("follower seq %d != leader seq %d", follower.Shard(0).Seq(), leader.Shard(0).Seq())
 	}
 
 	// Writes on a follower fail typed, naming the leader.
-	err = follower.ApplyBatch(insertBatch(rng, follower.idx.Graph(), 2))
+	err = follower.ApplyBatch(insertBatch(rng, follower.Shard(0).idx.Graph(), 2))
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("follower write: %v, want ErrNotLeader", err)
 	}
@@ -96,17 +96,17 @@ func TestFollowerBootstrapsAndTails(t *testing.T) {
 	if !errors.As(err, &nle) || nle.Leader != srv.URL {
 		t.Fatalf("follower write error does not name the leader: %v", err)
 	}
-	if _, err := follower.InsertNode("x", follower.Snapshot().Data().Root()); !errors.Is(err, ErrNotLeader) {
+	if _, err := follower.InsertNode("x", follower.Shard(0).Snapshot().Data().Root()); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("InsertNode on follower: %v, want ErrNotLeader", err)
 	}
 
 	// Lag stats read caught-up.
-	st := follower.Follower().Stats()
+	st := follower.Shard(0).Follower().Stats()
 	if st.LagSeq != 0 || st.State != "streaming" {
 		t.Fatalf("caught-up follower stats: %+v", st)
 	}
-	if follower.LeaderURL() != srv.URL {
-		t.Fatalf("LeaderURL = %q", follower.LeaderURL())
+	if follower.Shard(0).LeaderURL() != srv.URL {
+		t.Fatalf("LeaderURL = %q", follower.Shard(0).LeaderURL())
 	}
 }
 
@@ -125,20 +125,20 @@ func TestFollowerKeepsLeaderNumbering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	if d := gtest.BreadthFirstDiff(follower.Snapshot()); d != "" {
+	if d := gtest.BreadthFirstDiff(follower.Shard(0).Snapshot()); d != "" {
 		t.Fatalf("bootstrapped follower not breadth-first: %s", d)
 	}
-	if d := gtest.SnapshotDiff(follower.Snapshot(), leader.Snapshot()); d != "" {
+	if d := gtest.SnapshotDiff(follower.Shard(0).Snapshot(), leader.Shard(0).Snapshot()); d != "" {
 		t.Fatalf("bootstrapped follower differs from the leader: %s", d)
 	}
 	rng := rand.New(rand.NewSource(45))
 	for i := 0; i < 4; i++ {
-		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 5)); err != nil {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	if d := gtest.SnapshotDiff(follower.Snapshot(), leader.Snapshot()); d != "" {
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	if d := gtest.SnapshotDiff(follower.Shard(0).Snapshot(), leader.Shard(0).Snapshot()); d != "" {
 		t.Fatalf("caught-up follower differs from the leader: %s", d)
 	}
 }
@@ -162,19 +162,19 @@ func TestFollowerRecoversLocallyAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 4)); err != nil {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	resumeSeq := follower.Seq()
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	resumeSeq := follower.Shard(0).Seq()
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The leader moves on while the follower is down.
 	for i := 0; i < 3; i++ {
-		if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 4)); err != nil {
+		if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,11 +184,11 @@ func TestFollowerRecoversLocallyAndResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	if got := follower.Seq(); got < resumeSeq {
+	if got := follower.Shard(0).Seq(); got < resumeSeq {
 		t.Fatalf("reopened follower lost local state: seq %d < %d", got, resumeSeq)
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	if got, want := snapshotBytes(t, follower.Snapshot()), snapshotBytes(t, leader.Snapshot()); string(got) != string(want) {
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	if got, want := snapshotBytes(t, follower.Shard(0).Snapshot()), snapshotBytes(t, leader.Shard(0).Snapshot()); string(got) != string(want) {
 		t.Fatal("resumed follower diverged from the leader")
 	}
 }
@@ -212,8 +212,8 @@ func TestFollowerGapRebootstraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	staleSeq := follower.Seq()
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	staleSeq := follower.Shard(0).Seq()
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +222,15 @@ func TestFollowerGapRebootstraps(t *testing.T) {
 	// the two retained snapshots — past the stale follower's position.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 3; i++ {
-			if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 4)); err != nil {
+			if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 4)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := leader.compactOnce(); err != nil {
+		if err := leader.Shard(0).compactOnce(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if oldest := leader.log.OldestSeq(); oldest <= staleSeq+1 {
+	if oldest := leader.Shard(0).log.OldestSeq(); oldest <= staleSeq+1 {
 		t.Fatalf("journal still reaches seq %d (oldest %d); the test needs a gap", staleSeq+1, oldest)
 	}
 
@@ -239,8 +239,8 @@ func TestFollowerGapRebootstraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitCaughtUp(t, follower, leader.Seq())
-	if got, want := snapshotBytes(t, follower.Snapshot()), snapshotBytes(t, leader.Snapshot()); string(got) != string(want) {
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	if got, want := snapshotBytes(t, follower.Shard(0).Snapshot()), snapshotBytes(t, leader.Shard(0).Snapshot()); string(got) != string(want) {
 		t.Fatal("re-bootstrapped follower diverged from the leader")
 	}
 }
@@ -266,8 +266,8 @@ func TestKill9FollowerChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := db.Seq() + 1; ; seq++ { // the parent SIGKILLs us mid-loop
-		if err := db.WaitForSeq(context.Background(), seq); err != nil {
+	for seq := db.Shard(0).Seq() + 1; ; seq++ { // the parent SIGKILLs us mid-loop
+		if err := db.Shard(0).WaitForSeq(context.Background(), seq); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fmt.Fprintf(ack, "%d\n", seq); err != nil {
@@ -308,7 +308,7 @@ func TestKill9FollowerRecoversAndResumes(t *testing.T) {
 				return
 			default:
 			}
-			if err := leader.ApplyBatch(insertBatch(rng, leader.idx.Graph(), 3)); err != nil {
+			if err := leader.ApplyBatch(insertBatch(rng, leader.Shard(0).idx.Graph(), 3)); err != nil {
 				t.Errorf("leader write: %v", err)
 				return
 			}
@@ -382,7 +382,7 @@ func TestKill9FollowerRecoversAndResumes(t *testing.T) {
 		t.Fatalf("reopen after kill -9: %v", err)
 	}
 	defer follower.Close()
-	if got := follower.Seq(); got < lastAcked {
+	if got := follower.Shard(0).Seq(); got < lastAcked {
 		t.Fatalf("recovery lost acked records: seq %d < last acked %d", got, lastAcked)
 	}
 	if err := follower.Validate(); err != nil {
@@ -391,12 +391,12 @@ func TestKill9FollowerRecoversAndResumes(t *testing.T) {
 	if served := ld.Stats().SnapshotsServed; served != snapshotsBefore {
 		t.Fatalf("reopen re-downloaded a snapshot (%d -> %d): recovery must come from the local WAL", snapshotsBefore, served)
 	}
-	waitCaughtUp(t, follower, leader.Seq())
-	if got, want := snapshotBytes(t, follower.Snapshot()), snapshotBytes(t, leader.Snapshot()); string(got) != string(want) {
+	waitCaughtUp(t, follower, leader.Shard(0).Seq())
+	if got, want := snapshotBytes(t, follower.Shard(0).Snapshot()), snapshotBytes(t, leader.Shard(0).Snapshot()); string(got) != string(want) {
 		t.Fatal("follower diverged from the leader after kill -9 recovery")
 	}
 	t.Logf("killed at acked seq %d, recovered to %d, caught up bit-identical at %d (replayed %d journal records)",
-		lastAcked, follower.Seq(), leader.Seq(), follower.Stats().ReplayedRecords)
+		lastAcked, follower.Shard(0).Seq(), leader.Shard(0).Seq(), follower.Stats().ReplayedRecords)
 }
 
 // TestWaitForSeqDeadline pins the read-your-writes wait contract: a seq
@@ -410,15 +410,15 @@ func TestWaitForSeqDeadline(t *testing.T) {
 	}
 	defer db.Close()
 	rng := rand.New(rand.NewSource(53))
-	if err := db.ApplyBatch(insertBatch(rng, db.idx.Graph(), 3)); err != nil {
+	if err := db.ApplyBatch(insertBatch(rng, db.Shard(0).idx.Graph(), 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WaitForSeq(context.Background(), db.Seq()); err != nil {
+	if err := db.Shard(0).WaitForSeq(context.Background(), db.Shard(0).Seq()); err != nil {
 		t.Fatalf("WaitForSeq(current): %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := db.WaitForSeq(ctx, db.Seq()+100); !errors.Is(err, context.DeadlineExceeded) {
+	if err := db.Shard(0).WaitForSeq(ctx, db.Shard(0).Seq()+100); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("WaitForSeq(future) = %v, want deadline exceeded", err)
 	}
 }

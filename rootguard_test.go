@@ -29,7 +29,7 @@ func TestDBRootDeletionRejected(t *testing.T) {
 	persons := MustParsePath("//person")
 	check := func(t *testing.T, db *DB, want int) {
 		t.Helper()
-		root := db.Snapshot().Data().Root()
+		root := db.Shard(0).Snapshot().Data().Root()
 		for i, err := range rootDeletes(root, db.DeleteNode, db.DeleteSubtree, db.ApplyScript) {
 			if !errors.Is(err, ErrRootNode) {
 				t.Fatalf("root deletion %d: %v, want ErrRootNode", i, err)
@@ -70,7 +70,7 @@ func TestDBRootDeletionRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		if r := db.Snapshot().Data().Root(); r == InvalidNode {
+		if r := db.Shard(0).Snapshot().Data().Root(); r == InvalidNode {
 			t.Fatal("reopened store has no root")
 		}
 		check(t, db, want)
@@ -106,16 +106,16 @@ func TestLegacyRootDeleteRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := db.Snapshot().Data().Root()
+	root := db.Shard(0).Snapshot().Data().Root()
 	seq := db.Stats().AppliedSeq
 	script := []opscript.Op{{Kind: opscript.DelNode, U: root}}
 
 	// A follower refuses the record and keeps its root.
-	err = db.ApplyRecord(&wal.Record{Seq: seq + 1, Kind: wal.RecScript, Script: script})
+	err = db.Shard(0).ApplyRecord(&wal.Record{Seq: seq + 1, Kind: wal.RecScript, Script: script})
 	if !errors.Is(err, ErrRootNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", seq+1)) {
 		t.Fatalf("ApplyRecord: %v, want ErrRootNode naming record %d", err, seq+1)
 	}
-	if r := db.Snapshot().Data().Root(); r != root {
+	if r := db.Shard(0).Snapshot().Data().Root(); r != root {
 		t.Fatalf("root %d after the refused record, want %d", r, root)
 	}
 	if err := db.Close(); err != nil {
@@ -154,7 +154,7 @@ func TestInsertNodeUnreachableParent(t *testing.T) {
 		insert func(string, NodeID) (NodeID, error)
 		nodes  func() int
 	}{
-		"db": {db.InsertNode, func() int { return db.Snapshot().Data().NumNodes() }},
+		"db": {db.InsertNode, func() int { return db.Shard(0).Snapshot().Data().NumNodes() }},
 		"sharded": {sdb.InsertNode, func() int {
 			return sdb.Shard(0).Snapshot().Data().NumNodes() + sdb.Shard(1).Snapshot().Data().NumNodes()
 		}},
@@ -181,7 +181,7 @@ func TestLegacyUnreachableAddNodeRecord(t *testing.T) {
 	}
 	seq := db.Stats().AppliedSeq
 	rec := &wal.Record{Seq: seq + 1, Kind: wal.RecScript, Script: []opscript.Op{{Kind: opscript.AddNode, Label: "x", V: InvalidNode}}}
-	if err := db.ApplyRecord(rec); !errors.Is(err, ErrDeadNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", seq+1)) {
+	if err := db.Shard(0).ApplyRecord(rec); !errors.Is(err, ErrDeadNode) || !strings.Contains(err.Error(), fmt.Sprintf("record %d", seq+1)) {
 		t.Fatalf("ApplyRecord: %v, want ErrDeadNode naming record %d", err, seq+1)
 	}
 	if err := db.Close(); err != nil {

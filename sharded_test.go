@@ -18,9 +18,12 @@ import (
 	"structix/internal/wal"
 )
 
-// WriteRecord is the facade's one write, exported to the external tests:
+// WriteRecord is the store's one write, exported to the external tests:
 // the folded outcome of a record, which ApplyBatch reduces to its error.
-func (sdb *ShardedDB) WriteRecord(rec *wal.Record) (OpResult, error) { return sdb.write(rec) }
+func (db *DB) WriteRecord(rec *wal.Record) (OpResult, error) {
+	res, _, err := db.write(rec)
+	return res, err
+}
 
 // shardForest builds a graph of comps independent top-level subtrees
 // (the unit of shard placement), each a small random tree plus a few
@@ -72,7 +75,7 @@ func translate(t *testing.T, mapping []NodeID, ids []NodeID) []NodeID {
 	return out
 }
 
-func compareStores(t *testing.T, ref *DB, sdb *ShardedDB, mapping []NodeID, when string) {
+func compareStores(t *testing.T, ref *DB, sdb *DB, mapping []NodeID, when string) {
 	t.Helper()
 	snap := sdb.Snapshot()
 	for _, expr := range shardExprs {
@@ -199,7 +202,7 @@ func testShardedEquivalence(t *testing.T, n int, seed int64) {
 				comp[refID] = c
 			}
 		case k < 8: // new top-level subtree
-			refID, refErr := ref.InsertNode("t", ref.Snapshot().Data().Root())
+			refID, refErr := ref.InsertNode("t", ref.GlobalRoot())
 			shID, shErr := sdb.InsertNode("t", sdb.GlobalRoot())
 			if (refErr == nil) != (shErr == nil) {
 				t.Fatalf("step %d: top insert divergence: %v vs %v", step, refErr, shErr)
@@ -496,7 +499,8 @@ func TestShardedErrorsInGlobalIds(t *testing.T) {
 		t.Fatalf("delsub script: %v, want op on %d", err, v)
 	}
 	named("delsub script", err, v, ErrDeadNode)
-	_, err = sdb.AddSubgraph(&Subgraph{Labels: []graph.LabelID{0}, Values: []string{""}, CrossOut: []graph.CrossEdge{{Outside: v, Kind: IDRef}}})
+	memo := sdb.labels.in.Intern("memo")
+	_, err = sdb.AddSubgraph(&Subgraph{Labels: []graph.LabelID{memo}, Values: []string{""}, CrossOut: []graph.CrossEdge{{Outside: v, Kind: IDRef}}})
 	named("AddSubgraph", err, v, ErrDeadNode)
 }
 
@@ -506,7 +510,7 @@ func TestOpenShardedDurable(t *testing.T) {
 	dir := t.TempDir()
 	boot := func() (*Database, error) { return &Database{Graph: shardForest(9, 8, 6)}, nil }
 	opts := Options{Shards: 4, Bootstrap: boot, CompactEvery: -1}
-	sdb, err := OpenSharded(dir, opts)
+	sdb, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +527,7 @@ func TestOpenShardedDurable(t *testing.T) {
 		t.Fatalf("person/name = %v", wantPN)
 	}
 	for s := 0; s < sdb.NumShards(); s++ {
-		if !sdb.ShardStats()[s].Durable {
+		if !sdb.Shard(s).Stats().Durable {
 			t.Fatalf("shard %d not durable", s)
 		}
 		wd := filepath.Join(dir, shardDirName(s), "wal")
@@ -536,7 +540,7 @@ func TestOpenShardedDurable(t *testing.T) {
 	}
 
 	// Reopen without Shards: the manifest supplies the count.
-	sdb2, err := OpenSharded(dir, Options{Bootstrap: boot, CompactEvery: -1})
+	sdb2, err := Open(dir, Options{Bootstrap: boot, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,20 +556,21 @@ func TestOpenShardedDurable(t *testing.T) {
 	}
 
 	// A disagreeing shard count is refused.
-	if _, err := OpenSharded(dir, Options{Shards: 2}); err == nil {
-		t.Fatal("shard-count mismatch accepted")
+	var le *LayoutError
+	if _, err := Open(dir, Options{Shards: 2}); !errors.As(err, &le) || le.Shards != 4 || le.Asked != 2 {
+		t.Fatalf("shard-count mismatch: %v", err)
 	}
 }
 
-// TestUpdatePublishOnlyOnSuccess pins the DB.Update contract: a failing
+// TestUpdatePublishOnlyOnSuccess pins the Shard.Update contract: a failing
 // update must not publish — readers keep the pre-update snapshot.
 func TestUpdatePublishOnlyOnSuccess(t *testing.T) {
 	g := shardForest(5, 4, 4)
 	db := NewDB(BuildOneIndex(g))
 	defer db.Close()
-	before := db.Snapshot()
+	before := db.Shard(0).Snapshot()
 	errBoom := fmt.Errorf("boom")
-	err := db.Update(func(x Index) error {
+	err := db.Shard(0).Update(func(x Index) error {
 		// A mutation fn makes before failing; it must stay unpublished.
 		_, _ = opscript.Apply(x, []ScriptOp{{Kind: opscript.AddNode, Label: "ghost", V: x.Graph().Root()}})
 		return errBoom
@@ -573,14 +578,14 @@ func TestUpdatePublishOnlyOnSuccess(t *testing.T) {
 	if err != errBoom {
 		t.Fatalf("err = %v", err)
 	}
-	if db.Snapshot() != before {
+	if db.Shard(0).Snapshot() != before {
 		t.Fatal("failed Update published a snapshot")
 	}
 	if n := db.Count(MustParsePath("/ghost")); n != 0 {
 		t.Fatalf("failed update visible to readers: %d", n)
 	}
 	// A successful update still publishes.
-	if err := db.Update(func(x Index) error {
+	if err := db.Shard(0).Update(func(x Index) error {
 		_, err := opscript.Apply(x, []ScriptOp{{Kind: opscript.AddNode, Label: "real", V: x.Graph().Root()}})
 		return err
 	}); err != nil {
@@ -629,5 +634,49 @@ func TestShardedRootResultOnce(t *testing.T) {
 		if got := snap.Count(p); got != len(want) {
 			t.Errorf("%s: sharded count %d != %d", expr, got, len(want))
 		}
+	}
+}
+
+// TestAddSubgraphUnissuedLabel: a Subgraph's LabelIDs are in the store's
+// own label space at every shard count, so an id the store never issued
+// names no label. AddSubgraph refuses it with ErrBadSubgraph before
+// anything routes or commits — it is not grafted as a "label#N" node —
+// and the cut it came from still grafts back.
+func TestAddSubgraphUnissuedLabel(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		g := shardForest(3, 6, 4)
+		db := NewDB(BuildOneIndex(g))
+		if n > 1 {
+			db, _ = NewShardedDB(g, n)
+		}
+		cut, err := db.DeleteSubtree(db.Eval(MustParsePath("/a"))[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := MustParsePath("//*")
+		nodes, snaps := db.Count(all), db.Snapshot()
+		for _, id := range []graph.LabelID{graph.LabelID(db.labels.in.Len()), -1} {
+			bad := *cut
+			bad.Labels = slices.Clone(cut.Labels)
+			bad.Labels[len(bad.Labels)-1] = id
+			if _, err := db.AddSubgraph(&bad); !errors.Is(err, ErrBadSubgraph) {
+				t.Fatalf("%d shards: label id %d: %v, want ErrBadSubgraph", n, id, err)
+			}
+		}
+		for s := 0; s < n; s++ {
+			if db.Shard(s).Snapshot() != snaps.Shard(s) {
+				t.Fatalf("%d shards: a refused graft published shard %d", n, s)
+			}
+		}
+		if _, err := db.AddSubgraph(cut); err != nil {
+			t.Fatalf("%d shards: %v", n, err)
+		}
+		if got := db.Count(all); got != nodes+len(cut.Labels) {
+			t.Fatalf("%d shards: %d nodes after the re-graft, want %d", n, got, nodes+len(cut.Labels))
+		}
+		if err := db.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
 	}
 }

@@ -79,14 +79,14 @@ func TestDBRaceOneIndex(t *testing.T) {
 				if n := c.Count(p); !p.HasPredicates() && n != len(res) {
 					// Count and Eval may observe different epochs, but each
 					// must be self-consistent; re-check on one pinned snapshot.
-					s := c.Snapshot()
+					s := c.Shard(0).Snapshot()
 					if structix.CountSnapshot(p, s) != len(structix.EvalSnapshot(p, s)) {
 						t.Errorf("count != len(eval) on one snapshot for %v", p)
 						return
 					}
 				}
-				_ = c.Size()
-				c.View(func(s *structix.Snapshot) { _ = s.RootINode() })
+				_ = c.Snapshot().Size()
+				_ = c.Shard(0).Snapshot().RootINode()
 			}
 		}(r)
 	}
@@ -120,7 +120,7 @@ func TestDBRaceOneIndex(t *testing.T) {
 		}
 	}
 	var auction structix.NodeID = structix.InvalidNode
-	c.View(func(s *structix.Snapshot) {
+	func(s *structix.Snapshot) {
 		d := s.Data()
 		for v := structix.NodeID(0); v < d.MaxNodeID(); v++ {
 			if d.Alive(v) && d.LabelName(v) == "open_auction" {
@@ -128,7 +128,7 @@ func TestDBRaceOneIndex(t *testing.T) {
 				break
 			}
 		}
-	})
+	}(c.Shard(0).Snapshot())
 	if auction != structix.InvalidNode {
 		sg, err := c.DeleteSubtree(auction)
 		if err != nil {
@@ -170,8 +170,8 @@ func TestDBRaceAk(t *testing.T) {
 				}
 				_ = c.Eval(p)
 				_ = c.Count(p)
-				_ = c.Size()
-				c.View(func(s *structix.Snapshot) { _ = s.K() })
+				_ = c.Snapshot().Size()
+				_ = c.Shard(0).Snapshot().K()
 			}
 		}()
 	}
@@ -248,7 +248,7 @@ func TestDBAkOracle(t *testing.T) {
 						default:
 						}
 						// One pinned epoch is self-consistent whatever the writer does.
-						p, s := paths[i%len(paths)], db.Snapshot()
+						p, s := paths[i%len(paths)], db.Shard(0).Snapshot()
 						if got, want := structix.EvalSnapshot(p, s), query.EvalGraph(p, s.Data()); !slices.Equal(got, want) {
 							t.Errorf("reader: %v on a pinned snapshot: %v, frozen graph says %v", p, got, want)
 							return
@@ -260,7 +260,7 @@ func TestDBAkOracle(t *testing.T) {
 			matched := 0
 			for step := 0; step < 150; step++ {
 				var what string
-				if err := db.Update(func(x structix.Index) (err error) {
+				if err := db.Shard(0).Update(func(x structix.Index) (err error) {
 					churn.X = x
 					what, err = churn.Step()
 					return err
@@ -277,7 +277,7 @@ func TestDBAkOracle(t *testing.T) {
 					}
 					matched += len(want)
 				}
-				s := db.Snapshot()
+				s := db.Shard(0).Snapshot()
 				if _, ok := s.Changed(); !ok || !s.Bounded() || s.K() != k {
 					t.Fatalf("step %d (%s): published by full freeze, or not as A(%d): %v", step, what, k, s)
 				}
@@ -394,7 +394,7 @@ func TestSnapshotAliasing(t *testing.T) {
 
 	res := c.Eval(p)
 	resCopy := append([]structix.NodeID(nil), res...)
-	pinned := c.Snapshot()
+	pinned := c.Shard(0).Snapshot()
 	var pinnedExtent []structix.NodeID
 	var pinnedInode structix.INodeID = -1
 	for i := 0; i < 1<<16; i++ {
@@ -497,7 +497,7 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 	idx := structix.BuildOneIndex(g)
 	twin := idx.Freeze(g.Clone().Freeze())
 	c := structix.NewDB(idx)
-	pinned := c.Snapshot()
+	pinned := c.Shard(0).Snapshot()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -520,20 +520,20 @@ func TestPinnedSnapshotUnchangedUnderPatches(t *testing.T) {
 	}
 	churn := gtest.Churner{Rng: rng}
 	for i := 0; i < 1000; i++ {
-		if err := c.Update(func(x structix.Index) error {
+		if err := c.Shard(0).Update(func(x structix.Index) error {
 			churn.X = x
 			_, err := churn.Step()
 			return err
 		}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if _, ok := c.Snapshot().Changed(); !ok {
+		if _, ok := c.Shard(0).Snapshot().Changed(); !ok {
 			t.Fatalf("write %d published by full freeze", i)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if d := gtest.SnapshotDiff(c.Snapshot(), idx.Freeze(g.Clone().Freeze())); d != "" {
+	if d := gtest.SnapshotDiff(c.Shard(0).Snapshot(), idx.Freeze(g.Clone().Freeze())); d != "" {
 		t.Fatalf("after 1000 patches the chain differs from a fresh freeze: %s", d)
 	}
 }

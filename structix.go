@@ -24,12 +24,12 @@
 //     the exact routes over snapshots pinned at one read point; every
 //     snapshot read runs one compiled automaton program (CompilePath);
 //   - persistence (versioned binary, optional gzip), textual update
-//     scripts, and one store for concurrent use, DB: serialized writers
-//     publish immutable epoch snapshots of either index family, so reads
-//     are lock-free and never block on maintenance (NewDB in memory, Open
-//     durable with a write-ahead log and crash recovery); batch updates
-//     are atomic on every surface — a rejected batch (*BatchError) leaves
-//     graph and index untouched;
+//     scripts, and one store for concurrent use, DB: N ≥ 1 shards whose
+//     serialized writers publish immutable epoch snapshots of either index
+//     family, so reads are lock-free and never block on maintenance (NewDB
+//     in memory, Open durable with a write-ahead log and crash recovery);
+//     a shard's part of a batch is atomic — a rejected part
+//     (*BatchError) leaves its shard's graph and index untouched;
 //   - XMark- and IMDB-shaped dataset generators and the full experiment
 //     harness regenerating every figure and table of the paper (§7).
 //
@@ -185,15 +185,6 @@ type Snapshot = snap.Snapshot
 
 // INodeID identifies an inode slot of either index family.
 type INodeID = snap.ID
-
-// OneSnapshot, AkSnapshot, OneINodeID and AkINodeID are the names the two
-// families' snapshot and inode-id types had when they were distinct.
-type (
-	OneSnapshot = Snapshot
-	AkSnapshot  = Snapshot
-	OneINodeID  = INodeID
-	AkINodeID   = INodeID
-)
 
 // ---- 1-index ----
 

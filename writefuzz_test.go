@@ -23,7 +23,7 @@ func fuzzWrites(db *DB, data []byte) {
 		return b
 	}
 	node := func() NodeID {
-		n := int(db.Snapshot().Data().MaxNodeID()) + 1
+		n := int(db.Shard(0).Snapshot().Data().MaxNodeID()) + 1
 		return NodeID(int(next())%n) - 1
 	}
 	labels := []string{"person", "item", "note"}
@@ -128,11 +128,11 @@ func FuzzWriteRecord(f *testing.F) {
 		defer follower.Close()
 
 		fuzzWrites(leader, data)
-		if err := leader.Journal().Replay(1, follower.ApplyRecord); err != nil {
+		if err := leader.Shard(0).Journal().Replay(1, follower.Shard(0).ApplyRecord); err != nil {
 			t.Fatalf("follower: %v", err)
 		}
-		want := leader.Snapshot()
-		if d := gtest.SnapshotDiff(want, follower.Snapshot()); d != "" {
+		want := leader.Shard(0).Snapshot()
+		if d := gtest.SnapshotDiff(want, follower.Shard(0).Snapshot()); d != "" {
 			t.Fatalf("follower snapshot differs from the leader's: %s", d)
 		}
 		if !bytes.Equal(journalBytes(t, ldir), journalBytes(t, fdir)) {
@@ -156,10 +156,10 @@ func FuzzWriteRecord(f *testing.F) {
 			t.Fatalf("recovery: %v", err)
 		}
 		defer recovered.Close()
-		if recovered.Stats().ReplayedRecords != int(leader.appliedSeq.Load()) {
-			t.Fatalf("recovery replayed %d records, the leader journaled %d", recovered.Stats().ReplayedRecords, leader.appliedSeq.Load())
+		if recovered.Stats().ReplayedRecords != int(leader.Shard(0).appliedSeq.Load()) {
+			t.Fatalf("recovery replayed %d records, the leader journaled %d", recovered.Stats().ReplayedRecords, leader.Shard(0).appliedSeq.Load())
 		}
-		if d := gtest.SnapshotDiff(want, recovered.Snapshot()); d != "" {
+		if d := gtest.SnapshotDiff(want, recovered.Shard(0).Snapshot()); d != "" {
 			t.Fatalf("recovered snapshot differs from the leader's: %s", d)
 		}
 		if err := recovered.Validate(); err != nil {

@@ -15,9 +15,10 @@ import (
 
 // TestOneWritePath is a vet-style check that keeps one write path: every
 // store write is a journal record, applied by apply alone — on the leader
-// (DB.write), in Open's replay and in a follower's ApplyRecord — and
-// journaled by commit alone. It type-checks the root package and the two
-// packages that drive a store, internal/server and internal/repl, and fails
+// (Shard.write), in a shard's recovery replay and in a follower's
+// ApplyRecord — and journaled by commit alone. It type-checks the root
+// package and the two packages that drive a store, internal/server and
+// internal/repl, and fails
 //
 //   - when a root function other than apply calls an index mutator or
 //     opscript.Apply (ApplyOps, which runs a script against a caller's
@@ -27,14 +28,17 @@ import (
 //   - when internal/server calls other than exactly one store write
 //     method;
 //   - when shard.Map.Fold, the one fold of a record's per-shard outcomes,
-//     is called by other than ShardedDB.write and the server's
-//     respondUpdate, or internal/server re-bases ids by itself
-//     (Map.Globalize, Map.GlobalizeNodes) — one cross-shard rule;
-//   - when ShardedDB declares a lock field: its parts commit per shard,
-//     with no facade-wide coordination;
-//   - when a name the one write path or the one cross-shard rule
-//     replaced is declared or used anywhere, or SplitEdges — kept because
-//     bench/ times it — is called outside internal/shard.
+//     is called by other than DB.write and the server's respondUpdate, or
+//     internal/server re-bases ids by itself (Map.Globalize,
+//     Map.GlobalizeNodes) — one cross-shard rule;
+//   - when DB declares a lock field: its parts commit per shard, with no
+//     store-wide coordination;
+//   - when Shard exports a write other than WriteWindowed (the server's
+//     committers), ApplyRecord (replication) and Update (in-memory
+//     access to the live index) — one write surface, the DB's;
+//   - when a name the one write path, the one cross-shard rule or the one
+//     store type replaced is declared or used anywhere, or SplitEdges —
+//     kept because bench/ times it — is called outside internal/shard.
 func TestOneWritePath(t *testing.T) {
 	mutators := map[string]bool{
 		"ApplyBatch": true, "InsertEdge": true, "DeleteEdge": true, "InsertNode": true,
@@ -42,11 +46,17 @@ func TestOneWritePath(t *testing.T) {
 	}
 	storeWrites := []string{
 		"ApplyBatch", "ApplyScript", "InsertEdge", "DeleteEdge", "InsertNode", "DeleteNode", "DeleteSubtree",
-		"DeleteSubtreeNamed", "AddSubgraph", "AddSubgraphNamed", "ApplyRecord", "Update", "WriteWindowed",
+		"AddSubgraph", "ApplyRecord", "Update", "WriteWindowed",
 	}
+	shardWrites := []string{"WriteWindowed", "ApplyRecord", "Update"}
 	for _, name := range storeWrites {
-		if _, ok := reflect.TypeOf(&DB{}).MethodByName(name); !ok {
-			t.Fatalf("DB has no write method %s: the list has rotted", name)
+		_, onDB := reflect.TypeOf(&DB{}).MethodByName(name)
+		_, onShard := reflect.TypeOf(&Shard{}).MethodByName(name)
+		if !onDB && !onShard {
+			t.Fatalf("neither DB nor Shard has the write method %s: the list has rotted", name)
+		}
+		if onShard && !slices.Contains(shardWrites, name) {
+			t.Errorf("Shard exports the write %s; writes in global ids go through DB", name)
 		}
 	}
 	isStore := func(recv types.Type) bool {
@@ -54,7 +64,7 @@ func TestOneWritePath(t *testing.T) {
 			recv = p.Elem()
 		}
 		n, ok := recv.(*types.Named)
-		return ok && n.Obj().Pkg().Path() == "structix" && (n.Obj().Name() == "DB" || n.Obj().Name() == "ShardedDB")
+		return ok && n.Obj().Pkg().Path() == "structix" && (n.Obj().Name() == "DB" || n.Obj().Name() == "Shard")
 	}
 
 	fset := token.NewFileSet()
@@ -85,10 +95,10 @@ func TestOneWritePath(t *testing.T) {
 			t.Fatal(err)
 		}
 		if dir == "." {
-			st := pkg.Scope().Lookup("ShardedDB").Type().Underlying().(*types.Struct)
+			st := pkg.Scope().Lookup("DB").Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
 				if ft := strings.TrimPrefix(st.Field(i).Type().String(), "*"); ft == "sync.Mutex" || ft == "sync.RWMutex" {
-					t.Errorf("ShardedDB.%s is a %s; a record's parts commit per shard, uncoordinated", st.Field(i).Name(), ft)
+					t.Errorf("DB.%s is a %s; a record's parts commit per shard, uncoordinated", st.Field(i).Name(), ft)
 				}
 			}
 		}
@@ -143,7 +153,7 @@ func TestOneWritePath(t *testing.T) {
 	if len(serverWrites) != 1 {
 		t.Errorf("internal/server calls %d store write methods %v; it writes through exactly one", len(serverWrites), serverWrites)
 	}
-	if want := map[string]bool{"ShardedDB.write": true, "Server.respondUpdate": true}; !reflect.DeepEqual(folds, want) {
+	if want := map[string]bool{"DB.write": true, "Server.respondUpdate": true}; !reflect.DeepEqual(folds, want) {
 		t.Errorf("shard.Map.Fold is called by %v; want exactly %v", folds, want)
 	}
 
@@ -152,13 +162,15 @@ func TestOneWritePath(t *testing.T) {
 		"EdgeOpOf": true, "RouteScript": true, "GlobalizeBatchError": true, "GlobalizeOpError": true,
 		"GlobalizeEdgeOp": true, "GlobalizeOp": true, "AppendScript": true, "AppendSubgraph": true,
 		"AppendRecord": true, "commitEdges": true, "ValidateBatch": true, "crossShardReply": true,
+		"ShardedDB": true, "WrapDB": true, "OpenSharded": true, "NewSharded": true,
+		"aggregateStats": true, "labelNames": true, "AddSubgraphNamed": true, "DeleteSubtreeNamed": true,
 	}
 	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if replaced[id.Name] {
-					t.Errorf("%s: %s is left; the one write path replaced it", fset.Position(id.Pos()), id.Name)
+					t.Errorf("%s: %s is left; the one write path or the one store type replaced it", fset.Position(id.Pos()), id.Name)
 				}
 				if id.Name == "SplitEdges" && dir != "internal/shard" && dir != "bench" {
 					t.Errorf("%s: routes through SplitEdges; use shard.Map.Route", fset.Position(id.Pos()))

@@ -138,7 +138,7 @@ func pinForest() (*structix.Database, error) {
 }
 
 // TestWriteStreamPinned drives a fixed stream through every write entry
-// point of a durable DB and of a durable 2-shard ShardedDB — edge batches
+// point of a durable one-shard DB and of a durable 2-shard DB — edge batches
 // (one rejected), a script that stops part-way, the single edge and node
 // ops, subtree cuts and re-grafts — plus one coalesced server window with
 // a rejected member, and pins the SHA-256 of the replies, of the inode
@@ -146,11 +146,14 @@ func pinForest() (*structix.Database, error) {
 // recorded before every store write became one journal record applied by
 // one function; the sharded one again when a record spanning shards began
 // to commit per shard, the server's rule (the rejected two-shard batch now
-// commits its shard-0 part) and refusals began to name global ids.
+// commits its shard-0 part) and refusals began to name global ids. The db
+// replies once more when one store type took over both: a cut's LabelIDs
+// are in the store's own label space, and the second cut and graft go
+// through DeleteSubtree and AddSubgraph (the *Named forms are gone).
 func TestWriteStreamPinned(t *testing.T) {
 	want := map[string][3]string{
 		"db": {
-			"f97ba5d9773d1d2556a7df9609a250c42a9ad033e0f650679991129ed772c463",
+			"cb2c185e837b41ea728333aaeece8468e0bfe712c7b5fc26d7abb13c41a97f68",
 			"657e3657275bfe31c93b0f0205d8a23799e129f0335514168bb945047e455744",
 			"b74bc722898717fc13d92b96b41eece692f59f6cf64a45c43af0bb888318ab89",
 		},
@@ -185,7 +188,7 @@ func TestWriteStreamPinned(t *testing.T) {
 		d := newWriteDigest()
 		step := func(format string, args ...any) {
 			d.reply(format, args...)
-			d.snapshot(db.Snapshot())
+			d.snapshot(db.Shard(0).Snapshot())
 		}
 		ps := db.Eval(structix.MustParsePath("//person"))
 		as := db.Eval(structix.MustParsePath("//open_auction"))
@@ -219,11 +222,11 @@ func TestWriteStreamPinned(t *testing.T) {
 		step("cut %+v %v", sg, err)
 		ids, err := db.AddSubgraph(sg)
 		step("graft %v %v", ids, err)
-		names, sg, err := db.DeleteSubtreeNamed(ps[4])
-		step("cut named %v %+v %v", names, sg, err)
-		ids, err = db.AddSubgraphNamed(names, sg)
-		step("graft named %v %v", ids, err)
-		_, _, err = db.DeleteSubtreeNamed(ps[4])
+		sg, err = db.DeleteSubtree(ps[4])
+		step("cut again %+v %v", sg, err)
+		ids, err = db.AddSubgraph(sg)
+		step("graft again %v %v", ids, err)
+		_, err = db.DeleteSubtree(ps[4])
 		step("cut dead %v", err)
 
 		d.segments(t, filepath.Join(dir, "wal"))
@@ -235,7 +238,7 @@ func TestWriteStreamPinned(t *testing.T) {
 
 	t.Run("sharded", func(t *testing.T) {
 		dir := t.TempDir()
-		sdb, err := structix.OpenSharded(dir, structix.Options{Shards: 2, Sync: structix.SyncNone, CompactEvery: -1, Bootstrap: pinForest})
+		sdb, err := structix.Open(dir, structix.Options{Shards: 2, Sync: structix.SyncNone, CompactEvery: -1, Bootstrap: pinForest})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,14 +314,14 @@ func TestWriteStreamPinned(t *testing.T) {
 			err     string
 		}
 		type frontEnd struct {
-			sdb   *structix.ShardedDB
+			sdb   *structix.DB
 			dir   string
 			d     *writeDigest
 			write func(ops []structix.ScriptOp) outcome
 		}
 		open := func() *frontEnd {
 			dir := t.TempDir()
-			sdb, err := structix.OpenSharded(dir, structix.Options{Shards: 2, Sync: structix.SyncNone, CompactEvery: -1, Bootstrap: pinForest})
+			sdb, err := structix.Open(dir, structix.Options{Shards: 2, Sync: structix.SyncNone, CompactEvery: -1, Bootstrap: pinForest})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +342,7 @@ func TestWriteStreamPinned(t *testing.T) {
 			}
 			return o
 		}
-		s := server.NewSharded(srv.sdb, server.Config{})
+		s := server.New(srv.sdb, server.Config{})
 		defer s.Shutdown(context.Background())
 		srv.write = func(ops []structix.ScriptOp) outcome {
 			b, err := json.Marshal(server.UpdateRequest{Ops: ops})
@@ -485,7 +488,7 @@ func TestWriteStreamPinned(t *testing.T) {
 		// request while the next three queue up behind it, in order: they
 		// then commit as one window whose middle member is rejected.
 		held, release := make(chan struct{}), make(chan struct{})
-		go db.Update(func(structix.Index) error { close(held); <-release; return nil })
+		go db.Shard(0).Update(func(structix.Index) error { close(held); <-release; return nil })
 		<-held
 		first := post(body(0, 1))
 		waitFor("the first window to start", func(st server.StatsReply) bool { return st.QueueWaitP50Us > 0 && st.QueueDepth == 0 })
@@ -499,7 +502,7 @@ func TestWriteStreamPinned(t *testing.T) {
 		for i, c := range rest {
 			d.reply("member %d %s", i, <-c)
 		}
-		d.snapshot(db.Snapshot())
+		d.snapshot(db.Shard(0).Snapshot())
 		d.journal.Write([]byte("in-memory"))
 		if err := db.Validate(); err != nil {
 			t.Fatal(err)
