@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
+	$(GO) test -fuzz=FuzzLoadDatabase -fuzztime=10s ./internal/persist/
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
@@ -156,7 +157,10 @@ loc:
 # live root and a clean Validate), the write-record fuzz pass
 # (FuzzWriteRecord: on any write stream the leader, a follower fed its
 # records and recovery from its journal publish equal snapshots, and the
-# two journals are byte-identical), the shard-, repl- and
+# two journals are byte-identical), the snapshot-loader fuzz pass
+# (FuzzLoadDatabase: any database stream of either format version, gzip'd
+# or not, is an error or a database whose graph and 1-index validate,
+# with bounded allocation), the shard-, repl- and
 # scale-bench smokes, and a one-iteration smoke pass over every benchmark
 # in the module.
 ci: build vet
@@ -182,6 +186,7 @@ ci: build vet
 	$(GO) test -fuzz=FuzzPublish -fuzztime=10s ./internal/snap/
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
+	$(GO) test -fuzz=FuzzLoadDatabase -fuzztime=10s ./internal/persist/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

@@ -180,8 +180,10 @@ func shardDirName(s int) string { return fmt.Sprintf("shard-%02d", s) }
 // layoutOf reads the layout of dir and checks it against asked
 // (Options.Shards). A manifest pins n shards under shard-NN (manifest
 // true). With none, asked ≤ 1 is a single store at dir (n = 1), and
-// asked > 1 lays out n = asked shards — unless dir already holds a single
-// store (a snapshot or a journal), which is a *LayoutError.
+// asked > 1 lays out n = asked shards. A directory without a manifest
+// that already holds the other layout — a single store's snapshot or
+// journal, or shard-NN subdirectories (a sharded Open that stopped before
+// writing its manifest) — is a *LayoutError.
 func layoutOf(dir string, asked int) (n int, manifest bool, err error) {
 	b, err := os.ReadFile(filepath.Join(dir, shardManifest))
 	switch {
@@ -196,19 +198,26 @@ func layoutOf(dir string, asked int) (n int, manifest bool, err error) {
 		return n, true, nil
 	case !errors.Is(err, os.ErrNotExist):
 		return 0, false, fmt.Errorf("structix: %w", err)
-	case asked <= 1:
-		return 1, false, nil
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return 0, false, fmt.Errorf("structix: %w", err)
 	}
+	single, shards := false, 0
 	for _, e := range entries {
 		if _, ok := parseSnapName(e.Name()); ok || e.Name() == walSubdir {
-			return 0, false, &LayoutError{Dir: dir, Shards: 1, Asked: asked}
+			single = true
+		} else if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
+			shards++
 		}
 	}
-	return asked, false, nil
+	switch {
+	case asked <= 1 && shards > 0:
+		return 0, false, &LayoutError{Dir: dir, Shards: shards, Asked: asked}
+	case asked > 1 && single:
+		return 0, false, &LayoutError{Dir: dir, Shards: 1, Asked: asked}
+	}
+	return max(asked, 1), false, nil
 }
 
 // Open opens (or creates) the durable store in dir, in the layout the

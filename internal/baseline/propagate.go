@@ -132,5 +132,9 @@ func ReconstructOneIndex(x *oneindex.Index) *oneindex.Index {
 		dp.SetBlock(v, igPart.Block(toIG[x.INodeOf(v)]))
 	})
 	dp.SetNumBlocks(igPart.NumBlocks())
-	return oneindex.FromPartition(g, dp)
+	y, err := oneindex.FromPartition(g, dp)
+	if err != nil {
+		panic("baseline: reconstruction of a valid 1-index: " + err.Error())
+	}
+	return y
 }

@@ -144,7 +144,11 @@ type Stats struct {
 func Build(g *graph.Graph) *Index {
 	p := partition.CoarsestStable(g, partition.ByLabel(g))
 	numberBreadthFirst(g, p)
-	return FromPartition(g, p)
+	x, err := FromPartition(g, p)
+	if err != nil {
+		panic("oneindex: Build: " + err.Error()) // CoarsestStable is self-stable (Lemma 1)
+	}
+	return x
 }
 
 // numberBreadthFirst renumbers p's blocks in breadth-first first-reach
@@ -190,50 +194,119 @@ func numberBreadthFirst(g *graph.Graph, p *partition.Partition) {
 	}
 }
 
-// FromPartition constructs an Index over g with the given dnode partition.
-// The partition is trusted to be label-pure; callers wanting a *valid*
-// 1-index must pass a self-stable partition (Build does).
-func FromPartition(g *graph.Graph, p *partition.Partition) *Index {
-	idx := &Index{g: g, inodes: make([]*inode, 0, p.NumBlocks())}
+// FromPartition constructs an Index over g with the given dnode partition,
+// which is trusted to be label-pure and to cover every live dnode. One
+// that is not self-stable is not a 1-index: it gets an error, not an index.
+//
+// Inodes are numbered in block-id order, skipping empty blocks: a snapshot
+// saves its inodes as blocks in slot order, so the loaded index keeps
+// every extent's INodeID, and the deterministic journal replay then
+// evolves it exactly as it evolved the original, keeping a follower
+// bit-identical to its leader at every seq. Inode records, extents and
+// both iedge directions are cut from exactly sized slabs with full slice
+// expressions, so maintenance growing one list reallocates it rather than
+// writing into the next.
+func FromPartition(g *graph.Graph, p *partition.Partition) (*Index, error) {
+	idx := &Index{g: g}
 	(*kernel)(idx).Grow()
-	// Inodes are created in block-id order, NOT first-seen-node order: a
-	// partition decoded from a persisted snapshot numbers its blocks in
-	// the saver's inode order, so honoring block ids here makes the loaded
-	// index an exact clone of the one that was saved — same INodeID for
-	// the same extent. Recovery and replication both lean on that: the
-	// deterministic journal replay then evolves a loaded index exactly as
-	// it evolved the original, keeping a follower bit-identical to its
-	// leader at every seq.
-	blockTo := make([]INodeID, p.NumBlocks())
-	for i := range blockTo {
-		blockTo[i] = NoINode
-	}
-	labels := make([]graph.LabelID, p.NumBlocks())
-	seen := make([]bool, p.NumBlocks())
+	blockTo := make([]INodeID, p.NumBlocks()) // each block's size, then its inode
 	g.EachNode(func(v graph.NodeID) {
-		b := p.Block(v)
-		if b == partition.NoBlock || seen[b] {
-			return
+		if b := p.Block(v); b != partition.NoBlock {
+			blockTo[b]++
 		}
-		seen[b] = true
-		labels[b] = g.Label(v)
 	})
-	for b := range blockTo {
-		if seen[b] {
-			blockTo[b] = idx.newINode(labels[b])
+	ins, slab := make([]inode, 0, len(blockTo)), make([]graph.NodeID, g.NumNodes())
+	for b, n := range blockTo {
+		if blockTo[b] = NoINode; n > 0 {
+			blockTo[b] = INodeID(len(ins))
+			ins = append(ins, inode{extent: slab[:0:n]})
+			slab = slab[n:]
 		}
 	}
+	idx.inodes = make([]*inode, len(ins))
+	for i := range ins {
+		idx.inodes[i] = &ins[i]
+		idx.pub.Mark(INodeID(i))
+	}
+	idx.numLive = len(ins)
 	g.EachNode(func(v graph.NodeID) {
-		b := p.Block(v)
-		if b == partition.NoBlock {
-			return
+		if b := p.Block(v); b != partition.NoBlock {
+			idx.inodes[blockTo[b]].label = g.Label(v)
+			idx.attachDNode(v, blockTo[b])
 		}
-		idx.attachDNode(v, blockTo[b])
 	})
-	g.EachEdge(func(u, v graph.NodeID, _ graph.EdgeKind) {
-		idx.addIEdgeCount(idx.inodeOf[u], idx.inodeOf[v], 1)
+	if J := idx.countIEdges(); J != NoINode {
+		return nil, fmt.Errorf("oneindex: partition is not self-stable: the dnodes of inode %d have unequal index-parent sets", J)
+	}
+	return idx, nil
+}
+
+// countIEdges fills a fresh index's iedge counts and returns an inode J
+// some iedge I→J does not reach all the dnodes of (NoINode when none: the
+// partition is self-stable). Edge targets are bucketed by source inode in
+// two passes in NodeID order, each bucket is grouped by target inode into
+// I's successor counts, and their transposition, in I order, is every
+// predecessor list, sorted. Both directions are cut from slabs.
+func (x *Index) countIEdges() INodeID {
+	n := len(x.inodes)
+	succAt, predAt := make([]int, n+1), make([]int, n+1)
+	x.g.EachEdge(func(u, _ graph.NodeID, _ graph.EdgeKind) { succAt[x.inodeOf[u]+1]++ })
+	for I := 0; I < n; I++ {
+		succAt[I+1] += succAt[I]
+	}
+	targets := make([]graph.NodeID, x.g.NumEdges())
+	x.g.EachEdge(func(u, w graph.NodeID, _ graph.EdgeKind) {
+		targets[succAt[x.inodeOf[u]]] = w
+		succAt[x.inodeOf[u]]++
 	})
-	return idx
+	// succAt[I] ends I's bucket; from here on it starts I's counts.
+	cnt, reached, touched := make([]int32, n), make([]int32, n), []INodeID(nil)
+	seen, unstable := make([]INodeID, len(x.inodeOf)), NoINode // seen[w] == I+1: w counted for I
+	ids, ns := make([]INodeID, 0, len(targets)), make([]int32, 0, len(targets))
+	for I, from := 0, 0; I < n; I++ {
+		for _, w := range targets[from:succAt[I]] {
+			J := x.inodeOf[w]
+			if cnt[J]++; cnt[J] == 1 {
+				touched = append(touched, J)
+			}
+			if seen[w] != INodeID(I+1) {
+				seen[w] = INodeID(I + 1)
+				reached[J]++
+			}
+		}
+		from, succAt[I] = succAt[I], len(ids)
+		slices.Sort(touched)
+		for _, J := range touched {
+			if int(reached[J]) != len(x.inodes[J].extent) && unstable == NoINode {
+				unstable = J
+			}
+			ids, ns = append(ids, J), append(ns, cnt[J])
+			cnt[J], reached[J] = 0, 0
+			predAt[J+1]++
+		}
+		touched = touched[:0]
+	}
+	succAt[n] = len(ids)
+	for J := 0; J < n; J++ {
+		predAt[J+1] += predAt[J]
+	}
+	pids, pns := make([]INodeID, len(ids)), make([]int32, len(ids))
+	for I, in := range x.inodes {
+		a, b := succAt[I], succAt[I+1]
+		in.succ = ilist.Counts[INodeID]{IDs: ids[a:b:b], N: ns[a:b:b]}
+		for k := a; k < b; k++ {
+			J := ids[k]
+			pids[predAt[J]], pns[predAt[J]] = INodeID(I), ns[k]
+			predAt[J]++
+		}
+	}
+	// predAt[J] now ends J's run, which begins where J-1's ends.
+	for J, a := 0, 0; J < n; J++ {
+		b := predAt[J]
+		x.inodes[J].pred = ilist.Counts[INodeID]{IDs: pids[a:b:b], N: pns[a:b:b]}
+		a = b
+	}
+	return unstable
 }
 
 // Graph returns the underlying data graph.

@@ -485,7 +485,10 @@ func TestBuildNumbersBreadthFirst(t *testing.T) {
 			if d := gtest.BreadthFirstDiff(x.Freeze(g.Freeze())); d != "" {
 				t.Fatalf("%s seed %d: %s", shape.name, seed, d)
 			}
-			pt := FromPartition(g.Clone(), rebuild(x))
+			pt, err := FromPartition(g.Clone(), rebuild(x))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if gtest.BreadthFirstDiff(pt.Freeze(pt.Graph().Freeze())) != "" {
 				unordered++
 			}

@@ -215,8 +215,8 @@ func TestQuickPartitionRoundTrip(t *testing.T) {
 		if p.NumBlocks() != x.Size() {
 			return false
 		}
-		y := FromPartition(g, p)
-		return partition.Equal(y.ToPartition(), p) && y.Validate() == nil
+		y, err := FromPartition(g, p)
+		return err == nil && partition.Equal(y.ToPartition(), p) && y.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/gob"
 	"encoding/hex"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"structix/internal/graph"
@@ -14,11 +18,27 @@ import (
 )
 
 // pinnedSnapshotSHA256 is the SHA-256 of SaveSnapshot's output for the
-// paper's Figure 2 graph under its minimum 1-index, computed at the commit
-// before the live and frozen encoders were folded into one (PR 24).
-// Snapshot files are what Open recovers from and what a follower
-// bootstraps off, so these bytes must never move.
-const pinnedSnapshotSHA256 = "ed37c39527430d10210e0fa645f2a043097cf02378e2d09d79e2a2e6428c14a5"
+// paper's Figure 2 graph under its minimum 1-index, in format version 2
+// (graph columns and gap-coded blocks). Snapshot files are what Open
+// recovers from and what a follower bootstraps off, so these bytes move
+// only with a new format version.
+const pinnedSnapshotSHA256 = "bcbd38ab34d7100dfab45add6ff908a1c976fe64c3a96fff1f7a7ee4a8e475ba"
+
+// gob numbers a process's types in first-use order and a stream carries
+// those numbers, so the wire types are numbered here, before any test
+// runs, to keep the pinned bytes independent of which tests ran first.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	for _, v := range []any{header{}, graph.Columns{}, partCols{}, graphDTO{}, partitionDTO{}} {
+		if err := enc.Encode(v); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// testdata/fig2-v1.sx is the same snapshot in format version 1, written
+// by the last build that wrote version 1; this was that format's pin.
+const pinnedSnapshotV1SHA256 = "ed37c39527430d10210e0fa645f2a043097cf02378e2d09d79e2a2e6428c14a5"
 
 // parentDatabaseStream is SaveDatabase's output for internerOrderGraph and
 // its 1-index, written by that parent commit (base64). Its label table is
@@ -46,16 +66,50 @@ func internerOrderGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
+// TestSnapshotBytesPinned pins the version-2 bytes of the Figure 2
+// snapshot, and loads both them and the checked-in version-1 bytes of the
+// same snapshot back to the index they were saved from: the same
+// partition as a fresh Build, under the same INodeIDs.
 func TestSnapshotBytesPinned(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
-	var buf bytes.Buffer
-	if err := SaveSnapshot(&buf, oneindex.Build(g).Freeze(g.Freeze())); err != nil {
+	x := oneindex.Build(g)
+	snap := x.Freeze(g.Freeze())
+	var v2, v1 bytes.Buffer
+	if err := SaveSnapshot(&v2, snap); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != pinnedSnapshotSHA256 {
+	if got := sha256Hex(v2.Bytes()); got != pinnedSnapshotSHA256 {
 		t.Fatalf("snapshot bytes moved: sha256 %s, pinned %s", got, pinnedSnapshotSHA256)
 	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "fig2-v1.sx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(fixture); got != pinnedSnapshotV1SHA256 {
+		t.Fatalf("version-1 fixture changed: sha256 %s, pinned %s", got, pinnedSnapshotV1SHA256)
+	}
+	if err := saveSnapshotV1(&v1, snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{"v1 fixture": fixture, "v1": v1.Bytes(), "v2": v2.Bytes()} {
+		db, err := LoadDatabase(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !partition.Equal(db.One.ToPartition(), x.ToPartition()) {
+			t.Fatalf("%s: loaded partition differs from Build's", name)
+		}
+		g.EachNode(func(v graph.NodeID) {
+			if db.One.INodeOf(v) != x.INodeOf(v) {
+				t.Fatalf("%s: dnode %d in inode %d, built in %d", name, v, db.One.INodeOf(v), x.INodeOf(v))
+			}
+		})
+	}
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func TestParentDatabaseStreamLoads(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"structix/internal/graph"
 	"structix/internal/oneindex"
-	"structix/internal/partition"
 )
 
 // SaveSnapshot writes a "database" stream — readable by LoadDatabase /
@@ -24,7 +23,7 @@ func SaveSnapshot(w io.Writer, snap *oneindex.Snapshot) error {
 	if snap.Bounded() {
 		return fmt.Errorf("%w: got A(%d)", ErrBoundedSnapshot, snap.K())
 	}
-	return writeDatabase(w, snap.Data(), snapshotPartToDTO(snap), nil)
+	return writeDatabase(w, snap.Data(), snapshotCols(snap), nil)
 }
 
 // SaveSnapshotCompressed is SaveSnapshot through a gzip layer; the
@@ -38,24 +37,16 @@ func SaveSnapshotCompressed(w io.Writer, snap *oneindex.Snapshot) error {
 // 1-index it would claim to be yields a wrong index.
 var ErrBoundedSnapshot = errors.New("persist: only a 1-index snapshot can be saved")
 
-func snapshotPartToDTO(snap *oneindex.Snapshot) *partitionDTO {
-	f := snap.Data()
-	dto := &partitionDTO{BlockOf: make([]int32, f.MaxNodeID())}
-	for i := range dto.BlockOf {
-		dto.BlockOf[i] = partition.NoBlock
-	}
-	// Renumber live inodes densely; FromPartition re-derives everything
-	// else from the block structure.
+// snapshotCols numbers the live inodes densely in slot order, one block
+// each; FromPartition re-derives everything else from the blocks.
+func snapshotCols(snap *oneindex.Snapshot) *partCols {
+	pc := &partCols{}
+	var buf []graph.NodeID
 	for i := 0; i < snap.Slots(); i++ {
-		I := oneindex.INodeID(i)
-		if !snap.Live(I) {
-			continue
+		if I := oneindex.INodeID(i); snap.Live(I) {
+			buf = snap.ExtentView(I).AppendTo(buf[:0])
+			pc.add(buf)
 		}
-		b := int32(dto.NumBlocks)
-		dto.NumBlocks++
-		snap.ExtentView(I).Each(func(v graph.NodeID) {
-			dto.BlockOf[v] = b
-		})
 	}
-	return dto
+	return pc
 }

@@ -9,9 +9,18 @@
 // extents, iedges and counts, so a loaded index passes the same structural
 // validation as a built one.
 //
+// # Format
+//
+// Version 2 stores the graph as flat columns (graph.Columns) and each
+// partition as its blocks' sizes and gap-coded members (partCols). A
+// version-1 stream, one gob struct per node and a block id per dnode, is
+// converted to the same columns, and both load through one bulk path —
+// graph.FromColumns, then oneindex.FromPartition — after every check on
+// the columns has passed.
+//
 // # One encoder
 //
-// Each stream kind has one writer. graphToDTO is the only graph encoder: it
+// Each stream kind has one writer. columnsOf is the only graph encoder: it
 // reads a live *graph.Graph and an immutable *graph.Frozen through the same
 // graphView, and numbers labels in first-seen NodeID order, so the loaded
 // graph's LabelIDs may differ from the live graph's while names, values,
@@ -20,8 +29,7 @@
 // stream (header, hasOne, hasAk, graph, partitions). SaveDatabase and
 // SaveSnapshot differ only in where the partition comes from — the live
 // index's ToPartition versus a snapshot's extents — and a stream written
-// by either loads with LoadDatabase / LoadDatabaseAuto, as do streams from
-// before the encoders were folded (label table in interner order).
+// by either loads with LoadDatabase / LoadDatabaseAuto.
 package persist
 
 import (
@@ -39,7 +47,7 @@ import (
 
 const (
 	magic   = "structix"
-	version = 1
+	version = 2 // what the writers write; LoadDatabase also reads version 1
 )
 
 type header struct {
@@ -48,6 +56,8 @@ type header struct {
 	Kind    string // "graph" or "database"
 }
 
+// The version-1 graph and partition encodings, decoded only to be
+// converted to columns.
 type graphDTO struct {
 	Labels     []string // interned label names, by LabelID
 	Root       int32
@@ -72,6 +82,14 @@ type partitionDTO struct {
 	NumBlocks int
 }
 
+// partCols is a version-2 partition: per block, in block order, its size;
+// then each block's members ascending, as gaps from the member before
+// (the first from −1), so every gap is ≥ 1.
+type partCols struct {
+	Sizes   []uint32
+	Members []uint32
+}
+
 // A single gob Encoder/Decoder is used per stream: gob decoders buffer
 // ahead of what they decode, so nesting fresh decoders on one reader would
 // lose bytes.
@@ -88,44 +106,92 @@ func encodeStream(w io.Writer, kind string, parts ...any) error {
 	return nil
 }
 
-func readHeader(dec *gob.Decoder, kind string) error {
+// readHeader checks the header and returns the stream's version.
+func readHeader(dec *gob.Decoder, kind string) (int, error) {
 	var h header
 	if err := dec.Decode(&h); err != nil {
-		return fmt.Errorf("persist: reading header: %w", err)
+		return 0, fmt.Errorf("persist: reading header: %w", err)
 	}
 	if h.Magic != magic {
-		return fmt.Errorf("persist: bad magic %q", h.Magic)
+		return 0, fmt.Errorf("persist: bad magic %q", h.Magic)
 	}
-	if h.Version != version {
-		return fmt.Errorf("persist: unsupported version %d", h.Version)
+	if h.Version != 1 && h.Version != version {
+		return 0, fmt.Errorf("persist: unsupported version %d", h.Version)
 	}
 	if h.Kind != kind {
-		return fmt.Errorf("persist: expected %s stream, found %s", kind, h.Kind)
+		return 0, fmt.Errorf("persist: expected %s stream, found %s", kind, h.Kind)
 	}
-	return nil
+	return h.Version, nil
+}
+
+// decode reads the next part of a stream as a T.
+func decode[T any](dec *gob.Decoder) (*T, error) {
+	p := new(T)
+	if err := dec.Decode(p); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return p, nil
+}
+
+// decodePart reads the next part of a version-2 stream as a T, or of a
+// version-1 stream as its V1 encoding, converted.
+func decodePart[V1, T any](dec *gob.Decoder, version int, convert func(*V1) (*T, error)) (*T, error) {
+	if version != 1 {
+		return decode[T](dec)
+	}
+	old, err := decode[V1](dec)
+	if err != nil {
+		return nil, err
+	}
+	return convert(old)
 }
 
 // SaveGraph writes the graph, preserving NodeIDs exactly (including dead
 // slots), so persisted indexes remain valid against the loaded graph.
 func SaveGraph(w io.Writer, g *graph.Graph) error {
-	return encodeStream(w, "graph", graphToDTO(g))
+	return encodeStream(w, "graph", columnsOf(g))
 }
 
 // LoadGraph reads a graph written by SaveGraph.
 func LoadGraph(r io.Reader) (*graph.Graph, error) {
 	dec := gob.NewDecoder(r)
-	if err := readHeader(dec, "graph"); err != nil {
+	v, err := readHeader(dec, "graph")
+	if err != nil {
 		return nil, err
 	}
-	return decodeGraph(dec)
-}
-
-func decodeGraph(dec *gob.Decoder) (*graph.Graph, error) {
-	var dto graphDTO
-	if err := dec.Decode(&dto); err != nil {
+	c, err := decodePart(dec, v, (*graphDTO).columns)
+	if err != nil {
+		return nil, err
+	}
+	g, err := graph.FromColumns(c)
+	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return graphFromDTO(&dto)
+	return g, nil
+}
+
+// columns converts a version-1 graph. Dead slots carry nothing: loading
+// version 1 always dropped what they held.
+func (dto *graphDTO) columns() (*graph.Columns, error) {
+	n := len(dto.Nodes)
+	c := &graph.Columns{Labels: dto.Labels, Root: max(dto.Root, int32(graph.InvalidNode)), AllowLoops: dto.AllowLoops,
+		Label: make([]uint32, n), Value: make([]string, n), OutDeg: make([]uint32, n)}
+	for i, nd := range dto.Nodes {
+		if !nd.Alive {
+			continue
+		}
+		if nd.Label < 0 {
+			return nil, fmt.Errorf("persist: node %d has unknown label %d", i, nd.Label)
+		}
+		c.Label[i], c.Value[i], c.OutDeg[i] = uint32(nd.Label)+1, nd.Value, uint32(len(nd.Succ))
+		for _, e := range nd.Succ {
+			if k := graph.EdgeKind(e.Kind); k != graph.Tree && k != graph.IDRef {
+				return nil, fmt.Errorf("persist: edge %d->%d has unknown kind %d", i, e.To, e.Kind)
+			}
+			c.Edges = append(c.Edges, graph.EdgeCode(graph.NodeID(i), graph.NodeID(e.To), graph.EdgeKind(e.Kind)))
+		}
+	}
+	return c, nil
 }
 
 // graphView is what the encoder reads of a graph; *graph.Graph and
@@ -133,6 +199,7 @@ func decodeGraph(dec *gob.Decoder) (*graph.Graph, error) {
 type graphView interface {
 	Root() graph.NodeID
 	MaxNodeID() graph.NodeID
+	NumEdges() int
 	Alive(graph.NodeID) bool
 	LabelName(graph.NodeID) string
 	Value(graph.NodeID) string
@@ -140,143 +207,97 @@ type graphView interface {
 	AllowSelfLoops() bool
 }
 
-func graphToDTO(g graphView) *graphDTO {
-	dto := &graphDTO{
-		Root:       int32(g.Root()),
-		AllowLoops: g.AllowSelfLoops(),
-		Nodes:      make([]nodeDTO, g.MaxNodeID()),
-	}
+func columnsOf(g graphView) *graph.Columns {
+	n := g.MaxNodeID()
+	c := &graph.Columns{Root: int32(g.Root()), AllowLoops: g.AllowSelfLoops(), Label: make([]uint32, n),
+		Value: make([]string, n), OutDeg: make([]uint32, n), Edges: make([]int64, 0, g.NumEdges())}
 	// The view carries label names, not interner ids: build the label
 	// table in first-seen order.
-	ids := make(map[string]int32)
-	for i := range dto.Nodes {
-		v := graph.NodeID(i)
+	ids := make(map[string]uint32)
+	for v := graph.NodeID(0); v < n; v++ {
 		if !g.Alive(v) {
 			continue
 		}
 		name := g.LabelName(v)
-		id, ok := ids[name]
-		if !ok {
-			id = int32(len(dto.Labels))
-			dto.Labels = append(dto.Labels, name)
-			ids[name] = id
+		if ids[name] == 0 {
+			c.Labels = append(c.Labels, name)
+			ids[name] = uint32(len(c.Labels))
 		}
-		n := &dto.Nodes[i]
-		n.Alive = true
-		n.Label = id
-		n.Value = g.Value(v)
+		c.Label[v], c.Value[v] = ids[name], g.Value(v)
+		from := len(c.Edges)
 		g.EachSucc(v, func(w graph.NodeID, kind graph.EdgeKind) {
-			n.Succ = append(n.Succ, edgeDTO{To: int32(w), Kind: uint8(kind)})
+			c.Edges = append(c.Edges, graph.EdgeCode(v, w, kind))
 		})
+		c.OutDeg[v] = uint32(len(c.Edges) - from)
 	}
-	return dto
+	return c
 }
 
-func graphFromDTO(dto *graphDTO) (*graph.Graph, error) {
-	in := graph.NewInterner()
-	for _, name := range dto.Labels {
-		in.Intern(name)
+// cols converts a version-1 partition, its block count bounded by its own
+// length first. A block no dnode is in drops out: it never got an inode.
+func (dto *partitionDTO) cols() (*partCols, error) {
+	if dto.NumBlocks < 0 || dto.NumBlocks > len(dto.BlockOf) {
+		return nil, fmt.Errorf("persist: %d blocks over %d dnodes", dto.NumBlocks, len(dto.BlockOf))
 	}
-	g := graph.NewShared(in)
-	g.SetAllowSelfLoops(dto.AllowLoops)
-	// Recreate the exact NodeID space, dead slots included.
-	var dead []graph.NodeID
-	for i, n := range dto.Nodes {
-		label := graph.LabelID(0)
-		if n.Alive {
-			if n.Label < 0 || int(n.Label) >= in.Len() {
-				return nil, fmt.Errorf("persist: node %d has unknown label %d", i, n.Label)
-			}
-			label = graph.LabelID(n.Label)
-		}
-		v := g.AddNodeL(label)
-		if graph.NodeID(i) != v {
-			return nil, fmt.Errorf("persist: node id drift at %d", i)
-		}
-		if n.Alive {
-			if n.Value != "" {
-				g.SetValue(v, n.Value)
-			}
-		} else {
-			dead = append(dead, v)
-		}
-	}
-	for i, n := range dto.Nodes {
-		for _, e := range n.Succ {
-			if k := graph.EdgeKind(e.Kind); k != graph.Tree && k != graph.IDRef {
-				return nil, fmt.Errorf("persist: edge %d->%d has unknown kind %d", i, e.To, e.Kind)
-			}
-			if err := g.AddEdge(graph.NodeID(i), graph.NodeID(e.To), graph.EdgeKind(e.Kind)); err != nil {
-				return nil, fmt.Errorf("persist: edge %d->%d: %w", i, e.To, err)
-			}
-		}
-	}
-	for _, v := range dead {
-		g.RemoveNode(v)
-	}
-	if dto.Root >= 0 {
-		g.SetRoot(graph.NodeID(dto.Root))
-	}
-	return g, nil
-}
-
-// decodePartition reads one partition and checks it against the graph it
-// sits beside.
-func decodePartition(dec *gob.Decoder, g *graph.Graph) (*partition.Partition, error) {
-	var dto partitionDTO
-	if err := dec.Decode(&dto); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return partFromDTO(&dto, g)
-}
-
-// An A(k) family is persisted as k followed by its k+1 level partitions.
-func decodeAkIndex(dec *gob.Decoder, g *graph.Graph) (*akindex.Index, error) {
-	var k int
-	if err := dec.Decode(&k); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if k < 1 || k > 1<<16 {
-		return nil, fmt.Errorf("persist: implausible k=%d", k)
-	}
-	levels := make([]*partition.Partition, k+1)
-	for l := range levels {
-		p, err := decodePartition(dec, g)
-		if err != nil {
-			return nil, fmt.Errorf("persist: level %d: %w", l, err)
-		}
-		levels[l] = p
-	}
-	return akindex.FromLevels(g, levels), nil
-}
-
-func partToDTO(p *partition.Partition) *partitionDTO {
-	dto := &partitionDTO{NumBlocks: p.NumBlocks(), BlockOf: make([]int32, p.Len())}
-	for i := range dto.BlockOf {
-		dto.BlockOf[i] = p.Block(graph.NodeID(i))
-	}
-	return dto
-}
-
-func partFromDTO(dto *partitionDTO, g *graph.Graph) (*partition.Partition, error) {
-	if len(dto.BlockOf) != int(g.MaxNodeID()) {
-		return nil, fmt.Errorf("persist: partition over %d nodes, graph has id space %d",
-			len(dto.BlockOf), g.MaxNodeID())
-	}
-	p := partition.NewPartition(g.MaxNodeID())
-	for i, b := range dto.BlockOf {
-		alive := g.Alive(graph.NodeID(i))
-		if (b == partition.NoBlock) == alive {
-			return nil, fmt.Errorf("persist: node %d liveness disagrees with partition", i)
+	blocks := make([][]graph.NodeID, dto.NumBlocks)
+	for v, b := range dto.BlockOf {
+		if b < partition.NoBlock || int(b) >= dto.NumBlocks {
+			return nil, fmt.Errorf("persist: block id %d out of range", b)
 		}
 		if b != partition.NoBlock {
-			if b < 0 || int(b) >= dto.NumBlocks {
-				return nil, fmt.Errorf("persist: block id %d out of range", b)
-			}
-			p.SetBlock(graph.NodeID(i), b)
+			blocks[b] = append(blocks[b], graph.NodeID(v))
 		}
 	}
-	p.SetNumBlocks(dto.NumBlocks)
+	return new(partCols).add(blocks...), nil
+}
+
+// add appends blocks, each sorted ascending; empty ones are skipped.
+func (pc *partCols) add(blocks ...[]graph.NodeID) *partCols {
+	for _, m := range blocks {
+		if len(m) > 0 {
+			pc.Sizes = append(pc.Sizes, uint32(len(m)))
+		}
+		for i, prev := 0, graph.NodeID(-1); i < len(m); prev, i = m[i], i+1 {
+			pc.Members = append(pc.Members, uint32(m[i]-prev))
+		}
+	}
+	return pc
+}
+
+// partition checks pc against the graph columns c beside it — blocks
+// non-empty and label-pure, every member a live dnode, every live dnode
+// in exactly one block — and returns it with blocks numbered in order.
+func (pc *partCols) partition(c *graph.Columns) (*partition.Partition, error) {
+	n, i, live := len(c.Label), 0, 0
+	p := partition.NewPartition(graph.NodeID(n))
+	for b, size := range pc.Sizes {
+		if size == 0 || uint64(size) > uint64(len(pc.Members)-i) {
+			return nil, fmt.Errorf("persist: block %d of size %d", b, size)
+		}
+		v, label := int64(-1), uint32(0)
+		for j, gap := range pc.Members[i : i+int(size)] {
+			switch v += int64(gap); {
+			case gap == 0 || v >= int64(n) || c.Label[v] == 0:
+				return nil, fmt.Errorf("persist: block %d holds %d, not a live dnode", b, v)
+			case j > 0 && c.Label[v] != label:
+				return nil, fmt.Errorf("persist: block %d is not label-pure at dnode %d", b, v)
+			case p.Block(graph.NodeID(v)) != partition.NoBlock:
+				return nil, fmt.Errorf("persist: dnode %d is in two blocks", v)
+			}
+			label = c.Label[v]
+			p.SetBlock(graph.NodeID(v), int32(b))
+		}
+		i += int(size)
+	}
+	for _, l := range c.Label {
+		if l != 0 {
+			live++
+		}
+	}
+	if i != len(pc.Members) || i != live {
+		return nil, fmt.Errorf("persist: partition holds %d of %d members, graph has %d live dnodes", i, len(pc.Members), live)
+	}
+	p.SetNumBlocks(len(pc.Sizes))
 	return p, nil
 }
 
@@ -295,10 +316,14 @@ func SaveDatabaseCompressed(w io.Writer, db *Database) error {
 	return gzipped(w, func(zw io.Writer) error { return SaveDatabase(zw, db) })
 }
 
-// gzipped runs save through a gzip layer over w. A save that fails is not
-// closed, so one that fails before its first byte leaves w untouched.
+// gzipped runs save through a gzip layer over w, at gzip.BestSpeed. A
+// save that fails is not closed, so one that fails before its first byte
+// leaves w untouched.
 func gzipped(w io.Writer, save func(io.Writer) error) error {
-	zw := gzip.NewWriter(w)
+	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
+	if err != nil {
+		return err
+	}
 	if err := save(zw); err != nil {
 		return err
 	}
@@ -331,14 +356,14 @@ func LoadDatabaseAuto(r io.Reader) (*Database, error) {
 
 // SaveDatabase writes graph + optional indexes to one stream.
 func SaveDatabase(w io.Writer, db *Database) error {
-	var one *partitionDTO
-	var ak []*partitionDTO
+	var one *partCols
+	var ak []*partCols
 	if db.One != nil {
-		one = partToDTO(db.One.ToPartition())
+		one = new(partCols).add(db.One.ToPartition().Blocks()...)
 	}
 	if db.Ak != nil {
 		for l := 0; l <= db.Ak.K(); l++ {
-			ak = append(ak, partToDTO(db.Ak.ToPartition(l)))
+			ak = append(ak, new(partCols).add(db.Ak.ToPartition(l).Blocks()...))
 		}
 	}
 	return writeDatabase(w, db.Graph, one, ak)
@@ -347,8 +372,8 @@ func SaveDatabase(w io.Writer, db *Database) error {
 // writeDatabase is the one writer of a "database" stream: hasOne, hasAk,
 // the graph, then the 1-index partition and the A(k) family (k, then its
 // k+1 level partitions), each if present.
-func writeDatabase(w io.Writer, g graphView, one *partitionDTO, ak []*partitionDTO) error {
-	parts := []any{one != nil, ak != nil, graphToDTO(g)}
+func writeDatabase(w io.Writer, g graphView, one *partCols, ak []*partCols) error {
+	parts := []any{one != nil, ak != nil, columnsOf(g)}
 	if one != nil {
 		parts = append(parts, one)
 	}
@@ -361,36 +386,81 @@ func writeDatabase(w io.Writer, g graphView, one *partitionDTO, ak []*partitionD
 	return encodeStream(w, "database", parts...)
 }
 
-// LoadDatabase reads a stream written by SaveDatabase. The indexes are
-// bound to the loaded graph.
+// stream is a decoded "database" stream: columns, nothing built yet.
+type stream struct {
+	graph   *graph.Columns
+	one, ak bool
+	parts   []*partCols // the 1-index partition, then the A(k) family's k+1 levels
+}
+
+// LoadDatabase reads a stream written by SaveDatabase or SaveSnapshot, of
+// either version. The indexes are bound to the loaded graph.
 func LoadDatabase(r io.Reader) (*Database, error) {
-	dec := gob.NewDecoder(r)
-	if err := readHeader(dec, "database"); err != nil {
-		return nil, err
-	}
-	var hasOne, hasAk bool
-	if err := dec.Decode(&hasOne); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if err := dec.Decode(&hasAk); err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	g, err := decodeGraph(dec)
+	s, err := decodeDatabase(r)
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{Graph: g}
-	if hasOne { // a 1-index is persisted as its dnode partition
-		p, err := decodePartition(dec, g)
-		if err != nil {
-			return nil, err
-		}
-		db.One = oneindex.FromPartition(g, p)
+	return s.build()
+}
+
+func decodeDatabase(r io.Reader) (*stream, error) {
+	dec := gob.NewDecoder(r)
+	v, err := readHeader(dec, "database")
+	if err != nil {
+		return nil, err
 	}
-	if hasAk {
-		if db.Ak, err = decodeAkIndex(dec, g); err != nil {
+	s := &stream{}
+	for _, has := range []*bool{&s.one, &s.ak} {
+		if err := dec.Decode(has); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+	}
+	if s.graph, err = decodePart(dec, v, (*graphDTO).columns); err != nil {
+		return nil, err
+	}
+	next := func() error {
+		pc, err := decodePart(dec, v, (*partitionDTO).cols)
+		s.parts = append(s.parts, pc)
+		return err
+	}
+	if s.one { // a 1-index is persisted as its dnode partition
+		err = next()
+	}
+	if s.ak && err == nil { // an A(k) family as k, then its k+1 level partitions
+		var k *int
+		if k, err = decode[int](dec); err == nil && (*k < 1 || *k > 1<<16) {
+			return nil, fmt.Errorf("persist: implausible k=%d", *k)
+		}
+		for l := 0; err == nil && l <= *k; l++ {
+			err = next()
+		}
+	}
+	return s, err
+}
+
+// build checks every partition against the graph columns, then builds the
+// graph and the indexes over it.
+func (s *stream) build() (*Database, error) {
+	ps := make([]*partition.Partition, len(s.parts))
+	for i, pc := range s.parts {
+		var err error
+		if ps[i], err = pc.partition(s.graph); err != nil {
 			return nil, err
 		}
+	}
+	g, err := graph.FromColumns(s.graph)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	db := &Database{Graph: g}
+	if s.one {
+		if db.One, err = oneindex.FromPartition(g, ps[0]); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+		ps = ps[1:]
+	}
+	if s.ak {
+		db.Ak = akindex.FromLevels(g, ps)
 	}
 	return db, nil
 }

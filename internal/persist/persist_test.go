@@ -248,7 +248,7 @@ func selfLoopGraph(t *testing.T) *graph.Graph {
 func spliceDatabase(t *testing.T, gdto *graphDTO, x *oneindex.Index) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeStream(&buf, "database", true, false, gdto, partToDTO(x.ToPartition())); err != nil {
+	if err := encodeV1(&buf, "database", true, false, gdto, partToDTO(x.ToPartition())); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
@@ -265,7 +265,7 @@ func saveParentFormat(w io.Writer, db *Database) error {
 		gdto.Labels[i] = g.Labels().Name(graph.LabelID(i))
 	}
 	g.EachNode(func(v graph.NodeID) { gdto.Nodes[v].Label = int32(g.Label(v)) })
-	return encodeStream(w, "database", true, false, gdto, partToDTO(db.One.ToPartition()))
+	return encodeV1(w, "database", true, false, gdto, partToDTO(db.One.ToPartition()))
 }
 
 func TestCorruptPartition(t *testing.T) {
@@ -318,7 +318,7 @@ func TestUnknownEdgeKind(t *testing.T) {
 	dto := graphToDTO(g)
 	dto.Nodes[root].Succ[0].Kind = 7
 	var buf bytes.Buffer
-	if err := encodeStream(&buf, "graph", dto); err != nil {
+	if err := encodeV1(&buf, "graph", dto); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadGraph(&buf); err == nil || !strings.Contains(err.Error(), "unknown kind 7") {

@@ -168,3 +168,30 @@ func TestLayoutMismatch(t *testing.T) {
 		})
 	}
 }
+
+// TestLayoutMissingManifest opens the sharded fixture without its
+// manifest — a sharded Open that stopped before writing it — as a single
+// store (Shards 0 and 1): a *LayoutError naming the shard directories it
+// found, and nothing written beside them.
+func TestLayoutMissingManifest(t *testing.T) {
+	for _, asked := range []int{0, 1} {
+		t.Run(fmt.Sprintf("as-%d", asked), func(t *testing.T) {
+			dir := copyFixture(t, "sharded")
+			if err := os.Remove(filepath.Join(dir, "shards")); err != nil {
+				t.Fatal(err)
+			}
+			before := treeDigest(t, dir)
+			db, err := structix.Open(dir, structix.Options{Shards: asked})
+			if err == nil {
+				db.Close()
+			}
+			var le *structix.LayoutError
+			if !errors.As(err, &le) || le.Shards != 2 || le.Asked != asked {
+				t.Fatalf("Open = %v, want a LayoutError: holds 2, asked %d", err, asked)
+			}
+			if after := treeDigest(t, dir); after != before {
+				t.Error("the refused open changed the directory")
+			}
+		})
+	}
+}
