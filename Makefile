@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadDatabase -fuzztime=10s ./internal/persist/
+	$(GO) test -fuzz=FuzzFootprint -fuzztime=10s ./internal/qcache/
 	$(GO) test -fuzz=FuzzDecodeExtent -fuzztime=10s ./internal/extent/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzParsePath -fuzztime=10s ./internal/query/
@@ -160,7 +161,10 @@ loc:
 # two journals are byte-identical), the snapshot-loader fuzz pass
 # (FuzzLoadDatabase: any database stream of either format version, gzip'd
 # or not, is an error or a database whose graph and 1-index validate,
-# with bounded allocation), the shard-, repl- and
+# with bounded allocation), the result-cache footprint fuzz pass
+# (FuzzFootprint: the sparse slot bitmap's intersection test equals a
+# sorted-list merge, its slot count round-trips and its bytes stay within
+# 12 per non-zero 64-slot word), the shard-, repl- and
 # scale-bench smokes, and a one-iteration smoke pass over every benchmark
 # in the module.
 ci: build vet
@@ -187,6 +191,7 @@ ci: build vet
 	$(GO) test -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/server/
 	$(GO) test -fuzz=FuzzWriteRecord -fuzztime=10s .
 	$(GO) test -fuzz=FuzzLoadDatabase -fuzztime=10s ./internal/persist/
+	$(GO) test -fuzz=FuzzFootprint -fuzztime=10s ./internal/qcache/
 	$(GO) run ./cmd/xsibench -exp scale -factor 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

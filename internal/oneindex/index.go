@@ -338,10 +338,16 @@ func (x *Index) ExtentSize(I INodeID) int { return len(x.inodes[I].extent) }
 // allocated on every call — the caller owns it and may retain or mutate
 // it freely; it never aliases index state (contrast with
 // Snapshot.Extent, which shares one slice among all readers).
-func (x *Index) Extent(I INodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), x.inodes[I].extent...)
-	slices.Sort(out)
-	return out
+func (x *Index) Extent(I INodeID) []graph.NodeID { return x.appendExtent(nil, I) }
+
+// appendExtent appends I's extent to dst ascending, sorting only one that
+// maintenance left out of order (a built or loaded extent is ascending).
+func (x *Index) appendExtent(dst []graph.NodeID, I INodeID) []graph.NodeID {
+	dst = append(dst, x.inodes[I].extent...)
+	if ext := dst[len(dst)-len(x.inodes[I].extent):]; !slices.IsSorted(ext) {
+		slices.Sort(ext)
+	}
+	return dst
 }
 
 // EachINode calls fn for every live inode in increasing id order.

@@ -1,6 +1,7 @@
 package oneindex
 
 import (
+	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/snap"
 )
@@ -21,14 +22,30 @@ func (x *Index) Freeze(data *graph.Frozen) *Snapshot { return x.PatchSnapshot(ni
 // supplies the frozen graph matching the index's current state.
 func (x *Index) PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot {
 	h := snap.Header{Data: data, K: snap.Unbounded, Root: x.RootINode(), Size: x.numLive, Slots: len(x.inodes)}
-	return x.pub.Publish(prev, h, x.fill)
+	return x.pub.Publish(prev, h, x.filler(!x.pub.Patches(prev) && x.pub.Codec() == extent.Dense))
 }
 
-// fill is what a snapshot records of slot i: zero if the slot is dead.
-func (x *Index) fill(i INodeID) (string, []INodeID, []graph.NodeID) {
-	in := x.inodes[i]
-	if in == nil {
-		return "", nil, nil
+// filler reports what a snapshot records of slot i: zero if the slot is
+// dead. A slab fill (a full dense freeze) cuts successors and extents from
+// one slab each; else each slot gets its own copies, so no slab pins
+// slots that later patches replace, nor a whole extent slab for a
+// compressed snapshot's dense fallback views.
+func (x *Index) filler(slab bool) snap.Fill {
+	var succs []INodeID
+	var exts []graph.NodeID
+	if slab { // the extents partition the live dnodes
+		succs, exts = make([]INodeID, 0, x.NumIEdges()), make([]graph.NodeID, 0, x.g.NumNodes())
 	}
-	return x.g.Labels().Name(in.label), x.ISucc(i), x.Extent(i)
+	return func(i INodeID) (string, []INodeID, []graph.NodeID) {
+		in := x.inodes[i]
+		if in == nil {
+			return "", nil, nil
+		}
+		if !slab {
+			succs, exts = nil, nil
+		}
+		ns, ne := len(succs), len(exts)
+		succs, exts = append(succs, in.succ.IDs...), x.appendExtent(exts, i)
+		return x.g.Labels().Name(in.label), succs[ns:len(succs):len(succs)], exts[ne:len(exts):len(exts)]
+	}
 }

@@ -19,15 +19,16 @@
 // so dirties every expanded parent. A disjoint dirty set therefore proves
 // the cached result unchanged (query.EvalSnapshotFootprint spells the
 // argument out). Entries without a precise footprint (predicate-bearing
-// queries, which read the data graph below their candidates) are
-// invalidated on every publication.
+// queries, which read the data graph below their candidates) hold none
+// and are invalidated on every publication. A footprint is held as a
+// sparse slot bitmap, 12 bytes per non-zero 64-slot word.
 //
 // The cache is a plain mutex-protected LRU: reads on the serving hot path
 // are one map lookup and a list move, allocation-free, and the only
 // writer of Advance is the server's single committer goroutine. Advance
-// holds the lock for O(|dirty| · log |footprint|) per entry (the shorter
-// of the two sets is binary-searched in the longer): its cost follows
-// what the commit dirtied, not what the entries hold.
+// holds the lock for O(min · log max) per entry over the dirty slots and
+// the footprint's words: its cost follows what the commit dirtied, not
+// what the entries hold.
 package qcache
 
 import (
@@ -44,11 +45,77 @@ import (
 const DefaultMaxEntries = 1024
 
 type entry struct {
-	key       string
-	nodes     []graph.NodeID // sorted result, owned by the cache: read-only
-	footprint []int32        // ascending inode slots the evaluation expanded
-	precise   bool           // footprint fully determines the result
-	elem      *list.Element
+	key     string
+	nodes   []graph.NodeID // sorted result, owned by the cache: read-only
+	fp      bitmap         // inode slots the evaluation expanded; empty unless precise
+	precise bool           // fp fully determines the result
+	elem    *list.Element
+}
+
+// bitmap is a sparse slot bitmap: the non-zero 64-slot words of a slot
+// set, ascending by word index.
+type bitmap struct {
+	word  []int32  // slot>>6 of the slots in the same-index bits word
+	bits  []uint64 // bit b of bits[i] is slot word[i]·64 + b
+	slots int64    // slots held
+}
+
+// newBitmap encodes a strictly ascending slot list in exactly sized slices.
+func newBitmap(slots []int32) bitmap {
+	n := 0
+	for i := 0; i < len(slots); n++ {
+		i = wordEnd(slots, i)
+	}
+	f := bitmap{word: make([]int32, n), bits: make([]uint64, n), slots: int64(len(slots))}
+	for i, k := 0, 0; i < len(slots); k++ {
+		j, w := wordEnd(slots, i), ^uint64(0) // a full word
+		if j-i < 64 {
+			w = 0
+			for _, s := range slots[i:j] {
+				w |= 1 << (s & 63)
+			}
+		}
+		f.word[k], f.bits[k], i = slots[i]>>6, w, j
+	}
+	return f
+}
+
+// wordEnd returns the end of slots[i]'s word's run; a full word is one probe.
+func wordEnd(slots []int32, i int) int {
+	if s := slots[i]; s&63 == 0 && i+63 < len(slots) && slots[i+63] == s+63 {
+		return i + 64
+	}
+	j, w := i+1, slots[i]>>6
+	for j < len(slots) && slots[j]>>6 == w {
+		j++
+	}
+	return j
+}
+
+// intersects reports whether f holds a slot of the ascending set dirty: a
+// merge that binary-searches across each gap, O(min · log max), and
+// indexes a dense run of words directly.
+func (f bitmap) intersects(dirty []int32) bool {
+	for i, j := 0, 0; i < len(f.word) && j < len(dirty); {
+		w, d := f.word[i], dirty[j]
+		switch {
+		case d>>6 < w:
+			k, _ := slices.BinarySearch(dirty[j:], w<<6)
+			j += k
+		case d>>6 > w:
+			if k := i + int(d>>6-w); k < len(f.word) && f.word[k] == d>>6 {
+				i = k
+			} else {
+				k, _ = slices.BinarySearch(f.word[i:], d>>6)
+				i += k
+			}
+		case f.bits[i]&(1<<(d&63)) != 0:
+			return true
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -61,8 +128,9 @@ type Stats struct {
 	Evicted     int64 // entries evicted by the LRU capacity bound
 	Entries     int   // current entry count
 
-	// FootprintSlots is the total length of the live entries' footprints,
-	// 4 bytes each: the part of the cache's heap the results do not show.
+	// FootprintSlots is the number of inode slots the live entries'
+	// footprints hold (12 bytes per non-zero 64-slot word): the part of the
+	// cache's heap the results do not show.
 	FootprintSlots int64
 }
 
@@ -82,7 +150,7 @@ type Cache struct {
 	tag     any // identity of the snapshot current entries are valid for
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
-	fpSlots int64      // sum of len(footprint) over entries
+	fpSlots int64      // sum of fp.slots over entries
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -130,30 +198,30 @@ func (c *Cache) Get(key string, tag any) ([]graph.NodeID, bool) {
 }
 
 // Put stores a result evaluated against the snapshot identified by tag.
-// nodes and footprint are retained: the caller transfers ownership.
-// footprint must be sorted; precise asserts the result depends only on
-// the footprint slots (see the package comment). A Put racing a commit —
-// its evaluation ran against a snapshot Advance has already superseded —
-// is dropped: caching it under the new tag could serve a stale answer.
+// nodes is retained: the caller transfers ownership. footprint must be
+// strictly ascending; it is encoded, not retained, and ignored unless
+// precise asserts the result depends only on its slots (see the package
+// comment). A Put racing a commit — its evaluation ran against a snapshot
+// Advance has already superseded — is dropped: caching it under the new
+// tag could serve a stale answer.
 func (c *Cache) Put(key string, tag any, nodes []graph.NodeID, footprint []int32, precise bool) {
+	var fp bitmap
+	if precise {
+		fp = newBitmap(footprint)
+	}
 	c.mu.Lock()
 	if tag != c.tag {
 		c.mu.Unlock()
 		c.stalePuts.Add(1)
 		return
 	}
-	if e, ok := c.entries[key]; ok {
-		c.fpSlots += int64(len(footprint) - len(e.footprint))
-		e.nodes, e.footprint, e.precise = nodes, footprint, precise
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		c.puts.Add(1)
-		return
+	if old, ok := c.entries[key]; ok {
+		c.removeLocked(old) // a replacement, not an eviction
 	}
-	e := &entry{key: key, nodes: nodes, footprint: footprint, precise: precise}
+	e := &entry{key: key, nodes: nodes, fp: fp, precise: precise}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
-	c.fpSlots += int64(len(footprint))
+	c.fpSlots += fp.slots
 	var dropped int64
 	for len(c.entries) > c.max {
 		back := c.lru.Back()
@@ -183,7 +251,7 @@ func (c *Cache) Advance(tag any, dirty []int32, full bool) {
 	for el := c.lru.Front(); el != nil; {
 		e := el.Value.(*entry)
 		el = el.Next()
-		if !full && e.precise && !intersects(e.footprint, dirty) {
+		if !full && e.precise && !e.fp.intersects(dirty) {
 			continue
 		}
 		c.removeLocked(e)
@@ -197,25 +265,7 @@ func (c *Cache) Advance(tag any, dirty []int32, full bool) {
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.lru.Remove(e.elem)
-	c.fpSlots -= int64(len(e.footprint))
-}
-
-// intersects reports whether two ascending int32 sets share an element:
-// each element of the shorter set is binary-searched in what is left of
-// the longer one, O(min·log max) — for a commit's few dirty slots against
-// a footprint of thousands, a handful of probes instead of a full merge.
-func intersects(a, b []int32) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for _, x := range a {
-		i, found := slices.BinarySearch(b, x)
-		if found {
-			return true
-		}
-		b = b[i:]
-	}
-	return false
+	c.fpSlots -= e.fp.slots
 }
 
 // Len returns the current entry count.

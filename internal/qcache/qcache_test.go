@@ -2,7 +2,11 @@ package qcache
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"structix/internal/graph"
 )
@@ -124,20 +128,170 @@ func TestCacheDefaultCapacity(t *testing.T) {
 
 func TestIntersects(t *testing.T) {
 	cases := []struct {
-		a, b []int32
-		want bool
+		fp, dirty []int32
+		want      bool
 	}{
 		{nil, nil, false},
 		{[]int32{1, 2}, nil, false},
-		{[]int32{1, 3, 5}, []int32{2, 4, 6}, false},
+		{nil, []int32{1, 2}, false},
+		{[]int32{1, 3, 5}, []int32{2, 4, 6}, false}, // same word, other bits
 		{[]int32{1, 3, 5}, []int32{5}, true},
-		{[]int32{7}, []int32{1, 7, 9}, true},
+		{[]int32{7}, []int32{1, 7, 9}, true}, // dirty longer: words searched in dirty
+		{[]int32{7}, []int32{1, 71, 135}, false},
+		{[]int32{64, 200_000}, []int32{200_000}, true},
+		{[]int32{64, 200_000}, []int32{65, 199_999, 200_001}, false},
+		{[]int32{0, 63, 64, 127}, []int32{62, 128}, false},
+		{[]int32{0, 63, 64, 127}, []int32{126, 127}, true},
+		{[]int32{5, 70, 900}, []int32{0, 1, 2, 3, 4, 6, 900}, true},
+		{[]int32{5, 70, 900}, []int32{0, 1, 2, 3, 4, 6, 901}, false},
 	}
 	for _, tc := range cases {
-		if got := intersects(tc.a, tc.b); got != tc.want {
-			t.Errorf("intersects(%v, %v) = %v", tc.a, tc.b, got)
+		f := newBitmap(tc.fp)
+		if got := f.intersects(tc.dirty); got != tc.want {
+			t.Errorf("bitmap(%v).intersects(%v) = %v", tc.fp, tc.dirty, got)
+		}
+		if f.slots != int64(len(tc.fp)) {
+			t.Errorf("bitmap(%v) holds %d slots", tc.fp, f.slots)
 		}
 	}
+}
+
+// bitmapBytes is what b holds beyond the entry itself: a word index and a
+// bit word per non-zero 64-slot word.
+func bitmapBytes(b bitmap) int {
+	return cap(b.word)*int(unsafe.Sizeof(int32(0))) + cap(b.bits)*int(unsafe.Sizeof(uint64(0)))
+}
+
+// entryBytes is what the cache holds for key beyond its result: the entry
+// record and its footprint bitmap.
+func entryBytes(t *testing.T, c *Cache, key string) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		t.Fatalf("%s not cached", key)
+	}
+	return int(unsafe.Sizeof(*e)) + bitmapBytes(e.fp)
+}
+
+// A footprint costs 12 bytes per non-zero 64-slot word: a `//` walk
+// expanding all 134,969 slots of the xmark-f1 1-index costs ≤ 12·⌈N/64⌉
+// bytes (the sorted list cost 4·N), one far-out slot 12 bytes, and an
+// imprecise entry none.
+func TestFootprintBytes(t *testing.T) {
+	const n = 134_969
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	c := New(8)
+	t1 := &tag{1}
+	c.Advance(t1, nil, true)
+	c.Put("//all", t1, nodes(1), all, true)
+	c.Put("/far", t1, nodes(2), []int32{n - 1}, true)
+	c.Put("/pred", t1, nodes(3), all, false)
+	constant := int(unsafe.Sizeof(entry{}))
+	for _, tc := range []struct {
+		key  string
+		want int
+	}{
+		{"//all", 12*((n+63)/64) + constant},
+		{"/far", 12 + constant},
+		{"/pred", constant},
+	} {
+		if got := entryBytes(t, c, tc.key); got > tc.want {
+			t.Errorf("%s holds %d bytes, want ≤ %d", tc.key, got, tc.want)
+		}
+	}
+	if got, want := c.Stats().FootprintSlots, int64(n+1); got != want {
+		t.Errorf("FootprintSlots %d, want %d", got, want)
+	}
+}
+
+// mergeIntersects is the sorted-list merge footprints used to be tested
+// with: the oracle for the bitmap.
+func mergeIntersects(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// decodeSlotSets reads two strictly ascending slot sets from data, one
+// byte per slot: bit 0 picks the set, the rest is the gap to the set's
+// previous slot, and gap 127 takes the next two bytes as a jump of up to
+// 2^24 slots, so dense runs and far-out words are both a few bytes away.
+func decodeSlotSets(data []byte) (slots, dirty []int32) {
+	var next [2]int32
+	for i := 0; i < len(data); i++ {
+		b := data[i]
+		gap := int32(b >> 1)
+		if gap == 127 && i+2 < len(data) {
+			gap = int32(data[i+1])<<16 | int32(data[i+2])<<8
+			i += 2
+		}
+		s := next[b&1] + gap
+		if s > math.MaxInt32-1<<25 {
+			break
+		}
+		if b&1 == 0 {
+			slots = append(slots, s)
+		} else {
+			dirty = append(dirty, s)
+		}
+		next[b&1] = s + 1
+	}
+	return slots, dirty
+}
+
+// FuzzFootprint: for any slot set and dirty set, the bitmap's intersects
+// equals a sorted-list merge, the bitmap decodes back to the slot set, it
+// holds 12 bytes per non-zero word — never more than 3× the list or 1.5×
+// a plain bitmap — and Advance keeps an entry exactly when the sets are
+// disjoint.
+func FuzzFootprint(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 254, 1, 0, 3, 0})
+	f.Add([]byte{254, 0, 1, 255, 0, 1, 1, 0})
+	f.Add([]byte{1, 1, 1, 1, 1, 128, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		slots, dirty := decodeSlotSets(data)
+		b := newBitmap(slots)
+		if got, want := b.intersects(dirty), mergeIntersects(slots, dirty); got != want {
+			t.Fatalf("intersects %v, merge %v (slots %v, dirty %v)", got, want, slots, dirty)
+		}
+		var back []int32
+		for i, w := range b.bits {
+			for ; w != 0; w &= w - 1 {
+				back = append(back, b.word[i]<<6|int32(bits.TrailingZeros64(w)))
+			}
+		}
+		if !slices.Equal(back, slots) || b.slots != int64(len(slots)) {
+			t.Fatalf("slots %v round-trip to %v, count %d", slots, back, b.slots)
+		}
+		if len(slots) > 0 {
+			span := (int(slots[len(slots)-1]) + 64) / 64
+			if got := bitmapBytes(b); got != 12*len(b.word) || got > 12*min(len(slots), span) {
+				t.Fatalf("%d slots spanning %d words held in %d bytes over %d words", len(slots), span, got, len(b.word))
+			}
+		}
+		c := New(1)
+		t1 := &tag{1}
+		c.Advance(t1, nil, true)
+		c.Put("/q", t1, nodes(1), slots, true)
+		c.Advance(&tag{2}, slices.Clone(dirty), false)
+		if kept := c.Len() == 1; kept == mergeIntersects(slots, dirty) {
+			t.Fatalf("entry kept %v with slots %v, dirty %v", kept, slots, dirty)
+		}
+	})
 }
 
 // The hot-path lookup is allocation-free: a warm hit costs a map probe and
@@ -156,13 +310,15 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 	}
 }
 
-// liveFootprintSlots sums the footprints of the entries actually held.
+// liveFootprintSlots counts the slots the entries' bitmaps actually hold.
 func liveFootprintSlots(c *Cache) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
 	for _, e := range c.entries {
-		n += int64(len(e.footprint))
+		for _, w := range e.fp.bits {
+			n += int64(bits.OnesCount64(w))
+		}
 	}
 	return n
 }

@@ -184,8 +184,9 @@ type StatsReply struct {
 	CacheHitRate     float64 `json:"cache_hit_rate"`
 	CacheEntries     int     `json:"cache_entries"`
 	CacheInvalidated int64   `json:"cache_invalidated"`
-	// CacheFootprintSlots is the total length of the live entries'
-	// invalidation footprints (4 bytes per slot of cache heap).
+	// CacheFootprintSlots is the number of inode slots the live entries'
+	// invalidation footprints hold (sparse bitmaps: 12 bytes of cache heap
+	// per non-zero 64-slot word).
 	CacheFootprintSlots int64 `json:"cache_footprint_slots"`
 	// CompiledPrograms is the number of cached compiled automata.
 	CompiledPrograms int `json:"compiled_programs"`

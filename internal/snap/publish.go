@@ -53,6 +53,12 @@ func (p *Publisher) SetCodec(c extent.Codec) {
 // Codec returns the codec publications currently freeze into.
 func (p *Publisher) Codec() extent.Codec { return p.codec }
 
+// Patches reports whether Publish would patch prev rather than freeze
+// every slot: prev is this publisher's snapshot of the current generation.
+func (p *Publisher) Patches(prev *Snapshot) bool {
+	return prev != nil && p.id != nil && prev.pub == p.id && prev.gen == p.gen
+}
+
 // Publish builds the snapshot h and fill describe, under the publisher's
 // codec, and consumes the dirty set: a patch of prev when prev is this
 // publisher's snapshot of the current generation, a full freeze otherwise.
@@ -60,7 +66,7 @@ func (p *Publisher) Publish(prev *Snapshot, h Header, fill Fill) *Snapshot {
 	if p.id == nil {
 		p.id = new(byte) // unique while any snapshot stamped with it lives
 	}
-	if prev != nil && (prev.pub != p.id || prev.gen != p.gen) {
+	if !p.Patches(prev) {
 		prev = nil
 	}
 	h.Codec = p.codec
