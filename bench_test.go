@@ -262,16 +262,6 @@ func BenchmarkBuildOneIndex(b *testing.B) {
 
 // ---- Other summaries and subsystems ----
 
-func BenchmarkBuildDataGuide(b *testing.B) {
-	g := xmark(0) // acyclic: guide stays tractable
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := structix.BuildDataGuide(g, 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBuildDkIndex(b *testing.B) {
 	g := xmark(1)
 	cfg := structix.DkConfig{Targets: map[string]int{"open_auction": 4}, DefaultK: 1}
@@ -316,29 +306,6 @@ func BenchmarkXMLRoundTrip(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(buf.Len()))
-}
-
-// ---- Value-predicate acceleration ----
-
-func BenchmarkValuePredicate_Direct(b *testing.B) {
-	g := xmark(1)
-	p := structix.MustParsePath(`//person[name='person7']`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		structix.EvalGraph(p, g)
-	}
-}
-
-func BenchmarkValuePredicate_ValueIndex(b *testing.B) {
-	g := xmark(1)
-	vi := structix.BuildValueIndex(g)
-	p := structix.MustParsePath(`//person[name='person7']`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := vi.EvalValuePredicate(p); !ok {
-			b.Fatal("not accelerable")
-		}
-	}
 }
 
 // ---- Ablations: what the design choices of §5 buy ----

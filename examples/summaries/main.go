@@ -1,9 +1,8 @@
-// Structural-summary lineage: DataGuide → 1-index → A(k)-index (§2 of the
-// paper). One dataset, three summaries, the same queries — showing why
-// each successor was invented: the strong DataGuide is exact but can
-// explode on non-tree data; the 1-index is bounded by the data but grows
-// with irregularity; the A(k)-index stays small by forgetting structure
-// beyond distance k, at the price of a validation step.
+// Structural-summary lineage: 1-index → A(k)-index (§2 of the paper). One
+// dataset, two summaries, the same queries — showing why the successor
+// was invented: the 1-index is bounded by the data but grows with
+// irregularity; the A(k)-index stays small by forgetting structure beyond
+// distance k, at the price of a validation step.
 package main
 
 import (
@@ -14,7 +13,7 @@ import (
 )
 
 func main() {
-	// Acyclic first: on (near-)tree data all three behave.
+	// Acyclic first: on (near-)tree data both stay small.
 	tree := structix.GenerateXMark(structix.DefaultXMark(64, 0, 21))
 	cyclic := structix.GenerateXMark(structix.DefaultXMark(64, 1, 21))
 
@@ -34,29 +33,14 @@ func main() {
 		fmt.Printf("   A(2):    %6d inodes (%.1f%% of graph)\n",
 			ak.Size(), 100*float64(ak.Size())/float64(g.NumNodes()))
 
-		guide, err := structix.BuildDataGuide(g, 4*g.NumNodes())
-		switch {
-		case err == structix.ErrDataGuideTooLarge:
-			fmt.Printf("   DataGuide: exceeded %d states — the §2 blow-up on shared/cyclic data\n",
-				4*g.NumNodes())
-		case err != nil:
-			log.Fatal(err)
-		default:
-			fmt.Printf("   DataGuide: %d states, %d edges\n", guide.Size(), guide.NumEdges())
-		}
-
 		// Same answers either way — the indexes differ in cost, not truth.
 		for _, expr := range []string{"//person/name", "/site/regions/*/item/name"} {
 			p := structix.MustParsePath(expr)
 			direct := structix.EvalGraph(p, g)
 			viaOne := structix.EvalSnapshot(p, oneSnap)
 			viaAk := structix.EvalSnapshot(p, akSnap)
-			line := fmt.Sprintf("   %-28s direct=%d 1idx=%d ak=%d",
+			fmt.Printf("   %-28s direct=%d 1idx=%d ak=%d\n",
 				expr, len(direct), len(viaOne), len(viaAk))
-			if guide != nil && err == nil {
-				line += fmt.Sprintf(" guide=%d", len(guide.Eval(p)))
-			}
-			fmt.Println(line)
 			if len(direct) != len(viaOne) || len(direct) != len(viaAk) {
 				log.Fatalf("summary disagreement on %s", expr)
 			}
@@ -68,7 +52,7 @@ func main() {
 			p, structix.Selectivity(p, oneSnap))
 	}
 
-	fmt.Println("The DataGuide is exact but unbounded; the 1-index is bounded but tracks")
-	fmt.Println("irregularity; A(k) caps the tracked context at k. The paper's algorithms")
-	fmt.Println("keep the latter two minimal/minimum under updates — no rebuilds.")
+	fmt.Println("The 1-index is bounded by the data but tracks irregularity; A(k) caps")
+	fmt.Println("the tracked context at k. The paper's algorithms keep both")
+	fmt.Println("minimal/minimum under updates — no rebuilds.")
 }

@@ -58,24 +58,6 @@ func TestFacadeCountsAndSelectivity(t *testing.T) {
 	}
 }
 
-func TestFacadeDataGuide(t *testing.T) {
-	g, err := structix.ParseXMLString(sampleDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := structix.BuildDataGuide(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := structix.MustParsePath("//person/name")
-	if got, want := len(d.Eval(p)), len(structix.EvalGraph(p, g)); got != want {
-		t.Errorf("DataGuide eval = %d, want %d", got, want)
-	}
-	if structix.ErrDataGuideTooLarge == nil {
-		t.Errorf("sentinel error missing")
-	}
-}
-
 func TestFacadeDkIndex(t *testing.T) {
 	g := structix.GenerateXMark(structix.DefaultXMark(512, 1, 9))
 	dk, err := structix.BuildDkIndex(g, structix.DkConfig{

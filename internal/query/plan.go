@@ -14,13 +14,10 @@ type Strategy uint8
 // Evaluation strategies, in the order the planner prefers them when costs
 // tie.
 const (
-	// StrategyValueIndex drives evaluation from a value lookup (requires a
-	// value index and a final-step value predicate).
-	StrategyValueIndex Strategy = iota
 	// StrategyAkLevel evaluates on an A(k) level that is already precise
 	// for the expression, so nothing is validated. A snapshot holds level k
 	// only, so that is the level the planner names.
-	StrategyAkLevel
+	StrategyAkLevel Strategy = iota
 	// StrategyAkValidated evaluates on the A(k) level and validates.
 	StrategyAkValidated
 	// StrategyOneIndex evaluates on the 1-index (precise, no validation,
@@ -32,8 +29,6 @@ const (
 
 func (s Strategy) String() string {
 	switch s {
-	case StrategyValueIndex:
-		return "value-index"
 	case StrategyAkLevel:
 		return "ak-level"
 	case StrategyAkValidated:
@@ -54,23 +49,13 @@ type Plan struct {
 	Reason   string // one-line explanation for EXPLAIN-style output
 }
 
-// ValueAccelerator is the value-first evaluation hook the planner can use;
-// *valindex.Index satisfies it (the interface lives here to avoid an
-// import cycle).
-type ValueAccelerator interface {
-	// EvalValuePredicate returns the exact result and true when the
-	// expression has the accelerable shape, or ok=false to decline.
-	EvalValuePredicate(p *Path) (result []graph.NodeID, ok bool)
-}
-
 // Planner picks evaluation strategies over a set of snapshots pinned at
 // one read point. Data is required: the frozen graph the snapshots were
-// taken with. One (a 1-index snapshot), Ak (an A(k) snapshot) and Values
-// may each be nil.
+// taken with. One (a 1-index snapshot) and Ak (an A(k) snapshot) may each
+// be nil.
 type Planner struct {
 	Data    *graph.Frozen
 	One, Ak *snap.Snapshot
-	Values  ValueAccelerator
 }
 
 // costedPlan is one strategy candidate with its estimated cost, in units
@@ -123,15 +108,6 @@ func (pl *Planner) rank(c *Compiled) []costedPlan {
 		cands = append(cands, costedPlan{plan: plan, cost: cost})
 	}
 
-	if pl.Values != nil && valueAccelerable(p) {
-		// A value probe reads only its hit list; charge the lookup plus a
-		// structural check per hit (hits ≤ result candidates by far in the
-		// common case — result/4 keeps the estimate sub-linear in it).
-		add(Plan{
-			Strategy: StrategyValueIndex,
-			Reason:   "final-step value predicate: drive from the value lookup",
-		}, 1+result/4)
-	}
 	if pl.Ak != nil {
 		k, size := pl.Ak.K(), float64(pl.Ak.Size())
 		if anchored && p.Len() <= k {
@@ -178,26 +154,6 @@ func (pl *Planner) rank(c *Compiled) []costedPlan {
 		return cands[i].plan.Strategy < cands[j].plan.Strategy
 	})
 	return cands
-}
-
-// valueAccelerable mirrors the shape check of the value index: predicates
-// only on the final step, at least one of them a value comparison.
-func valueAccelerable(p *Path) bool {
-	steps := p.Steps()
-	if len(steps) == 0 {
-		return false
-	}
-	for i, s := range steps {
-		if len(s.Predicates) > 0 && i != len(steps)-1 {
-			return false
-		}
-	}
-	for _, pr := range steps[len(steps)-1].Predicates {
-		if pr.HasValue {
-			return true
-		}
-	}
-	return false
 }
 
 // predCost ranks one predicate by the work a single check costs: the
@@ -260,13 +216,6 @@ func OrderPredicates(p *Path) *Path {
 func (pl *Planner) Eval(p *Path) ([]graph.NodeID, Plan) {
 	c := MustCompile(OrderPredicates(p))
 	plan := pl.rank(c)[0].plan
-	if plan.Strategy == StrategyValueIndex {
-		if res, ok := pl.Values.EvalValuePredicate(c.Path()); ok {
-			return res, plan
-		}
-		// The accelerator declined (shape check drifted): fall back.
-		plan = Plan{Strategy: StrategyDirect, Reason: "value accelerator declined"}
-	}
 	return pl.exec(c, plan.Strategy), plan
 }
 

@@ -85,18 +85,6 @@ func TestPlannerCostFlips(t *testing.T) {
 	if plan := with3.Plan(wide); plan.Strategy != StrategyOneIndex {
 		t.Errorf("wide descendant expression: got %s (%s), want 1-index", plan.Strategy, plan.Reason)
 	}
-
-	// A value probe is charged sub-linearly in the estimated result, so an
-	// accelerable expression flips to the value index the moment an
-	// accelerator exists — and back off it when the shape disqualifies.
-	fa := &fakeAccelerator{}
-	withVal := &Planner{Data: data, One: one, Values: fa}
-	if plan := withVal.Plan(MustParse("//person/name[text='x']")); plan.Strategy != StrategyValueIndex {
-		t.Errorf("value predicate with accelerator: got %s", plan.Strategy)
-	}
-	if plan := withVal.Plan(MustParse("//person[name='x']/age")); plan.Strategy == StrategyValueIndex {
-		t.Error("non-final value predicate routed to the value index")
-	}
 }
 
 func TestOrderPredicates(t *testing.T) {

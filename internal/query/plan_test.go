@@ -113,41 +113,6 @@ func TestPlannerExactOnPatchedChain(t *testing.T) {
 	}
 }
 
-// fakeAccelerator implements ValueAccelerator for planner testing.
-type fakeAccelerator struct {
-	called bool
-	result []graph.NodeID
-}
-
-func (f *fakeAccelerator) EvalValuePredicate(p *Path) ([]graph.NodeID, bool) {
-	f.called = true
-	return f.result, true
-}
-
-func TestPlannerUsesValueAccelerator(t *testing.T) {
-	g, _, _, ids := fig2()
-	fa := &fakeAccelerator{result: []graph.NodeID{ids["3"]}}
-	pl := &Planner{Data: g.Freeze(), Values: fa}
-	p := MustParse(`//b[c='x']`)
-	plan := pl.Plan(p)
-	if plan.Strategy != StrategyValueIndex {
-		t.Fatalf("got %s, want value-index", plan.Strategy)
-	}
-	res, _ := pl.Eval(p)
-	if !fa.called || len(res) != 1 {
-		t.Errorf("accelerator not used: called=%v res=%v", fa.called, res)
-	}
-	// Non-accelerable shapes bypass the accelerator.
-	fa.called = false
-	if plan := pl.Plan(MustParse(`//b[c]`)); plan.Strategy == StrategyValueIndex {
-		t.Errorf("existence predicate routed to value index")
-	}
-}
-
-func fig2() (*graph.Graph, graph.NodeID, graph.NodeID, map[string]graph.NodeID) {
-	return gtest.Fig2()
-}
-
 // Strategy selection sanity on a dataset with known shape.
 func TestPlannerStrategyChoices(t *testing.T) {
 	g := datagen.XMark(datagen.DefaultXMark(64, 1, 4))

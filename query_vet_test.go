@@ -50,6 +50,58 @@ func TestQueryReadsSnapshotsOnly(t *testing.T) {
 	}
 }
 
+// TestNoValueRoute keeps the planner's routes structural: the strong
+// DataGuide and the inverted value index are gone, and with them the
+// planner's value-first route. No non-test file may import either
+// package or declare or use a name that route needed, and query.Planner
+// may declare no Values field (a use of one cannot compile without the
+// declaration). A second index family beside the two the paper maintains
+// cannot come back unnoticed, nor can a reader of a live graph that goes
+// stale at a store's first write.
+func TestNoValueRoute(t *testing.T) {
+	gonePkgs := map[string]bool{"structix/internal/dataguide": true, "structix/internal/valindex": true}
+	goneNames := map[string]bool{
+		"ValueAccelerator": true, "StrategyValueIndex": true, "valueAccelerable": true,
+		"BuildValueIndex": true, "BuildDataGuide": true, "ErrDataGuideTooLarge": true,
+	}
+	planners := 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); gonePkgs[p] {
+				t.Errorf("%s: imports %s, which was removed", fset.Position(imp.Pos()), p)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				if goneNames[x.Name] {
+					t.Errorf("%s: %s is back; it went with the DataGuide, the value index and the value route", fset.Position(x.Pos()), x.Name)
+				}
+			case *ast.TypeSpec:
+				st, ok := x.Type.(*ast.StructType)
+				if !ok || x.Name.Name != "Planner" {
+					return true
+				}
+				planners++
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if name.Name == "Values" {
+							t.Errorf("%s: Planner declares a Values field; the planner has no value route", fset.Position(name.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+	if planners == 0 {
+		t.Fatal("scan found no Planner struct: it covered nothing")
+	}
+}
+
 // liveIndexType names the live index type e points to — *OneIndex,
 // *AkIndex, *oneindex.Index or *akindex.Index — or returns "".
 func liveIndexType(e ast.Expr) string {

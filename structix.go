@@ -14,15 +14,15 @@
 //     split/merge maintenance that keeps the unique minimum family on any
 //     data, cyclic or not (Theorem 2);
 //   - the competing baselines the paper evaluates (propagate, index
-//     reconstruction, the simple A(k) algorithm), plus the strong
-//     DataGuide and an incrementally maintained D(k)-index (the extension
-//     the paper's conclusion conjectures);
+//     reconstruction, the simple A(k) algorithm), plus an incrementally
+//     maintained D(k)-index (the extension the paper's conclusion
+//     conjectures);
 //   - a path-expression engine (labels, *, //, predicates) that evaluates
 //     directly, or on an immutable Snapshot of either index family
-//     (precise on a 1-index, validated beyond k on A(k)), or value-first
-//     through an inverted value index — with a cost-based Planner ranking
-//     the exact routes over snapshots pinned at one read point; every
-//     snapshot read runs one compiled automaton program (CompilePath);
+//     (precise on a 1-index, validated beyond k on A(k)) — with a
+//     cost-based Planner ranking the exact routes over snapshots pinned at
+//     one read point; every snapshot read runs one compiled automaton
+//     program (CompilePath);
 //   - persistence (versioned binary, optional gzip), textual update
 //     scripts, and one store for concurrent use, DB: N ≥ 1 shards whose
 //     serialized writers publish immutable epoch snapshots of either index
@@ -53,7 +53,6 @@ import (
 	"structix/internal/akindex"
 	"structix/internal/baseline"
 	"structix/internal/datagen"
-	"structix/internal/dataguide"
 	"structix/internal/dkindex"
 	"structix/internal/extent"
 	"structix/internal/graph"
@@ -63,7 +62,6 @@ import (
 	"structix/internal/persist"
 	"structix/internal/query"
 	"structix/internal/snap"
-	"structix/internal/valindex"
 	"structix/internal/workload"
 	"structix/internal/xmlload"
 )
@@ -245,8 +243,8 @@ func MustParsePath(expr string) *Path { return query.MustParse(expr) }
 // EvalGraph evaluates a path expression by direct graph traversal.
 func EvalGraph(p *Path, g *Graph) []NodeID { return query.EvalGraph(p, g) }
 
-// Planner ranks the exact evaluation routes (value index, precise A(k),
-// validated A(k), 1-index, direct traversal) by estimated cost for each
+// Planner ranks the exact evaluation routes (precise A(k), validated
+// A(k), 1-index, direct traversal) by estimated cost for each
 // expression, over whichever snapshots it holds of one read point, and
 // picks the cheapest.
 type Planner = query.Planner
@@ -256,19 +254,11 @@ type QueryPlan = query.Plan
 
 // Evaluation strategies a Planner can choose.
 const (
-	StrategyValueIndex  = query.StrategyValueIndex
 	StrategyAkLevel     = query.StrategyAkLevel
 	StrategyAkValidated = query.StrategyAkValidated
 	StrategyOneIndex    = query.StrategyOneIndex
 	StrategyDirect      = query.StrategyDirect
 )
-
-// ValueIndex is the inverted value index (value → dnodes), used directly
-// or as a Planner accelerator for value predicates.
-type ValueIndex = valindex.Index
-
-// BuildValueIndex indexes every non-empty node value of g.
-func BuildValueIndex(g *Graph) *ValueIndex { return valindex.Build(g) }
 
 // EvalSnapshot evaluates a path expression against an index snapshot of
 // either family — exact, including predicates, with no access to mutable
@@ -314,23 +304,6 @@ type CompiledPath = query.Compiled
 // CompilePath compiles p for the snapshot read path. Every path compiles;
 // the error result is always nil.
 func CompilePath(p *Path) (*CompiledPath, error) { return query.Compile(p) }
-
-// ---- DataGuide ----
-
-// DataGuide is the strong DataGuide of Goldman & Widom — the related-work
-// summary the 1-index improves on (§2). Exact for path queries, but
-// potentially exponential on non-tree data.
-type DataGuide = dataguide.Guide
-
-// ErrDataGuideTooLarge is returned when subset construction exceeds the
-// state budget.
-var ErrDataGuideTooLarge = dataguide.ErrTooLarge
-
-// BuildDataGuide constructs the strong DataGuide with the given state
-// budget (≤ 0 for a default).
-func BuildDataGuide(g *Graph, maxStates int) (*DataGuide, error) {
-	return dataguide.Build(g, maxStates)
-}
 
 // ---- D(k)-index ----
 
