@@ -24,11 +24,13 @@ race:
 # Repeated race-enabled runs of the concurrency surface: lock-free readers
 # against DB writers over both index families — batches, per-edge updates,
 # subtree round trips, the A(k) oracle stream and pinned snapshots — one
-# writer per shard of a multi-shard DB, and frozen graph views read while
-# one writer runs every graph mutator.
+# writer per shard of a multi-shard DB, frozen graph views read while
+# one writer runs every graph mutator, and refinement rounds keyed on
+# one and on four workers.
 stress:
 	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot|TestShardedConcurrentWriters' .
 	$(GO) test -race -count=3 -run 'TestFrozen' ./internal/graph/
+	$(GO) test -race -count=3 -run 'TestRefineTouchedOnly' ./internal/partition/
 
 # Race-enabled stress of the serving layer: readers against the
 # group-commit loop, graceful shutdown under load, admission control,

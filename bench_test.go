@@ -17,9 +17,11 @@ package structix_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"structix"
+	"structix/internal/datagen"
 )
 
 // pairBench drives insert+delete pairs of pooled IDREF edges through any
@@ -258,6 +260,36 @@ func BenchmarkBuildOneIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		structix.BuildOneIndex(g)
 	}
+}
+
+// BenchmarkOpenBootstrap/f2 times structix.Open of a fresh directory
+// whose Bootstrap hands over an xmark-f2 graph (≈578k nodes): the 1-index
+// build, the seq-0 snapshot written beside its assembly, the journal
+// opened and the first publication. Generating and cloning the graph and
+// closing the store are not timed.
+func BenchmarkOpenBootstrap(b *testing.B) {
+	b.Run("f2", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("xmark-f2 skipped under -short")
+		}
+		g := datagen.XMark(datagen.XMarkFactor(2, 1, 1))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dir, boot := b.TempDir(), &structix.Database{Graph: g.Clone()}
+			b.StartTimer()
+			db, err := structix.Open(dir, structix.Options{Bootstrap: func() (*structix.Database, error) { return boot, nil }})
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				b.Fatal(err)
+			}
+			os.RemoveAll(dir)
+			b.StartTimer()
+		}
+	})
 }
 
 // ---- Other summaries and subsystems ----

@@ -2,11 +2,15 @@ package structix
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +55,112 @@ func snapshotBytes(t *testing.T, snap *Snapshot) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestOpenWritesBootstrapSnapshot holds a fresh Open's snap-0, written
+// beside the index assembly, to the shard's first published snapshot: it
+// gunzips to the bytes persist.SaveSnapshot writes for it. One Bootstrap
+// hands over a graph, so the partition is Build's; the other a maintained
+// index with dead inode slots, so the partition is its ToPartition.
+func TestOpenWritesBootstrapSnapshot(t *testing.T) {
+	maintained := func() (*Database, error) {
+		g := datagen.XMark(datagen.DefaultXMark(48, 1, 2))
+		x := oneindex.Build(g)
+		for _, batch := range gtest.XMarkEdgeBatches(g, 20, 4, 7) {
+			if err := x.ApplyBatch(batch); err != nil {
+				return nil, err
+			}
+		}
+		return &Database{Graph: g, One: x}, nil
+	}
+	for _, c := range []struct {
+		name string
+		boot func() (*Database, error)
+	}{{"graph", xmarkBootstrap(48)}, {"index", maintained}} {
+		dir := t.TempDir()
+		db, err := Open(dir, Options{Bootstrap: c.boot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Shard(0).Snapshot()
+		want := snapshotBytes(t, s)
+		dead := 0
+		for I := 0; I < s.Slots(); I++ {
+			if !s.Live(oneindex.INodeID(I)) {
+				dead++
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "index" && dead == 0 {
+			t.Fatal("the maintained bootstrap index has no dead inode slot")
+		}
+		f, err := os.Open(filepath.Join(dir, snapName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: snap-0 differs from the first published snapshot (%d vs %d bytes)", c.name, len(got), len(want))
+		}
+	}
+}
+
+// TestOpenFailureWaitsForSnapshotWriter opens a fresh directory whose
+// journal has no snapshot beneath it and fails replay at its first
+// record, a delete of the root: Open returns the replay error only once
+// the seq-0 snapshot writer has finished, and leaves no goroutine, temp
+// file or snapshot behind.
+func TestOpenFailureWaitsForSnapshotWriter(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{Policy: wal.SyncNone, FirstSeq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := xmarkBootstrap(8)
+	base, err := boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := []opscript.Op{{Kind: opscript.DelNode, U: base.Graph.Root()}}
+	if _, err := l.Append(&wal.Record{Kind: wal.RecScript, Script: script}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	db, err := Open(dir, Options{Bootstrap: boot})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open replayed a root deletion")
+	}
+	if !errors.Is(err, ErrRootNode) {
+		t.Fatalf("Open: %v, want ErrRootNode", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed Open, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, snap := parseSnapName(e.Name()); snap || strings.HasSuffix(e.Name(), tmpSuffix) {
+			t.Errorf("the failed Open left %s", e.Name())
+		}
+	}
 }
 
 func TestOpenFreshBootstrapAndReopen(t *testing.T) {

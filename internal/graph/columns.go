@@ -21,6 +21,42 @@ type Columns struct {
 	Edges      []int64
 }
 
+// Columns lays g out as columns, the inverse of FromColumns: records in
+// NodeID order, and labels numbered in the order their first live node
+// comes, so the table lists only labels in use. A graph loaded from them
+// may therefore hold other LabelIDs than g; names, values, NodeIDs (dead
+// slots included), edges, the root and the self-loop policy are g's.
+func (g *Graph) Columns() *Columns {
+	return columnsOf(g.nodes.Array(), g.labels.names, g.root, g.allowLoops, g.numEdges)
+}
+
+// Columns is Graph.Columns of the graph as it stood at Freeze.
+func (f *Frozen) Columns() *Columns {
+	return columnsOf(f.nodes, f.names, f.root, f.allowLoops, f.numEdges)
+}
+
+func columnsOf(nodes cow.Array[*node], names []string, root NodeID, allowLoops bool, m int) *Columns {
+	n := nodes.Len()
+	c := &Columns{Root: int32(root), AllowLoops: allowLoops, Label: make([]uint32, n),
+		Value: make([]string, n), OutDeg: make([]uint32, n), Edges: make([]int64, 0, m)}
+	ids := make([]uint32, len(names)) // LabelID → its Label entry, 0 until first seen
+	for v := 0; v < n; v++ {
+		r := *nodes.At(v)
+		if !r.alive {
+			continue
+		}
+		if ids[r.label] == 0 {
+			c.Labels = append(c.Labels, names[r.label])
+			ids[r.label] = uint32(len(c.Labels))
+		}
+		c.Label[v], c.Value[v], c.OutDeg[v] = ids[r.label], r.value, uint32(len(r.succ))
+		for _, e := range r.succ {
+			c.Edges = append(c.Edges, EdgeCode(NodeID(v), e.To, e.Kind))
+		}
+	}
+	return c
+}
+
 // EdgeCode is an edge's entry in Columns.Edges: (v − u)·2 + kind.
 func EdgeCode(u, v NodeID, kind EdgeKind) int64 { return (int64(v)-int64(u))*2 + int64(kind) }
 

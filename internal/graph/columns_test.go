@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-// columnsOf lays g out as Columns, labels in interner order.
-func columnsOf(g *Graph) *Columns {
-	c := &Columns{Labels: g.labels.names, Root: int32(g.root), AllowLoops: g.allowLoops}
-	for i := 0; i < g.nodes.Len(); i++ {
-		v := NodeID(i)
-		c.Label, c.Value, c.OutDeg = append(c.Label, 0), append(c.Value, ""), append(c.OutDeg, 0)
-		if !g.Alive(v) {
-			continue
-		}
-		c.Label[v], c.Value[v], c.OutDeg[v] = uint32(g.Label(v))+1, g.Value(v), uint32(g.OutDegree(v))
-		g.EachSucc(v, func(w NodeID, kind EdgeKind) { c.Edges = append(c.Edges, EdgeCode(v, w, kind)) })
-	}
-	return c
-}
-
 // chain is r → a → b → c with a dead slot between a and b, b's value
 // set and an IDREF c → a.
 func chain(t *testing.T) *Graph {
@@ -42,7 +27,7 @@ func chain(t *testing.T) *Graph {
 // shrinking one list never shows in a neighbour's.
 func TestFromColumnsRoundTrip(t *testing.T) {
 	g := chain(t)
-	h, err := FromColumns(columnsOf(g))
+	h, err := FromColumns(g.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +86,7 @@ func TestFromColumnsRefuses(t *testing.T) {
 		{"parallel edge", "", func(c *Columns) { c.Edges[1], c.OutDeg[0], c.OutDeg[1] = c.Edges[0], 2, 0 }, ErrEdgeExists},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cols := columnsOf(chain(t))
+			cols := chain(t).Columns()
 			c.damage(cols)
 			g, err := FromColumns(cols)
 			if err == nil || !strings.Contains(err.Error(), c.want) || (c.is != nil && !errors.Is(err, c.is)) {

@@ -142,13 +142,19 @@ type Stats struct {
 // signature-refinement engine run to its fixpoint), with its inodes
 // numbered breadth-first from the root (see numberBreadthFirst).
 func Build(g *graph.Graph) *Index {
-	p := partition.CoarsestStable(g, partition.ByLabel(g))
-	numberBreadthFirst(g, p)
-	x, err := FromPartition(g, p)
+	x, err := FromPartition(g, BuildPartition(g))
 	if err != nil {
 		panic("oneindex: Build: " + err.Error()) // CoarsestStable is self-stable (Lemma 1)
 	}
 	return x
+}
+
+// BuildPartition is Build's partition step: the minimum 1-index partition
+// of g with its blocks numbered as Build numbers the inodes.
+func BuildPartition(g *graph.Graph) *partition.Partition {
+	p := partition.CoarsestStable(g, partition.ByLabel(g))
+	numberBreadthFirst(g, p)
+	return p
 }
 
 // numberBreadthFirst renumbers p's blocks in breadth-first first-reach

@@ -93,15 +93,14 @@ func (p *Partition) Blocks() [][]graph.NodeID {
 func ByLabel(g *graph.Graph) *Partition {
 	p := NewPartition(g.MaxNodeID())
 	next := int32(0)
-	byLabel := make(map[graph.LabelID]int32)
+	byLabel := make([]int32, g.Labels().Len()) // LabelID → its block + 1, 0 until seen
 	g.EachNode(func(v graph.NodeID) {
-		b, ok := byLabel[g.Label(v)]
-		if !ok {
-			b = next
+		l := g.Label(v)
+		if byLabel[l] == 0 {
 			next++
-			byLabel[g.Label(v)] = b
+			byLabel[l] = next
 		}
-		p.blockOf[v] = b
+		p.blockOf[v] = byLabel[l] - 1
 	})
 	p.numBlocks = int(next)
 	return p

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 
@@ -62,13 +63,19 @@ func KBisimLevels(g *graph.Graph, k int) []*Partition {
 // blocks as contiguous ranges elems[start[b]:end[b]] of one member array.
 //
 // A round is level-synchronous: every re-keyed block groups its members by
-// the sorted set of their parents' blocks as of the previous round, and
-// only then are the splits applied. The largest group keeps the block id
-// and the others take fresh ids, so a node whose id did not change has
-// parents in the same blocks as before; a block none of whose members has
-// a parent that moved therefore cannot split, and a round re-keys only the
-// blocks holding a successor of a node moved in the previous round (every
-// block, when a quarter of the nodes moved or in the first round).
+// the set of their parents' blocks as of the previous round, and only then
+// are the splits applied. The largest group keeps the block id and the
+// others take fresh ids, so a node whose id did not change has parents in
+// the same blocks as before. After the first round, which keys every
+// member, each block's members share one parent-block set, so a round
+// touches only the successors of the nodes moved in the previous round:
+// it re-keys the blocks holding one, and within such a block computes the
+// signatures of those members alone. The untouched members keep the
+// block's shared set and stay one group; a touched member's set holds its
+// moved parent's fresh id, which the shared set cannot, so it never joins
+// them. From parallelWork members on, a round keys its blocks on workers;
+// everything that numbers blocks runs on one goroutine, so the ids never
+// depend on the worker count.
 type refiner struct {
 	predOff, pred []int32 // parents of v: pred[predOff[v]:predOff[v+1]]
 	succOff, succ []int32 // the transpose of pred
@@ -78,18 +85,39 @@ type refiner struct {
 	start, end []int32 // block → its range of elems
 	nb         int32   // blocks in use
 
-	all   bool    // re-key every block in the next round
+	first bool    // the next round is the first: it keys every member
 	moved []int32 // nodes that changed block in the last round
+	hit   []bool  // per node: a member of a dirty block with a moved parent
 	dirty []int32 // blocks re-keyed this round
 	mark  []bool  // per block: listed in dirty
 	grp   []int32 // per elems index: the member's group this round
 	split []int32 // (block, groups) pairs to apply this round
 
+	groupers []grouper // one per worker
+	count    []int32   // splitBlock: per-group sizes, then range offsets
+	buf      []int32   // block-id remaps; splitBlock's copy of a range
+}
+
+// grouper is one worker's share of a round.
+type grouper struct {
+	dirty []int32      // the blocks this worker keys
 	tab   sigtab.Table // one block's signatures → its groups
 	sig   []int32      // the signature being built
-	count []int32      // splitBlock: per-group sizes, then range offsets
-	buf   []int32      // block-id remaps; splitBlock's copy of a range
+	split []int32      // (block, groups) pairs, in dirty order
 }
+
+// parallelWork is the dirty-block member count from which a round keys its
+// blocks on runtime.GOMAXPROCS(0) goroutines; below it one goroutine is
+// cheaper than starting the others.
+const parallelWork = 1 << 14
+
+// forceWorkers, when positive, is the worker count of every round,
+// whatever its work: the tests' seam into the parallel grouping.
+var forceWorkers int
+
+// rest is the key of a block's untouched members: no parent-block set
+// contains NoBlock, so no signature equals it.
+var rest = []int32{NoBlock}
 
 var refinerPool = sync.Pool{New: func() any { return new(refiner) }}
 
@@ -110,7 +138,7 @@ func newRefiner(g *graph.Graph, init *Partition) *refiner {
 	// Parents, then children by transposing them: succ lists come out in
 	// increasing node order.
 	r.predOff = resize(r.predOff, n+1)
-	r.pred = r.pred[:0]
+	r.pred = resize(r.pred, g.NumEdges())[:0]
 	for v := 0; v < n; v++ {
 		r.predOff[v] = int32(len(r.pred))
 		if g.Alive(graph.NodeID(v)) {
@@ -145,7 +173,7 @@ func newRefiner(g *graph.Graph, init *Partition) *refiner {
 		remap[i] = NoBlock
 	}
 	r.blockOf = resize(r.blockOf, n)
-	r.elems, r.grp = r.elems[:0], r.grp[:0]
+	r.elems, r.grp = resize(r.elems, n)[:0], resize(r.grp, n)[:0]
 	groups := int32(0)
 	for v := range r.blockOf {
 		b := init.blockAt(v)
@@ -168,29 +196,40 @@ func newRefiner(g *graph.Graph, init *Partition) *refiner {
 		r.start[0], r.end[0] = 0, int32(len(r.elems))
 		r.splitBlock(0, int(groups))
 	}
+	// A round leaves mark and hit all false; both start so.
 	if cap(r.mark) < n {
-		r.mark = make([]bool, n)
+		r.mark, r.hit = make([]bool, n), make([]bool, n)
 	}
-	r.mark = r.mark[:n]
-	r.all = true
+	r.mark, r.hit = r.mark[:n], r.hit[:n]
+	r.first = true
 	return r
 }
 
 // round runs one refinement round and reports whether any block split.
+// It lists the dirty blocks — every block of two or more members in the
+// first round, afterwards those holding a child of a node the last round
+// moved, each such child marked hit — keys them (group), then applies
+// the splits in dirty order.
 func (r *refiner) round() bool {
 	r.dirty = r.dirty[:0]
-	if r.all || 4*len(r.moved) >= len(r.elems) {
+	work := 0
+	if r.first {
 		for b := int32(0); b < r.nb; b++ {
 			if r.end[b]-r.start[b] > 1 {
 				r.dirty = append(r.dirty, b)
+				work += int(r.end[b] - r.start[b])
 			}
 		}
 	} else {
 		for _, u := range r.moved {
 			for _, w := range r.succ[r.succOff[u]:r.succOff[u+1]] {
-				if b := r.blockOf[w]; b != NoBlock && !r.mark[b] && r.end[b]-r.start[b] > 1 {
-					r.mark[b] = true
-					r.dirty = append(r.dirty, b)
+				if b := r.blockOf[w]; b != NoBlock && r.end[b]-r.start[b] > 1 {
+					r.hit[w] = true
+					if !r.mark[b] {
+						r.mark[b] = true
+						r.dirty = append(r.dirty, b)
+						work += int(r.end[b] - r.start[b])
+					}
 				}
 			}
 		}
@@ -198,18 +237,8 @@ func (r *refiner) round() bool {
 			r.mark[b] = false
 		}
 	}
-	r.all = false
-
-	r.split = r.split[:0]
-	for _, b := range r.dirty {
-		r.tab.Reset()
-		for i := r.start[b]; i < r.end[b]; i++ {
-			r.grp[i], _ = r.tab.Intern(r.signature(r.elems[i]))
-		}
-		if n := r.tab.Len(); n > 1 {
-			r.split = append(r.split, b, int32(n))
-		}
-	}
+	r.group(work)
+	r.first = false
 
 	r.moved = r.moved[:0]
 	for i := 0; i < len(r.split); i += 2 {
@@ -218,9 +247,74 @@ func (r *refiner) round() bool {
 	return len(r.moved) > 0
 }
 
+// group keys every dirty block into grp and collects the splits in dirty
+// order. The dirty list is cut into one contiguous run per worker,
+// balanced by member count; each worker writes only its own blocks' grp
+// ranges and members' hit flags, and reads blockOf, which no one writes
+// until the splits are applied.
+func (r *refiner) group(work int) {
+	k := runtime.GOMAXPROCS(0)
+	if forceWorkers > 0 {
+		k = forceWorkers
+	} else if work < parallelWork {
+		k = 1
+	}
+	for len(r.groupers) < k {
+		r.groupers = append(r.groupers, grouper{})
+	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for w, from, done := 0, 0, 0; w < k; w++ {
+		to := from
+		for share := work * (w + 1) / k; to < len(r.dirty) && (done < share || w == k-1); to++ {
+			done += int(r.end[r.dirty[to]] - r.start[r.dirty[to]])
+		}
+		gr := &r.groupers[w]
+		gr.dirty, from = r.dirty[from:to], to
+		if w == k-1 {
+			gr.keyBlocks(r)
+		} else {
+			go func() {
+				defer wg.Done()
+				gr.keyBlocks(r)
+			}()
+		}
+	}
+	wg.Wait()
+	r.split = r.split[:0]
+	for w := range r.groupers[:k] {
+		r.split = append(r.split, r.groupers[w].split...)
+	}
+}
+
+// keyBlocks groups the members of each block in gr.dirty — all of them in
+// the first round, afterwards each hit member by its signature and the
+// rest as one group — and lists the blocks that split.
+func (gr *grouper) keyBlocks(r *refiner) {
+	gr.split = gr.split[:0]
+	for _, b := range gr.dirty {
+		gr.tab.Reset()
+		restID := int32(-1)
+		for i := r.start[b]; i < r.end[b]; i++ {
+			if v := r.elems[i]; r.first || r.hit[v] {
+				r.hit[v] = false
+				r.grp[i], _ = gr.tab.Intern(gr.signature(r, v))
+				continue
+			}
+			if restID < 0 {
+				restID, _ = gr.tab.Intern(rest)
+			}
+			r.grp[i] = restID
+		}
+		if n := gr.tab.Len(); n > 1 {
+			gr.split = append(gr.split, b, int32(n))
+		}
+	}
+}
+
 // signature returns the sorted, deduplicated set of v's parents' blocks.
-func (r *refiner) signature(v int32) []int32 {
-	sig := r.sig[:0]
+func (gr *grouper) signature(r *refiner, v int32) []int32 {
+	sig := gr.sig[:0]
 	for _, u := range r.pred[r.predOff[v]:r.predOff[v+1]] {
 		if b := r.blockOf[u]; b != NoBlock {
 			sig = append(sig, b)
@@ -230,7 +324,7 @@ func (r *refiner) signature(v int32) []int32 {
 		slices.Sort(sig)
 		sig = slices.Compact(sig)
 	}
-	r.sig = sig
+	gr.sig = sig
 	return sig
 }
 

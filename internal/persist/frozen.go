@@ -7,6 +7,7 @@ import (
 
 	"structix/internal/graph"
 	"structix/internal/oneindex"
+	"structix/internal/partition"
 )
 
 // SaveSnapshot writes a "database" stream — readable by LoadDatabase /
@@ -23,13 +24,25 @@ func SaveSnapshot(w io.Writer, snap *oneindex.Snapshot) error {
 	if snap.Bounded() {
 		return fmt.Errorf("%w: got A(%d)", ErrBoundedSnapshot, snap.K())
 	}
-	return writeDatabase(w, snap.Data(), snapshotCols(snap), nil)
+	return writeDatabase(w, snap.Data().Columns(), snapshotCols(snap), nil)
 }
 
 // SaveSnapshotCompressed is SaveSnapshot through a gzip layer; the
 // result loads with LoadDatabaseAuto.
 func SaveSnapshotCompressed(w io.Writer, snap *oneindex.Snapshot) error {
 	return gzipped(w, func(zw io.Writer) error { return SaveSnapshot(zw, snap) })
+}
+
+// SavePartitionCompressed writes, through a gzip layer, the stream of
+// graph f with the 1-index whose dnode partition is one. Where one's block
+// ids are inode ids — Build's numbered partition, an index's ToPartition —
+// these are the bytes SaveSnapshotCompressed writes for the snapshot of
+// oneindex.FromPartition over f's graph, so a store can write its first
+// snapshot while that index is still being assembled.
+func SavePartitionCompressed(w io.Writer, f *graph.Frozen, one *partition.Partition) error {
+	return gzipped(w, func(zw io.Writer) error {
+		return writeDatabase(zw, f.Columns(), new(partCols).add(one.Blocks()...), nil)
+	})
 }
 
 // ErrBoundedSnapshot rejects saving an A(k) snapshot as a database stream:

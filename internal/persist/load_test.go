@@ -161,7 +161,7 @@ func TestUnstablePartitionRefused(t *testing.T) {
 		t.Fatal("no two inodes of one label")
 	}
 	var buf bytes.Buffer
-	if err := encodeStream(&buf, "database", true, false, columnsOf(g), new(partCols).add(p.Blocks()...)); err != nil {
+	if err := encodeStream(&buf, "database", true, false, g.Columns(), new(partCols).add(p.Blocks()...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadDatabase(&buf); err == nil || !strings.Contains(err.Error(), "self-stable") {

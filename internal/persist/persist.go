@@ -20,16 +20,19 @@
 //
 // # One encoder
 //
-// Each stream kind has one writer. columnsOf is the only graph encoder: it
-// reads a live *graph.Graph and an immutable *graph.Frozen through the same
-// graphView, and numbers labels in first-seen NodeID order, so the loaded
-// graph's LabelIDs may differ from the live graph's while names, values,
-// NodeIDs (dead slots included), edges, the root and the self-loop policy
-// are preserved exactly. writeDatabase is the only writer of a "database"
-// stream (header, hasOne, hasAk, graph, partitions). SaveDatabase and
-// SaveSnapshot differ only in where the partition comes from — the live
-// index's ToPartition versus a snapshot's extents — and a stream written
-// by either loads with LoadDatabase / LoadDatabaseAuto.
+// Each stream kind has one writer. The graph's own Columns — of a live
+// *graph.Graph or of an immutable *graph.Frozen, the same walk over its
+// records in NodeID order — is the only graph encoder. It numbers labels
+// in first-seen NodeID order, so the loaded graph's LabelIDs may differ
+// from the live graph's while names, values, NodeIDs (dead slots
+// included), edges, the root and the self-loop policy are preserved
+// exactly. writeDatabase is the only writer of a "database" stream
+// (header, hasOne, hasAk, graph, partitions). SaveDatabase, SaveSnapshot
+// and SavePartitionCompressed differ only in where the graph and the
+// partition come from — the live index's ToPartition, a snapshot's
+// extents, or a partition an index is about to be built from — and a
+// stream written by any of them loads with LoadDatabase /
+// LoadDatabaseAuto.
 package persist
 
 import (
@@ -149,7 +152,7 @@ func decodePart[V1, T any](dec *gob.Decoder, version int, convert func(*V1) (*T,
 // SaveGraph writes the graph, preserving NodeIDs exactly (including dead
 // slots), so persisted indexes remain valid against the loaded graph.
 func SaveGraph(w io.Writer, g *graph.Graph) error {
-	return encodeStream(w, "graph", columnsOf(g))
+	return encodeStream(w, "graph", g.Columns())
 }
 
 // LoadGraph reads a graph written by SaveGraph.
@@ -192,45 +195,6 @@ func (dto *graphDTO) columns() (*graph.Columns, error) {
 		}
 	}
 	return c, nil
-}
-
-// graphView is what the encoder reads of a graph; *graph.Graph and
-// *graph.Frozen both satisfy it.
-type graphView interface {
-	Root() graph.NodeID
-	MaxNodeID() graph.NodeID
-	NumEdges() int
-	Alive(graph.NodeID) bool
-	LabelName(graph.NodeID) string
-	Value(graph.NodeID) string
-	EachSucc(graph.NodeID, func(graph.NodeID, graph.EdgeKind))
-	AllowSelfLoops() bool
-}
-
-func columnsOf(g graphView) *graph.Columns {
-	n := g.MaxNodeID()
-	c := &graph.Columns{Root: int32(g.Root()), AllowLoops: g.AllowSelfLoops(), Label: make([]uint32, n),
-		Value: make([]string, n), OutDeg: make([]uint32, n), Edges: make([]int64, 0, g.NumEdges())}
-	// The view carries label names, not interner ids: build the label
-	// table in first-seen order.
-	ids := make(map[string]uint32)
-	for v := graph.NodeID(0); v < n; v++ {
-		if !g.Alive(v) {
-			continue
-		}
-		name := g.LabelName(v)
-		if ids[name] == 0 {
-			c.Labels = append(c.Labels, name)
-			ids[name] = uint32(len(c.Labels))
-		}
-		c.Label[v], c.Value[v] = ids[name], g.Value(v)
-		from := len(c.Edges)
-		g.EachSucc(v, func(w graph.NodeID, kind graph.EdgeKind) {
-			c.Edges = append(c.Edges, graph.EdgeCode(v, w, kind))
-		})
-		c.OutDeg[v] = uint32(len(c.Edges) - from)
-	}
-	return c
 }
 
 // cols converts a version-1 partition, its block count bounded by its own
@@ -366,14 +330,14 @@ func SaveDatabase(w io.Writer, db *Database) error {
 			ak = append(ak, new(partCols).add(db.Ak.ToPartition(l).Blocks()...))
 		}
 	}
-	return writeDatabase(w, db.Graph, one, ak)
+	return writeDatabase(w, db.Graph.Columns(), one, ak)
 }
 
 // writeDatabase is the one writer of a "database" stream: hasOne, hasAk,
 // the graph, then the 1-index partition and the A(k) family (k, then its
 // k+1 level partitions), each if present.
-func writeDatabase(w io.Writer, g graphView, one *partCols, ak []*partCols) error {
-	parts := []any{one != nil, ak != nil, columnsOf(g)}
+func writeDatabase(w io.Writer, g *graph.Columns, one *partCols, ak []*partCols) error {
+	parts := []any{one != nil, ak != nil, g}
 	if one != nil {
 		parts = append(parts, one)
 	}

@@ -24,7 +24,7 @@ func encodeV1(w io.Writer, kind string, parts ...any) error {
 	return nil
 }
 
-func graphToDTO(g graphView) *graphDTO {
+func graphToDTO(g view) *graphDTO {
 	dto := &graphDTO{
 		Root:       int32(g.Root()),
 		AllowLoops: g.AllowSelfLoops(),

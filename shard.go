@@ -14,6 +14,7 @@ import (
 	"structix/internal/graph"
 	"structix/internal/oneindex"
 	"structix/internal/opscript"
+	"structix/internal/partition"
 	"structix/internal/persist"
 	"structix/internal/repl"
 	"structix/internal/wal"
@@ -186,9 +187,43 @@ func openShard(dir string, opts Options) (*Shard, error) {
 			return nil, err
 		}
 	}
-	idx := base.One
+	idx, g, p := base.One, base.Graph, (*partition.Partition)(nil)
+	switch {
+	case idx == nil:
+		p = oneindex.BuildPartition(g)
+	case !hadSnap:
+		g, p = idx.Graph(), idx.ToPartition()
+	}
+
+	// A brand-new shard pins its initial state on disk before the first
+	// write, so recovery never depends on re-running Bootstrap. The
+	// snapshot covers seq 0 (a snapshotless journal replays on top of it)
+	// and is written from the frozen graph and p while this goroutine
+	// assembles the index, opens the journal and replays it. Every return
+	// waits for the write; a failed open removes the snapshot it wrote.
+	var wrote chan error
+	fail := func(err error) (*Shard, error) {
+		if wrote != nil && <-wrote == nil {
+			os.Remove(filepath.Join(dir, snapName(0)))
+		}
+		return nil, err
+	}
+	if !hadSnap {
+		f := g.Freeze()
+		wrote = make(chan error, 1)
+		go func() {
+			wrote <- writeFileAtomic(dir, snapName(0), func(w io.Writer) error {
+				if err := persist.SavePartitionCompressed(w, f, p); err != nil {
+					return fmt.Errorf("structix: writing snapshot: %w", err)
+				}
+				return nil
+			})
+		}()
+	}
 	if idx == nil {
-		idx = oneindex.Build(base.Graph)
+		if idx, err = oneindex.FromPartition(g, p); err != nil {
+			return fail(fmt.Errorf("structix: %w", err))
+		}
 	}
 
 	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
@@ -198,7 +233,7 @@ func openShard(dir string, opts Options) (*Shard, error) {
 		FirstSeq:     baseSeq + 1,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	sh := &Shard{dir: dir, opts: opts, log: log, idx: idx}
@@ -214,20 +249,17 @@ func openShard(dir string, opts Options) (*Shard, error) {
 		return nil
 	}); err != nil {
 		log.Close()
-		return nil, fmt.Errorf("structix: replaying journal: %w", err)
+		return fail(fmt.Errorf("structix: replaying journal: %w", err))
 	}
 	idx.SetSnapshotCodec(opts.Extents)
 	sh.cur.Store(idx.Freeze(idx.Graph().Freeze()))
 	sh.visibleSeq.Store(sh.appliedSeq.Load())
-
-	// A brand-new shard pins its initial state on disk before the first
-	// write, so recovery never depends on re-running Bootstrap; the same
-	// write also covers the snapshotless-journal case (replayed > 0).
-	if !hadSnap {
-		if err := sh.writeSnapshot(sh.appliedSeq.Load(), sh.cur.Load()); err != nil {
+	if wrote != nil {
+		if err := <-wrote; err != nil {
 			log.Close()
 			return nil, err
 		}
+		sh.compactions.Add(1)
 	}
 
 	if opts.CompactEvery > 0 {
