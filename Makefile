@@ -140,7 +140,8 @@ loc:
 	done | awk '{t += $$1; print} END {printf "%7d total\n", t}'
 
 # What CI runs — the same steps, in the same order, as
-# .github/workflows/ci.yml; change both together. Build, vet, the gofmt
+# .github/workflows/ci.yml; change both together (TestMakeCIMatchesWorkflow
+# compares the two command lists). Build, vet, the gofmt
 # gate (no file may differ from its gofmt form), race-enabled
 # tests (which already cover the sharded-equivalence, crash-recovery,
 # replication and cache-footprint suites once — `make crash-test` etc.
@@ -172,8 +173,9 @@ loc:
 ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot' .
+	$(GO) test -race -count=3 -run 'TestDBRace|TestDBAkOracle|TestSnapshot|TestPinnedSnapshot|TestShardedConcurrentWriters' .
 	$(GO) test -race -count=3 -run 'TestFrozen' ./internal/graph/
+	$(GO) test -race -count=3 -run 'TestRefineTouchedOnly' ./internal/partition/
 	$(GO) test -race -count=2 -run 'TestServer|TestCommitter|TestSharded|TestCommitMetrics' ./internal/server/
 	$(GO) test -count=1 -run 'TestPublicationScaling' .
 	$(MAKE) examples

@@ -22,7 +22,10 @@
 // SaveDatabase file) when given, else from a generated XMark-shaped
 // dataset at -xmark scale. -fsync picks the journal fsync policy:
 // "window" (default; one fsync per group-commit window, acknowledgments
-// wait for it), "always", "interval", or "none".
+// wait for it), "always", "interval" (a background fsync every 100ms),
+// or "none". Snapshots freeze dense extents; the compressed extent codec
+// is an index-level experiment (xsibench -exp scale), not a serving
+// option.
 //
 // Without -data the store is in-memory (loaded from -load or generated)
 // and its updates are gone at exit; -data owns the lifecycle end to end.
@@ -87,7 +90,6 @@ func main() {
 		queue     = flag.Int("queue", 1024, "admission queue depth (full queue sheds updates with 429)")
 		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period")
 		shards    = flag.Int("shards", 0, "partition a new store's graph into this many in-process shards (default 1, or what -data holds)")
-		extents   = flag.String("extents", "dense", "snapshot extent codec: dense|compressed")
 		replicaOf = flag.String("replica-of", "", "serve as a read replica streaming this leader's WAL (requires -data, -shards 1)")
 		smoke     = flag.Bool("smoke", false, "run the self-test and exit")
 		smokeRepl = flag.Bool("smoke-repl", false, "run the replication self-test (leader + 2 followers) and exit")
@@ -131,12 +133,7 @@ func main() {
 		return
 	}
 
-	codec, err := structix.ParseExtentCodec(*extents)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xsiserve: %v\n", err)
-		os.Exit(1)
-	}
-	db, err := openStore(*data, *fsync, *load, *replicaOf, *xmark, *cyclicity, *seed, *shards, codec)
+	db, err := openStore(*data, *fsync, *load, *replicaOf, *xmark, *cyclicity, *seed, *shards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xsiserve: %v\n", err)
 		os.Exit(1)
@@ -206,7 +203,7 @@ func main() {
 // openStore builds the store: durable over -data (structix.Open, which
 // reads the directory's layout, or structix.OpenFollower for a replica)
 // or in-memory from -load / a generated dataset.
-func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64, seed int64, shards int, codec structix.ExtentCodec) (*structix.DB, error) {
+func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64, seed int64, shards int) (*structix.DB, error) {
 	bootstrap := func() (*structix.Database, error) {
 		if load != "" {
 			return loadFile(load)
@@ -219,7 +216,7 @@ func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64
 		if err != nil {
 			return nil, err
 		}
-		opts := structix.Options{Sync: policy, Extents: codec}
+		opts := structix.Options{Sync: policy}
 		if replicaOf != "" {
 			return structix.OpenFollower(data, replicaOf, opts)
 		}
@@ -230,17 +227,15 @@ func openStore(data, fsync, load, replicaOf string, xmark int, cyclicity float64
 	if err != nil {
 		return nil, err
 	}
-	var db *structix.DB
 	if shards > 1 {
-		db, _ = structix.NewShardedDB(base.Graph, shards)
-	} else {
-		idx := base.One
-		if idx == nil {
-			idx = structix.BuildOneIndex(base.Graph)
-		}
-		db = structix.NewDB(idx)
+		db, _ := structix.NewShardedDB(base.Graph, shards)
+		return db, nil
 	}
-	return db, db.SetExtentCodec(codec)
+	idx := base.One
+	if idx == nil {
+		idx = structix.BuildOneIndex(base.Graph)
+	}
+	return structix.NewDB(idx), nil
 }
 
 func loadFile(path string) (*structix.Database, error) {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"structix/internal/graph"
 	"structix/internal/opscript"
@@ -97,7 +96,7 @@ const (
 	SyncWindow = wal.SyncWindow
 	// SyncAlways fsyncs inside every journal append.
 	SyncAlways = wal.SyncAlways
-	// SyncInterval fsyncs on a background ticker (Options.SyncInterval):
+	// SyncInterval fsyncs on a background ticker every 100ms:
 	// acknowledgments do not wait, loss after a crash is bounded by the
 	// interval.
 	SyncInterval = wal.SyncInterval
@@ -114,9 +113,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 type Options struct {
 	// Sync is the journal fsync policy. Default SyncWindow.
 	Sync SyncPolicy
-	// SyncInterval is the background fsync period under SyncInterval.
-	// Default 100ms.
-	SyncInterval time.Duration
 	// SegmentBytes rolls the journal to a new segment beyond this size.
 	// Default 64 MiB.
 	SegmentBytes int64
@@ -142,12 +138,6 @@ type Options struct {
 	// one subdirectory per shard. An existing directory keeps its layout:
 	// a non-zero Shards that disagrees with it is a *LayoutError.
 	Shards int
-	// Extents selects the snapshot extent representation (default
-	// ExtentsDense). ExtentsCompressed trades a little decode work on the
-	// query path for a large reduction in resident snapshot bytes; the
-	// live index and the journal format are unaffected, so the codec can
-	// differ freely between runs of the same store.
-	Extents ExtentCodec
 }
 
 func (o Options) withDefaults() Options {
@@ -504,15 +494,6 @@ func (db *DB) Sync() error { return db.each((*Shard).sync) }
 // Validate checks graph and index invariants on every shard, each under
 // its writer lock.
 func (db *DB) Validate() error { return db.each((*Shard).validate) }
-
-// SetExtentCodec switches the representation future snapshots freeze
-// extents into and immediately publishes re-frozen snapshots under the
-// new codec, shard by shard. Readers holding an older snapshot keep the
-// representation it was frozen with; the switch is otherwise transparent
-// — results are bit-identical under every codec.
-func (db *DB) SetExtentCodec(c ExtentCodec) error {
-	return db.each(func(sh *Shard) error { return sh.setExtentCodec(c) })
-}
 
 // Close seals every shard: writes stop, a final snapshot pins the current
 // state (making the next Open a snapshot load with an empty tail), and

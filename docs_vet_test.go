@@ -3,6 +3,7 @@ package structix
 import (
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -72,4 +73,97 @@ func TestReadmeListsEveryPackage(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("README's package tree names %v, which do not exist", stale)
 	}
+}
+
+// TestMakeCIMatchesWorkflow keeps `make ci` and .github/workflows/ci.yml
+// one list: the commands of ci.yml's run: steps, in order, must equal the
+// ci target's recipe, with its prerequisites (build, vet) expanded to
+// their own recipes and $(GO)/$(MAKE) spelled go/make.
+func TestMakeCIMatchesWorkflow(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	yml, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe, workflow := makeRecipe(t, string(mk), "ci"), workflowRuns(string(yml))
+	if len(workflow) == 0 {
+		t.Fatal("ci.yml has no run: steps: the check covered nothing")
+	}
+	if slices.Equal(recipe, workflow) {
+		return
+	}
+	for i := 0; i < max(len(recipe), len(workflow)); i++ {
+		var m, w string
+		if i < len(recipe) {
+			m = recipe[i]
+		}
+		if i < len(workflow) {
+			w = workflow[i]
+		}
+		if m != w {
+			t.Fatalf("make ci and ci.yml differ at command %d:\n  make ci: %q\n  ci.yml:  %q", i+1, m, w)
+		}
+	}
+}
+
+// makeRecipe returns target's commands with its prerequisites' commands
+// first, normalised to what a shell would be handed.
+func makeRecipe(t *testing.T, makefile, target string) []string {
+	t.Helper()
+	lines := strings.Split(makefile, "\n")
+	for i, line := range lines {
+		deps, ok := strings.CutPrefix(line, target+":")
+		if !ok {
+			continue
+		}
+		var cmds []string
+		for _, dep := range strings.Fields(deps) {
+			cmds = append(cmds, makeRecipe(t, makefile, dep)...)
+		}
+		for _, l := range lines[i+1:] {
+			cmd, ok := strings.CutPrefix(l, "\t")
+			if !ok {
+				break
+			}
+			cmd = strings.NewReplacer("$(GO)", "go", "$(MAKE)", "make", "$$", "$").Replace(cmd)
+			cmds = append(cmds, strings.TrimSpace(cmd))
+		}
+		return cmds
+	}
+	t.Fatalf("Makefile has no %s target", target)
+	return nil
+}
+
+// workflowRuns returns the commands of a workflow's run: steps in order,
+// one per line of a `run: |` block.
+func workflowRuns(yml string) []string {
+	var cmds []string
+	lines := strings.Split(yml, "\n")
+	for i := 0; i < len(lines); i++ {
+		trimmed := strings.TrimSpace(lines[i])
+		trimmed = strings.TrimPrefix(trimmed, "- ")
+		cmd, ok := strings.CutPrefix(trimmed, "run:")
+		if !ok {
+			continue
+		}
+		if cmd = strings.TrimSpace(cmd); cmd != "|" {
+			cmds = append(cmds, cmd)
+			continue
+		}
+		indent := len(lines[i]) - len(strings.TrimLeft(lines[i], " "))
+		for i+1 < len(lines) {
+			next := lines[i+1]
+			if strings.TrimSpace(next) != "" && len(next)-len(strings.TrimLeft(next, " ")) <= indent {
+				break
+			}
+			if c := strings.TrimSpace(next); c != "" {
+				cmds = append(cmds, c)
+			}
+			i++
+		}
+	}
+	return cmds
 }

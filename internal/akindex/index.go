@@ -138,9 +138,6 @@ type Index struct {
 // are unaffected. The next snapshot after a switch is a full freeze.
 func (x *Index) SetSnapshotCodec(c extent.Codec) { x.pub.SetCodec(c) }
 
-// SnapshotCodec returns the codec snapshots currently freeze into.
-func (x *Index) SnapshotCodec() extent.Codec { return x.pub.Codec() }
-
 // Stats counts maintenance work across all levels.
 type Stats struct {
 	Splits            int

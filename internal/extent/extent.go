@@ -47,10 +47,11 @@
 //
 // # Codec choice
 //
-// The codec is chosen per index (Index.SetSnapshotCodec), but Compressed
-// still decides per extent: if the block encoding does not beat the dense
-// slice's 4 bytes/id it keeps the extent dense. Mixed representations are
-// therefore normal inside one snapshot, and View hides the difference.
+// The codec is chosen per index (Index.SetSnapshotCodec; a served store
+// always freezes Dense), but Compressed still decides per extent: if the
+// block encoding does not beat the dense slice's 4 bytes/id it keeps the
+// extent dense. Mixed representations are therefore normal inside one
+// snapshot, and View hides the difference.
 package extent
 
 import (
@@ -85,17 +86,6 @@ func (c Codec) String() string {
 		return "compressed"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
-}
-
-// ParseCodec reads a codec name ("dense", "compressed").
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "dense":
-		return Dense, nil
-	case "compressed":
-		return Compressed, nil
-	}
-	return Dense, fmt.Errorf("extent: unknown codec %q (want dense or compressed)", s)
 }
 
 const (

@@ -384,15 +384,11 @@ func TestKernelAllocs(t *testing.T) {
 	}
 }
 
-func TestCodecParseAndString(t *testing.T) {
-	for _, c := range []Codec{Dense, Compressed} {
-		got, err := ParseCodec(c.String())
-		if err != nil || got != c {
-			t.Errorf("ParseCodec(%q) = %v, %v", c.String(), got, err)
+func TestCodecString(t *testing.T) {
+	for c, want := range map[Codec]string{Dense: "dense", Compressed: "compressed", Codec(7): "codec(7)"} {
+		if got := c.String(); got != want {
+			t.Errorf("Codec(%d).String() = %q, want %q", uint8(c), got, want)
 		}
-	}
-	if _, err := ParseCodec("zstd"); err == nil {
-		t.Errorf("ParseCodec accepted unknown codec")
 	}
 }
 

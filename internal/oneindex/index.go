@@ -120,9 +120,6 @@ type Index struct {
 // are unaffected. The next snapshot after a switch is a full freeze.
 func (x *Index) SetSnapshotCodec(c extent.Codec) { x.pub.SetCodec(c) }
 
-// SnapshotCodec returns the codec snapshots currently freeze into.
-func (x *Index) SnapshotCodec() extent.Codec { return x.pub.Codec() }
-
 // Stats counts maintenance work, mirroring the cost accounting of §5.1: the
 // number of split operations is |Φ1|−|Φ0| and of merges |Φ1|−|Φ2|, where
 // Φ1 is the intermediate index between the phases.

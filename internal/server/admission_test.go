@@ -96,7 +96,7 @@ func TestCommitterCloseDrainsQueue(t *testing.T) {
 
 func TestUpdateOverloadOverHTTP(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
-	s := New(structix.NewDB(structix.BuildOneIndex(g)), Config{RetryAfter: 3 * time.Second})
+	s := New(structix.NewDB(structix.BuildOneIndex(g)), Config{})
 	s.coms[0].close()
 	// Swap in a stalled committer with its only slot occupied so the next
 	// submission deterministically hits admission control.
@@ -112,15 +112,15 @@ func TestUpdateOverloadOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	var rep ErrorReply
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("error body: %v", err)
 	}
-	if rep.Code != CodeOverloaded || rep.RetryAfterSeconds != 3 {
-		t.Fatalf("error reply %+v, want code %s retry 3", rep, CodeOverloaded)
+	if rep.Code != CodeOverloaded || rep.RetryAfterSeconds != 1 {
+		t.Fatalf("error reply %+v, want code %s retry 1", rep, CodeOverloaded)
 	}
 }
 

@@ -285,38 +285,6 @@ func TestQueryCachePredicatesFlushEveryCommit(t *testing.T) {
 	}
 }
 
-// With the cache disabled, queries still answer exactly, never report
-// cached, and the counters stay zero.
-func TestQueryCacheDisabledModes(t *testing.T) {
-	for _, cfg := range []server.Config{
-		{QueryCacheEntries: -1},
-	} {
-		g, _, _, _ := gtest.Fig2()
-		ts := startServer(t, structix.BuildOneIndex(g), cfg)
-		ctx := context.Background()
-		for i := 0; i < 2; i++ {
-			res, err := ts.cli.Query(ctx, "/a/b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Cached {
-				t.Errorf("cfg %+v: cached answer with the cache off", cfg)
-			}
-			if res.Count != 3 {
-				t.Errorf("cfg %+v: count %d, want 3", cfg, res.Count)
-			}
-		}
-		st, err := ts.cli.Stats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CacheHits != 0 || st.CacheEntries != 0 {
-			t.Errorf("cfg %+v: cache counters moved: %+v", cfg, st)
-		}
-		ts.shutdown(t)
-	}
-}
-
 // An expression longer than one automaton link (63 steps) compiles to a
 // chain and is served like any other: its entry is cached with a precise
 // footprint, so a commit that dirties only another branch leaves it

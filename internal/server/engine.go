@@ -28,7 +28,7 @@ import (
 // run is then exactly the unsharded evaluator.
 type engine struct {
 	store  *structix.DB
-	caches []*qcache.Cache // one per shard; nil when the result cache is disabled
+	caches []*qcache.Cache // one per shard
 
 	progs     sync.Map // raw expr string → *query.Compiled
 	progCount atomic.Int64
@@ -52,23 +52,21 @@ const (
 	maxParseErrors = 1024
 )
 
-func newEngine(store *structix.DB, cacheEntries int) *engine {
+func newEngine(store *structix.DB) *engine {
 	e := &engine{
 		store:       store,
 		progCap:     maxPrograms,
 		parseErrCap: maxParseErrors,
-	}
-	if cacheEntries >= 0 {
 		// One cache per shard (the entry bound is per shard): results are
 		// keyed by the shard's own snapshot pointer, and each shard's
 		// committer advances only its own cache.
-		e.caches = make([]*qcache.Cache, store.NumShards())
-		for s := range e.caches {
-			e.caches[s] = qcache.New(cacheEntries)
-			// Set the initial tag so results computed against the boot
-			// snapshot are cacheable before the first commit.
-			e.caches[s].Advance(store.Shard(s).Snapshot(), nil, true)
-		}
+		caches: make([]*qcache.Cache, store.NumShards()),
+	}
+	for s := range e.caches {
+		e.caches[s] = qcache.New(qcache.DefaultMaxEntries)
+		// Set the initial tag so results computed against the boot
+		// snapshot are cacheable before the first commit.
+		e.caches[s].Advance(store.Shard(s).Snapshot(), nil, true)
 	}
 	return e
 }
@@ -155,10 +153,6 @@ func (e *engine) run(ctx context.Context, c *query.Compiled, snap *structix.Shar
 // runShard evaluates c against one shard's snapshot, consulting that
 // shard's result cache first. Results are in the shard's local id space.
 func (e *engine) runShard(ctx context.Context, c *query.Compiled, s int, snap *structix.Snapshot) (nodes []graph.NodeID, cached bool, err error) {
-	if e.caches == nil {
-		nodes, err = c.EvalSnapshotIntoCtx(ctx, nil, nil, snap)
-		return nodes, false, err
-	}
 	cache := e.caches[s]
 	if nodes, ok := cache.Get(c.Expr(), snap); ok {
 		return nodes, true, nil
@@ -176,9 +170,6 @@ func (e *engine) runShard(ctx context.Context, c *query.Compiled, s int, snap *s
 // affected. Called only from shard s's committer goroutine (publications
 // are sequential per shard), plus once at construction.
 func (e *engine) advance(s int) {
-	if e.caches == nil {
-		return
-	}
 	snap := e.store.Shard(s).Snapshot()
 	changed, ok := snap.Changed()
 	var dirty []int32
@@ -191,8 +182,7 @@ func (e *engine) advance(s int) {
 	e.caches[s].Advance(snap, dirty, !ok)
 }
 
-// cacheStats returns result-cache counters summed across shards (zero
-// Stats when disabled).
+// cacheStats returns result-cache counters summed across shards.
 func (e *engine) cacheStats() qcache.Stats {
 	var agg qcache.Stats
 	for _, c := range e.caches {

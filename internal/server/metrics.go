@@ -199,13 +199,11 @@ func writeCacheProm(w io.Writer, cs qcache.Stats, programs int) {
 }
 
 // writeExtentProm emits the resident extent storage of the current
-// snapshot, labeled by representation, plus the configured codec as an
-// info-style gauge.
-func writeExtentProm(w io.Writer, codec string, denseBytes, encodedBytes int64) {
+// snapshot, labeled by representation.
+func writeExtentProm(w io.Writer, denseBytes, encodedBytes int64) {
 	fmt.Fprintf(w, "# HELP structix_extent_bytes resident snapshot extent storage by representation\n# TYPE structix_extent_bytes gauge\n")
 	fmt.Fprintf(w, "structix_extent_bytes{repr=\"dense\"} %d\n", denseBytes)
 	fmt.Fprintf(w, "structix_extent_bytes{repr=\"encoded\"} %d\n", encodedBytes)
-	fmt.Fprintf(w, "# HELP structix_extent_codec configured snapshot extent codec\n# TYPE structix_extent_codec gauge\nstructix_extent_codec{codec=%q} 1\n", codec)
 }
 
 // writeReplProm emits the replication metrics: the node's role, stream

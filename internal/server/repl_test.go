@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -198,10 +199,12 @@ func TestReplicaSetReadsOwnWrites(t *testing.T) {
 
 // TestPropertyReplicaStrategiesAgree is the replication property test:
 // under a stream of random leader writes, a caught-up follower must be
-// bit-identical to the leader, and both read strategies — compiled
-// automata with the result cache and without it — must give exactly the
-// leader's answer at the same seq, whichever replica serves it. Run under -race this also exercises the
-// apply/publish/serve interleaving on every node.
+// bit-identical to the leader, and both read strategies — the served
+// answer (result cache included) and the compiled automaton run straight
+// on the follower's own snapshot, with no cache — must give exactly the
+// leader's answer at the same seq, whichever replica serves it. Run under
+// -race this also exercises the apply/publish/serve interleaving on every
+// node.
 func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	g := xmarkTree(256, 31)
 	pairs := freshPairs(g, 64, 33)
@@ -213,22 +216,16 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	}
 	leader := startServerOn(t, ldb, nil, server.Config{})
 
-	strategies := []struct {
-		name string
-		cfg  server.Config
-	}{
-		{"cached", server.Config{}},
-		{"compiled", server.Config{QueryCacheEntries: -1}},
-	}
+	strategies := []string{"cached", "compiled"}
 	fdbs := make([]*structix.DB, len(strategies))
 	fsrvs := make([]*testServer, len(strategies))
-	for i, s := range strategies {
-		fdb, err := structix.OpenFollower(filepath.Join(t.TempDir(), s.name), leader.url, structix.Options{})
+	for i, name := range strategies {
+		fdb, err := structix.OpenFollower(filepath.Join(t.TempDir(), name), leader.url, structix.Options{})
 		if err != nil {
-			t.Fatalf("open %s follower: %v", s.name, err)
+			t.Fatalf("open %s follower: %v", name, err)
 		}
 		fdbs[i] = fdb
-		fsrvs[i] = startServerOn(t, fdb, nil, s.cfg)
+		fsrvs[i] = startServerOn(t, fdb, nil, server.Config{})
 	}
 	t.Cleanup(func() {
 		for i := range fsrvs {
@@ -274,25 +271,38 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d leader query %q: %v", round, expr, err)
 			}
-			for i, s := range strategies {
-				// Twice on the cache-enabled strategy: the second answer comes
-				// from the epoch-keyed result cache and must agree too.
+			for i, name := range strategies {
+				// Twice on the cached follower: the second answer comes from
+				// the epoch-keyed result cache and must agree too.
 				times := 1
-				if s.name == "cached" {
+				if name == "cached" {
 					times = 2
 				}
 				for rep := 0; rep < times; rep++ {
 					got, err := fsrvs[i].cli.QueryWith(ctx, expr, opts)
 					if err != nil {
-						t.Fatalf("round %d %s replica query %q: %v", round, s.name, expr, err)
+						t.Fatalf("round %d %s replica query %q: %v", round, name, expr, err)
 					}
 					if got.Count != want.Count || !reflect.DeepEqual(got.Nodes, want.Nodes) {
 						t.Fatalf("round %d: %s replica disagrees with the leader on %q: %d nodes vs %d",
-							round, s.name, expr, got.Count, want.Count)
+							round, name, expr, got.Count, want.Count)
 					}
 					if got.Seq < last.Seq {
 						t.Fatalf("round %d: %s replica served %q below the min_epoch bound (%d < %d)",
-							round, s.name, expr, got.Seq, last.Seq)
+							round, name, expr, got.Seq, last.Seq)
+					}
+				}
+				if name == "compiled" {
+					// The uncached reference: the compiled automaton run
+					// straight on the follower's own snapshot, which the
+					// served answer above shows covers the round's writes.
+					p, err := structix.ParsePath(expr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if direct := fdbs[i].Snapshot().Eval(p); !slices.Equal(direct, want.Nodes) {
+						t.Fatalf("round %d: compiled follower's snapshot disagrees with the leader on %q: %d nodes vs %d",
+							round, expr, len(direct), want.Count)
 					}
 				}
 			}
@@ -302,15 +312,15 @@ func TestPropertyReplicaStrategiesAgree(t *testing.T) {
 	// Bit-identity at the store level: each caught-up follower's canonical
 	// persisted form equals the leader's, byte for byte.
 	want := fingerprint(t, ldb)
-	for i, s := range strategies {
+	for i, name := range strategies {
 		wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 		err := fdbs[i].Shard(0).WaitForSeq(wctx, ldb.Shard(0).Seq())
 		cancel()
 		if err != nil {
-			t.Fatalf("%s follower never caught up: %v", s.name, err)
+			t.Fatalf("%s follower never caught up: %v", name, err)
 		}
 		if got := fingerprint(t, fdbs[i]); got != want {
-			t.Fatalf("%s follower snapshot is not bit-identical to the leader's", s.name)
+			t.Fatalf("%s follower snapshot is not bit-identical to the leader's", name)
 		}
 	}
 }

@@ -72,14 +72,14 @@ type Config struct {
 	// QueueDepth bounds each commit pipeline's admission queue (one per
 	// shard); a full queue sheds updates with 429. Default 1024.
 	QueueDepth int
-	// MaxBodyBytes caps request bodies. Default 8 MiB.
-	MaxBodyBytes int64
-	// RetryAfter is the Retry-After hint on 429/503. Default 1s.
-	RetryAfter time.Duration
-	// QueryCacheEntries bounds the epoch-keyed result cache. 0 uses the
-	// default (qcache.DefaultMaxEntries); negative disables the cache.
-	QueryCacheEntries int
 }
+
+// maxBodyBytes caps request bodies; retryAfterSeconds is the
+// Retry-After hint on 429/503.
+const (
+	maxBodyBytes      = 8 << 20
+	retryAfterSeconds = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -87,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -132,7 +126,7 @@ func New(db *structix.DB, cfg Config) *Server {
 		m:     newMetrics(db.NumShards()),
 		mux:   http.NewServeMux(),
 	}
-	s.eng = newEngine(db, cfg.QueryCacheEntries)
+	s.eng = newEngine(db)
 	s.coms = make([]*committer, db.NumShards())
 	for i := range s.coms {
 		s.coms[i] = newCommitter(db.Shard(i), i, cfg.QueueDepth, cfg.MaxBatch, s.m, s.eng)
@@ -220,12 +214,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, rep ErrorReply) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		rep.RetryAfterSeconds = secs
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		rep.RetryAfterSeconds = retryAfterSeconds
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	writeJSON(w, status, rep)
 }
@@ -233,7 +223,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, rep ErrorReply) {
 // decodeBody strictly decodes a JSON body into dst: unknown fields,
 // trailing garbage, and oversize bodies are all 400s, never panics.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -491,7 +481,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		rep.ExtentDenseBytes += db
 		rep.ExtentEncodedBytes += eb
 	}
-	rep.ExtentCodec = snap.Shard(0).Codec().String()
 	// Every shard carries a replica of the one document root: count the
 	// logical root once.
 	rep.Nodes -= n - 1
@@ -584,7 +573,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		denseB += db
 		encB += eb
 	}
-	writeExtentProm(w, snap.Shard(0).Codec().String(), denseB, encB)
+	writeExtentProm(w, denseB, encB)
 	writeDurabilityProm(w, s.store.Stats())
 	if s.repl != nil || s.follower != nil {
 		var ls *repl.LeaderStats

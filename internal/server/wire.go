@@ -193,12 +193,10 @@ type StatsReply struct {
 
 	// Extent storage of the current snapshot (summed across shards), by
 	// representation: dense []NodeID slices vs compressed block
-	// encodings. Under the dense codec EncodedBytes is 0; under the
-	// compressed codec DenseBytes counts the per-extent density
-	// fallbacks that stayed dense.
-	ExtentCodec        string `json:"extent_codec"`
-	ExtentDenseBytes   int64  `json:"extent_dense_bytes"`
-	ExtentEncodedBytes int64  `json:"extent_encoded_bytes,omitempty"`
+	// encodings. A served store freezes dense extents, so EncodedBytes
+	// is 0.
+	ExtentDenseBytes   int64 `json:"extent_dense_bytes"`
+	ExtentEncodedBytes int64 `json:"extent_encoded_bytes,omitempty"`
 
 	// Durability counters from the store (see structix.DBStats). Durable
 	// is false when the server fronts an in-memory DB; every other field

@@ -43,7 +43,7 @@
 //
 //	SyncAlways   fsync inside every Append, before it returns
 //	SyncWindow   fsync when the committer ends the window (Sync call)
-//	SyncInterval background fsync every Interval; bounded loss window
+//	SyncInterval background fsync every syncPeriod; bounded loss window
 //	SyncNone     never fsync; the OS page cache decides
 //
 // Under SyncAlways and SyncWindow an acknowledged commit is on disk
@@ -78,11 +78,14 @@ const (
 	SyncWindow SyncPolicy = iota
 	// SyncAlways fsyncs inside every Append.
 	SyncAlways
-	// SyncInterval fsyncs on a background ticker every Interval.
+	// SyncInterval fsyncs on a background ticker every syncPeriod.
 	SyncInterval
 	// SyncNone never fsyncs; data reaches disk when the OS flushes.
 	SyncNone
 )
+
+// syncPeriod is the background fsync period under SyncInterval.
+const syncPeriod = 100 * time.Millisecond
 
 func (p SyncPolicy) String() string {
 	switch p {
@@ -119,9 +122,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Policy selects the fsync schedule. Default SyncWindow.
 	Policy SyncPolicy
-	// Interval is the background fsync period under SyncInterval.
-	// Default 100ms.
-	Interval time.Duration
 	// SegmentBytes rolls the active segment beyond this size. Default
 	// 64 MiB.
 	SegmentBytes int64
@@ -133,9 +133,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -350,7 +347,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.appended.Store(l.nextSeq - 1)
 
 	if opts.Policy == SyncInterval {
-		l.tick = time.NewTicker(opts.Interval)
+		l.tick = time.NewTicker(syncPeriod)
 		l.tickDone = make(chan struct{})
 		go l.syncLoop()
 	}

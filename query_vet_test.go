@@ -102,6 +102,73 @@ func TestNoValueRoute(t *testing.T) {
 	}
 }
 
+// TestNoServingKnobs keeps a served store to one configuration: the
+// snapshot extent codec, the interval-fsync period, and the server's
+// body cap, Retry-After hint and result-cache bound are constants, not
+// settings. No non-test file may declare those fields on
+// structix.Options, wal.Options or server.Config, declare or use the
+// codec setters and parsers, or define an "extents" flag. An option that
+// no caller sets cannot come back unnoticed.
+func TestNoServingKnobs(t *testing.T) {
+	goneFields := map[string]map[string]bool{
+		"./Options":              {"Extents": true, "SyncInterval": true},
+		"internal/wal/Options":   {"Interval": true},
+		"internal/server/Config": {"MaxBodyBytes": true, "RetryAfter": true, "QueryCacheEntries": true},
+	}
+	goneNames := map[string]bool{
+		"SetExtentCodec": true, "setExtentCodec": true, "ParseExtentCodec": true, "ParseCodec": true,
+		"ExtentCodec": true, "ExtentsDense": true, "ExtentsCompressed": true,
+	}
+	flagDefs := map[string]bool{"String": true, "StringVar": true, "Var": true, "Func": true, "TextVar": true}
+	structs := 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				if goneNames[x.Name] {
+					t.Errorf("%s: %s is back; a served store freezes dense extents and has no codec setting", fset.Position(x.Pos()), x.Name)
+				}
+			case *ast.TypeSpec:
+				gone, ok := goneFields[dir+"/"+x.Name.Name]
+				st, isStruct := x.Type.(*ast.StructType)
+				if !ok || !isStruct {
+					return true
+				}
+				structs++
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if gone[name.Name] {
+							t.Errorf("%s: %s declares %s again; it is a constant, not a setting", fset.Position(name.Pos()), x.Name.Name, name.Name)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				sel, ok := x.Fun.(*ast.SelectorExpr)
+				if !ok || !flagDefs[sel.Sel.Name] || len(x.Args) == 0 {
+					return true
+				}
+				// The flag name is the first argument, or the second after
+				// a StringVar/Var/TextVar destination.
+				for _, arg := range x.Args[:min(2, len(x.Args))] {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, _ := strconv.Unquote(lit.Value); name == "extents" {
+							t.Errorf("%s: defines an -extents flag again", fset.Position(x.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+	if structs != len(goneFields) {
+		t.Fatalf("scan found %d of the %d option structs: it covered too little", structs, len(goneFields))
+	}
+}
+
 // liveIndexType names the live index type e points to — *OneIndex,
 // *AkIndex, *oneindex.Index or *akindex.Index — or returns "".
 func liveIndexType(e ast.Expr) string {

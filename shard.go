@@ -29,8 +29,6 @@ type Index interface {
 	AddSubgraph(sg *Subgraph) ([]NodeID, error)
 	Freeze(data *graph.Frozen) *Snapshot
 	PatchSnapshot(prev *Snapshot, data *graph.Frozen) *Snapshot
-	SetSnapshotCodec(c ExtentCodec)
-	SnapshotCodec() ExtentCodec
 	Validate() error
 }
 
@@ -228,7 +226,6 @@ func openShard(dir string, opts Options) (*Shard, error) {
 
 	log, err := wal.Open(filepath.Join(dir, walSubdir), wal.Options{
 		Policy:       opts.Sync,
-		Interval:     opts.SyncInterval,
 		SegmentBytes: opts.SegmentBytes,
 		FirstSeq:     baseSeq + 1,
 	})
@@ -251,7 +248,6 @@ func openShard(dir string, opts Options) (*Shard, error) {
 		log.Close()
 		return fail(fmt.Errorf("structix: replaying journal: %w", err))
 	}
-	idx.SetSnapshotCodec(opts.Extents)
 	sh.cur.Store(idx.Freeze(idx.Graph().Freeze()))
 	sh.visibleSeq.Store(sh.appliedSeq.Load())
 	if wrote != nil {
@@ -520,23 +516,6 @@ func (sh *Shard) sync() error {
 // Snapshot returns the shard's current epoch snapshot: one atomic load,
 // never blocks, remains valid indefinitely.
 func (sh *Shard) Snapshot() *Snapshot { return sh.cur.Load() }
-
-// setExtentCodec switches the representation future snapshots freeze
-// extents into and immediately publishes a re-frozen snapshot under the
-// new codec (see DB.SetExtentCodec).
-func (sh *Shard) setExtentCodec(c ExtentCodec) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed {
-		return ErrClosed
-	}
-	if sh.idx.SnapshotCodec() == c {
-		return nil
-	}
-	sh.idx.SetSnapshotCodec(c)
-	sh.publish()
-	return nil
-}
 
 // validate checks graph and index invariants under the writer lock.
 func (sh *Shard) validate() error {

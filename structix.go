@@ -54,7 +54,6 @@ import (
 	"structix/internal/baseline"
 	"structix/internal/datagen"
 	"structix/internal/dkindex"
-	"structix/internal/extent"
 	"structix/internal/graph"
 	"structix/internal/oneindex"
 	"structix/internal/opscript"
@@ -150,26 +149,6 @@ func ParseXMLString(doc string) (*Graph, error) { return xmlload.ParseString(doc
 // WriteXML serializes the graph back to XML (tree edges as nesting, IDREF
 // edges as idref attributes).
 func WriteXML(g *Graph, w io.Writer) error { return xmlload.Write(g, w) }
-
-// ---- extent storage ----
-
-// ExtentCodec selects the representation snapshots freeze extents into:
-// ExtentsDense ([]NodeID slices, the default) or ExtentsCompressed
-// (delta-varint runs with bitmap blocks for dense regions, chosen
-// per-extent by density — see internal/extent). The live indexes always
-// maintain dense extents; the codec only changes what Freeze and
-// PatchSnapshot publish, so maintenance cost is unaffected.
-type ExtentCodec = extent.Codec
-
-// Extent codecs.
-const (
-	ExtentsDense      = extent.Dense
-	ExtentsCompressed = extent.Compressed
-)
-
-// ParseExtentCodec reads a codec name ("dense", "compressed") as spelled
-// on command lines.
-func ParseExtentCodec(s string) (ExtentCodec, error) { return extent.ParseCodec(s) }
 
 // ---- index snapshots ----
 
