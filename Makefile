@@ -123,7 +123,6 @@ examples:
 	$(GO) run ./examples/akdemo
 	$(GO) run ./examples/summaries
 	$(GO) run ./examples/server
-	$(GO) run ./examples/adaptive
 
 # Regenerate the paper's evaluation at a laptop-friendly scale; see
 # EXPERIMENTS.md for the -scale trade-off.

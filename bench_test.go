@@ -292,20 +292,7 @@ func BenchmarkOpenBootstrap(b *testing.B) {
 	})
 }
 
-// ---- Other summaries and subsystems ----
-
-func BenchmarkBuildDkIndex(b *testing.B) {
-	g := xmark(1)
-	cfg := structix.DkConfig{Targets: map[string]int{"open_auction": 4}, DefaultK: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, err := structix.BuildDkIndex(g.Clone(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = x.Size()
-	}
-}
+// ---- Persistence and XML round trips ----
 
 func BenchmarkPersistSaveLoad(b *testing.B) {
 	g := xmark(1)

@@ -12,7 +12,6 @@
 //	xsibench -exp table3                   # A(k) storage
 //	xsibench -exp queryperf                # query-evaluation motivation
 //	xsibench -exp intermediate             # §5.1 transient-growth claim
-//	xsibench -exp dk                       # adaptive D(k) extension (§8)
 //	xsibench -exp skew                     # hot-spot robustness probe
 //	xsibench -exp shard                    # sharded write scale-out + 90/10 mix
 //	xsibench -exp repl                     # read replicas: QPS scale-out + staleness
@@ -120,7 +119,6 @@ var experimentTable = []experiment{
 	{"table3", true, runner.table3},
 	{"queryperf", true, runner.queryPerf},
 	{"intermediate", true, runner.intermediate},
-	{"dk", true, runner.dk},
 	{"skew", true, runner.skew},
 	{"shard", true, runner.shard},
 	{"repl", true, runner.repl},
@@ -323,17 +321,6 @@ func (r runner) skew() {
 		res := experiments.RunSkew(d.Name, d.Build(r.scale, r.seed), r.mixedPairs()/2, r.seed)
 		experiments.ReportSkew(os.Stdout, res)
 	}
-}
-
-func (r runner) dk() {
-	d := experiments.Dataset{Name: "XMark(1)", Cyclicity: 1}
-	res := experiments.RunDk(d.Name, d.Build(r.scale, r.seed),
-		[]string{"open_auction", "bidder", "personref", "person", "name"},
-		[]string{
-			"//open_auction/bidder/personref/person/name",
-			"/site/open_auctions/open_auction/bidder/personref/person",
-		}, 4, 3)
-	experiments.ReportDk(os.Stdout, res)
 }
 
 func (r runner) queryPerf() {

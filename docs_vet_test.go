@@ -109,6 +109,42 @@ func TestMakeCIMatchesWorkflow(t *testing.T) {
 	}
 }
 
+// TestMakeExamplesMatchesTree keeps `make examples` in step with the
+// examples/ directory: its `go run ./examples/X` lines must name exactly
+// the directories there. CI's make examples step is the only thing that
+// runs them, so a line left behind by a deleted example, or an example no
+// line runs, would otherwise surface only in CI or never.
+func TestMakeExamplesMatchesTree(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`^go run \./examples/([^/\s]+)`)
+	var recipe []string
+	for _, cmd := range makeRecipe(t, string(mk), "examples") {
+		if m := run.FindStringSubmatch(cmd); m != nil {
+			recipe = append(recipe, m[1])
+		}
+	}
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk []string
+	for _, e := range entries {
+		if e.IsDir() {
+			onDisk = append(onDisk, e.Name())
+		}
+	}
+	if len(onDisk) == 0 {
+		t.Fatal("examples/ has no directories: the check covered nothing")
+	}
+	sort.Strings(recipe)
+	if !slices.Equal(recipe, onDisk) {
+		t.Errorf("make examples runs %v; examples/ holds %v", recipe, onDisk)
+	}
+}
+
 // makeRecipe returns target's commands with its prerequisites' commands
 // first, normalised to what a shell would be handed.
 func makeRecipe(t *testing.T, makefile, target string) []string {

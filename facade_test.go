@@ -58,26 +58,6 @@ func TestFacadeCountsAndSelectivity(t *testing.T) {
 	}
 }
 
-func TestFacadeDkIndex(t *testing.T) {
-	g := structix.GenerateXMark(structix.DefaultXMark(512, 1, 9))
-	dk, err := structix.BuildDkIndex(g, structix.DkConfig{
-		Targets:  map[string]int{"open_auction": 3},
-		DefaultK: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := structix.MustParsePath("//open_auction/seller/person")
-	direct := structix.EvalGraph(p, dk.Graph())
-	got := dk.Eval(p)
-	if len(got) != len(direct) {
-		t.Errorf("DkIndex eval = %d, want %d", len(got), len(direct))
-	}
-	if dk.Size() == 0 || dk.KMax() < 3 {
-		t.Errorf("DkIndex shape wrong: size=%d kmax=%d", dk.Size(), dk.KMax())
-	}
-}
-
 func TestFacadeExtract(t *testing.T) {
 	g, err := structix.ParseXMLString(sampleDoc)
 	if err != nil {

@@ -223,26 +223,6 @@ func TestRunSkew(t *testing.T) {
 	}
 }
 
-func TestRunDk(t *testing.T) {
-	d := Dataset{Name: "XMark(1)", Cyclicity: 1}
-	g := d.Build(128, 6)
-	r := RunDk(d.Name, g,
-		[]string{"open_auction", "bidder", "personref", "person"},
-		[]string{"//open_auction/bidder/personref/person"}, 3, 1)
-	if !(r.SizeALow <= r.SizeDk && r.SizeDk <= r.SizeAHigh) {
-		t.Errorf("sizes not interpolating: %d / %d / %d", r.SizeALow, r.SizeDk, r.SizeAHigh)
-	}
-	// The adaptive index must match A(kmax)'s precision on the hot path.
-	if r.HotFPDk > r.HotFPAHigh {
-		t.Errorf("D(k) has more hot-path false positives (%d) than A(kmax) (%d)", r.HotFPDk, r.HotFPAHigh)
-	}
-	var buf bytes.Buffer
-	ReportDk(&buf, r)
-	if !strings.Contains(buf.String(), "D(k)") {
-		t.Errorf("report missing D(k) header")
-	}
-}
-
 func TestStandardDatasets(t *testing.T) {
 	ds := StandardDatasets()
 	if len(ds) != 5 {

@@ -32,26 +32,6 @@ func NeedsValidation(p *Path, k int) bool {
 	return false
 }
 
-// Validator performs per-candidate backward matching against the data
-// graph: Matches(v) reports whether some root path matching the expression
-// ends at v. It is the reusable core of the A(k) validation step, also
-// used by other imprecise summaries (e.g. the D(k)-index view). Positive
-// results are memoized across candidates; the expression must be
-// predicate-free (validate the Skeleton and filter predicates separately).
-type Validator struct {
-	inner *validator
-}
-
-// NewValidator prepares a validator for one expression over one graph.
-func NewValidator(p *Path, g Source) *Validator {
-	return &Validator{inner: newValidator(p.Skeleton(), g)}
-}
-
-// Matches reports whether v is a true match for the expression.
-func (va *Validator) Matches(v graph.NodeID) bool {
-	return va.inner.matches(v)
-}
-
 // validator performs per-candidate backward matching with memoization of
 // positive results (negative results are not cached: with cycles a "false"
 // discovered during an in-progress search is only valid for that search).
@@ -70,7 +50,10 @@ func (va *validator) matches(v graph.NodeID) bool {
 	return va.search(v, len(va.p.steps)-1, make(map[int64]bool))
 }
 
-func state(v graph.NodeID, i int) int64 { return int64(v)<<16 | int64(i) }
+// state packs (node, stepIdx) into one key: the node id in the high 32
+// bits, the step index in the low 32, so a step index never spills into
+// the node id (a path of 2^32 steps could not be held in memory).
+func state(v graph.NodeID, i int) int64 { return int64(v)<<32 | int64(uint32(i)) }
 
 // search reports whether v can be the node matched by step i with steps
 // 0..i−1 matched along some path from the root above it.

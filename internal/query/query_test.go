@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"structix/internal/akindex"
@@ -254,6 +255,44 @@ func TestAkFalsePositivesExist(t *testing.T) {
 	validated := EvalSnapshot(p, x)
 	if !equalIDs(direct, validated) {
 		t.Errorf("validation failed: %v != %v", validated, direct)
+	}
+}
+
+// The validator's memo key must keep (node, step) pairs apart on paths of
+// 65,536 or more steps: a key that packs the step index into 16 bits lets
+// a high step index spill into the node id, so a proven match for one
+// pair answers for another and validation keeps false positives.
+func TestAkValidationLongPath(t *testing.T) {
+	g := graph.New()
+	r := g.AddRoot()
+	var a [7]graph.NodeID
+	for i := 1; i <= 6; i++ {
+		label := "a"
+		if i == 5 {
+			label = "b"
+		}
+		a[i] = g.AddNode(label)
+	}
+	for _, e := range []struct {
+		u, v graph.NodeID
+		kind graph.EdgeKind
+	}{
+		{r, a[1], graph.Tree}, {r, a[2], graph.Tree}, {r, a[5], graph.Tree}, {r, a[6], graph.Tree},
+		{a[5], a[3], graph.Tree}, {a[5], a[4], graph.Tree},
+		{a[6], a[2], graph.IDRef}, {a[1], a[4], graph.IDRef},
+		{a[4], a[3], graph.IDRef}, {a[3], a[1], graph.IDRef},
+	} {
+		if err := g.AddEdge(e.u, e.v, e.kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := MustParse(strings.Repeat("/a", 1<<16+3))
+	direct := EvalGraph(p, g)
+	if !equalIDs(direct, []graph.NodeID{a[1]}) {
+		t.Fatalf("setup wrong: direct = %v", direct)
+	}
+	if got := EvalSnapshot(p, akindex.Build(g, 1).Freeze(g.Freeze())); !equalIDs(direct, got) {
+		t.Errorf("validated %v != direct %v", got, direct)
 	}
 }
 

@@ -50,19 +50,28 @@ func TestQueryReadsSnapshotsOnly(t *testing.T) {
 	}
 }
 
-// TestNoValueRoute keeps the planner's routes structural: the strong
-// DataGuide and the inverted value index are gone, and with them the
-// planner's value-first route. No non-test file may import either
-// package or declare or use a name that route needed, and query.Planner
-// may declare no Values field (a use of one cannot compile without the
-// declaration). A second index family beside the two the paper maintains
-// cannot come back unnoticed, nor can a reader of a live graph that goes
-// stale at a store's first write.
+// TestNoValueRoute keeps the planner's routes structural and the index
+// families to the two the paper maintains: the strong DataGuide, the
+// inverted value index with the planner's value-first route, and the
+// D(k)-index are gone. No non-test file may import a removed package or
+// declare or use a name that went with it, and query.Planner may declare
+// no Values field (a use of one cannot compile without the declaration).
+// A third index family cannot come back unnoticed, nor can a reader of a
+// live graph that goes stale at a store's first write.
 func TestNoValueRoute(t *testing.T) {
-	gonePkgs := map[string]bool{"structix/internal/dataguide": true, "structix/internal/valindex": true}
-	goneNames := map[string]bool{
-		"ValueAccelerator": true, "StrategyValueIndex": true, "valueAccelerable": true,
-		"BuildValueIndex": true, "BuildDataGuide": true, "ErrDataGuideTooLarge": true,
+	const (
+		valueRoute = "the DataGuide, the value index and the value route"
+		dk         = "the D(k)-index"
+	)
+	gonePkgs := map[string]string{
+		"structix/internal/dataguide": valueRoute, "structix/internal/valindex": valueRoute,
+		"structix/internal/dkindex": dk,
+	}
+	goneNames := map[string]string{
+		"ValueAccelerator": valueRoute, "StrategyValueIndex": valueRoute, "valueAccelerable": valueRoute,
+		"BuildValueIndex": valueRoute, "BuildDataGuide": valueRoute, "ErrDataGuideTooLarge": valueRoute,
+		"DkIndex": dk, "DkConfig": dk, "BuildDkIndex": dk, "RunDk": dk, "ReportDk": dk,
+		"NewValidator": dk,
 	}
 	planners := 0
 	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
@@ -70,15 +79,16 @@ func TestNoValueRoute(t *testing.T) {
 			return
 		}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); gonePkgs[p] {
-				t.Errorf("%s: imports %s, which was removed", fset.Position(imp.Pos()), p)
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if by, gone := gonePkgs[p]; gone {
+				t.Errorf("%s: imports %s, which was removed with %s", fset.Position(imp.Pos()), p, by)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.Ident:
-				if goneNames[x.Name] {
-					t.Errorf("%s: %s is back; it went with the DataGuide, the value index and the value route", fset.Position(x.Pos()), x.Name)
+				if by, gone := goneNames[x.Name]; gone {
+					t.Errorf("%s: %s is back; it went with %s", fset.Position(x.Pos()), x.Name, by)
 				}
 			case *ast.TypeSpec:
 				st, ok := x.Type.(*ast.StructType)

@@ -14,9 +14,7 @@
 //     split/merge maintenance that keeps the unique minimum family on any
 //     data, cyclic or not (Theorem 2);
 //   - the competing baselines the paper evaluates (propagate, index
-//     reconstruction, the simple A(k) algorithm), plus an incrementally
-//     maintained D(k)-index (the extension the paper's conclusion
-//     conjectures);
+//     reconstruction, the simple A(k) algorithm);
 //   - a path-expression engine (labels, *, //, predicates) that evaluates
 //     directly, or on an immutable Snapshot of either index family
 //     (precise on a 1-index, validated beyond k on A(k)) — with a
@@ -53,7 +51,6 @@ import (
 	"structix/internal/akindex"
 	"structix/internal/baseline"
 	"structix/internal/datagen"
-	"structix/internal/dkindex"
 	"structix/internal/graph"
 	"structix/internal/oneindex"
 	"structix/internal/opscript"
@@ -283,21 +280,6 @@ type CompiledPath = query.Compiled
 // CompilePath compiles p for the snapshot read path. Every path compiles;
 // the error result is always nil.
 func CompilePath(p *Path) (*CompiledPath, error) { return query.Compile(p) }
-
-// ---- D(k)-index ----
-
-// DkIndex is the adaptive D(k)-index of Qun et al., maintained
-// incrementally as a cut over the A(0..kmax) family — the extension §8 of
-// the paper conjectures (see internal/dkindex for the derivation).
-type DkIndex = dkindex.Index
-
-// DkConfig assigns per-label locality targets for a D(k)-index.
-type DkConfig = dkindex.Config
-
-// BuildDkIndex constructs an incrementally maintained D(k)-index.
-func BuildDkIndex(g *Graph, cfg DkConfig) (*DkIndex, error) {
-	return dkindex.Build(g, cfg)
-}
 
 // ---- datasets and workloads ----
 
