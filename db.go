@@ -1,7 +1,6 @@
 package structix
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -376,7 +375,7 @@ func (db *DB) write(rec *wal.Record) (OpResult, *Subgraph, error) {
 			outs[i].Err = err
 		}
 		if c != nil {
-			c.Members = db.m.GlobalizeNodes(p.Shard, c.Members)
+			c.Members = db.m.AppendGlobal(c.Members[:0], p.Shard, c.Members)
 			for j := range c.CrossIn {
 				c.CrossIn[j].Outside = db.m.ToGlobal(p.Shard, c.CrossIn[j].Outside)
 			}
@@ -560,9 +559,6 @@ func (ss *ShardedSnapshot) NumShards() int { return len(ss.snaps) }
 // Shard returns shard s's snapshot.
 func (ss *ShardedSnapshot) Shard(s int) *Snapshot { return ss.snaps[s] }
 
-// Map returns the translation layer the results are merged through.
-func (ss *ShardedSnapshot) Map() *shard.Map { return ss.m }
-
 // Size returns the total inode count across shards.
 func (ss *ShardedSnapshot) Size() int {
 	n := 0
@@ -572,32 +568,32 @@ func (ss *ShardedSnapshot) Size() int {
 	return n
 }
 
-// Eval evaluates a path expression by scatter-gather: the expression is
-// compiled once, runs against every shard snapshot, and the per-shard
-// results merge into one globally sorted list.
-func (ss *ShardedSnapshot) Eval(p *Path) []NodeID {
-	out, _ := ss.EvalCtx(nil, p)
-	return out
-}
-
-// EvalCtx is Eval under a context; cancellation stops evaluation between
-// shards and extent unions.
-func (ss *ShardedSnapshot) EvalCtx(ctx context.Context, p *Path) ([]NodeID, error) {
-	c := query.MustCompile(p)
+// Gather is the read path's one scatter-gather: it runs eval on every
+// shard's snapshot, in shard order, and returns the per-shard results as
+// one globally sorted list. On one shard it returns eval's slice itself —
+// the 1-shard codec is the identity — so the result aliases whatever eval
+// returned. On more it translates each section into a fresh one and
+// merges them (MergeShardResults), never writing to eval's slices, which
+// may be shared (a result cache's entries). The first error stops the
+// gather and is returned with no result; eval observes the caller's
+// context, so cancellation stops the gather between shards too.
+func (ss *ShardedSnapshot) Gather(eval func(s int, snap *Snapshot) ([]NodeID, error)) ([]NodeID, error) {
 	if len(ss.snaps) == 1 {
-		// The 1-shard codec is the identity: the shard's own result is
-		// the global result.
-		return c.EvalSnapshotIntoCtx(ctx, nil, nil, ss.snaps[0])
+		return eval(0, ss.snaps[0])
 	}
 	secs := make([][]NodeID, len(ss.snaps))
+	total := 0
 	for s, snap := range ss.snaps {
-		sec, err := c.EvalSnapshotIntoCtx(ctx, nil, nil, snap)
+		local, err := eval(s, snap)
 		if err != nil {
 			return nil, err
 		}
-		secs[s] = ss.m.GlobalizeNodes(s, sec)
+		// Striping is monotone per shard, so each translated section
+		// stays sorted.
+		secs[s] = ss.m.AppendGlobal(make([]NodeID, 0, len(local)), s, local)
+		total += len(local)
 	}
-	return MergeShardResults(nil, secs), nil
+	return MergeShardResults(make([]NodeID, 0, total), secs), nil
 }
 
 // MergeShardResults merges per-shard result sections — each sorted in
@@ -650,26 +646,24 @@ func MergeShardResults(dst []NodeID, secs [][]NodeID) []NodeID {
 	}
 }
 
-// Count returns the exact result size.
-func (ss *ShardedSnapshot) Count(p *Path) int {
-	n, _ := ss.CountCtx(nil, p)
-	return n
-}
-
-// CountCtx is Count under a context. One shard counts from extent sizes
-// where it can (query.CountSnapshot); more shards count the merged
-// result, since the replicated root may be a result on several.
-func (ss *ShardedSnapshot) CountCtx(ctx context.Context, p *Path) (int, error) {
-	if len(ss.snaps) == 1 {
-		return query.CountSnapshotCtx(ctx, p, ss.snaps[0])
-	}
-	out, err := ss.EvalCtx(ctx, p)
-	return len(out), err
-}
-
 // Eval evaluates a path expression against the current snapshot vector:
-// the exact result on either index family.
-func (db *DB) Eval(p *Path) []NodeID { return db.Snapshot().Eval(p) }
+// the exact result on either index family, in global ids.
+func (db *DB) Eval(p *Path) []NodeID {
+	c := query.MustCompile(p)
+	out, _ := db.Snapshot().Gather(func(_ int, s *Snapshot) ([]NodeID, error) {
+		return c.Eval(nil, nil, nil, s)
+	})
+	return out
+}
 
 // Count returns the exact result size from the current snapshot vector.
-func (db *DB) Count(p *Path) int { return db.Snapshot().Count(p) }
+// One shard counts from extent sizes where its snapshot is precise for
+// the path (query.Compiled.Count); more shards count the gathered
+// result, since the replicated root may be a result on several.
+func (db *DB) Count(p *Path) int {
+	if len(db.shards) == 1 {
+		n, _ := query.MustCompile(p).Count(nil, db.shards[0].Snapshot())
+		return n
+	}
+	return len(db.Eval(p))
+}

@@ -87,7 +87,7 @@ func ExamplePlanner() {
 
 // An A(k) snapshot answers long queries with validation; its raw
 // candidates are a safe superset.
-func ExampleSnapshotCandidates() {
+func ExampleCompiledPath_Candidates() {
 	// The two <page> nodes are 1-bisimilar (both have a <book> parent) but
 	// only one lies under <fiction>: with k=1 the raw answer overshoots.
 	g, _ := structix.ParseXMLString(`
@@ -96,9 +96,10 @@ func ExampleSnapshotCandidates() {
 		  <science><book><page/></book></science>
 		</lib>`)
 	s := structix.BuildAkIndex(g, 1).Freeze(g.Freeze())
-	p := structix.MustParsePath("/lib/fiction/book/page")
-	fmt.Println("raw:", len(structix.SnapshotCandidates(p, s)))
-	fmt.Println("validated:", len(structix.EvalSnapshot(p, s)))
+	c := structix.CompilePath(structix.MustParsePath("/lib/fiction/book/page"))
+	validated, _ := c.Eval(nil, nil, nil, s)
+	fmt.Println("raw:", len(c.Candidates(s)))
+	fmt.Println("validated:", len(validated))
 	// Output:
 	// raw: 2
 	// validated: 1

@@ -32,7 +32,7 @@ func main() {
 		falsePositives := 0
 		var valTime time.Duration
 		for _, q := range queries {
-			raw := structix.SnapshotCandidates(q, view)
+			raw := structix.CompilePath(q).Candidates(view)
 			start := time.Now()
 			validated := structix.EvalSnapshot(q, view)
 			valTime += time.Since(start)

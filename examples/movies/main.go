@@ -39,7 +39,7 @@ func main() {
 		"//movie/actorref/person/filmographyref/movie",
 	} {
 		p := structix.MustParsePath(expr)
-		raw := structix.SnapshotCandidates(p, view)
+		raw := structix.CompilePath(p).Candidates(view)
 		validated := structix.EvalSnapshot(p, view)
 		fmt.Printf("%-50s raw=%4d  validated=%4d  (false positives removed: %d)\n",
 			expr, len(raw), len(validated), len(raw)-len(validated))

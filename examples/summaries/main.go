@@ -49,7 +49,7 @@ func main() {
 		// Selectivity straight off the index — the synopsis use (§1).
 		p := structix.MustParsePath("//open_auction/bidder")
 		fmt.Printf("   selectivity(%s) = %.4f (no data access)\n\n",
-			p, structix.Selectivity(p, oneSnap))
+			p, structix.CompilePath(p).Selectivity(oneSnap))
 	}
 
 	fmt.Println("The 1-index is bounded by the data but tracks irregularity; A(k) caps")

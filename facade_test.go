@@ -43,17 +43,18 @@ func TestFacadeCountsAndSelectivity(t *testing.T) {
 	one := structix.BuildOneIndex(g).Freeze(data)
 	ak := structix.BuildAkIndex(g, 2).Freeze(data)
 	p := structix.MustParsePath("//person/name")
+	c := structix.CompilePath(p)
 	direct := len(structix.EvalGraph(p, g))
-	if got := structix.CountSnapshot(p, one); got != direct {
-		t.Errorf("1-index CountSnapshot = %d, want %d", got, direct)
+	if got, err := c.Count(nil, one); got != direct || err != nil {
+		t.Errorf("1-index Count = %d, %v; want %d", got, err, direct)
 	}
-	if got := structix.CountSnapshot(p, ak); got != direct {
-		t.Errorf("A(k) CountSnapshot = %d, want %d", got, direct)
+	if got, err := c.Count(nil, ak); got != direct || err != nil {
+		t.Errorf("A(k) Count = %d, %v; want %d", got, err, direct)
 	}
-	if got := len(structix.SnapshotCandidates(p, ak)); got < direct {
+	if got := len(c.Candidates(ak)); got < direct {
 		t.Errorf("A(k) candidates undercount")
 	}
-	if s := structix.Selectivity(p, one); s <= 0 || s > 1 {
+	if s := c.Selectivity(one); s <= 0 || s > 1 {
 		t.Errorf("Selectivity = %v", s)
 	}
 }

@@ -55,12 +55,12 @@ func RunQueryPerf(name string, g *graph.Graph, exprs []string, k, reps int) []Qu
 		r.DirectTime = time.Since(start) / time.Duration(reps)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			viaOne = query.EvalSnapshot(p, one)
+			viaOne, _ = query.MustCompile(p).Eval(nil, nil, nil, one)
 		}
 		r.OneIndexTime = time.Since(start) / time.Duration(reps)
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			viaAk = query.EvalSnapshot(p, ak)
+			viaAk, _ = query.MustCompile(p).Eval(nil, nil, nil, ak)
 		}
 		r.AkValidatedTime = time.Since(start) / time.Duration(reps)
 		if len(direct) != len(viaOne) || len(direct) != len(viaAk) {

@@ -211,7 +211,7 @@ func runScaleCodec(one *oneindex.Index, frozen *graph.Frozen, c extent.Codec, cf
 		times := make([]int64, cfg.Reps)
 		for i := range times {
 			t0 := time.Now()
-			buf = cq.EvalSnapshotInto(buf, &sc, snap)
+			buf, _ = cq.Eval(nil, buf, &sc, snap)
 			times[i] = time.Since(t0).Nanoseconds()
 		}
 		if reference != nil && !slices.Equal(buf, reference[ei]) {
@@ -229,7 +229,7 @@ func runScaleCodec(one *oneindex.Index, frozen *graph.Frozen, c extent.Codec, cf
 	}
 	if largestC != nil {
 		st.WarmQueryAllocs, _, _ = measureAllocs(20, func() {
-			buf = largestC.EvalSnapshotInto(buf, &sc, snap)
+			buf, _ = largestC.Eval(nil, buf, &sc, snap)
 		})
 	}
 	return st, results

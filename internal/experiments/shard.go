@@ -279,8 +279,7 @@ func runShardPhase(sdb *structix.DB, byShard [][]shardPair, queries []*query.Pat
 			del := make([]graph.EdgeOp, cfg.BatchOps)
 			for time.Now().Before(deadline) {
 				for k := 0; k < readsPerWrite; k++ {
-					snap := sdb.Snapshot()
-					snap.Eval(queries[q])
+					sdb.Eval(queries[q])
 					q = (q + 1) % len(queries)
 					totalReads.Add(1)
 				}

@@ -338,7 +338,7 @@ func TestFromEncodedRejectsGarbage(t *testing.T) {
 // TestKernelAllocs gates the 0-alloc contract of the compressed kernels:
 // with a warm KWay and a presized destination, union and intersect over
 // compressed blocks must not allocate — that is what keeps the compiled
-// Eval*SnapshotInto paths allocation-free under the Compressed codec.
+// Eval paths allocation-free under the Compressed codec.
 func TestKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	k := 8

@@ -17,8 +17,8 @@
 // or extent changes only by dirtying its slot, and a label changes only
 // when the slot dies and is reborn, which first removes its in-edges and
 // so dirties every expanded parent. A disjoint dirty set therefore proves
-// the cached result unchanged (query.EvalSnapshotFootprint spells the
-// argument out). Entries without a precise footprint (predicate-bearing
+// the cached result unchanged (query's Compiled.EvalSnapshotFootprint
+// spells the argument out). Entries without a precise footprint (predicate-bearing
 // queries, which read the data graph below their candidates) hold none
 // and are invalidated on every publication. A footprint is held as a
 // sparse slot bitmap, 12 bytes per non-zero 64-slot word.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,9 +14,8 @@ import (
 	"structix/internal/snap"
 )
 
-// Threading a context through the snapshot evaluators must not cost the
-// nil-context path anything: the non-Ctx entry points must allocate
-// exactly as much as the Ctx variants given a nil context. Both run on a
+// Eval takes a context, and a nil one must cost nothing extra: with a nil
+// context it allocates no more than under a live context. Both run on a
 // caller-owned Scratch: a pooled one would make the counts random under
 // -race, where sync.Pool drops items on purpose.
 func TestSnapshotCtxNilAllocParity(t *testing.T) {
@@ -28,14 +28,14 @@ func TestSnapshotCtxNilAllocParity(t *testing.T) {
 		buf := make([]graph.NodeID, 0, g.NumNodes())
 		var sc Scratch
 		for _, s := range []*snap.Snapshot{one, ak} {
-			plain := testing.AllocsPerRun(200, func() {
-				buf = c.EvalSnapshotInto(buf, &sc, s)
+			live := testing.AllocsPerRun(200, func() {
+				buf, _ = c.Eval(context.Background(), buf, &sc, s)
 			})
 			withNil := testing.AllocsPerRun(200, func() {
-				buf, _ = c.EvalSnapshotIntoCtx(nil, buf, &sc, s)
+				buf, _ = c.Eval(nil, buf, &sc, s)
 			})
-			if withNil > plain {
-				t.Errorf("%s (bounded %v): eval allocs/op: nil-ctx %.1f > plain %.1f", expr, s.Bounded(), withNil, plain)
+			if withNil > live {
+				t.Errorf("%s (bounded %v): eval allocs/op: nil-ctx %.1f > live ctx %.1f", expr, s.Bounded(), withNil, live)
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func benchFootprint(b *testing.B, expr string, s *snap.Snapshot) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
 }
 
-// BenchmarkEvalSnapshotPath is the facade read path — EvalSnapshot(p, s)
+// BenchmarkEvalSnapshotPath is the facade read path — evalOn(p, s)
 // on a *Path, compile included, with a nil (pooled) Scratch — per
 // expression class over Figure 2, xmark-d8 and xmark-f1. On Figure 2 the
 // compile dominates: a caller repeating one expression compiles it once.
@@ -144,7 +144,7 @@ func BenchmarkEvalSnapshotPath(b *testing.B) {
 			b.Run(gc.name+"/"+ec.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					EvalSnapshot(p, gc.s)
+					evalOn(p, gc.s)
 				}
 			})
 		}

@@ -263,25 +263,38 @@ func autoWalkNFA(a *automaton, sc *Scratch, g *snap.Snapshot) {
 
 // ---- index snapshot evaluation ----
 
-// EvalSnapshot evaluates the compiled expression on an index snapshot of
-// either family and returns the matched dnodes, sorted: candidates from
-// the automaton walk, backward validation when an A(k) snapshot is not
-// precise for the expression, then predicate checks.
-func (c *Compiled) EvalSnapshot(s *snap.Snapshot) []graph.NodeID {
-	return c.EvalSnapshotInto(nil, nil, s)
+// Eval evaluates the compiled expression on an index snapshot of either
+// family and returns the matched dnodes, sorted: candidates from the
+// automaton walk, backward validation when an A(k) snapshot is not
+// precise for the expression, then predicate checks. The result is
+// assembled into buf (overwritten from the start, grown as needed) with
+// sc as the walk's state: with a warm buffer and scratch, an evaluation
+// that needs no validation and no predicate checks allocates nothing.
+// Each of ctx, buf and sc may be nil: a nil ctx is never cancelled, a nil
+// sc borrows a pooled scratch. Neither buf nor sc may be shared between
+// goroutines. Cancellation is observed between extent unions and between
+// validation candidates, and a cancelled evaluation returns nil and
+// ctx.Err(): no partial result.
+func (c *Compiled) Eval(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, error) {
+	buf, err := c.candidates(ctx, buf, sc, s)
+	if err != nil {
+		return nil, err
+	}
+	// Validation and the walk read only labels and axes, so both take the
+	// skeleton; predicates are checked last, on the validated survivors.
+	if buf, err = validated(ctx, c.skel, s, buf); err != nil {
+		return nil, err
+	}
+	if c.path.HasPredicates() {
+		buf = filterByAllPredicates(c.path, s.Data(), buf)
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-// EvalSnapshotInto is EvalSnapshot assembling the result into buf
-// (overwritten from the start, grown as needed) and reusing sc across
-// calls: with a warm buffer and scratch, an evaluation that needs no
-// validation and no predicate checks allocates nothing. A nil sc borrows
-// a pooled scratch; neither buf nor sc may be shared between goroutines.
-func (c *Compiled) EvalSnapshotInto(buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) []graph.NodeID {
-	out, _ := c.EvalSnapshotIntoCtx(nil, buf, sc, s)
-	return out
-}
-
-// EvalSnapshotFootprint evaluates like EvalSnapshotIntoCtx but also
+// EvalSnapshotFootprint evaluates like Eval, into a fresh slice, but also
 // returns the evaluation's inode footprint: the slots the walk expanded —
 // popped and read the successor list of, in any link — strictly ascending
 // and freshly allocated. Slots the walk only read a label from (siblings
@@ -310,7 +323,7 @@ func (c *Compiled) EvalSnapshotFootprint(ctx context.Context, sc *Scratch, s *sn
 		sc = scratchPool.Get().(*Scratch)
 		defer scratchPool.Put(sc)
 	}
-	nodes, err = c.EvalSnapshotIntoCtx(ctx, nil, sc, s)
+	nodes, err = c.Eval(ctx, nil, sc, s)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -321,25 +334,6 @@ func (c *Compiled) EvalSnapshotFootprint(ctx context.Context, sc *Scratch, s *sn
 // repo benchmark (bench/, frozen) compiles against.
 func (c *Compiled) EvalOneSnapshotFootprint(ctx context.Context, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, []int32, bool, error) {
 	return c.EvalSnapshotFootprint(ctx, sc, s)
-}
-
-// EvalSnapshotIntoCtx is EvalSnapshotInto under a context, observing
-// cancellation between extent unions and between validation candidates:
-// candidates, then validation, then predicates.
-func (c *Compiled) EvalSnapshotIntoCtx(ctx context.Context, buf []graph.NodeID, sc *Scratch, s *snap.Snapshot) ([]graph.NodeID, error) {
-	buf, err := c.candidates(ctx, buf, sc, s)
-	if err != nil {
-		return buf, err
-	}
-	// Validation and the walk read only labels and axes, so both take the
-	// skeleton; predicates are checked last, on the validated survivors.
-	if buf, err = validated(ctx, c.skel, s, buf); err != nil {
-		return buf, err
-	}
-	if c.path.HasPredicates() {
-		buf = filterByAllPredicates(c.path, s.Data(), buf)
-	}
-	return buf, ctxErr(ctx)
 }
 
 // candidates walks s and assembles the union of the accepting slots'

@@ -44,26 +44,26 @@ func TestSnapshotCodecEquivalence(t *testing.T) {
 			for q := 0; q < 15; q++ {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
-				if got, want := EvalSnapshot(p, oneSnapC), EvalGraph(p, oneSnap.Data()); !equalIDs(got, want) {
+				if got, want := evalOn(p, oneSnapC), EvalGraph(p, oneSnap.Data()); !equalIDs(got, want) {
 					t.Fatalf("seed %d round %d %q: 1-index: compressed %v != graph %v", seed, round, expr, got, want)
 				}
-				if got, want := EvalSnapshot(p, akSnapC), EvalGraph(p, akSnap.Data()); !equalIDs(got, want) {
+				if got, want := evalOn(p, akSnapC), EvalGraph(p, akSnap.Data()); !equalIDs(got, want) {
 					t.Fatalf("seed %d round %d %q: A(k): compressed %v != graph %v", seed, round, expr, got, want)
 				}
-				if got, want := CountSnapshot(p, oneSnapC), CountSnapshot(p, oneSnap); got != want {
+				if got, want := countOn(p, oneSnapC), countOn(p, oneSnap); got != want {
 					t.Fatalf("seed %d round %d %q: 1-index count: compressed %d != dense %d", seed, round, expr, got, want)
 				}
-				if got, want := CountSnapshot(p, akSnapC), CountSnapshot(p, akSnap); got != want {
+				if got, want := countOn(p, akSnapC), countOn(p, akSnap); got != want {
 					t.Fatalf("seed %d round %d %q: A(k) count: compressed %d != dense %d", seed, round, expr, got, want)
 				}
 				cq := MustCompile(p)
-				buf = cq.EvalSnapshotInto(buf, &sc, oneSnap)
-				bufC = cq.EvalSnapshotInto(bufC, &scC, oneSnapC)
+				buf, _ = cq.Eval(nil, buf, &sc, oneSnap)
+				bufC, _ = cq.Eval(nil, bufC, &scC, oneSnapC)
 				if !slices.Equal(buf, bufC) {
 					t.Fatalf("seed %d round %d %q: 1-index compiled: compressed %v != dense %v", seed, round, expr, bufC, buf)
 				}
-				buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
-				bufC = cq.EvalSnapshotInto(bufC, &scC, akSnapC)
+				buf, _ = cq.Eval(nil, buf, &sc, akSnap)
+				bufC, _ = cq.Eval(nil, bufC, &scC, akSnapC)
 				if !slices.Equal(buf, bufC) {
 					t.Fatalf("seed %d round %d %q: A(k) compiled: compressed %v != dense %v", seed, round, expr, bufC, buf)
 				}
@@ -120,19 +120,19 @@ func TestCompiledCompressedEvalAllocs(t *testing.T) {
 	buf := make([]graph.NodeID, 0, g.NumNodes())
 	for _, expr := range []string{"/a/b", "//c", "//b//c", "//*"} {
 		cq := MustCompile(MustParse(expr))
-		buf = cq.EvalSnapshotInto(buf, &sc, oneSnap) // warm scratch and buffer
+		buf, _ = cq.Eval(nil, buf, &sc, oneSnap) // warm scratch and buffer
 		if allocs := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalSnapshotInto(buf, &sc, oneSnap)
+			buf, _ = cq.Eval(nil, buf, &sc, oneSnap)
 		}); allocs > 0 {
 			t.Errorf("%s: compiled 1-index eval over compressed snapshot: %.1f allocs/op, want 0", expr, allocs)
 		}
-		buf = cq.EvalSnapshotInto(buf, &sc, akDense)
+		buf, _ = cq.Eval(nil, buf, &sc, akDense)
 		dense := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalSnapshotInto(buf, &sc, akDense)
+			buf, _ = cq.Eval(nil, buf, &sc, akDense)
 		})
-		buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
+		buf, _ = cq.Eval(nil, buf, &sc, akSnap)
 		compressed := testing.AllocsPerRun(100, func() {
-			buf = cq.EvalSnapshotInto(buf, &sc, akSnap)
+			buf, _ = cq.Eval(nil, buf, &sc, akSnap)
 		})
 		if compressed > dense {
 			t.Errorf("%s: compiled A(k) eval allocs/op: compressed %.1f > dense %.1f", expr, compressed, dense)

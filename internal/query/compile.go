@@ -71,13 +71,16 @@ type automaton struct {
 	next *automaton
 }
 
-// Compile builds the evaluation program for p. Every path compiles,
+// Compile builds the evaluation program for p, with each step's
+// predicates in cost order (OrderPredicates), so one expression runs one
+// program whichever entry point it came through. Every path compiles,
 // including the empty one and paths of any length; the error result is
 // always nil.
 func Compile(p *Path) (*Compiled, error) { return MustCompile(p), nil }
 
 // MustCompile is Compile without the (always nil) error result.
 func MustCompile(p *Path) *Compiled {
+	p = OrderPredicates(p)
 	c := &Compiled{path: p, skel: p.Skeleton(), expr: p.String()}
 	link := &c.head
 	for steps := c.skel.steps; len(steps) > 0; {
@@ -106,7 +109,7 @@ func newAutomaton(steps []Step) *automaton {
 // key two textually different but equivalent spellings share.
 func (c *Compiled) Expr() string { return c.expr }
 
-// Path returns the compiled expression.
+// Path returns the compiled expression, its predicates in cost order.
 func (c *Compiled) Path() *Path { return c.path }
 
 // States returns the NFA state count and the DFA state count, each summed

@@ -62,7 +62,7 @@ func TestCompileBasics(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	s := oneindex.Build(g).Freeze(g.Freeze())
 	want := []graph.NodeID{g.Root()}
-	got, interp := MustCompile(&Path{}).EvalSnapshot(s), EvalGraph(&Path{}, g)
+	got, interp := evalOn(&Path{}, s), EvalGraph(&Path{}, g)
 	if !equalIDs(got, want) || !equalIDs(interp, want) {
 		t.Errorf("empty path: compiled %v, interpreter %v; want %v", got, interp, want)
 	}
@@ -131,22 +131,22 @@ func TestCompiledSnapshotsMatchInterpreter(t *testing.T) {
 				p := MustParse(randomExpr(rng))
 				c := MustCompile(p)
 				wantOne := EvalGraph(p, oneSnap.Data())
-				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
+				buf, _ = c.Eval(nil, buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: compiled one %v != interpreter %v", seed, round, p, buf, wantOne)
 				}
 				wantAk := EvalGraph(p, akSnap.Data())
-				buf = c.EvalSnapshotInto(buf, &sc, akSnap)
+				buf, _ = c.Eval(nil, buf, &sc, akSnap)
 				if !equalIDs(buf, wantAk) {
 					t.Fatalf("seed %d round %d %q: compiled ak %v != interpreter %v", seed, round, p, buf, wantAk)
 				}
 				// Strip the DFA: the NFA bitmask fixpoint must agree.
 				forceNFA(c)
-				buf = c.EvalSnapshotInto(buf, &sc, oneSnap)
+				buf, _ = c.Eval(nil, buf, &sc, oneSnap)
 				if !equalIDs(buf, wantOne) {
 					t.Fatalf("seed %d round %d %q: NFA-fallback one %v != interpreter %v", seed, round, p, buf, wantOne)
 				}
-				buf = c.EvalSnapshotInto(buf, &sc, akSnap)
+				buf, _ = c.Eval(nil, buf, &sc, akSnap)
 				if !equalIDs(buf, wantAk) {
 					t.Fatalf("seed %d round %d %q: NFA-fallback ak %v != interpreter %v", seed, round, p, buf, wantAk)
 				}
@@ -204,13 +204,13 @@ func TestCompiledEdgeIntoRoot(t *testing.T) {
 				t.Errorf("seed %d %q: EvalSource %v != interpreter %v", seed, expr, got, want)
 			}
 			for _, mode := range []string{"DFA", "NFA"} {
-				wide.EvalSnapshotInto(nil, &sc, oneSnap)
+				wide.Eval(nil, nil, &sc, oneSnap)
 				got, _, _, err := c.EvalSnapshotFootprint(nil, &sc, oneSnap)
 				if err != nil || !equalIDs(got, want) {
 					t.Errorf("seed %d %q: %s one %v != interpreter %v (err %v)", seed, expr, mode, got, want, err)
 				}
-				wide.EvalSnapshotInto(nil, &sc, akSnap)
-				if got := c.EvalSnapshotInto(nil, &sc, akSnap); !equalIDs(got, want) {
+				wide.Eval(nil, nil, &sc, akSnap)
+				if got, _ := c.Eval(nil, nil, &sc, akSnap); !equalIDs(got, want) {
 					t.Errorf("seed %d %q: %s ak %v != interpreter %v", seed, expr, mode, got, want)
 				}
 				forceNFA(c)
@@ -270,22 +270,40 @@ func TestCompiledFootprint(t *testing.T) {
 	}
 }
 
-// Warm compiled evaluation is allocation-free: with a reused Scratch and
-// result buffer, the whole walk + extent union runs without allocating.
+// Warm compiled evaluation is allocation-free: with a nil context and a
+// reused Scratch and result buffer, the whole walk + extent union runs
+// without allocating, on a 1-index and on an A(k) snapshot precise for
+// the expression. The Scratch is caller-owned: a pooled one would make
+// the count random under -race, where sync.Pool drops items on purpose.
 func TestCompiledEvalZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gtest.RandomCyclic(rng, 200, 120)
 	one := oneindex.Build(g)
-	snap := one.Freeze(one.Graph().Freeze())
-	c := MustCompile(MustParse("//a//b"))
-
-	var sc Scratch
-	buf := make([]graph.NodeID, 0, g.NumNodes())
-	buf = c.EvalSnapshotInto(buf, &sc, snap) // warm scratch and buffer
-	if n := testing.AllocsPerRun(50, func() {
-		buf = c.EvalSnapshotInto(buf, &sc, snap)
-	}); n != 0 {
-		t.Errorf("warm compiled evaluation allocates %.1f/op, want 0", n)
+	fig2, _, _, _ := gtest.Fig2()
+	fig2One := oneindex.Build(fig2).Freeze(fig2.Freeze())
+	fig2Ak := akindex.Build(fig2, 2).Freeze(fig2.Freeze())
+	for _, tc := range []struct {
+		expr string
+		s    *snap.Snapshot
+	}{
+		{"//a//b", one.Freeze(one.Graph().Freeze())},
+		{"/a/b", fig2One},
+		{"//c", fig2One},
+		{"//b//c", fig2One},
+		{"/a/b", fig2Ak},
+	} {
+		c := MustCompile(MustParse(tc.expr))
+		var sc Scratch
+		buf := make([]graph.NodeID, 0, tc.s.Data().NumNodes())
+		buf, _ = c.Eval(nil, buf, &sc, tc.s) // warm scratch and buffer
+		if len(buf) == 0 {
+			t.Fatalf("%s: empty result, the gate would be vacuous", tc.expr)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			buf, _ = c.Eval(nil, buf, &sc, tc.s)
+		}); n != 0 {
+			t.Errorf("%s (bounded %v): warm compiled evaluation allocates %.1f/op, want 0", tc.expr, tc.s.Bounded(), n)
+		}
 	}
 }
 

@@ -232,7 +232,7 @@ func TestFootprintCatchesRelabelledSibling(t *testing.T) {
 	if !slices.Equal(snap.ISucc(ip), succsBefore) {
 		t.Fatalf("setup: parent's successor list changed: %v -> %v", succsBefore, snap.ISucc(ip))
 	}
-	if fresh := c.EvalSnapshot(snap); !equalIDs(fresh, []graph.NodeID{z}) {
+	if fresh, _ := c.Eval(nil, nil, nil, snap); !equalIDs(fresh, []graph.NodeID{z}) {
 		t.Fatalf("after: /p/z = %v, want [%d]", fresh, z)
 	}
 	if dirty := sortedDirty(t, snap); !overlaps(dirty, fp) {

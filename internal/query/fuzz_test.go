@@ -60,7 +60,7 @@ func FuzzParsePath(f *testing.F) {
 			t.Fatalf("%q: compiled %v != interpreter %v", expr, got, want)
 		}
 		for _, s := range snaps {
-			if got := c.EvalSnapshot(s); !equalIDs(got, want) {
+			if got, _ := c.Eval(nil, nil, nil, s); !equalIDs(got, want) {
 				t.Fatalf("%q: compiled on snapshot (bounded %v) %v != interpreter %v", expr, s.Bounded(), got, want)
 			}
 		}

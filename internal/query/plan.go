@@ -214,7 +214,7 @@ func OrderPredicates(p *Path) *Path {
 
 // Eval plans and executes in one step, always returning the exact result.
 func (pl *Planner) Eval(p *Path) ([]graph.NodeID, Plan) {
-	c := MustCompile(OrderPredicates(p))
+	c := MustCompile(p)
 	plan := pl.rank(c)[0].plan
 	return pl.exec(c, plan.Strategy), plan
 }
@@ -224,9 +224,11 @@ func (pl *Planner) Eval(p *Path) ([]graph.NodeID, Plan) {
 func (pl *Planner) exec(c *Compiled, st Strategy) []graph.NodeID {
 	switch st {
 	case StrategyAkLevel, StrategyAkValidated:
-		return c.EvalSnapshot(pl.Ak)
+		out, _ := c.Eval(nil, nil, nil, pl.Ak)
+		return out
 	case StrategyOneIndex:
-		return c.EvalSnapshot(pl.One)
+		out, _ := c.Eval(nil, nil, nil, pl.One)
+		return out
 	}
 	return EvalGraph(c.Path(), pl.Data)
 }

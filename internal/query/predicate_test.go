@@ -113,8 +113,8 @@ func TestIndexesHonorPredicates(t *testing.T) {
 	for _, expr := range exprs {
 		p := MustParse(expr)
 		direct := EvalGraph(p, g)
-		viaOne := EvalSnapshot(p, one)
-		viaAk := EvalSnapshot(p, ak)
+		viaOne := evalOn(p, one)
+		viaAk := evalOn(p, ak)
 		if !equalIDs(direct, viaOne) {
 			t.Errorf("%s: 1-index %v != direct %v", expr, viaOne, direct)
 		}
@@ -122,7 +122,7 @@ func TestIndexesHonorPredicates(t *testing.T) {
 			t.Errorf("%s: A(k) %v != direct %v", expr, viaAk, direct)
 		}
 		// Raw A(k) must stay a superset even while ignoring predicates.
-		raw := SnapshotCandidates(p, ak)
+		raw := MustCompile(p).Candidates(ak)
 		set := map[graph.NodeID]bool{}
 		for _, v := range raw {
 			set[v] = true
@@ -162,10 +162,10 @@ func TestPredicateAgreementRandom(t *testing.T) {
 			}
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
-			if got := EvalSnapshot(p, one); !equalIDs(direct, got) {
+			if got := evalOn(p, one); !equalIDs(direct, got) {
 				t.Fatalf("seed %d %s: 1-index %v != direct %v", seed, expr, got, direct)
 			}
-			if got := EvalSnapshot(p, ak); !equalIDs(direct, got) {
+			if got := evalOn(p, ak); !equalIDs(direct, got) {
 				t.Fatalf("seed %d %s: A(k) %v != direct %v", seed, expr, got, direct)
 			}
 		}

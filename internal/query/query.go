@@ -19,7 +19,7 @@
 // extent-partitioning is *safe* — the result is a superset of the true
 // answer; the 1-index is also *precise* for these expressions, while the
 // A(k)-index can return false positives for expressions longer than k
-// (SnapshotCandidates shows them), which EvalSnapshot removes by
+// (Compiled.Candidates shows them), which Compiled.Eval removes by
 // re-checking candidates against the data graph. The step interpreter
 // walks only data graphs: EvalGraph, the reference the compiled path is
 // tested against, and predicate checks.

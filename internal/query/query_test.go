@@ -111,7 +111,7 @@ func TestOneIndexPrecise(t *testing.T) {
 	} {
 		p := MustParse(expr)
 		direct := EvalGraph(p, g)
-		viaIdx := SnapshotCandidates(p, x)
+		viaIdx := MustCompile(p).Candidates(x)
 		if !equalIDs(direct, viaIdx) {
 			t.Errorf("%q: direct %v != index %v", expr, direct, viaIdx)
 		}
@@ -142,7 +142,7 @@ func TestOneIndexPreciseRandom(t *testing.T) {
 			expr := randomExpr(rng)
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
-			viaIdx := SnapshotCandidates(p, x)
+			viaIdx := MustCompile(p).Candidates(x)
 			if !equalIDs(direct, viaIdx) {
 				t.Fatalf("seed %d %q: direct %v != index %v", seed, expr, direct, viaIdx)
 			}
@@ -163,7 +163,7 @@ func TestAkSafetyAndValidation(t *testing.T) {
 				expr := randomExpr(rng)
 				p := MustParse(expr)
 				direct := EvalGraph(p, g)
-				raw := SnapshotCandidates(p, x)
+				raw := MustCompile(p).Candidates(x)
 				set := make(map[graph.NodeID]bool, len(raw))
 				for _, v := range raw {
 					set[v] = true
@@ -176,7 +176,7 @@ func TestAkSafetyAndValidation(t *testing.T) {
 				if !validates(p, x) && !equalIDs(direct, raw) {
 					t.Fatalf("k=%d seed %d %q: raw %v != direct %v though precise", k, seed, expr, raw, direct)
 				}
-				validated := EvalSnapshot(p, x)
+				validated := evalOn(p, x)
 				if !equalIDs(direct, validated) {
 					t.Fatalf("k=%d seed %d %q: validated %v != direct %v", k, seed, expr, validated, direct)
 				}
@@ -245,14 +245,14 @@ func TestAkFalsePositivesExist(t *testing.T) {
 	// parents share labels (both "top"): so the A(1) result contains pb.
 	p := MustParse("//marker/top/mid")
 	direct := EvalGraph(p, g)
-	raw := SnapshotCandidates(p, x)
+	raw := MustCompile(p).Candidates(x)
 	if len(direct) != 1 || direct[0] != pa {
 		t.Fatalf("setup wrong: direct = %v", direct)
 	}
 	if len(raw) <= len(direct) {
 		t.Fatalf("expected false positives in raw A(1) result, got %v", raw)
 	}
-	validated := EvalSnapshot(p, x)
+	validated := evalOn(p, x)
 	if !equalIDs(direct, validated) {
 		t.Errorf("validation failed: %v != %v", validated, direct)
 	}
@@ -291,7 +291,7 @@ func TestAkValidationLongPath(t *testing.T) {
 	if !equalIDs(direct, []graph.NodeID{a[1]}) {
 		t.Fatalf("setup wrong: direct = %v", direct)
 	}
-	if got := EvalSnapshot(p, akindex.Build(g, 1).Freeze(g.Freeze())); !equalIDs(direct, got) {
+	if got := evalOn(p, akindex.Build(g, 1).Freeze(g.Freeze())); !equalIDs(direct, got) {
 		t.Errorf("validated %v != direct %v", got, direct)
 	}
 }
@@ -313,7 +313,7 @@ func TestQueriesAfterMaintenance(t *testing.T) {
 	s := x.Freeze(g.Freeze())
 	for _, expr := range []string{"//person/name", "/site/open_auctions/open_auction/itemref/item"} {
 		p := MustParse(expr)
-		if !equalIDs(EvalGraph(p, g), SnapshotCandidates(p, s)) {
+		if !equalIDs(EvalGraph(p, g), MustCompile(p).Candidates(s)) {
 			t.Errorf("%q: 1-index imprecise after maintenance", expr)
 		}
 	}

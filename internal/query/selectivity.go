@@ -23,13 +23,14 @@ func (c *Compiled) extentCount(s *snap.Snapshot) int {
 	return n
 }
 
-// Selectivity returns the fraction of dnodes matching p's skeleton,
-// estimated from s's extent sizes alone: exact on a 1-index snapshot, an
-// upper bound on an A(k) snapshot.
-func Selectivity(p *Path, s *snap.Snapshot) float64 {
+// Selectivity returns the fraction of dnodes matching the skeleton
+// (predicates stripped), estimated from s's extent sizes alone without
+// touching the data graph: exact on a 1-index snapshot, an upper bound on
+// an A(k) snapshot.
+func (c *Compiled) Selectivity(s *snap.Snapshot) float64 {
 	n := s.Data().NumNodes()
 	if n == 0 {
 		return 0
 	}
-	return float64(MustCompile(p).extentCount(s)) / float64(n)
+	return float64(c.extentCount(s)) / float64(n)
 }

@@ -11,6 +11,19 @@ import (
 	"structix/internal/snap"
 )
 
+// evalOn is Compiled.Eval of p compiled afresh, with no context, buffer
+// or scratch: the read most tests here hold against EvalGraph.
+func evalOn(p *Path, s *snap.Snapshot) []graph.NodeID {
+	out, _ := MustCompile(p).Eval(nil, nil, nil, s)
+	return out
+}
+
+// countOn is Compiled.Count of p compiled afresh, with no context.
+func countOn(p *Path, s *snap.Snapshot) int {
+	n, _ := MustCompile(p).Count(nil, s)
+	return n
+}
+
 // Snapshot evaluation must equal direct evaluation of the live graph taken
 // at the same instant, across randomized graphs, expressions, and
 // maintenance batches with incrementally patched snapshots.
@@ -33,10 +46,10 @@ func TestSnapshotEvalMatchesLive(t *testing.T) {
 					s    *snap.Snapshot
 				}{{"1-index", one.Graph(), oneSnap}, {"A(k)", ak.Graph(), akSnap}} {
 					want := EvalGraph(p, c.g)
-					if got := EvalSnapshot(p, c.s); !equalIDs(got, want) {
+					if got := evalOn(p, c.s); !equalIDs(got, want) {
 						t.Fatalf("seed %d round %d %q: %s snapshot %v != live %v", seed, round, p, c.name, got, want)
 					}
-					if got := CountSnapshot(p, c.s); got != len(want) {
+					if got := countOn(p, c.s); got != len(want) {
 						t.Fatalf("seed %d round %d %q: %s snapshot count %d != live %d", seed, round, p, c.name, got, len(want))
 					}
 				}
@@ -75,10 +88,10 @@ func TestSnapshotPredicates(t *testing.T) {
 	} {
 		p := MustParse(expr)
 		want := EvalGraph(p, g)
-		if got := EvalSnapshot(p, oneSnap); !equalIDs(got, want) {
+		if got := evalOn(p, oneSnap); !equalIDs(got, want) {
 			t.Errorf("%q: 1-index snapshot %v != live %v", expr, got, want)
 		}
-		if got := EvalSnapshot(p, akSnap); !equalIDs(got, want) {
+		if got := evalOn(p, akSnap); !equalIDs(got, want) {
 			t.Errorf("%q: A(k) snapshot %v != live %v", expr, got, want)
 		}
 	}
@@ -92,7 +105,7 @@ func TestSnapshotStability(t *testing.T) {
 	x := oneindex.Build(g)
 	snap := x.Freeze(g.Freeze())
 	p := MustParse("//a//b")
-	before := EvalSnapshot(p, snap)
+	before := evalOn(p, snap)
 
 	sim := g.Clone()
 	for round := 0; round < 4; round++ {
@@ -100,7 +113,7 @@ func TestSnapshotStability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := EvalSnapshot(p, snap)
+	after := evalOn(p, snap)
 	if !equalIDs(before, after) {
 		t.Fatalf("snapshot answer changed under maintenance: %v -> %v", before, after)
 	}
@@ -128,7 +141,7 @@ func TestEvalAkLevel(t *testing.T) {
 			p := MustParse(expr)
 			direct := EvalGraph(p, g)
 			for k, s := range family {
-				raw := SnapshotCandidates(p, s)
+				raw := MustCompile(p).Candidates(s)
 				set := make(map[graph.NodeID]bool, len(raw))
 				for _, v := range raw {
 					set[v] = true
@@ -141,7 +154,7 @@ func TestEvalAkLevel(t *testing.T) {
 				if !validates(p, s) && !equalIDs(direct, raw) {
 					t.Fatalf("seed %d k=%d %s: raw %v != direct %v though precise", seed, k, expr, raw, direct)
 				}
-				if validated := EvalSnapshot(p, s); !equalIDs(direct, validated) {
+				if validated := evalOn(p, s); !equalIDs(direct, validated) {
 					t.Fatalf("seed %d k=%d %s: validated %v != direct %v",
 						seed, k, expr, validated, direct)
 				}
@@ -167,14 +180,14 @@ func TestEvalAkLevelPreciseWhenShort(t *testing.T) {
 			t.Errorf("%s on A(%d): validates", tc.expr, tc.k)
 		}
 		direct := EvalGraph(p, g)
-		if raw := SnapshotCandidates(p, s); !equalIDs(direct, raw) {
+		if raw := MustCompile(p).Candidates(s); !equalIDs(direct, raw) {
 			t.Errorf("%s on A(%d): raw %v != direct %v (should be precise)",
 				tc.expr, tc.k, raw, direct)
 		}
 	}
 }
 
-// Counts from snapshots: exact on either family (CountSnapshot), and the
+// Counts from snapshots: exact on either family (Compiled.Count), and the
 // index-only extent count is exact on the 1-index and never undercounts
 // on A(k).
 func TestCountsAgainstDirectEvaluation(t *testing.T) {
@@ -187,14 +200,14 @@ func TestCountsAgainstDirectEvaluation(t *testing.T) {
 		for q := 0; q < 15; q++ {
 			p := MustParse(randomExpr(rng))
 			want := len(EvalGraph(p, g))
-			if got := CountSnapshot(p, one); got != want {
-				t.Fatalf("seed %d %s: 1-index CountSnapshot = %d, want %d", seed, p, got, want)
+			if got := countOn(p, one); got != want {
+				t.Fatalf("seed %d %s: 1-index Count = %d, want %d", seed, p, got, want)
 			}
 			if got := MustCompile(p).extentCount(one); got != want {
 				t.Fatalf("seed %d %s: 1-index extent count = %d, want %d", seed, p, got, want)
 			}
-			if got := CountSnapshot(p, ak); got != want {
-				t.Fatalf("seed %d %s: A(k) CountSnapshot = %d, want %d", seed, p, got, want)
+			if got := countOn(p, ak); got != want {
+				t.Fatalf("seed %d %s: A(k) Count = %d, want %d", seed, p, got, want)
 			}
 			if got := MustCompile(p).extentCount(ak); got < want {
 				t.Fatalf("seed %d %s: A(k) extent count = %d undercounts %d", seed, p, got, want)
@@ -220,12 +233,12 @@ func TestSelectivity(t *testing.T) {
 	g, _, _, _ := gtest.Fig2()
 	one := oneindex.Build(g).Freeze(g.Freeze())
 	// /a/b matches dnodes 3, 4, 5: 3 of 9 nodes.
-	got := Selectivity(MustParse("/a/b"), one)
+	got := MustCompile(MustParse("/a/b")).Selectivity(one)
 	want := 3.0 / 9.0
 	if got != want {
 		t.Errorf("Selectivity = %v, want %v", got, want)
 	}
-	if s := Selectivity(MustParse("/nothing"), one); s != 0 {
+	if s := MustCompile(MustParse("/nothing")).Selectivity(one); s != 0 {
 		t.Errorf("empty selectivity = %v", s)
 	}
 }

@@ -22,10 +22,10 @@ import (
 // were computed in.
 //
 // On a sharded store the engine evaluates each shard's snapshot
-// independently (each against its own cache), translates the per-shard
-// results to global ids, and k-way merges the sorted sections — the
-// scatter-gather read path. A 1-shard store takes none of those detours:
-// run is then exactly the unsharded evaluator.
+// independently (each against its own cache) and hands the sections to
+// the store's one scatter-gather, which translates them to global ids and
+// k-way merges them. A 1-shard store takes none of those detours: run is
+// then exactly the unsharded evaluator.
 type engine struct {
 	store  *structix.DB
 	caches []*qcache.Cache // one per shard
@@ -86,8 +86,8 @@ func reserve(cnt *atomic.Int64, cap int, store func() (loaded bool)) {
 	}
 }
 
-// program parses and compiles expr, with its predicates in cost order,
-// serving repeats — including repeats of invalid expressions — from the
+// program parses and compiles expr (Compile puts its predicates in cost
+// order), serving repeats — including repeats of invalid expressions — from the
 // caches. The program's Expr is its result-cache key.
 func (e *engine) program(expr string) (*query.Compiled, error) {
 	if v, ok := e.progs.Load(expr); ok {
@@ -104,7 +104,7 @@ func (e *engine) program(expr string) (*query.Compiled, error) {
 		})
 		return nil, err
 	}
-	c := query.MustCompile(query.OrderPredicates(p))
+	c := query.MustCompile(p)
 	reserve(&e.progCount, e.progCap, func() bool {
 		_, loaded := e.progs.LoadOrStore(expr, c)
 		return loaded
@@ -122,32 +122,24 @@ func (e *engine) programs() int {
 	return n
 }
 
-// run evaluates c against the pinned sharded snapshot. On one shard the
-// returned slice is shared (a cache entry or a fresh allocation the cache
-// now owns): read-only, but always safe to retain and re-slice. On many
-// shards it is a fresh merged slice the caller owns. cached reports that
-// every section came from a result cache.
+// run evaluates c against the pinned sharded snapshot through the
+// store's one scatter-gather (ShardedSnapshot.Gather), each shard against
+// its own result cache. On one shard the returned slice is shared (a
+// cache entry or a fresh allocation the cache now owns): read-only, but
+// always safe to retain and re-slice. On many shards it is a fresh merged
+// slice the caller owns. cached reports that every section came from a
+// result cache.
 func (e *engine) run(ctx context.Context, c *query.Compiled, snap *structix.ShardedSnapshot) (nodes []graph.NodeID, cached bool, err error) {
-	if snap.NumShards() == 1 {
-		return e.runShard(ctx, c, 0, snap.Shard(0))
-	}
-	m := snap.Map()
-	secs := make([][]graph.NodeID, snap.NumShards())
-	total := 0
 	cached = true
-	for s := 0; s < snap.NumShards(); s++ {
-		local, hit, err := e.runShard(ctx, c, s, snap.Shard(s))
-		if err != nil {
-			return nil, false, err
-		}
+	nodes, err = snap.Gather(func(s int, shard *structix.Snapshot) ([]graph.NodeID, error) {
+		local, hit, err := e.runShard(ctx, c, s, shard)
 		cached = cached && hit
-		// Translate to global ids into a fresh section: cache entries are
-		// shared read-only and must not be rewritten in place. Striping is
-		// monotone per shard, so each translated section stays sorted.
-		secs[s] = m.AppendGlobal(make([]graph.NodeID, 0, len(local)), s, local)
-		total += len(local)
+		return local, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	return structix.MergeShardResults(make([]graph.NodeID, 0, total), secs), cached, nil
+	return nodes, cached, nil
 }
 
 // runShard evaluates c against one shard's snapshot, consulting that

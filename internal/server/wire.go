@@ -18,8 +18,10 @@ import (
 type QueryRequest struct {
 	// Expr is a path expression, e.g. "/site//person/name".
 	Expr string `json:"expr"`
-	// CountOnly asks for the exact result size without materializing the
-	// node list (served from extent sizes alone when possible).
+	// CountOnly asks for the exact result size and no node list. The
+	// server evaluates the expression as for any query, through the
+	// result cache, and reports the result's length; only the reply
+	// omits the nodes.
 	CountOnly bool `json:"count_only,omitempty"`
 	// Limit truncates the returned node list (0 = no limit). Count still
 	// reports the full result size.

@@ -345,19 +345,11 @@ func (m *Map) routeScript(ops []opscript.Op) (int, error) {
 	return max(s, 0), nil
 }
 
-// GlobalizeNodes translates shard-local ids to global ids in place and
-// returns the slice (result translation for NewNodes and query extents).
-func (m *Map) GlobalizeNodes(s int, ids []graph.NodeID) []graph.NodeID {
-	for i, l := range ids {
-		ids[i] = m.ToGlobal(s, l)
-	}
-	return ids
-}
-
-// AppendGlobal appends shard s's local result ids to dst translated to
-// global ids — the order-preserving merge step of scatter-gather: each
-// shard's extent order is preserved, shards are concatenated in shard
-// order, and a caller-presized dst makes the whole merge allocation-free.
+// AppendGlobal appends shard s's local ids to dst translated to global
+// ids, in order, and returns the extended slice — the one id translator
+// of results: query sections, a fold's NewNodes, a cut's members. Each id
+// is read before its slot in dst is written, so AppendGlobal(ids[:0], s,
+// ids) translates ids in place.
 func (m *Map) AppendGlobal(dst []graph.NodeID, s int, locals []graph.NodeID) []graph.NodeID {
 	for _, l := range locals {
 		dst = append(dst, m.ToGlobal(s, l))
@@ -386,7 +378,7 @@ func (m *Map) Fold(parts []Part, outs []Outcome) (opscript.Result, error) {
 		res.Inserted += o.Res.Inserted
 		res.Deleted += o.Res.Deleted
 		res.Removed += o.Res.Removed
-		res.NewNodes = append(res.NewNodes, m.GlobalizeNodes(parts[i].Shard, o.Res.NewNodes)...)
+		res.NewNodes = m.AppendGlobal(res.NewNodes, parts[i].Shard, o.Res.NewNodes)
 		if o.Err != nil && err == nil {
 			err = m.Globalize(parts[i], o.Err)
 		}

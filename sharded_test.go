@@ -77,15 +77,14 @@ func translate(t *testing.T, mapping []NodeID, ids []NodeID) []NodeID {
 
 func compareStores(t *testing.T, ref *DB, sdb *DB, mapping []NodeID, when string) {
 	t.Helper()
-	snap := sdb.Snapshot()
 	for _, expr := range shardExprs {
 		p := MustParsePath(expr)
 		want := translate(t, mapping, ref.Eval(p))
-		got := snap.Eval(p)
+		got := sdb.Eval(p)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: %s: sharded %v != unsharded %v", when, expr, got, want)
 		}
-		if c := snap.Count(p); c != len(want) {
+		if c := sdb.Count(p); c != len(want) {
 			t.Fatalf("%s: %s: count %d != %d", when, expr, c, len(want))
 		}
 	}
@@ -335,7 +334,7 @@ func TestShardedConcurrentWriters(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = sdb.Snapshot().Eval(p)
+				_ = sdb.Eval(p)
 			}
 		}
 	}()
@@ -623,15 +622,14 @@ func TestShardedRootResultOnce(t *testing.T) {
 	if err := sdb.ApplyBatch(shardOps); err != nil {
 		t.Fatal(err)
 	}
-	snap := sdb.Snapshot()
 	rootLabel := base.LabelName(root)
 	for _, expr := range []string{"//" + rootLabel, "/*/" + rootLabel, "//" + rootLabel + "/a", "//*"} {
 		p := MustParsePath(expr)
 		want := translate(t, mapping, ref.Eval(p))
-		if got := snap.Eval(p); !slices.Equal(got, want) {
+		if got := sdb.Eval(p); !slices.Equal(got, want) {
 			t.Errorf("%s: sharded %v != unsharded %v", expr, got, want)
 		}
-		if got := snap.Count(p); got != len(want) {
+		if got := sdb.Count(p); got != len(want) {
 			t.Errorf("%s: sharded count %d != %d", expr, got, len(want))
 		}
 	}

@@ -80,7 +80,7 @@ func TestDBRaceOneIndex(t *testing.T) {
 					// Count and Eval may observe different epochs, but each
 					// must be self-consistent; re-check on one pinned snapshot.
 					s := c.Shard(0).Snapshot()
-					if structix.CountSnapshot(p, s) != len(structix.EvalSnapshot(p, s)) {
+					if n, _ := structix.CompilePath(p).Count(nil, s); n != len(structix.EvalSnapshot(p, s)) {
 						t.Errorf("count != len(eval) on one snapshot for %v", p)
 						return
 					}

@@ -45,7 +45,6 @@
 package structix
 
 import (
-	"context"
 	"io"
 
 	"structix/internal/akindex"
@@ -239,47 +238,27 @@ const (
 // EvalSnapshot evaluates a path expression against an index snapshot of
 // either family — exact, including predicates, with no access to mutable
 // state: an A(k) snapshot's candidates are validated against its frozen
-// graph when the expression is longer than the index is precise for.
-func EvalSnapshot(p *Path, s *Snapshot) []NodeID { return query.EvalSnapshot(p, s) }
-
-// EvalSnapshotCtx is EvalSnapshot under a context: cancellation is
-// observed between extent unions and between validation candidates, and
-// evaluation stops with ctx.Err() and no partial result. Passing
-// context.Background() (or nil) keeps the uncancellable behavior and
-// allocation profile of EvalSnapshot.
-func EvalSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) ([]NodeID, error) {
-	return query.EvalSnapshotCtx(ctx, p, s)
+// graph when the expression is longer than the index is precise for. It
+// compiles p on every call; every other snapshot read — under a context,
+// into a reused buffer, counts, raw candidates, selectivity — is a method
+// of the CompiledPath.
+func EvalSnapshot(p *Path, s *Snapshot) []NodeID {
+	out, _ := query.MustCompile(p).Eval(nil, nil, nil, s)
+	return out
 }
-
-// SnapshotCandidates returns the raw answer of p's skeleton on s, before
-// validation and predicate checks: exact on a 1-index, and on an A(k)
-// snapshot a safe superset whose surplus is the false positives
-// EvalSnapshot's validation removes.
-func SnapshotCandidates(p *Path, s *Snapshot) []NodeID { return query.SnapshotCandidates(p, s) }
-
-// CountSnapshot returns the exact result size of p from an index snapshot.
-func CountSnapshot(p *Path, s *Snapshot) int { return query.CountSnapshot(p, s) }
-
-// CountSnapshotCtx is CountSnapshot under a context.
-func CountSnapshotCtx(ctx context.Context, p *Path, s *Snapshot) (int, error) {
-	return query.CountSnapshotCtx(ctx, p, s)
-}
-
-// Selectivity returns the fraction of dnodes matching p's skeleton
-// (predicates stripped), computed from s's extent sizes without touching
-// the data graph: exact on a 1-index snapshot, an upper bound on A(k) —
-// the synopsis use of structural indexes (§1).
-func Selectivity(p *Path, s *Snapshot) float64 { return query.Selectivity(p, s) }
 
 // CompiledPath is a path expression compiled to a chain of automata (DFA
-// with an NFA fallback) — the program every snapshot read runs. Compile
-// once for repeated evaluation over epoch snapshots; see query.Compiled
-// for the evaluation methods.
+// with an NFA fallback) — the program every snapshot read runs, one
+// method per question: Eval (under a context, into a reused buffer),
+// Count, Candidates (the raw answer before validation and predicate
+// checks) and Selectivity (from extent sizes alone — the synopsis use of
+// structural indexes, §1). Compile once for repeated evaluation over
+// epoch snapshots.
 type CompiledPath = query.Compiled
 
-// CompilePath compiles p for the snapshot read path. Every path compiles;
-// the error result is always nil.
-func CompilePath(p *Path) (*CompiledPath, error) { return query.Compile(p) }
+// CompilePath compiles p for the snapshot read path, its predicates in
+// cost order. Every path compiles.
+func CompilePath(p *Path) *CompiledPath { return query.MustCompile(p) }
 
 // ---- datasets and workloads ----
 

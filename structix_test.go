@@ -78,7 +78,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(got) != 1 {
 		t.Errorf("A(k) validated query returned %d results", len(got))
 	}
-	if raw := structix.SnapshotCandidates(structix.MustParsePath("//open_auction/seller"), ak); len(raw) < len(got) {
+	if raw := structix.CompilePath(structix.MustParsePath("//open_auction/seller")).Candidates(ak); len(raw) < len(got) {
 		t.Errorf("raw A(k) result smaller than validated")
 	}
 }

@@ -29,8 +29,8 @@ import (
 //     method;
 //   - when shard.Map.Fold, the one fold of a record's per-shard outcomes,
 //     is called by other than DB.write and the server's respondUpdate, or
-//     internal/server re-bases ids by itself (Map.Globalize,
-//     Map.GlobalizeNodes) — one cross-shard rule;
+//     internal/server re-bases ids by itself (Map.Globalize, or any
+//     other Map method named Globalize*) — one cross-shard rule;
 //   - when DB declares a lock field: its parts commit per shard, with no
 //     store-wide coordination;
 //   - when Shard exports a write other than WriteWindowed (the server's
